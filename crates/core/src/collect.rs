@@ -883,7 +883,7 @@ impl Collector {
                 Ok((out, vfs, events)) => {
                     trace_events.extend(events);
                     if let Some(vfs) = vfs {
-                        self.shared_vfs.lock().merge_from(&vfs);
+                        self.shared_vfs.lock().merge_from(vfs);
                     }
                     for oc in out.outcomes {
                         let scenario = &scenarios[index[&oc.scenario_id]];

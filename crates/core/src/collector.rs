@@ -15,9 +15,10 @@
 //!
 //! Each compute task runs the user's `hpcadvisor_run` function in a fresh
 //! `taskshell` interpreter over the deployment's shared filesystem, with the
-//! Table I environment variables injected. `HPCADVISORVAR key=value` lines
-//! printed by the script are scraped into the dataset, exactly as the paper
-//! describes.
+//! Table I environment variables injected. The script is parsed once per
+//! collector, and the filesystem is moved into the interpreter, not copied.
+//! `HPCADVISORVAR key=value` lines printed by the script are scraped into
+//! the dataset, exactly as the paper describes.
 //!
 //! The loop itself lives in `ShardRun`, which executes one ordered slice of
 //! scenarios against one [`BatchService`]. The serial [`Collector::collect`]
@@ -45,7 +46,7 @@ use parking_lot::Mutex;
 use simtime::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use taskshell::{ExecutionEnv, Interpreter, UrlStore, Vfs};
+use taskshell::{ExecutionEnv, Interpreter, Script, ShellError, UrlStore, Vfs};
 use telemetry::Value;
 
 /// Options for a collection run.
@@ -194,7 +195,11 @@ impl CollectorOptionsBuilder {
 pub(crate) struct ExecContext {
     pub(crate) provider: SharedProvider,
     pub(crate) config: UserConfig,
+    /// The app script's text, as the scenario cache fingerprints it.
     pub(crate) script: String,
+    /// The same script parsed once for every task this context runs. A
+    /// syntax error fails each task, as it would if each task parsed it.
+    program: Result<Script, ShellError>,
     pub(crate) urls: UrlStore,
     pub(crate) deployment: String,
     pub(crate) registry: Arc<AppRegistry>,
@@ -202,6 +207,12 @@ pub(crate) struct ExecContext {
 }
 
 impl ExecContext {
+    /// Replaces the app script, parsing it once for all later tasks.
+    fn set_script(&mut self, script: String) {
+        self.program = Script::parse(&script);
+        self.script = script;
+    }
+
     pub(crate) fn should_run(&self, s: &Scenario) -> bool {
         match s.status {
             ScenarioStatus::Pending => true,
@@ -290,14 +301,16 @@ impl ExecContext {
 
     /// Builds the task runner closure for the batch service, bound to the
     /// given shared filesystem (the deployment's, or a shard's clone).
+    /// Everything it captures is shared, not copied: the parsed script, the
+    /// URL store and the registry are reference-counted.
     fn make_runner(&self, vfs: &Arc<Mutex<Vfs>>, spec: RunnerSpec) -> batchsim::service::Runner {
         let shared_vfs = vfs.clone();
         let urls = self.urls.clone();
         let registry = self.registry.clone();
-        let script = self.script.clone();
+        let program = self.program.clone();
         let seed = self.options.experiment_seed;
         Box::new(move |ctx: &TaskContext| -> TaskResult {
-            run_script_task(ctx, &spec, shared_vfs, urls, registry, &script, seed)
+            run_script_task(ctx, &spec, &shared_vfs, urls, registry, &program, seed)
         })
     }
 }
@@ -1463,6 +1476,7 @@ impl Collector {
             ctx: ExecContext {
                 provider,
                 config,
+                program: Script::parse(&script),
                 script,
                 urls,
                 deployment: deployment.to_string(),
@@ -1528,7 +1542,7 @@ impl Collector {
     pub fn register_script(&mut self, url: &str, content: &str) -> Result<(), ToolError> {
         self.ctx.urls.put(url, content);
         if url == self.ctx.config.appsetupurl {
-            self.ctx.script = content.to_string();
+            self.ctx.set_script(content.to_string());
         }
         Ok(())
     }
@@ -1617,18 +1631,20 @@ struct RunnerSpec {
 }
 
 /// Executes one script function inside a fresh interpreter over the shared
-/// filesystem, then merges filesystem changes back (sequential tasks ⇒ the
-/// merge is a plain replace, like a shared NFS mount).
+/// filesystem (sequential tasks, like a shared NFS mount). The interpreter
+/// borrows the filesystem by move and hands it back; a task that errors out
+/// rolls its changes back instead of working on a copy.
 fn run_script_task(
     ctx: &TaskContext,
     spec: &RunnerSpec,
-    shared_vfs: Arc<Mutex<Vfs>>,
+    shared_vfs: &Mutex<Vfs>,
     urls: UrlStore,
     registry: Arc<AppRegistry>,
-    script: &str,
+    program: &Result<Script, ShellError>,
     seed: u64,
 ) -> TaskResult {
-    let vfs = shared_vfs.lock().clone();
+    let mut vfs = std::mem::take(&mut *shared_vfs.lock());
+    vfs.begin();
     let mut interp = Interpreter::new(
         ExecutionEnv {
             sku: ctx.sku.clone(),
@@ -1650,34 +1666,57 @@ fn run_script_task(
         interp.set_var("HOSTFILE_PATH", &hostfile_path);
     }
 
+    let (result, keep) = run_function(&mut interp, spec, program);
+    let mut vfs = interp.into_vfs();
+    if keep {
+        vfs.commit();
+    } else {
+        vfs.rollback();
+    }
+    *shared_vfs.lock() = vfs;
+    result
+}
+
+/// Loads the script and calls the task's function. Returns the task result
+/// and whether its filesystem changes stand: only a function that ran to
+/// an exit status (zero or not) keeps them.
+fn run_function(
+    interp: &mut Interpreter,
+    spec: &RunnerSpec,
+    program: &Result<Script, ShellError>,
+) -> (TaskResult, bool) {
     // Scheduling/launch overhead on the batch side.
     let overhead = SimDuration::from_secs(5);
-    let load = match interp.load_script(script) {
+    let loaded = program
+        .clone()
+        .and_then(|script| interp.run_parsed(&script));
+    let load = match loaded {
         Ok(outcome) => outcome,
-        Err(e) => return TaskResult::failed(overhead, format!("script parse error: {e}\n"), 127),
+        Err(e) => {
+            let stdout = format!("script parse error: {e}\n");
+            return (TaskResult::failed(overhead, stdout, 127), false);
+        }
     };
     if load.exit_code != 0 {
-        return TaskResult::failed(
-            overhead + load.elapsed,
-            format!("{}script top-level failed\n", load.stdout),
-            load.exit_code,
-        );
+        let stdout = format!("{}script top-level failed\n", load.stdout);
+        let duration = overhead + load.elapsed;
+        return (TaskResult::failed(duration, stdout, load.exit_code), false);
     }
     match interp.call_function(&spec.function) {
         Ok(outcome) => {
-            *shared_vfs.lock() = interp.vfs().clone();
             let duration = overhead + load.elapsed + outcome.elapsed;
-            if outcome.exit_code == 0 {
+            let result = if outcome.exit_code == 0 {
                 TaskResult::ok(duration, outcome.stdout)
             } else {
                 TaskResult::failed(duration, outcome.stdout, outcome.exit_code)
-            }
+            };
+            (result, true)
         }
-        Err(e) => TaskResult::failed(
-            overhead + load.elapsed,
-            format!("script error in {}: {e}\n", spec.function),
-            126,
-        ),
+        Err(e) => {
+            let stdout = format!("script error in {}: {e}\n", spec.function);
+            let duration = overhead + load.elapsed;
+            (TaskResult::failed(duration, stdout, 126), false)
+        }
     }
 }
 
@@ -1834,6 +1873,58 @@ mod tests {
             let patched = vfs.read(&format!("{dir}/in.lj.txt")).unwrap();
             assert!(patched.contains("variable x index 8"), "sed applied");
         }
+    }
+
+    #[test]
+    fn script_errors_roll_back_task_files_and_exit_statuses_keep_them() {
+        // Every task downloads into its directory; the 1-node one then
+        // exits 3, the others hit an unknown command (a script error).
+        const SCRIPT: &str = "\
+hpcadvisor_setup() {
+  return 0
+}
+
+hpcadvisor_run() {
+  wget https://www.lammps.org/inputs/in.lj.txt
+  if [[ $NNODES == 1 ]]; then
+    return 3
+  fi
+  frobnicate
+}
+";
+        let config = UserConfig::example_lammps_small();
+        let (mut collector, mut scenarios) = setup(&config);
+        collector
+            .register_script(&config.appsetupurl, SCRIPT)
+            .unwrap();
+        let ds = collector.collect(&mut scenarios).unwrap();
+        assert_eq!(ds.len(), 3);
+        assert!(ds.points.iter().all(|p| p.status == ScenarioStatus::Failed));
+        let vfs = collector.shared_vfs();
+        let vfs = vfs.lock();
+        for s in &scenarios {
+            let dir = format!("/share/hpcadvisorlammps001/apps/lammps/task-{}", s.id);
+            let kept = s.nnodes == 1;
+            assert_eq!(vfs.exists(&format!("{dir}/in.lj.txt")), kept, "{dir}");
+            assert_eq!(vfs.exists(&format!("{dir}/hostfile")), kept, "{dir}");
+            assert_eq!(vfs.dir_exists(&dir), kept, "{dir}");
+        }
+    }
+
+    #[test]
+    fn script_syntax_error_fails_every_scenario() {
+        let config = UserConfig::example_lammps_small();
+        let (mut collector, mut scenarios) = setup(&config);
+        collector
+            .register_script(&config.appsetupurl, "hpcadvisor_run() {\n  echo $(\n}\n")
+            .unwrap();
+        let ds = collector.collect(&mut scenarios).unwrap();
+        assert_eq!(ds.len(), 3);
+        assert!(ds.points.iter().all(|p| p.status == ScenarioStatus::Failed));
+        assert!(!collector
+            .shared_vfs()
+            .lock()
+            .dir_exists("/share/hpcadvisorlammps001/apps/lammps"));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Abstract syntax for task scripts.
 
+use crate::error::ShellError;
 use crate::lexer::Word;
+use crate::parser::parse;
+use std::sync::Arc;
 
 /// A simple command: words that expand to `argv` at run time.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +66,9 @@ pub enum Stmt {
     FuncDef {
         /// Function name.
         name: String,
-        /// Body statements.
-        body: Vec<Stmt>,
+        /// Body statements, shared with the interpreter's function table so
+        /// defining and calling a function never copies its body.
+        body: Arc<[Stmt]>,
     },
     /// `for NAME in words…; do body; done`
     For {
@@ -75,6 +79,24 @@ pub enum Stmt {
         /// Body statements.
         body: Vec<Stmt>,
     },
+}
+
+/// A parsed script. Cloning shares the statements, so a script parsed once
+/// can be loaded into any number of interpreters
+/// ([`crate::Interpreter::run_parsed`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Script(Arc<[Stmt]>);
+
+impl Script {
+    /// Parses script text.
+    pub fn parse(source: &str) -> Result<Script, ShellError> {
+        Ok(Script(parse(source)?.into()))
+    }
+
+    /// The top-level statements.
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.0
+    }
 }
 
 #[cfg(test)]

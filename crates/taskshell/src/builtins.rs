@@ -103,7 +103,7 @@ fn cp(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellE
         return Err(usage("cp", "expected 'cp SRC DST'"));
     };
     let src_path = resolve(interp.cwd(), src);
-    let content = interp.vfs().read(&src_path)?.to_string();
+    let content = interp.vfs().read_shared(&src_path)?.clone();
     let dst_path = destination_path(interp, src, dst);
     interp.vfs_mut().write(&dst_path, content);
     Ok((String::new(), 0))
@@ -114,7 +114,7 @@ fn mv(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellE
         return Err(usage("mv", "expected 'mv SRC DST'"));
     };
     let src_path = resolve(interp.cwd(), src);
-    let content = interp.vfs().read(&src_path)?.to_string();
+    let content = interp.vfs().read_shared(&src_path)?.clone();
     let dst_path = destination_path(interp, src, dst);
     interp.vfs_mut().remove(&src_path)?;
     interp.vfs_mut().write(&dst_path, content);
@@ -450,7 +450,7 @@ fn wget(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Shel
         }
     }
     let url = url.ok_or_else(|| usage("wget", "missing URL"))?;
-    match interp.urls.get(url).map(|s| s.to_string()) {
+    match interp.urls.get_shared(url) {
         None => Ok((format!("wget: unable to resolve '{url}'\n"), 8)),
         Some(content) => {
             let filename = match output {

@@ -1,10 +1,9 @@
 //! The script interpreter: expansion, control flow, virtual time.
 
-use crate::ast::{CommandList, ListOp, Pipeline, Stmt};
+use crate::ast::{CommandList, ListOp, Pipeline, Script, Stmt};
 use crate::builtins;
 use crate::error::ShellError;
 use crate::lexer::{Segment, Word};
-use crate::parser::parse;
 use crate::urlstore::UrlStore;
 use crate::vfs::Vfs;
 use appmodel::{AppRegistry, MachineProfile};
@@ -46,7 +45,7 @@ enum Flow {
 pub struct Interpreter {
     pub(crate) vars: HashMap<String, String>,
     pub(crate) exported: std::collections::HashSet<String>,
-    functions: HashMap<String, Vec<Stmt>>,
+    functions: HashMap<String, Arc<[Stmt]>>,
     pub(crate) vfs: Vfs,
     pub(crate) urls: UrlStore,
     pub(crate) cwd: String,
@@ -136,6 +135,11 @@ impl Interpreter {
         &mut self.vfs
     }
 
+    /// Ends the interpreter, handing back its filesystem without a copy.
+    pub fn into_vfs(self) -> Vfs {
+        self.vfs
+    }
+
     /// The machine profile `mpirun` runs against.
     pub(crate) fn machine(&self) -> MachineProfile {
         MachineProfile::from_sku(&self.exec.sku)
@@ -157,11 +161,17 @@ impl Interpreter {
 
     /// Parses and runs a script from the top.
     pub fn run_script(&mut self, script: &str) -> Result<ScriptOutcome, ShellError> {
-        let stmts = parse(script)?;
+        self.run_parsed(&Script::parse(script)?)
+    }
+
+    /// Runs an already-parsed script from the top, like
+    /// [`Interpreter::run_script`] without the parse: one [`Script`] can be
+    /// loaded into any number of interpreters.
+    pub fn run_parsed(&mut self, script: &Script) -> Result<ScriptOutcome, ShellError> {
         let start_elapsed = self.elapsed;
         let start_len = self.stdout.len();
         let mut status = 0;
-        match self.exec_stmts(&stmts)? {
+        match self.exec_stmts(script.stmts())? {
             Flow::Return(code) => status = code,
             Flow::Normal => {
                 status = if status == 0 {
@@ -374,8 +384,8 @@ impl Interpreter {
                         self.splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
-                    Segment::CmdSub(src, quoted) => {
-                        let value = self.command_substitute(src)?;
+                    Segment::CmdSub(stmts, quoted) => {
+                        let value = self.command_substitute(stmts)?;
                         self.splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
@@ -419,7 +429,7 @@ impl Interpreter {
             match seg {
                 Segment::Lit(s) => out.push_str(s),
                 Segment::Var(name, _) => out.push_str(&self.lookup_var(name)),
-                Segment::CmdSub(src, _) => out.push_str(&self.command_substitute(src)?),
+                Segment::CmdSub(stmts, _) => out.push_str(&self.command_substitute(stmts)?),
                 Segment::Arith(expr) => out.push_str(&self.arithmetic(expr)?.to_string()),
             }
         }
@@ -435,11 +445,10 @@ impl Interpreter {
 
     /// Runs `$(...)` content and returns its stdout without the trailing
     /// newline.
-    fn command_substitute(&mut self, src: &str) -> Result<String, ShellError> {
+    fn command_substitute(&mut self, stmts: &[Stmt]) -> Result<String, ShellError> {
         self.bump()?;
-        let stmts = parse(src)?;
         let start_len = self.stdout.len();
-        let flow = self.exec_stmts(&stmts)?;
+        let flow = self.exec_stmts(stmts)?;
         let mut out = self.stdout.split_off(start_len);
         if let Flow::Return(code) = flow {
             self.last_status = code;
@@ -658,6 +667,18 @@ mod tests {
             i.call_function("missing"),
             Err(ShellError::UndefinedFunction(_))
         ));
+    }
+
+    #[test]
+    fn one_parsed_script_serves_many_interpreters() {
+        let script = Script::parse("f() {\necho n=$N $(echo sub)\n}\n").unwrap();
+        for n in ["1", "2"] {
+            let mut i = Interpreter::for_tests();
+            i.set_var("N", n);
+            assert_eq!(i.run_parsed(&script).unwrap().exit_code, 0);
+            let out = i.call_function("f").unwrap();
+            assert_eq!(out.stdout, format!("n={n} sub\n"));
+        }
     }
 
     #[test]

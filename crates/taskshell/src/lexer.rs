@@ -4,7 +4,10 @@
 //! `$VAR`, `$(cmd)`, `$((expr))`), with quoting captured per segment so the
 //! interpreter knows whether to field-split the expansion.
 
+use crate::ast::Stmt;
 use crate::error::ShellError;
+use crate::parser::parse;
+use std::sync::Arc;
 
 /// One expandable piece of a word.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,9 +18,11 @@ pub enum Segment {
     /// `true` when the expansion occurred inside double quotes (no field
     /// splitting).
     Var(String, bool),
-    /// `$(command …)` — runs the raw source and expands to its stdout with
-    /// the trailing newline removed. Quoted flag as for `Var`.
-    CmdSub(String, bool),
+    /// `$(command …)` — runs the statements and expands to their stdout
+    /// with the trailing newline removed. The source is parsed once, with
+    /// the script (as bash does), not each time the expansion runs. Quoted
+    /// flag as for `Var`.
+    CmdSub(Arc<[Stmt]>, bool),
     /// `$((expression))` — arithmetic expansion.
     Arith(String),
 }
@@ -273,7 +278,7 @@ fn parse_dollar(
                         if depth == 0 {
                             let inner: String = chars[start..*i].iter().collect();
                             *i += 1;
-                            return Ok(Segment::CmdSub(inner, quoted));
+                            return Ok(Segment::CmdSub(parse(&inner)?.into(), quoted));
                         }
                     }
                     _ => {}
@@ -377,7 +382,9 @@ mod tests {
         match &t[1] {
             Token::Word(w) => {
                 assert_eq!(w[0], lit("APP="));
-                assert!(matches!(&w[1], Segment::CmdSub(c, false) if c == "which lmp"));
+                assert!(
+                    matches!(&w[1], Segment::CmdSub(c, false) if **c == *parse("which lmp").unwrap())
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -434,6 +441,10 @@ mod tests {
         assert!(tokenize_line("echo \"unterminated", 1).is_err());
         assert!(tokenize_line("job &", 1).is_err());
         assert!(tokenize_line("echo $((1+2)", 1).is_err());
+        assert!(
+            tokenize_line("X=$(echo 'unterminated)", 1).is_err(),
+            "command substitutions parse with the script"
+        );
     }
 
     #[test]

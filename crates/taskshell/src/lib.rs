@@ -39,6 +39,7 @@ pub mod regexlite;
 pub mod urlstore;
 pub mod vfs;
 
+pub use ast::Script;
 pub use error::ShellError;
 pub use interp::{ExecutionEnv, Interpreter, ScriptOutcome};
 pub use urlstore::UrlStore;

@@ -248,7 +248,10 @@ fn parse_func_body(stream: &mut Stream, name: String) -> Result<Stmt, ShellError
     if !stream.eat_keyword("}") {
         return Err(stream.err(format!("expected '}}' to close function '{name}'")));
     }
-    Ok(Stmt::FuncDef { name, body })
+    Ok(Stmt::FuncDef {
+        name,
+        body: body.into(),
+    })
 }
 
 fn parse_for(stream: &mut Stream) -> Result<Stmt, ShellError> {

@@ -57,6 +57,10 @@ enum Quant {
 #[derive(Debug, Clone)]
 pub struct Regex {
     atoms: Vec<(Atom, Quant)>,
+    /// The pattern's text when it is nothing but single literal characters
+    /// (`grep -q "Finalising parallel run"`): matched with a substring
+    /// search instead of the backtracker.
+    literal: Option<String>,
 }
 
 impl Regex {
@@ -167,11 +171,24 @@ impl Regex {
             };
             atoms.push((atom, quant));
         }
-        Ok(Regex { atoms })
+        let literal = atoms
+            .iter()
+            .map(|atom| match atom {
+                (Atom::Literal(c), Quant::One) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        Ok(Regex { atoms, literal })
     }
 
     /// Finds the leftmost match.
     pub fn find(&self, haystack: &str) -> Option<Match> {
+        if let Some(literal) = &self.literal {
+            return haystack.find(literal.as_str()).map(|start| Match {
+                start,
+                end: start + literal.len(),
+            });
+        }
         let hay: Vec<char> = haystack.chars().collect();
         // Byte offsets for each char index (plus end).
         let mut offsets = Vec::with_capacity(hay.len() + 1);
@@ -414,6 +431,38 @@ mod tests {
         assert!(Regex::compile("[abc").is_err());
         assert!(Regex::compile("+x").is_err());
         assert!(Regex::compile("x\\").is_err());
+    }
+
+    #[test]
+    fn literal_patterns_match_like_the_backtracker() {
+        let hays = [
+            "",
+            "a",
+            "Mesh size: 12",
+            "ExecutionTime = 3 s",
+            "x.y",
+            "αβ Mesh",
+        ];
+        for pattern in ["", "Mesh size", "Time", "x.y", r"x\.y", "β M", "absent"] {
+            let fast = re(pattern);
+            let mut slow = fast.clone();
+            slow.literal = None;
+            for hay in hays {
+                assert_eq!(fast.find(hay), slow.find(hay), "{pattern:?} in {hay:?}");
+                assert_eq!(
+                    fast.replace_all(hay, "<>"),
+                    slow.replace_all(hay, "<>"),
+                    "{pattern:?} in {hay:?}"
+                );
+            }
+        }
+        assert!(
+            re(r"x\.y").literal.is_some(),
+            "escaped literals stay literal"
+        );
+        assert!(re("x.y").literal.is_none());
+        assert!(re("^x").literal.is_none());
+        assert!(re("ab+").literal.is_none());
     }
 
     #[test]

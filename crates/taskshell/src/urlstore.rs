@@ -6,11 +6,13 @@
 //! benchmark inputs, so the verbatim scripts work offline.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Maps URLs to their content.
+/// Maps URLs to their content. Clones share the map (every task's
+/// interpreter gets one), and a `put` copies it only while it is shared.
 #[derive(Debug, Clone, Default)]
 pub struct UrlStore {
-    entries: HashMap<String, String>,
+    entries: Arc<HashMap<String, Arc<str>>>,
 }
 
 /// The stock LAMMPS Lennard-Jones input (abridged to the lines the run
@@ -75,13 +77,19 @@ impl UrlStore {
     }
 
     /// Registers (or replaces) content for a URL.
-    pub fn put(&mut self, url: &str, content: impl Into<String>) {
-        self.entries.insert(url.to_string(), content.into());
+    pub fn put(&mut self, url: &str, content: impl Into<Arc<str>>) {
+        Arc::make_mut(&mut self.entries).insert(url.to_string(), content.into());
     }
 
     /// Fetches content for a URL.
     pub fn get(&self, url: &str) -> Option<&str> {
-        self.entries.get(url).map(|s| s.as_str())
+        self.entries.get(url).map(|s| &**s)
+    }
+
+    /// Fetches content for a URL as a shared allocation (what `wget`
+    /// stores in the filesystem).
+    pub(crate) fn get_shared(&self, url: &str) -> Option<Arc<str>> {
+        self.entries.get(url).cloned()
     }
 }
 

@@ -6,15 +6,34 @@
 //! paper's Listing 2). This VFS reproduces those semantics: absolute paths,
 //! `.`/`..` resolution against a current directory, and implicit parent
 //! directories.
+//!
+//! File contents are shared (`Arc<str>`): cloning the filesystem, copying
+//! a file or merging two filesystems never copies content. A task that must
+//! not leave a trace when it fails runs inside a transaction
+//! ([`Vfs::begin`]) instead of on a copy: every change records how to undo
+//! itself, and [`Vfs::rollback`] restores the state at `begin`.
 
 use crate::error::ShellError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// In-memory filesystem: path → content.
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
-    files: BTreeMap<String, String>,
-    dirs: std::collections::BTreeSet<String>,
+    files: BTreeMap<String, Arc<str>>,
+    dirs: BTreeSet<String>,
+    /// Undo records of the open transaction, oldest first; `None` outside
+    /// a transaction.
+    undo: Option<Vec<Undo>>,
+}
+
+/// How to undo one change.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// Restore a file's previous content, or remove it if it was new.
+    File(String, Option<Arc<str>>),
+    /// Remove a directory the transaction created.
+    Dir(String),
 }
 
 /// Normalizes `path` relative to `cwd`, resolving `.` and `..`.
@@ -44,35 +63,25 @@ impl Vfs {
     }
 
     /// Writes (creates or replaces) a file at an absolute path.
-    pub fn write(&mut self, path: &str, content: impl Into<String>) {
+    pub fn write(&mut self, path: &str, content: impl Into<Arc<str>>) {
         let path = resolve("/", path);
         // Implicit parent directories.
-        let mut acc = String::new();
-        for part in path.trim_start_matches('/').split('/') {
-            acc.push('/');
-            acc.push_str(part);
+        if let Some(idx) = path.rfind('/') {
+            self.mkdir_resolved(&path[..idx]);
         }
-        if let Some(idx) = acc.rfind('/') {
-            let mut dir = String::new();
-            for part in acc[..idx].trim_start_matches('/').split('/') {
-                if part.is_empty() {
-                    continue;
-                }
-                dir.push('/');
-                dir.push_str(part);
-                self.dirs.insert(dir.clone());
-            }
-        }
-        self.files.insert(path, content.into());
+        self.put_file(path, Some(content.into()));
     }
 
     /// Reads a file at an absolute path.
     pub fn read(&self, path: &str) -> Result<&str, ShellError> {
+        self.read_shared(path).map(|content| &**content)
+    }
+
+    /// Reads a file's shared content: writing it elsewhere stores the same
+    /// allocation instead of a copy.
+    pub fn read_shared(&self, path: &str) -> Result<&Arc<str>, ShellError> {
         let path = resolve("/", path);
-        self.files
-            .get(&path)
-            .map(|s| s.as_str())
-            .ok_or(ShellError::NoSuchFile(path))
+        self.files.get(&path).ok_or(ShellError::NoSuchFile(path))
     }
 
     /// True if a file exists at the absolute path.
@@ -83,15 +92,20 @@ impl Vfs {
     /// Removes a file.
     pub fn remove(&mut self, path: &str) -> Result<(), ShellError> {
         let path = resolve("/", path);
-        self.files
-            .remove(&path)
-            .map(|_| ())
-            .ok_or(ShellError::NoSuchFile(path))
+        if !self.files.contains_key(&path) {
+            return Err(ShellError::NoSuchFile(path));
+        }
+        self.put_file(path, None);
+        Ok(())
     }
 
     /// Registers a directory (mkdir -p semantics).
     pub fn mkdir(&mut self, path: &str) {
-        let path = resolve("/", path);
+        self.mkdir_resolved(&resolve("/", path));
+    }
+
+    /// [`Vfs::mkdir`] of an already-resolved path.
+    fn mkdir_resolved(&mut self, path: &str) {
         let mut dir = String::new();
         for part in path.trim_start_matches('/').split('/') {
             if part.is_empty() {
@@ -99,7 +113,7 @@ impl Vfs {
             }
             dir.push('/');
             dir.push_str(part);
-            self.dirs.insert(dir.clone());
+            self.put_dir(&dir);
         }
     }
 
@@ -117,12 +131,12 @@ impl Vfs {
     /// shared NFS mount would hold after all shards finish (shards write
     /// disjoint per-task directories, so "last writer wins" only applies to
     /// identical setup artifacts).
-    pub fn merge_from(&mut self, other: &Vfs) {
-        for (path, content) in &other.files {
-            self.files.insert(path.clone(), content.clone());
+    pub fn merge_from(&mut self, other: Vfs) {
+        for (path, content) in other.files {
+            self.put_file(path, Some(content));
         }
         for dir in &other.dirs {
-            self.dirs.insert(dir.clone());
+            self.put_dir(dir);
         }
     }
 
@@ -134,6 +148,65 @@ impl Vfs {
             .filter(|p| p.starts_with(&prefix))
             .map(|p| p.as_str())
             .collect()
+    }
+
+    /// Opens a transaction: changes from here on can be undone with
+    /// [`Vfs::rollback`] or kept with [`Vfs::commit`]. Transactions do not
+    /// nest; `begin` inside an open one keeps that one's changes and starts
+    /// over.
+    pub fn begin(&mut self) {
+        self.undo = Some(Vec::new());
+    }
+
+    /// Closes the open transaction, keeping its changes.
+    pub fn commit(&mut self) {
+        self.undo = None;
+    }
+
+    /// Closes the open transaction, undoing its changes.
+    pub fn rollback(&mut self) {
+        for undo in self.undo.take().unwrap_or_default().into_iter().rev() {
+            match undo {
+                Undo::File(path, Some(content)) => {
+                    self.files.insert(path, content);
+                }
+                Undo::File(path, None) => {
+                    self.files.remove(&path);
+                }
+                Undo::Dir(dir) => {
+                    self.dirs.remove(&dir);
+                }
+            }
+        }
+    }
+
+    /// Sets (`Some`) or removes (`None`) a file at a resolved path,
+    /// recording the undo inside a transaction.
+    fn put_file(&mut self, path: String, content: Option<Arc<str>>) {
+        let Some(undo) = &mut self.undo else {
+            match content {
+                Some(content) => self.files.insert(path, content),
+                None => self.files.remove(&path),
+            };
+            return;
+        };
+        let previous = match content {
+            Some(content) => self.files.insert(path.clone(), content),
+            None => self.files.remove(&path),
+        };
+        undo.push(Undo::File(path, previous));
+    }
+
+    /// Registers one resolved directory, recording the undo inside a
+    /// transaction.
+    fn put_dir(&mut self, dir: &str) {
+        if self.dirs.contains(dir) {
+            return;
+        }
+        self.dirs.insert(dir.to_string());
+        if let Some(undo) = &mut self.undo {
+            undo.push(Undo::Dir(dir.to_string()));
+        }
     }
 }
 
@@ -172,7 +245,7 @@ mod tests {
         let mut b = Vfs::new();
         b.write("/share/app/in.txt", "updated");
         b.write("/share/app/task-2/out.log", "done");
-        a.merge_from(&b);
+        a.merge_from(b);
         assert_eq!(a.read("/share/app/in.txt").unwrap(), "updated");
         assert!(a.exists("/share/app/task-2/out.log"));
         assert!(a.dir_exists("/share/app/task-1"), "own dirs kept");
@@ -207,5 +280,61 @@ mod tests {
         assert!(fs.dir_exists("/x"));
         assert!(fs.dir_exists("/x/y/z"));
         assert!(fs.dir_exists("/"));
+    }
+
+    /// Every file and directory, for whole-filesystem comparisons.
+    fn snapshot(fs: &Vfs) -> (Vec<(String, String)>, Vec<String>) {
+        (
+            fs.files
+                .iter()
+                .map(|(p, c)| (p.clone(), c.to_string()))
+                .collect(),
+            fs.dirs.iter().cloned().collect(),
+        )
+    }
+
+    #[test]
+    fn rollback_restores_the_state_at_begin() {
+        let mut fs = Vfs::new();
+        fs.write("/app/in.txt", "original");
+        fs.write("/app/gone.txt", "keep me");
+        let before = snapshot(&fs);
+        fs.begin();
+        fs.write("/app/in.txt", "first");
+        fs.write("/app/in.txt", "second");
+        fs.remove("/app/gone.txt").unwrap();
+        fs.write("/app/gone.txt", "recreated");
+        fs.write("/app/task-1/deep/log", "new");
+        fs.mkdir("/work/x");
+        fs.rollback();
+        assert_eq!(snapshot(&fs), before);
+        // Outside a transaction, rollback is a no-op.
+        fs.write("/app/in.txt", "kept");
+        fs.rollback();
+        assert_eq!(fs.read("/app/in.txt").unwrap(), "kept");
+    }
+
+    #[test]
+    fn commit_keeps_changes_and_ends_recording() {
+        let mut fs = Vfs::new();
+        fs.begin();
+        fs.write("/a/one", "1");
+        fs.commit();
+        fs.write("/a/two", "2");
+        fs.rollback();
+        assert_eq!(fs.list("/a"), vec!["/a/one", "/a/two"]);
+    }
+
+    #[test]
+    fn copies_share_content() {
+        let mut fs = Vfs::new();
+        fs.write("/src", "payload");
+        let shared = fs.read_shared("/src").unwrap().clone();
+        fs.write("/dst", shared);
+        let clone = fs.clone();
+        assert!(Arc::ptr_eq(
+            fs.read_shared("/src").unwrap(),
+            clone.read_shared("/dst").unwrap()
+        ));
     }
 }
