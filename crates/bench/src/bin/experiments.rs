@@ -271,10 +271,13 @@ fn e11_table2(out: &Path) {
         vec!["gui".into()],
         vec!["deploy".into(), "shutdown".into(), "exp001".into()],
     ];
+    // The transcript names the scratch directory by a placeholder so the
+    // artifact does not depend on the process id.
+    let workdir = dir.display().to_string();
     for mut argv in commands {
-        let shown = argv.join(" ");
+        let shown = argv.join(" ").replace(&workdir, "<workdir>");
         argv.push("--workdir".into());
-        argv.push(dir.display().to_string());
+        argv.push(workdir.clone());
         let mut buf = Vec::new();
         let code = hpcadvisor_cli_run(&argv, &mut buf);
         let _ = writeln!(

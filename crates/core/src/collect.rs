@@ -5,13 +5,16 @@
 //! independent quota family on Azure's H-series), the per-SKU slices of the
 //! grid are embarrassingly parallel — and within a SKU, scenarios are
 //! independent too. This module splits the id-ordered scenario list into
-//! per-SKU groups and each group into fixed-size *chunks*
-//! ([`CollectPlan::chunk_size`], default 32): workers drain the chunk list
-//! through an admission-gated queue, so a hot SKU whose group dwarfs the
-//! others is stolen chunk by chunk instead of serializing the run behind
-//! one worker. Each chunk runs against its own [`BatchService`] and a clone
-//! of the deployment's shared filesystem; pool contexts and backoff scopes
-//! stay keyed `(sku, region)`.
+//! per-SKU groups and each group into chunks of at most
+//! [`DEFAULT_CHUNK_SIZE`] scenarios: workers drain the chunk list through
+//! an admission-gated queue, so a hot SKU whose group dwarfs the others is
+//! stolen chunk by chunk instead of serializing the run behind one worker.
+//! Each chunk runs against its own [`BatchService`] and a clone of the
+//! deployment's shared filesystem; pool contexts and backoff scopes stay
+//! keyed `(sku, region)`.
+//!
+//! Every collect takes this one path. A single worker drains the queue on
+//! the calling thread; more workers drain it on scoped threads.
 //!
 //! Determinism: a scenario's data point depends only on the scenario itself,
 //! the experiment seed, and the setup artifacts on the filesystem — not on
@@ -19,8 +22,8 @@
 //! byte-identical for any worker count. Three mechanisms keep that true
 //! under chunking:
 //!
-//! - chunk boundaries depend only on the scenario list and the plan's chunk
-//!   size, never on the worker count or on which worker ran what;
+//! - chunk boundaries depend only on the scenario list, never on the
+//!   worker count or on which worker ran what;
 //! - each chunk's service qualifies its fault-injection counters by chunk
 //!   index (`c0`, `c1`, …) on the shared provider, so two chunks of the
 //!   same pool running concurrently keep interleaving-free attempt
@@ -32,12 +35,12 @@
 //! Chunk filesystems are merged back into the deployment's shared
 //! filesystem, in chunk-index order, when all chunks finish.
 //!
-//! Incremental collection: before sharding, the run consults the
+//! Incremental collection: before chunking, the run consults the
 //! collector's [`crate::cache::ScenarioCache`] — scenarios whose
 //! fingerprint is already known are answered without touching a pool, and
-//! only the misses are split into shards. New results are buffered in each
-//! shard's `ShardOutput` and inserted into the cache after the merge
-//! barrier on the coordinating thread, so shard workers never contend on a
+//! only the misses are split into chunks. New results are buffered in each
+//! chunk's `ShardOutput` and inserted into the cache after the merge
+//! barrier on the coordinating thread, so chunk workers never contend on a
 //! cache lock. [`CollectPlan::cache`] overrides the policy per run.
 //!
 //! ```no_run
@@ -53,7 +56,7 @@
 use crate::cache::{rehydrate_point, CachePolicy};
 use crate::collector::{
     consult_cache, consult_journal, index_by_id, resolve_ids, status_str, store_new_points,
-    Collector, ExecContext, JournalConsult, JournalWriter, ShardOutput, ShardRun,
+    Collector, ExecContext, JournalConsult, JournalWriter, ShardOutcome, ShardOutput, ShardRun,
 };
 use crate::dataset::Dataset;
 use crate::error::ToolError;
@@ -69,29 +72,17 @@ use std::sync::Arc;
 use taskshell::Vfs;
 use telemetry::{EventSink, EventTap, Trace, TraceEvent, TraceSummary, Value, COORDINATOR_SHARD};
 
-/// How the scenario list is split into independently-runnable shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// One shard per VM type (the paper's one-pool-per-SKU structure).
-    #[default]
-    PerSku,
-    /// Everything in one shard (serial semantics regardless of workers).
-    SingleShard,
-}
-
 /// A declarative description of one collection run.
 ///
 /// Built fluently and handed to [`Session::collect_with`] or
-/// [`Collector::collect_with_plan`]; the legacy [`Session::collect`] is a
-/// thin wrapper equivalent to the default plan.
+/// [`Collector::collect_with_plan`]; [`Session::collect`] runs the default
+/// plan.
 ///
 /// [`Session::collect_with`]: crate::session::Session::collect_with
 /// [`Session::collect`]: crate::session::Session::collect
 #[derive(Debug, Clone, Default)]
 pub struct CollectPlan {
     workers: usize,
-    shard_policy: ShardPolicy,
-    chunk_size: Option<usize>,
     rerun_failed: Option<bool>,
     experiment_seed: Option<u64>,
     subset: Option<Vec<u32>>,
@@ -105,32 +96,15 @@ pub struct CollectPlan {
 }
 
 impl CollectPlan {
-    /// A serial, per-SKU-sharded plan with the collector's own options.
+    /// A single-worker plan with the collector's own options.
     pub fn new() -> Self {
         CollectPlan::default()
     }
 
     /// Number of worker threads (0 and 1 both mean serial). Workers beyond
-    /// the shard count are not spawned.
+    /// the chunk count are not spawned.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Sets the shard policy.
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
-        self
-    }
-
-    /// Maximum scenarios per work-stealing chunk (default
-    /// [`DEFAULT_CHUNK_SIZE`]). Chunk boundaries depend only on the
-    /// scenario list and this value — never on the worker count — so
-    /// results stay byte-identical across worker counts at any setting.
-    /// `usize::MAX` restores the legacy one-chunk-per-SKU scheduling
-    /// (useful for A/B benchmarks); 0 is treated as 1.
-    pub fn chunk_size(mut self, n: usize) -> Self {
-        self.chunk_size = Some(n);
         self
     }
 
@@ -147,6 +121,7 @@ impl CollectPlan {
     }
 
     /// Restricts the run to the given scenario ids (smart-sampling drivers).
+    /// A repeated id runs once, at its first occurrence.
     pub fn subset(mut self, ids: impl Into<Vec<u32>>) -> Self {
         self.subset = Some(ids.into());
         self
@@ -246,6 +221,63 @@ pub struct ScenarioOutcome {
     pub fail_reason: Option<String>,
 }
 
+impl ScenarioOutcome {
+    /// An outcome that spent no execution attempts.
+    fn settled(scenario: &Scenario, status: ScenarioStatus, fail_reason: Option<String>) -> Self {
+        ScenarioOutcome {
+            scenario_id: scenario.id,
+            sku: scenario.sku.clone(),
+            nnodes: scenario.nnodes,
+            status,
+            shard: None,
+            cached: false,
+            replayed: false,
+            attempts: 0,
+            backoff_secs: 0.0,
+            evictions: 0,
+            failovers: 0,
+            fail_reason,
+        }
+    }
+
+    /// A scenario that chunk `chunk` executed.
+    fn executed(scenario: &Scenario, chunk: usize, oc: ShardOutcome) -> Self {
+        ScenarioOutcome {
+            shard: Some(chunk),
+            attempts: oc.attempts,
+            backoff_secs: oc.backoff_secs,
+            evictions: oc.evictions,
+            failovers: oc.failovers,
+            ..ScenarioOutcome::settled(scenario, oc.status, oc.fail_reason)
+        }
+    }
+
+    /// A scenario of chunk `chunk` failed by a chunk-level error.
+    fn chunk_failed(scenario: &Scenario, chunk: usize, reason: &str) -> Self {
+        ScenarioOutcome {
+            shard: Some(chunk),
+            attempts: 1,
+            ..ScenarioOutcome::settled(scenario, ScenarioStatus::Failed, Some(reason.to_string()))
+        }
+    }
+
+    /// A scenario answered from the result cache.
+    fn cached(scenario: &Scenario) -> Self {
+        ScenarioOutcome {
+            cached: true,
+            ..ScenarioOutcome::settled(scenario, ScenarioStatus::Completed, None)
+        }
+    }
+
+    /// A scenario replayed from the run journal.
+    fn replayed(scenario: &Scenario, entry: &JournalEntry) -> Self {
+        ScenarioOutcome {
+            replayed: true,
+            ..ScenarioOutcome::settled(scenario, entry.status, entry.fail_reason.clone())
+        }
+    }
+}
+
 /// Per-worker execution accounting for one collection run. Worker
 /// attribution is wall-clock-dependent bookkeeping (like
 /// [`CollectStats::wall_secs`]): it never reaches the dataset, the journal
@@ -328,7 +360,9 @@ pub struct CollectReport {
 }
 
 impl CollectReport {
-    /// Extracts just the dataset (what the legacy `collect()` returned).
+    /// Extracts just the dataset (what [`Session::collect`] returns).
+    ///
+    /// [`Session::collect`]: crate::session::Session::collect
     pub fn into_dataset(self) -> Dataset {
         self.dataset
     }
@@ -470,10 +504,9 @@ impl CollectReport {
     }
 }
 
-/// One shard's hand-back: its output, the filesystem clone it worked on
-/// (None when it ran on the shared one), and its trace events (empty when
-/// the run is untraced).
-type ShardResult = Result<(ShardOutput, Option<Vfs>, Vec<TraceEvent>), ToolError>;
+/// One chunk's hand-back: its output, the filesystem clone it worked on,
+/// and its trace events (empty when the run is untraced).
+type ShardResult = Result<(ShardOutput, Vfs, Vec<TraceEvent>), ToolError>;
 
 /// Builds the sink for one shard (or the coordinator): enabled when the
 /// run records a trace or streams live progress, with the tap attached so
@@ -489,36 +522,10 @@ fn shard_sink(shard: i64, on: bool, tap: &Option<Arc<dyn EventTap>>) -> EventSin
     }
 }
 
-/// Splits ordered scenarios into shards under `policy`. Per-SKU sharding
-/// groups all scenarios of a VM type into one shard, in first-appearance
-/// order of the SKU.
-fn split_shards(ordered: Vec<Scenario>, policy: ShardPolicy) -> Vec<Vec<Scenario>> {
-    match policy {
-        ShardPolicy::SingleShard => {
-            if ordered.is_empty() {
-                Vec::new()
-            } else {
-                vec![ordered]
-            }
-        }
-        ShardPolicy::PerSku => {
-            let mut shards: Vec<Vec<Scenario>> = Vec::new();
-            for scenario in ordered {
-                match shards.iter_mut().find(|sh| sh[0].sku == scenario.sku) {
-                    Some(shard) => shard.push(scenario),
-                    None => shards.push(vec![scenario]),
-                }
-            }
-            shards
-        }
-    }
-}
-
-/// Default scenarios per work-stealing chunk. Small enough that a hot SKU's
-/// group splits across workers, large enough that pool setup amortizes; on
-/// the bundled example grids (≤ a dozen scenarios per SKU) every group fits
-/// in one chunk, making chunked scheduling bit-for-bit identical to the
-/// legacy per-SKU shards.
+/// Scenarios per work-stealing chunk. Small enough that a hot SKU's group
+/// splits across workers, large enough that pool setup amortizes; on the
+/// bundled example grids (≤ a dozen scenarios per SKU) every group fits in
+/// one chunk.
 pub const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// One work-stealing unit: a consecutive, id-ordered run of scenarios from
@@ -528,16 +535,22 @@ struct Chunk {
     group: usize,
 }
 
-/// Splits ordered scenarios into SKU groups under `policy`, then each group
-/// into consecutive chunks of at most `chunk_size` scenarios. Boundaries
-/// depend only on the inputs — never on the worker count.
-fn split_chunks(ordered: Vec<Scenario>, policy: ShardPolicy, chunk_size: usize) -> Vec<Chunk> {
-    let chunk_size = chunk_size.max(1);
+/// Splits ordered scenarios into per-SKU groups, in first-appearance order
+/// of the SKU, then each group into consecutive chunks of at most
+/// [`DEFAULT_CHUNK_SIZE`] scenarios. Boundaries depend only on the input —
+/// never on the worker count.
+fn split_chunks(ordered: Vec<Scenario>) -> Vec<Chunk> {
+    let mut groups: Vec<Vec<Scenario>> = Vec::new();
+    for scenario in ordered {
+        match groups.iter_mut().find(|g| g[0].sku == scenario.sku) {
+            Some(group) => group.push(scenario),
+            None => groups.push(vec![scenario]),
+        }
+    }
     let mut chunks = Vec::new();
-    for (group, scenarios) in split_shards(ordered, policy).into_iter().enumerate() {
-        let mut rest = scenarios;
-        while rest.len() > chunk_size {
-            let tail = rest.split_off(chunk_size);
+    for (group, mut rest) in groups.into_iter().enumerate() {
+        while rest.len() > DEFAULT_CHUNK_SIZE {
+            let tail = rest.split_off(DEFAULT_CHUNK_SIZE);
             chunks.push(Chunk {
                 scenarios: std::mem::replace(&mut rest, tail),
                 group,
@@ -703,14 +716,14 @@ impl ChunkQueue {
 impl Collector {
     /// Runs a collection under `plan` and returns a full [`CollectReport`].
     ///
-    /// With one worker, shards run back to back on the collector's own
-    /// batch service — exactly the legacy serial path. With more, each
-    /// shard gets a fresh batch service and a clone of the shared
-    /// filesystem, workers drain a shard queue, and the results are merged
-    /// in scenario-id order; filesystem changes are merged back at the end.
+    /// Every chunk gets a fresh batch service and a clone of the shared
+    /// filesystem. One worker drains the chunk queue on the calling thread,
+    /// more drain it on scoped threads; either way the results are merged
+    /// in scenario-id order and filesystem changes are merged back, in
+    /// chunk order, at the end.
     ///
-    /// A shard-level error (systemic, not per-scenario) marks that shard's
-    /// scenarios failed instead of aborting sibling shards.
+    /// A chunk-level error (systemic, not per-scenario) marks that chunk's
+    /// scenarios failed instead of aborting sibling chunks.
     pub fn collect_with_plan(
         &mut self,
         scenarios: &mut [Scenario],
@@ -780,12 +793,7 @@ impl Collector {
                 }
             }
         }
-        let writer = journal.as_ref().map(|j| JournalWriter {
-            journal: j.clone(),
-            fingerprints: Arc::new(jconsult.fingerprints.clone()),
-        });
-        let chunk_size = plan.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
-        let chunks = split_chunks(consult.misses, plan.shard_policy, chunk_size);
+        let chunks = split_chunks(consult.misses);
         let workers = plan.workers.max(1).min(chunks.len().max(1));
 
         // Coordinator trace framing: run_start, then the decisions made
@@ -823,54 +831,19 @@ impl Collector {
             });
         }
 
-        let mut results: Vec<ShardResult> = Vec::with_capacity(chunks.len());
-        let worker_loads: Vec<WorkerLoad>;
-        if workers <= 1 {
-            // Every chunk starts from a snapshot of the shared filesystem
-            // and merges back afterwards, exactly like the parallel path —
-            // otherwise a later chunk would see files an earlier chunk
-            // downloaded, skip the fetch, and its simulated timeline (and
-            // run trace) would depend on the worker count. Likewise each
-            // chunk gets a fresh service with chunk-qualified fault
-            // counters, so serial and parallel runs replay identically.
-            let initial_vfs = self.shared_vfs.lock().clone();
-            let mut load = WorkerLoad::default();
-            for (idx, chunk) in chunks.iter().enumerate() {
-                let chunk_started = std::time::Instant::now();
-                let mut service = BatchService::new(ctx.provider.clone(), &ctx.deployment);
-                service.set_fault_qualifier(Some(format!("c{idx}")));
-                if sink_on {
-                    service.set_trace(shard_sink(idx as i64, sink_on, &tap));
-                }
-                let vfs = Arc::new(Mutex::new(initial_vfs.clone()));
-                let out = ShardRun {
-                    ctx: &ctx,
-                    service: &mut service,
-                    vfs: vfs.clone(),
-                    journal: writer.clone(),
-                }
-                .run(&chunk.scenarios);
-                let events = service.take_trace();
-                let vfs = Arc::try_unwrap(vfs)
-                    .map(Mutex::into_inner)
-                    .unwrap_or_else(|arc| arc.lock().clone());
-                results.push(out.map(|o| (o, Some(vfs), events)));
-                load.chunks += 1;
-                load.scenarios += chunk.scenarios.len();
-                load.busy_secs += chunk_started.elapsed().as_secs_f64();
-            }
-            worker_loads = vec![load];
-        } else {
-            (results, worker_loads) = run_parallel(
-                &ctx,
-                &chunks,
-                workers,
-                &self.shared_vfs.lock().clone(),
-                writer.as_ref(),
-                sink_on,
-                &tap,
-            );
-        }
+        let env = ChunkEnv {
+            ctx: &ctx,
+            chunks: &chunks,
+            queue: ChunkQueue::new(&ctx, &chunks),
+            initial_vfs: self.shared_vfs.lock().clone(),
+            journal: journal.as_ref().map(|j| JournalWriter {
+                journal: j.clone(),
+                fingerprints: Arc::new(jconsult.fingerprints.clone()),
+            }),
+            sink_on,
+            tap,
+        };
+        let (results, worker_loads) = run_chunks(&env, workers);
         if tracing {
             ctx.provider.lock().set_trace_enabled(false);
         }
@@ -882,25 +855,10 @@ impl Collector {
             match result {
                 Ok((out, vfs, events)) => {
                     trace_events.extend(events);
-                    if let Some(vfs) = vfs {
-                        self.shared_vfs.lock().merge_from(vfs);
-                    }
+                    self.shared_vfs.lock().merge_from(vfs);
                     for oc in out.outcomes {
                         let scenario = &scenarios[index[&oc.scenario_id]];
-                        outcomes.push(ScenarioOutcome {
-                            scenario_id: oc.scenario_id,
-                            sku: scenario.sku.clone(),
-                            nnodes: scenario.nnodes,
-                            status: oc.status,
-                            shard: Some(chunk_idx),
-                            cached: false,
-                            replayed: false,
-                            attempts: oc.attempts,
-                            backoff_secs: oc.backoff_secs,
-                            evictions: oc.evictions,
-                            failovers: oc.failovers,
-                            fail_reason: oc.fail_reason,
-                        });
+                        outcomes.push(ScenarioOutcome::executed(scenario, chunk_idx, oc));
                     }
                     points.extend(out.points);
                 }
@@ -914,20 +872,7 @@ impl Collector {
                         .filter(|s| ctx.should_run(s))
                     {
                         points.push(ctx.failed_point(scenario, &reason));
-                        outcomes.push(ScenarioOutcome {
-                            scenario_id: scenario.id,
-                            sku: scenario.sku.clone(),
-                            nnodes: scenario.nnodes,
-                            status: ScenarioStatus::Failed,
-                            shard: Some(chunk_idx),
-                            cached: false,
-                            replayed: false,
-                            attempts: 1,
-                            backoff_secs: 0.0,
-                            evictions: 0,
-                            failovers: 0,
-                            fail_reason: Some(reason.clone()),
-                        });
+                        outcomes.push(ScenarioOutcome::chunk_failed(scenario, chunk_idx, &reason));
                     }
                 }
             }
@@ -935,20 +880,7 @@ impl Collector {
 
         // Splice cache hits back in as already-completed outcomes.
         for hit in consult.hits {
-            outcomes.push(ScenarioOutcome {
-                scenario_id: hit.scenario.id,
-                sku: hit.scenario.sku.clone(),
-                nnodes: hit.scenario.nnodes,
-                status: ScenarioStatus::Completed,
-                shard: None,
-                cached: true,
-                replayed: false,
-                attempts: 0,
-                backoff_secs: 0.0,
-                evictions: 0,
-                failovers: 0,
-                fail_reason: None,
-            });
+            outcomes.push(ScenarioOutcome::cached(&hit.scenario));
             points.push(hit.point);
         }
 
@@ -979,20 +911,7 @@ impl Collector {
                     }
                 }
             };
-            outcomes.push(ScenarioOutcome {
-                scenario_id: hit.scenario.id,
-                sku: hit.scenario.sku.clone(),
-                nnodes: hit.scenario.nnodes,
-                status: hit.entry.status,
-                shard: None,
-                cached: false,
-                replayed: true,
-                attempts: 0,
-                backoff_secs: 0.0,
-                evictions: 0,
-                failovers: 0,
-                fail_reason: hit.entry.fail_reason,
-            });
+            outcomes.push(ScenarioOutcome::replayed(&hit.scenario, &hit.entry));
             points.push(point);
         }
 
@@ -1083,81 +1002,92 @@ impl Collector {
     }
 }
 
-/// Runs chunks on `workers` scoped threads draining the admission-gated
-/// [`ChunkQueue`]. Each chunk executes against a fresh [`BatchService`]
-/// (same provider, so billing/quota stay global) with chunk-qualified
-/// fault counters, and its own clone of the shared filesystem.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel(
-    ctx: &ExecContext,
-    chunks: &[Chunk],
-    workers: usize,
-    initial_vfs: &Vfs,
-    journal: Option<&JournalWriter>,
+/// Everything the chunk workers of one run share.
+struct ChunkEnv<'a> {
+    ctx: &'a ExecContext,
+    chunks: &'a [Chunk],
+    queue: ChunkQueue,
+    /// The shared filesystem as the run found it. Every chunk starts from
+    /// a clone, so no chunk sees files an earlier one downloaded and each
+    /// chunk's timeline is the same for any worker count.
+    initial_vfs: Vfs,
+    journal: Option<JournalWriter>,
     sink_on: bool,
-    tap: &Option<Arc<dyn EventTap>>,
-) -> (Vec<ShardResult>, Vec<WorkerLoad>) {
-    let slots: Vec<Mutex<Option<ShardResult>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-    let loads: Vec<Mutex<WorkerLoad>> = (0..workers)
-        .map(|_| Mutex::new(WorkerLoad::default()))
-        .collect();
-    let queue = ChunkQueue::new(ctx, chunks);
-    let slots_ref = &slots;
-    let loads_ref = &loads;
-    let queue_ref = &queue;
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (worker, worker_load) in loads_ref.iter().enumerate() {
-            scope.spawn(move |_| {
-                while let Some((i, stolen)) = queue_ref.acquire(worker) {
-                    let chunk_started = std::time::Instant::now();
-                    let mut service = BatchService::new(ctx.provider.clone(), &ctx.deployment);
-                    // Fault counters are qualified by chunk index, and sinks
-                    // are keyed by chunk index — not worker id — so the
-                    // merged stream is invariant to which worker ran what.
-                    service.set_fault_qualifier(Some(format!("c{i}")));
-                    if sink_on {
-                        service.set_trace(shard_sink(i as i64, sink_on, tap));
-                    }
-                    let vfs = Arc::new(Mutex::new(initial_vfs.clone()));
-                    let result = ShardRun {
-                        ctx,
-                        service: &mut service,
-                        vfs: vfs.clone(),
-                        journal: journal.cloned(),
-                    }
-                    .run(&chunks[i].scenarios);
-                    let events = service.take_trace();
-                    // All runner closures are gone once the chunk finishes,
-                    // so the Arc is unique and the filesystem moves out
-                    // copy-free.
-                    let result = result.map(|out| {
-                        let vfs = Arc::try_unwrap(vfs)
-                            .map(Mutex::into_inner)
-                            .unwrap_or_else(|arc| arc.lock().clone());
-                        (out, Some(vfs), events)
-                    });
-                    *slots_ref[i].lock() = Some(result);
-                    queue_ref.release(i);
-                    let mut load = worker_load.lock();
-                    load.chunks += 1;
-                    load.scenarios += chunks[i].scenarios.len();
-                    load.busy_secs += chunk_started.elapsed().as_secs_f64();
-                    if stolen {
-                        load.steals += 1;
-                    }
-                }
-            });
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
+    tap: Option<Arc<dyn EventTap>>,
+}
+
+/// Drains the chunk queue with `workers` workers — the calling thread alone
+/// when `workers` is 1, scoped threads otherwise — and returns each chunk's
+/// result in chunk order plus each worker's load.
+fn run_chunks(env: &ChunkEnv, workers: usize) -> (Vec<ShardResult>, Vec<WorkerLoad>) {
+    let slots: Vec<Mutex<Option<ShardResult>>> =
+        env.chunks.iter().map(|_| Mutex::new(None)).collect();
+    let loads = if workers <= 1 {
+        vec![chunk_worker(env, 0, &slots)]
+    } else {
+        let slots = &slots;
+        let scoped = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| scope.spawn(move |_| chunk_worker(env, worker, slots)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        scoped.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    };
     let results = slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("every chunk slot is filled"))
         .collect();
-    let loads = loads.into_iter().map(Mutex::into_inner).collect();
     (results, loads)
+}
+
+/// One worker: takes chunks from the admission-gated [`ChunkQueue`] until
+/// none are left, runs each on a fresh [`BatchService`] (same provider, so
+/// billing and quota stay global) over its own clone of the filesystem,
+/// and files the result in the chunk's slot.
+fn chunk_worker(env: &ChunkEnv, worker: usize, slots: &[Mutex<Option<ShardResult>>]) -> WorkerLoad {
+    let ctx = env.ctx;
+    let mut load = WorkerLoad::default();
+    while let Some((i, stolen)) = env.queue.acquire(worker) {
+        let chunk_started = std::time::Instant::now();
+        let mut service = BatchService::new(ctx.provider.clone(), &ctx.deployment);
+        // Fault counters are qualified by chunk index, and sinks are keyed
+        // by chunk index — not worker id — so the merged stream is
+        // invariant to which worker ran what.
+        service.set_fault_qualifier(Some(format!("c{i}")));
+        if env.sink_on {
+            service.set_trace(shard_sink(i as i64, env.sink_on, &env.tap));
+        }
+        let vfs = Arc::new(Mutex::new(env.initial_vfs.clone()));
+        let result = ShardRun {
+            ctx,
+            service: &mut service,
+            vfs: vfs.clone(),
+            journal: env.journal.clone(),
+        }
+        .run(&env.chunks[i].scenarios);
+        let events = service.take_trace();
+        // All runner closures are gone once the chunk finishes, so the Arc
+        // is unique and the filesystem moves out copy-free.
+        let result = result.map(|out| {
+            let vfs = Arc::try_unwrap(vfs)
+                .map(Mutex::into_inner)
+                .unwrap_or_else(|arc| arc.lock().clone());
+            (out, vfs, events)
+        });
+        *slots[i].lock() = Some(result);
+        env.queue.release(i);
+        load.chunks += 1;
+        load.scenarios += env.chunks[i].scenarios.len();
+        load.busy_secs += chunk_started.elapsed().as_secs_f64();
+        if stolen {
+            load.steals += 1;
+        }
+    }
+    load
 }
 
 #[cfg(test)]
@@ -1183,9 +1113,11 @@ mod tests {
     #[test]
     fn per_sku_sharding_groups_scenarios() {
         let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
-        let shards = split_shards(s.scenarios().to_vec(), ShardPolicy::PerSku);
-        assert_eq!(shards.len(), 3, "one shard per SKU");
-        for shard in &shards {
+        let chunks = split_chunks(s.scenarios().to_vec());
+        assert_eq!(chunks.len(), 3, "one chunk per SKU");
+        for (i, chunk) in chunks.iter().enumerate() {
+            assert_eq!(chunk.group, i);
+            let shard = &chunk.scenarios;
             assert!(shard.windows(2).all(|w| w[0].sku == w[1].sku));
             assert!(shard.windows(2).all(|w| w[0].id < w[1].id), "order kept");
         }

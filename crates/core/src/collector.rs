@@ -21,15 +21,16 @@
 //! the dataset, exactly as the paper describes.
 //!
 //! The loop itself lives in `ShardRun`, which executes one ordered slice of
-//! scenarios against one [`BatchService`]. The serial [`Collector::collect`]
-//! path runs a single shard over the collector's own service; the parallel
-//! path ([`crate::collect::CollectPlan`]) runs one shard per VM type, each on
-//! its own service, and merges the outputs in scenario order.
+//! scenarios against one [`BatchService`]. Every collect splits the grid
+//! into per-VM-type chunks, runs each chunk as one `ShardRun` on its own
+//! service, and merges the outputs in scenario order
+//! ([`crate::collect`]).
 
 use crate::appscript;
 use crate::cache::{
     rehydrate_point, CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache,
 };
+use crate::collect::{CollectPlan, CollectReport};
 use crate::config::UserConfig;
 use crate::dataset::{DataPoint, Dataset};
 use crate::error::ToolError;
@@ -435,8 +436,8 @@ pub(crate) fn status_str(status: ScenarioStatus) -> &'static str {
 }
 
 /// Executes an ordered slice of scenarios against one batch service —
-/// Algorithm 1 over one shard. The serial path uses a single shard holding
-/// every scenario; the parallel path runs one `ShardRun` per VM type.
+/// Algorithm 1 over one chunk. Every collect runs one `ShardRun` per chunk,
+/// a consecutive run of one VM type's scenarios.
 pub(crate) struct ShardRun<'a> {
     pub(crate) ctx: &'a ExecContext,
     pub(crate) service: &'a mut BatchService,
@@ -449,9 +450,6 @@ pub(crate) struct ShardRun<'a> {
 impl ShardRun<'_> {
     pub(crate) fn run(&mut self, scenarios: &[Scenario]) -> Result<ShardOutput, ToolError> {
         let mut out = ShardOutput::default();
-        // Status updates made during this run, so a scenario id appearing
-        // twice in the slice sees its first outcome (completed => skipped).
-        let mut updated: HashMap<u32, ScenarioStatus> = HashMap::new();
         // SKUs whose family quota ran out mid-run: their remaining
         // scenarios are skipped, not failed, and the sweep keeps going.
         let mut exhausted_skus: HashSet<String> = HashSet::new();
@@ -464,17 +462,13 @@ impl ShardRun<'_> {
         let mut current: Option<PoolCtx> = None;
 
         for scenario in scenarios {
-            let mut scenario = scenario.clone();
-            if let Some(status) = updated.get(&scenario.id) {
-                scenario.status = *status;
-            }
-            if !self.ctx.should_run(&scenario) {
+            if !self.ctx.should_run(scenario) {
                 continue;
             }
             let mut tally = Tally::fresh();
             self.service
                 .trace_mut()
-                .emit("scenario_start", &scenario_scope(&scenario), |m| {
+                .emit("scenario_start", &scenario_scope(scenario), |m| {
                     m.insert("sku", Value::str(scenario.sku.clone()));
                     m.insert("nnodes", Value::Int(i64::from(scenario.nnodes)));
                 });
@@ -488,8 +482,7 @@ impl ShardRun<'_> {
                     tally.attempts = 0;
                     self.record_journaled_skip(
                         &mut out,
-                        &mut updated,
-                        &scenario,
+                        scenario,
                         &format!("budget exceeded: ${spent:.2} spent of ${budget:.2} budget"),
                         tally,
                     );
@@ -500,8 +493,7 @@ impl ShardRun<'_> {
                 tally.attempts = 0;
                 self.record_skip(
                     &mut out,
-                    &mut updated,
-                    &scenario,
+                    scenario,
                     "SKU quota exhausted earlier in this run",
                     tally,
                 );
@@ -534,8 +526,7 @@ impl ShardRun<'_> {
                 tally.attempts = 0;
                 self.record_journaled_skip(
                     &mut out,
-                    &mut updated,
-                    &scenario,
+                    scenario,
                     &format!(
                         "no region satisfies placement SLA: every candidate region for {} \
                          is marked down",
@@ -551,7 +542,7 @@ impl ShardRun<'_> {
             let mut last_fault = String::new();
             for region in &placements {
                 let attempt_region = region.as_deref();
-                match self.ensure_pool(&scenario, attempt_region, &mut current, &mut tally)? {
+                match self.ensure_pool(scenario, attempt_region, &mut current, &mut tally)? {
                     Ok(()) => {
                         let (pool_name, setup_ok) = {
                             let pool = current.as_ref().expect("ensure_pool sets the pool context");
@@ -560,8 +551,7 @@ impl ShardRun<'_> {
                         if !setup_ok {
                             self.record_failure(
                                 &mut out,
-                                &mut updated,
-                                &scenario,
+                                scenario,
                                 "application setup failed on this pool",
                                 tally,
                             );
@@ -571,7 +561,7 @@ impl ShardRun<'_> {
                         // Compute task.
                         let point = self.run_compute_task(
                             &pool_name,
-                            &scenario,
+                            scenario,
                             attempt_region,
                             &mut tally,
                         )?;
@@ -579,8 +569,7 @@ impl ShardRun<'_> {
                         // back to the run's configured capacity class before
                         // the next scenario reuses it.
                         self.apply_capacity(&pool_name)?;
-                        updated.insert(scenario.id, point.status);
-                        self.trace_scenario_end(&scenario, point.status, tally, point.cost_dollars);
+                        self.trace_scenario_end(scenario, point.status, tally, point.cost_dollars);
                         let outcome = ShardOutcome {
                             scenario_id: scenario.id,
                             status: point.status,
@@ -617,9 +606,8 @@ impl ShardRun<'_> {
                             // Legacy single-region semantics, untouched.
                             self.record_resize_error(
                                 &mut out,
-                                &mut updated,
                                 &mut exhausted_skus,
-                                &scenario,
+                                scenario,
                                 &e,
                                 class,
                                 tally,
@@ -632,8 +620,7 @@ impl ShardRun<'_> {
                             // other placement would fare better.
                             self.record_failure(
                                 &mut out,
-                                &mut updated,
-                                &scenario,
+                                scenario,
                                 &format!("pool resize: {e}"),
                                 tally,
                             );
@@ -653,7 +640,7 @@ impl ShardRun<'_> {
                             tried.push(region_name.clone());
                             self.service.trace_mut().emit(
                                 "failover",
-                                &scenario_scope(&scenario),
+                                &scenario_scope(scenario),
                                 |m| {
                                     m.insert("region", Value::str(region_name.clone()));
                                     m.insert("fault", Value::str(last_fault.clone()));
@@ -673,8 +660,7 @@ impl ShardRun<'_> {
                 // the whole failover chain against the cloud.
                 self.record_journaled_skip(
                     &mut out,
-                    &mut updated,
-                    &scenario,
+                    scenario,
                     &format!(
                         "no region satisfies placement SLA: tried {}; last fault: {last_fault}",
                         tried.join(", ")
@@ -842,7 +828,6 @@ impl ShardRun<'_> {
     fn record_resize_error(
         &mut self,
         out: &mut ShardOutput,
-        updated: &mut HashMap<u32, ScenarioStatus>,
         exhausted_skus: &mut HashSet<String>,
         scenario: &Scenario,
         error: &batchsim::BatchError,
@@ -853,31 +838,22 @@ impl ShardRun<'_> {
             exhausted_skus.insert(scenario.sku.clone());
             self.record_skip(
                 out,
-                updated,
                 scenario,
                 &format!("SKU quota exhausted: {error}"),
                 tally,
             );
         } else {
-            self.record_failure(
-                out,
-                updated,
-                scenario,
-                &format!("pool resize: {error}"),
-                tally,
-            );
+            self.record_failure(out, scenario, &format!("pool resize: {error}"), tally);
         }
     }
 
     fn record_failure(
         &mut self,
         out: &mut ShardOutput,
-        updated: &mut HashMap<u32, ScenarioStatus>,
         scenario: &Scenario,
         reason: &str,
         tally: Tally,
     ) {
-        updated.insert(scenario.id, ScenarioStatus::Failed);
         self.trace_scenario_end(scenario, ScenarioStatus::Failed, tally, 0.0);
         let point = self.ctx.failed_point(scenario, reason);
         let outcome = ShardOutcome {
@@ -901,12 +877,10 @@ impl ShardRun<'_> {
     fn record_skip(
         &mut self,
         out: &mut ShardOutput,
-        updated: &mut HashMap<u32, ScenarioStatus>,
         scenario: &Scenario,
         reason: &str,
         tally: Tally,
     ) {
-        updated.insert(scenario.id, ScenarioStatus::Skipped);
         self.trace_scenario_end(scenario, ScenarioStatus::Skipped, tally, 0.0);
         out.points.push(self.ctx.skipped_point(scenario, reason));
         out.outcomes.push(ShardOutcome {
@@ -928,12 +902,10 @@ impl ShardRun<'_> {
     fn record_journaled_skip(
         &mut self,
         out: &mut ShardOutput,
-        updated: &mut HashMap<u32, ScenarioStatus>,
         scenario: &Scenario,
         reason: &str,
         tally: Tally,
     ) {
-        updated.insert(scenario.id, ScenarioStatus::Skipped);
         self.trace_scenario_end(scenario, ScenarioStatus::Skipped, tally, 0.0);
         let point = self.ctx.skipped_point(scenario, reason);
         let outcome = ShardOutcome {
@@ -1230,9 +1202,6 @@ struct AttemptMeta {
 /// One scenario answered from the result cache instead of the simulator.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheHit {
-    /// Position of the scenario's first occurrence in the requested order
-    /// (used to splice cached points back where a cold run would emit them).
-    pub(crate) pos: usize,
     pub(crate) scenario: Scenario,
     pub(crate) point: DataPoint,
 }
@@ -1248,13 +1217,11 @@ pub(crate) struct CacheConsult {
     pub(crate) fingerprints: HashMap<u32, Fingerprint>,
 }
 
-/// Consults the scenario cache for an ordered run list.
+/// Consults the scenario cache for an ordered run list of distinct ids.
 ///
 /// Only scenarios the context would actually run are looked up; skipped ones
 /// (already completed, or failed without rerun) pass through as misses so
-/// the shard loop applies exactly the cold-path skip logic. A repeated id
-/// whose first occurrence hit is suppressed outright — a cold run would have
-/// completed the first occurrence and skipped the rest.
+/// the shard loop applies exactly the cold-path skip logic.
 pub(crate) fn consult_cache(
     ctx: &ExecContext,
     cache: &ScenarioCache,
@@ -1274,36 +1241,23 @@ pub(crate) fn consult_cache(
         revision,
     )
     .with_capacity(ctx.options.capacity);
-    // id → whether its first occurrence hit.
-    let mut first: HashMap<u32, bool> = HashMap::new();
-    for (pos, s) in ordered.iter().enumerate() {
+    for s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
             continue;
-        }
-        match first.get(&s.id) {
-            Some(true) => continue,
-            Some(false) => {
-                out.misses.push(s.clone());
-                continue;
-            }
-            None => {}
         }
         let fp = fpr.scenario(s);
         match cache.lookup(fp) {
             Some(point) => {
                 let point = rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment);
                 out.hits.push(CacheHit {
-                    pos,
                     scenario: s.clone(),
                     point,
                 });
-                first.insert(s.id, true);
             }
             None => {
                 out.fingerprints.insert(s.id, fp);
                 out.misses.push(s.clone());
-                first.insert(s.id, false);
             }
         }
     }
@@ -1338,13 +1292,13 @@ impl JournalConsult {
     }
 }
 
-/// Consults the run journal for an ordered run list — the resume path.
+/// Consults the run journal for an ordered run list of distinct ids — the
+/// resume path.
 ///
 /// Completed entries always replay. Failed, timed-out and budget-skipped
 /// entries were all deliberate terminal decisions, so they replay unless
 /// the run reruns failures. Quota skips are never journaled, so they (and
-/// anything the journal has not seen) fall through as misses. Repeated ids
-/// follow [`consult_cache`]'s first-occurrence rule.
+/// anything the journal has not seen) fall through as misses.
 pub(crate) fn consult_journal(
     ctx: &ExecContext,
     journal: &RunJournal,
@@ -1359,20 +1313,10 @@ pub(crate) fn consult_journal(
         revision,
     )
     .with_capacity(ctx.options.capacity);
-    // id → whether its first occurrence replayed.
-    let mut first: HashMap<u32, bool> = HashMap::new();
     for s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
             continue;
-        }
-        match first.get(&s.id) {
-            Some(true) => continue,
-            Some(false) => {
-                out.misses.push(s.clone());
-                continue;
-            }
-            None => {}
         }
         let fp = fpr.scenario(s);
         out.fingerprints.insert(s.id, fp);
@@ -1384,17 +1328,11 @@ pub(crate) fn consult_journal(
             ScenarioStatus::Pending => false,
         });
         match replay {
-            Some(entry) => {
-                out.hits.push(JournalHit {
-                    scenario: s.clone(),
-                    entry: entry.clone(),
-                });
-                first.insert(s.id, true);
-            }
-            None => {
-                out.misses.push(s.clone());
-                first.insert(s.id, false);
-            }
+            Some(entry) => out.hits.push(JournalHit {
+                scenario: s.clone(),
+                entry: entry.clone(),
+            }),
+            None => out.misses.push(s.clone()),
         }
     }
     out
@@ -1431,18 +1369,22 @@ pub(crate) fn index_by_id(scenarios: &[Scenario]) -> HashMap<u32, usize> {
 }
 
 /// Resolves requested ids into scenario clones in request order, failing on
-/// unknown ids before anything runs.
+/// unknown ids before anything runs. A repeated id keeps only its first
+/// occurrence: a run settles each scenario once.
 pub(crate) fn resolve_ids(
     scenarios: &[Scenario],
     index: &HashMap<u32, usize>,
     ids: &[u32],
 ) -> Result<Vec<Scenario>, ToolError> {
+    let mut seen = HashSet::with_capacity(ids.len());
     let mut ordered = Vec::with_capacity(ids.len());
     for &id in ids {
         let &idx = index
             .get(&id)
             .ok_or_else(|| ToolError::NoData(format!("scenario id {id} not found")))?;
-        ordered.push(scenarios[idx].clone());
+        if seen.insert(id) {
+            ordered.push(scenarios[idx].clone());
+        }
     }
     Ok(ordered)
 }
@@ -1450,7 +1392,6 @@ pub(crate) fn resolve_ids(
 /// The collector for one deployment.
 pub struct Collector {
     pub(crate) ctx: ExecContext,
-    pub(crate) service: BatchService,
     pub(crate) shared_vfs: Arc<Mutex<Vfs>>,
     pub(crate) cache: SharedScenarioCache,
     pub(crate) cache_policy: CachePolicy,
@@ -1471,7 +1412,6 @@ impl Collector {
         let mut urls = UrlStore::with_known_inputs();
         appscript::seed_urlstore(&mut urls, &config.appsetupurl, &config.appname);
         let script = appscript::fetch_script(&urls, &config.appsetupurl)?;
-        let service = BatchService::new(provider.clone(), deployment);
         Ok(Collector {
             ctx: ExecContext {
                 provider,
@@ -1483,7 +1423,6 @@ impl Collector {
                 registry: Arc::new(AppRegistry::standard()),
                 options,
             },
-            service,
             shared_vfs: Arc::new(Mutex::new(Vfs::new())),
             cache: SharedScenarioCache::in_memory(),
             cache_policy: CachePolicy::default(),
@@ -1563,61 +1502,11 @@ impl Collector {
         self.shared_vfs.clone()
     }
 
-    /// Runs every pending scenario (Algorithm 1 over the whole list).
+    /// Runs every pending scenario (Algorithm 1 over the whole list) under
+    /// the default plan and returns the dataset.
     pub fn collect(&mut self, scenarios: &mut [Scenario]) -> Result<Dataset, ToolError> {
-        let ids: Vec<u32> = scenarios
-            .iter()
-            .filter(|s| self.ctx.should_run(s))
-            .map(|s| s.id)
-            .collect();
-        self.run_scenarios(scenarios, &ids)
-    }
-
-    /// Runs a chosen subset of scenarios (the smart-sampling drivers use
-    /// this), preserving Algorithm 1's pool-reuse structure.
-    pub fn run_scenarios(
-        &mut self,
-        scenarios: &mut [Scenario],
-        ids: &[u32],
-    ) -> Result<Dataset, ToolError> {
-        let index = index_by_id(scenarios);
-        let ordered = resolve_ids(scenarios, &index, ids)?;
-        let policy = self.cache_policy;
-        let consult = consult_cache(&self.ctx, &self.cache.lock(), policy, &ordered);
-        let out = ShardRun {
-            ctx: &self.ctx,
-            service: &mut self.service,
-            vfs: self.shared_vfs.clone(),
-            journal: None,
-        }
-        .run(&consult.misses)?;
-        for outcome in &out.outcomes {
-            scenarios[index[&outcome.scenario_id]].status = outcome.status;
-        }
-        if policy.writes() {
-            store_new_points(&self.cache, &consult.fingerprints, &out.points)?;
-        }
-        // Splice executed and cached points back into the requested order —
-        // exactly where a cold run would have emitted them.
-        let mut pos: HashMap<u32, usize> = HashMap::new();
-        for (i, s) in ordered.iter().enumerate() {
-            pos.entry(s.id).or_insert(i);
-        }
-        let mut tagged: Vec<(usize, DataPoint)> =
-            Vec::with_capacity(out.points.len() + consult.hits.len());
-        for point in out.points {
-            tagged.push((pos[&point.scenario_id], point));
-        }
-        for hit in consult.hits {
-            scenarios[index[&hit.scenario.id]].status = ScenarioStatus::Completed;
-            tagged.push((hit.pos, hit.point));
-        }
-        tagged.sort_by_key(|(p, _)| *p);
-        let mut dataset = Dataset::new();
-        for (_, point) in tagged {
-            dataset.push(point);
-        }
-        Ok(dataset)
+        self.collect_with_plan(scenarios, &CollectPlan::new())
+            .map(CollectReport::into_dataset)
     }
 }
 
@@ -1932,7 +1821,10 @@ hpcadvisor_run() {
         let config = UserConfig::example_lammps_small();
         let (mut collector, mut scenarios) = setup(&config);
         let ids: Vec<u32> = scenarios.iter().map(|s| s.id).take(1).collect();
-        let ds = collector.run_scenarios(&mut scenarios, &ids).unwrap();
+        let ds = collector
+            .collect_with_plan(&mut scenarios, &CollectPlan::new().subset(ids))
+            .unwrap()
+            .into_dataset();
         assert_eq!(ds.len(), 1);
         assert_eq!(
             scenarios
@@ -1949,7 +1841,9 @@ hpcadvisor_run() {
         let (mut collector, mut scenarios) = setup(&config);
         let mut ids: Vec<u32> = scenarios.iter().map(|s| s.id).collect();
         ids.push(9999);
-        let err = collector.run_scenarios(&mut scenarios, &ids).unwrap_err();
+        let err = collector
+            .collect_with_plan(&mut scenarios, &CollectPlan::new().subset(ids))
+            .unwrap_err();
         assert!(matches!(err, ToolError::NoData(_)), "{err}");
         assert!(
             scenarios
@@ -1979,23 +1873,35 @@ mod option_tests {
         (collector, scenarios, provider)
     }
 
+    /// Runs the small LAMMPS grid as one `ShardRun` on a batch service the
+    /// test owns, so the pools it leaves behind can be inspected.
+    fn run_on_own_service(options: CollectorOptions) -> BatchService {
+        let config = UserConfig::example_lammps_small();
+        let (collector, scenarios, provider) = setup_with(&config, options);
+        let mut service = BatchService::new(provider, &collector.ctx.deployment);
+        let out = ShardRun {
+            ctx: &collector.ctx,
+            service: &mut service,
+            vfs: collector.shared_vfs(),
+            journal: None,
+        }
+        .run(&scenarios)
+        .unwrap();
+        assert_eq!(out.points.len(), 3);
+        service
+    }
+
     #[test]
     fn delete_pools_option_tears_down_pools() {
-        let config = UserConfig::example_lammps_small();
-        let options = CollectorOptions::builder().delete_pools(true).build();
-        let (mut collector, mut scenarios, _provider) = setup_with(&config, options);
-        collector.collect(&mut scenarios).unwrap();
-        let pool = collector.service.pool("pool-hb120rs_v3").unwrap();
+        let service = run_on_own_service(CollectorOptions::builder().delete_pools(true).build());
+        let pool = service.pool("pool-hb120rs_v3").unwrap();
         assert_eq!(pool.state, batchsim::PoolState::Deleted);
     }
 
     #[test]
     fn resize_to_zero_keeps_pool_by_default() {
-        let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios, _provider) =
-            setup_with(&config, CollectorOptions::default());
-        collector.collect(&mut scenarios).unwrap();
-        let pool = collector.service.pool("pool-hb120rs_v3").unwrap();
+        let service = run_on_own_service(CollectorOptions::default());
+        let pool = service.pool("pool-hb120rs_v3").unwrap();
         assert_eq!(pool.state, batchsim::PoolState::Active);
         assert_eq!(pool.nodes, 0, "resized to zero, not deleted");
     }

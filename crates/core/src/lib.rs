@@ -27,7 +27,7 @@
 //! ## Quick start
 //!
 //! Collection is described by a [`collect::CollectPlan`] (worker count,
-//! shard policy, seed/rerun overrides) and returns a
+//! seed/rerun overrides, subset) and returns a
 //! [`collect::CollectReport`] with the dataset, per-scenario outcomes,
 //! per-pool billing and executor stats:
 //!
@@ -37,18 +37,16 @@
 //! // Listing-1-style configuration (here built programmatically).
 //! let config = UserConfig::example_lammps_small();
 //! let mut session = Session::create(config, 42).unwrap();
-//! // Shard the grid by VM type and run shards on 4 worker threads; the
-//! // merged dataset is byte-identical to a serial run.
+//! // Split the grid into per-VM-type chunks and run them on 4 worker
+//! // threads; the merged dataset is byte-identical to a serial run.
 //! let report = session.collect_with(&CollectPlan::new().workers(4)).unwrap();
 //! let advice = Advice::from_dataset(&report.dataset, &DataFilter::all());
 //! assert!(!advice.rows.is_empty());
 //! println!("{}", advice.render_text());
 //! ```
 //!
-//! Migration note: the pre-plan API remains as thin wrappers —
-//! [`session::Session::collect`] is equivalent to the default plan and
-//! still returns a bare [`dataset::Dataset`], and
-//! [`collector::CollectorOptions`] is now built with
+//! [`session::Session::collect`] runs the default plan and returns just the
+//! [`dataset::Dataset`]. [`collector::CollectorOptions`] is built with
 //! [`collector::CollectorOptions::builder`] (the struct is
 //! `#[non_exhaustive]`).
 
@@ -79,7 +77,7 @@ pub mod session;
 pub use advice::{Advice, CapacityComparison};
 pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
-pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome, ShardPolicy};
+pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};
 pub use collector::{Collector, CollectorOptions, CollectorOptionsBuilder};
 pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
@@ -101,7 +99,7 @@ pub use telemetry::{Trace, TraceEvent, TraceSummary};
 pub mod prelude {
     pub use crate::advice::Advice;
     pub use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
-    pub use crate::collect::{CollectPlan, CollectReport, ShardPolicy};
+    pub use crate::collect::{CollectPlan, CollectReport};
     pub use crate::collector::{Collector, CollectorOptions};
     pub use crate::config::UserConfig;
     pub use crate::dataset::{DataFilter, DataPoint, Dataset};

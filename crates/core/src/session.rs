@@ -21,10 +21,6 @@
 //! let report = session.collect_with(&CollectPlan::new().workers(4)).unwrap();
 //! # let _ = report;
 //! ```
-//!
-//! The pre-builder mutators (`set_cache`, `set_cache_policy`,
-//! `set_journal`, `collector_mut`) remain as deprecated thin wrappers for
-//! one release; see DESIGN.md for the deprecation window.
 
 use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use crate::collect::{CollectPlan, CollectReport};
@@ -38,6 +34,7 @@ use crate::scenario::{generate_scenarios, Scenario};
 use batchsim::SharedProvider;
 use cloudsim::SkuCatalog;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 use taskshell::Vfs;
 use telemetry::EventTap;
@@ -187,15 +184,6 @@ impl Session {
         Session::builder(config).seed(seed).journal(journal).build()
     }
 
-    /// Attaches a crash-safe run journal.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the journal at build time: Session::builder(..).journal(..)"
-    )]
-    pub fn set_journal(&mut self, journal: RunJournal) {
-        self.collector.set_journal(journal);
-    }
-
     /// The deployment (resource-group) name.
     pub fn deployment(&self) -> &str {
         &self.deployment
@@ -214,34 +202,6 @@ impl Session {
     /// The shared cloud provider (billing, clock, quotas).
     pub fn provider(&self) -> SharedProvider {
         self.manager.provider()
-    }
-
-    /// Mutable access to the collector.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Session::register_script / Session::shared_vfs, or declare \
-                collector state on Session::builder"
-    )]
-    pub fn collector_mut(&mut self) -> &mut Collector {
-        &mut self.collector
-    }
-
-    /// Attaches a scenario-result cache.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the cache at build time: Session::builder(..).cache(..)"
-    )]
-    pub fn set_cache(&mut self, cache: ScenarioCache) {
-        self.collector.set_cache(cache);
-    }
-
-    /// Sets the default cache policy for runs without a plan override.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the policy at build time: Session::builder(..).cache_policy(..)"
-    )]
-    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
-        self.collector.set_cache_policy(policy);
     }
 
     /// A handle to the collector's scenario-result cache (clones share
@@ -263,25 +223,34 @@ impl Session {
         self.collector.shared_vfs()
     }
 
-    /// Runs all pending scenarios and returns the collected dataset.
-    ///
-    /// Thin compatibility wrapper over the plan-based API: equivalent to
+    /// Runs all pending scenarios and returns the collected dataset:
     /// `collect_with(&CollectPlan::new())` followed by
-    /// [`CollectReport::into_dataset`], with legacy strict error semantics.
+    /// [`CollectReport::into_dataset`]. A chunk-level error fails that
+    /// chunk's scenarios rather than the whole call.
     pub fn collect(&mut self) -> Result<Dataset, ToolError> {
         self.collector.collect(&mut self.scenarios)
     }
 
-    /// Runs a collection under `plan` (worker count, shard policy, seed and
-    /// rerun overrides, optional subset) and returns a [`CollectReport`]
-    /// with the dataset, per-scenario outcomes, billing and stats.
+    /// Runs a collection under `plan` (worker count, seed and rerun
+    /// overrides, optional subset) and returns a [`CollectReport`] with the
+    /// dataset, per-scenario outcomes, billing and stats.
     pub fn collect_with(&mut self, plan: &CollectPlan) -> Result<CollectReport, ToolError> {
         self.collector.collect_with_plan(&mut self.scenarios, plan)
     }
 
-    /// Runs a chosen subset of scenario ids (used by smart sampling).
+    /// Runs a chosen subset of scenario ids (used by smart sampling) and
+    /// returns their points in the requested order. A repeated id runs
+    /// once, at its first occurrence.
     pub fn collect_subset(&mut self, ids: &[u32]) -> Result<Dataset, ToolError> {
-        self.collector.run_scenarios(&mut self.scenarios, ids)
+        let mut dataset = self
+            .collect_with(&CollectPlan::new().subset(ids))?
+            .into_dataset();
+        let mut pos: HashMap<u32, usize> = HashMap::with_capacity(ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            pos.entry(id).or_insert(i);
+        }
+        dataset.points.sort_by_key(|p| pos[&p.scenario_id]);
+        Ok(dataset)
     }
 
     /// Total cloud spend of this session so far (all VM usage, including
@@ -329,6 +298,21 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn collect_subset_keeps_requested_order_and_runs_repeats_once() {
+        let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
+        let ds = s.collect_subset(&[14, 2, 14, 1]).unwrap();
+        let ids: Vec<u32> = ds.points.iter().map(|p| p.scenario_id).collect();
+        assert_eq!(ids, vec![14, 2, 1]);
+        let completed: Vec<u32> = s
+            .scenarios()
+            .iter()
+            .filter(|s| s.status == ScenarioStatus::Completed)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(completed, vec![1, 2, 14]);
     }
 
     #[test]

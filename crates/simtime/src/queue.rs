@@ -75,8 +75,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops every event scheduled at or before `t`, in order, handing each
-    /// to `f` — the allocation-free sibling of [`EventQueue::drain_until`].
-    /// Returns how many events were delivered.
+    /// to `f` without collecting them — see [`EventQueue::pop`] for the
+    /// one-at-a-time form. Returns how many events were delivered.
     ///
     /// This is the hot-path entry point: simulation drivers call it once per
     /// tick, and a `Vec` per call would dominate the event loop's allocation
@@ -89,15 +89,6 @@ impl<E> EventQueue<E> {
             delivered += 1;
         }
         delivered
-    }
-
-    /// Pops every event scheduled at or before `t`, in order. Thin
-    /// allocating wrapper over [`EventQueue::pop_until`]; prefer that in
-    /// per-tick loops.
-    pub fn drain_until(&mut self, t: SimInstant) -> Vec<(SimInstant, E)> {
-        let mut out = Vec::new();
-        self.pop_until(t, |at, event| out.push((at, event)));
-        out
     }
 }
 
@@ -137,13 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_respects_boundary() {
+    fn pop_until_respects_boundary() {
         let mut q = EventQueue::new();
         q.schedule(at(1), 1);
         q.schedule(at(2), 2);
         q.schedule(at(3), 3);
-        let drained = q.drain_until(at(2));
-        assert_eq!(drained.len(), 2);
+        let mut drained = Vec::new();
+        assert_eq!(q.pop_until(at(2), |_, e| drained.push(e)), 2);
+        assert_eq!(drained, vec![1, 2]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(at(3)));
     }
@@ -169,6 +161,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
-        assert!(q.drain_until(at(100)).is_empty());
+        assert_eq!(q.pop_until(at(100), |_, _| unreachable!()), 0);
     }
 }

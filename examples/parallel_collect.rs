@@ -1,21 +1,21 @@
 //! Parallel data collection with the plan-based Collect API.
 //!
-//! Shards the paper's Listing-1 grid (3 SKUs × 6 node counts × 2 mesh
-//! inputs = 36 scenarios) by VM type — each SKU owns an independent pool in
-//! Algorithm 1 — and runs the shards on 4 worker threads. The merged
-//! dataset is byte-identical to what the serial `session.collect()` loop
-//! produces, which this example verifies.
+//! Splits the paper's Listing-1 grid (3 SKUs × 6 node counts × 2 mesh
+//! inputs = 36 scenarios) into per-VM-type chunks — each SKU owns an
+//! independent pool in Algorithm 1 — and runs the chunks on 4 worker
+//! threads. The merged dataset is byte-identical to what the serial
+//! `session.collect()` produces, which this example verifies.
 //!
 //! Run with: `cargo run --example parallel_collect`
 
 use hpcadvisor::prelude::*;
 
 fn main() -> Result<(), ToolError> {
-    // Serial baseline: the legacy one-call API.
+    // Serial baseline: the one-call API.
     let mut serial_session = Session::create(UserConfig::example_openfoam(), 42)?;
     let serial = serial_session.collect()?;
 
-    // The same grid under a plan: per-SKU shards, 4 workers, and a full
+    // The same grid under a plan: per-SKU chunks, 4 workers, and a full
     // report (outcomes, per-pool billing, executor stats) instead of a
     // bare dataset.
     let mut session = Session::create(UserConfig::example_openfoam(), 42)?;
