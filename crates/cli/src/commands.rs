@@ -3,9 +3,9 @@
 use crate::args::Args;
 use crate::state::{DeploymentRecord, WorkDir};
 use hpcadvisor_core::advice::{Advice, AdviceSort};
-use hpcadvisor_core::cache::{CachePolicy, ScenarioCache};
+use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use hpcadvisor_core::collect::CollectPlan;
-use hpcadvisor_core::collector::{Collector, CollectorOptions};
+use hpcadvisor_core::collector::Collector;
 use hpcadvisor_core::deployment::DeploymentManager;
 use hpcadvisor_core::plot;
 use hpcadvisor_core::sampling::{
@@ -257,14 +257,7 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     // simulated in-process) and run the collection loop on it.
     let mut manager = DeploymentManager::new(&config.subscription, &config.region, record.seed)?;
     let name = manager.create(&config)?;
-    let mut collector = Collector::new(
-        manager.provider(),
-        &name,
-        config.clone(),
-        CollectorOptions::builder()
-            .experiment_seed(record.seed)
-            .build(),
-    )?;
+    let mut collector = Collector::new(manager.provider(), &name, config.clone(), record.seed)?;
     let workers: usize = match args.option("workers") {
         None => 1,
         Some(n) => n
@@ -277,7 +270,7 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     if args.has("no-cache") {
         collector.set_cache_policy(CachePolicy::Off);
     } else {
-        collector.set_cache(ScenarioCache::open(&cache_path));
+        collector.set_shared_cache(SharedScenarioCache::open(&cache_path));
     }
     // Crash-safe run journal: every finished outcome is appended as it
     // lands. `--resume` replays a previous (interrupted) run's journal so
@@ -357,7 +350,7 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
                 let n: u32 = n.parse().map_err(|_| {
                     ToolError::Config(format!("--max-attempts must be a number, got '{n}'"))
                 })?;
-                plan = plan.max_attempts(n);
+                plan = plan.retry(RetryPolicy::with_max_attempts(n));
             }
             if let Some((class, escalate)) = capacity {
                 plan = plan.capacity(class);

@@ -6,7 +6,7 @@
 //! grid are embarrassingly parallel — and within a SKU, scenarios are
 //! independent too. This module splits the id-ordered scenario list into
 //! per-SKU groups and each group into chunks of at most
-//! [`DEFAULT_CHUNK_SIZE`] scenarios: workers drain the chunk list through
+//! [`CHUNK_SIZE`] scenarios: workers drain the chunk list through
 //! an admission-gated queue, so a hot SKU whose group dwarfs the others is
 //! stolen chunk by chunk instead of serializing the run behind one worker.
 //! Each chunk runs against its own [`BatchService`] and a clone of the
@@ -41,7 +41,7 @@
 //! only the misses are split into chunks. New results are buffered in each
 //! chunk's `ShardOutput` and inserted into the cache after the merge
 //! barrier on the coordinating thread, so chunk workers never contend on a
-//! cache lock. [`CollectPlan::cache`] overrides the policy per run.
+//! cache lock.
 //!
 //! ```no_run
 //! use hpcadvisor_core::prelude::*;
@@ -53,7 +53,7 @@
 //! # let _ = dataset;
 //! ```
 
-use crate::cache::{rehydrate_point, CachePolicy};
+use crate::cache::rehydrate_point;
 use crate::collector::{
     consult_cache, consult_journal, index_by_id, resolve_ids, status_str, store_new_points,
     Collector, ExecContext, JournalConsult, JournalWriter, ShardOutcome, ShardOutput, ShardRun,
@@ -72,31 +72,54 @@ use std::sync::Arc;
 use taskshell::Vfs;
 use telemetry::{EventSink, EventTap, Trace, TraceEvent, TraceSummary, Value, COORDINATOR_SHARD};
 
-/// A declarative description of one collection run.
+/// A declarative description of one collection run, and the one home of
+/// every per-run policy: retries, capacity class, eviction escalation,
+/// deadline, budget, rerunning failures and pool teardown. What the
+/// collector *is* (deployment, seed, cache and its policy, journal,
+/// progress tap) is set on the collector or [`SessionBuilder`] instead.
 ///
 /// Built fluently and handed to [`Session::collect_with`] or
 /// [`Collector::collect_with_plan`]; [`Session::collect`] runs the default
 /// plan.
 ///
+/// [`SessionBuilder`]: crate::session::SessionBuilder
 /// [`Session::collect_with`]: crate::session::Session::collect_with
 /// [`Session::collect`]: crate::session::Session::collect
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CollectPlan {
     workers: usize,
-    rerun_failed: Option<bool>,
-    experiment_seed: Option<u64>,
     subset: Option<Vec<u32>>,
-    cache: Option<CachePolicy>,
-    retry: Option<RetryPolicy>,
-    capacity: Option<Capacity>,
-    escalate_after: Option<u32>,
-    deadline_secs: Option<f64>,
-    budget_dollars: Option<f64>,
     trace: bool,
+    pub(crate) rerun_failed: bool,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) capacity: Capacity,
+    pub(crate) escalate_after: u32,
+    pub(crate) deadline_secs: Option<f64>,
+    pub(crate) budget_dollars: Option<f64>,
+    pub(crate) delete_pools: bool,
+}
+
+impl Default for CollectPlan {
+    fn default() -> Self {
+        CollectPlan {
+            workers: 1,
+            subset: None,
+            trace: false,
+            rerun_failed: false,
+            retry: RetryPolicy::default(),
+            capacity: Capacity::Dedicated,
+            escalate_after: 2,
+            deadline_secs: None,
+            budget_dollars: None,
+            delete_pools: false,
+        }
+    }
 }
 
 impl CollectPlan {
-    /// A single-worker plan with the collector's own options.
+    /// A single-worker plan: up to 3 attempts per operation, dedicated
+    /// capacity, no deadline or budget, failures not rerun, and pools
+    /// resized to zero after use.
     pub fn new() -> Self {
         CollectPlan::default()
     }
@@ -108,15 +131,10 @@ impl CollectPlan {
         self
     }
 
-    /// Overrides the collector's rerun-failed option for this run.
+    /// Re-runs scenarios a previous collect left failed or timed out, and
+    /// re-executes journaled failures instead of replaying them.
     pub fn rerun_failed(mut self, yes: bool) -> Self {
-        self.rerun_failed = Some(yes);
-        self
-    }
-
-    /// Overrides the collector's experiment noise seed for this run.
-    pub fn experiment_seed(mut self, seed: u64) -> Self {
-        self.experiment_seed = Some(seed);
+        self.rerun_failed = yes;
         self
     }
 
@@ -127,37 +145,27 @@ impl CollectPlan {
         self
     }
 
-    /// Overrides the collector's scenario-cache policy for this run
-    /// (`Off` forces every scenario cold; `ReadOnly` reuses but never
-    /// stores).
-    pub fn cache(mut self, policy: CachePolicy) -> Self {
-        self.cache = Some(policy);
-        self
-    }
-
-    /// Overrides the collector's retry policy for this run.
+    /// Sets the retry schedule for transient faults (pool allocation,
+    /// resize, task submission). The default retries up to 3 attempts with
+    /// exponential backoff on the simulated clock; [`RetryPolicy::none`]
+    /// disables it.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.retry = policy;
         self
     }
 
-    /// Caps attempts per operation for this run (1 disables retries).
-    pub fn max_attempts(self, n: u32) -> Self {
-        self.retry(RetryPolicy::with_max_attempts(n))
-    }
-
-    /// Overrides the capacity class pools are provisioned with for this
-    /// run. Spot capacity bills at the SKU's discounted rate but exposes
-    /// scenarios to eviction (requeued, then escalated to dedicated).
+    /// Sets the capacity class pools are provisioned with. Spot capacity
+    /// bills at the SKU's discounted rate but exposes scenarios to
+    /// eviction (requeued, then escalated to dedicated).
     pub fn capacity(mut self, capacity: Capacity) -> Self {
-        self.capacity = Some(capacity);
+        self.capacity = capacity;
         self
     }
 
-    /// Overrides how many evictions one scenario tolerates before its pool
-    /// escalates to dedicated capacity.
+    /// Sets how many evictions one scenario tolerates before its pool
+    /// escalates to dedicated capacity for the rest of that scenario.
     pub fn escalate_after(mut self, evictions: u32) -> Self {
-        self.escalate_after = Some(evictions);
+        self.escalate_after = evictions;
         self
     }
 
@@ -172,6 +180,14 @@ impl CollectPlan {
     /// it, remaining scenarios are skipped (journaled) instead of executed.
     pub fn budget_dollars(mut self, dollars: f64) -> Self {
         self.budget_dollars = Some(dollars);
+        self
+    }
+
+    /// Deletes pools after use instead of resizing them to zero (the
+    /// paper's "resize pool to zero or delete pool, depending on user
+    /// preference").
+    pub fn delete_pools(mut self, yes: bool) -> Self {
+        self.delete_pools = yes;
         self
     }
 
@@ -301,7 +317,7 @@ pub struct CollectStats {
     /// Worker threads actually used.
     pub workers: usize,
     /// Number of work-stealing chunks the scenario list was split into
-    /// (one per SKU group when the group fits [`DEFAULT_CHUNK_SIZE`]).
+    /// (one per SKU group when the group fits [`CHUNK_SIZE`]).
     pub shards: usize,
     /// Total stolen chunks across all workers (0 on serial runs and on
     /// grids where every SKU group fits in one chunk).
@@ -526,7 +542,7 @@ fn shard_sink(shard: i64, on: bool, tap: &Option<Arc<dyn EventTap>>) -> EventSin
 /// splits across workers, large enough that pool setup amortizes; on the
 /// bundled example grids (≤ a dozen scenarios per SKU) every group fits in
 /// one chunk.
-pub const DEFAULT_CHUNK_SIZE: usize = 32;
+pub const CHUNK_SIZE: usize = 32;
 
 /// One work-stealing unit: a consecutive, id-ordered run of scenarios from
 /// a single SKU group, plus the group index (steal accounting).
@@ -537,7 +553,7 @@ struct Chunk {
 
 /// Splits ordered scenarios into per-SKU groups, in first-appearance order
 /// of the SKU, then each group into consecutive chunks of at most
-/// [`DEFAULT_CHUNK_SIZE`] scenarios. Boundaries depend only on the input —
+/// [`CHUNK_SIZE`] scenarios. Boundaries depend only on the input —
 /// never on the worker count.
 fn split_chunks(ordered: Vec<Scenario>) -> Vec<Chunk> {
     let mut groups: Vec<Vec<Scenario>> = Vec::new();
@@ -549,8 +565,8 @@ fn split_chunks(ordered: Vec<Scenario>) -> Vec<Chunk> {
     }
     let mut chunks = Vec::new();
     for (group, mut rest) in groups.into_iter().enumerate() {
-        while rest.len() > DEFAULT_CHUNK_SIZE {
-            let tail = rest.split_off(DEFAULT_CHUNK_SIZE);
+        while rest.len() > CHUNK_SIZE {
+            let tail = rest.split_off(CHUNK_SIZE);
             chunks.push(Chunk {
                 scenarios: std::mem::replace(&mut rest, tail),
                 group,
@@ -731,27 +747,7 @@ impl Collector {
     ) -> Result<CollectReport, ToolError> {
         let started = std::time::Instant::now();
         let mut ctx = self.ctx.clone();
-        if let Some(seed) = plan.experiment_seed {
-            ctx.options.experiment_seed = seed;
-        }
-        if let Some(rerun) = plan.rerun_failed {
-            ctx.options.rerun_failed = rerun;
-        }
-        if let Some(retry) = &plan.retry {
-            ctx.options.retry = retry.clone();
-        }
-        if let Some(capacity) = plan.capacity {
-            ctx.options.capacity = capacity;
-        }
-        if let Some(n) = plan.escalate_after {
-            ctx.options.escalate_after = n;
-        }
-        if let Some(secs) = plan.deadline_secs {
-            ctx.options.deadline_secs = Some(secs);
-        }
-        if let Some(dollars) = plan.budget_dollars {
-            ctx.options.budget_dollars = Some(dollars);
-        }
+        ctx.plan = plan.clone();
 
         let index = index_by_id(scenarios);
         let ordered: Vec<Scenario> = match &plan.subset {
@@ -773,7 +769,7 @@ impl Collector {
         let journal_replayed = jconsult.hits.len();
         // Consult the result cache next, on this thread: hits never reach
         // a shard (or a pool), and only the misses are split below.
-        let policy = plan.cache.unwrap_or(self.cache_policy);
+        let policy = self.cache_policy;
         let consult = consult_cache(&ctx, &self.cache.lock(), policy, &jconsult.misses);
         let cache_hits = consult.hits.len();
         let cache_misses = consult.fingerprints.len();
@@ -817,7 +813,7 @@ impl Collector {
         let mut coord = shard_sink(COORDINATOR_SHARD, sink_on, &tap);
         coord.emit("run_start", "run", |m| {
             m.insert("scenarios", Value::Int(ordered.len() as i64));
-            m.insert("seed", Value::Int(ctx.options.experiment_seed as i64));
+            m.insert("seed", Value::Int(ctx.seed as i64));
         });
         for hit in &jconsult.hits {
             coord.emit("journal_replay", &format!("s{}", hit.scenario.id), |m| {

@@ -36,7 +36,7 @@ use crate::dataset::{DataPoint, Dataset};
 use crate::error::ToolError;
 use crate::journal::{JournalEntry, RunJournal};
 use crate::placement::PlacementPolicy;
-use crate::retry::{classify_batch, FaultClass, RetryPolicy};
+use crate::retry::{classify_batch, FaultClass};
 use crate::scenario::{Scenario, ScenarioStatus};
 use appmodel::AppRegistry;
 use batchsim::{
@@ -50,144 +50,11 @@ use std::sync::Arc;
 use taskshell::{ExecutionEnv, Interpreter, Script, ShellError, UrlStore, Vfs};
 use telemetry::Value;
 
-/// Options for a collection run.
-///
-/// Construct with [`CollectorOptions::builder`]; the struct is
-/// `#[non_exhaustive]` so new knobs can be added without breaking callers.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct CollectorOptions {
-    /// Seed for the deterministic run-to-run noise.
-    pub experiment_seed: u64,
-    /// Delete pools after use instead of resizing them to zero (the paper's
-    /// "resize pool to zero or delete pool, depending on user preference").
-    pub delete_pools: bool,
-    /// Re-run scenarios already marked failed.
-    pub rerun_failed: bool,
-    /// Retry schedule for transient faults (pool allocation, resize, task
-    /// submission). The default retries up to 3 attempts with exponential
-    /// backoff on the simulated clock; [`RetryPolicy::none`] disables it.
-    pub retry: RetryPolicy,
-    /// Capacity class the sweep provisions pools with. Spot pools bill at
-    /// the SKU's discounted rate but can lose their nodes to eviction
-    /// mid-task; the collector requeues evicted scenarios and escalates to
-    /// dedicated capacity after [`CollectorOptions::escalate_after`]
-    /// evictions.
-    pub capacity: Capacity,
-    /// Evictions one scenario tolerates before its pool is escalated to
-    /// dedicated capacity for the remainder of that scenario.
-    pub escalate_after: u32,
-    /// Per-scenario wall-clock deadline in simulated seconds. A scenario
-    /// whose retry loop (attempt durations plus backoff) exceeds it is
-    /// killed into [`ScenarioStatus::TimedOut`] instead of retrying
-    /// forever. `None` disables the watchdog.
-    pub deadline_secs: Option<f64>,
-    /// Sweep-level cost budget in dollars. Once the provider's billed spend
-    /// reaches it, every remaining scenario is skipped (journaled, so a
-    /// resume honors the stop) instead of executed. `None` disables the
-    /// circuit breaker.
-    pub budget_dollars: Option<f64>,
-    /// Region-fault tolerance for multi-region sweeps: transient
-    /// provisioning faults a `(SKU, region)` pair absorbs before the
-    /// region is marked down for that SKU and later scenarios fail over
-    /// without touching the cloud. Quota exhaustion marks down
-    /// immediately. Irrelevant (and ignored) when the run has no
-    /// `regions` list.
-    pub region_markdown_after: u32,
-}
-
-impl Default for CollectorOptions {
-    fn default() -> Self {
-        CollectorOptions {
-            experiment_seed: 42,
-            delete_pools: false,
-            rerun_failed: false,
-            retry: RetryPolicy::default(),
-            capacity: Capacity::Dedicated,
-            escalate_after: 2,
-            deadline_secs: None,
-            budget_dollars: None,
-            region_markdown_after: 2,
-        }
-    }
-}
-
-impl CollectorOptions {
-    /// Starts a builder with the default options.
-    pub fn builder() -> CollectorOptionsBuilder {
-        CollectorOptionsBuilder {
-            options: CollectorOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`CollectorOptions`].
-#[derive(Debug, Clone)]
-pub struct CollectorOptionsBuilder {
-    options: CollectorOptions,
-}
-
-impl CollectorOptionsBuilder {
-    /// Sets the experiment noise seed.
-    pub fn experiment_seed(mut self, seed: u64) -> Self {
-        self.options.experiment_seed = seed;
-        self
-    }
-
-    /// Deletes pools after use instead of resizing them to zero.
-    pub fn delete_pools(mut self, yes: bool) -> Self {
-        self.options.delete_pools = yes;
-        self
-    }
-
-    /// Re-runs scenarios already marked failed.
-    pub fn rerun_failed(mut self, yes: bool) -> Self {
-        self.options.rerun_failed = yes;
-        self
-    }
-
-    /// Sets the retry schedule for transient faults.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.options.retry = policy;
-        self
-    }
-
-    /// Provisions pools with the given capacity class (spot or dedicated).
-    pub fn capacity(mut self, capacity: Capacity) -> Self {
-        self.options.capacity = capacity;
-        self
-    }
-
-    /// Evictions one scenario tolerates before escalating to dedicated.
-    pub fn escalate_after(mut self, evictions: u32) -> Self {
-        self.options.escalate_after = evictions;
-        self
-    }
-
-    /// Sets the per-scenario wall-clock deadline (simulated seconds).
-    pub fn deadline_secs(mut self, secs: Option<f64>) -> Self {
-        self.options.deadline_secs = secs;
-        self
-    }
-
-    /// Sets the sweep-level cost budget in dollars.
-    pub fn budget_dollars(mut self, dollars: Option<f64>) -> Self {
-        self.options.budget_dollars = dollars;
-        self
-    }
-
-    /// Transient region faults tolerated before a `(SKU, region)` pair is
-    /// marked down and failover stops retrying it.
-    pub fn region_markdown_after(mut self, faults: u32) -> Self {
-        self.options.region_markdown_after = faults;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> CollectorOptions {
-        self.options
-    }
-}
+/// Transient provisioning faults a `(SKU, region)` pair absorbs in a
+/// multi-region sweep before the region is marked down for that SKU and
+/// later scenarios fail over without touching the cloud. Quota exhaustion
+/// marks down immediately.
+const REGION_MARKDOWN_AFTER: u32 = 2;
 
 /// Everything a scenario executor needs that is independent of which
 /// [`BatchService`] and filesystem it runs against. Shared by reference
@@ -204,7 +71,11 @@ pub(crate) struct ExecContext {
     pub(crate) urls: UrlStore,
     pub(crate) deployment: String,
     pub(crate) registry: Arc<AppRegistry>,
-    pub(crate) options: CollectorOptions,
+    /// Seed for the deterministic run-to-run noise and the fingerprints.
+    pub(crate) seed: u64,
+    /// The running collect's plan: its retry, capacity, deadline, budget,
+    /// rerun and teardown policy.
+    pub(crate) plan: CollectPlan,
 }
 
 impl ExecContext {
@@ -217,10 +88,10 @@ impl ExecContext {
     pub(crate) fn should_run(&self, s: &Scenario) -> bool {
         match s.status {
             ScenarioStatus::Pending => true,
-            ScenarioStatus::Failed => self.options.rerun_failed,
+            ScenarioStatus::Failed => self.plan.rerun_failed,
             // Timed-out scenarios burned their wall-clock budget once
             // already; only an explicit rerun request tries again.
-            ScenarioStatus::TimedOut => self.options.rerun_failed,
+            ScenarioStatus::TimedOut => self.plan.rerun_failed,
             ScenarioStatus::Completed => false,
             // Skipped scenarios never executed — always worth another try.
             ScenarioStatus::Skipped => true,
@@ -243,7 +114,7 @@ impl ExecContext {
             task_secs: 0.0,
             cost_dollars: 0.0,
             status: ScenarioStatus::Failed,
-            capacity: self.options.capacity,
+            capacity: self.plan.capacity,
             region: scenario.region.clone(),
             metrics: vec![("FAILREASON".into(), reason.to_string())],
             infra: Vec::new(),
@@ -267,7 +138,7 @@ impl ExecContext {
             task_secs: 0.0,
             cost_dollars: 0.0,
             status: ScenarioStatus::TimedOut,
-            capacity: self.options.capacity,
+            capacity: self.plan.capacity,
             region: scenario.region.clone(),
             metrics: vec![("TIMEOUTREASON".into(), reason.to_string())],
             infra: Vec::new(),
@@ -291,7 +162,7 @@ impl ExecContext {
             task_secs: 0.0,
             cost_dollars: 0.0,
             status: ScenarioStatus::Skipped,
-            capacity: self.options.capacity,
+            capacity: self.plan.capacity,
             region: scenario.region.clone(),
             metrics: vec![("SKIPREASON".into(), reason.to_string())],
             infra: Vec::new(),
@@ -309,7 +180,7 @@ impl ExecContext {
         let urls = self.urls.clone();
         let registry = self.registry.clone();
         let program = self.program.clone();
-        let seed = self.options.experiment_seed;
+        let seed = self.seed;
         Box::new(move |ctx: &TaskContext| -> TaskResult {
             run_script_task(ctx, &spec, &shared_vfs, urls, registry, &program, seed)
         })
@@ -455,10 +326,7 @@ impl ShardRun<'_> {
         let mut exhausted_skus: HashSet<String> = HashSet::new();
         // Region failover state, keyed per (SKU, region) so serial and
         // per-SKU-sharded runs make identical placement decisions.
-        let mut placement = PlacementPolicy::new(
-            &self.ctx.config.regions,
-            self.ctx.options.region_markdown_after,
-        );
+        let mut placement = PlacementPolicy::new(&self.ctx.config.regions, REGION_MARKDOWN_AFTER);
         let mut current: Option<PoolCtx> = None;
 
         for scenario in scenarios {
@@ -476,7 +344,7 @@ impl ShardRun<'_> {
             // every remaining scenario degrades to a journaled skip — the
             // sweep stops spending but still produces a complete, resumable
             // picture of what was dropped and why.
-            if let Some(budget) = self.ctx.options.budget_dollars {
+            if let Some(budget) = self.ctx.plan.budget_dollars {
                 let spent = self.ctx.provider.lock().billing().total_cost();
                 if spent >= budget {
                     tally.attempts = 0;
@@ -750,7 +618,7 @@ impl ShardRun<'_> {
         target: u32,
         tally: &mut Tally,
     ) -> Result<(), (batchsim::BatchError, FaultClass)> {
-        let max_attempts = self.ctx.options.retry.max_attempts;
+        let max_attempts = self.ctx.plan.retry.max_attempts;
         let mut retries = 0u32;
         loop {
             match self.service.resize_pool(pool, target) {
@@ -772,7 +640,7 @@ impl ShardRun<'_> {
     /// scenario. Only billing sees the wait — task durations are
     /// runner-reported, so retried datasets stay byte-identical.
     fn backoff(&mut self, scope: &str, retry_no: u32, tally: &mut Tally) {
-        let secs = self.ctx.options.retry.backoff_secs(scope, retry_no);
+        let secs = self.ctx.plan.retry.backoff_secs(scope, retry_no);
         tally.attempts += 1;
         tally.backoff_secs += secs;
         let attempt = tally.attempts;
@@ -813,7 +681,7 @@ impl ShardRun<'_> {
     /// a populated pool is resized to zero first — the next scenario's
     /// resize-up re-provisions it.
     fn apply_capacity(&mut self, pool: &str) -> Result<(), ToolError> {
-        let want = self.ctx.options.capacity;
+        let want = self.ctx.plan.capacity;
         if self.service.pool(pool).map(|p| p.capacity) == Some(want) {
             return Ok(());
         }
@@ -928,7 +796,7 @@ impl ShardRun<'_> {
         if self.service.pool(pool).is_none() {
             return Ok(());
         }
-        if self.ctx.options.delete_pools {
+        if self.ctx.plan.delete_pools {
             self.service.delete_pool(pool)?;
         } else {
             self.service.resize_pool(pool, 0)?;
@@ -940,7 +808,7 @@ impl ShardRun<'_> {
     /// retrying injected transient faults. Returns whether setup succeeded.
     /// Genuine script failures carry no fault kind and never retry.
     fn run_setup_task(&mut self, pool: &str, tally: &mut Tally) -> Result<bool, ToolError> {
-        let max_attempts = self.ctx.options.retry.max_attempts;
+        let max_attempts = self.ctx.plan.retry.max_attempts;
         let mut attempt = 1u32;
         loop {
             let runner = self.ctx.make_runner(
@@ -990,8 +858,8 @@ impl ShardRun<'_> {
         region: Option<&str>,
         tally: &mut Tally,
     ) -> Result<DataPoint, ToolError> {
-        let max_attempts = self.ctx.options.retry.max_attempts;
-        let escalate_after = self.ctx.options.escalate_after;
+        let max_attempts = self.ctx.plan.retry.max_attempts;
+        let escalate_after = self.ctx.plan.escalate_after;
         let mut attempt = 1u32;
         let mut task_secs_total = 0.0f64;
         let backoff_start = tally.backoff_secs;
@@ -1015,7 +883,7 @@ impl ShardRun<'_> {
                 eviction_cost += point.cost_dollars;
             }
             let elapsed = task_secs_total + (tally.backoff_secs - backoff_start);
-            if let Some(deadline) = self.ctx.options.deadline_secs {
+            if let Some(deadline) = self.ctx.plan.deadline_secs {
                 if elapsed >= deadline {
                     let mut point = self.ctx.timed_out_point(
                         scenario,
@@ -1177,7 +1045,7 @@ impl ShardRun<'_> {
                 // stays homogeneous and the escalated row's dedicated-rate
                 // cost (plus eviction overhead) is the true price of asking
                 // for spot under that pressure.
-                capacity: self.ctx.options.capacity,
+                capacity: self.ctx.plan.capacity,
                 // Where the row actually ran: the placed region after any
                 // failover, or the home region (implicit) without one.
                 region: region.map(str::to_string),
@@ -1234,13 +1102,8 @@ pub(crate) fn consult_cache(
         return out;
     }
     let revision = ctx.provider.lock().catalog().revision();
-    let fpr = Fingerprinter::new(
-        &ctx.config.appname,
-        &ctx.script,
-        ctx.options.experiment_seed,
-        revision,
-    )
-    .with_capacity(ctx.options.capacity);
+    let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
+        .with_capacity(ctx.plan.capacity);
     for s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
@@ -1306,13 +1169,8 @@ pub(crate) fn consult_journal(
 ) -> JournalConsult {
     let mut out = JournalConsult::default();
     let revision = ctx.provider.lock().catalog().revision();
-    let fpr = Fingerprinter::new(
-        &ctx.config.appname,
-        &ctx.script,
-        ctx.options.experiment_seed,
-        revision,
-    )
-    .with_capacity(ctx.options.capacity);
+    let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
+        .with_capacity(ctx.plan.capacity);
     for s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
@@ -1323,7 +1181,7 @@ pub(crate) fn consult_journal(
         let replay = journal.lookup(fp).filter(|e| match e.status {
             ScenarioStatus::Completed => true,
             ScenarioStatus::Failed | ScenarioStatus::TimedOut | ScenarioStatus::Skipped => {
-                !ctx.options.rerun_failed
+                !ctx.plan.rerun_failed
             }
             ScenarioStatus::Pending => false,
         });
@@ -1407,7 +1265,7 @@ impl Collector {
         provider: SharedProvider,
         deployment: &str,
         config: UserConfig,
-        options: CollectorOptions,
+        seed: u64,
     ) -> Result<Self, ToolError> {
         let mut urls = UrlStore::with_known_inputs();
         appscript::seed_urlstore(&mut urls, &config.appsetupurl, &config.appname);
@@ -1421,7 +1279,8 @@ impl Collector {
                 urls,
                 deployment: deployment.to_string(),
                 registry: Arc::new(AppRegistry::standard()),
-                options,
+                seed,
+                plan: CollectPlan::default(),
             },
             shared_vfs: Arc::new(Mutex::new(Vfs::new())),
             cache: SharedScenarioCache::in_memory(),
@@ -1431,17 +1290,12 @@ impl Collector {
         })
     }
 
-    /// Replaces the scenario-result cache (e.g. with a file-backed store
-    /// opened via [`ScenarioCache::open`]). The default is an empty
-    /// in-memory cache, which memoizes results for this collector's
+    /// Replaces the scenario-result cache: a file-backed store from
+    /// [`SharedScenarioCache::open`], or a handle shared with other
+    /// collectors (the advisor daemon's cross-tenant dedup point), whose
+    /// consults and inserts all hit the same store. The default is an
+    /// empty in-memory cache, which memoizes results for this collector's
     /// lifetime only.
-    pub fn set_cache(&mut self, cache: ScenarioCache) {
-        self.cache = SharedScenarioCache::new(cache);
-    }
-
-    /// Attaches a cache handle shared with other collectors (the advisor
-    /// daemon's cross-tenant dedup point): consults and inserts all hit
-    /// the same store.
     pub fn set_shared_cache(&mut self, cache: SharedScenarioCache) {
         self.cache = cache;
     }
@@ -1454,7 +1308,7 @@ impl Collector {
         self.progress = tap;
     }
 
-    /// Sets the cache policy used when a run has no plan-level override.
+    /// Sets the cache policy every collect of this collector uses.
     pub fn set_cache_policy(&mut self, policy: CachePolicy) {
         self.cache_policy = policy;
     }
@@ -1489,11 +1343,6 @@ impl Collector {
     /// The cloud provider this collector bills against.
     pub fn provider(&self) -> SharedProvider {
         self.ctx.provider.clone()
-    }
-
-    /// The options the collector was created with.
-    pub fn options(&self) -> &CollectorOptions {
-        &self.ctx.options
     }
 
     /// The deployment's shared filesystem (inspectable, like the paper's
@@ -1619,13 +1468,7 @@ mod tests {
     fn setup(config: &UserConfig) -> (Collector, Vec<Scenario>) {
         let mut manager = DeploymentManager::new(&config.subscription, &config.region, 7).unwrap();
         let rg = manager.create(config).unwrap();
-        let collector = Collector::new(
-            manager.provider(),
-            &rg,
-            config.clone(),
-            CollectorOptions::default(),
-        )
-        .unwrap();
+        let collector = Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
         let scenarios = generate_scenarios(config, &SkuCatalog::azure_hpc()).unwrap();
         (collector, scenarios)
     }
@@ -1858,29 +1701,32 @@ hpcadvisor_run() {
 mod option_tests {
     use super::*;
     use crate::deployment::DeploymentManager;
+    use crate::retry::RetryPolicy;
     use crate::scenario::generate_scenarios;
     use cloudsim::SkuCatalog;
 
-    fn setup_with(
-        config: &UserConfig,
-        options: CollectorOptions,
-    ) -> (Collector, Vec<Scenario>, batchsim::SharedProvider) {
+    fn setup_with(config: &UserConfig) -> (Collector, Vec<Scenario>, batchsim::SharedProvider) {
         let mut manager = DeploymentManager::new(&config.subscription, &config.region, 7).unwrap();
         let rg = manager.create(config).unwrap();
         let provider = manager.provider();
-        let collector = Collector::new(provider.clone(), &rg, config.clone(), options).unwrap();
+        let collector = Collector::new(provider.clone(), &rg, config.clone(), 42).unwrap();
         let scenarios = generate_scenarios(config, &SkuCatalog::azure_hpc()).unwrap();
         (collector, scenarios, provider)
     }
 
-    /// Runs the small LAMMPS grid as one `ShardRun` on a batch service the
-    /// test owns, so the pools it leaves behind can be inspected.
-    fn run_on_own_service(options: CollectorOptions) -> BatchService {
+    /// Runs the small LAMMPS grid under `plan` as one `ShardRun` on a batch
+    /// service the test owns, so the pools it leaves behind can be
+    /// inspected.
+    fn run_on_own_service(plan: CollectPlan) -> BatchService {
         let config = UserConfig::example_lammps_small();
-        let (collector, scenarios, provider) = setup_with(&config, options);
+        let (collector, scenarios, provider) = setup_with(&config);
         let mut service = BatchService::new(provider, &collector.ctx.deployment);
+        let ctx = ExecContext {
+            plan,
+            ..collector.ctx.clone()
+        };
         let out = ShardRun {
-            ctx: &collector.ctx,
+            ctx: &ctx,
             service: &mut service,
             vfs: collector.shared_vfs(),
             journal: None,
@@ -1893,14 +1739,14 @@ mod option_tests {
 
     #[test]
     fn delete_pools_option_tears_down_pools() {
-        let service = run_on_own_service(CollectorOptions::builder().delete_pools(true).build());
+        let service = run_on_own_service(CollectPlan::new().delete_pools(true));
         let pool = service.pool("pool-hb120rs_v3").unwrap();
         assert_eq!(pool.state, batchsim::PoolState::Deleted);
     }
 
     #[test]
     fn resize_to_zero_keeps_pool_by_default() {
-        let service = run_on_own_service(CollectorOptions::default());
+        let service = run_on_own_service(CollectPlan::new());
         let pool = service.pool("pool-hb120rs_v3").unwrap();
         assert_eq!(pool.state, batchsim::PoolState::Active);
         assert_eq!(pool.nodes, 0, "resized to zero, not deleted");
@@ -1912,17 +1758,19 @@ mod option_tests {
         let config = UserConfig::example_lammps_small();
         // Retries off: this test is about the *cross-run* rerun_failed
         // knob, so the in-run retry must not absorb the injected fault.
-        let options = CollectorOptions::builder()
+        let plan = CollectPlan::new()
             .rerun_failed(true)
-            .retry(RetryPolicy::none())
-            .build();
-        let (mut collector, mut scenarios, provider) = setup_with(&config, options);
+            .retry(RetryPolicy::none());
+        let (mut collector, mut scenarios, provider) = setup_with(&config);
         // First pass: the second compute task (invocation 2: setup=0,
         // compute=1,2,3) fails by injection.
         provider
             .lock()
             .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 2));
-        let first = collector.collect(&mut scenarios).unwrap();
+        let first = collector
+            .collect_with_plan(&mut scenarios, &plan)
+            .unwrap()
+            .into_dataset();
         assert_eq!(
             first
                 .points
@@ -1932,7 +1780,10 @@ mod option_tests {
             1
         );
         // Second pass: only the failed scenario reruns, and succeeds.
-        let second = collector.collect(&mut scenarios).unwrap();
+        let second = collector
+            .collect_with_plan(&mut scenarios, &plan)
+            .unwrap()
+            .into_dataset();
         assert_eq!(second.len(), 1);
         assert_eq!(second.points[0].status, ScenarioStatus::Completed);
         assert!(scenarios

@@ -27,7 +27,7 @@
 //! ## Quick start
 //!
 //! Collection is described by a [`collect::CollectPlan`] (worker count,
-//! seed/rerun overrides, subset) and returns a
+//! retry, capacity, deadline, budget, subset) and returns a
 //! [`collect::CollectReport`] with the dataset, per-scenario outcomes,
 //! per-pool billing and executor stats:
 //!
@@ -46,9 +46,7 @@
 //! ```
 //!
 //! [`session::Session::collect`] runs the default plan and returns just the
-//! [`dataset::Dataset`]. [`collector::CollectorOptions`] is built with
-//! [`collector::CollectorOptions::builder`] (the struct is
-//! `#[non_exhaustive]`).
+//! [`dataset::Dataset`].
 
 pub mod advice;
 pub mod appscript;
@@ -78,7 +76,7 @@ pub use advice::{Advice, CapacityComparison};
 pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
 pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};
-pub use collector::{Collector, CollectorOptions, CollectorOptionsBuilder};
+pub use collector::Collector;
 pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
 pub use deployment::{Deployment, DeploymentManager};
@@ -100,7 +98,7 @@ pub mod prelude {
     pub use crate::advice::Advice;
     pub use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
     pub use crate::collect::{CollectPlan, CollectReport};
-    pub use crate::collector::{Collector, CollectorOptions};
+    pub use crate::collector::Collector;
     pub use crate::config::UserConfig;
     pub use crate::dataset::{DataFilter, DataPoint, Dataset};
     pub use crate::deployment::DeploymentManager;

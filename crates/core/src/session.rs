@@ -24,7 +24,7 @@
 
 use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use crate::collect::{CollectPlan, CollectReport};
-use crate::collector::{Collector, CollectorOptions};
+use crate::collector::Collector;
 use crate::config::UserConfig;
 use crate::dataset::Dataset;
 use crate::deployment::DeploymentManager;
@@ -88,7 +88,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Default cache policy for runs whose plan has no override.
+    /// Cache policy every collect of this session uses (default
+    /// [`CachePolicy::ReadWrite`]).
     pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
         self.cache_policy = Some(policy);
         self
@@ -123,14 +124,8 @@ impl SessionBuilder {
         let mut manager = DeploymentManager::new(&config.subscription, &config.region, self.seed)?;
         let deployment = manager.create(&config)?;
         let scenarios = generate_scenarios(&config, &SkuCatalog::azure_hpc())?;
-        let mut collector = Collector::new(
-            manager.provider(),
-            &deployment,
-            config.clone(),
-            CollectorOptions::builder()
-                .experiment_seed(self.seed)
-                .build(),
-        )?;
+        let mut collector =
+            Collector::new(manager.provider(), &deployment, config.clone(), self.seed)?;
         if let Some(cache) = self.cache {
             collector.set_shared_cache(cache);
         }
@@ -231,9 +226,9 @@ impl Session {
         self.collector.collect(&mut self.scenarios)
     }
 
-    /// Runs a collection under `plan` (worker count, seed and rerun
-    /// overrides, optional subset) and returns a [`CollectReport`] with the
-    /// dataset, per-scenario outcomes, billing and stats.
+    /// Runs a collection under `plan` (worker count, retry, capacity,
+    /// deadline, budget, optional subset) and returns a [`CollectReport`]
+    /// with the dataset, per-scenario outcomes, billing and stats.
     pub fn collect_with(&mut self, plan: &CollectPlan) -> Result<CollectReport, ToolError> {
         self.collector.collect_with_plan(&mut self.scenarios, plan)
     }

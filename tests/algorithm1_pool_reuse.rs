@@ -88,13 +88,8 @@ fn quota_failure_fails_scenarios_but_not_the_sweep() {
     let rg = manager.create(&config).unwrap();
     // Cap HC quota below 2 nodes (88 cores): 1-node runs fit, 2+ fail.
     manager.provider().lock().quota_mut().set_limit("HC", 50);
-    let mut collector = hpcadvisor::core::Collector::new(
-        manager.provider(),
-        &rg,
-        config.clone(),
-        hpcadvisor::core::CollectorOptions::default(),
-    )
-    .unwrap();
+    let mut collector =
+        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
     let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
         &config,
         &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),
@@ -147,21 +142,20 @@ fn injected_task_failure_marks_nth_scenario_per_pool() {
         .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 3));
     // Retries disabled: a one-shot injected fault must surface as a
     // failure (the default policy would absorb it — see below).
-    let mut collector = hpcadvisor::core::Collector::new(
-        manager.provider(),
-        &rg,
-        config.clone(),
-        hpcadvisor::core::CollectorOptions::builder()
-            .retry(hpcadvisor::core::RetryPolicy::none())
-            .build(),
-    )
-    .unwrap();
+    let mut collector =
+        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
     let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
         &config,
         &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),
     )
     .unwrap();
-    let ds = collector.collect(&mut scenarios).unwrap();
+    let ds = collector
+        .collect_with_plan(
+            &mut scenarios,
+            &CollectPlan::new().retry(RetryPolicy::none()),
+        )
+        .unwrap()
+        .into_dataset();
     let failed: Vec<u32> = ds
         .points
         .iter()
@@ -187,13 +181,8 @@ fn default_retry_absorbs_one_shot_task_fault() {
         .provider()
         .lock()
         .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 3));
-    let mut collector = hpcadvisor::core::Collector::new(
-        manager.provider(),
-        &rg,
-        config.clone(),
-        hpcadvisor::core::CollectorOptions::default(),
-    )
-    .unwrap();
+    let mut collector =
+        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
     let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
         &config,
         &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),

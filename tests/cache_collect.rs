@@ -36,9 +36,14 @@ fn cache_path(tag: &str) -> PathBuf {
 }
 
 fn session_with_cache(config: UserConfig, path: &PathBuf) -> Session {
+    session_with(config, path, 42, CachePolicy::ReadWrite)
+}
+
+fn session_with(config: UserConfig, path: &PathBuf, seed: u64, policy: CachePolicy) -> Session {
     Session::builder(config)
-        .seed(42)
+        .seed(seed)
         .cache(ScenarioCache::open(path))
+        .cache_policy(policy)
         .build()
         .unwrap()
 }
@@ -130,10 +135,8 @@ fn changed_fingerprint_inputs_invalidate_automatically() {
     s.collect_with(&CollectPlan::new()).unwrap();
 
     // Same config, different experiment seed: every fingerprint moves.
-    let mut other_seed = session_with_cache(config(), &path);
-    let report = other_seed
-        .collect_with(&CollectPlan::new().experiment_seed(43))
-        .unwrap();
+    let mut other_seed = session_with(config(), &path, 43, CachePolicy::ReadWrite);
+    let report = other_seed.collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(report.stats.cache_hits, 0, "seed is fingerprinted");
     assert_eq!(report.stats.executed, 6);
 
@@ -162,10 +165,8 @@ fn read_only_and_off_policies() {
     let path = cache_path("policies");
 
     // ReadOnly on an empty cache: runs cold, writes nothing.
-    let mut s = session_with_cache(config(), &path);
-    let report = s
-        .collect_with(&CollectPlan::new().cache(CachePolicy::ReadOnly))
-        .unwrap();
+    let mut s = session_with(config(), &path, 42, CachePolicy::ReadOnly);
+    let report = s.collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(report.stats.executed, 6);
     assert!(!path.exists(), "read-only never persists");
 
@@ -173,10 +174,8 @@ fn read_only_and_off_policies() {
     let mut s = session_with_cache(config(), &path);
     s.collect_with(&CollectPlan::new()).unwrap();
     assert!(path.exists());
-    let mut off = session_with_cache(config(), &path);
-    let report = off
-        .collect_with(&CollectPlan::new().cache(CachePolicy::Off))
-        .unwrap();
+    let mut off = session_with(config(), &path, 42, CachePolicy::Off);
+    let report = off.collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(report.stats.cache_hits, 0);
     assert_eq!(report.stats.cache_misses, 0);
     assert_eq!(report.stats.executed, 6);
@@ -184,10 +183,8 @@ fn read_only_and_off_policies() {
     // ReadOnly on the warm file: full hits, and the file is untouched
     // (compared as raw bytes — the store is a binary record log).
     let before = std::fs::read(&path).unwrap();
-    let mut ro = session_with_cache(config(), &path);
-    let report = ro
-        .collect_with(&CollectPlan::new().cache(CachePolicy::ReadOnly))
-        .unwrap();
+    let mut ro = session_with(config(), &path, 42, CachePolicy::ReadOnly);
+    let report = ro.collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(report.stats.cache_hits, 6);
     assert_eq!(std::fs::read(&path).unwrap(), before);
     let _ = std::fs::remove_file(&path);

@@ -5,7 +5,7 @@
 //! resume from the journal to the uninterrupted result.
 
 use cloudsim::{Capacity, FaultPlan, Operation};
-use hpcadvisor_core::collect::DEFAULT_CHUNK_SIZE;
+use hpcadvisor_core::collect::CHUNK_SIZE;
 use hpcadvisor_core::prelude::*;
 use std::path::PathBuf;
 
@@ -38,7 +38,7 @@ fn hot_subset(session: &Session) -> Vec<u32> {
     let scenarios = session.scenarios();
     let hot = scenarios[0].sku.clone();
     assert!(
-        scenarios.iter().filter(|s| s.sku == hot).count() > DEFAULT_CHUNK_SIZE,
+        scenarios.iter().filter(|s| s.sku == hot).count() > CHUNK_SIZE,
         "the hot SKU must not fit in one chunk"
     );
     let mut ids: Vec<u32> = scenarios
