@@ -18,6 +18,7 @@ use crate::dataset::{point_to_value, value_to_point, DataPoint};
 use crate::scenario::ScenarioStatus;
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -92,8 +93,11 @@ pub struct RunJournal {
     entries: Vec<JournalEntry>,
     by_fp: HashMap<Fingerprint, usize>,
     recovered: bool,
-    /// True once the backing file is known to start with a valid header.
+    /// True once the backing file is known to start with a valid header
+    /// and to end with a whole line, so appends may go straight to its end.
     initialized: bool,
+    /// The backing file, kept open after the first append.
+    file: Option<File>,
 }
 
 impl RunJournal {
@@ -112,34 +116,37 @@ impl RunJournal {
             path: Some(path.clone()),
             ..RunJournal::default()
         };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(_) => return journal,
         };
-        let mut lines = text.lines();
-        let header_ok = lines.next().is_some_and(|h| {
+        // Lines are split as bytes so a multi-byte character torn by a
+        // crash spoils only its own line.
+        let mut lines = bytes
+            .split(|b| *b == b'\n')
+            .map(|line| std::str::from_utf8(line).ok());
+        let header_ok = lines.next().flatten().is_some_and(|h| {
             json::parse(h).ok().and_then(|v| v.get("version")?.as_int()) == Some(JOURNAL_VERSION)
         });
         if !header_ok {
             journal.recovered = true;
             return journal;
         }
-        journal.initialized = true;
         for line in lines {
-            if line.trim().is_empty() {
+            if line.is_some_and(|l| l.trim().is_empty()) {
                 continue;
             }
-            match line_to_entry(line) {
+            match line.and_then(line_to_entry) {
                 Some(entry) => journal.push(entry),
                 // A torn or garbled line: the tail of a crashed append.
                 None => journal.recovered = true,
             }
         }
-        if journal.recovered {
-            // The file may end in a partial line with no newline; force the
-            // next append to rewrite it from the surviving entries.
-            journal.initialized = false;
-        }
+        // A file that ends in a partial line, or in a whole one whose
+        // newline never reached the disk, is rewritten from the surviving
+        // entries by the next append; appending to it would glue the new
+        // line onto the old one.
+        journal.initialized = !journal.recovered && bytes.ends_with(b"\n");
         journal
     }
 
@@ -155,36 +162,50 @@ impl RunJournal {
         self.entries.push(entry);
     }
 
-    /// Appends one outcome, flushing the line to disk before returning.
-    /// IO errors are swallowed: journalling is best-effort and must never
-    /// fail the collection it protects.
+    /// Appends one outcome, writing the line to the file before returning
+    /// (there is no fsync). The file stays open between appends. IO errors
+    /// are swallowed: journalling is best-effort and must never fail the
+    /// collection it protects. A failed write may leave a partial line, so
+    /// the next append rewrites the file from the entries in memory.
     pub fn append(&mut self, entry: JournalEntry) {
-        if let Some(path) = &self.path {
-            let line = entry_to_line(&entry);
-            let write = || -> std::io::Result<()> {
-                if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
-                }
-                let mut file = if self.initialized {
-                    std::fs::OpenOptions::new().append(true).open(path)?
-                } else {
-                    // First append (re)creates the file with its header and
-                    // the surviving entries, compacting away any damage.
-                    let mut f = std::fs::File::create(path)?;
-                    writeln!(f, "{{\"version\": {JOURNAL_VERSION}}}")?;
-                    for e in &self.entries {
-                        writeln!(f, "{}", entry_to_line(e))?;
-                    }
-                    f
-                };
-                writeln!(file, "{line}")?;
-                file.flush()
-            };
-            if write().is_ok() {
-                self.initialized = true;
+        if self.path.is_some() {
+            let mut line = entry_to_line(&entry);
+            line.push('\n');
+            if self.write_line(&line).is_err() {
+                self.file = None;
+                self.initialized = false;
             }
         }
         self.push(entry);
+    }
+
+    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        let file = match &mut self.file {
+            Some(file) => file,
+            None if self.initialized => self
+                .file
+                .insert(std::fs::OpenOptions::new().append(true).open(path)?),
+            None => {
+                // First append (re)creates the file with its header and the
+                // surviving entries, compacting away any damage.
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                let mut text = format!("{{\"version\": {JOURNAL_VERSION}}}\n");
+                for e in &self.entries {
+                    text.push_str(&entry_to_line(e));
+                    text.push('\n');
+                }
+                let mut file = File::create(path)?;
+                file.write_all(text.as_bytes())?;
+                self.initialized = true;
+                self.file.insert(file)
+            }
+        };
+        file.write_all(line.as_bytes())
     }
 
     /// Latest entry for a fingerprint, if any.

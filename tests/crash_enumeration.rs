@@ -7,7 +7,7 @@
 use hpcadvisor::core::cache::{Fingerprint, ScenarioCache, StoreFormat};
 use hpcadvisor::core::dataset::point;
 use hpcadvisor::core::Capacity;
-use hpcadvisor::core::DataPoint;
+use hpcadvisor::core::{DataPoint, JournalEntry, RunJournal, ScenarioStatus};
 use std::path::{Path, PathBuf};
 
 /// Length of the binary log's magic prefix (`HPCAV001`).
@@ -24,7 +24,8 @@ fn fingerprint(n: u32) -> Fingerprint {
     Fingerprint::from_hex(&format!("{:032x}", 0x5eed_0000_u128 + u128::from(n))).unwrap()
 }
 
-/// Four points that exercise every optional field and an escaped string.
+/// Four points that exercise every optional field, escaped strings and a
+/// multi-byte character.
 fn points() -> Vec<(Fingerprint, DataPoint)> {
     (1..=4u32)
         .map(|id| {
@@ -38,7 +39,7 @@ fn points() -> Vec<(Fingerprint, DataPoint)> {
                 0.05 * f64::from(id),
             );
             p.appinputs = vec![("BOXFACTOR".into(), format!("{}", 8 * id))];
-            p.metrics = vec![("NOTE".into(), format!("run \"{id}\"\t\\ok"))];
+            p.metrics = vec![("NOTE".into(), format!("run \"{id}\"\t\\ok in {id} µs"))];
             if id % 2 == 0 {
                 p.capacity = Capacity::Spot;
                 p.region = Some("westeurope".into());
@@ -201,6 +202,95 @@ fn cache_store_survives_a_bit_flip_anywhere_in_its_index() {
         let what = format!("index bit flipped at {at}");
         assert!(ScenarioCache::open(&path).is_dirty(), "{what}: rebuild due");
         check_damaged_store(&path, &what, &all, false, true);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn journal_entries() -> Vec<JournalEntry> {
+    let mut entries: Vec<JournalEntry> = points()
+        .into_iter()
+        .map(|(fp, p)| JournalEntry {
+            fingerprint: fp,
+            scenario_id: p.scenario_id,
+            status: p.status,
+            attempts: p.scenario_id,
+            backoff_secs: 1.5 * f64::from(p.scenario_id - 1),
+            fail_reason: None,
+            point: Some(p),
+        })
+        .collect();
+    // A failed outcome carries a reason and no point.
+    entries[2].status = ScenarioStatus::Failed;
+    entries[2].fail_reason = Some("quota \"exceeded\"".into());
+    entries[2].point = None;
+    entries.push(JournalEntry {
+        fingerprint: fingerprint(5),
+        scenario_id: 5,
+        status: ScenarioStatus::Completed,
+        attempts: 1,
+        backoff_secs: 0.0,
+        fail_reason: None,
+        point: Some(point(5, "lammps", "Standard_HC44rs", 2, 44, 9.25, 0.02)),
+    });
+    entries
+}
+
+#[test]
+fn run_journal_survives_truncation_at_every_offset() {
+    let dir = scratch_dir("journal-truncate");
+    let entries = journal_entries();
+    let (written, last) = entries.split_at(entries.len() - 1);
+    // The reference files: the journal after the first four appends, and
+    // after all five.
+    let path = dir.join("reference.jsonl");
+    let mut journal = RunJournal::open_fresh(&path);
+    for e in written {
+        journal.append(e.clone());
+    }
+    let four = std::fs::read(&path).unwrap();
+    journal.append(last[0].clone());
+    drop(journal);
+    let five = std::fs::read(&path).unwrap();
+    assert!(five.starts_with(&four));
+
+    // Where each line's text ends (before its newline); line 0 is the
+    // header.
+    let text_ends: Vec<usize> = four
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| **b == b'\n')
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(text_ends.len(), written.len() + 1);
+
+    let path = dir.join("damaged.jsonl");
+    for cut in 0..four.len() {
+        let what = format!("truncated at {cut}");
+        std::fs::write(&path, &four[..cut]).unwrap();
+        let mut journal = RunJournal::open(&path);
+        // Every line whose text survived whole replays, in order.
+        let intact = if text_ends[0] <= cut {
+            text_ends[1..].iter().filter(|end| **end <= cut).count()
+        } else {
+            0
+        };
+        assert_eq!(journal.entries(), &written[..intact], "{what}: replay");
+        // The collector re-runs what was lost, then carries on: the healed
+        // file is byte-identical to the uninterrupted journal.
+        for e in &entries[intact..] {
+            journal.append(e.clone());
+        }
+        drop(journal);
+        assert!(
+            std::fs::read(&path).unwrap() == five,
+            "{what}: healed file differs from the uninterrupted journal"
+        );
+        let reopened = RunJournal::open(&path);
+        assert!(!reopened.recovered(), "{what}: healed journal is clean");
+        assert_eq!(reopened.entries(), &entries[..], "{what}: nothing lost");
+        for e in &entries {
+            assert_eq!(reopened.lookup(e.fingerprint), Some(e), "{what}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
