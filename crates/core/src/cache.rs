@@ -46,10 +46,10 @@
 //! accumulate their results into per-shard output buffers. New entries are
 //! inserted after the merge barrier, so the hot path takes no lock.
 
-use crate::dataset::{point_to_value, value_to_point, DataPoint};
+use crate::dataset::{DataPoint, PointFields};
 use crate::error::ToolError;
 use crate::scenario::{Scenario, ScenarioStatus};
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::{json, FormatError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
@@ -113,12 +113,12 @@ fn index_path(path: &Path) -> PathBuf {
 /// where the payload is the 16-byte big-endian fingerprint followed by the
 /// point's compact JSON.
 fn encode_record(buf: &mut Vec<u8>, fp: u128, point: &DataPoint) {
-    let mut payload = Vec::with_capacity(160);
-    payload.extend_from_slice(&fp.to_be_bytes());
-    payload.extend_from_slice(json::to_string(&point_to_value(point)).as_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let sum = fnv64(&payload);
-    buf.extend_from_slice(&payload);
+    let json = point.to_compact_json();
+    buf.extend_from_slice(&((16 + json.len()) as u32).to_le_bytes());
+    let payload = buf.len();
+    buf.extend_from_slice(&fp.to_be_bytes());
+    buf.extend_from_slice(json.as_bytes());
+    let sum = fnv64(&buf[payload..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -160,10 +160,7 @@ fn scan_log(bytes: &[u8]) -> LogScan {
         let Ok(text) = std::str::from_utf8(&payload[16..]) else {
             break;
         };
-        let Ok(point) = json::parse(text)
-            .map_err(ToolError::from)
-            .and_then(|v| value_to_point(&v))
-        else {
+        let Ok(point) = DataPoint::from_json(text) else {
             break;
         };
         if entries.insert(fp, point).is_some() {
@@ -527,11 +524,13 @@ impl ScenarioCache {
 
     /// Stores a finished point. Only completed points are cacheable —
     /// failures may be transient (injected faults, quota) and must re-run.
+    /// Points with a non-finite float are refused too: they have no JSON
+    /// form, and one such record would end the log scan on the next open.
     /// A point identical to the stored one is a no-op that leaves the
     /// store clean, so redundant inserts never force a file rewrite.
     /// Returns whether the store changed.
     pub fn insert(&mut self, fp: Fingerprint, point: &DataPoint) -> bool {
-        if point.status != ScenarioStatus::Completed {
+        if point.status != ScenarioStatus::Completed || !point.is_finite() {
             return false;
         }
         if self.entries.get(&fp.0) == Some(point) {
@@ -618,14 +617,16 @@ impl ScenarioCache {
     fn save_json(&mut self, path: &Path) -> Result<(), ToolError> {
         let mut keys: Vec<&u128> = self.entries.keys().collect();
         keys.sort_unstable();
-        let mut entries = OrderedMap::new();
+        let mut text = String::new();
+        let mut doc = json::Slot::pretty(&mut text).object();
+        doc.key("version").int(STORE_VERSION);
+        let mut entries = doc.key("entries").object();
         for k in keys {
-            entries.insert(Fingerprint(*k).to_hex(), point_to_value(&self.entries[k]));
+            self.entries[k].write_json(entries.key(&Fingerprint(*k).to_hex()));
         }
-        let mut doc = OrderedMap::new();
-        doc.insert("version", Value::Int(STORE_VERSION));
-        doc.insert("entries", Value::Map(entries));
-        let text = json::to_string_pretty(&Value::Map(doc));
+        entries.end();
+        doc.end();
+        text.push('\n');
         let tmp = path.with_extension("json.tmp");
         std::fs::write(&tmp, text)?;
         std::fs::rename(&tmp, path)?;
@@ -785,10 +786,26 @@ impl SharedScenarioCache {
     }
 }
 
+/// Reads a legacy JSON store: `{"version": 1, "entries": {hex: point}}`.
 fn parse_store(text: &str) -> Result<HashMap<u128, DataPoint>, ToolError> {
-    let doc = json::parse(text)?;
-    let version = doc
-        .get("version")
+    let mut r = json::Reader::new(text);
+    if r.peek_token() != Some(b'{') {
+        return Err(ToolError::Config(
+            "cache store must be a JSON object".into(),
+        ));
+    }
+    let mut version = None;
+    let mut entries = None;
+    r.object(|r, key| {
+        match key {
+            "version" => version = Some(r.value()?),
+            "entries" => entries = read_store_entries(r)?,
+            _ => drop(r.value()?),
+        }
+        Ok::<_, FormatError>(())
+    })?;
+    r.finish()?;
+    let version = version
         .and_then(|v| v.as_int())
         .ok_or_else(|| ToolError::Config("cache store missing version".into()))?;
     if version != STORE_VERSION {
@@ -796,23 +813,48 @@ fn parse_store(text: &str) -> Result<HashMap<u128, DataPoint>, ToolError> {
             "cache store version {version} != {STORE_VERSION}"
         )));
     }
-    let entries = doc
-        .get("entries")
-        .and_then(|v| v.as_map())
-        .ok_or_else(|| ToolError::Config("cache store missing entries".into()))?;
+    let entries = entries.ok_or_else(|| ToolError::Config("cache store missing entries".into()))?;
     let mut out = HashMap::with_capacity(entries.len());
-    for (key, value) in entries.iter() {
-        let fp = Fingerprint::from_hex(key)
+    for (key, point) in entries {
+        let fp = Fingerprint::from_hex(&key)
             .ok_or_else(|| ToolError::Config(format!("bad cache key '{key}'")))?;
-        out.insert(fp.0, value_to_point(value)?);
+        out.insert(fp.0, point?);
     }
     Ok(out)
+}
+
+/// A legacy store's entries: (key, checked point) in first-seen key order.
+type StoreEntries = Vec<(String, Result<DataPoint, ToolError>)>;
+
+/// Reads the store's `entries` object; a repeated key takes its last
+/// point. `None` when the value is not an object.
+fn read_store_entries(r: &mut json::Reader<'_>) -> Result<Option<StoreEntries>, FormatError> {
+    if r.peek_token() != Some(b'{') {
+        r.value()?;
+        return Ok(None);
+    }
+    let mut entries = StoreEntries::new();
+    let mut seen: HashMap<String, usize> = HashMap::new();
+    r.object(|r, key| {
+        let point = PointFields::read(r)?.check();
+        match seen.get(key) {
+            Some(&i) => entries[i].1 = point,
+            None => {
+                seen.insert(key.to_string(), entries.len());
+                entries.push((key.to_string(), point));
+            }
+        }
+        Ok::<_, FormatError>(())
+    })?;
+    Ok(Some(entries))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::oracle::{generated_points, point_to_value, value_to_point};
     use crate::dataset::point;
+    use hpcadvisor_formats::{OrderedMap, Value};
 
     fn scenario(id: u32, sku: &str, nnodes: u32) -> Scenario {
         Scenario {
@@ -930,10 +972,18 @@ mod tests {
             None
         );
 
-        // Failed points never enter the cache.
+        // Failed points never enter the cache, nor do points with a float
+        // that has no JSON form.
+        let mut cache = ScenarioCache::in_memory();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..3 {
+                let mut q = p.clone();
+                *[&mut q.exec_time_secs, &mut q.task_secs, &mut q.cost_dollars][field] = bad;
+                assert!(!cache.insert(fp, &q), "{bad} in float {field}");
+            }
+        }
         let mut failed = p;
         failed.status = ScenarioStatus::Failed;
-        let mut cache = ScenarioCache::in_memory();
         assert!(!cache.insert(fp, &failed));
         assert!(cache.is_empty());
         assert!(cache.save().is_ok(), "in-memory save is a no-op");
@@ -1282,6 +1332,102 @@ mod tests {
         assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(index_path(&path));
+    }
+
+    /// The tree encodings the direct codec replaced: the oracle.
+    fn oracle_record(buf: &mut Vec<u8>, fp: u128, point: &DataPoint) {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&fp.to_be_bytes());
+        payload.extend_from_slice(json::to_string(&point_to_value(point)).as_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    }
+
+    fn oracle_store(entries: &[(u128, DataPoint)]) -> String {
+        let mut map = OrderedMap::new();
+        for (fp, p) in entries {
+            map.insert(Fingerprint(*fp).to_hex(), point_to_value(p));
+        }
+        let mut doc = OrderedMap::new();
+        doc.insert("version", Value::Int(STORE_VERSION));
+        doc.insert("entries", Value::Map(map));
+        json::to_string_pretty(&Value::Map(doc))
+    }
+
+    fn oracle_parse_store(text: &str) -> Option<HashMap<u128, DataPoint>> {
+        let doc = json::parse(text).ok()?;
+        if doc.get("version")?.as_int()? != STORE_VERSION {
+            return None;
+        }
+        let mut out = HashMap::new();
+        for (key, value) in doc.get("entries")?.as_map()?.iter() {
+            out.insert(Fingerprint::from_hex(key)?.0, value_to_point(value).ok()?);
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn records_and_legacy_stores_match_the_tree_oracle() {
+        let entries: Vec<(u128, DataPoint)> = generated_points()
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (0x5eed_u128 << 64 | i as u128, p))
+            .collect();
+        let (mut direct, mut tree) = (Vec::new(), Vec::new());
+        for (fp, p) in &entries {
+            encode_record(&mut direct, *fp, p);
+            oracle_record(&mut tree, *fp, p);
+        }
+        assert!(direct == tree, "record bytes differ from the oracle's");
+
+        // Legacy JSON saves write what the tree did, and read back alike.
+        let path = tempfile("legacy-oracle");
+        let mut cache = ScenarioCache {
+            entries: entries.iter().cloned().collect(),
+            path: Some(path.clone()),
+            format: StoreFormat::Json,
+            ..ScenarioCache::default()
+        };
+        cache.save_json(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, oracle_store(&entries));
+        let _ = std::fs::remove_file(&path);
+        let read = parse_store(&text).ok();
+        assert_eq!(read.as_ref().map(HashMap::len), Some(entries.len()));
+        assert_eq!(read, oracle_parse_store(&text));
+
+        let one = oracle_store(&entries[..1]);
+        let fp = Fingerprint(entries[0].0).to_hex();
+        let body = one.trim_end();
+        let body = &body[..body.len() - 1];
+        for text in [
+            one.replace("\"version\": 1", "\"version\": 2"),
+            one.replace("\"version\": 1", "\"version\": \"1\""),
+            format!("{body}, \"version\": 1}}"),
+            format!("{body}, \"version\": 3}}"),
+            format!("{body}, \"entries\": 5}}"),
+            format!("{body}, \"entries\": {{}}}}"),
+            format!("{{\"entries\": 5, {}", &one[1..]),
+            one.replacen(&fp, "not-a-fingerprint", 1),
+            one.replacen(&fp, &fp.to_uppercase(), 1),
+            one.replacen(
+                "\"entries\": {",
+                &format!("\"entries\": {{\"{fp}\": 5, "),
+                1,
+            ),
+            one.replacen(
+                "\"entries\": {",
+                &format!("\"entries\": {{\"{fp}\": {{}}, "),
+                1,
+            ),
+            one.replacen("\"entries\": {", "\"entries\": {\"bad\": {}, ", 1),
+            "{\"version\": 1}".to_string(),
+            "[]".to_string(),
+            "{".to_string(),
+        ] {
+            assert_eq!(parse_store(&text).ok(), oracle_parse_store(&text), "{text}");
+        }
     }
 
     #[test]

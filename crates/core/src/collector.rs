@@ -996,10 +996,13 @@ impl ShardRun<'_> {
             .execution_duration()
             .unwrap_or(SimDuration::ZERO)
             .as_secs_f64();
+        // A non-finite APPEXECTIME (`nan`, `inf`) counts as unparsable: it
+        // cannot be written to the dataset or the cache as JSON.
         let exec_time_secs = metrics
             .iter()
             .find(|(k, _)| k == "APPEXECTIME")
             .and_then(|(_, v)| v.parse::<f64>().ok())
+            .filter(|t| t.is_finite())
             .unwrap_or(task_secs);
         let price = {
             let provider = self.ctx.provider.lock();

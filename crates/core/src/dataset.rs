@@ -3,7 +3,7 @@
 use crate::error::ToolError;
 use crate::scenario::ScenarioStatus;
 use cloudsim::Capacity;
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::{json, FormatError, Value};
 use std::collections::HashSet;
 
 /// One collected result row.
@@ -81,6 +81,217 @@ impl DataPoint {
             .collect::<Vec<_>>()
             .join(",")
     }
+
+    /// Writes the point as a JSON object: the dataset file's schema, which
+    /// cache records and journal lines share. `capacity` and `region` are
+    /// written only when they are not the implicit default, so datasets
+    /// from before those dimensions existed stay byte-identical.
+    pub(crate) fn write_json(&self, slot: json::Slot<'_>) {
+        let mut m = slot.object();
+        m.key("scenario_id").int(i64::from(self.scenario_id));
+        m.key("appname").str(&self.appname);
+        m.key("sku").str(&self.sku);
+        m.key("nnodes").int(i64::from(self.nnodes));
+        m.key("ppn").int(i64::from(self.ppn));
+        write_pairs(m.key("appinputs"), &self.appinputs);
+        m.key("exec_time_secs").f64(self.exec_time_secs);
+        m.key("task_secs").f64(self.task_secs);
+        m.key("cost_dollars").f64(self.cost_dollars);
+        m.key("status").str(self.status.as_str());
+        if self.capacity != Capacity::Dedicated {
+            m.key("capacity").str(self.capacity.as_str());
+        }
+        if let Some(region) = &self.region {
+            m.key("region").str(region);
+        }
+        write_pairs(m.key("metrics"), &self.metrics);
+        write_pairs(m.key("infra"), &self.infra);
+        write_pairs(m.key("tags"), &self.tags);
+        m.key("deployment").str(&self.deployment);
+        m.end();
+    }
+
+    /// The point as compact JSON (one cache record or journal member).
+    pub(crate) fn to_compact_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(json::Slot::compact(&mut out));
+        out
+    }
+
+    /// Parses a point from a JSON document holding just that point.
+    pub(crate) fn from_json(text: &str) -> Result<DataPoint, ToolError> {
+        let mut r = json::Reader::new(text);
+        let fields = PointFields::read(&mut r)?;
+        r.finish()?;
+        fields.check()
+    }
+
+    /// True when every float field is finite, i.e. writes as JSON.
+    pub(crate) fn is_finite(&self) -> bool {
+        self.exec_time_secs.is_finite()
+            && self.task_secs.is_finite()
+            && self.cost_dollars.is_finite()
+    }
+}
+
+/// Writes string pairs as a JSON object. A repeated key keeps its first
+/// position and takes its last value, as an `OrderedMap` would.
+fn write_pairs(slot: json::Slot<'_>, pairs: &[(String, String)]) {
+    let mut m = slot.object();
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if pairs[..i].iter().any(|(seen, _)| seen == k) {
+            continue;
+        }
+        let last = pairs[i + 1..]
+            .iter()
+            .rev()
+            .find(|(later, _)| later == k)
+            .map_or(v, |(_, v)| v);
+        m.key(k).str(last);
+    }
+    m.end();
+}
+
+/// Reads a JSON object of pairs. Non-string values become their plain
+/// string form; a value that is not an object reads as no pairs.
+fn read_pairs(r: &mut json::Reader<'_>) -> Result<Vec<(String, String)>, FormatError> {
+    let mut pairs: Vec<(String, String)> = Vec::new();
+    if r.peek_token() != Some(b'{') {
+        r.value()?;
+        return Ok(pairs);
+    }
+    r.object(|r, key| {
+        let value = match r.value()? {
+            Value::Str(s) => s,
+            other => other.to_plain_string(),
+        };
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => pairs.push((key.to_string(), value)),
+        }
+        Ok::<_, FormatError>(())
+    })?;
+    Ok(pairs)
+}
+
+/// A point's JSON members as read, before they are checked. Reading and
+/// checking are separate steps so that a repeated key replaces the earlier
+/// value before either is judged: the last one wins, as in a parsed
+/// [`Value`] map.
+#[derive(Default)]
+pub(crate) struct PointFields {
+    /// False when the JSON value was not an object at all.
+    object: bool,
+    scenario_id: Option<Value>,
+    appname: Option<Value>,
+    sku: Option<Value>,
+    nnodes: Option<Value>,
+    ppn: Option<Value>,
+    exec_time_secs: Option<Value>,
+    task_secs: Option<Value>,
+    cost_dollars: Option<Value>,
+    status: Option<Value>,
+    deployment: Option<Value>,
+    capacity: Option<Value>,
+    region: Option<Value>,
+    appinputs: Vec<(String, String)>,
+    metrics: Vec<(String, String)>,
+    infra: Vec<(String, String)>,
+    tags: Vec<(String, String)>,
+}
+
+impl PointFields {
+    /// Reads the next JSON value as a point's members. Only malformed JSON
+    /// is an error here; [`PointFields::check`] judges the members.
+    pub(crate) fn read(r: &mut json::Reader<'_>) -> Result<PointFields, FormatError> {
+        let mut f = PointFields::default();
+        if r.peek_token() != Some(b'{') {
+            r.value()?;
+            return Ok(f);
+        }
+        f.object = true;
+        r.object(|r, key| {
+            let slot = match key {
+                "scenario_id" => &mut f.scenario_id,
+                "appname" => &mut f.appname,
+                "sku" => &mut f.sku,
+                "nnodes" => &mut f.nnodes,
+                "ppn" => &mut f.ppn,
+                "exec_time_secs" => &mut f.exec_time_secs,
+                "task_secs" => &mut f.task_secs,
+                "cost_dollars" => &mut f.cost_dollars,
+                "status" => &mut f.status,
+                "deployment" => &mut f.deployment,
+                "capacity" => &mut f.capacity,
+                "region" => &mut f.region,
+                "appinputs" => return read_pairs(r).map(|p| f.appinputs = p),
+                "metrics" => return read_pairs(r).map(|p| f.metrics = p),
+                "infra" => return read_pairs(r).map(|p| f.infra = p),
+                "tags" => return read_pairs(r).map(|p| f.tags = p),
+                _ => return r.value().map(drop),
+            };
+            *slot = Some(r.value()?);
+            Ok(())
+        })?;
+        Ok(f)
+    }
+
+    /// Builds the point: every required member present with its type
+    /// (an integer is accepted for a float), `capacity` and `region`
+    /// optional.
+    pub(crate) fn check(self) -> Result<DataPoint, ToolError> {
+        if !self.object {
+            return Err(ToolError::Config("data point must be a JSON object".into()));
+        }
+        let status = string_member(self.status, "status")?;
+        Ok(DataPoint {
+            scenario_id: int_member(self.scenario_id, "scenario_id")? as u32,
+            appname: string_member(self.appname, "appname")?,
+            sku: string_member(self.sku, "sku")?,
+            nnodes: int_member(self.nnodes, "nnodes")? as u32,
+            ppn: int_member(self.ppn, "ppn")? as u32,
+            appinputs: self.appinputs,
+            exec_time_secs: float_member(self.exec_time_secs, "exec_time_secs")?,
+            task_secs: float_member(self.task_secs, "task_secs")?,
+            cost_dollars: float_member(self.cost_dollars, "cost_dollars")?,
+            status: ScenarioStatus::parse(&status)
+                .ok_or_else(|| ToolError::Config(format!("bad status '{status}'")))?,
+            metrics: self.metrics,
+            infra: self.infra,
+            tags: self.tags,
+            deployment: string_member(self.deployment, "deployment")?,
+            capacity: match self.capacity {
+                Some(Value::Str(s)) => Capacity::parse(&s)
+                    .ok_or_else(|| ToolError::Config(format!("bad capacity '{s}'")))?,
+                _ => Capacity::Dedicated,
+            },
+            region: match self.region {
+                Some(Value::Str(s)) => Some(s),
+                _ => None,
+            },
+        })
+    }
+}
+
+fn string_member(v: Option<Value>, key: &str) -> Result<String, ToolError> {
+    match v {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(ToolError::Config(format!(
+            "data point missing string '{key}'"
+        ))),
+    }
+}
+
+fn int_member(v: Option<Value>, key: &str) -> Result<i64, ToolError> {
+    v.as_ref()
+        .and_then(Value::as_int)
+        .ok_or_else(|| ToolError::Config(format!("data point missing integer '{key}'")))
+}
+
+fn float_member(v: Option<Value>, key: &str) -> Result<f64, ToolError> {
+    v.as_ref()
+        .and_then(Value::as_f64)
+        .ok_or_else(|| ToolError::Config(format!("data point missing number '{key}'")))
 }
 
 /// A filter over data points ("plot" and "advice" take a data filter in the
@@ -276,114 +487,30 @@ impl Dataset {
 
     /// Serializes the dataset as pretty JSON.
     pub fn to_json(&self) -> String {
-        let items: Vec<Value> = self.points.iter().map(point_to_value).collect();
-        json::to_string_pretty(&Value::Seq(items))
+        let mut out = String::new();
+        let mut items = json::Slot::pretty(&mut out).array();
+        for p in &self.points {
+            p.write_json(items.item());
+        }
+        items.end();
+        out.push('\n');
+        out
     }
 
     /// Parses a stored dataset.
     pub fn from_json(text: &str) -> Result<Self, ToolError> {
-        let doc = json::parse(text)?;
-        let items = doc
-            .as_seq()
-            .ok_or_else(|| ToolError::Config("dataset must be a JSON array".into()))?;
-        let mut ds = Dataset::new();
-        for item in items {
-            ds.push(value_to_point(item)?);
+        let mut r = json::Reader::new(text);
+        if r.peek_token() != Some(b'[') {
+            return Err(ToolError::Config("dataset must be a JSON array".into()));
         }
+        let mut ds = Dataset::new();
+        r.array(|r| {
+            ds.push(PointFields::read(r)?.check()?);
+            Ok::<_, ToolError>(())
+        })?;
+        r.finish()?;
         Ok(ds)
     }
-}
-
-fn pairs_to_value(pairs: &[(String, String)]) -> Value {
-    let mut m = OrderedMap::new();
-    for (k, v) in pairs {
-        m.insert(k.clone(), Value::str(v));
-    }
-    Value::Map(m)
-}
-
-fn value_to_pairs(v: Option<&Value>) -> Vec<(String, String)> {
-    v.and_then(|v| v.as_map())
-        .map(|m| {
-            m.iter()
-                .map(|(k, v)| (k.to_string(), v.to_plain_string()))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-pub(crate) fn point_to_value(p: &DataPoint) -> Value {
-    let mut m = OrderedMap::new();
-    m.insert("scenario_id", Value::Int(p.scenario_id as i64));
-    m.insert("appname", Value::str(&p.appname));
-    m.insert("sku", Value::str(&p.sku));
-    m.insert("nnodes", Value::Int(p.nnodes as i64));
-    m.insert("ppn", Value::Int(p.ppn as i64));
-    m.insert("appinputs", pairs_to_value(&p.appinputs));
-    m.insert("exec_time_secs", Value::Float(p.exec_time_secs));
-    m.insert("task_secs", Value::Float(p.task_secs));
-    m.insert("cost_dollars", Value::Float(p.cost_dollars));
-    m.insert("status", Value::str(p.status.as_str()));
-    // Dedicated is the implicit default so datasets collected before the
-    // capacity dimension existed stay byte-identical.
-    if p.capacity != Capacity::Dedicated {
-        m.insert("capacity", Value::str(p.capacity.as_str()));
-    }
-    // Same pattern for placement: the home region is implicit.
-    if let Some(region) = &p.region {
-        m.insert("region", Value::str(region));
-    }
-    m.insert("metrics", pairs_to_value(&p.metrics));
-    m.insert("infra", pairs_to_value(&p.infra));
-    m.insert("tags", pairs_to_value(&p.tags));
-    m.insert("deployment", Value::str(&p.deployment));
-    Value::Map(m)
-}
-
-pub(crate) fn value_to_point(v: &Value) -> Result<DataPoint, ToolError> {
-    let get_str = |k: &str| -> Result<String, ToolError> {
-        v.get(k)
-            .and_then(|x| x.as_str())
-            .map(|s| s.to_string())
-            .ok_or_else(|| ToolError::Config(format!("data point missing string '{k}'")))
-    };
-    let get_int = |k: &str| -> Result<i64, ToolError> {
-        v.get(k)
-            .and_then(|x| x.as_int())
-            .ok_or_else(|| ToolError::Config(format!("data point missing integer '{k}'")))
-    };
-    let get_f64 = |k: &str| -> Result<f64, ToolError> {
-        v.get(k)
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| ToolError::Config(format!("data point missing number '{k}'")))
-    };
-    let status_str = get_str("status")?;
-    Ok(DataPoint {
-        scenario_id: get_int("scenario_id")? as u32,
-        appname: get_str("appname")?,
-        sku: get_str("sku")?,
-        nnodes: get_int("nnodes")? as u32,
-        ppn: get_int("ppn")? as u32,
-        appinputs: value_to_pairs(v.get("appinputs")),
-        exec_time_secs: get_f64("exec_time_secs")?,
-        task_secs: get_f64("task_secs")?,
-        cost_dollars: get_f64("cost_dollars")?,
-        status: ScenarioStatus::parse(&status_str)
-            .ok_or_else(|| ToolError::Config(format!("bad status '{status_str}'")))?,
-        metrics: value_to_pairs(v.get("metrics")),
-        infra: value_to_pairs(v.get("infra")),
-        tags: value_to_pairs(v.get("tags")),
-        deployment: get_str("deployment")?,
-        capacity: match v.get("capacity").and_then(|x| x.as_str()) {
-            Some(s) => Capacity::parse(s)
-                .ok_or_else(|| ToolError::Config(format!("bad capacity '{s}'")))?,
-            None => Capacity::Dedicated,
-        },
-        region: v
-            .get("region")
-            .and_then(|x| x.as_str())
-            .map(|s| s.to_string()),
-    })
 }
 
 /// Builds a test/example data point quickly.
@@ -413,6 +540,198 @@ pub fn point(
         deployment: "test".to_string(),
         capacity: Capacity::Dedicated,
         region: None,
+    }
+}
+
+/// The `Value`-tree conversions the direct codec replaced, kept as the
+/// oracle its tests compare against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use hpcadvisor_formats::OrderedMap;
+
+    fn pairs_to_value(pairs: &[(String, String)]) -> Value {
+        let mut m = OrderedMap::new();
+        for (k, v) in pairs {
+            m.insert(k.clone(), Value::str(v));
+        }
+        Value::Map(m)
+    }
+
+    fn value_to_pairs(v: Option<&Value>) -> Vec<(String, String)> {
+        v.and_then(|v| v.as_map())
+            .map(|m| {
+                m.iter()
+                    .map(|(k, v)| (k.to_string(), v.to_plain_string()))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn point_to_value(p: &DataPoint) -> Value {
+        let mut m = OrderedMap::new();
+        m.insert("scenario_id", Value::Int(p.scenario_id as i64));
+        m.insert("appname", Value::str(&p.appname));
+        m.insert("sku", Value::str(&p.sku));
+        m.insert("nnodes", Value::Int(p.nnodes as i64));
+        m.insert("ppn", Value::Int(p.ppn as i64));
+        m.insert("appinputs", pairs_to_value(&p.appinputs));
+        m.insert("exec_time_secs", Value::Float(p.exec_time_secs));
+        m.insert("task_secs", Value::Float(p.task_secs));
+        m.insert("cost_dollars", Value::Float(p.cost_dollars));
+        m.insert("status", Value::str(p.status.as_str()));
+        if p.capacity != Capacity::Dedicated {
+            m.insert("capacity", Value::str(p.capacity.as_str()));
+        }
+        if let Some(region) = &p.region {
+            m.insert("region", Value::str(region));
+        }
+        m.insert("metrics", pairs_to_value(&p.metrics));
+        m.insert("infra", pairs_to_value(&p.infra));
+        m.insert("tags", pairs_to_value(&p.tags));
+        m.insert("deployment", Value::str(&p.deployment));
+        Value::Map(m)
+    }
+
+    pub(crate) fn value_to_point(v: &Value) -> Result<DataPoint, ToolError> {
+        let get_str = |k: &str| -> Result<String, ToolError> {
+            v.get(k)
+                .and_then(|x| x.as_str())
+                .map(|s| s.to_string())
+                .ok_or_else(|| ToolError::Config(format!("data point missing string '{k}'")))
+        };
+        let get_int = |k: &str| -> Result<i64, ToolError> {
+            v.get(k)
+                .and_then(|x| x.as_int())
+                .ok_or_else(|| ToolError::Config(format!("data point missing integer '{k}'")))
+        };
+        let get_f64 = |k: &str| -> Result<f64, ToolError> {
+            v.get(k)
+                .and_then(|x| x.as_f64())
+                .ok_or_else(|| ToolError::Config(format!("data point missing number '{k}'")))
+        };
+        let status_str = get_str("status")?;
+        Ok(DataPoint {
+            scenario_id: get_int("scenario_id")? as u32,
+            appname: get_str("appname")?,
+            sku: get_str("sku")?,
+            nnodes: get_int("nnodes")? as u32,
+            ppn: get_int("ppn")? as u32,
+            appinputs: value_to_pairs(v.get("appinputs")),
+            exec_time_secs: get_f64("exec_time_secs")?,
+            task_secs: get_f64("task_secs")?,
+            cost_dollars: get_f64("cost_dollars")?,
+            status: ScenarioStatus::parse(&status_str)
+                .ok_or_else(|| ToolError::Config(format!("bad status '{status_str}'")))?,
+            metrics: value_to_pairs(v.get("metrics")),
+            infra: value_to_pairs(v.get("infra")),
+            tags: value_to_pairs(v.get("tags")),
+            deployment: get_str("deployment")?,
+            capacity: match v.get("capacity").and_then(|x| x.as_str()) {
+                Some(s) => Capacity::parse(s)
+                    .ok_or_else(|| ToolError::Config(format!("bad capacity '{s}'")))?,
+                None => Capacity::Dedicated,
+            },
+            region: v
+                .get("region")
+                .and_then(|x| x.as_str())
+                .map(|s| s.to_string()),
+        })
+    }
+
+    /// Strings that need every escaping rule: quotes, backslashes, control
+    /// characters and non-ASCII text.
+    const STRINGS: &[&str] = &[
+        "",
+        "plain",
+        "quote\"d",
+        "back\\slash",
+        "tab\tnew\nline\rcr",
+        "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+        "del\u{7f}",
+        "h\u{e9}llo w\u{f6}rld",
+        "\u{1f680} rocket",
+        "/slash",
+        "mixed \"\\\u{0}\u{e9}",
+    ];
+
+    /// Floats at the edges of the float rule.
+    const FLOATS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -3.5,
+        0.1 + 0.2,
+        1e-7,
+        1e15,
+        1e15 + 2.0,
+        999_999_999_999_999.0,
+        123_456.789,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        1e300,
+        9_007_199_254_740_992.0,
+    ];
+
+    /// Points that cover every escape, every edge float, present and absent
+    /// `capacity`/`region`, empty maps and repeated map keys. Generated by a
+    /// fixed xorshift sequence, so every run checks the same points.
+    pub(crate) fn generated_points() -> Vec<DataPoint> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let statuses = [
+            ScenarioStatus::Pending,
+            ScenarioStatus::Completed,
+            ScenarioStatus::Failed,
+            ScenarioStatus::Skipped,
+            ScenarioStatus::TimedOut,
+        ];
+        (0..600u32)
+            .map(|i| {
+                let mut pairs = || -> Vec<(String, String)> {
+                    (0..next(4))
+                        .map(|_| {
+                            // Keys come from a short list so they repeat.
+                            let k = STRINGS[next(4)].to_string();
+                            (k, STRINGS[next(STRINGS.len())].to_string())
+                        })
+                        .collect()
+                };
+                let appinputs = pairs();
+                let metrics = pairs();
+                let infra = pairs();
+                let tags = pairs();
+                DataPoint {
+                    scenario_id: if i % 7 == 0 { u32::MAX - i } else { i },
+                    appname: STRINGS[next(STRINGS.len())].to_string(),
+                    sku: STRINGS[next(STRINGS.len())].to_string(),
+                    nnodes: i % 17,
+                    ppn: 120,
+                    appinputs,
+                    exec_time_secs: FLOATS[next(FLOATS.len())],
+                    task_secs: FLOATS[next(FLOATS.len())],
+                    cost_dollars: FLOATS[next(FLOATS.len())],
+                    status: statuses[next(statuses.len())],
+                    metrics,
+                    infra,
+                    tags,
+                    deployment: STRINGS[next(STRINGS.len())].to_string(),
+                    capacity: if next(2) == 0 {
+                        Capacity::Dedicated
+                    } else {
+                        Capacity::Spot
+                    },
+                    region: (next(2) == 0).then(|| STRINGS[next(STRINGS.len())].to_string()),
+                }
+            })
+            .collect()
     }
 }
 
@@ -714,6 +1033,288 @@ impl Dataset {
             rows.push(row);
         }
         hpcadvisor_formats::csv::write(&rows)
+    }
+}
+
+#[cfg(test)]
+mod codec_tests {
+    use super::oracle::{generated_points, point_to_value, value_to_point};
+    use super::*;
+    use hpcadvisor_formats::OrderedMap;
+
+    /// What the tree decoding gives for `text`.
+    fn oracle_point(text: &str) -> Option<DataPoint> {
+        value_to_point(&json::parse(text).ok()?).ok()
+    }
+
+    fn oracle_dataset(text: &str) -> Option<Dataset> {
+        let doc = json::parse(text).ok()?;
+        let points = doc
+            .as_seq()?
+            .iter()
+            .map(value_to_point)
+            .collect::<Result<_, _>>()
+            .ok()?;
+        Some(Dataset { points })
+    }
+
+    #[test]
+    fn writer_matches_the_tree_oracle_byte_for_byte() {
+        let points = generated_points();
+        for p in &points {
+            assert_eq!(p.to_compact_json(), json::to_string(&point_to_value(p)));
+        }
+        let ds = Dataset { points };
+        let tree = Value::Seq(ds.points.iter().map(point_to_value).collect());
+        assert_eq!(ds.to_json(), json::to_string_pretty(&tree));
+        assert_eq!(Dataset::new().to_json(), "[]\n");
+        // The generator really covers what it claims to.
+        let text = ds.to_json();
+        for needle in [
+            "\\\"",
+            "\\\\",
+            "\\u0000",
+            "\\u001f",
+            "\u{1f680}",
+            "-0.0",
+            "0.0000001",
+        ] {
+            assert!(text.contains(needle), "no {needle} in the generated points");
+        }
+        for key in ["\"capacity\"", "\"region\"", "\"tags\": {}"] {
+            assert!(text.contains(key), "no {key} in the generated points");
+        }
+        assert!(ds.points.iter().any(|p| p.capacity == Capacity::Dedicated));
+        assert!(ds.points.iter().any(|p| p.region.is_none()));
+    }
+
+    #[test]
+    fn reader_matches_the_tree_oracle_on_generated_points() {
+        let ds = Dataset {
+            points: generated_points(),
+        };
+        for p in &ds.points {
+            let text = p.to_compact_json();
+            let read = DataPoint::from_json(&text).ok();
+            assert!(read.is_some(), "{text}");
+            assert_eq!(read, oracle_point(&text), "{text}");
+        }
+        let text = ds.to_json();
+        assert_eq!(Dataset::from_json(&text).ok(), oracle_dataset(&text));
+    }
+
+    /// The base point of the decoding variants, as a map to edit.
+    fn base() -> OrderedMap {
+        let mut p = point(7, "openfoam", "Standard_HB120rs_v3", 4, 120, 12.5, 0.25);
+        p.appinputs = vec![("mesh".into(), "40 16 16".into())];
+        p.metrics = vec![("APPEXECTIME".into(), "12.5".into())];
+        match point_to_value(&p) {
+            Value::Map(m) => m,
+            _ => unreachable!(),
+        }
+    }
+
+    fn text(m: OrderedMap) -> String {
+        json::to_string(&Value::Map(m))
+    }
+
+    /// `base` with `members` spliced in at the front or the back.
+    fn splice(front: bool, members: &str) -> String {
+        let b = text(base());
+        if front {
+            format!("{{{members},{}", &b[1..])
+        } else {
+            format!("{},{members}}}", &b[..b.len() - 1])
+        }
+    }
+
+    fn decoding_variants() -> Vec<(String, String)> {
+        let mut v: Vec<(String, String)> = Vec::new();
+        let mut add = |name: &str, text: String| v.push((name.to_string(), text));
+        add("compact", text(base()));
+        add("pretty", json::to_string_pretty(&Value::Map(base())));
+        let reversed: OrderedMap = base()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+            .collect();
+        add("reversed key order", text(reversed));
+        add(
+            "odd whitespace",
+            text(base()).replace(',', " ,\n\t").replace(':', "\r: "),
+        );
+        add(
+            "escaped key",
+            text(base()).replace("\"appname\"", "\"app\\u006eame\""),
+        );
+        for front in [true, false] {
+            let at = if front { "front" } else { "back" };
+            add(
+                &format!("unknown scalar at {at}"),
+                splice(front, "\"zz\":5"),
+            );
+            add(
+                &format!("unknown nested at {at}"),
+                splice(
+                    front,
+                    "\"extra\":{\"deep\":[1,2,{\"x\":null}],\"s\":\"\\\"\"}",
+                ),
+            );
+            add(
+                &format!("repeated nnodes at {at}"),
+                splice(front, "\"nnodes\":99"),
+            );
+            add(
+                &format!("repeated bad nnodes at {at}"),
+                splice(front, "\"nnodes\":\"x\""),
+            );
+            add(
+                &format!("repeated point map at {at}"),
+                splice(front, "\"metrics\":{\"a\":\"1\"}"),
+            );
+            add(
+                &format!("repeated non-map at {at}"),
+                splice(front, "\"appinputs\":5"),
+            );
+            add(
+                &format!("repeated status at {at}"),
+                splice(front, "\"status\":\"failed\""),
+            );
+            add(
+                &format!("repeated capacity at {at}"),
+                splice(front, "\"capacity\":\"bogus\""),
+            );
+        }
+        add(
+            "repeated map key",
+            splice(false, "\"tags\":{\"a\":\"1\",\"b\":\"2\",\"a\":\"3\"}"),
+        );
+        let mut edit = |name: &str, key: &str, value: Option<&str>| {
+            let mut m = base();
+            match value {
+                Some(json_text) => {
+                    m.insert(key, json::parse(json_text).unwrap());
+                }
+                None => {
+                    m.remove(key);
+                }
+            }
+            add(name, text(m));
+        };
+        edit("int for a float", "exec_time_secs", Some("12"));
+        edit("float for an int", "nnodes", Some("2.0"));
+        edit(
+            "overflowing int",
+            "scenario_id",
+            Some("99999999999999999999"),
+        );
+        edit("negative id", "scenario_id", Some("-1"));
+        edit("id past u32", "ppn", Some("4294967297"));
+        edit("string for a float", "task_secs", Some("\"1.0\""));
+        edit(
+            "non-string map values",
+            "metrics",
+            Some(
+                "{\"n\":1,\"f\":2.50,\"b\":true,\"z\":null,\"arr\":[1,\"a\"],\"obj\":{\"k\":1.0}}",
+            ),
+        );
+        edit("empty map", "infra", Some("{}"));
+        edit("null map", "tags", Some("null"));
+        edit("array map", "tags", Some("[1,2]"));
+        edit("string map", "appinputs", Some("\"x\""));
+        edit("spot", "capacity", Some("\"spot\""));
+        edit("bad capacity", "capacity", Some("\"bogus\""));
+        edit("non-string capacity", "capacity", Some("5"));
+        edit("region", "region", Some("\"westeurope\""));
+        edit("non-string region", "region", Some("7"));
+        edit("null region", "region", Some("null"));
+        edit("bad status", "status", Some("\"done\""));
+        for key in [
+            "scenario_id",
+            "appname",
+            "sku",
+            "nnodes",
+            "ppn",
+            "appinputs",
+            "exec_time_secs",
+            "task_secs",
+            "cost_dollars",
+            "status",
+            "metrics",
+            "infra",
+            "tags",
+            "deployment",
+        ] {
+            edit(&format!("missing {key}"), key, None);
+        }
+        edit(
+            "deep unknown",
+            "extra",
+            Some(&("[".repeat(100) + &"]".repeat(100))),
+        );
+        let b = text(base());
+        add(
+            "too deep unknown",
+            splice(
+                false,
+                &format!("\"x\":{}{}", "[".repeat(200), "]".repeat(200)),
+            ),
+        );
+        for other in ["[]", "5", "\"s\"", "null", "{}", ""] {
+            add(&format!("non-point {other:?}"), other.to_string());
+        }
+        add("truncated", b[..b.len() - 3].to_string());
+        add("trailing comma", splice(false, ""));
+        add("trailing garbage", format!("{b} x"));
+        add("two documents", format!("{b}{b}"));
+        add("missing colon", b.replacen("\"sku\":", "\"sku\" ", 1));
+        add(
+            "unterminated string",
+            b.replacen("\"openfoam\"", "\"openfoam", 1),
+        );
+        add("bad escape", b.replacen("openfoam", "open\\qfoam", 1));
+        v
+    }
+
+    #[test]
+    fn reader_accepts_and_rejects_exactly_what_the_oracle_does() {
+        let mut accepted = 0;
+        for (name, text) in decoding_variants() {
+            let read = DataPoint::from_json(&text).ok();
+            assert_eq!(read, oracle_point(&text), "{name}: {text}");
+            accepted += usize::from(read.is_some());
+            // The same point inside a dataset file.
+            let doc = format!("[{text}]");
+            assert_eq!(
+                Dataset::from_json(&doc).ok(),
+                oracle_dataset(&doc),
+                "{name} in a dataset"
+            );
+        }
+        // Both outcomes are exercised.
+        assert!(accepted > 10, "only {accepted} variants decode");
+        assert!(DataPoint::from_json(&splice(false, "\"nnodes\":\"x\"")).is_err());
+        let last_wins = DataPoint::from_json(&splice(false, "\"nnodes\":99")).unwrap();
+        assert_eq!(last_wins.nnodes, 99);
+    }
+
+    #[test]
+    fn dataset_documents_decode_like_the_oracle() {
+        let one = text(base());
+        for doc in [
+            "[]".to_string(),
+            " [ ] ".to_string(),
+            format!("[{one},{one}]"),
+            format!("[{one},]"),
+            format!("[{one}] ]"),
+            format!("{{\"points\":[{one}]}}"),
+            format!("[{one},5]"),
+            "".to_string(),
+        ] {
+            assert_eq!(Dataset::from_json(&doc).ok(), oracle_dataset(&doc), "{doc}");
+        }
     }
 }
 

@@ -14,9 +14,9 @@
 //! normal shape of a crash mid-append — drops only that line.
 
 use crate::cache::Fingerprint;
-use crate::dataset::{point_to_value, value_to_point, DataPoint};
+use crate::dataset::{DataPoint, PointFields};
 use crate::scenario::ScenarioStatus;
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::{json, FormatError};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
@@ -46,41 +46,58 @@ pub struct JournalEntry {
     pub point: Option<DataPoint>,
 }
 
-fn entry_to_line(e: &JournalEntry) -> String {
-    let mut m = OrderedMap::new();
-    m.insert("fp", Value::str(e.fingerprint.to_hex()));
-    m.insert("id", Value::Int(i64::from(e.scenario_id)));
-    m.insert("status", Value::str(e.status.as_str()));
-    m.insert("attempts", Value::Int(i64::from(e.attempts)));
-    m.insert("backoff_secs", Value::Float(e.backoff_secs));
+/// Appends one entry as a line of compact JSON, newline included.
+fn write_line(out: &mut String, e: &JournalEntry) {
+    let mut m = json::Slot::compact(out).object();
+    m.key("fp").str(&e.fingerprint.to_hex());
+    m.key("id").int(i64::from(e.scenario_id));
+    m.key("status").str(e.status.as_str());
+    m.key("attempts").int(i64::from(e.attempts));
+    m.key("backoff_secs").f64(e.backoff_secs);
     if let Some(reason) = &e.fail_reason {
-        m.insert("fail_reason", Value::str(reason));
+        m.key("fail_reason").str(reason);
     }
     if let Some(point) = &e.point {
-        m.insert("point", point_to_value(point));
+        point.write_json(m.key("point"));
     }
-    json::to_string(&Value::Map(m))
+    m.end();
+    out.push('\n');
 }
 
+/// Reads one journal line; `None` for anything but a whole, valid entry.
+/// As in any JSON object, a repeated key takes its last value.
 fn line_to_entry(line: &str) -> Option<JournalEntry> {
-    let v = json::parse(line).ok()?;
-    let fingerprint = Fingerprint::from_hex(v.get("fp")?.as_str()?)?;
-    let status = ScenarioStatus::parse(v.get("status")?.as_str()?)?;
-    let point = match v.get("point") {
-        Some(pv) => Some(value_to_point(pv).ok()?),
-        None => None,
-    };
+    let mut r = json::Reader::new(line);
+    let (mut fp, mut id, mut status, mut attempts, mut backoff, mut reason) =
+        (None, None, None, None, None, None);
+    let mut point = None;
+    r.object(|r, key| {
+        let slot = match key {
+            "fp" => &mut fp,
+            "id" => &mut id,
+            "status" => &mut status,
+            "attempts" => &mut attempts,
+            "backoff_secs" => &mut backoff,
+            "fail_reason" => &mut reason,
+            "point" => return PointFields::read(r).map(|f| point = Some(f)),
+            _ => return r.value().map(drop),
+        };
+        *slot = Some(r.value()?);
+        Ok::<_, FormatError>(())
+    })
+    .ok()?;
+    r.finish().ok()?;
     Some(JournalEntry {
-        fingerprint,
-        scenario_id: v.get("id")?.as_int()? as u32,
-        status,
-        attempts: v.get("attempts")?.as_int()? as u32,
-        backoff_secs: v.get("backoff_secs")?.as_f64()?,
-        fail_reason: v
-            .get("fail_reason")
-            .and_then(|r| r.as_str())
-            .map(str::to_string),
-        point,
+        fingerprint: Fingerprint::from_hex(fp?.as_str()?)?,
+        scenario_id: id?.as_int()? as u32,
+        status: ScenarioStatus::parse(status?.as_str()?)?,
+        attempts: attempts?.as_int()? as u32,
+        backoff_secs: backoff?.as_f64()?,
+        fail_reason: reason.and_then(|r| r.as_str().map(str::to_string)),
+        point: match point {
+            Some(fields) => Some(fields.check().ok()?),
+            None => None,
+        },
     })
 }
 
@@ -169,9 +186,9 @@ impl RunJournal {
     /// the next append rewrites the file from the entries in memory.
     pub fn append(&mut self, entry: JournalEntry) {
         if self.path.is_some() {
-            let mut line = entry_to_line(&entry);
-            line.push('\n');
-            if self.write_line(&line).is_err() {
+            let mut line = String::new();
+            write_line(&mut line, &entry);
+            if self.write(&line).is_err() {
                 self.file = None;
                 self.initialized = false;
             }
@@ -179,7 +196,7 @@ impl RunJournal {
         self.push(entry);
     }
 
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+    fn write(&mut self, line: &str) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
@@ -196,8 +213,7 @@ impl RunJournal {
                 }
                 let mut text = format!("{{\"version\": {JOURNAL_VERSION}}}\n");
                 for e in &self.entries {
-                    text.push_str(&entry_to_line(e));
-                    text.push('\n');
+                    write_line(&mut text, e);
                 }
                 let mut file = File::create(path)?;
                 file.write_all(text.as_bytes())?;
@@ -242,7 +258,9 @@ impl RunJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::oracle::{generated_points, point_to_value, value_to_point};
     use crate::dataset::point;
+    use hpcadvisor_formats::{OrderedMap, Value};
 
     fn fp(n: u128) -> Fingerprint {
         Fingerprint::from_hex(&format!("{n:032x}")).unwrap()
@@ -258,6 +276,12 @@ mod tests {
             fail_reason: None,
             point: Some(point(id, "lammps", "Standard_HC44rs", 2, 88, 10.0, 0.5)),
         }
+    }
+
+    fn entry_to_line(e: &JournalEntry) -> String {
+        let mut line = String::new();
+        write_line(&mut line, e);
+        line
     }
 
     fn tempfile(tag: &str) -> PathBuf {
@@ -284,6 +308,96 @@ mod tests {
         assert_eq!(line_to_entry(&entry_to_line(&failed)), Some(failed));
         assert!(line_to_entry("not json").is_none());
         assert!(line_to_entry("{\"fp\": \"zz\"}").is_none());
+    }
+
+    /// The tree encoding the direct codec replaced: the oracle.
+    fn oracle_line(e: &JournalEntry) -> String {
+        let mut m = OrderedMap::new();
+        m.insert("fp", Value::str(e.fingerprint.to_hex()));
+        m.insert("id", Value::Int(i64::from(e.scenario_id)));
+        m.insert("status", Value::str(e.status.as_str()));
+        m.insert("attempts", Value::Int(i64::from(e.attempts)));
+        m.insert("backoff_secs", Value::Float(e.backoff_secs));
+        if let Some(reason) = &e.fail_reason {
+            m.insert("fail_reason", Value::str(reason));
+        }
+        if let Some(point) = &e.point {
+            m.insert("point", point_to_value(point));
+        }
+        json::to_string(&Value::Map(m)) + "\n"
+    }
+
+    /// The tree decoding the direct codec replaced: the oracle.
+    fn oracle_entry(line: &str) -> Option<JournalEntry> {
+        let v = json::parse(line).ok()?;
+        let fingerprint = Fingerprint::from_hex(v.get("fp")?.as_str()?)?;
+        let status = ScenarioStatus::parse(v.get("status")?.as_str()?)?;
+        let point = match v.get("point") {
+            Some(pv) => Some(value_to_point(pv).ok()?),
+            None => None,
+        };
+        Some(JournalEntry {
+            fingerprint,
+            scenario_id: v.get("id")?.as_int()? as u32,
+            status,
+            attempts: v.get("attempts")?.as_int()? as u32,
+            backoff_secs: v.get("backoff_secs")?.as_f64()?,
+            fail_reason: v
+                .get("fail_reason")
+                .and_then(|r| r.as_str())
+                .map(str::to_string),
+            point,
+        })
+    }
+
+    fn generated_entries() -> Vec<JournalEntry> {
+        generated_points()
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| JournalEntry {
+                fingerprint: fp(i as u128 * 0x1_0000_0001),
+                scenario_id: p.scenario_id,
+                status: p.status,
+                attempts: i as u32 % 4,
+                backoff_secs: [0.0, 87.5, 1e-7, 30.0][i % 4],
+                fail_reason: (i % 3 == 0).then(|| p.sku.clone()),
+                point: (i % 5 != 0).then_some(p),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lines_match_the_tree_oracle() {
+        for e in generated_entries() {
+            let line = entry_to_line(&e);
+            assert_eq!(line, oracle_line(&e));
+            assert_eq!(line_to_entry(&line), oracle_entry(&line), "{line}");
+            assert!(line_to_entry(&line).is_some(), "{line}");
+        }
+        let base = entry_to_line(&completed(7, 0xabc));
+        let body = base.trim_end();
+        let open = &body[..body.len() - 1];
+        let variants = [
+            format!("{open},\"id\":9}}"),
+            format!("{open},\"id\":\"x\"}}"),
+            format!("{open},\"point\":null}}"),
+            format!("{{\"point\":null,{}", &body[1..]),
+            format!("{open},\"point\":{{\"nope\":1}}}}"),
+            format!("{open},\"fail_reason\":5}}"),
+            format!("{open},\"backoff_secs\":3}}"),
+            format!("{open},\"extra\":[1,{{\"a\":null}}]}}"),
+            format!("{open},\"fp\":\"zz\"}}"),
+            body.replace("\"attempts\":1,", ""),
+            body.replace("\"status\":\"completed\"", "\"status\":\"done\""),
+            format!("{body} trailing"),
+            body[..body.len() - 4].to_string(),
+            "[]".to_string(),
+            "not json".to_string(),
+            String::new(),
+        ];
+        for line in variants {
+            assert_eq!(line_to_entry(&line), oracle_entry(&line), "{line}");
+        }
     }
 
     #[test]

@@ -1,89 +1,227 @@
-//! JSON parser and serializer for [`Value`].
+//! JSON parser and serializer for [`Value`], plus a streaming writer and a
+//! pull reader for callers that know their document's shape.
 //!
 //! The parser accepts the full JSON grammar (RFC 8259) including unicode
 //! escapes; the serializer emits either compact or pretty (2-space indented)
 //! text. The tool's scenario list and dataset files are stored with the
 //! pretty form so users can diff them.
+//!
+//! [`Slot`] writes a document piece by piece with exactly the layout
+//! [`to_string`] and [`to_string_pretty`] give the equivalent [`Value`], and
+//! [`Reader`] walks a document container by container with the grammar,
+//! number rules and depth limit of [`parse`]. Together they let a typed
+//! record go to and from JSON without building a `Value` tree.
 
 use crate::error::FormatError;
-use crate::value::{format_float, OrderedMap, Value};
+use crate::value::{OrderedMap, Value};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Value, FormatError> {
-    let mut p = Parser::new(input);
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
 /// Serializes a value to compact JSON.
 pub fn to_string(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, None, 0);
+    Slot::compact(&mut out).value(v);
     out
 }
 
 /// Serializes a value to pretty JSON with 2-space indentation.
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, Some(2), 0);
+    Slot::pretty(&mut out).value(v);
     out.push('\n');
     out
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => out.push_str(&format_float(*f)),
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_seq(out, items, indent, depth),
-        Value::Map(m) => write_map(out, m, indent, depth),
+/// Appends `s` as a JSON string literal. `"`, `\` and control characters
+/// are escaped; everything else, non-ASCII included, is written as is.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    // Every byte that needs escaping is ASCII, so it never sits inside a
+    // multi-byte character and the slices below fall on char boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends a float so that it round-trips. Integral floats below 1e15 keep
+/// a `.0` marker, which keeps the dataset human-readable (re-parsing does
+/// not need it to tell them from integers). Non-finite values are written
+/// as `NaN`/`inf`, which is not JSON: callers that persist floats must keep
+/// them finite.
+pub fn write_f64(out: &mut String, f: f64) {
+    if f == f.trunc() && f.abs() < 1e15 {
+        let _ = write!(out, "{f:.1}");
+    } else {
+        let start = out.len();
+        let _ = write!(out, "{f}");
+        let s = &out[start..];
+        if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
+            out.push_str(".0");
+        }
     }
 }
 
-fn write_seq(out: &mut String, items: &[Value], indent: Option<usize>, depth: usize) {
-    if items.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        newline_indent(out, indent, depth + 1);
-        write_value(out, item, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out.push(']');
+/// The place for one JSON value in a document being written: the top of
+/// the document, an array item or an object member. Writing through slots
+/// gives byte for byte the text [`to_string`] (compact) or
+/// [`to_string_pretty`] (pretty, without its final newline) produce for
+/// the equivalent [`Value`].
+pub struct Slot<'a> {
+    out: &'a mut String,
+    indent: Option<usize>,
+    depth: usize,
 }
 
-fn write_map(out: &mut String, m: &OrderedMap, indent: Option<usize>, depth: usize) {
-    if m.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in m.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl<'a> Slot<'a> {
+    /// The top of a compact document appended to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Slot {
+            out,
+            indent: None,
+            depth: 0,
         }
-        newline_indent(out, indent, depth + 1);
-        write_string(out, k);
-        out.push(':');
-        if indent.is_some() {
-            out.push(' ');
-        }
-        write_value(out, v, indent, depth + 1);
     }
-    newline_indent(out, indent, depth);
-    out.push('}');
+
+    /// The top of a pretty (2-space indented) document appended to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Slot {
+            out,
+            indent: Some(2),
+            depth: 0,
+        }
+    }
+
+    /// Writes a string.
+    pub fn str(self, s: &str) {
+        write_str(self.out, s);
+    }
+
+    /// Writes an integer.
+    pub fn int(self, i: i64) {
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// Writes a float (see [`write_f64`]).
+    pub fn f64(self, f: f64) {
+        write_f64(self.out, f);
+    }
+
+    /// Writes a whole value.
+    pub fn value(self, v: &Value) {
+        match v {
+            Value::Null => self.out.push_str("null"),
+            Value::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => self.int(*i),
+            Value::Float(f) => self.f64(*f),
+            Value::Str(s) => self.str(s),
+            Value::Seq(items) => {
+                let mut seq = self.array();
+                for item in items {
+                    seq.item().value(item);
+                }
+                seq.end();
+            }
+            Value::Map(m) => {
+                let mut map = self.object();
+                for (k, v) in m.iter() {
+                    map.key(k).value(v);
+                }
+                map.end();
+            }
+        }
+    }
+
+    /// Opens an object; write its members through [`Container::key`].
+    pub fn object(self) -> Container<'a> {
+        self.open('{', '}')
+    }
+
+    /// Opens an array; write its items through [`Container::item`].
+    pub fn array(self) -> Container<'a> {
+        self.open('[', ']')
+    }
+
+    fn open(self, open: char, close: char) -> Container<'a> {
+        self.out.push(open);
+        Container {
+            out: self.out,
+            indent: self.indent,
+            depth: self.depth,
+            empty: true,
+            close,
+        }
+    }
+}
+
+/// An open object or array (see [`Slot::object`] and [`Slot::array`]).
+/// Close it with [`Container::end`].
+pub struct Container<'a> {
+    out: &'a mut String,
+    indent: Option<usize>,
+    depth: usize,
+    empty: bool,
+    close: char,
+}
+
+impl Container<'_> {
+    /// The slot of the next array item.
+    pub fn item(&mut self) -> Slot<'_> {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        newline_indent(self.out, self.indent, self.depth + 1);
+        Slot {
+            out: self.out,
+            indent: self.indent,
+            depth: self.depth + 1,
+        }
+    }
+
+    /// Writes an object member's key and returns the slot of its value.
+    /// Keys are written as given: the caller keeps them unique.
+    pub fn key(&mut self, key: &str) -> Slot<'_> {
+        let slot = self.item();
+        write_str(slot.out, key);
+        slot.out.push(':');
+        if slot.indent.is_some() {
+            slot.out.push(' ');
+        }
+        slot
+    }
+
+    /// Closes the container.
+    pub fn end(self) {
+        if !self.empty {
+            newline_indent(self.out, self.indent, self.depth);
+        }
+        self.out.push(self.close);
+    }
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
@@ -95,44 +233,116 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Maximum container nesting depth — a stack-overflow guard for crafted
 /// documents (the recursive-descent parser uses the native stack).
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document. [`parse`] is built on it; a
+/// caller that knows the document's shape can instead walk it with
+/// [`Reader::object`] and [`Reader::array`], reading only the values it
+/// needs as [`Value`]s, under the same grammar, number rules and depth
+/// limit.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     line: usize,
     line_start: usize,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            text: input,
             pos: 0,
             line: 1,
             line_start: 0,
             depth: 0,
+        }
+    }
+
+    /// The first byte of the next value, skipping whitespace, without
+    /// consuming it (`None` at the end of the input).
+    pub fn peek_token(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.peek()
+    }
+
+    /// Reads the next value whole.
+    pub fn value(&mut self) -> Result<Value, FormatError> {
+        self.parse_value()
+    }
+
+    /// Reads an object, calling `member` with each key in document order.
+    /// `member` must read exactly one value: the member's.
+    pub fn object<E: From<FormatError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.skip_ws();
+        self.enter()?;
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.bump();
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_str()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            member(self, &key)?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => {
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}' in object").into()),
+            }
+        }
+    }
+
+    /// Reads an array, calling `item` once per item. `item` must read
+    /// exactly one value.
+    pub fn array<E: From<FormatError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.skip_ws();
+        self.enter()?;
+        self.expect(b'[')?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.bump();
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => {
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or ']' in array").into()),
+            }
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), FormatError> {
+        self.skip_ws();
+        if self.at_end() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
         }
     }
 
@@ -141,11 +351,11 @@ impl<'a> Parser<'a> {
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
+        self.pos >= self.text.len()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -184,7 +394,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.parse_object(),
             Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b'"') => Ok(Value::Str(self.parse_str()?.into_owned())),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
@@ -212,65 +422,45 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Value, FormatError> {
-        self.enter()?;
-        self.expect(b'{')?;
         let mut map = OrderedMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            self.depth -= 1;
-            return Ok(Value::Map(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
+        self.object(|r, key| {
+            let value = r.parse_value()?;
             map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => {
-                    self.depth -= 1;
-                    return Ok(Value::Map(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
+            Ok::<_, FormatError>(())
+        })?;
+        Ok(Value::Map(map))
     }
 
     fn parse_array(&mut self) -> Result<Value, FormatError> {
-        self.enter()?;
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            self.depth -= 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => {
-                    self.depth -= 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.array(|r| {
+            items.push(r.parse_value()?);
+            Ok::<_, FormatError>(())
+        })?;
+        Ok(Value::Seq(items))
     }
 
-    fn parse_string(&mut self) -> Result<String, FormatError> {
+    fn parse_str(&mut self) -> Result<Cow<'a, str>, FormatError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        // A string without escapes is a slice of the input.
+        let start = self.pos;
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.bump();
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                Some(b'\\') | None => break,
+                Some(_) => {
+                    self.bump();
+                }
+            }
+        }
+        let mut s = self.text[start..self.pos].to_string();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(s),
+                Some(b'"') => return Ok(Cow::Owned(s)),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => s.push('"'),
                     Some(b'\\') => s.push('\\'),
@@ -311,8 +501,10 @@ impl<'a> Parser<'a> {
                     for _ in 1..len {
                         self.bump().ok_or_else(|| self.err("truncated UTF-8"))?;
                     }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let chunk = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     s.push_str(chunk);
                 }
             }
@@ -359,7 +551,7 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -472,6 +664,129 @@ mod tests {
         // Moderate nesting still parses.
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&ok).is_ok());
+    }
+
+    /// The char-by-char escaper `write_str` replaced: the oracle.
+    fn oracle_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_str_matches_the_char_escaper() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c",
+            "\u{7f}\u{80}\u{e9}\u{1f680}",
+            "end\n",
+            "\tstart",
+            controls.as_str(),
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, oracle_escape(s));
+            assert_eq!(parse(&out).unwrap(), Value::str(s));
+        }
+    }
+
+    #[test]
+    fn write_f64_keeps_the_float_rule() {
+        for (f, text) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (2.0, "2.0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+            (1e15, "1000000000000000.0"),
+            (-2.5e20, "-250000000000000000000.0"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+        ] {
+            let mut out = String::from("x");
+            write_f64(&mut out, f);
+            assert_eq!(out, format!("x{text}"));
+        }
+    }
+
+    #[test]
+    fn reader_walks_a_known_shape() {
+        let text =
+            " {\"n\": [1, 2.5], \"m\": {\"k\\u0041\": \"v\\n\"}, \"skip\": [{}], \"n\": []} ";
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        r.object(|r, key| {
+            seen.push(key.to_string());
+            match key {
+                "n" => r.array(|r| {
+                    seen.push(format!("{:?}", r.value()?));
+                    Ok::<_, FormatError>(())
+                }),
+                "m" => r.object(|r, key| {
+                    seen.push(format!("{key}={:?}", r.value()?));
+                    Ok::<_, FormatError>(())
+                }),
+                _ => r.value().map(drop),
+            }
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            seen,
+            [
+                "n",
+                "Int(1)",
+                "Float(2.5)",
+                "m",
+                "kA=Str(\"v\\n\")",
+                "skip",
+                "n"
+            ]
+        );
+        assert_eq!(Reader::new("  [").peek_token(), Some(b'['));
+        assert_eq!(Reader::new("  ").peek_token(), None);
+    }
+
+    #[test]
+    fn reader_rejects_what_parse_rejects() {
+        let walk = |text: &str| -> Result<(), FormatError> {
+            let mut r = Reader::new(text);
+            r.array(|r| r.value().map(drop))?;
+            r.finish()
+        };
+        for text in ["[1,]", "[1 2]", "[1] 2", "[\"a]", "[", "[tru]"] {
+            assert!(walk(text).is_err(), "{text}");
+            assert!(parse(text).is_err(), "{text}");
+        }
+        assert!(walk("{}").is_err(), "not an array");
+        assert!(walk("[1, [2], {\"a\": null}]").is_ok());
+        // Containers the caller walks count toward the depth limit too.
+        fn nest(r: &mut Reader<'_>, left: usize) -> Result<(), FormatError> {
+            if left == 0 {
+                return r.value().map(drop);
+            }
+            r.array(|r| nest(r, left - 1))
+        }
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = nest(&mut Reader::new(&deep), 3).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(nest(&mut Reader::new(&ok), 3).is_ok());
     }
 
     #[test]

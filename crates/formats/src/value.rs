@@ -187,7 +187,11 @@ impl Value {
             Value::Null => String::new(),
             Value::Bool(b) => b.to_string(),
             Value::Int(i) => i.to_string(),
-            Value::Float(f) => format_float(*f),
+            Value::Float(f) => {
+                let mut s = String::new();
+                crate::json::write_f64(&mut s, *f);
+                s
+            }
             Value::Str(s) => s.clone(),
             other => crate::json::to_string(other),
         }
@@ -232,21 +236,6 @@ impl From<Vec<Value>> for Value {
 impl From<OrderedMap> for Value {
     fn from(m: OrderedMap) -> Value {
         Value::Map(m)
-    }
-}
-
-/// Formats a float so that it round-trips and integral floats keep a `.0`
-/// marker (distinguishing them from `Int` on re-parse is not required, but
-/// keeps the dataset human-readable).
-pub(crate) fn format_float(f: f64) -> String {
-    if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
-    } else {
-        let mut s = format!("{f}");
-        if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
-            s.push_str(".0");
-        }
-        s
     }
 }
 

@@ -203,3 +203,55 @@ fn serial_collect_consults_the_cache_too() {
     assert_eq!(warm.total_cloud_cost(), 0.0, "legacy path also warm");
     let _ = std::fs::remove_file(&path);
 }
+
+/// A script that reports a non-finite `APPEXECTIME` gets the task duration
+/// instead, as for an unparsable one: `NaN` and `inf` are not JSON, so they
+/// would otherwise end up in the dataset file and the cache store.
+#[test]
+fn non_finite_app_exec_time_falls_back_to_the_task_duration() {
+    const SCRIPT: &str = "\
+hpcadvisor_setup() {
+  return 0
+}
+
+hpcadvisor_run() {
+  T=12.5
+  if [[ $NNODES == 1 ]]; then
+    T=nan
+  fi
+  if [[ $NNODES == 2 ]]; then
+    T=-inf
+  fi
+  echo \"HPCADVISORVAR APPEXECTIME=$T\"
+}
+";
+    let path = cache_path("non-finite");
+    let config = config();
+    let session = || {
+        Session::builder(config.clone())
+            .seed(42)
+            .cache(ScenarioCache::open(&path))
+            .script(config.appsetupurl.clone(), SCRIPT)
+            .build()
+            .unwrap()
+    };
+    let report = session().collect_with(&CollectPlan::new()).unwrap();
+    assert_eq!(report.stats.completed, 6);
+    for p in &report.dataset.points {
+        assert!(p.task_secs > 0.0);
+        let want = if p.nnodes <= 2 { p.task_secs } else { 12.5 };
+        assert_eq!(p.exec_time_secs, want, "{} nodes", p.nnodes);
+        assert!(p.cost_dollars.is_finite());
+    }
+    let text = report.dataset.to_json();
+    assert_eq!(Dataset::from_json(&text).unwrap(), report.dataset);
+
+    // Every point reached the store, and the store reopens whole.
+    let reopened = ScenarioCache::open(&path);
+    assert_eq!(reopened.len(), 6);
+    assert!(!reopened.recovered());
+    let warm = session().collect_with(&CollectPlan::new()).unwrap();
+    assert_eq!(warm.stats.cache_hits, 6);
+    assert_eq!(warm.dataset.to_json(), text);
+    let _ = std::fs::remove_file(&path);
+}
