@@ -111,9 +111,10 @@ fn index_path(path: &Path) -> PathBuf {
 
 /// Appends one log record: `[u32 LE payload len][payload][u64 LE FNV-1a]`
 /// where the payload is the 16-byte big-endian fingerprint followed by the
-/// point's compact JSON.
-fn encode_record(buf: &mut Vec<u8>, fp: u128, point: &DataPoint) {
-    let json = point.to_compact_json();
+/// point's compact JSON. `json` is scratch space, reused across records.
+fn encode_record(buf: &mut Vec<u8>, json: &mut String, fp: u128, point: &DataPoint) {
+    json.clear();
+    point.write_json(json::Slot::compact(json));
     buf.extend_from_slice(&((16 + json.len()) as u32).to_le_bytes());
     let payload = buf.len();
     buf.extend_from_slice(&fp.to_be_bytes());
@@ -643,9 +644,10 @@ impl ScenarioCache {
         let mut log = Vec::with_capacity(LOG_MAGIC.len() + self.entries.len() * 128);
         log.extend_from_slice(LOG_MAGIC);
         self.offsets.clear();
+        let mut json = String::new();
         for fp in &keys {
             self.offsets.insert(*fp, log.len() as u64);
-            encode_record(&mut log, *fp, &self.entries[fp]);
+            encode_record(&mut log, &mut json, *fp, &self.entries[fp]);
         }
         let tmp = path.with_extension("bin.tmp");
         std::fs::write(&tmp, &log)?;
@@ -668,13 +670,14 @@ impl ScenarioCache {
         fresh.sort_unstable();
         fresh.dedup();
         let mut log = Vec::new();
+        let mut json = String::new();
         let mut appended = Vec::with_capacity(fresh.len());
         for fp in fresh {
             let Some(point) = self.entries.get(&fp) else {
                 continue; // inserted then cleared before a rotation; skip
             };
             self.offsets.insert(fp, self.valid_len + log.len() as u64);
-            encode_record(&mut log, fp, point);
+            encode_record(&mut log, &mut json, fp, point);
             appended.push(fp);
         }
         if !log.is_empty() {
@@ -1252,7 +1255,7 @@ mod tests {
         for round in 0..3u32 {
             last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
             last.exec_time_secs += f64::from(round);
-            encode_record(&mut log, fp.0, &last);
+            encode_record(&mut log, &mut String::new(), fp.0, &last);
         }
         std::fs::write(&path, &log).unwrap();
 
@@ -1374,9 +1377,9 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (0x5eed_u128 << 64 | i as u128, p))
             .collect();
-        let (mut direct, mut tree) = (Vec::new(), Vec::new());
+        let (mut direct, mut tree, mut json) = (Vec::new(), Vec::new(), String::new());
         for (fp, p) in &entries {
-            encode_record(&mut direct, *fp, p);
+            encode_record(&mut direct, &mut json, *fp, p);
             oracle_record(&mut tree, *fp, p);
         }
         assert!(direct == tree, "record bytes differ from the oracle's");

@@ -111,13 +111,6 @@ impl DataPoint {
         m.end();
     }
 
-    /// The point as compact JSON (one cache record or journal member).
-    pub(crate) fn to_compact_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(json::Slot::compact(&mut out));
-        out
-    }
-
     /// Parses a point from a JSON document holding just that point.
     pub(crate) fn from_json(text: &str) -> Result<DataPoint, ToolError> {
         let mut r = json::Reader::new(text);
@@ -1042,6 +1035,12 @@ mod codec_tests {
     use super::*;
     use hpcadvisor_formats::OrderedMap;
 
+    fn compact(p: &DataPoint) -> String {
+        let mut out = String::new();
+        p.write_json(json::Slot::compact(&mut out));
+        out
+    }
+
     /// What the tree decoding gives for `text`.
     fn oracle_point(text: &str) -> Option<DataPoint> {
         value_to_point(&json::parse(text).ok()?).ok()
@@ -1062,7 +1061,7 @@ mod codec_tests {
     fn writer_matches_the_tree_oracle_byte_for_byte() {
         let points = generated_points();
         for p in &points {
-            assert_eq!(p.to_compact_json(), json::to_string(&point_to_value(p)));
+            assert_eq!(compact(p), json::to_string(&point_to_value(p)));
         }
         let ds = Dataset { points };
         let tree = Value::Seq(ds.points.iter().map(point_to_value).collect());
@@ -1094,7 +1093,7 @@ mod codec_tests {
             points: generated_points(),
         };
         for p in &ds.points {
-            let text = p.to_compact_json();
+            let text = compact(p);
             let read = DataPoint::from_json(&text).ok();
             assert!(read.is_some(), "{text}");
             assert_eq!(read, oracle_point(&text), "{text}");

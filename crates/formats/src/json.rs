@@ -43,12 +43,21 @@ pub fn to_string_pretty(v: &Value) -> String {
 /// Appends `s` as a JSON string literal. `"`, `\` and control characters
 /// are escaped; everything else, non-ASCII included, is written as is.
 pub fn write_str(out: &mut String, s: &str) {
+    let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    // Most strings need no escaping; a branch-free scan finds that out.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.reserve(s.len() + 2);
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     out.push('"');
     let mut start = 0;
     // Every byte that needs escaping is ASCII, so it never sits inside a
     // multi-byte character and the slices below fall on char boundaries.
     for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
+        if !needs_escape(b) {
             continue;
         }
         out.push_str(&s[start..i]);
@@ -75,7 +84,13 @@ pub fn write_str(out: &mut String, s: &str) {
 /// them finite.
 pub fn write_f64(out: &mut String, f: f64) {
     if f == f.trunc() && f.abs() < 1e15 {
-        let _ = write!(out, "{f:.1}");
+        // What `{f:.1}` prints, without its exact-precision formatting:
+        // an integral float this small converts to i64 exactly.
+        if f == 0.0 && f.is_sign_negative() {
+            out.push('-');
+        }
+        write_i64(out, f as i64);
+        out.push_str(".0");
     } else {
         let start = out.len();
         let _ = write!(out, "{f}");
@@ -84,6 +99,24 @@ pub fn write_f64(out: &mut String, f: f64) {
             out.push_str(".0");
         }
     }
+}
+
+fn write_i64(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut n = i.unsigned_abs();
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// The place for one JSON value in a document being written: the top of
@@ -123,7 +156,7 @@ impl<'a> Slot<'a> {
 
     /// Writes an integer.
     pub fn int(self, i: i64) {
-        let _ = write!(self.out, "{i}");
+        write_i64(self.out, i);
     }
 
     /// Writes a float (see [`write_f64`]).
@@ -721,6 +754,28 @@ mod tests {
             let mut out = String::from("x");
             write_f64(&mut out, f);
             assert_eq!(out, format!("x{text}"));
+        }
+    }
+
+    #[test]
+    fn integers_write_like_display() {
+        for i in [
+            0,
+            7,
+            -7,
+            10,
+            -10,
+            1_000_000,
+            i64::MAX,
+            i64::MIN,
+            u32::MAX as i64,
+        ] {
+            assert_eq!(to_string(&Value::Int(i)), i.to_string());
+        }
+        for f in [-0.0, 0.0, 1.0, -1.0, 120.0, -999_999_999_999_999.0, 1e14] {
+            let mut out = String::new();
+            write_f64(&mut out, f);
+            assert_eq!(out, format!("{f:.1}"));
         }
     }
 
