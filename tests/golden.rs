@@ -113,6 +113,81 @@ appinputs:
     );
 }
 
+/// A small sweep of one bundled app script: two SKUs × two node counts ×
+/// the given input values.
+fn small_app_config(app: &str, inputs: &[(&str, &[&str])]) -> UserConfig {
+    let mut config = UserConfig::from_yaml(&format!(
+        r#"
+subscription: mysubscription
+skus:
+- Standard_HC44rs
+- Standard_HB120rs_v3
+rgprefix: golden{app}
+appsetupurl: https://example.com/scripts/{app}.sh
+nnodes: [1, 2]
+appname: {app}
+region: southcentralus
+ppr: 100
+"#
+    ))
+    .unwrap();
+    config.appinputs = inputs
+        .iter()
+        .map(|(k, vs)| (k.to_string(), vs.iter().map(|v| v.to_string()).collect()))
+        .collect();
+    config
+}
+
+/// The paper's Listing 2: `cp ../in.lj.txt .`, three `sed -i` rewrites,
+/// `which lmp` and `grep -q` on the log file.
+#[test]
+fn listing2_lammps() {
+    check_case(
+        "lammps",
+        small_app_config("lammps", &[("BOXFACTOR", &["4", "8"])]),
+        FaultPlan::none(),
+    );
+}
+
+/// WRF at 1 km does not fit on one or two nodes: the model fails, no log
+/// is written, and the script's `grep -q` on the missing file takes the
+/// failure branch.
+#[test]
+fn wrf_with_out_of_memory_scenarios() {
+    check_case(
+        "wrf",
+        small_app_config("wrf", &[("resolution_km", &["12", "1"]), ("hours", &["3"])]),
+        FaultPlan::none(),
+    );
+}
+
+#[test]
+fn gromacs() {
+    check_case(
+        "gromacs",
+        small_app_config("gromacs", &[("atoms", &["1000000"]), ("steps", &["5000"])]),
+        FaultPlan::none(),
+    );
+}
+
+#[test]
+fn namd() {
+    check_case(
+        "namd",
+        small_app_config("namd", &[("atoms", &["1066628"]), ("steps", &["500"])]),
+        FaultPlan::none(),
+    );
+}
+
+#[test]
+fn matmul() {
+    check_case(
+        "matmul",
+        small_app_config("matmul", &[("n", &["20000", "40000"])]),
+        FaultPlan::none(),
+    );
+}
+
 /// The sampler's probe batch is not sorted by scenario id, so this pins
 /// that sampled batches come back in requested order.
 #[test]
