@@ -620,10 +620,10 @@ impl BatchService {
         nodes_required: u32,
         ppn: u32,
         runner: Runner,
-    ) -> Result<TaskRecord, BatchError> {
+    ) -> Result<&TaskRecord, BatchError> {
         let id = self.submit(pool, name, kind, nodes_required, ppn, runner)?;
         self.run_until_idle();
-        Ok(self.task(id).expect("task just ran").clone())
+        Ok(self.task(id).expect("task just ran"))
     }
 }
 

@@ -60,19 +60,35 @@ impl TaskContext {
     /// The `host:ppn,host:ppn,...` list the paper passes to `mpirun`
     /// (Table I: `HOSTLIST_PPN`).
     pub fn hostlist_ppn(&self) -> String {
-        self.hosts
-            .iter()
-            .map(|h| format!("{h}:{}", self.ppn))
-            .collect::<Vec<_>>()
-            .join(",")
+        self.host_lists().0
     }
 
     /// Contents of a plain MPI hostfile (one host per line, `slots=` form).
     pub fn hostfile(&self) -> String {
-        self.hosts
-            .iter()
-            .map(|h| format!("{h} slots={}\n", self.ppn))
-            .collect()
+        self.host_lists().1
+    }
+
+    /// [`TaskContext::hostlist_ppn`] and [`TaskContext::hostfile`], built
+    /// in one pass over the hosts.
+    pub fn host_lists(&self) -> (String, String) {
+        let ppn = self.ppn.to_string();
+        let names: usize = self.hosts.iter().map(String::len).sum();
+        let n = self.hosts.len();
+        let mut hostlist = String::with_capacity(names + n * (ppn.len() + 2));
+        let mut hostfile = String::with_capacity(names + n * (ppn.len() + 8));
+        for (i, host) in self.hosts.iter().enumerate() {
+            if i > 0 {
+                hostlist.push(',');
+            }
+            hostlist.push_str(host);
+            hostlist.push(':');
+            hostlist.push_str(&ppn);
+            hostfile.push_str(host);
+            hostfile.push_str(" slots=");
+            hostfile.push_str(&ppn);
+            hostfile.push('\n');
+        }
+        (hostlist, hostfile)
     }
 }
 
@@ -197,6 +213,21 @@ mod tests {
         let hf = ctx().hostfile();
         assert_eq!(hf.lines().count(), 3);
         assert!(hf.starts_with("node-0 slots=44\n"));
+    }
+
+    #[test]
+    fn host_lists_match_the_per_host_formats() {
+        let mut c = ctx();
+        for hosts in [0, 1, 3] {
+            c.hosts = (0..hosts).map(|n| format!("node-{n}")).collect();
+            let list: Vec<String> = c.hosts.iter().map(|h| format!("{h}:{}", c.ppn)).collect();
+            let file: String = c
+                .hosts
+                .iter()
+                .map(|h| format!("{h} slots={}\n", c.ppn))
+                .collect();
+            assert_eq!(c.host_lists(), (list.join(","), file));
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl ExecContext {
         let program = self.program.clone();
         let seed = self.seed;
         Box::new(move |ctx: &TaskContext| -> TaskResult {
-            run_script_task(ctx, &spec, &shared_vfs, urls, registry, &program, seed)
+            run_script_task(ctx, spec, &shared_vfs, urls, registry, &program, seed)
         })
     }
 }
@@ -1374,10 +1374,11 @@ struct RunnerSpec {
 /// Executes one script function inside a fresh interpreter over the shared
 /// filesystem (sequential tasks, like a shared NFS mount). The interpreter
 /// borrows the filesystem by move and hands it back; a task that errors out
-/// rolls its changes back instead of working on a copy.
+/// rolls its changes back instead of working on a copy. The spec's
+/// environment moves into the interpreter.
 fn run_script_task(
     ctx: &TaskContext,
-    spec: &RunnerSpec,
+    spec: RunnerSpec,
     shared_vfs: &Mutex<Vfs>,
     urls: UrlStore,
     registry: Arc<AppRegistry>,
@@ -1396,18 +1397,19 @@ fn run_script_task(
         urls,
     );
     interp.set_cwd(&spec.cwd);
-    for (k, v) in &spec.env {
+    for (k, v) in spec.env {
         interp.set_var(k, v);
     }
     // Table I variables that depend on the concrete node assignment.
-    interp.set_var("HOSTLIST_PPN", &ctx.hostlist_ppn());
+    let (hostlist, hostfile) = ctx.host_lists();
+    interp.set_var("HOSTLIST_PPN", hostlist);
     if spec.write_hostfile {
         let hostfile_path = format!("{}/hostfile", spec.cwd.trim_end_matches('/'));
-        interp.vfs_mut().write(&hostfile_path, ctx.hostfile());
-        interp.set_var("HOSTFILE_PATH", &hostfile_path);
+        interp.vfs_mut().write(&hostfile_path, hostfile);
+        interp.set_var("HOSTFILE_PATH", hostfile_path);
     }
 
-    let (result, keep) = run_function(&mut interp, spec, program);
+    let (result, keep) = run_function(&mut interp, &spec.function, program);
     let mut vfs = interp.into_vfs();
     if keep {
         vfs.commit();
@@ -1423,14 +1425,15 @@ fn run_script_task(
 /// an exit status (zero or not) keeps them.
 fn run_function(
     interp: &mut Interpreter,
-    spec: &RunnerSpec,
+    function: &str,
     program: &Result<Script, ShellError>,
 ) -> (TaskResult, bool) {
     // Scheduling/launch overhead on the batch side.
     let overhead = SimDuration::from_secs(5);
-    let loaded = program
-        .clone()
-        .and_then(|script| interp.run_parsed(&script));
+    let loaded = match program {
+        Ok(script) => interp.run_parsed(script),
+        Err(e) => Err(e.clone()),
+    };
     let load = match loaded {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -1443,7 +1446,7 @@ fn run_function(
         let duration = overhead + load.elapsed;
         return (TaskResult::failed(duration, stdout, load.exit_code), false);
     }
-    match interp.call_function(&spec.function) {
+    match interp.call_function(function) {
         Ok(outcome) => {
             let duration = overhead + load.elapsed + outcome.elapsed;
             let result = if outcome.exit_code == 0 {
@@ -1454,7 +1457,7 @@ fn run_function(
             (result, true)
         }
         Err(e) => {
-            let stdout = format!("script error in {}: {e}\n", spec.function);
+            let stdout = format!("script error in {function}: {e}\n");
             let duration = overhead + load.elapsed;
             (TaskResult::failed(duration, stdout, 126), false)
         }

@@ -1,49 +1,59 @@
 //! Builtin commands.
 //!
 //! Each builtin receives the interpreter (for the VFS, variables and the
-//! virtual clock), its arguments and its stdin, and returns `(stdout,
-//! status)`. `mpirun` is the bridge into the application performance
-//! models.
+//! virtual clock), its arguments, its stdin and the buffer its stdout
+//! goes to, and returns its exit status. The buffer is the interpreter's
+//! own stdout for the last command of a pipeline, so output is written
+//! once, where it ends up. `mpirun` is the bridge into the application
+//! performance models.
 
 use crate::error::ShellError;
 use crate::interp::Interpreter;
 use crate::regexlite::Regex;
 use crate::vfs::resolve;
 use simtime::SimDuration;
+use std::borrow::Cow;
+use std::fmt::Write;
+use std::sync::Arc;
 
-/// Dispatches a builtin by name.
+/// Dispatches a builtin by name, appending its stdout to `out`.
 pub fn run(
     interp: &mut Interpreter,
     name: &str,
-    args: &[String],
+    args: &[Cow<str>],
     stdin: &str,
-) -> Result<(String, i32), ShellError> {
+    out: &mut String,
+) -> Result<i32, ShellError> {
     // Every command costs a little virtual time.
     interp.charge(SimDuration::from_millis(1));
     match name {
-        "echo" => echo(args),
-        "true" | ":" => Ok((String::new(), 0)),
-        "false" => Ok((String::new(), 1)),
-        "pwd" => Ok((format!("{}\n", interp.cwd()), 0)),
+        "echo" => echo(args, out),
+        "true" | ":" => Ok(0),
+        "false" => Ok(1),
+        "pwd" => {
+            out.push_str(interp.cwd());
+            out.push('\n');
+            Ok(0)
+        }
         "cd" => cd(interp, args),
-        "cat" => cat(interp, args, stdin),
+        "cat" => cat(interp, args, stdin, out),
         "cp" => cp(interp, args),
         "mv" => mv(interp, args),
         "rm" => rm(interp, args),
         "mkdir" => mkdir(interp, args),
-        "head" => head_tail(args, stdin, true),
-        "tail" => head_tail(args, stdin, false),
-        "wc" => wc(args, stdin),
-        "grep" => grep(interp, args, stdin),
-        "awk" => awk(args, stdin),
-        "sed" => sed(interp, args, stdin),
-        "wget" => wget(interp, args),
-        "module" => module(interp, args),
-        "source" | "." => source(interp, args),
-        "which" => which(interp, args),
+        "head" => head_tail(args, stdin, true, out),
+        "tail" => head_tail(args, stdin, false, out),
+        "wc" => wc(args, stdin, out),
+        "grep" => grep(interp, args, stdin, out),
+        "awk" => awk(args, stdin, out),
+        "sed" => sed(interp, args, stdin, out),
+        "wget" => wget(interp, args, out),
+        "module" => module(interp, args, out),
+        "source" | "." => source(interp, args, out),
+        "which" => which(interp, args, out),
         "sleep" => sleep(interp, args),
         "test" | "[" | "[[" => test_cmd(interp, name, args),
-        "mpirun" | "mpiexec" => mpirun(interp, args),
+        "mpirun" | "mpiexec" => mpirun(interp, args, out),
         other => Err(ShellError::UnknownCommand(other.to_string())),
     }
 }
@@ -55,34 +65,40 @@ fn usage(command: &str, message: impl Into<String>) -> ShellError {
     }
 }
 
-fn echo(args: &[String]) -> Result<(String, i32), ShellError> {
-    let (newline, rest) = match args.first().map(|s| s.as_str()) {
+fn echo(args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
+    let (newline, rest) = match args.first().map(|s| &**s) {
         Some("-n") => (false, &args[1..]),
         _ => (true, args),
     };
-    let mut out = rest.join(" ");
+    for (i, arg) in rest.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(arg);
+    }
     if newline {
         out.push('\n');
     }
-    Ok((out, 0))
+    Ok(0)
 }
 
-fn cd(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
-    let target = args.first().map(|s| s.as_str()).unwrap_or("/");
+fn cd(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
+    let target = args.first().map(|s| &**s).unwrap_or("/");
     let dir = resolve(interp.cwd(), target);
     interp.set_cwd(&dir);
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
 fn cat(
     interp: &mut Interpreter,
-    args: &[String],
+    args: &[Cow<str>],
     stdin: &str,
-) -> Result<(String, i32), ShellError> {
+    out: &mut String,
+) -> Result<i32, ShellError> {
     if args.is_empty() {
-        return Ok((stdin.to_string(), 0));
+        out.push_str(stdin);
+        return Ok(0);
     }
-    let mut out = String::new();
     let mut status = 0;
     for arg in args {
         let path = resolve(interp.cwd(), arg);
@@ -90,15 +106,15 @@ fn cat(
             Ok(content) => out.push_str(content),
             // Like real cat: report and continue with status 1.
             Err(_) => {
-                out.push_str(&format!("cat: {arg}: No such file or directory\n"));
+                let _ = writeln!(out, "cat: {arg}: No such file or directory");
                 status = 1;
             }
         }
     }
-    Ok((out, status))
+    Ok(status)
 }
 
-fn cp(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn cp(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     let [src, dst] = args else {
         return Err(usage("cp", "expected 'cp SRC DST'"));
     };
@@ -106,10 +122,10 @@ fn cp(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellE
     let content = interp.vfs().read_shared(&src_path)?.clone();
     let dst_path = destination_path(interp, src, dst);
     interp.vfs_mut().write(&dst_path, content);
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
-fn mv(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn mv(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     let [src, dst] = args else {
         return Err(usage("mv", "expected 'mv SRC DST'"));
     };
@@ -118,7 +134,7 @@ fn mv(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellE
     let dst_path = destination_path(interp, src, dst);
     interp.vfs_mut().remove(&src_path)?;
     interp.vfs_mut().write(&dst_path, content);
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
 /// Resolves a copy/move destination: a trailing `/` or a bare `.` keeps the
@@ -135,11 +151,11 @@ fn destination_path(interp: &Interpreter, src: &str, dst: &str) -> String {
     }
 }
 
-fn rm(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn rm(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     let mut force = false;
     let mut removed_any = false;
     for arg in args {
-        match arg.as_str() {
+        match &**arg {
             "-f" => force = true,
             "-rf" | "-fr" | "-r" => force = true,
             path => {
@@ -153,10 +169,10 @@ fn rm(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellE
         }
     }
     let _ = removed_any;
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
-fn mkdir(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn mkdir(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     for arg in args {
         if arg == "-p" {
             continue;
@@ -164,15 +180,20 @@ fn mkdir(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), She
         let p = resolve(interp.cwd(), arg);
         interp.vfs_mut().mkdir(&p);
     }
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
-fn head_tail(args: &[String], stdin: &str, head: bool) -> Result<(String, i32), ShellError> {
+fn head_tail(
+    args: &[Cow<str>],
+    stdin: &str,
+    head: bool,
+    out: &mut String,
+) -> Result<i32, ShellError> {
     let name = if head { "head" } else { "tail" };
     let mut n = 10usize;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        match &*args[i] {
             "-n" => {
                 n = args
                     .get(i + 1)
@@ -193,41 +214,38 @@ fn head_tail(args: &[String], stdin: &str, head: bool) -> Result<(String, i32), 
     } else {
         lines.iter().rev().take(n).rev().copied().collect()
     };
-    let mut out = slice.join("\n");
-    if !out.is_empty() {
+    let text = slice.join("\n");
+    if !text.is_empty() {
+        out.push_str(&text);
         out.push('\n');
     }
-    Ok((out, 0))
+    Ok(0)
 }
 
-fn wc(args: &[String], stdin: &str) -> Result<(String, i32), ShellError> {
-    if args.first().map(|s| s.as_str()) == Some("-l") {
-        Ok((format!("{}\n", stdin.lines().count()), 0))
+fn wc(args: &[Cow<str>], stdin: &str, out: &mut String) -> Result<i32, ShellError> {
+    let lines = stdin.lines().count();
+    let _ = if args.first().map(|s| &**s) == Some("-l") {
+        writeln!(out, "{lines}")
     } else {
-        Ok((
-            format!(
-                "{} {} {}\n",
-                stdin.lines().count(),
-                stdin.split_whitespace().count(),
-                stdin.len()
-            ),
-            0,
-        ))
-    }
+        let words = stdin.split_whitespace().count();
+        writeln!(out, "{lines} {words} {}", stdin.len())
+    };
+    Ok(0)
 }
 
 fn grep(
     interp: &mut Interpreter,
-    args: &[String],
+    args: &[Cow<str>],
     stdin: &str,
-) -> Result<(String, i32), ShellError> {
+    out: &mut String,
+) -> Result<i32, ShellError> {
     let mut quiet = false;
     let mut count = false;
     let mut invert = false;
     let mut pattern: Option<&str> = None;
     let mut files: Vec<&str> = Vec::new();
     for arg in args {
-        match arg.as_str() {
+        match &**arg {
             "-q" => quiet = true,
             "-c" => count = true,
             "-v" => invert = true,
@@ -237,49 +255,121 @@ fn grep(
     }
     let pattern = pattern.ok_or_else(|| usage("grep", "missing pattern"))?;
     let re = Regex::compile(pattern)?;
-    let mut text = String::new();
-    if files.is_empty() {
-        text.push_str(stdin);
-    } else {
-        for f in &files {
-            let p = resolve(interp.cwd(), f);
-            match interp.vfs().read(&p) {
-                Ok(content) => text.push_str(content),
-                // Like real grep: status 2 on a missing file, no shell abort
-                // (Listing 2 relies on this to take its failure branch when
-                // the application never wrote its log).
-                Err(_) => {
-                    return Ok((
-                        if quiet {
-                            String::new()
-                        } else {
-                            format!("grep: {f}: No such file or directory\n")
-                        },
-                        2,
-                    ))
+    // Every file is looked up before any is scanned: a missing one ends
+    // the command with status 2 and nothing else printed, like real grep
+    // without -s (Listing 2 relies on this to take its failure branch when
+    // the application never wrote its log).
+    let mut texts: Vec<&str> = Vec::with_capacity(files.len());
+    for f in &files {
+        match interp.vfs().read(&resolve(interp.cwd(), f)) {
+            Ok(content) => texts.push(content),
+            Err(_) => {
+                if !quiet {
+                    let _ = writeln!(out, "grep: {f}: No such file or directory");
                 }
+                return Ok(2);
             }
         }
     }
+    if files.is_empty() {
+        texts.push(stdin);
+    }
+    // Each input is scanned on its own, so a file without a final newline
+    // never joins its last line to the next file's first.
+    let first_only = quiet && !count;
+    let mut print = (!quiet && !count).then_some(&mut *out);
     let mut matched = 0usize;
-    let mut out = String::new();
+    for text in texts {
+        matched += match re.literal() {
+            Some(literal) if !literal.contains(['\n', '\r']) => {
+                scan_literal(text, literal, invert, first_only, print.as_deref_mut())
+            }
+            _ => scan_lines(text, first_only, print.as_deref_mut(), |line| {
+                re.is_match(line) != invert
+            }),
+        };
+        if first_only && matched > 0 {
+            break;
+        }
+    }
+    if count {
+        let _ = writeln!(out, "{matched}");
+    }
+    Ok(if matched > 0 { 0 } else { 1 })
+}
+
+/// Counts the lines of `text` that `hit` accepts, testing one line at a
+/// time; `first_only` stops at the first. Accepted lines are appended to
+/// `print`, each with a newline.
+fn scan_lines(
+    text: &str,
+    first_only: bool,
+    mut print: Option<&mut String>,
+    mut hit: impl FnMut(&str) -> bool,
+) -> usize {
+    let mut matched = 0;
     for line in text.lines() {
-        let hit = re.is_match(line) != invert;
-        if hit {
+        if hit(line) {
             matched += 1;
-            if !quiet && !count {
+            if let Some(out) = print.as_deref_mut() {
+                out.push_str(line);
+                out.push('\n');
+            }
+            if first_only {
+                break;
+            }
+        }
+    }
+    matched
+}
+
+/// Counts the lines of `text` that contain `literal` (`invert`: that do
+/// not), like [`scan_lines`] with a per-line search, for a literal without
+/// line breaks: one substring search over the rest of the buffer finds the
+/// next hit, and only the line around it is looked at.
+fn scan_literal(
+    text: &str,
+    literal: &str,
+    invert: bool,
+    first_only: bool,
+    mut print: Option<&mut String>,
+) -> usize {
+    let mut matched = 0;
+    // Every line before `pos` has been classified.
+    let mut pos = 0;
+    while pos < text.len() {
+        let Some(hit) = text[pos..].find(literal).map(|i| pos + i) else {
+            break;
+        };
+        let start = text[pos..hit].rfind('\n').map_or(pos, |i| pos + i + 1);
+        let end = text[hit..].find('\n').map_or(text.len(), |i| hit + i);
+        if invert {
+            // The lines between the previous hit's line and this one.
+            matched += scan_lines(&text[pos..start], first_only, print.as_deref_mut(), |_| true);
+        } else {
+            let line = &text[start..end];
+            let line = match end < text.len() {
+                true => line.strip_suffix('\r').unwrap_or(line),
+                false => line,
+            };
+            matched += 1;
+            if let Some(out) = print.as_deref_mut() {
                 out.push_str(line);
                 out.push('\n');
             }
         }
+        if first_only && matched > 0 {
+            return matched;
+        }
+        pos = (end + 1).min(text.len());
     }
-    if count {
-        out = format!("{matched}\n");
+    if invert {
+        matched += scan_lines(&text[pos..], first_only, print, |_| true);
     }
-    Ok((out, if matched > 0 { 0 } else { 1 }))
+    matched
 }
 
-fn awk(args: &[String], stdin: &str) -> Result<(String, i32), ShellError> {
+fn awk(args: &[Cow<str>], stdin: &str, out: &mut String) -> Result<i32, ShellError> {
     let program = args
         .first()
         .ok_or_else(|| usage("awk", "missing program"))?;
@@ -310,33 +400,32 @@ fn awk(args: &[String], stdin: &str) -> Result<(String, i32), ShellError> {
     if field_indices.is_empty() {
         field_indices.push(0);
     }
-    let mut out = String::new();
     for line in stdin.lines() {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let mut parts = Vec::new();
-        for &idx in &field_indices {
-            if idx == 0 {
-                parts.push(line.to_string());
-            } else {
-                parts.push(fields.get(idx - 1).copied().unwrap_or("").to_string());
+        for (i, &idx) in field_indices.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
             }
+            out.push_str(match idx {
+                0 => line,
+                n => line.split_whitespace().nth(n - 1).unwrap_or(""),
+            });
         }
-        out.push_str(&parts.join(" "));
         out.push('\n');
     }
-    Ok((out, 0))
+    Ok(0)
 }
 
 fn sed(
     interp: &mut Interpreter,
-    args: &[String],
+    args: &[Cow<str>],
     stdin: &str,
-) -> Result<(String, i32), ShellError> {
+    out: &mut String,
+) -> Result<i32, ShellError> {
     let mut in_place = false;
     let mut script: Option<&str> = None;
     let mut file: Option<&str> = None;
     for arg in args {
-        match arg.as_str() {
+        match &**arg {
             "-i" => in_place = true,
             a if script.is_none() => script = Some(a),
             a if file.is_none() => file = Some(a),
@@ -346,42 +435,42 @@ fn sed(
     let script = script.ok_or_else(|| usage("sed", "missing s/// script"))?;
     let (pattern, replacement, global) = parse_substitution(script)?;
     let re = Regex::compile(&pattern)?;
-    let apply = |text: &str| -> String {
-        text.lines()
-            .map(|line| {
-                if global {
-                    re.replace_all(line, &replacement)
-                } else {
-                    re.replace_first(line, &replacement)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + if text.ends_with('\n') { "\n" } else { "" }
+    // Rewrites each line of `text` into `out`, keeping a final newline.
+    let apply = |text: &str, out: &mut String| {
+        for (i, line) in text.lines().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&if global {
+                re.replace_all(line, &replacement)
+            } else {
+                re.replace_first(line, &replacement)
+            });
+        }
+        if text.ends_with('\n') {
+            out.push('\n');
+        }
     };
     if in_place {
         let f = file.ok_or_else(|| usage("sed", "-i requires a file"))?;
         let path = resolve(interp.cwd(), f);
-        let content = match interp.vfs().read(&path) {
-            Ok(c) => c.to_string(),
+        let mut updated = String::new();
+        match interp.vfs().read(&path) {
+            Ok(content) => apply(content, &mut updated),
             // Like real sed: status 2 on a missing file.
             Err(_) => {
-                return Ok((
-                    format!("sed: can't read {f}: No such file or directory\n"),
-                    2,
-                ))
+                let _ = writeln!(out, "sed: can't read {f}: No such file or directory");
+                return Ok(2);
             }
-        };
-        let updated = apply(&content);
+        }
         interp.vfs_mut().write(&path, updated);
-        Ok((String::new(), 0))
     } else {
-        let text = match file {
-            Some(f) => interp.vfs().read(&resolve(interp.cwd(), f))?.to_string(),
-            None => stdin.to_string(),
-        };
-        Ok((apply(&text), 0))
+        match file {
+            Some(f) => apply(interp.vfs().read(&resolve(interp.cwd(), f))?, out),
+            None => apply(stdin, out),
+        }
     }
+    Ok(0)
 }
 
 /// Splits `s/PATTERN/REPLACEMENT/FLAGS` (any delimiter) into parts,
@@ -429,12 +518,12 @@ fn parse_substitution(script: &str) -> Result<(String, String, bool), ShellError
     Ok((parts[0].clone(), parts[1].clone(), global))
 }
 
-fn wget(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn wget(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
     let mut url: Option<&str> = None;
     let mut output: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        match &*args[i] {
             "-O" => {
                 output = Some(
                     args.get(i + 1)
@@ -451,7 +540,10 @@ fn wget(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Shel
     }
     let url = url.ok_or_else(|| usage("wget", "missing URL"))?;
     match interp.urls.get_shared(url) {
-        None => Ok((format!("wget: unable to resolve '{url}'\n"), 8)),
+        None => {
+            let _ = writeln!(out, "wget: unable to resolve '{url}'");
+            Ok(8)
+        }
         Some(content) => {
             let filename = match output {
                 Some(o) => o.to_string(),
@@ -462,81 +554,80 @@ fn wget(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Shel
             interp.charge(SimDuration::from_secs_f64(secs));
             let path = resolve(interp.cwd(), &filename);
             interp.vfs_mut().write(&path, content);
-            Ok((format!("'{filename}' saved\n"), 0))
+            let _ = writeln!(out, "'{filename}' saved");
+            Ok(0)
         }
     }
 }
 
-fn module(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
-    match args.first().map(|s| s.as_str()) {
+fn module(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
+    match args.first().map(|s| &**s) {
         Some("load") => {
             for m in &args[1..] {
-                interp.modules.push(m.clone());
+                interp.modules.push(m.to_string());
             }
             interp.charge(SimDuration::from_secs(3));
-            Ok((String::new(), 0))
+            Ok(0)
         }
         Some("purge") => {
             interp.modules.clear();
-            Ok((String::new(), 0))
+            Ok(0)
         }
         Some("list") => {
-            let mut out = String::from("Currently Loaded Modules:\n");
+            out.push_str("Currently Loaded Modules:\n");
             for (i, m) in interp.modules.iter().enumerate() {
-                out.push_str(&format!("  {}) {}\n", i + 1, m));
+                let _ = writeln!(out, "  {}) {}", i + 1, m);
             }
-            Ok((out, 0))
+            Ok(0)
         }
         _ => Err(usage("module", "expected 'load', 'purge' or 'list'")),
     }
 }
 
-fn source(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn source(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
     let path = args
         .first()
         .ok_or_else(|| usage("source", "missing file"))?;
     if path.starts_with("/cvmfs/") {
         // EESSI environment initialisation: takes a moment, always works.
         interp.charge(SimDuration::from_secs(10));
-        return Ok((String::new(), 0));
+        return Ok(0);
     }
     let p = resolve(interp.cwd(), path);
     let content = interp.vfs().read(&p)?.to_string();
     let outcome = interp.run_script(&content)?;
-    Ok((outcome.stdout, outcome.exit_code))
+    out.push_str(&outcome.stdout);
+    Ok(outcome.exit_code)
 }
 
-fn which(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn which(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
     let name = args.first().ok_or_else(|| usage("which", "missing name"))?;
     let known_builtin = [
         "echo", "cat", "grep", "awk", "sed", "wget", "cp", "mv", "rm", "mkdir", "mpirun",
         "mpiexec", "sleep", "module",
     ]
-    .contains(&name.as_str());
-    let known_app = interp.exec.registry.get_by_binary(name).is_some();
+    .contains(&&**name);
+    let known_app = interp.registry.get_by_binary(name).is_some();
     if known_builtin || known_app {
-        Ok((format!("/usr/bin/{name}\n"), 0))
+        let _ = writeln!(out, "/usr/bin/{name}");
+        Ok(0)
     } else {
-        Ok((String::new(), 1))
+        Ok(1)
     }
 }
 
-fn sleep(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn sleep(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     let secs: f64 = args
         .first()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| usage("sleep", "expected seconds"))?;
     interp.charge(SimDuration::from_secs_f64(secs));
-    Ok((String::new(), 0))
+    Ok(0)
 }
 
-fn test_cmd(
-    interp: &mut Interpreter,
-    name: &str,
-    args: &[String],
-) -> Result<(String, i32), ShellError> {
+fn test_cmd(interp: &mut Interpreter, name: &str, args: &[Cow<str>]) -> Result<i32, ShellError> {
     // Strip the closing bracket of `[ … ]` / `[[ … ]]`.
-    let mut args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    let mut args: Vec<&str> = args.iter().map(|s| &**s).collect();
     match name {
         "[" if args.pop() != Some("]") => {
             return Err(usage("[", "missing closing ']'"));
@@ -552,8 +643,7 @@ fn test_cmd(
         args.remove(0);
     }
     let result = eval_test(interp, &args)?;
-    let status = if result != negate { 0 } else { 1 };
-    Ok((String::new(), status))
+    Ok(if result != negate { 0 } else { 1 })
 }
 
 fn eval_test(interp: &Interpreter, args: &[&str]) -> Result<bool, ShellError> {
@@ -594,14 +684,14 @@ fn eval_test(interp: &Interpreter, args: &[&str]) -> Result<bool, ShellError> {
 /// the first non-flag argument is the application binary, resolved through
 /// the model registry by basename. Node/PPN layout comes from the host list
 /// when given, else from the `NNODES`/`PPN` environment (Table I).
-fn mpirun(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), ShellError> {
+fn mpirun(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
     let mut np: Option<u64> = None;
     let mut hostlist: Option<&str> = None;
     let mut binary: Option<&str> = None;
     let mut app_args: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        match &*args[i] {
             "-np" | "-n" | "--np" => {
                 np = args.get(i + 1).and_then(|s| s.parse().ok());
                 if np.is_none() {
@@ -610,7 +700,7 @@ fn mpirun(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Sh
                 i += 2;
             }
             "--host" | "-host" | "--hosts" => {
-                hostlist = args.get(i + 1).map(|s| s.as_str());
+                hostlist = args.get(i + 1).map(|s| &**s);
                 if hostlist.is_none() {
                     return Err(usage("mpirun", "--host requires a list"));
                 }
@@ -640,7 +730,7 @@ fn mpirun(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Sh
         }
     }
     let binary = binary.ok_or_else(|| usage("mpirun", "missing application binary"))?;
-    let registry = interp.exec.registry.clone();
+    let registry = interp.registry.clone();
     let Some(model) = registry.get_by_binary(binary) else {
         return Err(ShellError::AppError(format!(
             "unknown application binary '{binary}'"
@@ -649,16 +739,16 @@ fn mpirun(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Sh
 
     // Layout: host list wins; fall back to NNODES/PPN environment.
     let (nodes, ppn) = if let Some(list) = hostlist {
-        let entries: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
-        if entries.is_empty() {
-            return Err(usage("mpirun", "empty host list"));
-        }
-        let ppn = entries[0]
+        let mut entries = list.split(',').filter(|s| !s.is_empty());
+        let first = entries
+            .next()
+            .ok_or_else(|| usage("mpirun", "empty host list"))?;
+        let ppn = first
             .split(':')
             .nth(1)
             .and_then(|p| p.parse::<u32>().ok())
             .unwrap_or(1);
-        (entries.len() as u32, ppn)
+        (1 + entries.count() as u32, ppn)
     } else {
         let nodes = interp
             .var("NNODES")
@@ -690,40 +780,50 @@ fn mpirun(interp: &mut Interpreter, args: &[String]) -> Result<(String, i32), Sh
         }
     }
 
-    let machine = interp.machine();
-    let inputs = interp.exported_inputs();
-    let seed = interp.exec.experiment_seed;
-    match registry.run(model.name(), &machine, nodes, ppn, &inputs, seed) {
+    // The model reads the exported variables where the interpreter keeps
+    // them, against the machine profile built with the interpreter.
+    let run = registry.run(
+        model.name(),
+        &interp.machine,
+        nodes,
+        ppn,
+        &interp.exported,
+        interp.experiment_seed,
+    );
+    match run {
         Ok(run) => {
             // ~2 s of launcher overhead on top of the application time.
             interp.charge(SimDuration::from_secs(2) + run.wall_time);
-            let log_path = resolve(interp.cwd(), model.log_file());
-            interp.vfs_mut().write(&log_path, run.log.clone());
+            // One copy of the log, shared by the file and stdout.
+            let log: Arc<str> = run.log.into();
             // Real MPI apps echo their log to stdout as well; the trailing
             // HPCADVISORINFRA line stands in for the infrastructure
             // monitoring sidecar the paper's §III-F bottleneck optimizer
             // would deploy (CPU/memory/network utilization).
-            let infra = format!(
-                "HPCADVISORINFRA cpu={:.3} membw={:.3} net={:.3} bottleneck={}\n",
+            out.push_str(&log);
+            let _ = writeln!(
+                out,
+                "HPCADVISORINFRA cpu={:.3} membw={:.3} net={:.3} bottleneck={}",
                 run.engine.cpu_utilization,
                 run.engine.membw_utilization,
                 run.engine.network_utilization,
                 run.engine.bottleneck.label()
             );
-            Ok((format!("{}{}", run.log, infra), 0))
+            let log_path = resolve(interp.cwd(), model.log_file());
+            interp.vfs_mut().write(&log_path, log);
+            Ok(0)
         }
         Err(e) => {
             // Failed launches still burn a little time and leave no log.
             interp.charge(SimDuration::from_secs(5));
-            Ok((
-                format!(
-                    "--------------------------------------------------------------------------\n\
-                     mpirun detected that one or more processes exited with non-zero status\n\
-                     reason: {e}\n\
-                     --------------------------------------------------------------------------\n"
-                ),
-                1,
-            ))
+            let _ = write!(
+                out,
+                "--------------------------------------------------------------------------\n\
+                 mpirun detected that one or more processes exited with non-zero status\n\
+                 reason: {e}\n\
+                 --------------------------------------------------------------------------\n"
+            );
+            Ok(1)
         }
     }
 }
@@ -781,6 +881,127 @@ mod tests {
         assert_eq!(out.stdout, "1\n");
         let out = i.run_script("grep -v et /f\n").unwrap();
         assert_eq!(out.stdout, "alpha\ngamma\n");
+    }
+
+    #[test]
+    fn grep_scans_each_file_on_its_own() {
+        let mut i = Interpreter::for_tests();
+        // `/a` has no final newline: its last line must not run into the
+        // first line of `/b`.
+        i.vfs_mut().write("/a", "abc");
+        i.vfs_mut().write("/b", "def\n");
+        let run = |i: &mut Interpreter, script: &str| {
+            let out = i.run_script(script).unwrap();
+            (out.stdout, out.exit_code)
+        };
+        assert_eq!(run(&mut i, "grep cd /a /b\n"), (String::new(), 1));
+        assert_eq!(run(&mut i, "grep c /a /b\n"), ("abc\n".into(), 0));
+        assert_eq!(run(&mut i, "grep -c e /a /b\n"), ("1\n".into(), 0));
+        assert_eq!(run(&mut i, "grep -v x /a /b\n"), ("abc\ndef\n".into(), 0));
+        // A missing file still ends the command with status 2.
+        assert_eq!(
+            run(&mut i, "grep abc /a /missing\n"),
+            ("grep: /missing: No such file or directory\n".into(), 2)
+        );
+        assert_eq!(run(&mut i, "grep -q abc /a /missing\n"), (String::new(), 2));
+    }
+
+    /// The grep of one input before the whole-buffer search: every line
+    /// through the backtracker.
+    fn grep_reference(text: &str, pattern: &str, flags: &[&str]) -> (String, usize) {
+        let re = Regex::backtracking(pattern);
+        let (quiet, count, invert) = (
+            flags.contains(&"-q"),
+            flags.contains(&"-c"),
+            flags.contains(&"-v"),
+        );
+        let mut out = String::new();
+        let mut matched = 0;
+        for line in text.lines() {
+            if re.is_match(line) != invert {
+                matched += 1;
+                if !quiet && !count {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+        }
+        (out, matched)
+    }
+
+    #[test]
+    fn grep_fast_paths_match_the_per_line_backtracker() {
+        const LINES: [&str; 12] = [
+            "", "abc", "xabcx", "abcabc", "ab", "c abc", "αβ abc", "é", "abc\r", "\r", " ", "ab c",
+        ];
+        const PATTERNS: [&str; 12] = [
+            "abc", "a", "c", "", "bc a", "β a", "é", "x", "abcabc", " ", "c\r", "ab\nc",
+        ];
+        const FLAGS: [&[&str]; 6] = [&[], &["-q"], &["-c"], &["-v"], &["-v", "-c"], &["-q", "-c"]];
+        // A small deterministic stream (splitmix64) drives the generator.
+        let mut state = 0x5eed_u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut text = || {
+            let mut t = String::new();
+            for n in 0..next(6) {
+                if n > 0 {
+                    t.push_str(if next(3) == 0 { "\r\n" } else { "\n" });
+                }
+                t.push_str(LINES[next(LINES.len())]);
+            }
+            if next(2) == 0 {
+                t.push('\n');
+            }
+            t
+        };
+        let mut interp = Interpreter::for_tests();
+        for case in 0..1500 {
+            let (first, second) = (text(), text());
+            interp.vfs_mut().write("/f", first.as_str());
+            interp.vfs_mut().write("/g", second.as_str());
+            for pattern in PATTERNS {
+                for flags in FLAGS {
+                    let (quiet, count) = (flags.contains(&"-q"), flags.contains(&"-c"));
+                    let expect = |texts: &[&str]| {
+                        let mut out = String::new();
+                        let mut matched = 0;
+                        for t in texts {
+                            let (o, m) = grep_reference(t, pattern, flags);
+                            out.push_str(&o);
+                            matched += m;
+                        }
+                        if count {
+                            out = format!("{matched}\n");
+                        } else if quiet {
+                            out.clear();
+                        }
+                        (out, if matched > 0 { 0 } else { 1 })
+                    };
+                    let run = |interp: &mut Interpreter, files: &[&str], stdin: &str| {
+                        let mut args: Vec<Cow<str>> = flags.iter().map(|f| (*f).into()).collect();
+                        args.push(pattern.into());
+                        args.extend(files.iter().map(|f| (*f).into()));
+                        let mut out = String::new();
+                        let status = grep(interp, &args, stdin, &mut out).unwrap();
+                        (out, status)
+                    };
+                    let what = format!("case {case}: grep {flags:?} {pattern:?} over {first:?}");
+                    assert_eq!(run(&mut interp, &[], &first), expect(&[&first]), "stdin, {what}");
+                    assert_eq!(run(&mut interp, &["/f"], ""), expect(&[&first]), "file, {what}");
+                    assert_eq!(
+                        run(&mut interp, &["/f", "/g"], ""),
+                        expect(&[&first, &second]),
+                        "two files, {what} and {second:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@ use crate::error::ShellError;
 use crate::lexer::{Segment, Word};
 use crate::urlstore::UrlStore;
 use crate::vfs::Vfs;
-use appmodel::{AppRegistry, MachineProfile};
+use appmodel::{AppRegistry, Inputs, MachineProfile};
 use cloudsim::{SkuCatalog, VmSku};
 use simtime::SimDuration;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Where a script "runs": the node type it sees and the models behind
@@ -43,18 +44,28 @@ enum Flow {
 
 /// The interpreter: variables, functions, VFS, virtual time.
 pub struct Interpreter {
-    pub(crate) vars: HashMap<String, String>,
-    pub(crate) exported: std::collections::HashSet<String>,
-    functions: HashMap<String, Arc<[Stmt]>>,
+    /// Variables that are not exported. A name lives in exactly one of
+    /// `vars` and `exported`.
+    vars: BTreeMap<String, String>,
+    /// Exported variables, kept as the application-model inputs `mpirun`
+    /// hands to the model as they are.
+    pub(crate) exported: Inputs,
+    functions: BTreeMap<String, Arc<[Stmt]>>,
     pub(crate) vfs: Vfs,
     pub(crate) urls: UrlStore,
     pub(crate) cwd: String,
     pub(crate) elapsed: SimDuration,
-    pub(crate) exec: ExecutionEnv,
+    /// Application models behind `mpirun`.
+    pub(crate) registry: Arc<AppRegistry>,
+    /// The node type's profile, built once with the interpreter.
+    pub(crate) machine: MachineProfile,
+    pub(crate) experiment_seed: u64,
     pub(crate) modules: Vec<String>,
     last_status: i32,
     steps: u64,
     depth: u32,
+    /// Output of the statements running now: the last command of a
+    /// pipeline appends here.
     stdout: String,
 }
 
@@ -69,14 +80,16 @@ impl Interpreter {
     /// URL store, starting in `/`.
     pub fn new(exec: ExecutionEnv, vfs: Vfs, urls: UrlStore) -> Self {
         Interpreter {
-            vars: HashMap::new(),
-            exported: std::collections::HashSet::new(),
-            functions: HashMap::new(),
+            vars: BTreeMap::new(),
+            exported: Inputs::new(),
+            functions: BTreeMap::new(),
             vfs,
             urls,
             cwd: "/".into(),
             elapsed: SimDuration::ZERO,
-            exec,
+            registry: exec.registry,
+            machine: MachineProfile::from_sku(&exec.sku),
+            experiment_seed: exec.experiment_seed,
             modules: Vec::new(),
             last_status: 0,
             steps: 0,
@@ -103,15 +116,35 @@ impl Interpreter {
         )
     }
 
-    /// Sets a variable (exported, so `mpirun` sees it as an input).
-    pub fn set_var(&mut self, name: &str, value: &str) {
-        self.vars.insert(name.to_string(), value.to_string());
-        self.exported.insert(name.to_string());
+    /// Sets a variable (exported, so `mpirun` sees it as an input). Owned
+    /// names and values are moved in, not copied.
+    pub fn set_var(&mut self, name: impl Into<String>, value: impl Into<String>) {
+        let name = name.into();
+        self.vars.remove(&name);
+        self.exported.insert(name, value.into());
     }
 
     /// Reads a variable.
     pub fn var(&self, name: &str) -> Option<&str> {
-        self.vars.get(name).map(|s| s.as_str())
+        self.exported
+            .get(name)
+            .or_else(|| self.vars.get(name))
+            .map(|s| s.as_str())
+    }
+
+    /// Assigns a variable from the script. An exported variable stays
+    /// exported, like in bash.
+    fn assign(&mut self, name: &str, value: String, export: bool) {
+        if let Some(slot) = self.exported.get_mut(name) {
+            *slot = value;
+        } else if export {
+            self.vars.remove(name);
+            self.exported.insert(name.to_string(), value);
+        } else if let Some(slot) = self.vars.get_mut(name) {
+            *slot = value;
+        } else {
+            self.vars.insert(name.to_string(), value);
+        }
     }
 
     /// Changes the working directory (creating it implicitly).
@@ -138,19 +171,6 @@ impl Interpreter {
     /// Ends the interpreter, handing back its filesystem without a copy.
     pub fn into_vfs(self) -> Vfs {
         self.vfs
-    }
-
-    /// The machine profile `mpirun` runs against.
-    pub(crate) fn machine(&self) -> MachineProfile {
-        MachineProfile::from_sku(&self.exec.sku)
-    }
-
-    /// Exported variables as application-model inputs.
-    pub(crate) fn exported_inputs(&self) -> appmodel::Inputs {
-        self.exported
-            .iter()
-            .filter_map(|k| self.vars.get(k).map(|v| (k.clone(), v.clone())))
-            .collect()
     }
 
     /// Parses a script and registers its function definitions; top-level
@@ -183,9 +203,19 @@ impl Interpreter {
         }
         Ok(ScriptOutcome {
             exit_code: status,
-            stdout: self.stdout[start_len..].to_string(),
+            stdout: self.take_stdout(start_len),
             elapsed: self.elapsed - start_elapsed,
         })
+    }
+
+    /// Hands out the output written since `start` without copying the
+    /// whole buffer when that is all of it.
+    fn take_stdout(&mut self, start: usize) -> String {
+        if start == 0 {
+            std::mem::take(&mut self.stdout)
+        } else {
+            self.stdout.split_off(start)
+        }
     }
 
     /// Calls a previously-defined function (e.g. `hpcadvisor_run`).
@@ -204,7 +234,7 @@ impl Interpreter {
         };
         Ok(ScriptOutcome {
             exit_code: status,
-            stdout: self.stdout[start_len..].to_string(),
+            stdout: self.take_stdout(start_len),
             elapsed: self.elapsed - start_elapsed,
         })
     }
@@ -248,10 +278,7 @@ impl Interpreter {
                 value,
             } => {
                 let v = self.expand_word_joined(value)?;
-                self.vars.insert(name.clone(), v);
-                if *export {
-                    self.exported.insert(name.clone());
-                }
+                self.assign(name, v, *export);
                 self.last_status = 0;
                 Ok(Flow::Normal)
             }
@@ -279,7 +306,7 @@ impl Interpreter {
                 let values = self.expand_words(items)?;
                 for value in values {
                     self.bump()?;
-                    self.vars.insert(var.clone(), value);
+                    self.assign(var, value.into_owned(), false);
                     match self.exec_stmts(body)? {
                         Flow::Normal => {}
                         ret @ Flow::Return(_) => return Ok(ret),
@@ -320,11 +347,15 @@ impl Interpreter {
             if argv.is_empty() {
                 continue;
             }
-            let (out, st) = self.dispatch(&argv, &input)?;
-            status = st;
             if i == last {
-                self.stdout.push_str(&out);
+                // The last command writes straight into the output.
+                let mut out = std::mem::take(&mut self.stdout);
+                let result = self.dispatch(&argv, &input, &mut out);
+                self.stdout = out;
+                status = result?;
             } else {
+                let mut out = String::new();
+                status = self.dispatch(&argv, &input, &mut out)?;
                 input = out;
             }
         }
@@ -332,15 +363,15 @@ impl Interpreter {
     }
 
     /// Runs one command (builtin or script function) with the given stdin,
-    /// returning (stdout, status).
+    /// appending its stdout to `out`; returns its status.
     pub(crate) fn dispatch(
         &mut self,
-        argv: &[String],
+        argv: &[Cow<str>],
         stdin: &str,
-    ) -> Result<(String, i32), ShellError> {
-        let name = argv[0].as_str();
+        out: &mut String,
+    ) -> Result<i32, ShellError> {
+        let name = &*argv[0];
         if let Some(body) = self.functions.get(name).cloned() {
-            // Script function: capture its output.
             self.depth += 1;
             if self.depth > MAX_DEPTH {
                 self.depth -= 1;
@@ -348,25 +379,32 @@ impl Interpreter {
                     "function call depth exceeded {MAX_DEPTH} (in '{name}')"
                 )));
             }
-            let start_len = self.stdout.len();
+            // Script function: its statements write into `out`.
+            std::mem::swap(&mut self.stdout, out);
             let flow = self.exec_stmts(&body);
+            std::mem::swap(&mut self.stdout, out);
             self.depth -= 1;
-            let flow = flow?;
-            let out = self.stdout.split_off(start_len);
-            let status = match flow {
+            return Ok(match flow? {
                 Flow::Return(code) => code,
                 Flow::Normal => self.last_status,
-            };
-            return Ok((out, status));
+            });
         }
-        builtins::run(self, name, &argv[1..], stdin)
+        builtins::run(self, name, &argv[1..], stdin, out)
     }
 
     /// Expands command words to argv with field splitting of unquoted
-    /// expansions.
-    pub(crate) fn expand_words(&mut self, words: &[Word]) -> Result<Vec<String>, ShellError> {
-        let mut argv = Vec::new();
+    /// expansions. A word that is a single literal is borrowed from the
+    /// script, not copied.
+    pub(crate) fn expand_words<'w>(
+        &mut self,
+        words: &'w [Word],
+    ) -> Result<Vec<Cow<'w, str>>, ShellError> {
+        let mut argv = Vec::with_capacity(words.len());
         for word in words {
+            if let [Segment::Lit(s)] = word.as_slice() {
+                argv.push(Cow::Borrowed(s.as_str()));
+                continue;
+            }
             let mut current = String::new();
             // Bash removes a word that consists solely of unquoted
             // expansions which expand to nothing; literals (including the
@@ -381,12 +419,12 @@ impl Interpreter {
                     }
                     Segment::Var(name, quoted) => {
                         let value = self.lookup_var(name);
-                        self.splice(&mut argv, &mut current, &value, *quoted);
+                        Self::splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
                     Segment::CmdSub(stmts, quoted) => {
                         let value = self.command_substitute(stmts)?;
-                        self.splice(&mut argv, &mut current, &value, *quoted);
+                        Self::splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
                     Segment::Arith(expr) => {
@@ -398,7 +436,7 @@ impl Interpreter {
             }
             let spliced_fields = argv.len() > before;
             if keep || spliced_fields || !current.is_empty() {
-                argv.push(current);
+                argv.push(Cow::Owned(current));
             }
         }
         Ok(argv)
@@ -406,7 +444,7 @@ impl Interpreter {
 
     /// Splices an expansion into the argv under construction: quoted
     /// expansions append verbatim; unquoted ones field-split.
-    fn splice(&self, argv: &mut Vec<String>, current: &mut String, value: &str, quoted: bool) {
+    fn splice(argv: &mut Vec<Cow<str>>, current: &mut String, value: &str, quoted: bool) {
         if quoted {
             current.push_str(value);
             return;
@@ -415,7 +453,7 @@ impl Interpreter {
         if let Some(first) = fields.next() {
             current.push_str(first);
             for field in fields {
-                argv.push(std::mem::take(current));
+                argv.push(Cow::Owned(std::mem::take(current)));
                 current.push_str(field);
             }
         }
@@ -436,21 +474,22 @@ impl Interpreter {
         Ok(out)
     }
 
-    fn lookup_var(&self, name: &str) -> String {
+    fn lookup_var(&self, name: &str) -> Cow<'_, str> {
         if name == "?" {
-            return self.last_status.to_string();
+            return Cow::Owned(self.last_status.to_string());
         }
-        self.vars.get(name).cloned().unwrap_or_default()
+        Cow::Borrowed(self.var(name).unwrap_or_default())
     }
 
     /// Runs `$(...)` content and returns its stdout without the trailing
     /// newline.
     fn command_substitute(&mut self, stmts: &[Stmt]) -> Result<String, ShellError> {
         self.bump()?;
-        let start_len = self.stdout.len();
-        let flow = self.exec_stmts(stmts)?;
-        let mut out = self.stdout.split_off(start_len);
-        if let Flow::Return(code) = flow {
+        // The substitution writes into a buffer of its own.
+        let outer = std::mem::take(&mut self.stdout);
+        let flow = self.exec_stmts(stmts);
+        let mut out = std::mem::replace(&mut self.stdout, outer);
+        if let Flow::Return(code) = flow? {
             self.last_status = code;
         }
         while out.ends_with('\n') {
@@ -462,13 +501,13 @@ impl Interpreter {
     /// Evaluates `$((...))` arithmetic.
     pub(crate) fn arithmetic(&self, expr: &str) -> Result<i64, ShellError> {
         let mut p = ArithParser {
-            chars: expr.chars().collect(),
+            src: expr,
             pos: 0,
             interp: self,
         };
         let v = p.expr()?;
         p.skip_ws();
-        if p.pos < p.chars.len() {
+        if p.pos < expr.len() {
             return Err(ShellError::Arithmetic(format!(
                 "trailing characters in '{expr}'"
             )));
@@ -485,23 +524,38 @@ impl Interpreter {
 /// Recursive-descent arithmetic over i64: `+ - * / %`, parentheses, unary
 /// minus, numbers, `$NAME` and bare `NAME` variables.
 struct ArithParser<'a> {
-    chars: Vec<char>,
+    src: &'a str,
+    /// Byte offset of the next character.
     pos: usize,
     interp: &'a Interpreter,
 }
 
-impl ArithParser<'_> {
+impl<'a> ArithParser<'a> {
+    fn peek(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
+    }
+
     fn skip_ws(&mut self) {
-        while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
+        }
+    }
+
+    /// Advances over ASCII characters that satisfy `accept`.
+    fn take_while(&mut self, accept: impl Fn(u8) -> bool) -> &'a str {
+        let src = self.src;
+        let start = self.pos;
+        while src.as_bytes().get(self.pos).is_some_and(|&b| accept(b)) {
             self.pos += 1;
         }
+        &src[start..self.pos]
     }
 
     fn expr(&mut self) -> Result<i64, ShellError> {
         let mut v = self.term()?;
         loop {
             self.skip_ws();
-            match self.chars.get(self.pos) {
+            match self.peek() {
                 Some('+') => {
                     self.pos += 1;
                     v = v.wrapping_add(self.term()?);
@@ -519,7 +573,7 @@ impl ArithParser<'_> {
         let mut v = self.factor()?;
         loop {
             self.skip_ws();
-            match self.chars.get(self.pos) {
+            match self.peek() {
                 Some('*') => {
                     self.pos += 1;
                     v = v.wrapping_mul(self.factor()?);
@@ -547,7 +601,7 @@ impl ArithParser<'_> {
 
     fn factor(&mut self) -> Result<i64, ShellError> {
         self.skip_ws();
-        match self.chars.get(self.pos) {
+        match self.peek() {
             Some('-') => {
                 self.pos += 1;
                 Ok(-self.factor()?)
@@ -556,7 +610,7 @@ impl ArithParser<'_> {
                 self.pos += 1;
                 let v = self.expr()?;
                 self.skip_ws();
-                if self.chars.get(self.pos) == Some(&')') {
+                if self.peek() == Some(')') {
                     self.pos += 1;
                     Ok(v)
                 } else {
@@ -568,15 +622,11 @@ impl ArithParser<'_> {
                 self.ident_value()
             }
             Some(c) if c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.chars.get(self.pos).is_some_and(|c| c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                let text: String = self.chars[start..self.pos].iter().collect();
+                let text = self.take_while(|b| b.is_ascii_digit());
                 text.parse()
                     .map_err(|_| ShellError::Arithmetic(format!("bad number '{text}'")))
             }
-            Some(c) if c.is_ascii_alphabetic() || *c == '_' => self.ident_value(),
+            Some(c) if c.is_ascii_alphabetic() || c == '_' => self.ident_value(),
             other => Err(ShellError::Arithmetic(format!(
                 "unexpected {:?} in arithmetic",
                 other
@@ -585,19 +635,11 @@ impl ArithParser<'_> {
     }
 
     fn ident_value(&mut self) -> Result<i64, ShellError> {
-        let start = self.pos;
-        while self
-            .chars
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_alphanumeric() || *c == '_')
-        {
-            self.pos += 1;
-        }
-        let name: String = self.chars[start..self.pos].iter().collect();
+        let name = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_');
         if name.is_empty() {
             return Err(ShellError::Arithmetic("expected variable name".into()));
         }
-        let raw = self.interp.vars.get(&name).cloned().unwrap_or_default();
+        let raw = self.interp.var(name).unwrap_or_default();
         if raw.trim().is_empty() {
             return Ok(0);
         }

@@ -63,9 +63,48 @@ pub struct Regex {
     literal: Option<String>,
 }
 
+/// Characters that are special somewhere in a pattern. A pattern without
+/// any of them is its own literal.
+const META: [char; 8] = ['^', '$', '.', '[', '\\', '+', '*', '?'];
+
 impl Regex {
-    /// Compiles a pattern.
+    /// Compiles a pattern. A pattern without metacharacters skips the atom
+    /// list: it can only ever be matched as a literal.
     pub fn compile(pattern: &str) -> Result<Regex, ShellError> {
+        if !pattern.contains(META) {
+            return Ok(Regex {
+                atoms: Vec::new(),
+                literal: Some(pattern.to_string()),
+            });
+        }
+        let atoms = Self::parse(pattern)?;
+        let literal = atoms
+            .iter()
+            .map(|atom| match atom {
+                (Atom::Literal(c), Quant::One) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        Ok(Regex { atoms, literal })
+    }
+
+    /// The pattern compiled for the backtracker only, without the literal
+    /// fast path: the reference the fast paths are tested against.
+    #[cfg(test)]
+    pub(crate) fn backtracking(pattern: &str) -> Regex {
+        Regex {
+            atoms: Self::parse(pattern).expect("valid pattern"),
+            literal: None,
+        }
+    }
+
+    /// The text the pattern matches when it is a plain literal.
+    pub fn literal(&self) -> Option<&str> {
+        self.literal.as_deref()
+    }
+
+    /// Parses a pattern into its atom list.
+    fn parse(pattern: &str) -> Result<Vec<(Atom, Quant)>, ShellError> {
         let mut atoms = Vec::new();
         let chars: Vec<char> = pattern.chars().collect();
         let mut i = 0;
@@ -171,14 +210,7 @@ impl Regex {
             };
             atoms.push((atom, quant));
         }
-        let literal = atoms
-            .iter()
-            .map(|atom| match atom {
-                (Atom::Literal(c), Quant::One) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        Ok(Regex { atoms, literal })
+        Ok(atoms)
     }
 
     /// Finds the leftmost match.
@@ -445,8 +477,7 @@ mod tests {
         ];
         for pattern in ["", "Mesh size", "Time", "x.y", r"x\.y", "β M", "absent"] {
             let fast = re(pattern);
-            let mut slow = fast.clone();
-            slow.literal = None;
+            let slow = Regex::backtracking(pattern);
             for hay in hays {
                 assert_eq!(fast.find(hay), slow.find(hay), "{pattern:?} in {hay:?}");
                 assert_eq!(
@@ -463,6 +494,13 @@ mod tests {
         assert!(re("x.y").literal.is_none());
         assert!(re("^x").literal.is_none());
         assert!(re("ab+").literal.is_none());
+        assert!(
+            re("Mesh size").atoms.is_empty(),
+            "no atom list without metacharacters"
+        );
+        // `^` and `$` are literal away from the ends; the atom list still
+        // finds the literal.
+        assert_eq!(re("a^b$c").literal(), Some("a^b$c"));
     }
 
     #[test]

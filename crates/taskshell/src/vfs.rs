@@ -14,6 +14,7 @@
 //! itself, and [`Vfs::rollback`] restores the state at `begin`.
 
 use crate::error::ShellError;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -38,13 +39,30 @@ enum Undo {
 
 /// Normalizes `path` relative to `cwd`, resolving `.` and `..`.
 pub fn resolve(cwd: &str, path: &str) -> String {
-    let joined = if path.starts_with('/') {
-        path.to_string()
-    } else {
-        format!("{}/{}", cwd.trim_end_matches('/'), path)
-    };
+    if path.starts_with('/') {
+        return normalize(path).into_owned();
+    }
+    let joined = format!("{}/{}", cwd.trim_end_matches('/'), path);
+    match normalize(&joined) {
+        Cow::Borrowed(_) => joined,
+        Cow::Owned(normal) => normal,
+    }
+}
+
+/// Normalizes an absolute path, borrowing it when it is already normal:
+/// no empty, `.` or `..` component and no trailing `/` (other than `/`
+/// itself). Lookups of normal paths therefore allocate nothing.
+fn normalize(path: &str) -> Cow<'_, str> {
+    let normal = path == "/"
+        || (path.starts_with('/')
+            && path[1..]
+                .split('/')
+                .all(|part| !matches!(part, "" | "." | "..")));
+    if normal {
+        return Cow::Borrowed(path);
+    }
     let mut parts: Vec<&str> = Vec::new();
-    for part in joined.split('/') {
+    for part in path.split('/') {
         match part {
             "" | "." => {}
             ".." => {
@@ -53,7 +71,7 @@ pub fn resolve(cwd: &str, path: &str) -> String {
             p => parts.push(p),
         }
     }
-    format!("/{}", parts.join("/"))
+    Cow::Owned(format!("/{}", parts.join("/")))
 }
 
 impl Vfs {
@@ -64,12 +82,12 @@ impl Vfs {
 
     /// Writes (creates or replaces) a file at an absolute path.
     pub fn write(&mut self, path: &str, content: impl Into<Arc<str>>) {
-        let path = resolve("/", path);
+        let path = normalize(path);
         // Implicit parent directories.
         if let Some(idx) = path.rfind('/') {
             self.mkdir_resolved(&path[..idx]);
         }
-        self.put_file(path, Some(content.into()));
+        self.put_file(path.into_owned(), Some(content.into()));
     }
 
     /// Reads a file at an absolute path.
@@ -80,32 +98,39 @@ impl Vfs {
     /// Reads a file's shared content: writing it elsewhere stores the same
     /// allocation instead of a copy.
     pub fn read_shared(&self, path: &str) -> Result<&Arc<str>, ShellError> {
-        let path = resolve("/", path);
-        self.files.get(&path).ok_or(ShellError::NoSuchFile(path))
+        let path = normalize(path);
+        self.files
+            .get(&*path)
+            .ok_or_else(|| ShellError::NoSuchFile(path.into_owned()))
     }
 
     /// True if a file exists at the absolute path.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(&resolve("/", path))
+        self.files.contains_key(&*normalize(path))
     }
 
     /// Removes a file.
     pub fn remove(&mut self, path: &str) -> Result<(), ShellError> {
-        let path = resolve("/", path);
-        if !self.files.contains_key(&path) {
-            return Err(ShellError::NoSuchFile(path));
+        let path = normalize(path);
+        if !self.files.contains_key(&*path) {
+            return Err(ShellError::NoSuchFile(path.into_owned()));
         }
-        self.put_file(path, None);
+        self.put_file(path.into_owned(), None);
         Ok(())
     }
 
     /// Registers a directory (mkdir -p semantics).
     pub fn mkdir(&mut self, path: &str) {
-        self.mkdir_resolved(&resolve("/", path));
+        self.mkdir_resolved(&normalize(path));
     }
 
-    /// [`Vfs::mkdir`] of an already-resolved path.
+    /// [`Vfs::mkdir`] of an already-resolved path. A directory's parents
+    /// are always registered with it, so an existing directory ends the
+    /// walk early.
     fn mkdir_resolved(&mut self, path: &str) {
+        if path == "/" || self.dirs.contains(path) {
+            return;
+        }
         let mut dir = String::new();
         for part in path.trim_start_matches('/').split('/') {
             if part.is_empty() {
@@ -119,8 +144,8 @@ impl Vfs {
 
     /// True if a directory was created (explicitly or implicitly).
     pub fn dir_exists(&self, path: &str) -> bool {
-        let path = resolve("/", path);
-        path == "/" || self.dirs.contains(&path)
+        let path = normalize(path);
+        path == "/" || self.dirs.contains(&*path)
     }
 
     /// Merges another filesystem into this one: files and directories from
@@ -222,6 +247,33 @@ mod tests {
         assert_eq!(resolve("/a/b", "/abs.txt"), "/abs.txt");
         assert_eq!(resolve("/", "../../up.txt"), "/up.txt");
         assert_eq!(resolve("/a", "."), "/a");
+    }
+
+    #[test]
+    fn normal_paths_are_borrowed_and_the_rest_normalize_as_before() {
+        // The component walk every path took before the borrowed fast path.
+        fn walk(path: &str) -> String {
+            let mut parts: Vec<&str> = Vec::new();
+            for part in path.split('/') {
+                match part {
+                    "" | "." => {}
+                    ".." => {
+                        parts.pop();
+                    }
+                    p => parts.push(p),
+                }
+            }
+            format!("/{}", parts.join("/"))
+        }
+        for path in ["/", "/a", "/a/b.txt", "/share/rg/app/task-7/hostfile"] {
+            assert!(matches!(normalize(path), Cow::Borrowed(p) if p == path), "{path}");
+        }
+        for path in [
+            "", ".", "a", "a/b", "//", "/a/", "/a//b", "/./a", "/a/.", "/a/..", "/../a", "/a/b/../c",
+            "/.hidden/..x", "/a/.../b",
+        ] {
+            assert_eq!(normalize(path), walk(path), "{path:?}");
+        }
     }
 
     #[test]

@@ -404,9 +404,10 @@ fn overload_is_shed_with_a_retry_hint() {
 fn queued_requests_receive_heartbeats() {
     let dir = tempdir("heartbeat");
     let workdir = WorkDir::open(&dir).unwrap();
+    let cache = SharedScenarioCache::in_memory();
     let (addr, daemon) = spawn_daemon(ServeOptions {
         service_workers: 1,
-        cache: SharedScenarioCache::in_memory(),
+        cache: cache.clone(),
         io_timeout: Duration::from_millis(60),
         ..ServeOptions::default()
     });
@@ -423,11 +424,15 @@ fn queued_requests_receive_heartbeats() {
         Frame::new(id, "collect", Value::Map(body))
     };
 
-    // Three connections stack distinct big grids on the single worker,
-    // keeping it busy for several heartbeat intervals (each grid simulates
-    // in ~30ms of wall clock; the heartbeat interval is io_timeout/2 =
-    // 30ms). The grids must differ, or the shared cache would answer the
-    // second and third instantly.
+    // The test holds the shared scenario cache, so the single worker
+    // blocks at its first cache consult and stays busy for as long as the
+    // test needs, however fast a grid simulates. Starting the daemon,
+    // accepting a connection and admitting a request never take this
+    // lock, and the heartbeat interval is io_timeout/2 = 30ms.
+    let held = cache.lock();
+    // Three connections stack distinct big grids on the single worker.
+    // The grids must differ, or the shared cache would answer the second
+    // and third instantly once the worker runs again.
     let mut busy: Vec<TcpStream> = Vec::new();
     for i in 0..3 {
         let mut conn = TcpStream::connect(addr).unwrap();
@@ -435,22 +440,27 @@ fn queued_requests_receive_heartbeats() {
         send(&mut conn, &collect(i + 1, &distinct));
         busy.push(conn);
     }
-    std::thread::sleep(Duration::from_millis(15));
 
     // The next connection queues behind them and should hear heartbeats.
     let mut waiting = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(waiting.try_clone().unwrap());
     send(&mut waiting, &collect(9, YAML));
     let mut heartbeats = 0;
+    let mut held = Some(held);
     loop {
         let frame = read_frame(&mut reader);
         match frame.kind.as_str() {
-            "hb" => heartbeats += 1,
+            // The first heartbeat frees the worker.
+            "hb" => {
+                heartbeats += 1;
+                held = None;
+            }
             "result" => break,
             "progress" => {}
             other => panic!("unexpected frame '{other}': {frame:?}"),
         }
     }
+    assert!(held.is_none(), "the result came while the worker was held");
     assert!(heartbeats >= 1, "no heartbeat while queued");
 
     // Drain the busy conversations so their connections close cleanly.
