@@ -9,7 +9,7 @@
 
 use crate::error::ShellError;
 use crate::interp::Interpreter;
-use crate::regexlite::Regex;
+use crate::regexlite::{find_literal, Regex};
 use crate::vfs::resolve;
 use simtime::SimDuration;
 use std::borrow::Cow;
@@ -146,8 +146,9 @@ fn destination_path(interp: &Interpreter, src: &str, dst: &str) -> String {
             interp.cwd(),
             &format!("{}/{}", dst.trim_end_matches('/'), base),
         )
+        .into_owned()
     } else {
-        resolve(interp.cwd(), dst)
+        resolve(interp.cwd(), dst).into_owned()
     }
 }
 
@@ -338,14 +339,16 @@ fn scan_literal(
     // Every line before `pos` has been classified.
     let mut pos = 0;
     while pos < text.len() {
-        let Some(hit) = text[pos..].find(literal).map(|i| pos + i) else {
+        let Some(hit) = find_literal(&text[pos..], literal).map(|i| pos + i) else {
             break;
         };
         let start = text[pos..hit].rfind('\n').map_or(pos, |i| pos + i + 1);
         let end = text[hit..].find('\n').map_or(text.len(), |i| hit + i);
         if invert {
             // The lines between the previous hit's line and this one.
-            matched += scan_lines(&text[pos..start], first_only, print.as_deref_mut(), |_| true);
+            matched += scan_lines(&text[pos..start], first_only, print.as_deref_mut(), |_| {
+                true
+            });
         } else {
             let line = &text[start..end];
             let line = match end < text.len() {
@@ -560,7 +563,11 @@ fn wget(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result
     }
 }
 
-fn module(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
+fn module(
+    interp: &mut Interpreter,
+    args: &[Cow<str>],
+    out: &mut String,
+) -> Result<i32, ShellError> {
     match args.first().map(|s| &**s) {
         Some("load") => {
             for m in &args[1..] {
@@ -584,7 +591,11 @@ fn module(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Resu
     }
 }
 
-fn source(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
+fn source(
+    interp: &mut Interpreter,
+    args: &[Cow<str>],
+    out: &mut String,
+) -> Result<i32, ShellError> {
     let path = args
         .first()
         .ok_or_else(|| usage("source", "missing file"))?;
@@ -684,7 +695,11 @@ fn eval_test(interp: &Interpreter, args: &[&str]) -> Result<bool, ShellError> {
 /// the first non-flag argument is the application binary, resolved through
 /// the model registry by basename. Node/PPN layout comes from the host list
 /// when given, else from the `NNODES`/`PPN` environment (Table I).
-fn mpirun(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
+fn mpirun(
+    interp: &mut Interpreter,
+    args: &[Cow<str>],
+    out: &mut String,
+) -> Result<i32, ShellError> {
     let mut np: Option<u64> = None;
     let mut hostlist: Option<&str> = None;
     let mut binary: Option<&str> = None;
@@ -799,7 +814,9 @@ fn mpirun(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Resu
             // Real MPI apps echo their log to stdout as well; the trailing
             // HPCADVISORINFRA line stands in for the infrastructure
             // monitoring sidecar the paper's §III-F bottleneck optimizer
-            // would deploy (CPU/memory/network utilization).
+            // would deploy (CPU/memory/network utilization). One reserve
+            // makes room for both.
+            out.reserve(log.len() + 96);
             out.push_str(&log);
             let _ = writeln!(
                 out,
@@ -992,8 +1009,16 @@ mod tests {
                         (out, status)
                     };
                     let what = format!("case {case}: grep {flags:?} {pattern:?} over {first:?}");
-                    assert_eq!(run(&mut interp, &[], &first), expect(&[&first]), "stdin, {what}");
-                    assert_eq!(run(&mut interp, &["/f"], ""), expect(&[&first]), "file, {what}");
+                    assert_eq!(
+                        run(&mut interp, &[], &first),
+                        expect(&[&first]),
+                        "stdin, {what}"
+                    );
+                    assert_eq!(
+                        run(&mut interp, &["/f"], ""),
+                        expect(&[&first]),
+                        "file, {what}"
+                    );
                     assert_eq!(
                         run(&mut interp, &["/f", "/g"], ""),
                         expect(&[&first, &second]),

@@ -149,7 +149,7 @@ impl Interpreter {
 
     /// Changes the working directory (creating it implicitly).
     pub fn set_cwd(&mut self, dir: &str) {
-        self.cwd = crate::vfs::resolve("/", dir);
+        self.cwd = crate::vfs::resolve("/", dir).into_owned();
         self.vfs.mkdir(&self.cwd);
     }
 

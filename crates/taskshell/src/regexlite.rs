@@ -63,6 +63,28 @@ pub struct Regex {
     literal: Option<String>,
 }
 
+/// Byte offset of the leftmost `needle` in `haystack`, like
+/// [`str::find`]. The standard library's `contains` is vectorised and
+/// rules a miss out cheaply; a hit is then located by scanning for the
+/// needle's first character and comparing from there.
+pub fn find_literal(haystack: &str, needle: &str) -> Option<usize> {
+    if !haystack.contains(needle) {
+        return None;
+    }
+    let Some(first) = needle.chars().next() else {
+        return Some(0);
+    };
+    let mut pos = 0;
+    while let Some(i) = haystack[pos..].find(first) {
+        let at = pos + i;
+        if haystack[at..].starts_with(needle) {
+            return Some(at);
+        }
+        pos = at + first.len_utf8();
+    }
+    unreachable!("`contains` found {needle:?}")
+}
+
 /// Characters that are special somewhere in a pattern. A pattern without
 /// any of them is its own literal.
 const META: [char; 8] = ['^', '$', '.', '[', '\\', '+', '*', '?'];
@@ -216,7 +238,7 @@ impl Regex {
     /// Finds the leftmost match.
     pub fn find(&self, haystack: &str) -> Option<Match> {
         if let Some(literal) = &self.literal {
-            return haystack.find(literal.as_str()).map(|start| Match {
+            return find_literal(haystack, literal).map(|start| Match {
                 start,
                 end: start + literal.len(),
             });
@@ -501,6 +523,36 @@ mod tests {
         // `^` and `$` are literal away from the ends; the atom list still
         // finds the literal.
         assert_eq!(re("a^b$c").literal(), Some("a^b$c"));
+    }
+
+    #[test]
+    fn find_literal_matches_str_find() {
+        let hays = [
+            "",
+            "a",
+            "aaab",
+            "abab",
+            "aabaab",
+            "x aab",
+            "αβαβγ",
+            "ééa",
+            "ExecutionTime = 3 s",
+            "Mesh size: 12\nMesh size: 13",
+            "\r\n",
+            "b\u{e9}a",
+        ];
+        let needles = [
+            "", "a", "aab", "ab", "ba", "β", "βγ", "éa", "Time", "size: 13", "\n", "\u{e9}", "zz",
+        ];
+        for hay in hays {
+            for needle in needles {
+                assert_eq!(
+                    find_literal(hay, needle),
+                    hay.find(needle),
+                    "{needle:?} in {hay:?}"
+                );
+            }
+        }
     }
 
     #[test]

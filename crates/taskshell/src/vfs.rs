@@ -37,15 +37,16 @@ enum Undo {
     Dir(String),
 }
 
-/// Normalizes `path` relative to `cwd`, resolving `.` and `..`.
-pub fn resolve(cwd: &str, path: &str) -> String {
+/// Normalizes `path` relative to `cwd`, resolving `.` and `..`. An
+/// absolute path that is already normal comes back borrowed.
+pub fn resolve<'a>(cwd: &str, path: &'a str) -> Cow<'a, str> {
     if path.starts_with('/') {
-        return normalize(path).into_owned();
+        return normalize(path);
     }
     let joined = format!("{}/{}", cwd.trim_end_matches('/'), path);
     match normalize(&joined) {
-        Cow::Borrowed(_) => joined,
-        Cow::Owned(normal) => normal,
+        Cow::Borrowed(_) => Cow::Owned(joined),
+        Cow::Owned(normal) => Cow::Owned(normal),
     }
 }
 
@@ -125,21 +126,16 @@ impl Vfs {
     }
 
     /// [`Vfs::mkdir`] of an already-resolved path. A directory's parents
-    /// are always registered with it, so an existing directory ends the
-    /// walk early.
+    /// are always registered with it, so the walk up stops at the first
+    /// directory that exists.
     fn mkdir_resolved(&mut self, path: &str) {
-        if path == "/" || self.dirs.contains(path) {
+        if path == "/" || path.is_empty() || self.dirs.contains(path) {
             return;
         }
-        let mut dir = String::new();
-        for part in path.trim_start_matches('/').split('/') {
-            if part.is_empty() {
-                continue;
-            }
-            dir.push('/');
-            dir.push_str(part);
-            self.put_dir(&dir);
+        if let Some(idx) = path.rfind('/') {
+            self.mkdir_resolved(&path[..idx]);
         }
+        self.put_dir(path);
     }
 
     /// True if a directory was created (explicitly or implicitly).
@@ -167,7 +163,7 @@ impl Vfs {
 
     /// Lists file paths under a directory prefix.
     pub fn list(&self, dir: &str) -> Vec<&str> {
-        let prefix = format!("{}/", resolve("/", dir).trim_end_matches('/'));
+        let prefix = format!("{}/", normalize(dir).trim_end_matches('/'));
         self.files
             .keys()
             .filter(|p| p.starts_with(&prefix))
@@ -266,11 +262,26 @@ mod tests {
             format!("/{}", parts.join("/"))
         }
         for path in ["/", "/a", "/a/b.txt", "/share/rg/app/task-7/hostfile"] {
-            assert!(matches!(normalize(path), Cow::Borrowed(p) if p == path), "{path}");
+            assert!(
+                matches!(normalize(path), Cow::Borrowed(p) if p == path),
+                "{path}"
+            );
         }
         for path in [
-            "", ".", "a", "a/b", "//", "/a/", "/a//b", "/./a", "/a/.", "/a/..", "/../a", "/a/b/../c",
-            "/.hidden/..x", "/a/.../b",
+            "",
+            ".",
+            "a",
+            "a/b",
+            "//",
+            "/a/",
+            "/a//b",
+            "/./a",
+            "/a/.",
+            "/a/..",
+            "/../a",
+            "/a/b/../c",
+            "/.hidden/..x",
+            "/a/.../b",
         ] {
             assert_eq!(normalize(path), walk(path), "{path:?}");
         }

@@ -24,12 +24,12 @@ fn interpreter() -> Interpreter {
 
 /// Injects the paper's Table I environment for a 16 × 120 run.
 fn set_table1_env(interp: &mut Interpreter, nnodes: u32, ppn: u32) {
-    interp.set_var("NNODES", &nnodes.to_string());
-    interp.set_var("PPN", &ppn.to_string());
+    interp.set_var("NNODES", nnodes.to_string());
+    interp.set_var("PPN", ppn.to_string());
     interp.set_var("SKU", "Standard_HB120rs_v3");
     interp.set_var("VMTYPE", "Standard_HB120rs_v3");
     let hosts: Vec<String> = (0..nnodes).map(|i| format!("node-{i:04}:{ppn}")).collect();
-    interp.set_var("HOSTLIST_PPN", &hosts.join(","));
+    interp.set_var("HOSTLIST_PPN", hosts.join(","));
     interp.set_var("TASKRUN_DIR", interp.cwd().to_string().as_str());
 }
 
