@@ -343,28 +343,19 @@ fn scan_literal(
             break;
         };
         let start = text[pos..hit].rfind('\n').map_or(pos, |i| pos + i + 1);
-        let end = text[hit..].find('\n').map_or(text.len(), |i| hit + i);
-        if invert {
-            // The lines between the previous hit's line and this one.
-            matched += scan_lines(&text[pos..start], first_only, print.as_deref_mut(), |_| {
-                true
-            });
+        let next = text[hit..].find('\n').map_or(text.len(), |i| hit + i + 1);
+        // Inverted, the lines between the previous hit's line and this one
+        // match; otherwise the line around the hit does.
+        let lines = if invert {
+            &text[pos..start]
         } else {
-            let line = &text[start..end];
-            let line = match end < text.len() {
-                true => line.strip_suffix('\r').unwrap_or(line),
-                false => line,
-            };
-            matched += 1;
-            if let Some(out) = print.as_deref_mut() {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
+            &text[start..next]
+        };
+        matched += scan_lines(lines, first_only, print.as_deref_mut(), |_| true);
         if first_only && matched > 0 {
             return matched;
         }
-        pos = (end + 1).min(text.len());
+        pos = next;
     }
     if invert {
         matched += scan_lines(&text[pos..], first_only, print, |_| true);
