@@ -99,7 +99,7 @@ fn e2_listing2(out: &Path) {
         interp.set_var(k, v);
     }
     let hosts: Vec<String> = (0..16).map(|i| format!("node-{i:04}:120")).collect();
-    interp.set_var("HOSTLIST_PPN", &hosts.join(","));
+    interp.set_var("HOSTLIST_PPN", hosts.join(","));
     let run = interp.call_function("hpcadvisor_run").unwrap();
     let mut transcript = String::new();
     let _ = writeln!(

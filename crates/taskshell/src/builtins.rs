@@ -1113,7 +1113,7 @@ mod tests {
         i.set_var("NNODES", "16");
         i.set_var("PPN", "120");
         let hosts: Vec<String> = (0..16).map(|n| format!("h{n}:120")).collect();
-        i.set_var("HOSTLIST_PPN", &hosts.join(","));
+        i.set_var("HOSTLIST_PPN", hosts.join(","));
         let script =
             "NP=$(($NNODES * $PPN))\nmpirun -np $NP --host \"$HOSTLIST_PPN\" lmp -i in.lj.txt\n";
         let out = i.run_script(script).unwrap();

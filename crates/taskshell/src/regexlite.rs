@@ -67,7 +67,7 @@ pub struct Regex {
 /// [`str::find`]. The standard library's `contains` is vectorised and
 /// rules a miss out cheaply; a hit is then located by scanning for the
 /// needle's first character and comparing from there.
-pub fn find_literal(haystack: &str, needle: &str) -> Option<usize> {
+pub(crate) fn find_literal(haystack: &str, needle: &str) -> Option<usize> {
     if !haystack.contains(needle) {
         return None;
     }
@@ -121,7 +121,7 @@ impl Regex {
     }
 
     /// The text the pattern matches when it is a plain literal.
-    pub fn literal(&self) -> Option<&str> {
+    pub(crate) fn literal(&self) -> Option<&str> {
         self.literal.as_deref()
     }
 
