@@ -56,7 +56,7 @@ use hpcadvisor_core::{
 use hpcadvisor_formats::wire::{ErrorCode, Frame, MonotonicId, KIND_HEARTBEAT, MAX_FRAME_BYTES};
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -215,50 +215,41 @@ pub fn serve_on(listener: TcpListener, opts: ServeOptions, out: Out) -> Result<(
         wline(out, &format!("recovery complete: {finished} job(s) served"))?;
     }
     wline(out, &format!("serving on {addr}"))?;
-    listener.set_nonblocking(true).map_err(ToolError::Io)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let served = Arc::new(AtomicUsize::new(0));
+    let life = Arc::new(Lifecycle {
+        stop: AtomicBool::new(false),
+        served: AtomicUsize::new(0),
+        max_requests: opts.max_requests,
+        wake_addr: reachable(addr),
+    });
     let io_timeout = opts.io_timeout;
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
+    while !life.done() {
+        let (stream, _) = listener.accept().map_err(ToolError::Io)?;
+        // The connection that ends the daemon wakes this accept; it (and
+        // anything that raced it in) is dropped unserved.
+        if life.done() {
             break;
         }
-        if let Some(max) = opts.max_requests {
-            if served.load(Ordering::SeqCst) >= max {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|c| !c.is_finished());
-                if connections.len() >= opts.max_conns {
-                    shed_connection(stream, io_timeout);
-                    continue;
-                }
-                let service = service.clone();
-                let stop = stop.clone();
-                let served = served.clone();
-                connections.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &service, &stop, &served, io_timeout);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(ToolError::Io(e)),
-        }
         connections.retain(|c| !c.is_finished());
+        if connections.len() >= opts.max_conns {
+            shed_connection(stream, io_timeout);
+            continue;
+        }
+        let service = service.clone();
+        let life = life.clone();
+        connections.push(std::thread::spawn(move || {
+            let _ = handle_connection(stream, &service, &life, io_timeout);
+        }));
     }
     // Graceful drain: finish open conversations, then let the service run
     // every admitted job to completion before persisting the cache. After
     // a forced shutdown the workers are already detached, so this path
     // returns promptly and the journal covers whatever was cut off.
-    stop.store(true, Ordering::SeqCst);
+    life.stop.store(true, Ordering::SeqCst);
     for c in connections {
         let _ = c.join();
     }
-    let n = served.load(Ordering::SeqCst);
+    let n = life.served.load(Ordering::SeqCst);
     let service = match Arc::try_unwrap(service) {
         Ok(service) => service,
         Err(arc) => {
@@ -271,6 +262,64 @@ pub fn serve_on(listener: TcpListener, opts: ServeOptions, out: Out) -> Result<(
     service.shutdown();
     cache.save()?;
     wline(out, &format!("served {n} requests; shut down"))
+}
+
+/// How long a wake connection may take to reach the daemon's own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// When the daemon ends, shared by the accept loop and every connection.
+/// The loop blocks in `accept`, so whoever ends the daemon also wakes it
+/// with one connection of its own.
+struct Lifecycle {
+    /// Set by a `shutdown` frame, and by the loop once it stops accepting.
+    stop: AtomicBool,
+    /// `collect` requests answered so far.
+    served: AtomicUsize,
+    max_requests: Option<usize>,
+    /// The listener's address as a local client reaches it.
+    wake_addr: SocketAddr,
+}
+
+impl Lifecycle {
+    fn done(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+            || self
+                .max_requests
+                .is_some_and(|max| self.served.load(Ordering::SeqCst) >= max)
+    }
+
+    /// Stops the daemon (a `shutdown` frame) and wakes the accept loop.
+    fn shut_down(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            self.wake();
+        }
+    }
+
+    /// Counts one answered `collect`; the one that reaches `max_requests`
+    /// wakes the accept loop, whether or not its client hangs up.
+    fn count_served(&self) {
+        let n = self.served.fetch_add(1, Ordering::SeqCst) + 1;
+        if Some(n) == self.max_requests {
+            self.wake();
+        }
+    }
+
+    /// Best-effort: a failed wake leaves the loop to the next connection.
+    fn wake(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+}
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback
+/// of the same family, so the daemon can connect to its own listener.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Refuses one over-limit connection with a typed `overloaded` frame.
@@ -341,11 +390,9 @@ fn read_line_step(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> LineS
 fn handle_connection(
     stream: TcpStream,
     service: &AdvisorService,
-    stop: &AtomicBool,
-    served: &AtomicUsize,
+    life: &Lifecycle,
     io_timeout: Duration,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     // Short poll so a quiet client still notices shutdown promptly; the
     // real deadline is io_timeout, tracked across polls.
     let poll = Duration::from_millis(200).min(io_timeout);
@@ -362,7 +409,7 @@ fn handle_connection(
                 LineStep::Eof | LineStep::Failed => return Ok(()),
                 LineStep::Partial => last_activity = Instant::now(),
                 LineStep::Quiet => {
-                    if stop.load(Ordering::SeqCst) {
+                    if life.stop.load(Ordering::SeqCst) {
                         return Ok(());
                     }
                     if last_activity.elapsed() >= io_timeout {
@@ -420,12 +467,12 @@ fn handle_connection(
                     // on this state dir replays them.
                     service.shutdown_now();
                 }
-                stop.store(true, Ordering::SeqCst);
+                life.shut_down();
                 return Ok(());
             }
             "collect" => {
                 serve_collect(frame, service, &mut writer, io_timeout)?;
-                served.fetch_add(1, Ordering::SeqCst);
+                life.count_served();
             }
             other => send(
                 &mut writer,
@@ -537,13 +584,14 @@ fn result_body(outcome: &JobOutcome) -> Value {
     Value::Map(body)
 }
 
+/// Writes one frame and its newline in a single write, so a frame never
+/// leaves as two segments.
 fn send(writer: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let line = frame
+    let mut line = frame
         .encode_checked()
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// 64-bit FNV-1a, for deriving default request keys and jitter seeds.

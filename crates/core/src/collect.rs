@@ -563,19 +563,16 @@ fn split_chunks(ordered: Vec<Scenario>) -> Vec<Chunk> {
             None => groups.push(vec![scenario]),
         }
     }
+    // One pass over each group: every scenario is moved once.
     let mut chunks = Vec::new();
-    for (group, mut rest) in groups.into_iter().enumerate() {
-        while rest.len() > CHUNK_SIZE {
-            let tail = rest.split_off(CHUNK_SIZE);
+    for (group, scenarios) in groups.into_iter().enumerate() {
+        let mut rest = scenarios.into_iter().peekable();
+        while rest.peek().is_some() {
             chunks.push(Chunk {
-                scenarios: std::mem::replace(&mut rest, tail),
+                scenarios: rest.by_ref().take(CHUNK_SIZE).collect(),
                 group,
             });
         }
-        chunks.push(Chunk {
-            scenarios: rest,
-            group,
-        });
     }
     chunks
 }
@@ -1126,6 +1123,66 @@ mod tests {
         assert!(report.outcomes.iter().all(|o| !o.cached), "cold run");
         assert!(!report.billing.is_empty());
         assert!(report.render_text().contains("completed"));
+    }
+
+    const SKUS: [&str; 3] = ["A", "B", "C"];
+
+    /// 70 scenarios per SKU of [`SKUS`], interleaved in id order.
+    fn interleaved_grid() -> Vec<Scenario> {
+        (0..210u32)
+            .map(|i| Scenario {
+                id: i + 1,
+                sku: SKUS[i as usize % 3].to_string(),
+                nnodes: 1,
+                ppn: 1,
+                appinputs: Vec::new(),
+                region: None,
+                status: ScenarioStatus::Pending,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_groups_larger_than_a_chunk_split_in_id_order() {
+        let chunks = split_chunks(interleaved_grid());
+        let sizes: Vec<(usize, usize)> = chunks
+            .iter()
+            .map(|c| (c.group, c.scenarios.len()))
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                (0, 32),
+                (0, 32),
+                (0, 6),
+                (1, 32),
+                (1, 32),
+                (1, 6),
+                (2, 32),
+                (2, 32),
+                (2, 6)
+            ]
+        );
+        for (group, sku) in SKUS.iter().enumerate() {
+            let ids: Vec<u32> = chunks
+                .iter()
+                .filter(|c| c.group == group)
+                .flat_map(|c| c.scenarios.iter())
+                .inspect(|s| assert_eq!(s.sku, *sku))
+                .map(|s| s.id)
+                .collect();
+            let expected: Vec<u32> = (0..70).map(|k| 3 * k + group as u32 + 1).collect();
+            assert_eq!(ids, expected, "group {group} keeps id order");
+        }
+    }
+
+    #[test]
+    fn chunks_do_not_keep_their_groups_capacity() {
+        // Every chunk stays queued until a worker takes it, so capacity a
+        // chunk kept from its group would be held for the whole collect.
+        for chunk in split_chunks(interleaved_grid()) {
+            assert!(chunk.scenarios.capacity() <= CHUNK_SIZE);
+        }
     }
 
     #[test]

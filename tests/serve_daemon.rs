@@ -1,6 +1,7 @@
 //! Socket-level tests of `hpcadvisor serve`: one daemon, NDJSON frames
-//! over TCP, two concurrent tenants, cross-tenant dedup, and streamed
-//! per-scenario progress.
+//! over TCP, two concurrent tenants, cross-tenant dedup, streamed
+//! per-scenario progress, and every way of waking the blocked accept loop
+//! to stop.
 
 use hpcadvisor::cli::serve::{serve_on, ServeOptions};
 use hpcadvisor::core::cache::SharedScenarioCache;
@@ -8,7 +9,8 @@ use hpcadvisor::formats::wire::Frame;
 use hpcadvisor::formats::{OrderedMap, Value};
 use hpcadvisor::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver};
 
 const YAML: &str = r#"
 subscription: mysubscription
@@ -97,21 +99,15 @@ fn run_collect(addr: std::net::SocketAddr, tenant: &str, workers: i64) -> Reply 
 fn one_daemon_two_concurrent_tenants_then_an_all_hits_rerun() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let daemon = std::thread::spawn(move || {
-        let mut log = Vec::new();
-        serve_on(
-            listener,
-            ServeOptions {
-                service_workers: 2,
-                cache: SharedScenarioCache::in_memory(),
-                max_requests: Some(3),
-                ..ServeOptions::default()
-            },
-            &mut log,
-        )
-        .unwrap();
-        String::from_utf8(log).unwrap()
-    });
+    let daemon = spawn_daemon(
+        listener,
+        ServeOptions {
+            service_workers: 2,
+            cache: SharedScenarioCache::in_memory(),
+            max_requests: Some(3),
+            ..ServeOptions::default()
+        },
+    );
 
     // A ping on its own connection answers pong (liveness probe).
     {
@@ -168,7 +164,120 @@ fn one_daemon_two_concurrent_tenants_then_an_all_hits_rerun() {
     assert_eq!(carol.cost_dollars, 0.0);
     assert_eq!(carol.dataset_json, standalone);
 
-    let log = daemon.join().unwrap();
+    let log = await_stop(&daemon);
     assert!(log.contains("serving on "), "{log}");
     assert!(log.contains("served 3 requests; shut down"), "{log}");
+}
+
+/// How long a wake test waits for the daemon to return; a missed wake
+/// blocks the accept loop forever, so it fails the test here instead.
+const STOP_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+
+/// Runs `serve_on` on a thread; the receiver yields its log once it
+/// returns.
+fn spawn_daemon(listener: TcpListener, opts: ServeOptions) -> Receiver<String> {
+    let (done, log) = channel();
+    std::thread::spawn(move || {
+        let mut log = Vec::new();
+        serve_on(listener, opts, &mut log).unwrap();
+        let _ = done.send(String::from_utf8(log).unwrap());
+    });
+    log
+}
+
+fn await_stop(log: &Receiver<String>) -> String {
+    log.recv_timeout(STOP_DEADLINE)
+        .expect("the daemon failed or did not stop within the deadline")
+}
+
+/// Sends one frame on `stream` and returns the kind of the reply.
+fn exchange(stream: &mut TcpStream, frame: &Frame) -> String {
+    send(stream, frame);
+    let mut line = String::new();
+    BufReader::new(&*stream).read_line(&mut line).unwrap();
+    Frame::decode(line.trim()).unwrap().kind
+}
+
+fn shutdown_frame(force: bool) -> Frame {
+    let body = if force {
+        let mut m = OrderedMap::new();
+        m.insert("mode", Value::str("force"));
+        Value::Map(m)
+    } else {
+        Value::Null
+    };
+    Frame::new(2, "shutdown", body)
+}
+
+/// Shuts down the daemon on `addr` with a frame on its own connection.
+fn shut_down(addr: SocketAddr, force: bool) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    assert_eq!(exchange(&mut stream, &shutdown_frame(force)), "ok");
+}
+
+#[test]
+fn graceful_shutdown_wakes_accept_while_another_client_idles() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = spawn_daemon(listener, ServeOptions::default());
+    // An idle client: connected and answered once, then silent.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    assert_eq!(
+        exchange(&mut idle, &Frame::new(1, "ping", Value::Null)),
+        "pong"
+    );
+    shut_down(addr, false);
+    let log = await_stop(&log);
+    assert!(log.contains("served 0 requests; shut down"), "{log}");
+    // The drain closed the idle conversation rather than waiting it out.
+    let mut rest = String::new();
+    assert_eq!(BufReader::new(&idle).read_line(&mut rest).unwrap(), 0);
+}
+
+#[test]
+fn forced_shutdown_wakes_accept() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = spawn_daemon(listener, ServeOptions::default());
+    shut_down(addr, true);
+    let log = await_stop(&log);
+    assert!(log.contains("served 0 requests; shut down"), "{log}");
+}
+
+#[test]
+fn the_last_allowed_request_wakes_accept_while_its_client_stays() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = spawn_daemon(
+        listener,
+        ServeOptions {
+            max_requests: Some(1),
+            ..ServeOptions::default()
+        },
+    );
+    let mut stream = TcpStream::connect(addr).unwrap();
+    send(&mut stream, &collect_frame(7, "alice", 1));
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "closed early");
+        if Frame::decode(line.trim()).unwrap().kind == "result" {
+            break;
+        }
+    }
+    // The client keeps its connection open; the daemon stops anyway.
+    let log = await_stop(&log);
+    assert!(log.contains("served 1 requests; shut down"), "{log}");
+    drop(stream);
+}
+
+#[test]
+fn a_wildcard_listener_is_woken_through_loopback() {
+    let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+    let port = listener.local_addr().unwrap().port();
+    let log = spawn_daemon(listener, ServeOptions::default());
+    shut_down(SocketAddr::from(([127, 0, 0, 1], port)), false);
+    let log = await_stop(&log);
+    assert!(log.contains(&format!("serving on 0.0.0.0:{port}")), "{log}");
+    assert!(log.contains("served 0 requests; shut down"), "{log}");
 }
