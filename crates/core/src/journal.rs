@@ -2,29 +2,26 @@
 //!
 //! A multi-hour sweep interrupted at scenario 30 of 36 should not re-spend
 //! cloud time on the first 30. The journal records each scenario's outcome
-//! *as it finishes* — one compact JSON object per line, appended and
-//! flushed — so a killed run leaves a readable prefix. `collect --resume`
+//! *as it finishes* — one compact JSON object per line, written with one
+//! write — so a killed run leaves a readable prefix. `collect --resume`
 //! replays the journal and collects only the remainder; the resumed
 //! dataset is byte-identical to an uninterrupted run because entries carry
 //! the full [`DataPoint`] and are keyed by the same content fingerprint the
-//! PR 2 cache uses.
+//! scenario cache uses.
 //!
-//! Corruption tolerance mirrors the cache: a damaged header discards the
-//! whole file (cold start, `recovered` flag set), a torn tail line — the
-//! normal shape of a crash mid-append — drops only that line.
+//! The file and its crash handling are the crate's `AppendLog`, shared
+//! with the service journal: a damaged header discards the whole file
+//! (cold start, `recovered` flag set), a torn tail line — the normal shape
+//! of a crash mid-append — drops only that line, and the next append
+//! rewrites a damaged file from the surviving entries.
 
+use crate::append_log::AppendLog;
 use crate::cache::Fingerprint;
 use crate::dataset::{DataPoint, PointFields};
 use crate::scenario::ScenarioStatus;
 use hpcadvisor_formats::{json, FormatError};
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-/// Version of the journal line format. A header with a different version
-/// discards the file wholesale.
-const JOURNAL_VERSION: i64 = 1;
+use std::path::Path;
 
 /// One journaled scenario outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,17 +101,11 @@ fn line_to_entry(line: &str) -> Option<JournalEntry> {
 /// The append-only run journal.
 #[derive(Debug, Default)]
 pub struct RunJournal {
-    path: Option<PathBuf>,
+    log: AppendLog,
     /// Insertion-ordered entries as read/written; later entries for the
     /// same fingerprint win in [`RunJournal::lookup`].
     entries: Vec<JournalEntry>,
     by_fp: HashMap<Fingerprint, usize>,
-    recovered: bool,
-    /// True once the backing file is known to start with a valid header
-    /// and to end with a whole line, so appends may go straight to its end.
-    initialized: bool,
-    /// The backing file, kept open after the first append.
-    file: Option<File>,
 }
 
 impl RunJournal {
@@ -128,42 +119,10 @@ impl RunJournal {
     /// `recovered` set (the file is rewritten on the first append); a torn
     /// tail line is dropped alone.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
-        let mut journal = RunJournal {
-            path: Some(path.clone()),
-            ..RunJournal::default()
-        };
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return journal,
-        };
-        // Lines are split as bytes so a multi-byte character torn by a
-        // crash spoils only its own line.
-        let mut lines = bytes
-            .split(|b| *b == b'\n')
-            .map(|line| std::str::from_utf8(line).ok());
-        let header_ok = lines.next().flatten().is_some_and(|h| {
-            json::parse(h).ok().and_then(|v| v.get("version")?.as_int()) == Some(JOURNAL_VERSION)
+        let mut journal = RunJournal::default();
+        journal.log = AppendLog::open(path.as_ref(), |line| {
+            line_to_entry(line).map(|e| journal.push(e)).is_some()
         });
-        if !header_ok {
-            journal.recovered = true;
-            return journal;
-        }
-        for line in lines {
-            if line.is_some_and(|l| l.trim().is_empty()) {
-                continue;
-            }
-            match line.and_then(line_to_entry) {
-                Some(entry) => journal.push(entry),
-                // A torn or garbled line: the tail of a crashed append.
-                None => journal.recovered = true,
-            }
-        }
-        // A file that ends in a partial line, or in a whole one whose
-        // newline never reached the disk, is rewritten from the surviving
-        // entries by the next append; appending to it would glue the new
-        // line onto the old one.
-        journal.initialized = !journal.recovered && bytes.ends_with(b"\n");
         journal
     }
 
@@ -185,43 +144,13 @@ impl RunJournal {
     /// collection it protects. A failed write may leave a partial line, so
     /// the next append rewrites the file from the entries in memory.
     pub fn append(&mut self, entry: JournalEntry) {
-        if self.path.is_some() {
-            let mut line = String::new();
-            write_line(&mut line, &entry);
-            if self.write(&line).is_err() {
-                self.file = None;
-                self.initialized = false;
-            }
-        }
         self.push(entry);
-    }
-
-    fn write(&mut self, line: &str) -> std::io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        let file = match &mut self.file {
-            Some(file) => file,
-            None if self.initialized => self
-                .file
-                .insert(std::fs::OpenOptions::new().append(true).open(path)?),
-            None => {
-                // First append (re)creates the file with its header and the
-                // surviving entries, compacting away any damage.
-                if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
-                }
-                let mut text = format!("{{\"version\": {JOURNAL_VERSION}}}\n");
-                for e in &self.entries {
-                    write_line(&mut text, e);
-                }
-                let mut file = File::create(path)?;
-                file.write_all(text.as_bytes())?;
-                self.initialized = true;
-                self.file.insert(file)
-            }
-        };
-        file.write_all(line.as_bytes())
+        let entries = &self.entries;
+        self.log.append(
+            |out| write_line(out, &entries[entries.len() - 1]),
+            false,
+            |out| entries.iter().for_each(|e| write_line(out, e)),
+        );
     }
 
     /// Latest entry for a fingerprint, if any.
@@ -246,12 +175,12 @@ impl RunJournal {
 
     /// True if damage was detected (and skipped) while opening.
     pub fn recovered(&self) -> bool {
-        self.recovered
+        self.log.recovered()
     }
 
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.path()
     }
 }
 
@@ -261,6 +190,7 @@ mod tests {
     use crate::dataset::oracle::{generated_points, point_to_value, value_to_point};
     use crate::dataset::point;
     use hpcadvisor_formats::{OrderedMap, Value};
+    use std::path::PathBuf;
 
     fn fp(n: u128) -> Fingerprint {
         Fingerprint::from_hex(&format!("{n:032x}")).unwrap()

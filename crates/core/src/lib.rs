@@ -49,6 +49,7 @@
 //! [`dataset::Dataset`].
 
 pub mod advice;
+mod append_log;
 pub mod appscript;
 pub mod cache;
 pub mod collect;

@@ -4,9 +4,9 @@
 //! in memory, so a crash forgot who had spent what and silently dropped
 //! every admitted job. This module gives [`crate::service::AdvisorService`]
 //! the same crash-safety discipline the collection layer already has in
-//! [`crate::journal`]: one compact JSON record per line, appended and
-//! flushed as state changes, with torn-tail salvage on reopen — a killed
-//! daemon leaves a readable prefix, and the next start replays it.
+//! [`crate::journal`]: one compact JSON record per line, written to the
+//! file (one write per line, no fsync) before `append` returns, so a
+//! killed daemon leaves a readable prefix, and the next start replays it.
 //!
 //! Three record kinds cover the whole admission lifecycle:
 //!
@@ -20,22 +20,18 @@
 //!   deliberately abandoned). An `admitted` with no matching `done` is an
 //!   interrupted job the restarted daemon must re-serve.
 //!
-//! Compaction mirrors [`crate::journal::RunJournal`]: the first append
-//! after detecting damage — or after the done/spend history has grown well
-//! past the live state — rewrites the file from the replayed state (one
-//! cumulative `spend` per tenant plus the still-pending `admitted`
-//! records), so the journal stays bounded by live state, not daemon
-//! uptime.
+//! The file and its crash handling are the crate's `AppendLog`, as for
+//! the run journal. Compaction is this journal's policy: once the
+//! done/spend history has grown well past the live state, an append asks
+//! the log for a rewrite from the replayed state (one cumulative `spend`
+//! per tenant plus the still-pending `admitted` records), so the journal
+//! stays bounded by live state, not daemon uptime.
 
+use crate::append_log::AppendLog;
 use crate::cache::CachePolicy;
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::{json, Value};
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-/// Version of the service-journal line format. A header with a different
-/// version discards the file wholesale (cold start, `recovered` set).
-const SERVICE_JOURNAL_VERSION: i64 = 1;
+use std::path::Path;
 
 /// An admitted-but-unfinished request, exactly as needed to re-admit it.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,46 +75,40 @@ pub enum ServiceRecord {
     },
 }
 
-fn parse_cache_policy(s: &str) -> Option<CachePolicy> {
-    match s {
-        "read-write" => Some(CachePolicy::ReadWrite),
-        "read-only" => Some(CachePolicy::ReadOnly),
-        "off" => Some(CachePolicy::Off),
-        _ => None,
-    }
-}
-
-fn record_to_line(r: &ServiceRecord) -> String {
-    let mut m = OrderedMap::new();
+/// Appends one record as a line of compact JSON, newline included.
+fn write_record(out: &mut String, r: &ServiceRecord) {
+    let mut m = json::Slot::compact(out).object();
     match r {
         ServiceRecord::Spend { tenant, dollars } => {
-            m.insert("rec", Value::str("spend"));
-            m.insert("tenant", Value::str(tenant));
-            m.insert("dollars", Value::Float(*dollars));
+            m.key("rec").str("spend");
+            m.key("tenant").str(tenant);
+            m.key("dollars").f64(*dollars);
         }
         ServiceRecord::Admitted(job) => {
-            m.insert("rec", Value::str("admitted"));
-            m.insert("key", Value::str(&job.key));
-            m.insert("tenant", Value::str(&job.tenant));
-            m.insert("seed", Value::Int(job.seed as i64));
-            m.insert("workers", Value::Int(job.workers as i64));
-            m.insert("config_yaml", Value::str(&job.config_yaml));
+            m.key("rec").str("admitted");
+            m.key("key").str(&job.key);
+            m.key("tenant").str(&job.tenant);
+            m.key("seed").int(job.seed as i64);
+            m.key("workers").int(job.workers as i64);
+            m.key("config_yaml").str(&job.config_yaml);
             if !job.regions.is_empty() {
-                m.insert(
-                    "regions",
-                    Value::Seq(job.regions.iter().map(Value::str).collect()),
-                );
+                let mut regions = m.key("regions").array();
+                for region in &job.regions {
+                    regions.item().str(region);
+                }
+                regions.end();
             }
             if let Some(policy) = job.cache_policy {
-                m.insert("cache_policy", Value::str(policy.as_str()));
+                m.key("cache_policy").str(policy.as_str());
             }
         }
         ServiceRecord::Done { key } => {
-            m.insert("rec", Value::str("done"));
-            m.insert("key", Value::str(key));
+            m.key("rec").str("done");
+            m.key("key").str(key);
         }
     }
-    json::to_string(&Value::Map(m))
+    m.end();
+    out.push('\n');
 }
 
 fn line_to_record(line: &str) -> Option<ServiceRecord> {
@@ -142,7 +132,15 @@ fn line_to_record(line: &str) -> Option<ServiceRecord> {
                 _ => Vec::new(),
             },
             cache_policy: match v.get("cache_policy") {
-                Some(p) => Some(parse_cache_policy(p.as_str()?)?),
+                Some(p) => Some(
+                    [
+                        CachePolicy::ReadWrite,
+                        CachePolicy::ReadOnly,
+                        CachePolicy::Off,
+                    ]
+                    .into_iter()
+                    .find(|c| Some(c.as_str()) == p.as_str())?,
+                ),
                 None => None,
             },
         })),
@@ -163,16 +161,44 @@ pub struct ServiceState {
     pub pending: Vec<PendingJob>,
 }
 
+impl ServiceState {
+    fn apply(&mut self, record: ServiceRecord) {
+        match record {
+            ServiceRecord::Spend { tenant, dollars } => {
+                *self.spent.entry(tenant).or_insert(0.0) += dollars;
+            }
+            ServiceRecord::Admitted(job) => {
+                self.pending.retain(|p| p.key != job.key);
+                self.pending.push(job);
+            }
+            ServiceRecord::Done { key } => {
+                self.pending.retain(|p| p.key != key);
+            }
+        }
+    }
+
+    /// Writes the records a compacted rewrite keeps: cumulative spend per
+    /// tenant (sorted for deterministic files) plus pending admissions.
+    fn write_live(&self, out: &mut String) {
+        let mut tenants: Vec<(&String, &f64)> = self.spent.iter().collect();
+        tenants.sort_by(|a, b| a.0.cmp(b.0));
+        for (tenant, dollars) in tenants {
+            let (tenant, dollars) = (tenant.clone(), *dollars);
+            write_record(out, &ServiceRecord::Spend { tenant, dollars });
+        }
+        for job in &self.pending {
+            write_record(out, &ServiceRecord::Admitted(job.clone()));
+        }
+    }
+}
+
 /// The append-only service journal (see the module docs).
 #[derive(Debug, Default)]
 pub struct ServiceJournal {
-    path: Option<PathBuf>,
+    log: AppendLog,
     state: ServiceState,
     /// Raw record count since the last rewrite — the compaction trigger.
     raw_records: usize,
-    recovered: bool,
-    /// True once the backing file is known to start with a valid header.
-    initialized: bool,
 }
 
 impl ServiceJournal {
@@ -184,124 +210,31 @@ impl ServiceJournal {
     /// Opens a file-backed journal, replaying whatever prefix survives. A
     /// missing file starts empty; a damaged header starts empty with
     /// `recovered` set; a torn tail line — the normal shape of a crash
-    /// mid-append — is dropped alone and the next append compacts.
+    /// mid-append — is dropped alone and the next append rewrites.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
-        let mut journal = ServiceJournal {
-            path: Some(path.clone()),
-            ..ServiceJournal::default()
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return journal,
-        };
-        let mut lines = text.lines();
-        let header_ok = lines.next().is_some_and(|h| {
-            json::parse(h).ok().and_then(|v| v.get("version")?.as_int())
-                == Some(SERVICE_JOURNAL_VERSION)
+        let mut journal = ServiceJournal::default();
+        journal.log = AppendLog::open(path.as_ref(), |line| {
+            let record = line_to_record(line);
+            journal.raw_records += usize::from(record.is_some());
+            record.map(|r| journal.state.apply(r)).is_some()
         });
-        if !header_ok {
-            journal.recovered = true;
-            return journal;
-        }
-        journal.initialized = true;
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match line_to_record(line) {
-                Some(record) => {
-                    journal.raw_records += 1;
-                    journal.apply(record);
-                }
-                None => journal.recovered = true,
-            }
-        }
-        if journal.recovered {
-            // The file may end mid-line; force the next append to rewrite
-            // it from the replayed state.
-            journal.initialized = false;
-        }
         journal
     }
 
-    fn apply(&mut self, record: ServiceRecord) {
-        match record {
-            ServiceRecord::Spend { tenant, dollars } => {
-                *self.state.spent.entry(tenant).or_insert(0.0) += dollars;
-            }
-            ServiceRecord::Admitted(job) => {
-                self.state.pending.retain(|p| p.key != job.key);
-                self.state.pending.push(job);
-            }
-            ServiceRecord::Done { key } => {
-                self.state.pending.retain(|p| p.key != key);
-            }
-        }
-    }
-
-    /// The records a compacted rewrite preserves: cumulative spend per
-    /// tenant (sorted for deterministic files) plus pending admissions.
-    fn live_records(&self) -> Vec<ServiceRecord> {
-        let mut tenants: Vec<(&String, &f64)> = self.state.spent.iter().collect();
-        tenants.sort_by(|a, b| a.0.cmp(b.0));
-        let mut records: Vec<ServiceRecord> = tenants
-            .into_iter()
-            .map(|(tenant, dollars)| ServiceRecord::Spend {
-                tenant: tenant.clone(),
-                dollars: *dollars,
-            })
-            .collect();
-        records.extend(
-            self.state
-                .pending
-                .iter()
-                .cloned()
-                .map(ServiceRecord::Admitted),
-        );
-        records
-    }
-
-    /// True when the done/spend history has outgrown the live state enough
-    /// that a rewrite pays for itself.
-    fn wants_compaction(&self) -> bool {
-        let live = self.state.spent.len() + self.state.pending.len();
-        self.raw_records > 2 * live + 16
-    }
-
-    /// Appends one record, flushing the line to disk before returning.
-    /// IO errors are swallowed: journalling is best-effort and must never
-    /// fail the service it protects.
+    /// Appends one record, writing its line to the file before returning
+    /// (there is no fsync). When the done/spend history has outgrown the
+    /// live state enough that a rewrite pays for itself, the file is
+    /// compacted instead. IO errors are swallowed: journalling is
+    /// best-effort and must never fail the service it protects.
     pub fn append(&mut self, record: ServiceRecord) {
-        self.apply(record.clone());
+        self.state.apply(record.clone());
         self.raw_records += 1;
-        if let Some(path) = &self.path {
-            let rewrite = !self.initialized || self.wants_compaction();
-            let write = || -> std::io::Result<()> {
-                if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
-                }
-                if rewrite {
-                    // (Re)create with header + the compacted live state
-                    // (which already includes `record`).
-                    let mut f = std::fs::File::create(path)?;
-                    writeln!(f, "{{\"version\": {SERVICE_JOURNAL_VERSION}}}")?;
-                    for r in self.live_records() {
-                        writeln!(f, "{}", record_to_line(&r))?;
-                    }
-                    f.flush()
-                } else {
-                    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-                    writeln!(f, "{}", record_to_line(&record))?;
-                    f.flush()
-                }
-            };
-            if write().is_ok() {
-                self.initialized = true;
-                if rewrite {
-                    self.raw_records = self.live_records().len();
-                }
-            }
+        let live = self.state.spent.len() + self.state.pending.len();
+        let compact = self.raw_records > 2 * live + 16;
+        let state = &self.state;
+        let line = |out: &mut String| write_record(out, &record);
+        if self.log.append(line, compact, |out| state.write_live(out)) {
+            self.raw_records = live;
         }
     }
 
@@ -312,12 +245,12 @@ impl ServiceJournal {
 
     /// True if damage was detected (and skipped) while opening.
     pub fn recovered(&self) -> bool {
-        self.recovered
+        self.log.recovered()
     }
 
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.path()
     }
 }
 
@@ -325,6 +258,21 @@ impl ServiceJournal {
 mod tests {
     use super::*;
     use crate::config::UserConfig;
+    use hpcadvisor_formats::OrderedMap;
+    use std::path::PathBuf;
+
+    fn record_to_line(r: &ServiceRecord) -> String {
+        let mut line = String::new();
+        write_record(&mut line, r);
+        line
+    }
+
+    fn spend(tenant: &str, dollars: f64) -> ServiceRecord {
+        ServiceRecord::Spend {
+            tenant: tenant.into(),
+            dollars,
+        }
+    }
 
     fn tempfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -378,6 +326,133 @@ mod tests {
         }
         assert!(line_to_record("not json").is_none());
         assert!(line_to_record("{\"rec\": \"mystery\"}").is_none());
+    }
+
+    /// The tree encoding the direct writer replaced: the oracle.
+    fn oracle_line(r: &ServiceRecord) -> String {
+        let mut m = OrderedMap::new();
+        match r {
+            ServiceRecord::Spend { tenant, dollars } => {
+                m.insert("rec", Value::str("spend"));
+                m.insert("tenant", Value::str(tenant));
+                m.insert("dollars", Value::Float(*dollars));
+            }
+            ServiceRecord::Admitted(job) => {
+                m.insert("rec", Value::str("admitted"));
+                m.insert("key", Value::str(&job.key));
+                m.insert("tenant", Value::str(&job.tenant));
+                m.insert("seed", Value::Int(job.seed as i64));
+                m.insert("workers", Value::Int(job.workers as i64));
+                m.insert("config_yaml", Value::str(&job.config_yaml));
+                if !job.regions.is_empty() {
+                    let regions = job.regions.iter().map(Value::str).collect();
+                    m.insert("regions", Value::Seq(regions));
+                }
+                if let Some(policy) = job.cache_policy {
+                    m.insert("cache_policy", Value::str(policy.as_str()));
+                }
+            }
+            ServiceRecord::Done { key } => {
+                m.insert("rec", Value::str("done"));
+                m.insert("key", Value::str(key));
+            }
+        }
+        json::to_string(&Value::Map(m)) + "\n"
+    }
+
+    #[test]
+    fn lines_match_the_tree_oracle() {
+        let mut records = Vec::new();
+        for (i, dollars) in [0.0, -0.0, 12.5, 0.1 + 0.2, 1e-7, 1e15, f64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let tenant = ["acme", "µ-lab", "q\"uote\\d", "tab\tnl\n", ""][i % 5];
+            records.push(spend(tenant, dollars));
+            records.push(ServiceRecord::Done {
+                key: format!("{tenant}-{i}"),
+            });
+            records.push(ServiceRecord::Admitted(PendingJob {
+                key: format!("k{i}"),
+                tenant: tenant.into(),
+                seed: [0, 42, u64::MAX][i % 3],
+                workers: i,
+                config_yaml: format!("appname: \"lammps\"\nnote: {tenant}\n"),
+                regions: ["eastus", "µ-region", "westeurope"][..i % 4]
+                    .iter()
+                    .map(|r| r.to_string())
+                    .collect(),
+                cache_policy: [
+                    None,
+                    Some(CachePolicy::ReadWrite),
+                    Some(CachePolicy::ReadOnly),
+                    Some(CachePolicy::Off),
+                ][i % 4],
+            }));
+        }
+        for record in records {
+            let line = record_to_line(&record);
+            assert_eq!(line, oracle_line(&record));
+            let back = line_to_record(&line).unwrap();
+            let mut again = record.clone();
+            if let ServiceRecord::Admitted(job) = &mut again {
+                job.workers = job.workers.max(1);
+            }
+            assert_eq!(back, again, "{line}");
+        }
+    }
+
+    /// A crash between a line and its newline leaves a file whose last
+    /// line is whole: the next append must not glue its line onto it.
+    #[test]
+    fn a_line_that_lost_its_newline_is_not_appended_to() {
+        let path = tempfile("newline");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = ServiceJournal::open(&path);
+        journal.append(spend("acme", 1.0));
+        journal.append(spend("acme", 2.0));
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.last(), Some(&b'\n'));
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+
+        let mut back = ServiceJournal::open(&path);
+        assert_eq!(back.state().spent.get("acme"), Some(&3.0));
+        back.append(spend("acme", 4.0));
+        let again = ServiceJournal::open(&path);
+        assert_eq!(again.state().spent.get("acme"), Some(&7.0));
+        assert!(!again.recovered());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A crash that tears a multi-byte character spoils only its line: the
+    /// records before it replay, and the next append keeps them.
+    #[test]
+    fn a_torn_multi_byte_character_spoils_only_its_line() {
+        let path = tempfile("utf8");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = ServiceJournal::open(&path);
+        journal.append(admitted("k1", "acme"));
+        journal.append(spend("acme", 1.5));
+        journal.append(spend("µ-lab", 2.5));
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        let mu = bytes.windows(2).rposition(|w| w == "µ".as_bytes()).unwrap();
+        std::fs::write(&path, &bytes[..mu + 1]).unwrap();
+
+        let mut back = ServiceJournal::open(&path);
+        assert!(back.recovered(), "the torn line is reported");
+        assert_eq!(back.state().spent.get("acme"), Some(&1.5));
+        assert_eq!(back.state().spent.get("µ-lab"), None);
+        assert_eq!(back.state().pending.len(), 1);
+        back.append(spend("µ-lab", 4.0));
+        let again = ServiceJournal::open(&path);
+        assert!(!again.recovered(), "the append rewrote a clean file");
+        assert_eq!(again.state(), back.state());
+        assert_eq!(again.state().spent.get("acme"), Some(&1.5));
+        assert_eq!(again.state().spent.get("µ-lab"), Some(&4.0));
+        assert_eq!(again.state().pending[0].key, "k1");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! Crash safety of the on-disk stores, checked by enumeration rather than
 //! by example: every truncation offset and every single-bit flip of a small
-//! binary scenario-cache store, and every truncation offset of a run
-//! journal. Each damaged file must open without panicking, give back
-//! exactly the records that precede the damage, and heal on the next write.
+//! binary scenario-cache store, and every truncation offset and every bit
+//! of every byte of a run journal and of a service journal. Each damaged
+//! file must open without panicking, give back exactly the records that
+//! precede the damage, and heal on the next write.
+//!
+//! Journal lines carry no checksum, so a flipped bit can turn one valid
+//! record into another (`1.0` into `9.0`). For bit flips the journals are
+//! held to locality instead: the damaged file opens to what its lines give
+//! when each is decoded alone, through a journal of that one line.
 
-use hpcadvisor::core::cache::{Fingerprint, ScenarioCache, StoreFormat};
+use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache, StoreFormat};
 use hpcadvisor::core::dataset::point;
-use hpcadvisor::core::Capacity;
+use hpcadvisor::core::{Capacity, PendingJob, ServiceJournal, ServiceRecord, ServiceState};
 use hpcadvisor::core::{DataPoint, JournalEntry, RunJournal, ScenarioStatus};
 use std::path::{Path, PathBuf};
 
@@ -292,5 +298,258 @@ fn run_journal_survives_truncation_at_every_offset() {
             assert_eq!(reopened.lookup(e.fingerprint), Some(e), "{what}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flips every bit of every byte of `reference`, one at a time, and hands
+/// each damaged copy to `check` with a label.
+fn for_every_bit_flip(reference: &[u8], mut check: impl FnMut(&[u8], &str)) {
+    for at in 0..reference.len() {
+        for bit in 0..8 {
+            let mut damaged = reference.to_vec();
+            damaged[at] ^= 1 << bit;
+            check(&damaged, &format!("bit {bit} flipped at {at}"));
+        }
+    }
+}
+
+/// Writes `parts` to `dir/name` and returns the path.
+fn write_file(dir: &Path, name: &str, parts: &[&[u8]]) -> PathBuf {
+    let path = dir.join(name);
+    std::fs::write(&path, parts.concat()).unwrap();
+    path
+}
+
+/// Splits a damaged journal into its first line and the rest.
+fn header_and_lines(damaged: &[u8]) -> (&[u8], std::slice::Split<'_, u8, impl FnMut(&u8) -> bool>) {
+    let mut lines = damaged.split(|b| *b == b'\n');
+    (lines.next().unwrap(), lines)
+}
+
+/// The run-journal locality oracle: the entries and `recovered` flag of
+/// `damaged`, from its header and each later line opened alone.
+fn run_journal_oracle(dir: &Path, header: &[u8], damaged: &[u8]) -> (Vec<JournalEntry>, bool) {
+    let (head, lines) = header_and_lines(damaged);
+    if RunJournal::open(write_file(dir, "head.jsonl", &[head, b"\n"])).recovered() {
+        return (Vec::new(), true);
+    }
+    let (mut entries, mut recovered) = (Vec::new(), false);
+    for line in lines {
+        let alone = RunJournal::open(write_file(dir, "alone.jsonl", &[header, line, b"\n"]));
+        recovered |= alone.recovered();
+        entries.extend_from_slice(alone.entries());
+    }
+    (entries, recovered)
+}
+
+#[test]
+fn run_journal_survives_a_flip_of_every_bit() {
+    let dir = scratch_dir("journal-flip");
+    let entries = journal_entries();
+    let path = dir.join("reference.jsonl");
+    let mut journal = RunJournal::open_fresh(&path);
+    for e in &entries[..4] {
+        journal.append(e.clone());
+    }
+    drop(journal);
+    let reference = std::fs::read(&path).unwrap();
+    let header = &reference[..=reference.iter().position(|b| *b == b'\n').unwrap()];
+
+    let path = dir.join("damaged.jsonl");
+    for_every_bit_flip(&reference, |damaged, what| {
+        std::fs::write(&path, damaged).unwrap();
+        let mut journal = RunJournal::open(&path);
+        let (want, recovered) = run_journal_oracle(&dir, header, damaged);
+        assert_eq!(journal.entries(), &want[..], "{what}: replay");
+        assert_eq!(journal.recovered(), recovered, "{what}: recovered flag");
+        // One append heals the file.
+        journal.append(entries[4].clone());
+        let reopened = RunJournal::open(&path);
+        assert!(!reopened.recovered(), "{what}: healed journal is clean");
+        assert_eq!(reopened.entries(), journal.entries(), "{what}: healed");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn spend(tenant: &str, dollars: f64) -> ServiceRecord {
+    ServiceRecord::Spend {
+        tenant: tenant.into(),
+        dollars,
+    }
+}
+
+fn admission(
+    key: &str,
+    tenant: &str,
+    regions: &[&str],
+    policy: Option<CachePolicy>,
+) -> ServiceRecord {
+    ServiceRecord::Admitted(PendingJob {
+        key: key.into(),
+        tenant: tenant.into(),
+        seed: 11,
+        workers: 3,
+        config_yaml: "appname: \"lammps\"\nskus:\n- Standard_HB120rs_v3\n".into(),
+        regions: regions.iter().map(|r| r.to_string()).collect(),
+        cache_policy: policy,
+    })
+}
+
+/// Spend for two tenants (one non-ASCII), a placed admission with a cache
+/// policy that finishes, and an admission still pending at the end.
+fn service_records() -> Vec<ServiceRecord> {
+    vec![
+        spend("acme", 1.25),
+        admission(
+            "placed",
+            "µ-lab",
+            &["southcentralus", "westeurope"],
+            Some(CachePolicy::ReadOnly),
+        ),
+        spend("µ-lab", 2.5),
+        admission("held", "acme", &[], None),
+        ServiceRecord::Done {
+            key: "placed".into(),
+        },
+        spend("acme", 0.375),
+    ]
+}
+
+/// The state a daemon replays from `records`: spend summed per tenant in
+/// order, and the admissions with no later done.
+fn fold(records: &[ServiceRecord]) -> ServiceState {
+    let mut state = ServiceState::default();
+    for record in records {
+        match record.clone() {
+            ServiceRecord::Spend { tenant, dollars } => {
+                *state.spent.entry(tenant).or_insert(0.0) += dollars;
+            }
+            ServiceRecord::Admitted(job) => {
+                state.pending.retain(|p| p.key != job.key);
+                state.pending.push(job);
+            }
+            ServiceRecord::Done { key } => state.pending.retain(|p| p.key != key),
+        }
+    }
+    state
+}
+
+/// Writes the reference service journal and returns its bytes and where
+/// each line's text ends (before its newline); line 0 is the header.
+fn reference_service_journal(dir: &Path) -> (Vec<u8>, Vec<usize>) {
+    let path = dir.join("reference.jsonl");
+    let mut journal = ServiceJournal::open(&path);
+    for record in service_records() {
+        journal.append(record);
+    }
+    assert_eq!(journal.state(), &fold(&service_records()));
+    assert_eq!(journal.state().pending.len(), 1, "one admission pending");
+    drop(journal);
+    let bytes = std::fs::read(&path).unwrap();
+    let text_ends: Vec<usize> = (0..bytes.len()).filter(|i| bytes[*i] == b'\n').collect();
+    assert_eq!(text_ends.len(), service_records().len() + 1);
+    (bytes, text_ends)
+}
+
+/// Appends one more record, then checks that the file reopens clean to
+/// the journal's in-memory state.
+fn check_service_heal(mut journal: ServiceJournal, path: &Path, what: &str) {
+    journal.append(spend("µ-lab", 8.0));
+    let reopened = ServiceJournal::open(path);
+    assert!(!reopened.recovered(), "{what}: healed journal is clean");
+    assert_eq!(reopened.state(), journal.state(), "{what}: healed");
+}
+
+#[test]
+fn service_journal_survives_truncation_at_every_offset() {
+    let dir = scratch_dir("service-truncate");
+    let (reference, text_ends) = reference_service_journal(&dir);
+    let records = service_records();
+    let path = dir.join("damaged.jsonl");
+    for cut in 0..reference.len() {
+        let what = format!("truncated at {cut}");
+        std::fs::write(&path, &reference[..cut]).unwrap();
+        let journal = ServiceJournal::open(&path);
+        // Every record whose line text survived whole replays, so no spend
+        // is lost or counted twice and every open admission stays pending.
+        let whole = if text_ends[0] <= cut {
+            text_ends[1..].iter().filter(|end| **end <= cut).count()
+        } else {
+            0
+        };
+        assert_eq!(journal.state(), &fold(&records[..whole]), "{what}: replay");
+        // Damage is reported when the header or a partial line is cut.
+        let line_start = text_ends.iter().rev().find(|end| **end < cut);
+        let line_start = line_start.map_or(0, |end| end + 1);
+        let partial = cut > line_start && !text_ends.contains(&cut);
+        assert_eq!(
+            journal.recovered(),
+            cut < text_ends[0] || partial,
+            "{what}: recovered flag"
+        );
+        check_service_heal(journal, &path, &what);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The service-journal locality oracle: the state and `recovered` flag of
+/// `damaged`, from its header and each later line opened alone. A line
+/// that opens alone to no state is a `done` (or blank): the admissions it
+/// closes are those it closes in a two-line journal after their own line.
+fn service_journal_oracle(dir: &Path, header: &[u8], damaged: &[u8]) -> (ServiceState, bool) {
+    let (head, lines) = header_and_lines(damaged);
+    if ServiceJournal::open(write_file(dir, "head.jsonl", &[head, b"\n"])).recovered() {
+        return (ServiceState::default(), true);
+    }
+    let (mut state, mut recovered) = (ServiceState::default(), false);
+    let mut sources: Vec<&[u8]> = Vec::new();
+    for line in lines {
+        let alone = ServiceJournal::open(write_file(dir, "alone.jsonl", &[header, line, b"\n"]));
+        let decoded = alone.state();
+        if alone.recovered() {
+            recovered = true;
+        } else if let Some((tenant, dollars)) = decoded.spent.iter().next() {
+            *state.spent.entry(tenant.clone()).or_insert(0.0) += dollars;
+        } else if let Some(job) = decoded.pending.first() {
+            if let Some(at) = state.pending.iter().position(|p| p.key == job.key) {
+                state.pending.remove(at);
+                sources.remove(at);
+            }
+            state.pending.push(job.clone());
+            sources.push(line);
+        } else {
+            let mut at = 0;
+            while at < sources.len() {
+                let pair = [header, sources[at], b"\n", line, b"\n"];
+                if ServiceJournal::open(write_file(dir, "pair.jsonl", &pair))
+                    .state()
+                    .pending
+                    .is_empty()
+                {
+                    state.pending.remove(at);
+                    sources.remove(at);
+                } else {
+                    at += 1;
+                }
+            }
+        }
+    }
+    (state, recovered)
+}
+
+#[test]
+fn service_journal_survives_a_flip_of_every_bit() {
+    let dir = scratch_dir("service-flip");
+    let (reference, text_ends) = reference_service_journal(&dir);
+    let header = &reference[..=text_ends[0]];
+    let path = dir.join("damaged.jsonl");
+    for_every_bit_flip(&reference, |damaged, what| {
+        std::fs::write(&path, damaged).unwrap();
+        let journal = ServiceJournal::open(&path);
+        let (want, recovered) = service_journal_oracle(&dir, header, damaged);
+        assert_eq!(journal.state(), &want, "{what}: replay");
+        assert_eq!(journal.recovered(), recovered, "{what}: recovered flag");
+        check_service_heal(journal, &path, what);
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
