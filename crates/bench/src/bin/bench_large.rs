@@ -1,8 +1,8 @@
-//! Large-grid wall-clock tier for CI (the `bench-large` job).
+//! Large-grid wall-clock tier for CI (the `bench-large` job), the one
+//! multi-worker timing gate; single-worker timings come from perfbench.
 //!
 //! The paper's value proposition is sweeping thousands of scenarios, so
-//! this tier times the hot paths at ~10k scenarios instead of the 36 the
-//! `bench_baseline` tripwire covers:
+//! this tier times the hot paths at ~10k scenarios:
 //!
 //! * `cold_10k_8w` — the full 10,080-scenario grid, cold, on 8 workers
 //!   under the chunked work-stealing scheduler;
@@ -61,8 +61,7 @@ MODES:
 
 OPTIONS:
     --out <file>         where to write this run's results
-    --tolerance <frac>   allowed fractional regression (default 0.5;
-                         env HPCADVISOR_BENCH_TOLERANCE overrides)
+    --tolerance <frac>   allowed fractional regression (default 0.5)
 
 The cache-save >= 5x speedup gate always runs, in both modes.
 ";
@@ -336,14 +335,10 @@ fn main() {
     let mut write = false;
     let mut check: Option<String> = None;
     let mut out: Option<String> = None;
-    // Wider default than bench_baseline's 25%: these are multi-second
-    // grid-scale runs whose run-to-run medians swing ~30% on shared or
-    // single-core machines. The real acceptance gates are the relative
-    // speedup floors below, which divide out machine speed entirely.
-    let mut tolerance = std::env::var("HPCADVISOR_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.5);
+    // A wide default: these grid-scale runs' medians swing ~30% from run
+    // to run on shared or single-core machines. The one machine-independent
+    // gate is the cache-save speedup floor, which divides out machine speed.
+    let mut tolerance = 0.5;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

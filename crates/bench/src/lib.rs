@@ -1,9 +1,9 @@
-//! Shared helpers for the benchmark harness: canonical experiment
-//! configurations (the paper's workloads) and collected reference datasets.
+//! Shared helpers for the `experiments` and `bench_large` binaries: the
+//! canonical seed and experiment configurations (the paper's workloads).
 //!
-//! Every table and figure of the paper maps to a bench target and to a
-//! section of the `experiments` binary's output — see DESIGN.md's
-//! per-experiment index and EXPERIMENTS.md for the recorded comparison.
+//! Every table and figure of the paper maps to a section of the
+//! `experiments` binary's output — see DESIGN.md's per-experiment index
+//! and EXPERIMENTS.md for the recorded comparison.
 
 use hpcadvisor_core::prelude::*;
 
@@ -26,12 +26,6 @@ pub fn ablation_config() -> UserConfig {
     let mut c = UserConfig::example_lammps();
     c.appinputs = vec![("BOXFACTOR".into(), vec!["16".into(), "24".into()])];
     c
-}
-
-/// Runs a full collection for a config at the canonical seed.
-pub fn collect(config: UserConfig) -> Dataset {
-    let mut session = Session::create(config, SEED).expect("session");
-    session.collect().expect("collect")
 }
 
 /// Formats a `(sku, points)` series table like the paper's figures report.

@@ -411,7 +411,8 @@ pub struct ScenarioCache {
     /// outnumber live entries, the next save compacts instead of appending.
     dead: usize,
     /// Binary mode: the next save must rewrite the whole segment (fresh
-    /// store, salvaged tail, clear, migration, or compaction due).
+    /// or unrecognizable store, salvaged tail, clear, migration, or
+    /// compaction due).
     rewrite_needed: bool,
     /// Binary mode: the sidecar index disagreed with the log (or was
     /// missing); the next save rebuilds it even without new entries.
@@ -428,11 +429,11 @@ impl ScenarioCache {
     /// Opens a file-backed cache, sniffing the on-disk format. A missing
     /// file starts an empty binary store; a file opening with the binary
     /// magic loads the record log (salvaging every intact record if the
-    /// tail is torn or the index disagrees — never cold); anything else is
-    /// treated as a legacy JSON store, which keeps the JSON format until
-    /// migrated. Only an unparsable legacy file starts cold, with the
-    /// `recovered` flag set — never an error, since a damaged cache must
-    /// cost a re-run, not a failure.
+    /// tail is torn or the index disagrees — never cold); a file that
+    /// parses as a legacy JSON store keeps the JSON format until migrated.
+    /// Anything else starts cold as an empty binary store with the
+    /// `recovered` flag set, which the next save heals — never an error,
+    /// since a damaged cache must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref().to_path_buf();
         match std::fs::read(&path) {
@@ -462,23 +463,26 @@ impl ScenarioCache {
                     index_stale,
                 }
             }
-            Ok(bytes) => {
-                let (entries, recovered) = match std::str::from_utf8(&bytes)
-                    .map_err(|_| ())
-                    .and_then(|text| parse_store(text).map_err(|_| ()))
-                {
-                    Ok(entries) => (entries, false),
-                    Err(()) => (HashMap::new(), true),
-                };
-                ScenarioCache {
+            Ok(bytes) => match std::str::from_utf8(&bytes)
+                .map_err(|_| ())
+                .and_then(|text| parse_store(text).map_err(|_| ()))
+            {
+                Ok(entries) => ScenarioCache {
                     entries,
                     path: Some(path),
-                    recovered,
-                    dirty: recovered,
                     format: StoreFormat::Json,
                     ..ScenarioCache::default()
-                }
-            }
+                },
+                // Unrecognizable (a damaged magic, an empty or unparsable
+                // file): start cold and heal into a binary store.
+                Err(()) => ScenarioCache {
+                    path: Some(path),
+                    recovered: true,
+                    dirty: true,
+                    rewrite_needed: true,
+                    ..ScenarioCache::default()
+                },
+            },
         }
     }
 
@@ -1015,10 +1019,13 @@ mod tests {
             assert!(cache.is_empty(), "{tag}: damaged store starts cold");
             assert!(cache.recovered(), "{tag}: recovery is flagged");
             assert!(cache.is_dirty(), "{tag}: recovered stores save eagerly");
-            // And saving over the damage produces a loadable store again.
+            // And saving over the damage produces a loadable binary store.
             cache.save().unwrap();
-            assert!(!ScenarioCache::open(&path).recovered(), "{tag}");
+            let healed = ScenarioCache::open(&path);
+            assert!(!healed.recovered(), "{tag}");
+            assert_eq!(healed.format(), StoreFormat::Binary, "{tag}");
             let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(index_path(&path));
         }
     }
 

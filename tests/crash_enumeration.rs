@@ -1,9 +1,10 @@
 //! Crash safety of the on-disk stores, checked by enumeration rather than
-//! by example: every truncation offset and every single-bit flip of a small
-//! binary scenario-cache store, and every truncation offset and every bit
-//! of every byte of a run journal and of a service journal. Each damaged
-//! file must open without panicking, give back exactly the records that
-//! precede the damage, and heal on the next write.
+//! by example: every truncation offset and a bit flip at every byte (every
+//! bit of the magic) of a small binary scenario-cache store, and every
+//! truncation offset and every bit of every byte of a run journal and of a
+//! service journal. Each damaged file must open without panicking, give
+//! back exactly the records that precede the damage, and heal on the next
+//! write; a damaged cache store always heals into a binary one.
 //!
 //! Journal lines carry no checksum, so a flipped bit can turn one valid
 //! record into another (`1.0` into `9.0`). For bit flips the journals are
@@ -88,15 +89,9 @@ fn reference_store(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<(usize, Fingerprint)>) 
 }
 
 /// Opens a damaged store, checks it salvaged exactly `survivors`, then
-/// checks that one save heals it and that re-inserting the lost records
-/// restores the full store.
-fn check_damaged_store(
-    path: &Path,
-    what: &str,
-    survivors: &[Fingerprint],
-    expect_recovered: bool,
-    binary: bool,
-) {
+/// checks that one save heals it into a binary store and that re-inserting
+/// the lost records restores the full store.
+fn check_damaged_store(path: &Path, what: &str, survivors: &[Fingerprint], expect_recovered: bool) {
     let all = points();
     let mut cache = ScenarioCache::open(path);
     assert_eq!(
@@ -137,9 +132,7 @@ fn check_damaged_store(
         assert_eq!(full.lookup(*fp).as_ref(), Some(p), "{what}: record {fp}");
     }
     assert!(!full.recovered() && !full.is_dirty(), "{what}: refilled");
-    if binary {
-        assert_eq!(full.format(), StoreFormat::Binary, "{what}: format");
-    }
+    assert_eq!(full.format(), StoreFormat::Binary, "{what}: format");
 }
 
 fn survivors_before(ends: &[(usize, Fingerprint)], offset: usize) -> Vec<Fingerprint> {
@@ -165,7 +158,6 @@ fn cache_store_survives_truncation_at_every_offset() {
             &format!("truncated at {cut}"),
             &survivors_before(&ends, cut),
             !on_boundary,
-            cut >= LOG_MAGIC_LEN,
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,17 +168,19 @@ fn cache_store_survives_a_bit_flip_at_every_offset() {
     let dir = scratch_dir("store-flip");
     let (log, idx, ends) = reference_store(&dir);
     let path = dir.join("damaged.bin");
-    for at in 0..log.len() {
+    // Every bit of the magic, one bit of every other byte.
+    let flips = (0..LOG_MAGIC_LEN * 8).chain((LOG_MAGIC_LEN..log.len()).map(|at| at * 8 + at % 8));
+    for bit in flips {
+        let at = bit / 8;
         let mut damaged = log.clone();
-        damaged[at] ^= 1 << (at % 8);
+        damaged[at] ^= 1 << (bit % 8);
         std::fs::write(&path, &damaged).unwrap();
         std::fs::write(index_path(&path), &idx).unwrap();
         check_damaged_store(
             &path,
-            &format!("bit flipped at {at}"),
+            &format!("bit {} flipped at {at}", bit % 8),
             &survivors_before(&ends, at),
             true,
-            at >= LOG_MAGIC_LEN,
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,7 +201,7 @@ fn cache_store_survives_a_bit_flip_anywhere_in_its_index() {
         // the index is rebuilt on the next save.
         let what = format!("index bit flipped at {at}");
         assert!(ScenarioCache::open(&path).is_dirty(), "{what}: rebuild due");
-        check_damaged_store(&path, &what, &all, false, true);
+        check_damaged_store(&path, &what, &all, false);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

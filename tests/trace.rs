@@ -96,8 +96,8 @@ fn telemetry_off_emits_zero_events_with_no_measurable_overhead() {
 
     // Generous sanity bound, not a benchmark: the disabled path is a few
     // branch checks, so it must stay within the same order of magnitude as
-    // the traced run (CI boxes are noisy; the strict numbers live in the
-    // bench-baseline job).
+    // the traced run (CI boxes are noisy; the untraced path is timed by
+    // the perfbench workloads).
     let config = UserConfig::example_openfoam();
     let mut session = Session::create(config, SEED).unwrap();
     let start = Instant::now();
