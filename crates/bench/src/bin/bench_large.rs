@@ -12,9 +12,11 @@
 //!   There is no relative gate against per-SKU shards: with tasks no longer
 //!   copying their shard's filesystem, the two schedulers differ by about
 //!   1.3x on 2 cores, too close for a machine-independent floor;
-//! * `cache_save_json_10k` / `cache_save_binary_10k` — appending 1,000
-//!   entries to a 10k-entry store and saving, whole-file JSON vs the
-//!   indexed binary log, with a built-in `>= 5x` speedup gate.
+//! * `cache_save_binary_10k` — appending 1,000 entries to a 10k-entry
+//!   binary cache store and saving.
+//!
+//! Every bench is an absolute timing, checked against the baseline with
+//! `--tolerance`; there is no relative gate.
 //!
 //! ```text
 //! bench_large --write --out BENCH_large.json   # refresh baseline
@@ -35,14 +37,9 @@ const SAMPLES: usize = 3;
 /// Entries pre-loaded into the cache-save stores.
 const STORE_ENTRIES: usize = 10_080;
 
-/// Entries appended inside the timed region of the cache-save benches.
-/// Large enough that the binary append path is well clear of timer
-/// granularity (~10ms) while the JSON whole-file rewrite still dominates
-/// its own setup.
+/// Entries appended inside the timed region of the cache-save bench,
+/// enough to keep the append path well clear of timer granularity.
 const STORE_APPENDS: usize = 1000;
-
-/// Minimum cache-save speedup of the binary log over whole-file JSON.
-const MIN_SAVE_SPEEDUP: f64 = 5.0;
 
 const USAGE: &str = "\
 bench_large — 10k-scenario timing tier for the CI bench-large job
@@ -62,8 +59,6 @@ MODES:
 OPTIONS:
     --out <file>         where to write this run's results
     --tolerance <frac>   allowed fractional regression (default 0.5)
-
-The cache-save >= 5x speedup gate always runs, in both modes.
 ";
 
 /// The 10k grid: 3 SKUs x 4 node counts x 840 mesh sizes = 10,080
@@ -169,7 +164,7 @@ fn store_entry(i: usize) -> (Fingerprint, hpcadvisor_core::dataset::DataPoint) {
 
 /// Times appending `STORE_APPENDS` entries to a 10k-entry store and
 /// saving. The store at `path` must already hold the first
-/// `STORE_ENTRIES` synthetic entries in the format under test.
+/// `STORE_ENTRIES` synthetic entries.
 fn cache_save(path: &PathBuf) -> f64 {
     let mut cache = ScenarioCache::open(path);
     assert_eq!(cache.len(), STORE_ENTRIES, "store must be pre-loaded");
@@ -182,16 +177,9 @@ fn cache_save(path: &PathBuf) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Builds a `STORE_ENTRIES`-entry store at `path`; `legacy_json` seeds it
-/// with a JSON header first so it persists in the legacy format.
-fn build_store(path: &PathBuf, legacy_json: bool) {
+/// Builds a `STORE_ENTRIES`-entry store at `path`.
+fn build_store(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
-    let mut idx = path.as_os_str().to_os_string();
-    idx.push(".idx");
-    let _ = std::fs::remove_file(PathBuf::from(idx));
-    if legacy_json {
-        std::fs::write(path, "{\"version\": 1, \"entries\": {}}").expect("seed json store");
-    }
     let mut cache = ScenarioCache::open(path);
     for i in 0..STORE_ENTRIES {
         let (fp, p) = store_entry(i);
@@ -244,51 +232,19 @@ fn run_benches() -> Vec<BenchResult> {
         sample("hot_skew_stealing", hot_skew),
     ];
 
-    let json_store = tmp.join(format!(
-        "hpcadvisor-bench-large-{}-store.json",
-        std::process::id()
-    ));
     let bin_store = tmp.join(format!(
         "hpcadvisor-bench-large-{}-store.bin",
         std::process::id()
     ));
-    results.push(sample("cache_save_json_10k", || {
-        build_store(&json_store, true);
-        cache_save(&json_store)
-    }));
     results.push(sample("cache_save_binary_10k", || {
-        build_store(&bin_store, false);
+        build_store(&bin_store);
         cache_save(&bin_store)
     }));
 
-    for path in [&cache_path, &json_store, &bin_store] {
+    for path in [&cache_path, &bin_store] {
         let _ = std::fs::remove_file(path);
-        let mut idx = path.as_os_str().to_os_string();
-        idx.push(".idx");
-        let _ = std::fs::remove_file(PathBuf::from(idx));
     }
     results
-}
-
-/// The built-in speedup gate: the acceptance criterion the tier exists to
-/// prove, so it runs in both `--write` and `--check` mode.
-fn check_speedups(results: &[BenchResult]) -> bool {
-    let get = |name: &str| {
-        results
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.median_secs)
-            .expect("bench measured")
-    };
-    let save = get("cache_save_json_10k") / get("cache_save_binary_10k");
-    println!(
-        "cache-save speedup:   {save:.2}x (binary log vs whole-file JSON, floor {MIN_SAVE_SPEEDUP:.1}x)"
-    );
-    if save < MIN_SAVE_SPEEDUP {
-        eprintln!("FAIL: binary cache save must be >= {MIN_SAVE_SPEEDUP:.1}x vs whole-file JSON");
-        return false;
-    }
-    true
 }
 
 fn to_json(results: &[BenchResult]) -> String {
@@ -336,8 +292,7 @@ fn main() {
     let mut check: Option<String> = None;
     let mut out: Option<String> = None;
     // A wide default: these grid-scale runs' medians swing ~30% from run
-    // to run on shared or single-core machines. The one machine-independent
-    // gate is the cache-save speedup floor, which divides out machine speed.
+    // to run on shared or single-core machines.
     let mut tolerance = 0.5;
     let mut i = 0;
     while i < args.len() {
@@ -396,7 +351,6 @@ fn main() {
             r.samples.len()
         );
     }
-    let speedups_ok = check_speedups(&results);
 
     let out_path = out.unwrap_or_else(|| {
         if write {
@@ -409,7 +363,7 @@ fn main() {
     std::fs::write(&out_path, to_json(&results)).expect("write results");
     println!("wrote {out_path}");
 
-    let mut failed = !speedups_ok;
+    let mut failed = false;
     if let Some(baseline_path) = check {
         let baseline = match load_baseline(&baseline_path) {
             Ok(b) => b,
@@ -424,7 +378,7 @@ fn main() {
                 failed = true;
                 continue;
             };
-            // Millisecond-scale medians (the binary-store saves, the warm
+            // Millisecond-scale medians (the binary-store save, the warm
             // run) sit inside scheduler-noise territory where a purely
             // fractional tolerance is meaningless, so the limit also gets
             // an absolute floor. A real regression on those benches is a

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::state::{DeploymentRecord, WorkDir};
 use hpcadvisor_core::advice::{Advice, AdviceSort};
-use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
+use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache, StoreFormat};
 use hpcadvisor_core::collect::CollectPlan;
 use hpcadvisor_core::collector::Collector;
 use hpcadvisor_core::deployment::DeploymentManager;
@@ -223,13 +223,16 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
             wline(out, &format!("cleared {n} cached results"))
         }
         Some("migrate") => {
+            // Open and save: a legacy JSON store is written back as the
+            // binary record log (any collect that saves does the same).
             let mut cache = ScenarioCache::open(&path);
-            if cache.migrate_to_binary() {
-                cache.save()?;
+            let legacy = cache.format() == StoreFormat::Json;
+            cache.save()?;
+            if legacy {
                 wline(
                     out,
                     &format!(
-                        "migrated {} cached results to the indexed binary store",
+                        "migrated {} cached results to the binary store",
                         cache.len()
                     ),
                 )
@@ -967,22 +970,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&alt);
     }
 
+    /// Rewrites a binary cache store as the legacy whole-file JSON store
+    /// older releases saved, walking the documented record framing
+    /// `[u32 LE len][16-byte BE fingerprint + JSON][u64 LE checksum]`.
+    fn write_legacy_store(path: &std::path::Path) {
+        let log = std::fs::read(path).unwrap();
+        let mut entries = Vec::new();
+        let mut pos = 8;
+        while pos < log.len() {
+            let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+            let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());
+            let json = std::str::from_utf8(&log[pos + 20..pos + 4 + len]).unwrap();
+            entries.push(format!("\"{fp:032x}\": {json}"));
+            pos += 12 + len;
+        }
+        let text = format!(
+            "{{\"version\": 1, \"entries\": {{{}}}}}",
+            entries.join(", ")
+        );
+        std::fs::write(path, text).unwrap();
+    }
+
     #[test]
     fn legacy_json_store_migrates_and_stays_warm() {
         let dir = tempdir("cache-migrate");
         let config = write_config(&dir);
         let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
         assert!(ok);
-
-        // Seed a legacy whole-file JSON store; collect keeps the format.
-        std::fs::create_dir_all(dir.join("cache")).unwrap();
-        std::fs::write(
-            dir.join("cache/scenario-cache.json"),
-            "{\"version\": 1, \"entries\": {}}",
-        )
-        .unwrap();
         let (out, ok) = run_in(&dir, &["collect"]);
         assert!(ok, "{out}");
+        let store = dir.join("cache/scenario-cache.json");
+
+        // A legacy whole-file JSON store that is only read stays JSON.
+        write_legacy_store(&store);
         let (out, _) = run_in(&dir, &["cache", "stats"]);
         assert!(out.contains("store format: json"), "{out}");
         assert!(out.contains("cached results: 2"), "{out}");
@@ -990,18 +1010,26 @@ mod tests {
         // Migration converts in place and stats agree across formats.
         let (out, ok) = run_in(&dir, &["cache", "migrate"]);
         assert!(ok, "{out}");
-        assert!(out.contains("migrated 2 cached results"), "{out}");
+        assert!(
+            out.contains("migrated 2 cached results to the binary store"),
+            "{out}"
+        );
         let (out, _) = run_in(&dir, &["cache", "stats"]);
         assert!(out.contains("store format: binary"), "{out}");
         assert!(out.contains("cached results: 2"), "{out}");
 
-        // The migrated store still serves a warm collect in full.
+        // A legacy store serves a warm collect in full, and that collect's
+        // save leaves it binary.
+        write_legacy_store(&store);
         let scenarios_json = dir.join("scenarios.json");
         let text = std::fs::read_to_string(&scenarios_json).unwrap();
         std::fs::write(&scenarios_json, text.replace("completed", "pending")).unwrap();
         let (out, ok) = run_in(&dir, &["collect"]);
         assert!(ok, "{out}");
         assert!(out.contains("cache: reused 2 of 2 scenarios"), "{out}");
+        let (out, _) = run_in(&dir, &["cache", "stats"]);
+        assert!(out.contains("store format: binary"), "{out}");
+        assert!(out.contains("cached results: 2"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

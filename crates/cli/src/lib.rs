@@ -59,8 +59,9 @@ COMMANDS:
                                      are served from the scenario cache)
     cache stats                      show the scenario-result cache
     cache clear                      drop all cached scenario results
-    cache migrate                    convert a legacy JSON cache store to
-                                     the indexed binary record log
+    cache migrate                    rewrite a legacy JSON cache store as
+                                     the binary record log (a collect's
+                                     first save does the same)
     plot [-f <filter>] [--ascii]     generate the four plots (+ Pareto)
     advice [-f <filter>] [--sort time|cost] [--slurm]
                                      print the Pareto-front advice table

@@ -28,18 +28,21 @@
 //! hit (see [`rehydrate_point`]). This is what lets a widened grid (which
 //! shifts scenario ids) still reuse every already-known point.
 //!
-//! Persistence is an **indexed binary record log** under the CLI work
-//! directory's `cache/` folder: a length-prefixed, checksummed append-only
-//! log of `(fingerprint, point)` records plus a sibling
-//! fingerprint → offset index (`<store>.idx`). Saving appends only the
-//! records added since the last save — O(new entries), not O(store) — and
-//! compacts via atomic segment rotation (write-temp-then-rename, log
-//! before index) once superseded records outnumber live ones. Legacy
-//! whole-file JSON stores are read transparently and keep saving as JSON
-//! until converted with `cache migrate`. A torn log tail or damaged index
-//! salvages every intact record and rebuilds on the next save — never a
-//! cold run; only an unrecognizable store (no magic, unparsable JSON)
-//! degrades to cold instead of erroring.
+//! Persistence is a **binary record log**, one file under the CLI work
+//! directory's `cache/` folder: a magic header, then length-prefixed,
+//! checksummed `(fingerprint, point)` records. The store keeps the log's
+//! bytes in memory, not decoded points: opening a store frames the records
+//! and checks their checksums but decodes nothing, and a lookup decodes
+//! only the record it returns. Saving appends only the records added since
+//! the last save — O(new entries), not O(store) — and compacts via atomic
+//! segment rotation (write-temp-then-rename) once superseded records
+//! outnumber live ones. Legacy whole-file JSON stores are read
+//! transparently and written back as a binary log by their first save. A
+//! torn log tail salvages every intact record and is cut on the next save
+//! — never a cold run; a record whose checksum holds but whose point does
+//! not decode is a miss, superseded when the scenario re-runs; only an
+//! unrecognizable store (no magic, unparsable JSON) degrades to cold
+//! instead of erroring.
 //!
 //! Concurrency: fingerprinting and lookup happen once, up front, on the
 //! coordinating thread; shard workers only ever see the miss list and
@@ -63,20 +66,15 @@ const STORE_VERSION: i64 = 1;
 /// Magic prefix of a binary record log (8 bytes, version in the tail).
 const LOG_MAGIC: &[u8; 8] = b"HPCAV001";
 
-/// Magic prefix of the sidecar fingerprint → offset index.
-const IDX_MAGIC: &[u8; 8] = b"HPCAIDX1";
-
-/// Fixed byte size of one index record: 16-byte fingerprint + u64 offset.
-const IDX_RECORD: usize = 24;
-
 /// On-disk format of a persistent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
-    /// Length-prefixed binary record log with a sidecar index (default for
-    /// new stores).
+    /// Length-prefixed binary record log, one file (what every save
+    /// writes).
     #[default]
     Binary,
-    /// Legacy whole-file pretty-printed JSON (rewritten in full per save).
+    /// Legacy whole-file pretty-printed JSON, read on open and rewritten
+    /// as a binary log by the next save.
     Json,
 }
 
@@ -90,115 +88,119 @@ impl StoreFormat {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
 /// FNV-1a-64 over a record payload — the per-record checksum that catches
 /// torn or bit-rotted log writes.
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+    fnv64_from(FNV_OFFSET, bytes)
+}
+
+fn fnv64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// [`fnv64`] of four payloads at once. Each checksum is one serial chain
+/// of multiplies; four independent chains side by side keep the
+/// multiplier busy, about twice the throughput of one chain at a time.
+fn fnv64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
+    let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
+    let mut h = [FNV_OFFSET; 4];
+    for i in 0..common {
+        for (h, p) in h.iter_mut().zip(&parts) {
+            *h = (*h ^ u64::from(p[i])).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (h, p) in h.iter_mut().zip(&parts) {
+        *h = fnv64_from(*h, &p[common..]);
     }
     h
 }
 
-/// Sidecar index path: the store path with `.idx` appended (not swapped,
-/// so `scenario-cache.bin` and a migrated `scenario-cache.json` cannot
-/// collide on one index name).
-fn index_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".idx");
-    PathBuf::from(os)
-}
-
 /// Appends one log record: `[u32 LE payload len][payload][u64 LE FNV-1a]`
-/// where the payload is the 16-byte big-endian fingerprint followed by the
-/// point's compact JSON. `json` is scratch space, reused across records.
-fn encode_record(buf: &mut Vec<u8>, json: &mut String, fp: u128, point: &DataPoint) {
-    json.clear();
-    point.write_json(json::Slot::compact(json));
-    buf.extend_from_slice(&((16 + json.len()) as u32).to_le_bytes());
-    let payload = buf.len();
-    buf.extend_from_slice(&fp.to_be_bytes());
-    buf.extend_from_slice(json.as_bytes());
-    let sum = fnv64(&buf[payload..]);
-    buf.extend_from_slice(&sum.to_le_bytes());
+/// where the payload is the 16-byte big-endian fingerprint followed by a
+/// point's compact JSON.
+fn push_record(log: &mut Vec<u8>, fp: u128, json: &[u8]) {
+    log.extend_from_slice(&((16 + json.len()) as u32).to_le_bytes());
+    let payload = log.len();
+    log.extend_from_slice(&fp.to_be_bytes());
+    log.extend_from_slice(json);
+    let sum = fnv64(&log[payload..]);
+    log.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// What a binary-log scan recovered.
+/// The whole record starting at `off` in an already framed log.
+fn record(log: &[u8], off: usize) -> &[u8] {
+    let len = u32::from_le_bytes(log[off..off + 4].try_into().expect("4 bytes")) as usize;
+    &log[off..off + 12 + len]
+}
+
+/// The point JSON of the record starting at `off`.
+fn record_json(log: &[u8], off: usize) -> &[u8] {
+    let rec = record(log, off);
+    &rec[20..rec.len() - 8]
+}
+
+/// What a binary-log scan found.
 struct LogScan {
-    entries: HashMap<u128, DataPoint>,
-    /// Log offset of each live fingerprint's (last) record.
-    offsets: HashMap<u128, u64>,
+    /// Log offset of each fingerprint's last record.
+    offsets: HashMap<u128, usize>,
     /// Byte length of the valid log prefix.
-    valid_len: u64,
-    /// True when trailing bytes after the valid prefix had to be dropped
-    /// (torn final write, or mid-log corruption truncating the scan).
-    torn: bool,
+    valid_len: usize,
     /// Superseded records encountered (same fingerprint written twice).
     dead: usize,
 }
 
-/// Walks a binary log, salvaging every intact record. Stops at the first
-/// record that fails its length, checksum, or JSON decode — everything
-/// before it is kept.
+/// Walks a binary log up to the first record whose length does not fit
+/// or whose checksum fails; everything before it is kept. No record is
+/// decoded.
 fn scan_log(bytes: &[u8]) -> LogScan {
-    let mut entries = HashMap::new();
-    let mut offsets = HashMap::new();
-    let mut dead = 0usize;
+    // Frame first: the (start, end) of each record whose length fits.
+    let mut records = Vec::new();
     let mut pos = LOG_MAGIC.len();
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(sum_bytes) = bytes.get(pos + 4 + len..pos + 12 + len) else {
-            break;
-        };
-        let sum = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if len < 16 || fnv64(payload) != sum {
+    while let Some(len) = bytes.get(pos..pos + 4) {
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        if len < 16 || bytes.len() - pos < 12 + len {
             break;
         }
-        let fp = u128::from_be_bytes(payload[..16].try_into().expect("16 bytes"));
-        let Ok(text) = std::str::from_utf8(&payload[16..]) else {
-            break;
-        };
-        let Ok(point) = DataPoint::from_json(text) else {
-            break;
-        };
-        if entries.insert(fp, point).is_some() {
-            dead += 1;
-        }
-        offsets.insert(fp, pos as u64);
+        records.push((pos, pos + 12 + len));
         pos += 12 + len;
     }
+    // Then check the checksums, four records at a time.
+    let payload = |&(start, end): &(usize, usize)| &bytes[start + 4..end - 8];
+    let stored = |&(_, end): &(usize, usize)| {
+        u64::from_le_bytes(bytes[end - 8..end].try_into().expect("8 bytes"))
+    };
+    let mut intact = 0;
+    'check: for group in records.chunks(4) {
+        let sums = match <&[_; 4]>::try_from(group) {
+            Ok(four) => fnv64_x4(four.each_ref().map(payload)),
+            Err(_) => std::array::from_fn(|i| group.get(i).map_or(0, |r| fnv64(payload(r)))),
+        };
+        for (record, sum) in group.iter().zip(sums) {
+            if sum != stored(record) {
+                break 'check;
+            }
+            intact += 1;
+        }
+    }
+    records.truncate(intact);
+    let mut offsets = HashMap::with_capacity(records.len());
+    let mut dead = 0usize;
+    for &(start, _) in &records {
+        let fp = u128::from_be_bytes(bytes[start + 4..start + 20].try_into().expect("16 bytes"));
+        if offsets.insert(fp, start).is_some() {
+            dead += 1;
+        }
+    }
     LogScan {
-        entries,
         offsets,
-        valid_len: pos as u64,
-        torn: pos != bytes.len(),
+        valid_len: records.last().map_or(LOG_MAGIC.len(), |&(_, end)| end),
         dead,
     }
-}
-
-/// Reads the sidecar index and reports whether it exactly matches the
-/// offsets the log scan recovered. A missing, damaged, or stale index is
-/// never fatal — the log is the source of truth — it just schedules an
-/// index rebuild on the next save.
-fn index_matches(path: &Path, offsets: &HashMap<u128, u64>) -> bool {
-    let Ok(bytes) = std::fs::read(path) else {
-        return offsets.is_empty();
-    };
-    if !bytes.starts_with(IDX_MAGIC) || !(bytes.len() - IDX_MAGIC.len()).is_multiple_of(IDX_RECORD)
-    {
-        return false;
-    }
-    let records = &bytes[IDX_MAGIC.len()..];
-    let mut seen: HashMap<u128, u64> = HashMap::with_capacity(records.len() / IDX_RECORD);
-    for rec in records.chunks_exact(IDX_RECORD) {
-        let fp = u128::from_be_bytes(rec[..16].try_into().expect("16 bytes"));
-        let off = u64::from_le_bytes(rec[16..].try_into().expect("8 bytes"));
-        seen.insert(fp, off);
-    }
-    seen == *offsets
 }
 
 /// How a collection run uses the scenario cache.
@@ -361,8 +363,14 @@ pub fn rehydrate_point(
     deployment: &str,
 ) -> DataPoint {
     point.scenario_id = scenario.id;
-    point.tags = tags.to_vec();
-    point.deployment = deployment.to_string();
+    // A point stored by the same deployment already carries these values;
+    // only a differing one is replaced, so a warm rerun copies nothing.
+    if point.tags != tags {
+        point.tags = tags.to_vec();
+    }
+    if point.deployment != deployment {
+        point.deployment = deployment.to_string();
+    }
     point
 }
 
@@ -382,41 +390,51 @@ pub struct CacheStoreStats {
 
 /// The content-addressed scenario-result store.
 ///
-/// In-memory by default; [`ScenarioCache::open`] binds it to a file.
-/// New stores persist as an indexed binary record log
-/// ([`StoreFormat::Binary`]): [`ScenarioCache::save`] appends only the
-/// records added since the last save and rotates the segment atomically
-/// (temp-then-rename, log before index) when compaction is due. Stores
-/// holding legacy JSON keep the JSON whole-file format until
-/// [`ScenarioCache::migrate_to_binary`] converts them in place.
-#[derive(Debug, Default)]
+/// In-memory by default; [`ScenarioCache::open`] binds it to a file, a
+/// binary record log ([`StoreFormat::Binary`]). The store holds that log's
+/// bytes rather than decoded points: `log` is the file's valid prefix
+/// followed by the records inserted since the last save, and `offsets`
+/// points every live fingerprint at its latest record. A lookup decodes
+/// the one record it returns. [`ScenarioCache::save`] appends the unsaved
+/// records, or rotates the whole segment atomically (temp-then-rename)
+/// when compaction is due; after every save the log mirrors the file.
+#[derive(Default)]
 pub struct ScenarioCache {
-    entries: HashMap<u128, DataPoint>,
+    /// The record log: the file's valid prefix, then unsaved records.
+    log: Vec<u8>,
+    /// Log offset of every live fingerprint's latest record.
+    offsets: HashMap<u128, usize>,
+    /// Length of the log prefix that is on disk.
+    saved: usize,
     path: Option<PathBuf>,
     recovered: bool,
-    /// True when the in-memory entries differ from the backing file:
-    /// [`ScenarioCache::save`] skips the rewrite entirely when clean, so a
+    /// True when the in-memory log differs from the backing file:
+    /// [`ScenarioCache::save`] skips the write entirely when clean, so a
     /// warm all-hits run never touches the store. Recovered opens start
     /// dirty — the next save heals the damaged file.
     dirty: bool,
     format: StoreFormat,
-    /// Binary mode: log offset of every live fingerprint's record.
-    offsets: HashMap<u128, u64>,
-    /// Binary mode: byte length of the valid log prefix on disk.
-    valid_len: u64,
-    /// Binary mode: fingerprints inserted or changed since the last save —
-    /// the records the next save appends.
+    /// Fingerprints inserted or changed since the last save — the records
+    /// the next append writes.
     pending: Vec<u128>,
-    /// Binary mode: superseded records in the on-disk log. Once they
-    /// outnumber live entries, the next save compacts instead of appending.
+    /// Superseded records in the on-disk log. Once they outnumber live
+    /// entries, the next save compacts instead of appending.
     dead: usize,
-    /// Binary mode: the next save must rewrite the whole segment (fresh
-    /// or unrecognizable store, salvaged tail, clear, migration, or
-    /// compaction due).
+    /// The next save must rewrite the whole segment (fresh, legacy or
+    /// unrecognizable store, salvaged tail, clear, or compaction due).
     rewrite_needed: bool,
-    /// Binary mode: the sidecar index disagreed with the log (or was
-    /// missing); the next save rebuilds it even without new entries.
-    index_stale: bool,
+}
+
+impl fmt::Debug for ScenarioCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScenarioCache")
+            .field("entries", &self.offsets.len())
+            .field("log_bytes", &self.log.len())
+            .field("path", &self.path)
+            .field("format", &self.format)
+            .field("dirty", &self.dirty)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ScenarioCache {
@@ -428,72 +446,77 @@ impl ScenarioCache {
 
     /// Opens a file-backed cache, sniffing the on-disk format. A missing
     /// file starts an empty binary store; a file opening with the binary
-    /// magic loads the record log (salvaging every intact record if the
-    /// tail is torn or the index disagrees — never cold); a file that
-    /// parses as a legacy JSON store keeps the JSON format until migrated.
-    /// Anything else starts cold as an empty binary store with the
-    /// `recovered` flag set, which the next save heals — never an error,
-    /// since a damaged cache must cost a re-run, not a failure.
+    /// magic is read whole and its records framed and checksummed, but not
+    /// decoded (a torn tail is dropped and every intact record salvaged —
+    /// never cold); a file that parses as a legacy JSON store is encoded
+    /// into a log and saved as binary on the next save. Anything else
+    /// starts cold as an empty binary store with the `recovered` flag set,
+    /// which the next save heals — never an error, since a damaged cache
+    /// must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
-        match std::fs::read(&path) {
+        let path = Some(path.as_ref().to_path_buf());
+        let Ok(mut bytes) = std::fs::read(path.as_deref().expect("a path")) else {
             // Missing file: a fresh binary store.
-            Err(_) => ScenarioCache {
-                path: Some(path),
+            return ScenarioCache {
+                path,
                 rewrite_needed: true,
                 ..ScenarioCache::default()
-            },
-            Ok(bytes) if bytes.starts_with(LOG_MAGIC) => {
-                let scan = scan_log(&bytes);
-                let index_stale = scan.torn || !index_matches(&index_path(&path), &scan.offsets);
-                let dead_heavy = scan.dead > scan.entries.len();
-                ScenarioCache {
-                    entries: scan.entries,
-                    path: Some(path),
-                    recovered: scan.torn,
-                    // A torn tail, stale index, or dead-heavy log heals on
-                    // the next save even without new inserts.
-                    dirty: scan.torn || index_stale || dead_heavy,
-                    format: StoreFormat::Binary,
-                    offsets: scan.offsets,
-                    valid_len: scan.valid_len,
-                    pending: Vec::new(),
-                    dead: scan.dead,
-                    rewrite_needed: scan.torn || dead_heavy,
-                    index_stale,
+            };
+        };
+        if bytes.starts_with(LOG_MAGIC) {
+            let scan = scan_log(&bytes);
+            let torn = scan.valid_len != bytes.len();
+            let dead_heavy = scan.dead > scan.offsets.len();
+            bytes.truncate(scan.valid_len);
+            return ScenarioCache {
+                log: bytes,
+                offsets: scan.offsets,
+                saved: scan.valid_len,
+                path,
+                recovered: torn,
+                // A torn tail or a dead-heavy log heals on the next save
+                // even without new inserts.
+                dirty: torn || dead_heavy,
+                format: StoreFormat::Binary,
+                pending: Vec::new(),
+                dead: scan.dead,
+                rewrite_needed: torn || dead_heavy,
+            };
+        }
+        let legacy = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| parse_store(text).ok());
+        let mut cache = ScenarioCache {
+            path,
+            dirty: true,
+            rewrite_needed: true,
+            ..ScenarioCache::default()
+        };
+        match legacy {
+            Some(entries) => {
+                cache.format = StoreFormat::Json;
+                let mut json = String::new();
+                for (fp, point) in entries {
+                    json.clear();
+                    point.write_json(json::Slot::compact(&mut json));
+                    cache.append(fp, json.as_bytes());
                 }
             }
-            Ok(bytes) => match std::str::from_utf8(&bytes)
-                .map_err(|_| ())
-                .and_then(|text| parse_store(text).map_err(|_| ()))
-            {
-                Ok(entries) => ScenarioCache {
-                    entries,
-                    path: Some(path),
-                    format: StoreFormat::Json,
-                    ..ScenarioCache::default()
-                },
-                // Unrecognizable (a damaged magic, an empty or unparsable
-                // file): start cold and heal into a binary store.
-                Err(()) => ScenarioCache {
-                    path: Some(path),
-                    recovered: true,
-                    dirty: true,
-                    rewrite_needed: true,
-                    ..ScenarioCache::default()
-                },
-            },
+            // Unrecognizable (a damaged magic, an empty or unparsable
+            // file): start cold and heal into a binary store.
+            None => cache.recovered = true,
         }
+        cache
     }
 
     /// Number of cached points.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.offsets.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.offsets.is_empty()
     }
 
     /// The backing file, if any.
@@ -507,7 +530,7 @@ impl ScenarioCache {
         self.recovered
     }
 
-    /// On-disk format the store persists as.
+    /// On-disk format of the backing file as last read or written.
     pub fn format(&self) -> StoreFormat {
         self.format
     }
@@ -515,86 +538,85 @@ impl ScenarioCache {
     /// Store summary for status displays.
     pub fn stats(&self) -> CacheStoreStats {
         CacheStoreStats {
-            entries: self.entries.len(),
+            entries: self.offsets.len(),
             path: self.path.clone(),
             recovered: self.recovered,
             format: self.format,
         }
     }
 
-    /// Looks a fingerprint up, returning a clone of the stored point.
+    /// Looks a fingerprint up, decoding its record into a fresh point. A
+    /// record whose checksum held but whose point does not decode is a
+    /// miss: the scenario re-runs and its insert supersedes the record.
     pub fn lookup(&self, fp: Fingerprint) -> Option<DataPoint> {
-        self.entries.get(&fp.0).cloned()
+        let &off = self.offsets.get(&fp.0)?;
+        let text = std::str::from_utf8(record_json(&self.log, off)).ok()?;
+        DataPoint::from_json(text).ok()
     }
 
-    /// Stores a finished point. Only completed points are cacheable —
-    /// failures may be transient (injected faults, quota) and must re-run.
-    /// Points with a non-finite float are refused too: they have no JSON
-    /// form, and one such record would end the log scan on the next open.
-    /// A point identical to the stored one is a no-op that leaves the
-    /// store clean, so redundant inserts never force a file rewrite.
-    /// Returns whether the store changed.
+    /// Stores a finished point, encoding it into the log once. Only
+    /// completed points are cacheable — failures may be transient (injected
+    /// faults, quota) and must re-run. Points with a non-finite float are
+    /// refused too: they have no JSON form. A point that encodes to the
+    /// stored record's bytes is a no-op that leaves the store clean, so
+    /// redundant inserts never force a file write. Returns whether the
+    /// store changed.
     pub fn insert(&mut self, fp: Fingerprint, point: &DataPoint) -> bool {
         if point.status != ScenarioStatus::Completed || !point.is_finite() {
             return false;
         }
-        if self.entries.get(&fp.0) == Some(point) {
+        let mut json = String::new();
+        point.write_json(json::Slot::compact(&mut json));
+        let old = self.offsets.get(&fp.0).copied();
+        if old.is_some_and(|off| record_json(&self.log, off) == json.as_bytes()) {
             return false;
         }
-        if self.entries.insert(fp.0, point.clone()).is_some() && self.offsets.contains_key(&fp.0) {
+        if old.is_some_and(|off| off < self.saved) {
             // Superseding an on-disk record leaves it dead in the log; the
             // appended replacement wins on load (last record per key).
             self.dead += 1;
         }
-        self.pending.push(fp.0);
-        if self.dead > self.entries.len() {
+        self.append(fp.0, json.as_bytes());
+        if self.dead > self.offsets.len() {
             self.rewrite_needed = true;
         }
         self.dirty = true;
         true
+    }
+
+    /// Appends an unsaved record and points its fingerprint at it.
+    fn append(&mut self, fp: u128, json: &[u8]) {
+        self.offsets.insert(fp, self.log.len());
+        push_record(&mut self.log, fp, json);
+        self.pending.push(fp);
     }
 
     /// Drops every entry (the CLI's `cache clear`). The backing file is
     /// rewritten empty on the next [`ScenarioCache::save`].
     pub fn clear(&mut self) {
-        if !self.entries.is_empty() {
+        if !self.offsets.is_empty() {
             self.dirty = true;
             self.rewrite_needed = true;
         }
-        self.entries.clear();
+        self.offsets.clear();
         self.pending.clear();
+        self.log.truncate(self.saved);
     }
 
-    /// Converts a legacy JSON store to the indexed binary format in place
-    /// (the CLI's `cache migrate`): the same path re-persists as a binary
-    /// record log on the next [`ScenarioCache::save`], plus the sidecar
-    /// index. Returns `false` (and changes nothing) when the store is
-    /// already binary or purely in-memory.
-    pub fn migrate_to_binary(&mut self) -> bool {
-        if self.format == StoreFormat::Binary || self.path.is_none() {
-            return false;
-        }
-        self.format = StoreFormat::Binary;
-        self.rewrite_needed = true;
-        self.dirty = true;
-        true
-    }
-
-    /// True when the in-memory entries differ from the backing file.
+    /// True when the in-memory log differs from the backing file.
     pub fn is_dirty(&self) -> bool {
         self.dirty
     }
 
     /// Writes the store to its backing file (no-op for in-memory caches
-    /// and for clean stores — an all-hits warm run rewrites nothing).
+    /// and for clean stores — an all-hits warm run writes nothing).
     ///
-    /// Binary stores append only the records inserted since the last save
+    /// A save appends only the records inserted since the last save
     /// (O(new entries)); a full segment rotation happens only on the first
-    /// save, after `clear`/`migrate`, or when dead records outnumber live
-    /// ones. Rotations and legacy-JSON saves go to a sibling temp file
+    /// save, after `clear`, for a legacy or damaged store, or when dead
+    /// records outnumber live ones. Rotations go to a sibling temp file
     /// first and rename into place, so a crash mid-save leaves the old
-    /// cache intact; the record log is always renamed before the index, so
-    /// a crash between the two is caught as an index mismatch on reopen.
+    /// cache intact.
     pub fn save(&mut self) -> Result<(), ToolError> {
         let Some(path) = self.path.clone() else {
             return Ok(());
@@ -605,130 +627,84 @@ impl ScenarioCache {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        match self.format {
-            StoreFormat::Json => self.save_json(&path)?,
-            StoreFormat::Binary => {
-                if self.rewrite_needed || !path.exists() {
-                    self.rotate_segment(&path)?;
-                } else {
-                    self.append_segment(&path)?;
-                }
-            }
+        if self.rewrite_needed || !path.exists() {
+            self.rotate_segment(&path)?;
+        } else {
+            self.append_segment(&path)?;
         }
         self.dirty = false;
         Ok(())
     }
 
-    fn save_json(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut keys: Vec<&u128> = self.entries.keys().collect();
-        keys.sort_unstable();
-        let mut text = String::new();
-        let mut doc = json::Slot::pretty(&mut text).object();
-        doc.key("version").int(STORE_VERSION);
-        let mut entries = doc.key("entries").object();
-        for k in keys {
-            self.entries[k].write_json(entries.key(&Fingerprint(*k).to_hex()));
-        }
-        entries.end();
-        doc.end();
-        text.push('\n');
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Full rewrite: fresh log with one record per live entry in
-    /// fingerprint order, then a fresh index. The log renames first —
-    /// it is the source of truth and a crash before the index rename
-    /// leaves a mismatched index, which reopen detects and rebuilds.
+    /// Full rewrite: a fresh log with one record per live entry in
+    /// fingerprint order. The sidecar index older builds kept next to the
+    /// log (`<store>.idx`) is removed, since nothing reads it any more.
     fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut keys: Vec<u128> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let mut log = Vec::with_capacity(LOG_MAGIC.len() + self.entries.len() * 128);
+        let mut live: Vec<(u128, usize)> =
+            self.offsets.iter().map(|(&fp, &off)| (fp, off)).collect();
+        live.sort_unstable();
+        let mut log = Vec::with_capacity(self.log.len());
         log.extend_from_slice(LOG_MAGIC);
-        self.offsets.clear();
-        let mut json = String::new();
-        for fp in &keys {
-            self.offsets.insert(*fp, log.len() as u64);
-            encode_record(&mut log, &mut json, *fp, &self.entries[fp]);
+        for (_, off) in &mut live {
+            let rec = record(&self.log, *off);
+            *off = log.len();
+            log.extend_from_slice(rec);
         }
         let tmp = path.with_extension("bin.tmp");
         std::fs::write(&tmp, &log)?;
         std::fs::rename(&tmp, path)?;
-        self.write_index(path, &keys)?;
-        self.valid_len = log.len() as u64;
+        let mut stale_index = path.as_os_str().to_os_string();
+        stale_index.push(".idx");
+        let _ = std::fs::remove_file(stale_index);
+        self.offsets = live.into_iter().collect();
+        self.saved = log.len();
+        self.log = log;
         self.dead = 0;
         self.pending.clear();
         self.rewrite_needed = false;
-        self.index_stale = false;
         self.recovered = false;
+        self.format = StoreFormat::Binary;
         Ok(())
     }
 
-    /// Incremental save: append one record per pending insert to the log
-    /// (after truncating any torn tail past `valid_len`), then extend the
-    /// index with the matching offsets.
+    /// Incremental save: the unsaved records, deduplicated and in
+    /// fingerprint order, are appended to the file (after truncating it to
+    /// the valid prefix) and replace the log's unsaved tail.
     fn append_segment(&mut self, path: &Path) -> Result<(), ToolError> {
         let mut fresh: Vec<u128> = std::mem::take(&mut self.pending);
         fresh.sort_unstable();
         fresh.dedup();
-        let mut log = Vec::new();
-        let mut json = String::new();
-        let mut appended = Vec::with_capacity(fresh.len());
-        for fp in fresh {
-            let Some(point) = self.entries.get(&fp) else {
-                continue; // inserted then cleared before a rotation; skip
-            };
-            self.offsets.insert(fp, self.valid_len + log.len() as u64);
-            encode_record(&mut log, &mut json, fp, point);
-            appended.push(fp);
+        let mut tail = Vec::with_capacity(self.log.len() - self.saved);
+        let mut moved = Vec::with_capacity(fresh.len());
+        for &fp in &fresh {
+            let off = self.offsets[&fp];
+            moved.push((fp, self.saved + tail.len()));
+            tail.extend_from_slice(record(&self.log, off));
         }
-        if !log.is_empty() {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-            // Truncate any torn tail past the salvage point before appending.
-            file.set_len(self.valid_len)?;
-            file.seek(SeekFrom::End(0))?;
-            file.write_all(&log)?;
-            file.flush()?;
-            self.valid_len += log.len() as u64;
+        if let Err(e) = write_at(path, self.saved, &tail) {
+            self.pending = fresh;
+            return Err(e.into());
         }
-        if self.index_stale {
-            let mut keys: Vec<u128> = self.offsets.keys().copied().collect();
-            keys.sort_unstable();
-            self.write_index(path, &keys)?;
-            self.index_stale = false;
-        } else if !appended.is_empty() {
-            use std::io::Write;
-            let mut buf = Vec::with_capacity(appended.len() * IDX_RECORD);
-            for fp in &appended {
-                buf.extend_from_slice(&fp.to_be_bytes());
-                buf.extend_from_slice(&self.offsets[fp].to_le_bytes());
-            }
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(index_path(path))?;
-            file.write_all(&buf)?;
-            file.flush()?;
-        }
+        self.offsets.extend(moved);
+        self.log.truncate(self.saved);
+        self.log.extend_from_slice(&tail);
+        self.saved = self.log.len();
         Ok(())
     }
+}
 
-    /// Rewrites the sidecar index from scratch (tmp + rename).
-    fn write_index(&self, path: &Path, keys: &[u128]) -> Result<(), ToolError> {
-        let mut idx = Vec::with_capacity(IDX_MAGIC.len() + keys.len() * IDX_RECORD);
-        idx.extend_from_slice(IDX_MAGIC);
-        for fp in keys {
-            idx.extend_from_slice(&fp.to_be_bytes());
-            idx.extend_from_slice(&self.offsets[fp].to_le_bytes());
-        }
-        let idx_file = index_path(path);
-        let tmp = idx_file.with_extension("idx.tmp");
-        std::fs::write(&tmp, &idx)?;
-        std::fs::rename(&tmp, &idx_file)?;
-        Ok(())
+/// Cuts the file at `len` (dropping any torn tail past the salvage point)
+/// and appends `bytes` there.
+fn write_at(path: &Path, len: usize, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::{Seek, SeekFrom, Write};
+    if bytes.is_empty() {
+        return Ok(());
     }
+    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(len as u64)?;
+    file.seek(SeekFrom::End(0))?;
+    file.write_all(bytes)?;
+    file.flush()
 }
 
 /// A scenario cache shared by many sessions — the daemon's cross-tenant
@@ -1025,7 +1001,6 @@ mod tests {
             assert!(!healed.recovered(), "{tag}");
             assert_eq!(healed.format(), StoreFormat::Binary, "{tag}");
             let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(index_path(&path));
         }
     }
 
@@ -1087,10 +1062,13 @@ mod tests {
     }
 
     #[test]
-    fn new_stores_are_binary_with_a_sidecar_index() {
+    fn new_stores_are_one_binary_file() {
         let path = tempfile("binary-fresh");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
+        // A sidecar index an older build left behind goes with the first
+        // rewrite.
+        let stale_index = path.with_extension("json.idx");
+        std::fs::write(&stale_index, b"HPCAIDX1").unwrap();
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
         assert_eq!(cache.format(), StoreFormat::Binary);
@@ -1110,10 +1088,8 @@ mod tests {
         cache.save().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert!(bytes.starts_with(LOG_MAGIC), "log leads with the magic");
-        let idx = std::fs::read(index_path(&path)).unwrap();
-        assert!(idx.starts_with(IDX_MAGIC), "index leads with the magic");
-        assert_eq!((idx.len() - IDX_MAGIC.len()) % IDX_RECORD, 0);
-        assert_eq!((idx.len() - IDX_MAGIC.len()) / IDX_RECORD, 3);
+        assert_eq!(cache.log, bytes, "after a save the log mirrors the file");
+        assert!(!stale_index.exists(), "the stale index is removed");
 
         let warm = ScenarioCache::open(&path);
         assert_eq!(warm.len(), 3);
@@ -1121,14 +1097,12 @@ mod tests {
         assert!(!warm.is_dirty(), "clean binary open stays clean");
         assert_eq!(warm.stats().format, StoreFormat::Binary);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn binary_saves_append_instead_of_rewriting() {
         let path = tempfile("binary-append");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
         let s1 = scenario(1, "Standard_HB120rs_v3", 2);
@@ -1148,20 +1122,19 @@ mod tests {
             &before[..],
             "old log bytes untouched"
         );
+        assert_eq!(cache.log, after, "after a save the log mirrors the file");
 
         let warm = ScenarioCache::open(&path);
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.lookup(fpr.scenario(&s2)), Some(p2));
-        assert!(!warm.is_dirty(), "appended index matches the log");
+        assert!(!warm.is_dirty(), "an appended log opens clean");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn torn_log_tail_salvages_intact_records() {
         let path = tempfile("binary-torn");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
         let mut fps = Vec::new();
@@ -1200,57 +1173,12 @@ mod tests {
         assert_eq!(healed.len(), 2);
         assert!(!healed.recovered() && !healed.is_dirty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-    }
-
-    #[test]
-    fn damaged_or_missing_index_rebuilds_from_the_log() {
-        let path = tempfile("binary-idx");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
-        let s = scenario(1, "Standard_HB120rs_v3", 2);
-        let p = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
-        let fp = fpr.scenario(&s);
-        let mut cache = ScenarioCache::open(&path);
-        cache.insert(fp, &p);
-        cache.save().unwrap();
-
-        for damage in ["missing", "garbage", "stale"] {
-            match damage {
-                "missing" => {
-                    let _ = std::fs::remove_file(index_path(&path));
-                }
-                "garbage" => std::fs::write(index_path(&path), b"not an index").unwrap(),
-                _ => {
-                    // Valid framing, wrong offset.
-                    let mut idx = Vec::new();
-                    idx.extend_from_slice(IDX_MAGIC);
-                    idx.extend_from_slice(&fp.0.to_be_bytes());
-                    idx.extend_from_slice(&999u64.to_le_bytes());
-                    std::fs::write(index_path(&path), &idx).unwrap();
-                }
-            }
-            let mut opened = ScenarioCache::open(&path);
-            assert_eq!(opened.len(), 1, "{damage}: the log is the truth");
-            assert!(!opened.recovered(), "{damage}: no data was lost");
-            assert!(
-                opened.is_dirty(),
-                "{damage}: the index rebuild is scheduled"
-            );
-            assert_eq!(opened.lookup(fp), Some(p.clone()), "{damage}");
-            opened.save().unwrap();
-            assert!(!ScenarioCache::open(&path).is_dirty(), "{damage}: rebuilt");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn dead_heavy_logs_compact_on_save() {
         let path = tempfile("binary-compact");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let s = scenario(1, "Standard_HB120rs_v3", 2);
         let fp = fpr.scenario(&s);
@@ -1262,7 +1190,7 @@ mod tests {
         for round in 0..3u32 {
             last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
             last.exec_time_secs += f64::from(round);
-            encode_record(&mut log, &mut String::new(), fp.0, &last);
+            encode_record(&mut log, fp.0, &last);
         }
         std::fs::write(&path, &log).unwrap();
 
@@ -1281,14 +1209,12 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         assert!(!reopened.is_dirty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
-    fn legacy_json_reads_and_migrates_byte_identically() {
+    fn legacy_json_opens_warm_and_saves_binary() {
         let path = tempfile("legacy-migrate");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut fps = Vec::new();
         // Hand-write a legacy JSON store, the format older releases saved.
@@ -1311,37 +1237,71 @@ mod tests {
         let mut doc = OrderedMap::new();
         doc.insert("version", Value::Int(STORE_VERSION));
         doc.insert("entries", Value::Map(entries));
-        std::fs::write(&path, json::to_string_pretty(&Value::Map(doc))).unwrap();
+        let legacy = json::to_string_pretty(&Value::Map(doc));
+        std::fs::write(&path, &legacy).unwrap();
 
-        // Transparent read: the store opens as JSON and keeps saving JSON.
-        let mut cache = ScenarioCache::open(&path);
+        // Transparent read: the store opens warm, and a store that is only
+        // read stays JSON on disk.
+        let cache = ScenarioCache::open(&path);
         assert_eq!(cache.format(), StoreFormat::Json);
         assert_eq!(cache.len(), 3);
         assert!(!cache.recovered());
+        assert!(cache.is_dirty(), "the conversion is due on the next save");
+        for (fp, p) in &fps {
+            assert_eq!(cache.lookup(*fp), Some(p.clone()));
+        }
+        drop(cache);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy);
+
+        // The first save writes binary; every point survives bit-for-bit.
+        let mut cache = ScenarioCache::open(&path);
         let s4 = scenario(4, "Standard_HC44rs", 4);
         let p4 = point(4, "lammps", "Standard_HC44rs", 4, 44, 14.0, 0.03);
-        cache.insert(fpr.scenario(&s4), &p4);
+        assert!(cache.insert(fpr.scenario(&s4), &p4));
         cache.save().unwrap();
-        assert!(
-            std::fs::read(&path).unwrap().starts_with(b"{"),
-            "unmigrated stores stay JSON"
-        );
-
-        // Migration converts in place; every point survives bit-for-bit.
-        let mut cache = ScenarioCache::open(&path);
-        assert!(cache.migrate_to_binary());
-        assert!(!cache.migrate_to_binary(), "second migrate is a no-op");
-        cache.save().unwrap();
+        assert_eq!(cache.format(), StoreFormat::Binary);
         assert!(std::fs::read(&path).unwrap().starts_with(LOG_MAGIC));
         let migrated = ScenarioCache::open(&path);
         assert_eq!(migrated.format(), StoreFormat::Binary);
         assert_eq!(migrated.len(), 4);
+        assert!(!migrated.is_dirty());
         for (fp, p) in &fps {
             assert_eq!(migrated.lookup(*fp), Some(p.clone()));
         }
         assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
+    }
+
+    #[test]
+    fn an_undecodable_record_is_a_miss_between_intact_neighbours() {
+        let path = tempfile("undecodable");
+        let p = |id: u32| point(id, "lammps", "Standard_HC44rs", id, 44, 9.0, 0.01);
+        let mut log = LOG_MAGIC.to_vec();
+        encode_record(&mut log, 1, &p(1));
+        push_record(&mut log, 2, b"{\"not\": \"a point\"}");
+        encode_record(&mut log, 3, &p(3));
+        std::fs::write(&path, &log).unwrap();
+
+        let mut cache = ScenarioCache::open(&path);
+        assert_eq!(cache.len(), 3, "the checksums hold: nothing is cut");
+        assert!(!cache.recovered() && !cache.is_dirty());
+        assert_eq!(cache.lookup(Fingerprint(1)), Some(p(1)));
+        assert_eq!(cache.lookup(Fingerprint(2)), None, "undecodable: a miss");
+        assert_eq!(cache.lookup(Fingerprint(3)), Some(p(3)));
+        // The re-run's insert supersedes the bad record.
+        assert!(cache.insert(Fingerprint(2), &p(2)));
+        cache.save().unwrap();
+        let reopened = ScenarioCache::open(&path);
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(reopened.lookup(Fingerprint(2)), Some(p(2)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Appends a record for `point` the way [`ScenarioCache::insert`] does.
+    fn encode_record(log: &mut Vec<u8>, fp: u128, point: &DataPoint) {
+        let mut json = String::new();
+        point.write_json(json::Slot::compact(&mut json));
+        push_record(log, fp, json.as_bytes());
     }
 
     /// The tree encodings the direct codec replaced: the oracle.
@@ -1384,25 +1344,15 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (0x5eed_u128 << 64 | i as u128, p))
             .collect();
-        let (mut direct, mut tree, mut json) = (Vec::new(), Vec::new(), String::new());
+        let (mut direct, mut tree) = (Vec::new(), Vec::new());
         for (fp, p) in &entries {
-            encode_record(&mut direct, &mut json, *fp, p);
+            encode_record(&mut direct, *fp, p);
             oracle_record(&mut tree, *fp, p);
         }
         assert!(direct == tree, "record bytes differ from the oracle's");
 
-        // Legacy JSON saves write what the tree did, and read back alike.
-        let path = tempfile("legacy-oracle");
-        let mut cache = ScenarioCache {
-            entries: entries.iter().cloned().collect(),
-            path: Some(path.clone()),
-            format: StoreFormat::Json,
-            ..ScenarioCache::default()
-        };
-        cache.save_json(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, oracle_store(&entries));
-        let _ = std::fs::remove_file(&path);
+        // Legacy JSON stores read back as the tree reader did.
+        let text = oracle_store(&entries);
         let read = parse_store(&text).ok();
         assert_eq!(read.as_ref().map(HashMap::len), Some(entries.len()));
         assert_eq!(read, oracle_parse_store(&text));
@@ -1441,9 +1391,17 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_stores_never_migrate() {
-        let mut cache = ScenarioCache::in_memory();
-        assert!(!cache.migrate_to_binary(), "nothing to persist");
+    fn four_checksums_at_once_match_one_at_a_time() {
+        let bytes: Vec<u8> = (0..600u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for lens in [
+            [0, 0, 0, 0],
+            [5, 0, 9, 3],
+            [437, 440, 436, 600],
+            [1, 2, 3, 4],
+        ] {
+            let parts = lens.map(|n| &bytes[600 - n..]);
+            assert_eq!(fnv64_x4(parts), parts.map(fnv64), "{lens:?}");
+        }
     }
 
     #[test]

@@ -55,8 +55,9 @@
 
 use crate::cache::rehydrate_point;
 use crate::collector::{
-    consult_cache, consult_journal, index_by_id, resolve_ids, status_str, store_new_points,
-    Collector, ExecContext, JournalConsult, JournalWriter, ShardOutcome, ShardOutput, ShardRun,
+    consult_cache, consult_journal, emit_scenario, index_by_id, resolve_ids, status_str,
+    store_new_points, Collector, ExecContext, JournalConsult, JournalWriter, ShardOutcome,
+    ShardOutput, ShardRun,
 };
 use crate::dataset::Dataset;
 use crate::error::ToolError;
@@ -747,21 +748,18 @@ impl Collector {
         ctx.plan = plan.clone();
 
         let index = index_by_id(scenarios);
-        let ordered: Vec<Scenario> = match &plan.subset {
+        let ordered: Vec<&Scenario> = match &plan.subset {
             Some(ids) => resolve_ids(scenarios, &index, ids)?,
-            None => scenarios
-                .iter()
-                .filter(|s| ctx.should_run(s))
-                .cloned()
-                .collect(),
+            None => scenarios.iter().filter(|s| ctx.should_run(s)).collect(),
         };
+        let requested = ordered.len();
         // Replay the crash-safe run journal first (the resume path):
         // outcomes a previous interrupted run already finished are emitted
         // verbatim, and only the remainder is collected.
         let journal = self.journal.clone();
         let jconsult = match &journal {
             Some(j) => consult_journal(&ctx, &j.lock(), &ordered),
-            None => JournalConsult::pass_through(&ordered),
+            None => JournalConsult::pass_through(ordered),
         };
         let journal_replayed = jconsult.hits.len();
         // Consult the result cache next, on this thread: hits never reach
@@ -809,16 +807,16 @@ impl Collector {
         }
         let mut coord = shard_sink(COORDINATOR_SHARD, sink_on, &tap);
         coord.emit("run_start", "run", |m| {
-            m.insert("scenarios", Value::Int(ordered.len() as i64));
+            m.insert("scenarios", Value::Int(requested as i64));
             m.insert("seed", Value::Int(ctx.seed as i64));
         });
         for hit in &jconsult.hits {
-            coord.emit("journal_replay", &format!("s{}", hit.scenario.id), |m| {
+            emit_scenario(&mut coord, "journal_replay", hit.scenario, |m| {
                 m.insert("status", Value::str(status_str(hit.entry.status)));
             });
         }
         for hit in &consult.hits {
-            coord.emit("cache_hit", &format!("s{}", hit.scenario.id), |m| {
+            emit_scenario(&mut coord, "cache_hit", hit.scenario, |m| {
                 m.insert("sku", Value::str(hit.scenario.sku.clone()));
                 m.insert("nnodes", Value::Int(i64::from(hit.scenario.nnodes)));
             });
@@ -842,8 +840,8 @@ impl Collector {
         }
 
         let mut trace_events: Vec<TraceEvent> = coord.take();
-        let mut points = Vec::new();
-        let mut outcomes: Vec<ScenarioOutcome> = Vec::new();
+        let mut points = Vec::with_capacity(requested);
+        let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(requested);
         for (chunk_idx, result) in results.into_iter().enumerate() {
             match result {
                 Ok((out, vfs, events)) => {
@@ -873,7 +871,7 @@ impl Collector {
 
         // Splice cache hits back in as already-completed outcomes.
         for hit in consult.hits {
-            outcomes.push(ScenarioOutcome::cached(&hit.scenario));
+            outcomes.push(ScenarioOutcome::cached(hit.scenario));
             points.push(hit.point);
         }
 
@@ -887,7 +885,7 @@ impl Collector {
             }
             let point = match &hit.entry.point {
                 Some(p) => {
-                    rehydrate_point(p.clone(), &hit.scenario, &ctx.config.tags, &ctx.deployment)
+                    rehydrate_point(p.clone(), hit.scenario, &ctx.config.tags, &ctx.deployment)
                 }
                 // Point-less entries (older journals) get a synthetic point
                 // matching the journaled status.
@@ -898,13 +896,13 @@ impl Collector {
                         .as_deref()
                         .unwrap_or("journaled failure");
                     match hit.entry.status {
-                        ScenarioStatus::Skipped => ctx.skipped_point(&hit.scenario, reason),
-                        ScenarioStatus::TimedOut => ctx.timed_out_point(&hit.scenario, reason),
-                        _ => ctx.failed_point(&hit.scenario, reason),
+                        ScenarioStatus::Skipped => ctx.skipped_point(hit.scenario, reason),
+                        ScenarioStatus::TimedOut => ctx.timed_out_point(hit.scenario, reason),
+                        _ => ctx.failed_point(hit.scenario, reason),
                     }
                 }
             };
-            outcomes.push(ScenarioOutcome::replayed(&hit.scenario, &hit.entry));
+            outcomes.push(ScenarioOutcome::replayed(hit.scenario, &hit.entry));
             points.push(point);
         }
 
@@ -920,7 +918,6 @@ impl Collector {
             store_new_points(&self.cache, &store_fps, &points)?;
         }
 
-        let mut dataset = Dataset::new();
         let outcomes_total = outcomes.len();
         let executed = outcomes_total - cache_hits - journal_replayed;
         let completed = outcomes
@@ -943,9 +940,7 @@ impl Collector {
         let failovers = outcomes.iter().map(|o| o.failovers).sum();
         let retried = outcomes.iter().filter(|o| o.attempts > 1).count();
         let backoff_secs = outcomes.iter().map(|o| o.backoff_secs).sum();
-        for p in points {
-            dataset.push(p);
-        }
+        let dataset = Dataset { points };
         let billing = ctx
             .provider
             .lock()

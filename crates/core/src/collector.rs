@@ -48,7 +48,7 @@ use simtime::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use taskshell::{ExecutionEnv, Interpreter, Script, ShellError, UrlStore, Vfs};
-use telemetry::Value;
+use telemetry::{EventSink, OrderedMap, Value};
 
 /// Transient provisioning faults a `(SKU, region)` pair absorbs in a
 /// multi-region sweep before the region is marked down for that SKU and
@@ -290,9 +290,18 @@ fn pool_name_for(sku: &str, region: Option<&str>) -> String {
     }
 }
 
-/// Scope string for one scenario's trace events (`s<id>`).
-fn scenario_scope(scenario: &Scenario) -> String {
-    format!("s{}", scenario.id)
+/// Emits one scenario's trace event under its `s<id>` scope. The scope is
+/// built only when the sink is recording, so an untraced run allocates
+/// nothing per scenario here.
+pub(crate) fn emit_scenario(
+    sink: &mut EventSink,
+    kind: &str,
+    scenario: &Scenario,
+    fill: impl FnOnce(&mut OrderedMap),
+) {
+    if sink.is_enabled() {
+        sink.emit(kind, &format!("s{}", scenario.id), fill);
+    }
 }
 
 /// The trace vocabulary's status strings.
@@ -334,12 +343,10 @@ impl ShardRun<'_> {
                 continue;
             }
             let mut tally = Tally::fresh();
-            self.service
-                .trace_mut()
-                .emit("scenario_start", &scenario_scope(scenario), |m| {
-                    m.insert("sku", Value::str(scenario.sku.clone()));
-                    m.insert("nnodes", Value::Int(i64::from(scenario.nnodes)));
-                });
+            emit_scenario(self.service.trace_mut(), "scenario_start", scenario, |m| {
+                m.insert("sku", Value::str(scenario.sku.clone()));
+                m.insert("nnodes", Value::Int(i64::from(scenario.nnodes)));
+            });
             // Budget circuit breaker: once billed spend reaches the budget,
             // every remaining scenario degrades to a journaled skip — the
             // sweep stops spending but still produces a complete, resumable
@@ -506,18 +513,14 @@ impl ShardRun<'_> {
                             tally.failovers += 1;
                             last_fault = e.to_string();
                             tried.push(region_name.clone());
-                            self.service.trace_mut().emit(
-                                "failover",
-                                &scenario_scope(scenario),
-                                |m| {
-                                    m.insert("region", Value::str(region_name.clone()));
-                                    m.insert("fault", Value::str(last_fault.clone()));
-                                    m.insert(
-                                        "marked_down",
-                                        Value::str(if down { "true" } else { "false" }),
-                                    );
-                                },
-                            );
+                            emit_scenario(self.service.trace_mut(), "failover", scenario, |m| {
+                                m.insert("region", Value::str(region_name.clone()));
+                                m.insert("fault", Value::str(last_fault.clone()));
+                                m.insert(
+                                    "marked_down",
+                                    Value::str(if down { "true" } else { "false" }),
+                                );
+                            });
                         }
                     },
                 }
@@ -665,14 +668,12 @@ impl ShardRun<'_> {
         tally: Tally,
         cost: f64,
     ) {
-        self.service
-            .trace_mut()
-            .emit("scenario_end", &scenario_scope(scenario), |m| {
-                m.insert("status", Value::str(status_str(status)));
-                m.insert("attempts", Value::Int(i64::from(tally.attempts)));
-                m.insert("evictions", Value::Int(i64::from(tally.evictions)));
-                m.insert("cost", Value::Float(cost));
-            });
+        emit_scenario(self.service.trace_mut(), "scenario_end", scenario, |m| {
+            m.insert("status", Value::str(status_str(status)));
+            m.insert("attempts", Value::Int(i64::from(tally.attempts)));
+            m.insert("evictions", Value::Int(i64::from(tally.evictions)));
+            m.insert("cost", Value::Float(cost));
+        });
     }
 
     /// Brings the pool's capacity class back to the run's configured one
@@ -1071,19 +1072,19 @@ struct AttemptMeta {
 }
 
 /// One scenario answered from the result cache instead of the simulator.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheHit {
-    pub(crate) scenario: Scenario,
+#[derive(Debug)]
+pub(crate) struct CacheHit<'a> {
+    pub(crate) scenario: &'a Scenario,
     pub(crate) point: DataPoint,
 }
 
 /// The cache's answer for one ordered scenario list: which scenarios are
 /// already known (hits, rehydrated and ready to emit) and which must run
-/// (misses, with their fingerprints kept so fresh results can be stored
-/// after the run).
+/// (misses, cloned for the chunk queue, with their fingerprints kept so
+/// fresh results can be stored after the run).
 #[derive(Debug, Default)]
-pub(crate) struct CacheConsult {
-    pub(crate) hits: Vec<CacheHit>,
+pub(crate) struct CacheConsult<'a> {
+    pub(crate) hits: Vec<CacheHit<'a>>,
     pub(crate) misses: Vec<Scenario>,
     pub(crate) fingerprints: HashMap<u32, Fingerprint>,
 }
@@ -1093,34 +1094,34 @@ pub(crate) struct CacheConsult {
 /// Only scenarios the context would actually run are looked up; skipped ones
 /// (already completed, or failed without rerun) pass through as misses so
 /// the shard loop applies exactly the cold-path skip logic.
-pub(crate) fn consult_cache(
+pub(crate) fn consult_cache<'a>(
     ctx: &ExecContext,
     cache: &ScenarioCache,
     policy: CachePolicy,
-    ordered: &[Scenario],
-) -> CacheConsult {
+    ordered: &[&'a Scenario],
+) -> CacheConsult<'a> {
     let mut out = CacheConsult::default();
     if !policy.reads() {
-        out.misses = ordered.to_vec();
+        out.misses = ordered.iter().map(|&s| s.clone()).collect();
         return out;
     }
     let revision = ctx.provider.lock().catalog().revision();
     let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
         .with_capacity(ctx.plan.capacity);
-    for s in ordered {
+    // Room for every scenario to hit: a cold run leaves the pages of this
+    // reservation untouched, and a warm one never regrows the vector.
+    out.hits.reserve(ordered.len());
+    for &s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
             continue;
         }
         let fp = fpr.scenario(s);
         match cache.lookup(fp) {
-            Some(point) => {
-                let point = rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment);
-                out.hits.push(CacheHit {
-                    scenario: s.clone(),
-                    point,
-                });
-            }
+            Some(point) => out.hits.push(CacheHit {
+                scenario: s,
+                point: rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment),
+            }),
             None => {
                 out.fingerprints.insert(s.id, fp);
                 out.misses.push(s.clone());
@@ -1131,9 +1132,9 @@ pub(crate) fn consult_cache(
 }
 
 /// One scenario answered from the run journal instead of executing.
-#[derive(Debug, Clone)]
-pub(crate) struct JournalHit {
-    pub(crate) scenario: Scenario,
+#[derive(Debug)]
+pub(crate) struct JournalHit<'a> {
+    pub(crate) scenario: &'a Scenario,
     pub(crate) entry: JournalEntry,
 }
 
@@ -1142,17 +1143,18 @@ pub(crate) struct JournalHit {
 /// runnable scenario (feeding the live [`JournalWriter`] and cache
 /// healing).
 #[derive(Debug, Default)]
-pub(crate) struct JournalConsult {
-    pub(crate) hits: Vec<JournalHit>,
-    pub(crate) misses: Vec<Scenario>,
+pub(crate) struct JournalConsult<'a> {
+    pub(crate) hits: Vec<JournalHit<'a>>,
+    pub(crate) misses: Vec<&'a Scenario>,
     pub(crate) fingerprints: HashMap<u32, Fingerprint>,
 }
 
-impl JournalConsult {
-    /// The no-journal answer: everything is a miss, nothing is tracked.
-    pub(crate) fn pass_through(ordered: &[Scenario]) -> Self {
+impl<'a> JournalConsult<'a> {
+    /// The no-journal answer: the whole run list is a miss, nothing is
+    /// tracked.
+    pub(crate) fn pass_through(ordered: Vec<&'a Scenario>) -> Self {
         JournalConsult {
-            misses: ordered.to_vec(),
+            misses: ordered,
             ..JournalConsult::default()
         }
     }
@@ -1165,18 +1167,18 @@ impl JournalConsult {
 /// entries were all deliberate terminal decisions, so they replay unless
 /// the run reruns failures. Quota skips are never journaled, so they (and
 /// anything the journal has not seen) fall through as misses.
-pub(crate) fn consult_journal(
+pub(crate) fn consult_journal<'a>(
     ctx: &ExecContext,
     journal: &RunJournal,
-    ordered: &[Scenario],
-) -> JournalConsult {
+    ordered: &[&'a Scenario],
+) -> JournalConsult<'a> {
     let mut out = JournalConsult::default();
     let revision = ctx.provider.lock().catalog().revision();
     let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
         .with_capacity(ctx.plan.capacity);
-    for s in ordered {
+    for &s in ordered {
         if !ctx.should_run(s) {
-            out.misses.push(s.clone());
+            out.misses.push(s);
             continue;
         }
         let fp = fpr.scenario(s);
@@ -1190,10 +1192,10 @@ pub(crate) fn consult_journal(
         });
         match replay {
             Some(entry) => out.hits.push(JournalHit {
-                scenario: s.clone(),
+                scenario: s,
                 entry: entry.clone(),
             }),
-            None => out.misses.push(s.clone()),
+            None => out.misses.push(s),
         }
     }
     out
@@ -1229,14 +1231,14 @@ pub(crate) fn index_by_id(scenarios: &[Scenario]) -> HashMap<u32, usize> {
         .collect()
 }
 
-/// Resolves requested ids into scenario clones in request order, failing on
+/// Resolves requested ids into their scenarios in request order, failing on
 /// unknown ids before anything runs. A repeated id keeps only its first
 /// occurrence: a run settles each scenario once.
-pub(crate) fn resolve_ids(
-    scenarios: &[Scenario],
+pub(crate) fn resolve_ids<'a>(
+    scenarios: &'a [Scenario],
     index: &HashMap<u32, usize>,
     ids: &[u32],
-) -> Result<Vec<Scenario>, ToolError> {
+) -> Result<Vec<&'a Scenario>, ToolError> {
     let mut seen = HashSet::with_capacity(ids.len());
     let mut ordered = Vec::with_capacity(ids.len());
     for &id in ids {
@@ -1244,7 +1246,7 @@ pub(crate) fn resolve_ids(
             .get(&id)
             .ok_or_else(|| ToolError::NoData(format!("scenario id {id} not found")))?;
         if seen.insert(id) {
-            ordered.push(scenarios[idx].clone());
+            ordered.push(&scenarios[idx]);
         }
     }
     Ok(ordered)

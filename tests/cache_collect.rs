@@ -2,7 +2,7 @@
 //! a warm run must be byte-identical to a cold run, provision nothing,
 //! and survive cache-file damage by degrading to a cold run.
 
-use hpcadvisor::core::cache::{CachePolicy, ScenarioCache};
+use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache};
 use hpcadvisor::prelude::*;
 use std::path::PathBuf;
 
@@ -253,5 +253,75 @@ hpcadvisor_run() {
     let warm = session().collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(warm.stats.cache_hits, 6);
     assert_eq!(warm.dataset.to_json(), text);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// FNV-1a-64, the store's per-record checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// A store record whose checksum holds but whose payload is not a point
+/// (a record written by a future schema, or damage the checksum missed)
+/// costs one re-run of its scenario, not the records after it.
+#[test]
+fn an_undecodable_record_reruns_only_its_scenario() {
+    let path = cache_path("undecodable");
+    let mut cold = session_with_cache(config(), &path);
+    cold.collect_with(&CollectPlan::new()).unwrap();
+
+    // Walk the documented framing, [u32 LE len][16-byte BE fingerprint +
+    // JSON][u64 LE FNV-1a of fingerprint + JSON], and swap the middle
+    // record's JSON for a checksummed payload that is not a point.
+    let log = std::fs::read(&path).unwrap();
+    let mut records = Vec::new();
+    let mut pos = 8;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());
+        records.push((pos, pos + 12 + len, fp));
+        pos += 12 + len;
+    }
+    assert_eq!(records.len(), 6);
+    let fp = |n: u128| Fingerprint::from_hex(&format!("{n:032x}")).unwrap();
+    let (start, end, bad) = records[2];
+    let mut payload = bad.to_be_bytes().to_vec();
+    payload.extend_from_slice(b"{\"not\": \"a point\"}");
+    let mut damaged = log[..start].to_vec();
+    damaged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    damaged.extend_from_slice(&payload);
+    damaged.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    damaged.extend_from_slice(&log[end..]);
+    std::fs::write(&path, &damaged).unwrap();
+
+    // Both neighbours, and every other record, are still served.
+    let cache = ScenarioCache::open(&path);
+    assert!(!cache.recovered());
+    for &(_, _, n) in &records {
+        let served = cache.lookup(fp(n));
+        assert_eq!(served.is_none(), n == bad, "record {n:032x}");
+    }
+    drop(cache);
+
+    // A collect re-runs that one scenario and its insert supersedes the
+    // bad record.
+    let mut warm = session_with_cache(config(), &path);
+    let report = warm.collect_with(&CollectPlan::new()).unwrap();
+    assert_eq!(report.stats.cache_hits, 5);
+    assert_eq!(report.stats.cache_misses, 1);
+    assert_eq!(report.stats.executed, 1);
+    assert_eq!(report.stats.completed, 6);
+    let warm_json = report.dataset.to_json();
+
+    // The reopened store serves it, and the next collect is all hits.
+    let reopened = ScenarioCache::open(&path);
+    assert!(reopened.lookup(fp(bad)).is_some());
+    drop(reopened);
+    let mut again = session_with_cache(config(), &path);
+    let report = again.collect_with(&CollectPlan::new()).unwrap();
+    assert_eq!(report.stats.cache_hits, 6);
+    assert_eq!(report.dataset.to_json(), warm_json);
     let _ = std::fs::remove_file(&path);
 }

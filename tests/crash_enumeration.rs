@@ -56,15 +56,9 @@ fn points() -> Vec<(Fingerprint, DataPoint)> {
         .collect()
 }
 
-fn index_path(store: &Path) -> PathBuf {
-    let mut os = store.as_os_str().to_os_string();
-    os.push(".idx");
-    PathBuf::from(os)
-}
-
-/// Writes the reference store and returns its log and index bytes plus the
-/// end offset of every record, in log order.
-fn reference_store(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<(usize, Fingerprint)>) {
+/// Writes the reference store and returns its log bytes plus the end
+/// offset of every record, in log order.
+fn reference_store(dir: &Path) -> (Vec<u8>, Vec<(usize, Fingerprint)>) {
     let path = dir.join("reference.bin");
     let mut cache = ScenarioCache::open(&path);
     for (fp, p) in points() {
@@ -72,7 +66,6 @@ fn reference_store(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<(usize, Fingerprint)>) 
     }
     cache.save().unwrap();
     let log = std::fs::read(&path).unwrap();
-    let idx = std::fs::read(index_path(&path)).unwrap();
     // Walk the documented record framing:
     // [u32 LE len][16-byte BE fingerprint + JSON][u64 LE checksum].
     let mut ends = Vec::new();
@@ -85,7 +78,7 @@ fn reference_store(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<(usize, Fingerprint)>) 
     }
     assert_eq!(pos, log.len(), "the reference log frames cleanly");
     assert_eq!(ends.len(), 4);
-    (log, idx, ends)
+    (log, ends)
 }
 
 /// Opens a damaged store, checks it salvaged exactly `survivors`, then
@@ -145,13 +138,12 @@ fn survivors_before(ends: &[(usize, Fingerprint)], offset: usize) -> Vec<Fingerp
 #[test]
 fn cache_store_survives_truncation_at_every_offset() {
     let dir = scratch_dir("store-truncate");
-    let (log, idx, ends) = reference_store(&dir);
+    let (log, ends) = reference_store(&dir);
     let path = dir.join("damaged.bin");
     for cut in 0..log.len() {
         std::fs::write(&path, &log[..cut]).unwrap();
-        std::fs::write(index_path(&path), &idx).unwrap();
-        // A cut on a record boundary leaves a valid (shorter) log whose
-        // index is merely stale; any other cut tears a record.
+        // A cut on a record boundary leaves a valid (shorter) log; any
+        // other cut tears a record.
         let on_boundary = cut == LOG_MAGIC_LEN || ends.iter().any(|(end, _)| *end == cut);
         check_damaged_store(
             &path,
@@ -166,7 +158,7 @@ fn cache_store_survives_truncation_at_every_offset() {
 #[test]
 fn cache_store_survives_a_bit_flip_at_every_offset() {
     let dir = scratch_dir("store-flip");
-    let (log, idx, ends) = reference_store(&dir);
+    let (log, ends) = reference_store(&dir);
     let path = dir.join("damaged.bin");
     // Every bit of the magic, one bit of every other byte.
     let flips = (0..LOG_MAGIC_LEN * 8).chain((LOG_MAGIC_LEN..log.len()).map(|at| at * 8 + at % 8));
@@ -175,33 +167,12 @@ fn cache_store_survives_a_bit_flip_at_every_offset() {
         let mut damaged = log.clone();
         damaged[at] ^= 1 << (bit % 8);
         std::fs::write(&path, &damaged).unwrap();
-        std::fs::write(index_path(&path), &idx).unwrap();
         check_damaged_store(
             &path,
             &format!("bit {} flipped at {at}", bit % 8),
             &survivors_before(&ends, at),
             true,
         );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_store_survives_a_bit_flip_anywhere_in_its_index() {
-    let dir = scratch_dir("store-index-flip");
-    let (log, idx, ends) = reference_store(&dir);
-    let all: Vec<Fingerprint> = ends.iter().map(|(_, fp)| *fp).collect();
-    let path = dir.join("damaged.bin");
-    for at in 0..idx.len() {
-        let mut damaged = idx.clone();
-        damaged[at] ^= 1 << (at % 8);
-        std::fs::write(&path, &log).unwrap();
-        std::fs::write(index_path(&path), &damaged).unwrap();
-        // The log is the source of truth: nothing is lost or flagged, and
-        // the index is rebuilt on the next save.
-        let what = format!("index bit flipped at {at}");
-        assert!(ScenarioCache::open(&path).is_dirty(), "{what}: rebuild due");
-        check_damaged_store(&path, &what, &all, false);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
