@@ -34,7 +34,7 @@
 //! bytes in memory, not decoded points: opening a store frames the records
 //! and checks their checksums but decodes nothing, and a lookup decodes
 //! only the record it returns. Saving appends only the records added since
-//! the last save — O(new entries), not O(store) — and compacts via atomic
+//! the last save, not the whole store, and compacts via atomic
 //! segment rotation (write-temp-then-rename) once superseded records
 //! outnumber live ones. Legacy whole-file JSON stores are read
 //! transparently and written back as a binary log by their first save. A
@@ -94,13 +94,11 @@ const FNV_PRIME: u64 = 0x100000001b3;
 /// FNV-1a-64 over a record payload — the per-record checksum that catches
 /// torn or bit-rotted log writes.
 fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_from(FNV_OFFSET, bytes)
+    bytes.iter().fold(FNV_OFFSET, fnv_step)
 }
 
-fn fnv64_from(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+fn fnv_step(h: u64, b: &u8) -> u64 {
+    (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
 }
 
 /// [`fnv64`] of four payloads at once. Each checksum is one serial chain
@@ -111,11 +109,11 @@ fn fnv64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
     let mut h = [FNV_OFFSET; 4];
     for i in 0..common {
         for (h, p) in h.iter_mut().zip(&parts) {
-            *h = (*h ^ u64::from(p[i])).wrapping_mul(FNV_PRIME);
+            *h = fnv_step(*h, &p[i]);
         }
     }
     for (h, p) in h.iter_mut().zip(&parts) {
-        *h = fnv64_from(*h, &p[common..]);
+        *h = p[common..].iter().fold(*h, fnv_step);
     }
     h
 }
@@ -171,17 +169,14 @@ fn scan_log(bytes: &[u8]) -> LogScan {
     }
     // Then check the checksums, four records at a time.
     let payload = |&(start, end): &(usize, usize)| &bytes[start + 4..end - 8];
-    let stored = |&(_, end): &(usize, usize)| {
-        u64::from_le_bytes(bytes[end - 8..end].try_into().expect("8 bytes"))
-    };
     let mut intact = 0;
     'check: for group in records.chunks(4) {
         let sums = match <&[_; 4]>::try_from(group) {
             Ok(four) => fnv64_x4(four.each_ref().map(payload)),
             Err(_) => std::array::from_fn(|i| group.get(i).map_or(0, |r| fnv64(payload(r)))),
         };
-        for (record, sum) in group.iter().zip(sums) {
-            if sum != stored(record) {
+        for (&(_, end), sum) in group.iter().zip(sums) {
+            if sum.to_le_bytes() != bytes[end - 8..end] {
                 break 'check;
             }
             intact += 1;
@@ -414,9 +409,6 @@ pub struct ScenarioCache {
     /// dirty — the next save heals the damaged file.
     dirty: bool,
     format: StoreFormat,
-    /// Fingerprints inserted or changed since the last save — the records
-    /// the next append writes.
-    pending: Vec<u128>,
     /// Superseded records in the on-disk log. Once they outnumber live
     /// entries, the next save compacts instead of appending.
     dead: usize,
@@ -425,14 +417,12 @@ pub struct ScenarioCache {
     rewrite_needed: bool,
 }
 
+/// Summarises the store: its log is megabytes of record bytes.
 impl fmt::Debug for ScenarioCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScenarioCache")
-            .field("entries", &self.offsets.len())
-            .field("log_bytes", &self.log.len())
+            .field("entries", &self.len())
             .field("path", &self.path)
-            .field("format", &self.format)
-            .field("dirty", &self.dirty)
             .finish_non_exhaustive()
     }
 }
@@ -454,11 +444,11 @@ impl ScenarioCache {
     /// which the next save heals — never an error, since a damaged cache
     /// must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = Some(path.as_ref().to_path_buf());
-        let Ok(mut bytes) = std::fs::read(path.as_deref().expect("a path")) else {
+        let path = path.as_ref().to_path_buf();
+        let Ok(mut bytes) = std::fs::read(&path) else {
             // Missing file: a fresh binary store.
             return ScenarioCache {
-                path,
+                path: Some(path),
                 rewrite_needed: true,
                 ..ScenarioCache::default()
             };
@@ -466,34 +456,30 @@ impl ScenarioCache {
         if bytes.starts_with(LOG_MAGIC) {
             let scan = scan_log(&bytes);
             let torn = scan.valid_len != bytes.len();
-            let dead_heavy = scan.dead > scan.offsets.len();
+            // A torn tail or a dead-heavy log heals on the next save even
+            // without new inserts.
+            let heal = torn || scan.dead > scan.offsets.len();
             bytes.truncate(scan.valid_len);
             return ScenarioCache {
                 log: bytes,
                 offsets: scan.offsets,
                 saved: scan.valid_len,
-                path,
+                path: Some(path),
                 recovered: torn,
-                // A torn tail or a dead-heavy log heals on the next save
-                // even without new inserts.
-                dirty: torn || dead_heavy,
-                format: StoreFormat::Binary,
-                pending: Vec::new(),
+                dirty: heal,
                 dead: scan.dead,
-                rewrite_needed: torn || dead_heavy,
+                rewrite_needed: heal,
+                ..ScenarioCache::default()
             };
         }
-        let legacy = std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|text| parse_store(text).ok());
         let mut cache = ScenarioCache {
-            path,
+            path: Some(path),
             dirty: true,
             rewrite_needed: true,
             ..ScenarioCache::default()
         };
-        match legacy {
-            Some(entries) => {
+        match std::str::from_utf8(&bytes).map(parse_store) {
+            Ok(Ok(entries)) => {
                 cache.format = StoreFormat::Json;
                 let mut json = String::new();
                 for (fp, point) in entries {
@@ -504,7 +490,7 @@ impl ScenarioCache {
             }
             // Unrecognizable (a damaged magic, an empty or unparsable
             // file): start cold and heal into a binary store.
-            None => cache.recovered = true,
+            _ => cache.recovered = true,
         }
         cache
     }
@@ -588,7 +574,6 @@ impl ScenarioCache {
     fn append(&mut self, fp: u128, json: &[u8]) {
         self.offsets.insert(fp, self.log.len());
         push_record(&mut self.log, fp, json);
-        self.pending.push(fp);
     }
 
     /// Drops every entry (the CLI's `cache clear`). The backing file is
@@ -599,7 +584,6 @@ impl ScenarioCache {
             self.rewrite_needed = true;
         }
         self.offsets.clear();
-        self.pending.clear();
         self.log.truncate(self.saved);
     }
 
@@ -611,8 +595,8 @@ impl ScenarioCache {
     /// Writes the store to its backing file (no-op for in-memory caches
     /// and for clean stores — an all-hits warm run writes nothing).
     ///
-    /// A save appends only the records inserted since the last save
-    /// (O(new entries)); a full segment rotation happens only on the first
+    /// A save appends only the live records inserted since the last save,
+    /// not the whole store; a full segment rotation happens only on the first
     /// save, after `clear`, for a legacy or damaged store, or when dead
     /// records outnumber live ones. Rotations go to a sibling temp file
     /// first and rename into place, so a crash mid-save leaves the old
@@ -640,16 +624,9 @@ impl ScenarioCache {
     /// fingerprint order. The sidecar index older builds kept next to the
     /// log (`<store>.idx`) is removed, since nothing reads it any more.
     fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut live: Vec<(u128, usize)> =
-            self.offsets.iter().map(|(&fp, &off)| (fp, off)).collect();
-        live.sort_unstable();
         let mut log = Vec::with_capacity(self.log.len());
         log.extend_from_slice(LOG_MAGIC);
-        for (_, off) in &mut live {
-            let rec = record(&self.log, *off);
-            *off = log.len();
-            log.extend_from_slice(rec);
-        }
+        let live = self.copy_records(|_| true, &mut log, 0);
         let tmp = path.with_extension("bin.tmp");
         std::fs::write(&tmp, &log)?;
         std::fs::rename(&tmp, path)?;
@@ -660,30 +637,24 @@ impl ScenarioCache {
         self.saved = log.len();
         self.log = log;
         self.dead = 0;
-        self.pending.clear();
         self.rewrite_needed = false;
         self.recovered = false;
         self.format = StoreFormat::Binary;
         Ok(())
     }
 
-    /// Incremental save: the unsaved records, deduplicated and in
-    /// fingerprint order, are appended to the file (after truncating it to
-    /// the valid prefix) and replace the log's unsaved tail.
+    /// Incremental save: the live unsaved records, in fingerprint order,
+    /// are appended to the file (after cutting it to the valid prefix) and
+    /// replace the log's unsaved tail, superseded records and all.
     fn append_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut fresh: Vec<u128> = std::mem::take(&mut self.pending);
-        fresh.sort_unstable();
-        fresh.dedup();
-        let mut tail = Vec::with_capacity(self.log.len() - self.saved);
-        let mut moved = Vec::with_capacity(fresh.len());
-        for &fp in &fresh {
-            let off = self.offsets[&fp];
-            moved.push((fp, self.saved + tail.len()));
-            tail.extend_from_slice(record(&self.log, off));
-        }
-        if let Err(e) = write_at(path, self.saved, &tail) {
-            self.pending = fresh;
-            return Err(e.into());
+        use std::io::Write;
+        let mut tail = Vec::new();
+        let moved = self.copy_records(|off| off >= self.saved, &mut tail, self.saved);
+        if !tail.is_empty() {
+            let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
+            file.set_len(self.saved as u64)?;
+            file.write_all(&tail)?;
+            file.flush()?;
         }
         self.offsets.extend(moved);
         self.log.truncate(self.saved);
@@ -691,20 +662,30 @@ impl ScenarioCache {
         self.saved = self.log.len();
         Ok(())
     }
-}
 
-/// Cuts the file at `len` (dropping any torn tail past the salvage point)
-/// and appends `bytes` there.
-fn write_at(path: &Path, len: usize, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom, Write};
-    if bytes.is_empty() {
-        return Ok(());
+    /// Copies the live records whose offset passes `pick`, in fingerprint
+    /// order, to the end of `out`, and returns their fingerprints with the
+    /// offsets the copies will have once `out` sits at log offset `base`.
+    fn copy_records(
+        &self,
+        pick: impl Fn(usize) -> bool,
+        out: &mut Vec<u8>,
+        base: usize,
+    ) -> Vec<(u128, usize)> {
+        let mut picked: Vec<(u128, usize)> = self
+            .offsets
+            .iter()
+            .filter(|&(_, &off)| pick(off))
+            .map(|(&fp, &off)| (fp, off))
+            .collect();
+        picked.sort_unstable();
+        for (_, off) in &mut picked {
+            let rec = record(&self.log, *off);
+            *off = base + out.len();
+            out.extend_from_slice(rec);
+        }
+        picked
     }
-    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-    file.set_len(len as u64)?;
-    file.seek(SeekFrom::End(0))?;
-    file.write_all(bytes)?;
-    file.flush()
 }
 
 /// A scenario cache shared by many sessions — the daemon's cross-tenant
@@ -1269,31 +1250,6 @@ mod tests {
             assert_eq!(migrated.lookup(*fp), Some(p.clone()));
         }
         assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn an_undecodable_record_is_a_miss_between_intact_neighbours() {
-        let path = tempfile("undecodable");
-        let p = |id: u32| point(id, "lammps", "Standard_HC44rs", id, 44, 9.0, 0.01);
-        let mut log = LOG_MAGIC.to_vec();
-        encode_record(&mut log, 1, &p(1));
-        push_record(&mut log, 2, b"{\"not\": \"a point\"}");
-        encode_record(&mut log, 3, &p(3));
-        std::fs::write(&path, &log).unwrap();
-
-        let mut cache = ScenarioCache::open(&path);
-        assert_eq!(cache.len(), 3, "the checksums hold: nothing is cut");
-        assert!(!cache.recovered() && !cache.is_dirty());
-        assert_eq!(cache.lookup(Fingerprint(1)), Some(p(1)));
-        assert_eq!(cache.lookup(Fingerprint(2)), None, "undecodable: a miss");
-        assert_eq!(cache.lookup(Fingerprint(3)), Some(p(3)));
-        // The re-run's insert supersedes the bad record.
-        assert!(cache.insert(Fingerprint(2), &p(2)));
-        cache.save().unwrap();
-        let reopened = ScenarioCache::open(&path);
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(reopened.lookup(Fingerprint(2)), Some(p(2)));
         let _ = std::fs::remove_file(&path);
     }
 
