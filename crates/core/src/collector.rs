@@ -1108,8 +1108,8 @@ pub(crate) fn consult_cache<'a>(
     let revision = ctx.provider.lock().catalog().revision();
     let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
         .with_capacity(ctx.plan.capacity);
-    // Room for every scenario to hit: a cold run leaves the pages of this
-    // reservation untouched, and a warm one never regrows the vector.
+    // Room for every scenario to hit: a cold run never writes to this
+    // reservation, and a warm one never regrows the vector.
     out.hits.reserve(ordered.len());
     for &s in ordered {
         if !ctx.should_run(s) {
