@@ -770,16 +770,16 @@ impl Collector {
         let cache_misses = consult.fingerprints.len();
         // Cache hits count as finished for resume purposes too.
         if let Some(j) = &journal {
-            for hit in &consult.hits {
-                if let Some(&fingerprint) = jconsult.fingerprints.get(&hit.scenario.id) {
+            for (hit, point) in consult.hits.iter().zip(&consult.points) {
+                if let Some(&fingerprint) = jconsult.fingerprints.get(&hit.id) {
                     j.lock().append(JournalEntry {
                         fingerprint,
-                        scenario_id: hit.scenario.id,
+                        scenario_id: hit.id,
                         status: ScenarioStatus::Completed,
                         attempts: 0,
                         backoff_secs: 0.0,
                         fail_reason: None,
-                        point: Some(hit.point.clone()),
+                        point: Some(point.clone()),
                     });
                 }
             }
@@ -815,10 +815,10 @@ impl Collector {
                 m.insert("status", Value::str(status_str(hit.entry.status)));
             });
         }
-        for hit in &consult.hits {
-            emit_scenario(&mut coord, "cache_hit", hit.scenario, |m| {
-                m.insert("sku", Value::str(hit.scenario.sku.clone()));
-                m.insert("nnodes", Value::Int(i64::from(hit.scenario.nnodes)));
+        for &hit in &consult.hits {
+            emit_scenario(&mut coord, "cache_hit", hit, |m| {
+                m.insert("sku", Value::str(hit.sku.clone()));
+                m.insert("nnodes", Value::Int(i64::from(hit.nnodes)));
             });
         }
 
@@ -840,8 +840,14 @@ impl Collector {
         }
 
         let mut trace_events: Vec<TraceEvent> = coord.take();
-        let mut points = Vec::with_capacity(requested);
+        // Cache hits are already completed: their points lead, their
+        // outcomes are settled here, and the id sort below orders both.
+        let mut points = consult.points;
+        points.reserve(requested - points.len());
         let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(requested);
+        for &hit in &consult.hits {
+            outcomes.push(ScenarioOutcome::cached(hit));
+        }
         for (chunk_idx, result) in results.into_iter().enumerate() {
             match result {
                 Ok((out, vfs, events)) => {
@@ -867,12 +873,6 @@ impl Collector {
                     }
                 }
             }
-        }
-
-        // Splice cache hits back in as already-completed outcomes.
-        for hit in consult.hits {
-            outcomes.push(ScenarioOutcome::cached(hit.scenario));
-            points.push(hit.point);
         }
 
         // Splice journal replays back in with their recorded outcome. The

@@ -1071,20 +1071,15 @@ struct AttemptMeta {
     evicted: bool,
 }
 
-/// One scenario answered from the result cache instead of the simulator.
-#[derive(Debug)]
-pub(crate) struct CacheHit<'a> {
-    pub(crate) scenario: &'a Scenario,
-    pub(crate) point: DataPoint,
-}
-
 /// The cache's answer for one ordered scenario list: which scenarios are
-/// already known (hits, rehydrated and ready to emit) and which must run
-/// (misses, cloned for the chunk queue, with their fingerprints kept so
-/// fresh results can be stored after the run).
+/// already known (hits, with their rehydrated points at the same index,
+/// ready to emit) and which must run (misses, cloned for the chunk queue,
+/// with their fingerprints kept so fresh results can be stored after the
+/// run).
 #[derive(Debug, Default)]
 pub(crate) struct CacheConsult<'a> {
-    pub(crate) hits: Vec<CacheHit<'a>>,
+    pub(crate) hits: Vec<&'a Scenario>,
+    pub(crate) points: Vec<DataPoint>,
     pub(crate) misses: Vec<Scenario>,
     pub(crate) fingerprints: HashMap<u32, Fingerprint>,
 }
@@ -1110,7 +1105,7 @@ pub(crate) fn consult_cache<'a>(
         .with_capacity(ctx.plan.capacity);
     // Room for every scenario to hit: a cold run never writes to this
     // reservation, and a warm one never regrows the vector.
-    out.hits.reserve(ordered.len());
+    out.points.reserve(ordered.len());
     for &s in ordered {
         if !ctx.should_run(s) {
             out.misses.push(s.clone());
@@ -1118,10 +1113,11 @@ pub(crate) fn consult_cache<'a>(
         }
         let fp = fpr.scenario(s);
         match cache.lookup(fp) {
-            Some(point) => out.hits.push(CacheHit {
-                scenario: s,
-                point: rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment),
-            }),
+            Some(point) => {
+                out.hits.push(s);
+                out.points
+                    .push(rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment));
+            }
             None => {
                 out.fingerprints.insert(s.id, fp);
                 out.misses.push(s.clone());
