@@ -145,7 +145,7 @@ fn record_json(log: &[u8], off: usize) -> &[u8] {
 /// What a binary-log scan found.
 struct LogScan {
     /// Log offset of each fingerprint's last record.
-    offsets: HashMap<u128, usize>,
+    latest: HashMap<u128, usize>,
     /// Byte length of the valid log prefix.
     valid_len: usize,
     /// Superseded records encountered (same fingerprint written twice).
@@ -183,16 +183,16 @@ fn scan_log(bytes: &[u8]) -> LogScan {
         }
     }
     records.truncate(intact);
-    let mut offsets = HashMap::with_capacity(records.len());
+    let mut latest = HashMap::with_capacity(records.len());
     let mut dead = 0usize;
     for &(start, _) in &records {
         let fp = u128::from_be_bytes(bytes[start + 4..start + 20].try_into().expect("16 bytes"));
-        if offsets.insert(fp, start).is_some() {
+        if latest.insert(fp, start).is_some() {
             dead += 1;
         }
     }
     LogScan {
-        offsets,
+        latest,
         valid_len: records.last().map_or(LOG_MAGIC.len(), |&(_, end)| end),
         dead,
     }
@@ -388,7 +388,7 @@ pub struct CacheStoreStats {
 /// In-memory by default; [`ScenarioCache::open`] binds it to a file, a
 /// binary record log ([`StoreFormat::Binary`]). The store holds that log's
 /// bytes rather than decoded points: `log` is the file's valid prefix
-/// followed by the records inserted since the last save, and `offsets`
+/// followed by the records inserted since the last save, and `latest`
 /// points every live fingerprint at its latest record. A lookup decodes
 /// the one record it returns. [`ScenarioCache::save`] appends the unsaved
 /// records, or rotates the whole segment atomically (temp-then-rename)
@@ -398,7 +398,7 @@ pub struct ScenarioCache {
     /// The record log: the file's valid prefix, then unsaved records.
     log: Vec<u8>,
     /// Log offset of every live fingerprint's latest record.
-    offsets: HashMap<u128, usize>,
+    latest: HashMap<u128, usize>,
     /// Length of the log prefix that is on disk.
     saved: usize,
     path: Option<PathBuf>,
@@ -458,11 +458,11 @@ impl ScenarioCache {
             let torn = scan.valid_len != bytes.len();
             // A torn tail or a dead-heavy log heals on the next save even
             // without new inserts.
-            let heal = torn || scan.dead > scan.offsets.len();
+            let heal = torn || scan.dead > scan.latest.len();
             bytes.truncate(scan.valid_len);
             return ScenarioCache {
                 log: bytes,
-                offsets: scan.offsets,
+                latest: scan.latest,
                 saved: scan.valid_len,
                 path: Some(path),
                 recovered: torn,
@@ -497,12 +497,12 @@ impl ScenarioCache {
 
     /// Number of cached points.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.latest.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.latest.is_empty()
     }
 
     /// The backing file, if any.
@@ -524,7 +524,7 @@ impl ScenarioCache {
     /// Store summary for status displays.
     pub fn stats(&self) -> CacheStoreStats {
         CacheStoreStats {
-            entries: self.offsets.len(),
+            entries: self.latest.len(),
             path: self.path.clone(),
             recovered: self.recovered,
             format: self.format,
@@ -535,7 +535,7 @@ impl ScenarioCache {
     /// record whose checksum held but whose point does not decode is a
     /// miss: the scenario re-runs and its insert supersedes the record.
     pub fn lookup(&self, fp: Fingerprint) -> Option<DataPoint> {
-        let &off = self.offsets.get(&fp.0)?;
+        let &off = self.latest.get(&fp.0)?;
         let text = std::str::from_utf8(record_json(&self.log, off)).ok()?;
         DataPoint::from_json(text).ok()
     }
@@ -553,7 +553,7 @@ impl ScenarioCache {
         }
         let mut json = String::new();
         point.write_json(json::Slot::compact(&mut json));
-        let old = self.offsets.get(&fp.0).copied();
+        let old = self.latest.get(&fp.0).copied();
         if old.is_some_and(|off| record_json(&self.log, off) == json.as_bytes()) {
             return false;
         }
@@ -563,7 +563,7 @@ impl ScenarioCache {
             self.dead += 1;
         }
         self.append(fp.0, json.as_bytes());
-        if self.dead > self.offsets.len() {
+        if self.dead > self.latest.len() {
             self.rewrite_needed = true;
         }
         self.dirty = true;
@@ -572,18 +572,18 @@ impl ScenarioCache {
 
     /// Appends an unsaved record and points its fingerprint at it.
     fn append(&mut self, fp: u128, json: &[u8]) {
-        self.offsets.insert(fp, self.log.len());
+        self.latest.insert(fp, self.log.len());
         push_record(&mut self.log, fp, json);
     }
 
     /// Drops every entry (the CLI's `cache clear`). The backing file is
     /// rewritten empty on the next [`ScenarioCache::save`].
     pub fn clear(&mut self) {
-        if !self.offsets.is_empty() {
+        if !self.latest.is_empty() {
             self.dirty = true;
             self.rewrite_needed = true;
         }
-        self.offsets.clear();
+        self.latest.clear();
         self.log.truncate(self.saved);
     }
 
@@ -626,14 +626,14 @@ impl ScenarioCache {
     fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
         let mut log = Vec::with_capacity(self.log.len());
         log.extend_from_slice(LOG_MAGIC);
-        let live = self.copy_records(|_| true, &mut log, 0);
+        let copied = self.copy_records(|_| true, &mut log, 0);
         let tmp = path.with_extension("bin.tmp");
         std::fs::write(&tmp, &log)?;
         std::fs::rename(&tmp, path)?;
         let mut stale_index = path.as_os_str().to_os_string();
         stale_index.push(".idx");
         let _ = std::fs::remove_file(stale_index);
-        self.offsets = live.into_iter().collect();
+        self.latest = copied.into_iter().collect();
         self.saved = log.len();
         self.log = log;
         self.dead = 0;
@@ -656,7 +656,7 @@ impl ScenarioCache {
             file.write_all(&tail)?;
             file.flush()?;
         }
-        self.offsets.extend(moved);
+        self.latest.extend(moved);
         self.log.truncate(self.saved);
         self.log.extend_from_slice(&tail);
         self.saved = self.log.len();
@@ -665,7 +665,7 @@ impl ScenarioCache {
 
     /// Copies the live records whose offset passes `pick`, in fingerprint
     /// order, to the end of `out`, and returns their fingerprints with the
-    /// offsets the copies will have once `out` sits at log offset `base`.
+    /// positions the copies will have once `out` sits at log offset `base`.
     fn copy_records(
         &self,
         pick: impl Fn(usize) -> bool,
@@ -673,7 +673,7 @@ impl ScenarioCache {
         base: usize,
     ) -> Vec<(u128, usize)> {
         let mut picked: Vec<(u128, usize)> = self
-            .offsets
+            .latest
             .iter()
             .filter(|&(_, &off)| pick(off))
             .map(|(&fp, &off)| (fp, off))
