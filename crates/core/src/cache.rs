@@ -30,17 +30,21 @@
 //!
 //! Persistence is a **binary record log**, one file under the CLI work
 //! directory's `cache/` folder: a magic header, then length-prefixed,
-//! checksummed `(fingerprint, point)` records. The store keeps the log's
+//! checksummed `(fingerprint, point)` records. A record's point has a
+//! fixed binary layout (see [`encode_point`]) rather than JSON: the store
+//! only reads back what it wrote, so a lookup is a run of bounds-checked
+//! copies and an insert formats no floats. The store keeps the log's
 //! bytes in memory, not decoded points: opening a store frames the records
 //! and checks their checksums but decodes nothing, and a lookup decodes
 //! only the record it returns. Saving appends only the records added since
 //! the last save, not the whole store, and compacts via atomic
 //! segment rotation (write-temp-then-rename) once superseded records
-//! outnumber live ones. Legacy whole-file JSON stores are read
-//! transparently and written back as a binary log by their first save. A
-//! torn log tail salvages every intact record and is cut on the next save
-//! — never a cold run; a record whose checksum holds but whose point does
-//! not decode is a miss, superseded when the scenario re-runs; only an
+//! outnumber live ones. Older stores — a whole-file JSON store or an
+//! `HPCAV001` log, whose records held JSON — are imported on open and
+//! written back in the current layout by their first save. A torn log
+//! tail salvages every intact record and is cut on the next save — never
+//! a cold run; a record whose checksum holds but whose point does not
+//! decode is a miss, superseded when the scenario re-runs; only an
 //! unrecognizable store (no magic, unparsable JSON) degrades to cold
 //! instead of erroring.
 //!
@@ -52,6 +56,7 @@
 use crate::dataset::{DataPoint, PointFields};
 use crate::error::ToolError;
 use crate::scenario::{Scenario, ScenarioStatus};
+use cloudsim::Capacity;
 use hpcadvisor_formats::{json, FormatError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -59,12 +64,16 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version of the on-disk cache schema. Files written by a different
+/// Version of the legacy JSON store's schema. Files written by a different
 /// schema are discarded wholesale (treated as a cold cache).
 const STORE_VERSION: i64 = 1;
 
 /// Magic prefix of a binary record log (8 bytes, version in the tail).
-const LOG_MAGIC: &[u8; 8] = b"HPCAV001";
+const LOG_MAGIC: &[u8; 8] = b"HPCAV002";
+
+/// Magic prefix of the previous log version, whose records held a point's
+/// compact JSON. Such a log is imported on open, never written.
+const LOG_MAGIC_V1: &[u8; 8] = b"HPCAV001";
 
 /// On-disk format of a persistent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,16 +82,20 @@ pub enum StoreFormat {
     /// writes).
     #[default]
     Binary,
+    /// The previous binary log, whose records held JSON; read on open and
+    /// rewritten in the current layout by the next save.
+    BinaryV1,
     /// Legacy whole-file pretty-printed JSON, read on open and rewritten
     /// as a binary log by the next save.
     Json,
 }
 
 impl StoreFormat {
-    /// Short human-readable name (`binary`, `json`).
+    /// Short human-readable name (`binary`, `binary-v1`, `json`).
     pub fn as_str(&self) -> &'static str {
         match self {
             StoreFormat::Binary => "binary",
+            StoreFormat::BinaryV1 => "binary-v1",
             StoreFormat::Json => "json",
         }
     }
@@ -119,14 +132,16 @@ fn fnv64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
 }
 
 /// Appends one log record: `[u32 LE payload len][payload][u64 LE FNV-1a]`
-/// where the payload is the 16-byte big-endian fingerprint followed by a
-/// point's compact JSON.
-fn push_record(log: &mut Vec<u8>, fp: u128, json: &[u8]) {
-    log.extend_from_slice(&((16 + json.len()) as u32).to_le_bytes());
-    let payload = log.len();
+/// where the payload is the 16-byte big-endian fingerprint followed by
+/// the encoded point.
+fn push_record(log: &mut Vec<u8>, fp: u128, point: &DataPoint) {
+    let start = log.len();
+    log.extend_from_slice(&[0; 4]);
     log.extend_from_slice(&fp.to_be_bytes());
-    log.extend_from_slice(json);
-    let sum = fnv64(&log[payload..]);
+    encode_point(log, point);
+    let len = (log.len() - start - 4) as u32;
+    log[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let sum = fnv64(&log[start + 4..]);
     log.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -136,10 +151,153 @@ fn record(log: &[u8], off: usize) -> &[u8] {
     &log[off..off + 12 + len]
 }
 
-/// The point JSON of the record starting at `off`.
-fn record_json(log: &[u8], off: usize) -> &[u8] {
+/// The encoded point of the record starting at `off`.
+fn record_point(log: &[u8], off: usize) -> &[u8] {
     let rec = record(log, off);
     &rec[20..rec.len() - 8]
+}
+
+/// Every [`ScenarioStatus`], at the index of its byte in an encoded point.
+const STATUSES: [ScenarioStatus; 5] = [
+    ScenarioStatus::Pending,
+    ScenarioStatus::Completed,
+    ScenarioStatus::Failed,
+    ScenarioStatus::Skipped,
+    ScenarioStatus::TimedOut,
+];
+
+/// Every [`Capacity`], at the index of its byte in an encoded point.
+const CAPACITIES: [Capacity; 2] = [Capacity::Dedicated, Capacity::Spot];
+
+/// The byte that stands for `value`: its index in `all`.
+fn byte_of<T: PartialEq>(all: &[T], value: &T) -> u8 {
+    all.iter()
+        .position(|v| v == value)
+        .expect("every variant is listed") as u8
+}
+
+fn put_u32(out: &mut Vec<u8>, n: u32) {
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(String, String)]) {
+    put_u32(out, pairs.len() as u32);
+    for (k, v) in pairs {
+        put_str(out, k);
+        put_str(out, v);
+    }
+}
+
+/// Appends a point's record encoding. Fields follow the JSON schema's
+/// order: `scenario_id`, `appname`, `sku`, `nnodes`, `ppn`, `appinputs`,
+/// the three floats, a status byte, a capacity byte, an optional
+/// `region`, then `metrics`, `infra`, `tags` and `deployment`. Integers
+/// are little-endian `u32`s, floats their `f64` bit patterns as `u64`s,
+/// strings UTF-8 behind a `u32` byte length, pair lists a `u32` count of
+/// key-then-value strings (kept as they are, repeats included), and the
+/// region a `0` byte when absent or a `1` byte and the string.
+fn encode_point(out: &mut Vec<u8>, p: &DataPoint) {
+    put_u32(out, p.scenario_id);
+    put_str(out, &p.appname);
+    put_str(out, &p.sku);
+    put_u32(out, p.nnodes);
+    put_u32(out, p.ppn);
+    put_pairs(out, &p.appinputs);
+    for x in [p.exec_time_secs, p.task_secs, p.cost_dollars] {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    out.push(byte_of(&STATUSES, &p.status));
+    out.push(byte_of(&CAPACITIES, &p.capacity));
+    match &p.region {
+        None => out.push(0),
+        Some(region) => {
+            out.push(1);
+            put_str(out, region);
+        }
+    }
+    put_pairs(out, &p.metrics);
+    put_pairs(out, &p.infra);
+    put_pairs(out, &p.tags);
+    put_str(out, &p.deployment);
+}
+
+/// The unread rest of an encoded point. Every read is bounds-checked and
+/// gives `None` past the end.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let head = self.0.get(..n)?;
+        self.0 = &self.0[n..];
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(|[b]| b)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.array().map(|b| f64::from_bits(u64::from_le_bytes(b)))
+    }
+
+    fn str(&mut self) -> Option<String> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).ok().map(str::to_owned)
+    }
+
+    fn pairs(&mut self) -> Option<Vec<(String, String)>> {
+        let n = self.u32()? as usize;
+        // A pair takes at least its two length prefixes, so a damaged
+        // count cannot reserve more than the rest of the record holds.
+        let mut pairs = Vec::with_capacity(n.min(self.0.len() / 8));
+        for _ in 0..n {
+            pairs.push((self.str()?, self.str()?));
+        }
+        Some(pairs)
+    }
+}
+
+/// Decodes what [`encode_point`] wrote. A short read, a string that is
+/// not UTF-8, an unknown status or capacity byte, or bytes left over make
+/// the record undecodable.
+fn decode_point(bytes: &[u8]) -> Option<DataPoint> {
+    let mut f = Fields(bytes);
+    let point = DataPoint {
+        scenario_id: f.u32()?,
+        appname: f.str()?,
+        sku: f.str()?,
+        nnodes: f.u32()?,
+        ppn: f.u32()?,
+        appinputs: f.pairs()?,
+        exec_time_secs: f.f64()?,
+        task_secs: f.f64()?,
+        cost_dollars: f.f64()?,
+        status: *STATUSES.get(usize::from(f.u8()?))?,
+        capacity: *CAPACITIES.get(usize::from(f.u8()?))?,
+        region: match f.u8()? {
+            0 => None,
+            1 => Some(f.str()?),
+            _ => return None,
+        },
+        metrics: f.pairs()?,
+        infra: f.pairs()?,
+        tags: f.pairs()?,
+        deployment: f.str()?,
+    };
+    f.0.is_empty().then_some(point)
 }
 
 /// What a binary-log scan found.
@@ -438,11 +596,13 @@ impl ScenarioCache {
     /// file starts an empty binary store; a file opening with the binary
     /// magic is read whole and its records framed and checksummed, but not
     /// decoded (a torn tail is dropped and every intact record salvaged —
-    /// never cold); a file that parses as a legacy JSON store is encoded
-    /// into a log and saved as binary on the next save. Anything else
-    /// starts cold as an empty binary store with the `recovered` flag set,
-    /// which the next save heals — never an error, since a damaged cache
-    /// must cost a re-run, not a failure.
+    /// never cold). An older store is imported: an `HPCAV001` log is
+    /// framed and salvaged the same way and its live records' JSON
+    /// decoded, a legacy JSON store is parsed, and either is encoded into
+    /// a log that the next save writes in the current layout. Anything
+    /// else starts cold as an empty binary store with the `recovered` flag
+    /// set, which the next save heals — never an error, since a damaged
+    /// cache must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref().to_path_buf();
         let Ok(mut bytes) = std::fs::read(&path) else {
@@ -472,25 +632,44 @@ impl ScenarioCache {
                 ..ScenarioCache::default()
             };
         }
+        if bytes.starts_with(LOG_MAGIC_V1) {
+            let scan = scan_log(&bytes);
+            // A record whose JSON is not a point is left out: a miss, as
+            // it would be in a current log.
+            let points = scan.latest.into_iter().filter_map(|(fp, off)| {
+                let text = std::str::from_utf8(record_point(&bytes, off)).ok()?;
+                Some((fp, DataPoint::from_json(text).ok()?))
+            });
+            let torn = scan.valid_len != bytes.len();
+            return ScenarioCache::import(path, StoreFormat::BinaryV1, torn, points);
+        }
+        match std::str::from_utf8(&bytes).map(parse_store) {
+            Ok(Ok(entries)) => ScenarioCache::import(path, StoreFormat::Json, false, entries),
+            // Unrecognizable (a damaged magic, an empty or unparsable
+            // file): start cold and heal into a binary store.
+            _ => ScenarioCache::import(path, StoreFormat::Binary, true, []),
+        }
+    }
+
+    /// A store holding `points`, read from an older store (or from none,
+    /// for an unrecognizable file), whose next save rewrites the file in
+    /// the current layout.
+    fn import(
+        path: PathBuf,
+        format: StoreFormat,
+        recovered: bool,
+        points: impl IntoIterator<Item = (u128, DataPoint)>,
+    ) -> Self {
         let mut cache = ScenarioCache {
             path: Some(path),
+            recovered,
             dirty: true,
+            format,
             rewrite_needed: true,
             ..ScenarioCache::default()
         };
-        match std::str::from_utf8(&bytes).map(parse_store) {
-            Ok(Ok(entries)) => {
-                cache.format = StoreFormat::Json;
-                let mut json = String::new();
-                for (fp, point) in entries {
-                    json.clear();
-                    point.write_json(json::Slot::compact(&mut json));
-                    cache.append(fp, json.as_bytes());
-                }
-            }
-            // Unrecognizable (a damaged magic, an empty or unparsable
-            // file): start cold and heal into a binary store.
-            _ => cache.recovered = true,
+        for (fp, point) in points {
+            cache.append(fp, &point);
         }
         cache
     }
@@ -536,25 +715,25 @@ impl ScenarioCache {
     /// miss: the scenario re-runs and its insert supersedes the record.
     pub fn lookup(&self, fp: Fingerprint) -> Option<DataPoint> {
         let &off = self.latest.get(&fp.0)?;
-        let text = std::str::from_utf8(record_json(&self.log, off)).ok()?;
-        DataPoint::from_json(text).ok()
+        decode_point(record_point(&self.log, off))
     }
 
-    /// Stores a finished point, encoding it into the log once. Only
+    /// Stores a finished point, encoding it straight into the log. Only
     /// completed points are cacheable — failures may be transient (injected
     /// faults, quota) and must re-run. Points with a non-finite float are
-    /// refused too: they have no JSON form. A point that encodes to the
-    /// stored record's bytes is a no-op that leaves the store clean, so
-    /// redundant inserts never force a file write. Returns whether the
-    /// store changed.
+    /// refused too: they have no JSON form, so no dataset or journal could
+    /// hold them. A point that encodes to the stored record's bytes is a
+    /// no-op that leaves the store clean, so redundant inserts never force
+    /// a file write. Returns whether the store changed.
     pub fn insert(&mut self, fp: Fingerprint, point: &DataPoint) -> bool {
         if point.status != ScenarioStatus::Completed || !point.is_finite() {
             return false;
         }
-        let mut json = String::new();
-        point.write_json(json::Slot::compact(&mut json));
+        let new = self.log.len();
         let old = self.latest.get(&fp.0).copied();
-        if old.is_some_and(|off| record_json(&self.log, off) == json.as_bytes()) {
+        push_record(&mut self.log, fp.0, point);
+        if old.is_some_and(|off| record(&self.log, off) == &self.log[new..]) {
+            self.log.truncate(new);
             return false;
         }
         if old.is_some_and(|off| off < self.saved) {
@@ -562,7 +741,7 @@ impl ScenarioCache {
             // appended replacement wins on load (last record per key).
             self.dead += 1;
         }
-        self.append(fp.0, json.as_bytes());
+        self.latest.insert(fp.0, new);
         if self.dead > self.latest.len() {
             self.rewrite_needed = true;
         }
@@ -571,9 +750,9 @@ impl ScenarioCache {
     }
 
     /// Appends an unsaved record and points its fingerprint at it.
-    fn append(&mut self, fp: u128, json: &[u8]) {
+    fn append(&mut self, fp: u128, point: &DataPoint) {
         self.latest.insert(fp, self.log.len());
-        push_record(&mut self.log, fp, json);
+        push_record(&mut self.log, fp, point);
     }
 
     /// Drops every entry (the CLI's `cache clear`). The backing file is
@@ -1171,7 +1350,7 @@ mod tests {
         for round in 0..3u32 {
             last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
             last.exec_time_secs += f64::from(round);
-            encode_record(&mut log, fp.0, &last);
+            push_record(&mut log, fp.0, &last);
         }
         std::fs::write(&path, &log).unwrap();
 
@@ -1253,23 +1432,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Appends a record for `point` the way [`ScenarioCache::insert`] does.
-    fn encode_record(log: &mut Vec<u8>, fp: u128, point: &DataPoint) {
-        let mut json = String::new();
-        point.write_json(json::Slot::compact(&mut json));
-        push_record(log, fp, json.as_bytes());
-    }
-
-    /// The tree encodings the direct codec replaced: the oracle.
-    fn oracle_record(buf: &mut Vec<u8>, fp: u128, point: &DataPoint) {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&fp.to_be_bytes());
-        payload.extend_from_slice(json::to_string(&point_to_value(point)).as_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    }
-
     fn oracle_store(entries: &[(u128, DataPoint)]) -> String {
         let mut map = OrderedMap::new();
         for (fp, p) in entries {
@@ -1294,18 +1456,12 @@ mod tests {
     }
 
     #[test]
-    fn records_and_legacy_stores_match_the_tree_oracle() {
+    fn legacy_stores_match_the_tree_oracle() {
         let entries: Vec<(u128, DataPoint)> = generated_points()
             .into_iter()
             .enumerate()
             .map(|(i, p)| (0x5eed_u128 << 64 | i as u128, p))
             .collect();
-        let (mut direct, mut tree) = (Vec::new(), Vec::new());
-        for (fp, p) in &entries {
-            encode_record(&mut direct, *fp, p);
-            oracle_record(&mut tree, *fp, p);
-        }
-        assert!(direct == tree, "record bytes differ from the oracle's");
 
         // Legacy JSON stores read back as the tree reader did.
         let text = oracle_store(&entries);
@@ -1344,6 +1500,133 @@ mod tests {
         ] {
             assert_eq!(parse_store(&text).ok(), oracle_parse_store(&text), "{text}");
         }
+    }
+
+    fn encoded(p: &DataPoint) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_point(&mut bytes, p);
+        bytes
+    }
+
+    fn compact_json(p: &DataPoint) -> String {
+        let mut text = String::new();
+        p.write_json(json::Slot::compact(&mut text));
+        text
+    }
+
+    #[test]
+    fn points_round_trip_through_the_record_codec() {
+        for p in generated_points() {
+            let mut bytes = encoded(&p);
+            let back = decode_point(&bytes).expect("an encoded point decodes");
+            assert_eq!(back, p);
+            assert_eq!(encoded(&back), bytes, "floats keep their bit patterns");
+            assert_eq!(compact_json(&back), compact_json(&p));
+            for cut in 0..bytes.len() {
+                assert_eq!(decode_point(&bytes[..cut]), None, "cut at {cut}");
+            }
+            bytes.push(0);
+            assert_eq!(decode_point(&bytes), None, "a trailing byte");
+        }
+    }
+
+    #[test]
+    fn unknown_bytes_and_invalid_text_do_not_decode() {
+        let p = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
+        let bytes = encoded(&p);
+        let first_difference = |q: DataPoint| {
+            let other = encoded(&q);
+            bytes.iter().zip(&other).position(|(a, b)| a != b).unwrap()
+        };
+        let status_at = first_difference(DataPoint {
+            status: ScenarioStatus::Failed,
+            ..p.clone()
+        });
+        let capacity_at = first_difference(DataPoint {
+            capacity: Capacity::Spot,
+            ..p.clone()
+        });
+        // The region flag follows the capacity byte.
+        for (at, byte) in [
+            (status_at, 5),
+            (status_at, 0xff),
+            (capacity_at, 2),
+            (capacity_at + 1, 2),
+        ] {
+            let mut damaged = bytes.clone();
+            damaged[at] = byte;
+            assert_eq!(decode_point(&damaged), None, "byte {byte} at {at}");
+        }
+        // The appname's first byte, after the id and the length prefix.
+        let mut damaged = bytes.clone();
+        damaged[8] = 0xff;
+        assert_eq!(decode_point(&damaged), None, "invalid UTF-8");
+    }
+
+    /// Appends a record in the `HPCAV001` layout, a point's compact JSON.
+    fn push_v1_record(log: &mut Vec<u8>, fp: u128, json: &str) {
+        let mut payload = fp.to_be_bytes().to_vec();
+        payload.extend_from_slice(json.as_bytes());
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&payload);
+        log.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    }
+
+    #[test]
+    fn v1_logs_import_and_save_in_the_current_layout() {
+        let path = tempfile("v1-import");
+        let fresh = tempfile("v1-import-fresh");
+        let _ = std::fs::remove_file(&fresh);
+        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
+        let mut points: Vec<(Fingerprint, DataPoint)> = (1..=3u32)
+            .map(|id| {
+                let s = scenario(id, "Standard_HB120rs_v3", id);
+                let mut p = point(id, "lammps", "Standard_HB120rs_v3", id, 120, 9.5, 0.04);
+                p.metrics = vec![("NOTE".into(), format!("µ \"{id}\""))];
+                (fpr.scenario(&s), p)
+            })
+            .collect();
+        // Point 1 is superseded, a fourth record is not a point, and the
+        // last record is torn.
+        let mut log = LOG_MAGIC_V1.to_vec();
+        for (fp, p) in &points {
+            push_v1_record(&mut log, fp.0, &compact_json(p));
+        }
+        points[0].1.exec_time_secs = 10.25;
+        push_v1_record(&mut log, points[0].0 .0, &compact_json(&points[0].1));
+        let bad = fpr.scenario(&scenario(4, "Standard_HC44rs", 1));
+        push_v1_record(&mut log, bad.0, "{\"not\": \"a point\"}");
+        push_v1_record(&mut log, 7, &compact_json(&points[1].1));
+        log.truncate(log.len() - 3);
+        std::fs::write(&path, &log).unwrap();
+
+        let mut cache = ScenarioCache::open(&path);
+        assert_eq!(cache.format(), StoreFormat::BinaryV1);
+        assert_eq!(cache.len(), 3, "the undecodable record is left out");
+        assert!(cache.recovered(), "the torn tail is flagged");
+        assert!(cache.is_dirty(), "the rewrite is due on the next save");
+        for (fp, p) in &points {
+            assert_eq!(cache.lookup(*fp).as_ref(), Some(p));
+        }
+        assert_eq!(cache.lookup(bad), None);
+        assert_eq!(std::fs::read(&path).unwrap(), log, "open writes nothing");
+
+        // One save writes what a fresh store of the same points writes.
+        cache.save().unwrap();
+        let mut expected = ScenarioCache::open(&fresh);
+        for (fp, p) in &points {
+            expected.insert(*fp, p);
+        }
+        expected.save().unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&fresh).unwrap()
+        );
+        let reopened = ScenarioCache::open(&path);
+        assert_eq!(reopened.format(), StoreFormat::Binary);
+        assert!(!reopened.recovered() && !reopened.is_dirty());
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&fresh);
     }
 
     #[test]

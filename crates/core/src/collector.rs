@@ -32,7 +32,7 @@ use crate::cache::{
 };
 use crate::collect::{CollectPlan, CollectReport};
 use crate::config::UserConfig;
-use crate::dataset::{DataPoint, Dataset};
+use crate::dataset::{set_pair, DataPoint, Dataset};
 use crate::error::ToolError;
 use crate::journal::{JournalEntry, RunJournal};
 use crate::placement::PlacementPolicy;
@@ -873,9 +873,7 @@ impl ShardRun<'_> {
             if point.status == ScenarioStatus::Completed {
                 if tally.evictions > 0 {
                     point.cost_dollars += eviction_cost;
-                    point
-                        .metrics
-                        .push(("EVICTIONS".into(), tally.evictions.to_string()));
+                    set_pair(&mut point.metrics, "EVICTIONS", tally.evictions.to_string());
                 }
                 return Ok(point);
             }
@@ -912,10 +910,11 @@ impl ShardRun<'_> {
                 // The eviction deprovisioned the pool; bring it back before
                 // the next attempt.
                 if let Err((e, _)) = self.resize_with_retry(pool, scenario.nnodes, tally) {
-                    point.metrics.push((
-                        "FAILREASON".into(),
+                    set_pair(
+                        &mut point.metrics,
+                        "FAILREASON",
                         format!("pool re-provision after eviction: {e}"),
-                    ));
+                    );
                     return Ok(point);
                 }
                 continue;
@@ -973,18 +972,20 @@ impl ShardRun<'_> {
             runner,
         )?;
 
-        // Scrape HPCADVISORVAR / HPCADVISORINFRA lines.
+        // Scrape HPCADVISORVAR / HPCADVISORINFRA lines. A variable printed
+        // twice keeps its first position and its last value, as the
+        // dataset file writes it, so cold and warm runs read alike.
         let mut metrics: Vec<(String, String)> = Vec::new();
         let mut infra: Vec<(String, String)> = Vec::new();
         for line in record.stdout.lines() {
             if let Some(rest) = line.strip_prefix("HPCADVISORVAR ") {
                 if let Some((k, v)) = rest.split_once('=') {
-                    metrics.push((k.trim().to_string(), v.trim().to_string()));
+                    set_pair(&mut metrics, k.trim(), v.trim().to_string());
                 }
             } else if let Some(rest) = line.strip_prefix("HPCADVISORINFRA ") {
                 for kv in rest.split_whitespace() {
                     if let Some((k, v)) = kv.split_once('=') {
-                        infra.push((k.to_string(), v.to_string()));
+                        set_pair(&mut infra, k, v.to_string());
                     }
                 }
             }

@@ -145,6 +145,16 @@ fn write_pairs(slot: json::Slot<'_>, pairs: &[(String, String)]) {
     m.end();
 }
 
+/// Sets `key` in a pair list by the rule [`write_pairs`] applies: a
+/// repeated key keeps its first position and takes the last value. Pairs
+/// built this way read the same before and after a JSON round trip.
+pub(crate) fn set_pair(pairs: &mut Vec<(String, String)>, key: &str, value: String) {
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v = value,
+        None => pairs.push((key.to_string(), value)),
+    }
+}
+
 /// Reads a JSON object of pairs. Non-string values become their plain
 /// string form; a value that is not an object reads as no pairs.
 fn read_pairs(r: &mut json::Reader<'_>) -> Result<Vec<(String, String)>, FormatError> {
@@ -158,10 +168,7 @@ fn read_pairs(r: &mut json::Reader<'_>) -> Result<Vec<(String, String)>, FormatE
             Value::Str(s) => s,
             other => other.to_plain_string(),
         };
-        match pairs.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => pairs.push((key.to_string(), value)),
-        }
+        set_pair(&mut pairs, key, value);
         Ok::<_, FormatError>(())
     })?;
     Ok(pairs)

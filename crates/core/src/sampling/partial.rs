@@ -12,7 +12,7 @@
 
 use crate::advice::Advice;
 use crate::config::UserConfig;
-use crate::dataset::{DataFilter, Dataset};
+use crate::dataset::{set_pair, DataFilter, Dataset};
 use crate::error::ToolError;
 use crate::pareto::pareto_front;
 use crate::session::Session;
@@ -129,10 +129,11 @@ pub fn run_partial_execution(
         let mut q = pa.clone();
         q.cost_dollars = price_of(pa) * t_full;
         q.exec_time_secs = t_full;
-        q.metrics.push((
-            "PREDICTED_FROM_STEPS".into(),
+        set_pair(
+            &mut q.metrics,
+            "PREDICTED_FROM_STEPS",
             format!("{probe_steps}+{probe_steps_2}"),
-        ));
+        );
         predicted.push(q);
     }
 

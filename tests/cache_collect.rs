@@ -273,8 +273,9 @@ fn an_undecodable_record_reruns_only_its_scenario() {
     cold.collect_with(&CollectPlan::new()).unwrap();
 
     // Walk the documented framing, [u32 LE len][16-byte BE fingerprint +
-    // JSON][u64 LE FNV-1a of fingerprint + JSON], and swap the middle
-    // record's JSON for a checksummed payload that is not a point.
+    // encoded point][u64 LE FNV-1a of fingerprint + point], and swap the
+    // middle record's point for checksummed bytes that do not decode as
+    // one (read as a point, they give an appname longer than the record).
     let log = std::fs::read(&path).unwrap();
     let mut records = Vec::new();
     let mut pos = 8;
@@ -323,5 +324,61 @@ fn an_undecodable_record_reruns_only_its_scenario() {
     let report = again.collect_with(&CollectPlan::new()).unwrap();
     assert_eq!(report.stats.cache_hits, 6);
     assert_eq!(report.dataset.to_json(), warm_json);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A script that prints a variable twice: the point keeps the key's first
+/// position and its last value, as the dataset file writes it, so the cold
+/// run, a warm run from the cache and the dataset file read back all
+/// agree.
+#[test]
+fn a_metric_printed_twice_reads_the_same_cold_and_warm() {
+    let script = hpcadvisor::core::appscript::OPENFOAM_SCRIPT.replace(
+        "    echo \"HPCADVISORVAR OFCELLS=$OFCELLS\"\n",
+        "    echo \"HPCADVISORVAR OFCELLS=$OFCELLS\"\n    echo \"HPCADVISORVAR OFCELLS=second\"\n",
+    );
+    assert!(script.contains("OFCELLS=second"));
+    let config = UserConfig::from_yaml(
+        r#"
+subscription: mysubscription
+skus:
+- Standard_HB120rs_v3
+rgprefix: twicetest
+appsetupurl: https://example.com/scripts/openfoam.sh
+nnodes: [1, 2]
+appname: openfoam
+region: southcentralus
+ppr: 100
+appinputs:
+  mesh: "40 16 16"
+"#,
+    )
+    .unwrap();
+    let path = cache_path("printed-twice");
+    let collect = || {
+        Session::builder(config.clone())
+            .seed(42)
+            .cache(ScenarioCache::open(&path))
+            .script(config.appsetupurl.clone(), &script)
+            .build()
+            .unwrap()
+            .collect_with(&CollectPlan::new())
+            .unwrap()
+    };
+    let cold = collect();
+    assert_eq!(cold.stats.executed, 2);
+    let warm = collect();
+    assert_eq!(warm.stats.cache_hits, 2);
+    let read_back = Dataset::from_json(&cold.dataset.to_json()).unwrap();
+    for ds in [&cold.dataset, &warm.dataset, &read_back] {
+        for p in &ds.points {
+            assert_eq!(p.metric("OFCELLS"), Some("second"));
+            let keys: Vec<&str> = p.metrics.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["APPEXECTIME", "OFCELLS"]);
+        }
+    }
+    assert_eq!(warm.dataset.to_json(), cold.dataset.to_json());
+    assert_eq!(warm.dataset.to_csv(), cold.dataset.to_csv());
+    assert_eq!(read_back.to_csv(), cold.dataset.to_csv());
     let _ = std::fs::remove_file(&path);
 }

@@ -17,7 +17,7 @@ use hpcadvisor::core::{Capacity, PendingJob, ServiceJournal, ServiceRecord, Serv
 use hpcadvisor::core::{DataPoint, JournalEntry, RunJournal, ScenarioStatus};
 use std::path::{Path, PathBuf};
 
-/// Length of the binary log's magic prefix (`HPCAV001`).
+/// Length of the binary log's magic prefix (`HPCAV002`).
 const LOG_MAGIC_LEN: usize = 8;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -67,7 +67,7 @@ fn reference_store(dir: &Path) -> (Vec<u8>, Vec<(usize, Fingerprint)>) {
     cache.save().unwrap();
     let log = std::fs::read(&path).unwrap();
     // Walk the documented record framing:
-    // [u32 LE len][16-byte BE fingerprint + JSON][u64 LE checksum].
+    // [u32 LE len][16-byte BE fingerprint + encoded point][u64 LE checksum].
     let mut ends = Vec::new();
     let mut pos = LOG_MAGIC_LEN;
     while pos < log.len() {
