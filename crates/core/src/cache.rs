@@ -31,7 +31,7 @@
 //! Persistence is a **binary record log**, one file under the CLI work
 //! directory's `cache/` folder: a magic header, then length-prefixed,
 //! checksummed `(fingerprint, point)` records. A record's point has a
-//! fixed binary layout (see [`encode_point`]) rather than JSON: the store
+//! fixed binary layout (`encode_point`) rather than JSON: the store
 //! only reads back what it wrote, so a lookup is a run of bounds-checked
 //! copies and an insert formats no floats. The store keeps the log's
 //! bytes in memory, not decoded points: opening a store frames the records

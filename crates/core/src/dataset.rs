@@ -83,9 +83,10 @@ impl DataPoint {
     }
 
     /// Writes the point as a JSON object: the dataset file's schema, which
-    /// cache records and journal lines share. `capacity` and `region` are
-    /// written only when they are not the implicit default, so datasets
-    /// from before those dimensions existed stay byte-identical.
+    /// journal lines and the legacy JSON cache store share. `capacity` and
+    /// `region` are written only when they are not the implicit default,
+    /// so datasets from before those dimensions existed stay
+    /// byte-identical.
     pub(crate) fn write_json(&self, slot: json::Slot<'_>) {
         let mut m = slot.object();
         m.key("scenario_id").int(i64::from(self.scenario_id));
