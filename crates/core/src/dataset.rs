@@ -5,6 +5,7 @@ use crate::scenario::ScenarioStatus;
 use cloudsim::Capacity;
 use hpcadvisor_formats::{json, FormatError, Value};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// One collected result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,30 +87,59 @@ impl DataPoint {
     /// journal lines and the legacy JSON cache store share. `capacity` and
     /// `region` are written only when they are not the implicit default,
     /// so datasets from before those dimensions existed stay
-    /// byte-identical.
+    /// byte-identical. The text between the values is the slot layout's
+    /// [`PointLiterals`]; the tables of the two layouts a point is written
+    /// in (compact, and pretty as a dataset item) are built once.
     pub(crate) fn write_json(&self, slot: json::Slot<'_>) {
-        let mut m = slot.object();
-        m.key("scenario_id").int(i64::from(self.scenario_id));
-        m.key("appname").str(&self.appname);
-        m.key("sku").str(&self.sku);
-        m.key("nnodes").int(i64::from(self.nnodes));
-        m.key("ppn").int(i64::from(self.ppn));
-        write_pairs(m.key("appinputs"), &self.appinputs);
-        m.key("exec_time_secs").f64(self.exec_time_secs);
-        m.key("task_secs").f64(self.task_secs);
-        m.key("cost_dollars").f64(self.cost_dollars);
-        m.key("status").str(self.status.as_str());
+        static COMPACT: OnceLock<PointLiterals> = OnceLock::new();
+        static DATASET_ITEM: OnceLock<PointLiterals> = OnceLock::new();
+        let (out, layout) = slot.into_parts();
+        let built;
+        let lit = if layout == json::Layout::COMPACT {
+            COMPACT.get_or_init(|| PointLiterals::new(layout))
+        } else if layout == json::Layout::PRETTY.inner() {
+            DATASET_ITEM.get_or_init(|| PointLiterals::new(layout))
+        } else {
+            built = PointLiterals::new(layout);
+            &built
+        };
+        out.push_str(&lit.scenario_id);
+        json::write_i64(out, i64::from(self.scenario_id));
+        out.push_str(&lit.appname);
+        json::write_str(out, &self.appname);
+        out.push_str(&lit.sku);
+        json::write_str(out, &self.sku);
+        out.push_str(&lit.nnodes);
+        json::write_i64(out, i64::from(self.nnodes));
+        out.push_str(&lit.ppn);
+        json::write_i64(out, i64::from(self.ppn));
+        out.push_str(&lit.appinputs);
+        lit.pairs.write(out, &self.appinputs);
+        out.push_str(&lit.exec_time_secs);
+        json::write_f64(out, self.exec_time_secs);
+        out.push_str(&lit.task_secs);
+        json::write_f64(out, self.task_secs);
+        out.push_str(&lit.cost_dollars);
+        json::write_f64(out, self.cost_dollars);
+        out.push_str(&lit.status);
+        json::write_str(out, self.status.as_str());
         if self.capacity != Capacity::Dedicated {
-            m.key("capacity").str(self.capacity.as_str());
+            out.push_str(&lit.capacity);
+            json::write_str(out, self.capacity.as_str());
         }
         if let Some(region) = &self.region {
-            m.key("region").str(region);
+            out.push_str(&lit.region);
+            json::write_str(out, region);
         }
-        write_pairs(m.key("metrics"), &self.metrics);
-        write_pairs(m.key("infra"), &self.infra);
-        write_pairs(m.key("tags"), &self.tags);
-        m.key("deployment").str(&self.deployment);
-        m.end();
+        out.push_str(&lit.metrics);
+        lit.pairs.write(out, &self.metrics);
+        out.push_str(&lit.infra);
+        lit.pairs.write(out, &self.infra);
+        out.push_str(&lit.tags);
+        lit.pairs.write(out, &self.tags);
+        out.push_str(&lit.deployment);
+        json::write_str(out, &self.deployment);
+        out.push_str(&lit.close);
     }
 
     /// Parses a point from a JSON document holding just that point.
@@ -128,27 +158,116 @@ impl DataPoint {
     }
 }
 
-/// Writes string pairs as a JSON object. A repeated key keeps its first
-/// position and takes its last value, as an `OrderedMap` would.
-fn write_pairs(slot: json::Slot<'_>, pairs: &[(String, String)]) {
-    let mut m = slot.object();
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if pairs[..i].iter().any(|(seen, _)| seen == k) {
-            continue;
-        }
-        let last = pairs[i + 1..]
-            .iter()
-            .rev()
-            .find(|(later, _)| later == k)
-            .map_or(v, |(_, v)| v);
-        m.key(k).str(last);
-    }
-    m.end();
+/// The text around a point's values in one layout. Each member's literal
+/// holds the separator, the newline and indent, the quoted key, the colon
+/// and the space, for example `",\n    \"task_secs\": "`. The literals come
+/// from `json::Layout`, which has `json::Container` write them, so a point
+/// written from them has the bytes the container would give it.
+struct PointLiterals {
+    scenario_id: String,
+    appname: String,
+    sku: String,
+    nnodes: String,
+    ppn: String,
+    appinputs: String,
+    exec_time_secs: String,
+    task_secs: String,
+    cost_dollars: String,
+    status: String,
+    capacity: String,
+    region: String,
+    metrics: String,
+    infra: String,
+    tags: String,
+    deployment: String,
+    close: String,
+    /// The string maps, written as member values.
+    pairs: PairLiterals,
 }
 
-/// Sets `key` in a pair list by the rule [`write_pairs`] applies: a
-/// repeated key keeps its first position and takes the last value. Pairs
-/// built this way read the same before and after a JSON round trip.
+impl PointLiterals {
+    fn new(layout: json::Layout) -> Self {
+        let member = |key| layout.member(false, key);
+        PointLiterals {
+            scenario_id: layout.member(true, "scenario_id"),
+            appname: member("appname"),
+            sku: member("sku"),
+            nnodes: member("nnodes"),
+            ppn: member("ppn"),
+            appinputs: member("appinputs"),
+            exec_time_secs: member("exec_time_secs"),
+            task_secs: member("task_secs"),
+            cost_dollars: member("cost_dollars"),
+            status: member("status"),
+            capacity: member("capacity"),
+            region: member("region"),
+            metrics: member("metrics"),
+            infra: member("infra"),
+            tags: member("tags"),
+            deployment: member("deployment"),
+            close: layout.close_object(),
+            pairs: PairLiterals::new(layout.inner()),
+        }
+    }
+}
+
+/// The text around a string map's members, for maps written at one layout.
+struct PairLiterals {
+    /// Before the first key: the `{`, then the newline and indent.
+    first: String,
+    /// Before any other key.
+    next: String,
+    colon: &'static str,
+    close: String,
+    empty: String,
+}
+
+impl PairLiterals {
+    fn new(layout: json::Layout) -> Self {
+        PairLiterals {
+            first: layout.before_key(true),
+            next: layout.before_key(false),
+            colon: layout.colon(),
+            close: layout.close_object(),
+            empty: layout.empty_object(),
+        }
+    }
+
+    /// Writes string pairs as a JSON object. A repeated key keeps its
+    /// first position and takes its last value, as an `OrderedMap` would:
+    /// such a list is first merged by [`set_pair`], which keeps that rule.
+    /// Every list the program builds has distinct keys and is written
+    /// straight through.
+    fn write(&self, out: &mut String, pairs: &[(String, String)]) {
+        let repeats = pairs
+            .iter()
+            .enumerate()
+            .any(|(i, (k, _))| pairs[..i].iter().any(|(seen, _)| seen == k));
+        if repeats {
+            let mut merged = Vec::with_capacity(pairs.len());
+            for (k, v) in pairs {
+                set_pair(&mut merged, k, v.clone());
+            }
+            return self.write(out, &merged);
+        }
+        if pairs.is_empty() {
+            out.push_str(&self.empty);
+            return;
+        }
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            out.push_str(if i == 0 { &self.first } else { &self.next });
+            json::write_str(out, k);
+            out.push_str(self.colon);
+            json::write_str(out, v);
+        }
+        out.push_str(&self.close);
+    }
+}
+
+/// Sets `key` in a pair list: a repeated key keeps its first position and
+/// takes the last value, as an `OrderedMap` would. The JSON writer merges
+/// a list with repeated keys by this rule, so pairs built this way read
+/// the same before and after a JSON round trip.
 pub(crate) fn set_pair(pairs: &mut Vec<(String, String)>, key: &str, value: String) {
     match pairs.iter_mut().find(|(k, _)| k == key) {
         Some((_, v)) => *v = value,
@@ -490,7 +609,16 @@ impl Dataset {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let mut items = json::Slot::pretty(&mut out).array();
-        for p in &self.points {
+        let mut points = self.points.iter();
+        if let Some(first) = points.next() {
+            first.write_json(items.item());
+            // The rest are about as long as the first: reserve room for all
+            // of them once instead of regrowing the buffer as it fills. The
+            // closing `\n]\n` is 3 bytes.
+            let per_point = items.written();
+            items.reserve(per_point * points.len() + 3);
+        }
+        for p in points {
             p.write_json(items.item());
         }
         items.end();
@@ -680,6 +808,11 @@ pub(crate) mod oracle {
     /// `capacity`/`region`, empty maps and repeated map keys. Generated by a
     /// fixed xorshift sequence, so every run checks the same points.
     pub(crate) fn generated_points() -> Vec<DataPoint> {
+        generate(600)
+    }
+
+    /// The first `n` points of [`generated_points`]' sequence.
+    pub(crate) fn generate(n: u32) -> Vec<DataPoint> {
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move |n: usize| {
             state ^= state << 13;
@@ -694,7 +827,7 @@ pub(crate) mod oracle {
             ScenarioStatus::Skipped,
             ScenarioStatus::TimedOut,
         ];
-        (0..600u32)
+        (0..n)
             .map(|i| {
                 let mut pairs = || -> Vec<(String, String)> {
                     (0..next(4))
@@ -1039,7 +1172,7 @@ impl Dataset {
 
 #[cfg(test)]
 mod codec_tests {
-    use super::oracle::{generated_points, point_to_value, value_to_point};
+    use super::oracle::{generate, generated_points, point_to_value, value_to_point};
     use super::*;
     use hpcadvisor_formats::OrderedMap;
 
@@ -1067,7 +1200,25 @@ mod codec_tests {
 
     #[test]
     fn writer_matches_the_tree_oracle_byte_for_byte() {
-        let points = generated_points();
+        let mut points = generated_points();
+        // A point with a repeated key in every string map: the first
+        // position and the last value are written.
+        let mut repeated = points[1].clone();
+        let twice = || -> Vec<(String, String)> {
+            vec![
+                ("k".into(), "first".into()),
+                ("other".into(), "x".into()),
+                ("k".into(), "last".into()),
+            ]
+        };
+        repeated.appinputs = twice();
+        repeated.metrics = twice();
+        repeated.infra = twice();
+        repeated.tags = twice();
+        let text = compact(&repeated);
+        assert_eq!(text.matches("{\"k\":\"last\",\"other\":\"x\"}").count(), 4);
+        assert!(!text.contains("first"), "{text}");
+        points.push(repeated);
         for p in &points {
             assert_eq!(compact(p), json::to_string(&point_to_value(p)));
         }
@@ -1093,6 +1244,35 @@ mod codec_tests {
         }
         assert!(ds.points.iter().any(|p| p.capacity == Capacity::Dedicated));
         assert!(ds.points.iter().any(|p| p.region.is_none()));
+    }
+
+    #[test]
+    fn presized_buffer_fits_a_first_point_smallest_or_largest() {
+        let points = generate(1200);
+        let item_len = |p: &DataPoint| {
+            Dataset {
+                points: vec![p.clone()],
+            }
+            .to_json()
+            .len()
+        };
+        let lens: Vec<usize> = points.iter().map(item_len).collect();
+        let smallest = (0..lens.len()).min_by_key(|&i| lens[i]).unwrap();
+        let largest = (0..lens.len()).max_by_key(|&i| lens[i]).unwrap();
+        for (first, exceeded) in [(smallest, true), (largest, false)] {
+            let mut ds = Dataset {
+                points: points.clone(),
+            };
+            let p = ds.points.remove(first);
+            ds.points.insert(0, p);
+            let text = ds.to_json();
+            let tree = Value::Seq(ds.points.iter().map(point_to_value).collect());
+            assert_eq!(text, json::to_string_pretty(&tree));
+            // `to_json` reserves the first point's length for every point:
+            // too little here, so the buffer regrows, or more than enough.
+            let estimate = lens[first] * ds.len();
+            assert_eq!(text.len() > estimate, exceeded, "first point {first}");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! [`to_string`] and [`to_string_pretty`] give the equivalent [`Value`], and
 //! [`Reader`] walks a document container by container with the grammar,
 //! number rules and depth limit of [`parse`]. Together they let a typed
-//! record go to and from JSON without building a `Value` tree.
+//! record go to and from JSON without building a `Value` tree. [`Layout`]
+//! gives the text a [`Container`] writes around an object's members, so a
+//! writer of many objects of one shape can precompute it and format only
+//! the values.
 
 use crate::error::FormatError;
 use crate::value::{OrderedMap, Value};
@@ -94,14 +97,16 @@ pub fn write_f64(out: &mut String, f: f64) {
     } else {
         let start = out.len();
         let _ = write!(out, "{f}");
-        let s = &out[start..];
-        if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
+        // `Display` never writes an exponent, so a finite float without a
+        // point is integral and gets the marker; `NaN` and `inf` do not.
+        if f.is_finite() && !out[start..].contains('.') {
             out.push_str(".0");
         }
     }
 }
 
-fn write_i64(out: &mut String, i: i64) {
+/// Appends an integer, as `Display` writes it.
+pub fn write_i64(out: &mut String, i: i64) {
     let mut digits = [0u8; 20];
     let mut n = i.unsigned_abs();
     let mut at = digits.len();
@@ -119,6 +124,99 @@ fn write_i64(out: &mut String, i: i64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
+/// Where a value sits in a document: compact, or pretty (2-space indented)
+/// at some nesting depth. [`Slot`] and [`Container`] lay text out by it.
+/// Its literal methods return the text they would write around an
+/// object's members, for a writer that writes many objects of one shape
+/// at one place and formats only the values itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Layout {
+    indent: Option<usize>,
+    depth: usize,
+}
+
+impl Layout {
+    /// A compact document, at any depth: compact text does not depend on
+    /// nesting, so a compact layout has no depth.
+    pub const COMPACT: Layout = Layout {
+        indent: None,
+        depth: 0,
+    };
+
+    /// The top of a pretty document.
+    pub const PRETTY: Layout = Layout {
+        indent: Some(2),
+        depth: 0,
+    };
+
+    /// The layout of the items and member values of a container opened at
+    /// this one.
+    pub fn inner(self) -> Layout {
+        match self.indent {
+            Some(_) => Layout {
+                depth: self.depth + 1,
+                ..self
+            },
+            None => self,
+        }
+    }
+
+    /// What an object opened here writes before the value of member `key`:
+    /// `{` before the first member and `,` before any other, then (pretty)
+    /// the newline and the member's indent, then the quoted key, the colon
+    /// and (pretty) a space. Written by [`Container::key`] itself.
+    pub fn member(self, first: bool, key: &str) -> String {
+        let mut out = String::new();
+        self.object_at(&mut out, first).key(key);
+        out
+    }
+
+    /// What an object opened here writes before a member's key: the text
+    /// [`Layout::member`] gives, without the quoted key, colon and space.
+    pub fn before_key(self, first: bool) -> String {
+        let mut out = String::new();
+        self.object_at(&mut out, first).item();
+        out
+    }
+
+    /// What separates an object member's key from its value.
+    pub fn colon(self) -> &'static str {
+        match self.indent {
+            Some(_) => ": ",
+            None => ":",
+        }
+    }
+
+    /// What closes a non-empty object opened here.
+    pub fn close_object(self) -> String {
+        let mut out = String::new();
+        self.object_at(&mut out, false).end();
+        out
+    }
+
+    /// An empty object written here.
+    pub fn empty_object(self) -> String {
+        let mut out = String::new();
+        self.object_at(&mut out, true).end();
+        out
+    }
+
+    /// An object opened here: just opened in `out` when `first`, else one
+    /// that already holds members written before `out`'s text.
+    fn object_at(self, out: &mut String, first: bool) -> Container<'_> {
+        if first {
+            Slot { out, layout: self }.object()
+        } else {
+            Container {
+                out,
+                layout: self,
+                empty: false,
+                close: '}',
+            }
+        }
+    }
+}
+
 /// The place for one JSON value in a document being written: the top of
 /// the document, an array item or an object member. Writing through slots
 /// gives byte for byte the text [`to_string`] (compact) or
@@ -126,8 +224,7 @@ fn write_i64(out: &mut String, i: i64) {
 /// the equivalent [`Value`].
 pub struct Slot<'a> {
     out: &'a mut String,
-    indent: Option<usize>,
-    depth: usize,
+    layout: Layout,
 }
 
 impl<'a> Slot<'a> {
@@ -135,8 +232,7 @@ impl<'a> Slot<'a> {
     pub fn compact(out: &'a mut String) -> Self {
         Slot {
             out,
-            indent: None,
-            depth: 0,
+            layout: Layout::COMPACT,
         }
     }
 
@@ -144,9 +240,14 @@ impl<'a> Slot<'a> {
     pub fn pretty(out: &'a mut String) -> Self {
         Slot {
             out,
-            indent: Some(2),
-            depth: 0,
+            layout: Layout::PRETTY,
         }
+    }
+
+    /// The buffer and the layout of the value, for a writer that writes
+    /// the value itself from [`Layout`]'s literals.
+    pub fn into_parts(self) -> (&'a mut String, Layout) {
+        (self.out, self.layout)
     }
 
     /// Writes a string.
@@ -203,8 +304,7 @@ impl<'a> Slot<'a> {
         self.out.push(open);
         Container {
             out: self.out,
-            indent: self.indent,
-            depth: self.depth,
+            layout: self.layout,
             empty: true,
             close,
         }
@@ -215,8 +315,7 @@ impl<'a> Slot<'a> {
 /// Close it with [`Container::end`].
 pub struct Container<'a> {
     out: &'a mut String,
-    indent: Option<usize>,
-    depth: usize,
+    layout: Layout,
     empty: bool,
     close: char,
 }
@@ -228,11 +327,11 @@ impl Container<'_> {
             self.out.push(',');
         }
         self.empty = false;
-        newline_indent(self.out, self.indent, self.depth + 1);
+        let inner = self.layout.inner();
+        newline_indent(self.out, inner);
         Slot {
             out: self.out,
-            indent: self.indent,
-            depth: self.depth + 1,
+            layout: inner,
         }
     }
 
@@ -241,26 +340,42 @@ impl Container<'_> {
     pub fn key(&mut self, key: &str) -> Slot<'_> {
         let slot = self.item();
         write_str(slot.out, key);
-        slot.out.push(':');
-        if slot.indent.is_some() {
-            slot.out.push(' ');
-        }
+        slot.out.push_str(slot.layout.colon());
         slot
+    }
+
+    /// Bytes of the document written so far.
+    pub fn written(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Reserves room for at least `additional` more bytes of the document.
+    pub fn reserve(&mut self, additional: usize) {
+        self.out.reserve(additional);
     }
 
     /// Closes the container.
     pub fn end(self) {
         if !self.empty {
-            newline_indent(self.out, self.indent, self.depth);
+            newline_indent(self.out, self.layout);
         }
         self.out.push(self.close);
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
+/// A newline and the widest indent [`newline_indent`] writes in one slice.
+const NEWLINE_SPACES: &str = concat!(
+    "\n",
+    "                                                                ",
+);
+
+/// Starts a line at `layout`'s indent when it is pretty.
+fn newline_indent(out: &mut String, layout: Layout) {
+    if let Some(width) = layout.indent {
+        let columns = width * layout.depth;
+        let slice = columns.min(NEWLINE_SPACES.len() - 1);
+        out.push_str(&NEWLINE_SPACES[..=slice]);
+        for _ in slice..columns {
             out.push(' ');
         }
     }
@@ -755,6 +870,75 @@ mod tests {
             write_f64(&mut out, f);
             assert_eq!(out, format!("x{text}"));
         }
+    }
+
+    #[test]
+    fn write_f64_pins_the_edge_floats() {
+        let zeros = |n: usize| "0".repeat(n);
+        for (f, text) in [
+            (1e15, "1000000000000000.0".to_string()),
+            (-1e15, "-1000000000000000.0".to_string()),
+            (1e300, format!("1{}.0", zeros(300))),
+            (f64::MAX, format!("17976931348623157{}.0", zeros(292))),
+            (5e-324, format!("0.{}5", zeros(323))),
+            (-0.0, "-0.0".to_string()),
+            (f64::NAN, "NaN".to_string()),
+            (f64::INFINITY, "inf".to_string()),
+            (f64::NEG_INFINITY, "-inf".to_string()),
+            (0.1 + 0.2, "0.30000000000000004".to_string()),
+        ] {
+            let mut out = String::new();
+            write_f64(&mut out, f);
+            assert_eq!(out, text, "{f:e}");
+        }
+    }
+
+    #[test]
+    fn pretty_indent_runs_past_the_space_slice() {
+        // Deep enough that the innermost lines need more columns than
+        // `NEWLINE_SPACES` holds.
+        let depth = NEWLINE_SPACES.len() / 2 + 3;
+        let mut v = Value::Int(1);
+        for _ in 0..depth {
+            v = Value::Seq(vec![v]);
+        }
+        let mut expected = String::new();
+        for d in 0..depth {
+            expected.push_str(&format!("{}[\n", " ".repeat(2 * d)));
+        }
+        expected.push_str(&format!("{}1\n", " ".repeat(2 * depth)));
+        for d in (0..depth).rev() {
+            expected.push_str(&format!("{}]", " ".repeat(2 * d)));
+            expected.push('\n');
+        }
+        assert_eq!(to_string_pretty(&v), expected);
+    }
+
+    #[test]
+    fn layout_literals_are_what_containers_write() {
+        let item = Layout::PRETTY.inner();
+        assert_eq!(Layout::COMPACT.member(true, "a\"b"), "{\"a\\\"b\":");
+        assert_eq!(Layout::COMPACT.member(false, "k"), ",\"k\":");
+        assert_eq!(Layout::COMPACT.inner(), Layout::COMPACT);
+        assert_eq!(item.member(true, "k"), "{\n    \"k\": ");
+        assert_eq!(item.member(false, "k"), ",\n    \"k\": ");
+        assert_eq!(item.before_key(false), ",\n    ");
+        assert_eq!(item.colon(), ": ");
+        assert_eq!(item.close_object(), "\n  }");
+        assert_eq!(item.empty_object(), "{}");
+        // An object written from the literals reads as the tree writes it.
+        let mut m = OrderedMap::new();
+        m.insert("x", Value::Int(1));
+        m.insert("y", Value::Map(OrderedMap::new()));
+        let tree = to_string_pretty(&Value::Seq(vec![Value::Map(m)]));
+        let literals = format!(
+            "[\n  {}1{}{}{}\n]\n",
+            item.member(true, "x"),
+            item.member(false, "y"),
+            item.inner().empty_object(),
+            item.close_object(),
+        );
+        assert_eq!(literals, tree);
     }
 
     #[test]
