@@ -1309,6 +1309,84 @@ mod tests {
     }
 
     #[test]
+    fn qualified_rolls_count_privately_but_decide_and_trace_under_the_bare_scope() {
+        let plan = FaultPlan::none()
+            .seed(11)
+            .fail_probabilistic(Operation::RunTask, 0.5);
+        let mut p = provider();
+        p.set_fault_plan(plan.clone());
+        p.set_trace_enabled(true);
+        // Two rolls on the shared counter, then sixteen on a private one.
+        for _ in 0..2 {
+            let _ = p.inject_fault_keyed(Operation::RunTask, "pool", None);
+        }
+        let fired: Vec<bool> = (0..16)
+            .map(|_| {
+                p.inject_fault_keyed(Operation::RunTask, "pool", Some("c1"))
+                    .is_err()
+            })
+            .collect();
+        assert_eq!(p.fault_attempts(Operation::RunTask, "pool"), 2);
+        assert_eq!(p.fault_attempts(Operation::RunTask, "pool#c1"), 16);
+        // Decided under the bare scope at the private counter's index.
+        let bare: Vec<bool> = (0..16)
+            .map(|i| plan.decide(Operation::RunTask, "pool", i).is_some())
+            .collect();
+        let keyed: Vec<bool> = (0..16)
+            .map(|i| plan.decide(Operation::RunTask, "pool#c1", i).is_some())
+            .collect();
+        assert_eq!(fired, bare);
+        assert_ne!(fired, keyed, "the qualifier never reaches the roll");
+        let events = p.drain_trace();
+        assert_eq!(events.len(), 18);
+        for (i, e) in events[2..].iter().enumerate() {
+            assert_eq!((e.kind.as_str(), e.scope.as_str()), ("fault_roll", "pool"));
+            assert_eq!(e.fields.get("attempt"), Some(&Value::Int(i as i64)));
+            assert_eq!(e.fields.get("fired"), Some(&Value::Bool(bare[i])));
+        }
+    }
+
+    #[test]
+    fn rule_less_scope_rolls_count_and_trace_but_region_rolls_do_not() {
+        let mut p = provider();
+        deploy_landing_zone(&mut p, "rg1");
+        // A rule for another operation: nothing here targets a region op.
+        p.set_fault_plan(FaultPlan::none().fail_always(Operation::RunTask));
+        p.set_trace_enabled(true);
+        assert!(p
+            .inject_fault_keyed(Operation::NodeDeath, "pool", None)
+            .is_ok());
+        assert_eq!(p.fault_attempts(Operation::NodeDeath, "pool"), 1);
+        let events = p.drain_trace();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "fault_roll");
+        assert_eq!(events[0].str_field("op"), Some("NodeDeath"));
+        assert_eq!(events[0].fields.get("fired"), Some(&Value::Bool(false)));
+
+        let id = p
+            .allocate_nodes_in("rg1", "HB120rs_v3", 2, Capacity::Dedicated, "westeurope")
+            .unwrap();
+        let sku = p.catalog().get("HB120rs_v3").unwrap().name.clone();
+        for op in [
+            Operation::RegionOutage,
+            Operation::RegionCapacityCrunch,
+            Operation::RegionProvisionDelay,
+        ] {
+            assert_eq!(p.fault_attempts(op, &format!("{sku}@westeurope")), 0);
+        }
+        assert_eq!(p.fault_attempts(Operation::AllocateNodes, &sku), 1);
+        assert_eq!(p.fault_attempts(Operation::BootNode, &sku), 1);
+        let events = p.drain_trace();
+        let ops: Vec<&str> = events
+            .iter()
+            .filter(|e| e.kind == "fault_roll")
+            .filter_map(|e| e.str_field("op"))
+            .collect();
+        assert_eq!(ops, ["AllocateNodes", "BootNode"]);
+        p.release_nodes(id).unwrap();
+    }
+
+    #[test]
     fn subscription_check() {
         let p = provider();
         assert!(p.check_subscription("mysubscription").is_ok());

@@ -1094,6 +1094,22 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(""), None);
     }
 
+    /// Every user's store is keyed by these values: a hash change here
+    /// turns every existing cache cold.
+    #[test]
+    fn cache_key_values_are_pinned() {
+        let catalog = cloudsim::SkuCatalog::azure_hpc();
+        assert_eq!(catalog.revision(), 0xb22e_2f36_14c1_4c14);
+        let config = crate::config::UserConfig::example_openfoam();
+        let scenarios = crate::scenario::generate_scenarios(&config, &catalog).unwrap();
+        let script = crate::appscript::bundled_script(&config.appname).unwrap();
+        let fpr = Fingerprinter::new(&config.appname, script, 42, catalog.revision());
+        assert_eq!(
+            fpr.scenario(&scenarios[0]).to_hex(),
+            "1e7d6f7f08673a5cb3e620df48cead7c"
+        );
+    }
+
     #[test]
     fn store_roundtrip_and_policy_gates() {
         let path = tempfile("roundtrip");
