@@ -49,6 +49,7 @@
 
 use crate::args::Args;
 use crate::state::WorkDir;
+use cloudsim::Fnv64;
 use hpcadvisor_core::{
     AdviceRequest, AdvisorService, CachePolicy, JobEvent, JobOutcome, RetryPolicy, ServiceConfig,
     SharedScenarioCache, TenantPolicy, ToolError, UserConfig,
@@ -596,12 +597,7 @@ fn send(writer: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
 
 /// 64-bit FNV-1a, for deriving default request keys and jitter seeds.
 fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::new().write(text.as_bytes()).finish()
 }
 
 /// How one client attempt ended.

@@ -13,6 +13,7 @@
 //! the same fault sequence a serial run would, and cloning a plan never
 //! forks invocation history.
 
+use crate::fnv::Fnv64;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -324,21 +325,12 @@ impl FaultPlan {
 /// Stateless uniform roll in `[0, 1)` from `(seed, op, scope, attempt)`
 /// via 64-bit FNV-1a — no RNG state, so any interleaving replays alike.
 fn fault_roll(seed: u64, op: Operation, scope: &str, attempt: u64) -> f64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0x1f;
-        h = h.wrapping_mul(PRIME);
-    };
-    eat(&seed.to_le_bytes());
-    eat(format!("{op:?}").as_bytes());
-    eat(scope.as_bytes());
-    eat(&attempt.to_le_bytes());
+    let h = Fnv64::new()
+        .field(&seed.to_le_bytes())
+        .field(format!("{op:?}").as_bytes())
+        .field(scope.as_bytes())
+        .field(&attempt.to_le_bytes())
+        .finish();
     // Map the top 53 bits onto [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

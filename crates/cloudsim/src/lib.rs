@@ -26,6 +26,7 @@
 pub mod billing;
 pub mod error;
 pub mod fault;
+pub mod fnv;
 pub mod provider;
 pub mod quota;
 pub mod region;
@@ -35,6 +36,7 @@ pub mod sku;
 pub use billing::{BillingMeter, BillingSummary, UsageRecord};
 pub use error::CloudError;
 pub use fault::{Fault, FaultKind, FaultMode, FaultPlan, FaultTracker, Operation, RegionFault};
+pub use fnv::Fnv64;
 pub use provider::{AllocationId, Capacity, CloudProvider, ProviderConfig};
 pub use quota::QuotaTracker;
 pub use region::{Region, RegionCatalog};

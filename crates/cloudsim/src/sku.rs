@@ -7,6 +7,7 @@
 //! list prices / spec-sheet numbers — the reproduction only needs them to be
 //! mutually consistent, not authoritative.
 
+use crate::fnv::Fnv64;
 use std::fmt;
 
 /// CPU microarchitecture, used by the performance models to pick per-core
@@ -313,18 +314,15 @@ impl SkuCatalog {
     /// interconnect) yields a different revision, which downstream caches
     /// use to invalidate results computed against older catalogs.
     pub fn revision(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        for sku in &self.skus {
-            // Debug formatting covers every field (including float values
-            // exactly, via their shortest round-trippable representation)
-            // and is stable for a given catalog content.
-            for b in format!("{sku:?}\x1f").bytes() {
-                h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        // Debug formatting covers every field (including float values
+        // exactly, via their shortest round-trippable representation) and
+        // is stable for a given catalog content.
+        self.skus
+            .iter()
+            .fold(Fnv64::new(), |h, sku| {
+                h.field(format!("{sku:?}").as_bytes())
+            })
+            .finish()
     }
 }
 

@@ -56,7 +56,7 @@
 use crate::dataset::{DataPoint, PointFields};
 use crate::error::ToolError;
 use crate::scenario::{Scenario, ScenarioStatus};
-use cloudsim::Capacity;
+use cloudsim::{Capacity, Fnv64};
 use hpcadvisor_formats::{json, FormatError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -101,17 +101,10 @@ impl StoreFormat {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
 /// FNV-1a-64 over a record payload — the per-record checksum that catches
 /// torn or bit-rotted log writes.
 fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, fnv_step)
-}
-
-fn fnv_step(h: u64, b: &u8) -> u64 {
-    (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
+    Fnv64::new().write(bytes).finish()
 }
 
 /// [`fnv64`] of four payloads at once. Each checksum is one serial chain
@@ -119,14 +112,14 @@ fn fnv_step(h: u64, b: &u8) -> u64 {
 /// multiplier busy, about twice the throughput of one chain at a time.
 fn fnv64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
     let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
-    let mut h = [FNV_OFFSET; 4];
+    let mut h = [Fnv64::OFFSET; 4];
     for i in 0..common {
         for (h, p) in h.iter_mut().zip(&parts) {
-            *h = fnv_step(*h, &p[i]);
+            *h = Fnv64::step(*h, p[i]);
         }
     }
     for (h, p) in h.iter_mut().zip(&parts) {
-        *h = p[common..].iter().fold(*h, fnv_step);
+        *h = p[common..].iter().fold(*h, |h, &b| Fnv64::step(h, b));
     }
     h
 }

@@ -8,7 +8,7 @@
 //! of the SKU instead of burning attempts.
 
 use batchsim::BatchError;
-use cloudsim::CloudError;
+use cloudsim::{CloudError, Fnv64};
 
 /// How a collection-layer failure should be handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,21 +104,11 @@ impl RetryPolicy {
 
 /// Stateless jitter factor in `[0.8, 1.2)` via 64-bit FNV-1a.
 fn jitter(seed: u64, scope: &str, attempt: u32) -> f64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for chunk in [
-        &seed.to_le_bytes()[..],
-        scope.as_bytes(),
-        &attempt.to_le_bytes()[..],
-    ] {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0x1f;
-        h = h.wrapping_mul(PRIME);
-    }
+    let h = Fnv64::new()
+        .field(&seed.to_le_bytes())
+        .field(scope.as_bytes())
+        .field(&attempt.to_le_bytes())
+        .finish();
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
     0.8 + 0.4 * unit
 }

@@ -67,6 +67,7 @@ use crate::dataset::DataFilter;
 use crate::journal::RunJournal;
 use crate::service_state::{PendingJob, ServiceJournal, ServiceRecord};
 use crate::session::Session;
+use cloudsim::Fnv64;
 use hpcadvisor_formats::wire::ErrorCode;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -516,12 +517,7 @@ impl EventTap for ProgressForwarder {
 /// 64-bit FNV-1a over a request key — names the per-job journal file so
 /// arbitrary client keys become safe, fixed-length filenames.
 fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::new().write(key.as_bytes()).finish()
 }
 
 /// Shared state between the submitting side and the workers.
