@@ -4,7 +4,7 @@ use crate::error::BatchError;
 use crate::pool::{Pool, PoolState};
 use crate::task::{TaskContext, TaskId, TaskKind, TaskRecord, TaskResult, TaskState};
 use crate::SharedProvider;
-use cloudsim::{Capacity, CloudError, Fault, Operation};
+use cloudsim::{Capacity, CloudError, CloudProvider, Fault, Operation};
 use simtime::{EventQueue, SharedClock, SimInstant};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use telemetry::{EventSink, TraceEvent, Value};
@@ -177,32 +177,24 @@ impl BatchService {
         // Close out the old allocation first so quota frees before the new
         // acquire (growing a pool within quota would otherwise double-count).
         if let Some(id) = old_allocation {
-            let mut provider = self.provider.lock();
-            let released = provider.release_nodes(id);
-            let drained = provider.drain_trace();
-            drop(provider);
-            self.trace.absorb(drained);
-            released?;
+            locked(&self.provider, &mut self.trace, |p| p.release_nodes(id))?;
         }
         let pool = self.active_pool(name)?;
         pool.nodes = 0;
         pool.busy.clear();
         if target > 0 {
             // Call and drain under one lock hold so no other shard's
-            // provider events interleave into this shard's trace.
+            // provider events interleave into this shard's trace; the
+            // drained provision event carries the un-jittered boot latency.
             let mut provider = self.provider.lock();
-            let qualifier = self.fault_qualifier.as_deref();
-            let target_region = match &region {
-                Some(r) => r.clone(),
-                None => provider.region().name.clone(),
-            };
+            let home = provider.region().name.clone();
             let allocated = provider.allocate_nodes_keyed(
                 &self.resource_group,
                 &sku,
                 target,
                 capacity,
-                &target_region,
-                qualifier,
+                region.as_deref().unwrap_or(&home),
+                self.fault_qualifier.as_deref(),
             );
             let drained = provider.drain_trace();
             drop(provider);
@@ -360,7 +352,7 @@ impl BatchService {
             };
             // Injected task-start failures (capacity loss, node crash, …),
             // counted per pool so parallel shards replay like a serial run.
-            let start_fault = self.roll_traced(Operation::RunTask, &pool_name);
+            let start_fault = self.roll(Operation::RunTask, &pool_name, None);
             if let Err(fault) = start_fault {
                 let pool = self.pools.get_mut(&pool_name).expect("pool exists");
                 pool.release(&indices);
@@ -401,7 +393,7 @@ impl BatchService {
             // A node can die while the task runs: the task still consumes
             // its duration (the paper's failed tasks are billed too) but
             // finishes failed, tagged as an injected transient fault.
-            let death = self.roll_traced(Operation::NodeDeath, &pool_name);
+            let death = self.roll(Operation::NodeDeath, &pool_name, None);
             if let Err(fault) = death {
                 result = TaskResult::failed(
                     result.duration,
@@ -424,7 +416,7 @@ impl BatchService {
                     .is_some_and(|p| p.capacity == Capacity::Spot)
             {
                 let pool_region = self.pools.get(&pool_name).and_then(|p| p.region.clone());
-                let evicted = self.roll_eviction(&pool_name, pool_region.as_deref());
+                let evicted = self.roll(Operation::Eviction, &pool_name, pool_region.as_deref());
                 if let Err(fault) = evicted {
                     result = TaskResult::failed(
                         result.duration,
@@ -450,38 +442,23 @@ impl BatchService {
         self.queue = requeue;
     }
 
-    /// Rolls an injected fault for `op` under the provider lock, draining
-    /// the provider's buffered trace events in the same hold so no other
-    /// shard's events interleave into this shard's trace.
-    fn roll_traced(&mut self, op: Operation, scope: &str) -> Result<(), Fault> {
-        let mut provider = self.provider.lock();
-        let rolled = provider.inject_fault_keyed(op, scope, self.fault_qualifier.as_deref());
-        let drained = provider.drain_trace();
-        drop(provider);
-        self.trace.absorb(drained);
-        rolled
-    }
-
-    /// Rolls a spot-eviction fault for a pool, scaling the plan's
-    /// probabilistic eviction rate by the placement region's spot-pressure
-    /// multiplier. Region-less (home) pools keep pressure 1.0 — the exact
-    /// legacy roll sequence.
-    fn roll_eviction(&mut self, pool_name: &str, region: Option<&str>) -> Result<(), Fault> {
-        let mut provider = self.provider.lock();
-        let pressure = region
-            .and_then(|r| provider.regions().get(r))
-            .map(|r| r.spot_pressure)
-            .unwrap_or(1.0);
-        let rolled = provider.inject_fault_scaled_keyed(
-            Operation::Eviction,
-            pool_name,
-            pressure,
-            self.fault_qualifier.as_deref(),
-        );
-        let drained = provider.drain_trace();
-        drop(provider);
-        self.trace.absorb(drained);
-        rolled
+    /// Rolls an injected fault for `op` in a pool under this service's
+    /// counter qualifier. Pools placed in a region (`pressure_region`)
+    /// scale the plan's probabilistic rates by that region's spot-pressure
+    /// multiplier; task faults pass `None` and keep pressure 1.0.
+    fn roll(
+        &mut self,
+        op: Operation,
+        pool: &str,
+        pressure_region: Option<&str>,
+    ) -> Result<(), Fault> {
+        let qualifier = self.fault_qualifier.as_deref();
+        locked(&self.provider, &mut self.trace, |p| {
+            let pressure = pressure_region
+                .and_then(|r| p.regions().get(r))
+                .map_or(1.0, |r| r.spot_pressure);
+            p.inject_fault(op, pool, pressure, qualifier)
+        })
     }
 
     /// Marks a task failed without running it.
@@ -528,11 +505,7 @@ impl BatchService {
                 if let Some(alloc) = pool.allocation.take() {
                     pool.nodes = 0;
                     pool.busy.clear();
-                    let mut provider = self.provider.lock();
-                    let _ = provider.release_nodes(alloc);
-                    let drained = provider.drain_trace();
-                    drop(provider);
-                    self.trace.absorb(drained);
+                    let _ = locked(&self.provider, &mut self.trace, |p| p.release_nodes(alloc));
                 }
             }
         }
@@ -625,6 +598,22 @@ impl BatchService {
         self.run_until_idle();
         Ok(self.task(id).expect("task just ran"))
     }
+}
+
+/// Calls `f` on the provider and drains the events it buffered under the
+/// same lock hold, so no other shard's provider events interleave into this
+/// shard's trace, then stamps them onto `trace`.
+fn locked<T>(
+    provider: &SharedProvider,
+    trace: &mut EventSink,
+    f: impl FnOnce(&mut CloudProvider) -> T,
+) -> T {
+    let mut p = provider.lock();
+    let out = f(&mut p);
+    let drained = p.drain_trace();
+    drop(p);
+    trace.absorb(drained);
+    out
 }
 
 /// Stable trace label for a task kind.

@@ -352,32 +352,16 @@ impl FaultTracker {
         FaultTracker::default()
     }
 
-    /// Records one invocation of `op` in `scope` and reports the injected
-    /// fault, if the plan has one for this invocation.
-    pub fn check(&mut self, plan: &FaultPlan, op: Operation, scope: &str) -> Result<(), Fault> {
-        self.check_keyed(plan, op, scope, scope, 1.0)
-    }
-
-    /// [`FaultTracker::check`] with probabilistic rates scaled by
-    /// `pressure` (see [`FaultPlan::decide_scaled`]).
-    pub fn check_scaled(
-        &mut self,
-        plan: &FaultPlan,
-        op: Operation,
-        scope: &str,
-        pressure: f64,
-    ) -> Result<(), Fault> {
-        self.check_keyed(plan, op, scope, scope, pressure)
-    }
-
-    /// Like [`FaultTracker::check`] but with the invocation counter and the
-    /// probabilistic roll keyed separately. Region faults count attempts
-    /// under `counter_scope` (a shard-owned key such as `sku@region`, so
-    /// the sequence is independent of worker interleaving on the shared
-    /// provider) while rolling under `roll_scope` (the region name, so an
-    /// outage decision at a given attempt index is region-wide and replays
-    /// under any worker count).
-    pub fn check_keyed(
+    /// Records one invocation of `op` under `counter_scope` and reports the
+    /// injected fault, if the plan has one for this invocation. The plan
+    /// decides under `roll_scope` at the counter's attempt index, with
+    /// probabilistic rates scaled by `pressure` (see
+    /// [`FaultPlan::decide_scaled`]). Plain scope rolls pass the same scope
+    /// twice; region rolls count under a shard-owned key such as
+    /// `sku@region` (so the sequence is independent of worker interleaving
+    /// on the shared provider) and decide under the region name (so an
+    /// outage at a given attempt index is region-wide).
+    pub fn check(
         &mut self,
         plan: &FaultPlan,
         op: Operation,
@@ -430,7 +414,7 @@ mod tests {
         let mut tracker = FaultTracker::new();
         for _ in 0..100 {
             assert!(tracker
-                .check(&plan, Operation::AllocateNodes, "sku")
+                .check(&plan, Operation::AllocateNodes, "sku", "sku", 1.0)
                 .is_ok());
         }
     }
@@ -439,14 +423,18 @@ mod tests {
     fn fails_exactly_nth_invocation() {
         let plan = FaultPlan::none().fail_nth(Operation::AllocateNodes, 1);
         let mut tracker = FaultTracker::new();
-        assert!(tracker.check(&plan, Operation::AllocateNodes, "s").is_ok());
+        assert!(tracker
+            .check(&plan, Operation::AllocateNodes, "s", "s", 1.0)
+            .is_ok());
         let fault = tracker
-            .check(&plan, Operation::AllocateNodes, "s")
+            .check(&plan, Operation::AllocateNodes, "s", "s", 1.0)
             .unwrap_err();
         assert_eq!(fault.kind, FaultKind::Transient);
         assert_eq!(fault.attempt, 1);
         assert!(fault.to_string().contains("injected transient failure"));
-        assert!(tracker.check(&plan, Operation::AllocateNodes, "s").is_ok());
+        assert!(tracker
+            .check(&plan, Operation::AllocateNodes, "s", "s", 1.0)
+            .is_ok());
         assert_eq!(tracker.attempts(Operation::AllocateNodes, "s"), 3);
     }
 
@@ -455,7 +443,9 @@ mod tests {
         let plan = FaultPlan::none().fail_always(Operation::CreateStorage);
         let mut tracker = FaultTracker::new();
         for _ in 0..3 {
-            assert!(tracker.check(&plan, Operation::CreateStorage, "g").is_err());
+            assert!(tracker
+                .check(&plan, Operation::CreateStorage, "g", "g", 1.0)
+                .is_err());
         }
         // u64::MAX is a legitimate invocation index, not "always".
         let nth = FaultPlan::none().fail_nth(Operation::CreateStorage, u64::MAX);
@@ -464,18 +454,28 @@ mod tests {
             .decide(Operation::CreateStorage, "g", u64::MAX)
             .is_some());
         // Other operations are unaffected.
-        assert!(tracker.check(&plan, Operation::CreateBatch, "g").is_ok());
+        assert!(tracker
+            .check(&plan, Operation::CreateBatch, "g", "g", 1.0)
+            .is_ok());
     }
 
     #[test]
     fn operations_and_scopes_count_independently() {
         let plan = FaultPlan::none().fail_nth(Operation::RunTask, 0);
         let mut tracker = FaultTracker::new();
-        assert!(tracker.check(&plan, Operation::AllocateNodes, "a").is_ok());
-        assert!(tracker.check(&plan, Operation::RunTask, "pool-a").is_err());
-        assert!(tracker.check(&plan, Operation::RunTask, "pool-a").is_ok());
+        assert!(tracker
+            .check(&plan, Operation::AllocateNodes, "a", "a", 1.0)
+            .is_ok());
+        assert!(tracker
+            .check(&plan, Operation::RunTask, "pool-a", "pool-a", 1.0)
+            .is_err());
+        assert!(tracker
+            .check(&plan, Operation::RunTask, "pool-a", "pool-a", 1.0)
+            .is_ok());
         // A different scope restarts the per-scope count.
-        assert!(tracker.check(&plan, Operation::RunTask, "pool-b").is_err());
+        assert!(tracker
+            .check(&plan, Operation::RunTask, "pool-b", "pool-b", 1.0)
+            .is_err());
         assert_eq!(tracker.total_attempts(Operation::RunTask), 3);
     }
 
@@ -484,10 +484,12 @@ mod tests {
         let plan = FaultPlan::none().fail_nth(Operation::AllocateNodes, 1);
         let clone = plan.clone();
         let mut tracker = FaultTracker::new();
-        assert!(tracker.check(&plan, Operation::AllocateNodes, "s").is_ok());
+        assert!(tracker
+            .check(&plan, Operation::AllocateNodes, "s", "s", 1.0)
+            .is_ok());
         // Same tracker, either plan copy: second invocation fails.
         assert!(tracker
-            .check(&clone, Operation::AllocateNodes, "s")
+            .check(&clone, Operation::AllocateNodes, "s", "s", 1.0)
             .is_err());
     }
 
@@ -603,7 +605,7 @@ mod tests {
         );
         let mut tracker = FaultTracker::new();
         let check = |tr: &mut FaultTracker, counter: &str| {
-            tr.check_keyed(
+            tr.check(
                 &plan,
                 Operation::RegionCapacityCrunch,
                 counter,
@@ -628,13 +630,13 @@ mod tests {
         let mut b = FaultTracker::new();
         let rolls_a: Vec<bool> = (0..32)
             .map(|_| {
-                a.check_keyed(&plan, Operation::RegionOutage, "hb@westus2", "westus2", 1.0)
+                a.check(&plan, Operation::RegionOutage, "hb@westus2", "westus2", 1.0)
                     .is_err()
             })
             .collect();
         let rolls_b: Vec<bool> = (0..32)
             .map(|_| {
-                b.check_keyed(&plan, Operation::RegionOutage, "hc@westus2", "westus2", 1.0)
+                b.check(&plan, Operation::RegionOutage, "hc@westus2", "westus2", 1.0)
                     .is_err()
             })
             .collect();

@@ -288,37 +288,26 @@ impl CloudProvider {
         }
     }
 
-    fn roll_fault(&mut self, op: Operation, scope: &str) -> Result<(), Fault> {
-        self.roll_fault_qualified(op, scope, 1.0, None)
-    }
-
-    /// Core fault roll. The invocation counter is keyed `scope` (or
-    /// `scope#qualifier` when the caller owns a private attempt sequence —
-    /// the chunked scheduler qualifies by chunk so two chunks of the same
-    /// pool running concurrently never interleave their counters), while
-    /// the probabilistic roll and the trace event always use the bare
-    /// `scope`, so a fault decision at a given attempt index is
-    /// scope-wide and replays under any worker count. A `None` qualifier
-    /// is byte-identical to the unkeyed roll.
-    fn roll_fault_qualified(
+    /// The one fault roll. The invocation counter is keyed `counter_scope`
+    /// while the plan's decision and the `fault_roll` trace event use
+    /// `roll_scope`, so a decision at a given attempt index is shared by
+    /// every counter rolling under the same scope and replays under any
+    /// worker count.
+    fn roll(
         &mut self,
         op: Operation,
-        scope: &str,
+        counter_scope: &str,
+        roll_scope: &str,
         pressure: f64,
-        qualifier: Option<&str>,
     ) -> Result<(), Fault> {
-        let counter_scope = match qualifier {
-            Some(q) => std::borrow::Cow::Owned(format!("{scope}#{q}")),
-            None => std::borrow::Cow::Borrowed(scope),
-        };
         let rolled = self
             .tracker
-            .check_keyed(&self.fault, op, &counter_scope, scope, pressure);
+            .check(&self.fault, op, counter_scope, roll_scope, pressure);
         if self.trace_on {
-            let attempt = self.tracker.attempts(op, &counter_scope).saturating_sub(1);
+            let attempt = self.tracker.attempts(op, counter_scope).saturating_sub(1);
             let fired = rolled.is_err();
             self.trace_buf
-                .push(TraceEvent::pending("fault_roll", scope, |m| {
+                .push(TraceEvent::pending("fault_roll", roll_scope, |m| {
                     m.insert("op", Value::str(format!("{op:?}")));
                     m.insert("attempt", Value::Int(attempt as i64));
                     m.insert("fired", Value::Bool(fired));
@@ -327,68 +316,38 @@ impl CloudProvider {
         rolled
     }
 
-    fn check_fault(&mut self, op: Operation, scope: &str, label: &str) -> Result<(), CloudError> {
-        self.check_fault_keyed(op, scope, label, None)
+    /// Records one invocation of `op` in `scope` against the fault plan,
+    /// returning the structured fault if the plan says so. Probabilistic
+    /// rates are multiplied by `pressure` (exact schedules never scale).
+    /// With a `qualifier` the invocation counter is privately keyed
+    /// `scope#qualifier` — the chunked scheduler qualifies by chunk so two
+    /// chunks of one pool never interleave their counters — while the
+    /// decision and the trace stay keyed by the bare `scope`. The batch
+    /// layer injects task, node-death and eviction faults through this.
+    pub fn inject_fault(
+        &mut self,
+        op: Operation,
+        scope: &str,
+        pressure: f64,
+        qualifier: Option<&str>,
+    ) -> Result<(), Fault> {
+        match qualifier {
+            Some(q) => self.roll(op, &format!("{scope}#{q}"), scope, pressure),
+            None => self.roll(op, scope, scope, pressure),
+        }
     }
 
-    fn check_fault_keyed(
+    /// [`CloudProvider::inject_fault`] for a control-plane operation, as
+    /// the error that operation returns.
+    fn check_fault(
         &mut self,
         op: Operation,
         scope: &str,
         label: &str,
         qualifier: Option<&str>,
     ) -> Result<(), CloudError> {
-        self.roll_fault_qualified(op, scope, 1.0, qualifier)
-            .map_err(|fault| CloudError::ProvisioningFailed {
-                operation: label.to_string(),
-                reason: fault.to_string(),
-                transient: fault.kind == FaultKind::Transient,
-            })
-    }
-
-    /// Records one invocation of `op` in `scope` against the fault plan,
-    /// returning the structured fault if the plan says so. Exposed for
-    /// higher layers (the batch orchestrator uses it to inject task-level
-    /// and node-death faults, keyed by pool name).
-    pub fn inject_fault(&mut self, op: Operation, scope: &str) -> Result<(), Fault> {
-        self.roll_fault(op, scope)
-    }
-
-    /// [`CloudProvider::inject_fault`] with a multiplier on probabilistic
-    /// rates (Nth/Burst/Always rules are unaffected). The batch layer scales
-    /// spot-eviction rolls by the placement region's spot-pressure profile;
-    /// a pressure of 1.0 is byte-identical to [`CloudProvider::inject_fault`].
-    pub fn inject_fault_scaled(
-        &mut self,
-        op: Operation,
-        scope: &str,
-        pressure: f64,
-    ) -> Result<(), Fault> {
-        self.roll_fault_qualified(op, scope, pressure, None)
-    }
-
-    /// [`CloudProvider::inject_fault`] with the invocation counter privately
-    /// keyed `scope#qualifier` while rolling (and tracing) under the bare
-    /// `scope`. `None` is byte-identical to [`CloudProvider::inject_fault`].
-    pub fn inject_fault_keyed(
-        &mut self,
-        op: Operation,
-        scope: &str,
-        qualifier: Option<&str>,
-    ) -> Result<(), Fault> {
-        self.roll_fault_qualified(op, scope, 1.0, qualifier)
-    }
-
-    /// [`CloudProvider::inject_fault_scaled`] with a counter qualifier
-    /// (see [`CloudProvider::inject_fault_keyed`]).
-    pub fn inject_fault_scaled_keyed(
-        &mut self,
-        op: Operation,
-        scope: &str,
-        pressure: f64,
-        qualifier: Option<&str>,
-    ) -> Result<(), Fault> {
-        self.roll_fault_qualified(op, scope, pressure, qualifier)
+        self.inject_fault(op, scope, 1.0, qualifier)
+            .map_err(|fault| provisioning_failed(label, fault.to_string(), &fault))
     }
 
     /// Per-scope invocation counts recorded so far (for tests/diagnostics).
@@ -416,6 +375,7 @@ impl CloudProvider {
             Operation::CreateResourceGroup,
             name,
             "create resource group",
+            None,
         )?;
         self.spend(5.0);
         let group = ResourceGroup {
@@ -446,7 +406,7 @@ impl CloudProvider {
                 name: name.to_string(),
             });
         }
-        self.check_fault(op, group, label)?;
+        self.check_fault(op, group, label, None)?;
         self.spend(base_secs);
         let ready_at = self.clock.now();
         let g = self.group_mut(group)?;
@@ -600,76 +560,13 @@ impl CloudProvider {
         self.groups.get(name)
     }
 
-    /// Allocates `nodes` VMs of `sku` for a pool in `group`. Consumes quota,
-    /// takes node boot time (~150 s base, parallel boot), and starts the
-    /// billing meter. Returns a handle used to release the nodes.
-    pub fn allocate_nodes(
-        &mut self,
-        group: &str,
-        sku_name: &str,
-        nodes: u32,
-    ) -> Result<AllocationId, CloudError> {
-        self.allocate_nodes_with(group, sku_name, nodes, Capacity::Dedicated)
-    }
-
-    /// [`CloudProvider::allocate_nodes`] with an explicit capacity class.
-    /// Spot allocations consume the same quota and boot path but are billed
-    /// at the SKU's discounted rate when released.
-    pub fn allocate_nodes_with(
-        &mut self,
-        group: &str,
-        sku_name: &str,
-        nodes: u32,
-        capacity: Capacity,
-    ) -> Result<AllocationId, CloudError> {
-        let home = self.region().name.clone();
-        self.allocate_nodes_in(group, sku_name, nodes, capacity, &home)
-    }
-
-    /// Rolls a region-level fault. The invocation counter is keyed
-    /// `sku@region` (plus the caller's chunk qualifier, when set) — a
-    /// shard-owned key, since shards own SKUs — so the attempt sequence is
-    /// independent of worker interleaving on this shared provider; the
-    /// probabilistic roll is keyed by the region name alone, so an outage
-    /// decision at a given attempt index is region-wide. Skipped entirely
-    /// (no counter, no trace) when the plan has no rule for `op`, keeping
-    /// fault-free runs byte-identical.
-    fn roll_region_fault(
-        &mut self,
-        op: Operation,
-        sku: &str,
-        region: &str,
-        qualifier: Option<&str>,
-    ) -> Result<(), Fault> {
-        if !self.fault.targets(op) {
-            return Ok(());
-        }
-        let counter_scope = match qualifier {
-            Some(q) => format!("{sku}@{region}#{q}"),
-            None => format!("{sku}@{region}"),
-        };
-        let rolled = self
-            .tracker
-            .check_keyed(&self.fault, op, &counter_scope, region, 1.0);
-        if self.trace_on {
-            let attempt = self.tracker.attempts(op, &counter_scope).saturating_sub(1);
-            let fired = rolled.is_err();
-            self.trace_buf
-                .push(TraceEvent::pending("fault_roll", region, |m| {
-                    m.insert("op", Value::str(format!("{op:?}")));
-                    m.insert("attempt", Value::Int(attempt as i64));
-                    m.insert("fired", Value::Bool(fired));
-                }));
-        }
-        rolled
-    }
-
-    /// [`CloudProvider::allocate_nodes_with`] targeting an explicit region:
-    /// the allocation draws on that region's quota pool, pays its
-    /// provisioning-latency profile, honors its SKU-family availability,
-    /// and is exposed to its injected region faults
-    /// ([`crate::RegionFault`]). Billing on release uses the region's price
-    /// multiplier.
+    /// Allocates `nodes` VMs of `sku` for a pool in `group`, in `region_name`.
+    /// The allocation draws on that region's quota pool, pays its
+    /// provisioning-latency profile (~150 s base, parallel boot), honors
+    /// its SKU-family availability and is exposed to its injected region
+    /// faults ([`crate::RegionFault`]). Spot capacity boots alike but bills
+    /// at the SKU's discounted rate. Billing starts now and is settled, at
+    /// the region's price multiplier, by [`CloudProvider::release_nodes`].
     pub fn allocate_nodes_in(
         &mut self,
         group: &str,
@@ -682,11 +579,14 @@ impl CloudProvider {
     }
 
     /// [`CloudProvider::allocate_nodes_in`] with a private fault-counter
-    /// qualifier: the `AllocateNodes`/`BootNode`/region-fault invocation
-    /// counters are keyed `scope#qualifier` so concurrent callers (chunks
-    /// of the same SKU) keep independent, interleaving-free attempt
-    /// sequences. Rolls and traces stay keyed by the bare scope; `None` is
-    /// byte-identical to [`CloudProvider::allocate_nodes_in`].
+    /// qualifier for its `AllocateNodes`, `BootNode` and region rolls (see
+    /// [`CloudProvider::inject_fault`]).
+    ///
+    /// Region rolls count under `sku@region` — a shard-owned key, since
+    /// shards own SKUs — and decide under the region name, so an outage at
+    /// a given attempt index is region-wide. They are skipped entirely (no
+    /// counter, no trace) when the plan has no rule for their operation,
+    /// keeping fault-free runs byte-identical.
     pub fn allocate_nodes_keyed(
         &mut self,
         group: &str,
@@ -708,36 +608,27 @@ impl CloudProvider {
         // Region fault domain: an outage rejects everything, a capacity
         // crunch fails allocations even with quota to spare, a provision
         // delay lets the allocation through but slows the boot below.
-        if let Err(fault) =
-            self.roll_region_fault(Operation::RegionOutage, &sku.name, &region.name, qualifier)
-        {
-            return Err(CloudError::ProvisioningFailed {
-                operation: "region outage".into(),
-                reason: format!("region {}: {fault}", region.name),
-                transient: fault.kind == FaultKind::Transient,
-            });
+        let region_scope = match qualifier {
+            Some(q) => format!("{}@{}#{q}", sku.name, region.name),
+            None => format!("{}@{}", sku.name, region.name),
+        };
+        let region_roll = |p: &mut Self, op: Operation| {
+            if p.fault.targets(op) {
+                p.roll(op, &region_scope, &region.name, 1.0)
+            } else {
+                Ok(())
+            }
+        };
+        for (op, label) in [
+            (Operation::RegionOutage, "region outage"),
+            (Operation::RegionCapacityCrunch, "region capacity crunch"),
+        ] {
+            region_roll(self, op).map_err(|fault| {
+                provisioning_failed(label, format!("region {}: {fault}", region.name), &fault)
+            })?;
         }
-        if let Err(fault) = self.roll_region_fault(
-            Operation::RegionCapacityCrunch,
-            &sku.name,
-            &region.name,
-            qualifier,
-        ) {
-            return Err(CloudError::ProvisioningFailed {
-                operation: "region capacity crunch".into(),
-                reason: format!("region {}: {fault}", region.name),
-                transient: fault.kind == FaultKind::Transient,
-            });
-        }
-        let delayed = self
-            .roll_region_fault(
-                Operation::RegionProvisionDelay,
-                &sku.name,
-                &region.name,
-                qualifier,
-            )
-            .is_err();
-        self.check_fault_keyed(
+        let delayed = region_roll(self, Operation::RegionProvisionDelay).is_err();
+        self.check_fault(
             Operation::AllocateNodes,
             &sku.name,
             "allocate nodes",
@@ -772,9 +663,7 @@ impl CloudProvider {
         });
         // A node can come up unhealthy after capacity was granted; the
         // failed allocation hands its quota straight back.
-        if let Err(e) =
-            self.check_fault_keyed(Operation::BootNode, &sku.name, "boot nodes", qualifier)
-        {
+        if let Err(e) = self.check_fault(Operation::BootNode, &sku.name, "boot nodes", qualifier) {
             self.quotas
                 .get_mut(&region.name)
                 .expect("every region has a pool")
@@ -894,12 +783,32 @@ impl CloudProvider {
     }
 }
 
+/// The error a control-plane operation returns for an injected fault.
+fn provisioning_failed(operation: &str, reason: String, fault: &Fault) -> CloudError {
+    CloudError::ProvisioningFailed {
+        operation: operation.to_string(),
+        reason,
+        transient: fault.kind == FaultKind::Transient,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn provider() -> CloudProvider {
         CloudProvider::new(ProviderConfig::default()).unwrap()
+    }
+
+    /// Allocates into group `rg1` in the provider's home region.
+    fn allocate_home(
+        p: &mut CloudProvider,
+        sku: &str,
+        nodes: u32,
+        capacity: Capacity,
+    ) -> Result<AllocationId, CloudError> {
+        let home = p.region().name.clone();
+        p.allocate_nodes_in("rg1", sku, nodes, capacity, &home)
     }
 
     /// Replays the paper's Section III-B provisioning sequence.
@@ -948,7 +857,7 @@ mod tests {
     fn allocation_bills_on_release() {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        let id = p.allocate_nodes("rg1", "HB120rs_v3", 4).unwrap();
+        let id = allocate_home(&mut p, "HB120rs_v3", 4, Capacity::Dedicated).unwrap();
         assert_eq!(p.allocated_nodes("rg1"), 4);
         p.clock().advance_by(SimDuration::from_hours(1));
         let cost = p.release_nodes(id).unwrap();
@@ -963,9 +872,7 @@ mod tests {
     fn spot_allocation_bills_at_discounted_rate() {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        let id = p
-            .allocate_nodes_with("rg1", "HB120rs_v3", 4, Capacity::Spot)
-            .unwrap();
+        let id = allocate_home(&mut p, "HB120rs_v3", 4, Capacity::Spot).unwrap();
         assert_eq!(p.allocation_capacity(id), Some(Capacity::Spot));
         p.clock().advance_by(SimDuration::from_hours(1));
         let cost = p.release_nodes(id).unwrap();
@@ -986,9 +893,7 @@ mod tests {
         // billing span: $0.00, never negative, and quota is handed back.
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        let id = p
-            .allocate_nodes_with("rg1", "HC44rs", 2, Capacity::Spot)
-            .unwrap();
+        let id = allocate_home(&mut p, "HC44rs", 2, Capacity::Spot).unwrap();
         let cost = p.release_nodes(id).unwrap();
         assert_eq!(cost, 0.0, "evict-at-boot must bill a zero-length span");
         assert!(cost >= 0.0, "partial billing must never go negative");
@@ -1002,9 +907,7 @@ mod tests {
         // or double charge) is structurally impossible.
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        let id = p
-            .allocate_nodes_with("rg1", "HB120rs_v3", 2, Capacity::Spot)
-            .unwrap();
+        let id = allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Spot).unwrap();
         p.clock()
             .advance_by(SimDuration::from_secs_f64(17.3 * 60.0));
         let cost = p.release_nodes(id).unwrap();
@@ -1028,8 +931,8 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         p.quota_mut().set_limit("HBv3", 240);
-        assert!(p.allocate_nodes("rg1", "HB120rs_v3", 2).is_ok());
-        let err = p.allocate_nodes("rg1", "HB120rs_v3", 1).unwrap_err();
+        assert!(allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Dedicated).is_ok());
+        let err = allocate_home(&mut p, "HB120rs_v3", 1, Capacity::Dedicated).unwrap_err();
         assert!(matches!(err, CloudError::QuotaExceeded { .. }));
     }
 
@@ -1037,7 +940,7 @@ mod tests {
     fn delete_group_releases_allocations() {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        let _id = p.allocate_nodes("rg1", "HC44rs", 2).unwrap();
+        let _id = allocate_home(&mut p, "HC44rs", 2, Capacity::Dedicated).unwrap();
         p.clock().advance_by(SimDuration::from_mins(30));
         p.delete_resource_group("rg1").unwrap();
         assert!(p.billing().total_cost() > 0.0);
@@ -1054,12 +957,12 @@ mod tests {
         let mut p = provider();
         p.set_fault_plan(FaultPlan::none().fail_nth(Operation::AllocateNodes, 0));
         deploy_landing_zone(&mut p, "rg1");
-        let err = p.allocate_nodes("rg1", "HB120rs_v3", 1).unwrap_err();
+        let err = allocate_home(&mut p, "HB120rs_v3", 1, Capacity::Dedicated).unwrap_err();
         assert!(matches!(err, CloudError::ProvisioningFailed { .. }));
         // Failed allocation takes no quota.
         assert_eq!(p.quota_mut().used("HBv3"), 0);
         // Retry succeeds.
-        assert!(p.allocate_nodes("rg1", "HB120rs_v3", 1).is_ok());
+        assert!(allocate_home(&mut p, "HB120rs_v3", 1, Capacity::Dedicated).is_ok());
     }
 
     #[test]
@@ -1067,7 +970,7 @@ mod tests {
         let mut p = provider();
         p.set_fault_plan(FaultPlan::none().fail_nth(Operation::BootNode, 0));
         deploy_landing_zone(&mut p, "rg1");
-        let err = p.allocate_nodes("rg1", "HB120rs_v3", 2).unwrap_err();
+        let err = allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Dedicated).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1080,7 +983,7 @@ mod tests {
         );
         // Quota granted before the boot fault is handed back.
         assert_eq!(p.quota_mut().used("HBv3"), 0);
-        assert!(p.allocate_nodes("rg1", "HB120rs_v3", 2).is_ok());
+        assert!(allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Dedicated).is_ok());
     }
 
     #[test]
@@ -1088,7 +991,7 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         assert!(matches!(
-            p.allocate_nodes("rg1", "Standard_Bogus", 1),
+            allocate_home(&mut p, "Standard_Bogus", 1, Capacity::Dedicated),
             Err(CloudError::UnknownSku(_))
         ));
         let bad = ProviderConfig {
@@ -1111,7 +1014,7 @@ mod tests {
         deploy_landing_zone(&mut p, "rg1");
         // japaneast lacks the HB (Naples) family.
         assert!(matches!(
-            p.allocate_nodes("rg1", "HB60rs", 1),
+            allocate_home(&mut p, "HB60rs", 1, Capacity::Dedicated),
             Err(CloudError::SkuNotInRegion { .. })
         ));
     }
@@ -1167,7 +1070,7 @@ mod tests {
             Err(CloudError::QuotaExceeded { .. })
         ));
         // The home region's (default 20 000-core) pool is untouched.
-        assert!(p.allocate_nodes("rg1", "HB120rs_v3", 1).is_ok());
+        assert!(allocate_home(&mut p, "HB120rs_v3", 1, Capacity::Dedicated).is_ok());
         p.release_nodes(id).unwrap();
         assert_eq!(p.quota_mut_in("japaneast").unwrap().used("HBv3"), 0);
     }
@@ -1318,11 +1221,11 @@ mod tests {
         p.set_trace_enabled(true);
         // Two rolls on the shared counter, then sixteen on a private one.
         for _ in 0..2 {
-            let _ = p.inject_fault_keyed(Operation::RunTask, "pool", None);
+            let _ = p.inject_fault(Operation::RunTask, "pool", 1.0, None);
         }
         let fired: Vec<bool> = (0..16)
             .map(|_| {
-                p.inject_fault_keyed(Operation::RunTask, "pool", Some("c1"))
+                p.inject_fault(Operation::RunTask, "pool", 1.0, Some("c1"))
                     .is_err()
             })
             .collect();
@@ -1354,7 +1257,7 @@ mod tests {
         p.set_fault_plan(FaultPlan::none().fail_always(Operation::RunTask));
         p.set_trace_enabled(true);
         assert!(p
-            .inject_fault_keyed(Operation::NodeDeath, "pool", None)
+            .inject_fault(Operation::NodeDeath, "pool", 1.0, None)
             .is_ok());
         assert_eq!(p.fault_attempts(Operation::NodeDeath, "pool"), 1);
         let events = p.drain_trace();
@@ -1398,16 +1301,14 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         assert!(!p.trace_enabled());
-        let id = p.allocate_nodes("rg1", "HB120rs_v3", 2).unwrap();
+        let id = allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Dedicated).unwrap();
         p.release_nodes(id).unwrap();
         assert!(
             p.drain_trace().is_empty(),
             "disabled provider buffers nothing"
         );
         p.set_trace_enabled(true);
-        let id = p
-            .allocate_nodes_with("rg1", "HB120rs_v3", 2, Capacity::Spot)
-            .unwrap();
+        let id = allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Spot).unwrap();
         p.release_nodes(id).unwrap();
         let events = p.drain_trace();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
@@ -1425,7 +1326,7 @@ mod tests {
         assert!(p.drain_trace().is_empty(), "drain empties the buffer");
         // Denied quota is traced too.
         p.quota_mut().set_limit("HBv3", 100);
-        assert!(p.allocate_nodes("rg1", "HB120rs_v3", 4).is_err());
+        assert!(allocate_home(&mut p, "HB120rs_v3", 4, Capacity::Dedicated).is_err());
         let events = p.drain_trace();
         let quota = events.iter().find(|e| e.kind == "quota").unwrap();
         assert_eq!(quota.fields.get("granted"), Some(&Value::Bool(false)));
@@ -1436,7 +1337,7 @@ mod tests {
         let run = || {
             let mut p = provider();
             deploy_landing_zone(&mut p, "rg1");
-            let id = p.allocate_nodes("rg1", "HB120rs_v3", 8).unwrap();
+            let id = allocate_home(&mut p, "HB120rs_v3", 8, Capacity::Dedicated).unwrap();
             p.clock().advance_by(SimDuration::from_secs(120));
             p.release_nodes(id).unwrap();
             (p.clock().now(), p.billing().total_cost())

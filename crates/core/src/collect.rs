@@ -868,7 +868,7 @@ impl Collector {
                         .iter()
                         .filter(|s| ctx.should_run(s))
                     {
-                        points.push(ctx.failed_point(scenario, &reason));
+                        points.push(ctx.settled_point(scenario, ScenarioStatus::Failed, &reason));
                         outcomes.push(ScenarioOutcome::chunk_failed(scenario, chunk_idx, &reason));
                     }
                 }
@@ -895,11 +895,7 @@ impl Collector {
                         .fail_reason
                         .as_deref()
                         .unwrap_or("journaled failure");
-                    match hit.entry.status {
-                        ScenarioStatus::Skipped => ctx.skipped_point(hit.scenario, reason),
-                        ScenarioStatus::TimedOut => ctx.timed_out_point(hit.scenario, reason),
-                        _ => ctx.failed_point(hit.scenario, reason),
-                    }
+                    ctx.settled_point(hit.scenario, hit.entry.status, reason)
                 }
             };
             outcomes.push(ScenarioOutcome::replayed(hit.scenario, &hit.entry));

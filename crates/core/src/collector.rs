@@ -102,7 +102,22 @@ impl ExecContext {
         format!("/share/{}/apps/{}", self.deployment, self.config.appname)
     }
 
-    pub(crate) fn failed_point(&self, scenario: &Scenario, reason: &str) -> DataPoint {
+    /// A zero-cost point for a scenario that settled without a result:
+    /// failed, timed out (killed by the deadline watchdog) or skipped (not
+    /// executed, e.g. quota or budget degradation). The reason lands under
+    /// the status's metric key. Any other status settles as `Failed`: a
+    /// point without a result cannot claim to be completed or pending.
+    pub(crate) fn settled_point(
+        &self,
+        scenario: &Scenario,
+        status: ScenarioStatus,
+        reason: &str,
+    ) -> DataPoint {
+        let (status, key) = match status {
+            ScenarioStatus::Skipped => (status, "SKIPREASON"),
+            ScenarioStatus::TimedOut => (status, "TIMEOUTREASON"),
+            _ => (ScenarioStatus::Failed, "FAILREASON"),
+        };
         DataPoint {
             scenario_id: scenario.id,
             appname: self.config.appname.clone(),
@@ -113,58 +128,10 @@ impl ExecContext {
             exec_time_secs: 0.0,
             task_secs: 0.0,
             cost_dollars: 0.0,
-            status: ScenarioStatus::Failed,
+            status,
             capacity: self.plan.capacity,
             region: scenario.region.clone(),
-            metrics: vec![("FAILREASON".into(), reason.to_string())],
-            infra: Vec::new(),
-            tags: self.config.tags.clone(),
-            deployment: self.deployment.clone(),
-        }
-    }
-
-    /// A point for a scenario killed by the deadline watchdog. Terminal
-    /// like a failure — the evidence is "ran out of wall-clock budget", so
-    /// the next collect only re-attempts it under `rerun_failed`.
-    pub(crate) fn timed_out_point(&self, scenario: &Scenario, reason: &str) -> DataPoint {
-        DataPoint {
-            scenario_id: scenario.id,
-            appname: self.config.appname.clone(),
-            sku: scenario.sku.clone(),
-            nnodes: scenario.nnodes,
-            ppn: scenario.ppn,
-            appinputs: scenario.appinputs.clone(),
-            exec_time_secs: 0.0,
-            task_secs: 0.0,
-            cost_dollars: 0.0,
-            status: ScenarioStatus::TimedOut,
-            capacity: self.plan.capacity,
-            region: scenario.region.clone(),
-            metrics: vec![("TIMEOUTREASON".into(), reason.to_string())],
-            infra: Vec::new(),
-            tags: self.config.tags.clone(),
-            deployment: self.deployment.clone(),
-        }
-    }
-
-    /// A zero-cost point for a scenario the run deliberately did not
-    /// execute (quota-aware degradation). Unlike [`ExecContext::failed_point`]
-    /// the status is `Skipped`, so the next collect re-attempts it.
-    pub(crate) fn skipped_point(&self, scenario: &Scenario, reason: &str) -> DataPoint {
-        DataPoint {
-            scenario_id: scenario.id,
-            appname: self.config.appname.clone(),
-            sku: scenario.sku.clone(),
-            nnodes: scenario.nnodes,
-            ppn: scenario.ppn,
-            appinputs: scenario.appinputs.clone(),
-            exec_time_secs: 0.0,
-            task_secs: 0.0,
-            cost_dollars: 0.0,
-            status: ScenarioStatus::Skipped,
-            capacity: self.plan.capacity,
-            region: scenario.region.clone(),
-            metrics: vec![("SKIPREASON".into(), reason.to_string())],
+            metrics: vec![(key.into(), reason.to_string())],
             infra: Vec::new(),
             tags: self.config.tags.clone(),
             deployment: self.deployment.clone(),
@@ -355,22 +322,26 @@ impl ShardRun<'_> {
                 let spent = self.ctx.provider.lock().billing().total_cost();
                 if spent >= budget {
                     tally.attempts = 0;
-                    self.record_journaled_skip(
+                    self.settle(
                         &mut out,
                         scenario,
+                        ScenarioStatus::Skipped,
                         &format!("budget exceeded: ${spent:.2} spent of ${budget:.2} budget"),
                         tally,
+                        true,
                     );
                     continue;
                 }
             }
             if exhausted_skus.contains(&scenario.sku) {
                 tally.attempts = 0;
-                self.record_skip(
+                self.settle(
                     &mut out,
                     scenario,
+                    ScenarioStatus::Skipped,
                     "SKU quota exhausted earlier in this run",
                     tally,
+                    false,
                 );
                 continue;
             }
@@ -399,15 +370,17 @@ impl ShardRun<'_> {
             };
             if placements.is_empty() {
                 tally.attempts = 0;
-                self.record_journaled_skip(
+                self.settle(
                     &mut out,
                     scenario,
+                    ScenarioStatus::Skipped,
                     &format!(
                         "no region satisfies placement SLA: every candidate region for {} \
                          is marked down",
                         scenario.sku
                     ),
                     tally,
+                    true,
                 );
                 continue;
             }
@@ -424,11 +397,13 @@ impl ShardRun<'_> {
                             (pool.name.clone(), pool.setup_ok)
                         };
                         if !setup_ok {
-                            self.record_failure(
+                            self.settle(
                                 &mut out,
                                 scenario,
+                                ScenarioStatus::Failed,
                                 "application setup failed on this pool",
                                 tally,
+                                true,
                             );
                             handled = true;
                             break;
@@ -477,28 +452,23 @@ impl ShardRun<'_> {
                         break;
                     }
                     Err((e, class)) => match (&scenario.region, class) {
-                        (None, _) => {
-                            // Legacy single-region semantics, untouched.
-                            self.record_resize_error(
-                                &mut out,
-                                &mut exhausted_skus,
-                                scenario,
-                                &e,
-                                class,
-                                tally,
-                            );
+                        (None, FaultClass::PermanentForSku) => {
+                            // Quota exhaustion degrades the rest of the SKU
+                            // to skips.
+                            exhausted_skus.insert(scenario.sku.clone());
+                            let reason = format!("SKU quota exhausted: {e}");
+                            let skipped = ScenarioStatus::Skipped;
+                            self.settle(&mut out, scenario, skipped, &reason, tally, false);
                             handled = true;
                             break;
                         }
-                        (Some(_), FaultClass::Permanent) => {
-                            // Hard rejections are not a region's fault; no
-                            // other placement would fare better.
-                            self.record_failure(
-                                &mut out,
-                                scenario,
-                                &format!("pool resize: {e}"),
-                                tally,
-                            );
+                        (None, _) | (Some(_), FaultClass::Permanent) => {
+                            // A placed scenario's hard rejection is not a
+                            // region's fault; no other placement would fare
+                            // better.
+                            let reason = format!("pool resize: {e}");
+                            let failed = ScenarioStatus::Failed;
+                            self.settle(&mut out, scenario, failed, &reason, tally, true);
                             handled = true;
                             break;
                         }
@@ -529,14 +499,16 @@ impl ShardRun<'_> {
                 // Every candidate region faulted out: degrade to a journaled
                 // skip so a resume honors the decision instead of re-rolling
                 // the whole failover chain against the cloud.
-                self.record_journaled_skip(
+                self.settle(
                     &mut out,
                     scenario,
+                    ScenarioStatus::Skipped,
                     &format!(
                         "no region satisfies placement SLA: tried {}; last fault: {last_fault}",
                         tried.join(", ")
                     ),
                     tally,
+                    true,
                 );
             }
         }
@@ -691,102 +663,33 @@ impl ShardRun<'_> {
         Ok(())
     }
 
-    /// Records the terminal outcome of a failed resize: quota exhaustion
-    /// degrades the rest of the SKU to skips, anything else is a failure.
-    #[allow(clippy::too_many_arguments)]
-    fn record_resize_error(
-        &mut self,
-        out: &mut ShardOutput,
-        exhausted_skus: &mut HashSet<String>,
-        scenario: &Scenario,
-        error: &batchsim::BatchError,
-        class: FaultClass,
-        tally: Tally,
-    ) {
-        if class == FaultClass::PermanentForSku {
-            exhausted_skus.insert(scenario.sku.clone());
-            self.record_skip(
-                out,
-                scenario,
-                &format!("SKU quota exhausted: {error}"),
-                tally,
-            );
-        } else {
-            self.record_failure(out, scenario, &format!("pool resize: {error}"), tally);
-        }
-    }
-
-    fn record_failure(
+    /// Records a scenario that settled without a result (see
+    /// [`ExecContext::settled_point`]). `journal` says whether the outcome
+    /// is appended to the run journal: failures and deliberate stops (the
+    /// budget breaker, placement exhausting every region) are, so a
+    /// `--resume` honors them; quota skips are not, so the next collect
+    /// attempts them again.
+    fn settle(
         &mut self,
         out: &mut ShardOutput,
         scenario: &Scenario,
+        status: ScenarioStatus,
         reason: &str,
         tally: Tally,
+        journal: bool,
     ) {
-        self.trace_scenario_end(scenario, ScenarioStatus::Failed, tally, 0.0);
-        let point = self.ctx.failed_point(scenario, reason);
+        let point = self.ctx.settled_point(scenario, status, reason);
+        self.trace_scenario_end(scenario, point.status, tally, 0.0);
         let outcome = ShardOutcome {
             scenario_id: scenario.id,
-            status: ScenarioStatus::Failed,
+            status: point.status,
             fail_reason: Some(reason.to_string()),
             attempts: tally.attempts,
             backoff_secs: tally.backoff_secs,
             evictions: tally.evictions,
             failovers: tally.failovers,
         };
-        if let Some(writer) = &self.journal {
-            writer.record(&outcome, &point);
-        }
-        out.points.push(point);
-        out.outcomes.push(outcome);
-    }
-
-    /// Records a deliberately-not-executed scenario. Quota skips are never
-    /// journaled: the next collect (or a resume) should attempt them.
-    fn record_skip(
-        &mut self,
-        out: &mut ShardOutput,
-        scenario: &Scenario,
-        reason: &str,
-        tally: Tally,
-    ) {
-        self.trace_scenario_end(scenario, ScenarioStatus::Skipped, tally, 0.0);
-        out.points.push(self.ctx.skipped_point(scenario, reason));
-        out.outcomes.push(ShardOutcome {
-            scenario_id: scenario.id,
-            status: ScenarioStatus::Skipped,
-            fail_reason: Some(reason.to_string()),
-            attempts: tally.attempts,
-            backoff_secs: tally.backoff_secs,
-            evictions: tally.evictions,
-            failovers: tally.failovers,
-        });
-    }
-
-    /// Records a journaled skip — a deliberate terminal decision (the
-    /// budget breaker tripping, or placement exhausting every candidate
-    /// region). Unlike quota skips this one IS journaled: a `--resume`
-    /// must honor the stop instead of silently re-running (and re-billing)
-    /// everything the run deliberately cut.
-    fn record_journaled_skip(
-        &mut self,
-        out: &mut ShardOutput,
-        scenario: &Scenario,
-        reason: &str,
-        tally: Tally,
-    ) {
-        self.trace_scenario_end(scenario, ScenarioStatus::Skipped, tally, 0.0);
-        let point = self.ctx.skipped_point(scenario, reason);
-        let outcome = ShardOutcome {
-            scenario_id: scenario.id,
-            status: ScenarioStatus::Skipped,
-            fail_reason: Some(reason.to_string()),
-            attempts: tally.attempts,
-            backoff_secs: tally.backoff_secs,
-            evictions: tally.evictions,
-            failovers: tally.failovers,
-        };
-        if let Some(writer) = &self.journal {
+        if let (true, Some(writer)) = (journal, &self.journal) {
             writer.record(&outcome, &point);
         }
         out.points.push(point);
@@ -884,8 +787,9 @@ impl ShardRun<'_> {
             let elapsed = task_secs_total + (tally.backoff_secs - backoff_start);
             if let Some(deadline) = self.ctx.plan.deadline_secs {
                 if elapsed >= deadline {
-                    let mut point = self.ctx.timed_out_point(
+                    let mut point = self.ctx.settled_point(
                         scenario,
+                        ScenarioStatus::TimedOut,
                         &format!(
                             "deadline exceeded: {elapsed:.0}s elapsed over {attempt} attempt(s) \
                              and {} eviction(s) against a {deadline:.0}s deadline",
