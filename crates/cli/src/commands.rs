@@ -263,11 +263,6 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
         scenarios = generate_scenarios(&config, &cloudsim::SkuCatalog::azure_hpc())?;
     }
 
-    // Re-provision the recorded deployment deterministically (the cloud is
-    // simulated in-process) and run the collection loop on it.
-    let mut manager = DeploymentManager::new(&config.subscription, &config.region, record.seed)?;
-    let name = manager.create(&config)?;
-    let mut collector = Collector::new(manager.provider(), &name, config.clone(), record.seed)?;
     let workers: usize = match args.option("workers") {
         None => 1,
         Some(n) => n
@@ -277,27 +272,6 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     // Incremental collection: reuse finished results from the work
     // directory's scenario cache unless --no-cache was given.
     let cache_path = cache_file(args, workdir);
-    if args.has("no-cache") {
-        collector.set_cache_policy(CachePolicy::Off);
-    } else {
-        collector.set_shared_cache(SharedScenarioCache::open(&cache_path));
-    }
-    // Crash-safe run journal: every finished outcome is appended as it
-    // lands. `--resume` replays a previous (interrupted) run's journal so
-    // only the remainder executes; without it the journal starts fresh.
-    let journal_path = workdir.journal_file();
-    let journal = if args.has("resume") {
-        RunJournal::open(&journal_path)
-    } else {
-        RunJournal::open_fresh(&journal_path)
-    };
-    if journal.recovered() {
-        wline(
-            out,
-            "warning: run journal was damaged; salvaged the readable prefix",
-        )?;
-    }
-    collector.set_journal(journal);
 
     // Spot-capacity collection: `--capacity spot` provisions spot pools
     // (discounted, evictable); `auto` starts on spot but escalates a
@@ -351,8 +325,40 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
         ));
     }
 
-    let increment = match args.option("sampler") {
+    // Each branch returns its dataset increment and the cloud spend of the
+    // sessions it ran.
+    let (increment, total_cost) = match args.option("sampler") {
         None | Some("full") => {
+            // Re-provision the recorded deployment deterministically (the
+            // cloud is simulated in-process) and run the collection loop on
+            // it.
+            let mut manager =
+                DeploymentManager::new(&config.subscription, &config.region, record.seed)?;
+            let name = manager.create(&config)?;
+            let mut collector =
+                Collector::new(manager.provider(), &name, config.clone(), record.seed)?;
+            if args.has("no-cache") {
+                collector.set_cache_policy(CachePolicy::Off);
+            } else {
+                collector.set_shared_cache(SharedScenarioCache::open(&cache_path));
+            }
+            // Crash-safe run journal: every finished outcome is appended as
+            // it lands. `--resume` replays a previous (interrupted) run's
+            // journal so only the remainder executes; without it the
+            // journal starts fresh.
+            let journal_path = workdir.journal_file();
+            let journal = if args.has("resume") {
+                RunJournal::open(&journal_path)
+            } else {
+                RunJournal::open_fresh(&journal_path)
+            };
+            if journal.recovered() {
+                wline(
+                    out,
+                    "warning: run journal was damaged; salvaged the readable prefix",
+                )?;
+            }
+            collector.set_journal(journal);
             let mut plan = CollectPlan::new().workers(workers);
             if args.has("no-retry") {
                 plan = plan.retry(RetryPolicy::none());
@@ -476,7 +482,8 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
                     ),
                 )?;
             }
-            report.into_dataset()
+            let spend = manager.provider().lock().billing().total_cost();
+            (report.into_dataset(), spend)
         }
         Some("partial") => {
             // Partial-execution prediction (cited technique): probe every
@@ -495,14 +502,14 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
             wline(
                 out,
                 &format!(
-                    "partial execution: {} probes + {} full runs for {} scenarios                      (prediction error {:.1}%)",
+                    "partial execution: {} probes + {} full runs for {} scenarios (prediction error {:.1}%)",
                     report.probe_runs,
                     report.full_runs,
                     report.total,
                     report.mean_relative_error * 100.0
                 ),
             )?;
-            report.verified
+            (report.verified, report.cloud_cost)
         }
         Some(sampler_name) => {
             // Sampling needs the Session wrapper for iterative batches.
@@ -531,7 +538,7 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
                     report.savings() * 100.0
                 ),
             )?;
-            ds
+            (ds, session.total_cloud_cost())
         }
     };
 
@@ -557,7 +564,7 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     workdir.save_scenarios(&scenarios)?;
     // `+ 0.0` normalizes the negative zero an empty billing ledger sums to,
     // so a fully-cached collection prints $0.00 rather than $-0.00.
-    let total_cost = manager.provider().lock().billing().total_cost() + 0.0;
+    let total_cost = total_cost + 0.0;
     let mut skipnote = if skipped > 0 {
         format!(", {skipped} skipped")
     } else {
@@ -1269,9 +1276,20 @@ mod tests {
         let config = write_config(&dir);
         let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
         assert!(ok);
+        // An interrupted full collect's journal survives a sampler collect.
+        let journal = dir.join("run-journal.jsonl");
+        std::fs::write(&journal, "interrupted\n").unwrap();
         let (out, ok) = run_in(&dir, &["collect", "--sampler", "aggressive"]);
         assert!(ok, "{out}");
         assert!(out.contains("sampler 'aggressive-discard'"), "{out}");
+        assert!(!out.contains("executed 0/"), "{out}");
+        let spend: f64 = out
+            .split("cloud spend this collection: $")
+            .nth(1)
+            .and_then(|rest| rest.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no spend line: {out}"));
+        assert!(spend > 0.0, "the sampled scenarios ran: {out}");
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), "interrupted\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

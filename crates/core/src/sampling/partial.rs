@@ -32,6 +32,8 @@ pub struct PartialExecutionReport {
     pub verified: Dataset,
     /// Mean absolute relative error of predictions vs. verification.
     pub mean_relative_error: f64,
+    /// Cloud spend of the probe and verification sessions, in US dollars.
+    pub cloud_cost: f64,
 }
 
 /// Which input key carries the step count for an application.
@@ -91,7 +93,7 @@ pub fn run_partial_execution(
     // the fixed startup s from the steady per-step rate r — the actual
     // technique of the cited partial-execution predictors.
     let probe_steps_2 = (probe_steps * 2).min(full_steps - 1).max(probe_steps + 1);
-    let run_probe = |steps: u64| -> Result<Dataset, ToolError> {
+    let run_probe = |steps: u64| -> Result<(Dataset, f64), ToolError> {
         let mut probe_config = config.clone();
         probe_config
             .appinputs
@@ -100,10 +102,11 @@ pub fn run_partial_execution(
             .appinputs
             .push((key.to_string(), vec![steps.to_string()]));
         let mut probe_session = Session::create(probe_config, seed)?;
-        probe_session.collect()
+        let probe = probe_session.collect()?;
+        Ok((probe, probe_session.total_cloud_cost()))
     };
-    let probe_a = run_probe(probe_steps)?;
-    let probe_b = run_probe(probe_steps_2)?;
+    let (probe_a, cost_a) = run_probe(probe_steps)?;
+    let (probe_b, cost_b) = run_probe(probe_steps_2)?;
 
     // --- Extrapolate ------------------------------------------------------
     let price_of = |p: &crate::dataset::DataPoint| {
@@ -184,6 +187,7 @@ pub fn run_partial_execution(
         } else {
             f64::NAN
         },
+        cloud_cost: cost_a + cost_b + full_session.total_cloud_cost(),
     })
 }
 
