@@ -145,11 +145,14 @@ mod tests {
         assert_eq!(atoms as u64, 864_000_000);
     }
 
-    /// Scraped loop time — what the paper's tables report (Listing 2's awk
-    /// extracts the `Loop time` field, which excludes setup).
+    /// Scraped loop time of a BOXFACTOR 30 run — what the paper's tables
+    /// report (Listing 2's awk extracts the `Loop time` field, which
+    /// excludes setup).
     fn loop_time(run: &crate::apps::AppRun) -> f64 {
-        run.metrics
-            .iter()
+        let work = Lammps.work(&inputs(&[("BOXFACTOR", "30")])).unwrap();
+        Lammps
+            .metrics(&work, run.wall_secs)
+            .into_iter()
             .find(|(k, _)| k == "APPEXECTIME")
             .and_then(|(_, v)| v.parse().ok())
             .expect("APPEXECTIME metric")

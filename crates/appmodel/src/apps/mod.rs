@@ -40,6 +40,8 @@ pub trait AppModel: Send + Sync {
     /// Renders the application log for a completed run.
     fn render_log(&self, work: &WorkProfile, ranks: u64, wall_secs: f64) -> String;
     /// Structured metrics a run script would scrape (`HPCADVISORVAR` pairs).
+    /// [`AppRegistry::run`] does not build them: a run script scrapes its
+    /// values from the log.
     fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)>;
 }
 
@@ -52,8 +54,6 @@ pub struct AppRun {
     pub wall_secs: f64,
     /// Synthetic application log text.
     pub log: String,
-    /// Structured metrics (`APPEXECTIME`, app-specific counters, …).
-    pub metrics: Vec<(String, String)>,
     /// Noise-free engine detail (bottleneck, utilizations, per-step time).
     pub engine: EngineOutput,
     /// Total MPI ranks used.
@@ -151,12 +151,10 @@ impl AppRegistry {
         let wall_secs = engine.wall_secs * noise_factor(seed);
         let ranks = nodes as u64 * ppn as u64;
         let log = model.render_log(&work, ranks, wall_secs);
-        let metrics = model.metrics(&work, wall_secs);
         Ok(AppRun {
             wall_time: SimDuration::from_secs_f64(wall_secs),
             wall_secs,
             log,
-            metrics,
             engine,
             ranks,
         })
@@ -303,8 +301,13 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{app}: {e}"));
             assert!(run.wall_secs > 0.0, "{app} produced zero time");
             assert!(!run.log.is_empty(), "{app} produced no log");
+            let model = reg.get(app).unwrap();
+            let work = model.work(&input).unwrap();
             assert!(
-                run.metrics.iter().any(|(k, _)| k == "APPEXECTIME"),
+                model
+                    .metrics(&work, run.wall_secs)
+                    .iter()
+                    .any(|(k, _)| k == "APPEXECTIME"),
                 "{app} missing APPEXECTIME metric"
             );
         }

@@ -48,23 +48,26 @@ impl OpenFoam {
                 app: self.name().into(),
                 key: "mesh".into(),
             })?;
-        let dims: Vec<u64> = mesh
-            .split_whitespace()
-            .map(|t| t.parse::<u64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| ModelError::BadInput {
-                app: self.name().into(),
-                key: "mesh".into(),
-                value: mesh.to_string(),
-                reason: "expected three integers 'X Y Z'".into(),
-            })?;
-        if dims.len() != 3 || dims.contains(&0) {
-            return Err(ModelError::BadInput {
-                app: self.name().into(),
-                key: "mesh".into(),
-                value: mesh.to_string(),
-                reason: "expected three positive integers 'X Y Z'".into(),
-            });
+        let bad = |reason: &str| ModelError::BadInput {
+            app: self.name().into(),
+            key: "mesh".into(),
+            value: mesh.to_string(),
+            reason: reason.into(),
+        };
+        // Every token must parse before the count is checked.
+        let mut dims = [0u64; 3];
+        let mut count = 0;
+        for token in mesh.split_whitespace() {
+            let dim = token
+                .parse::<u64>()
+                .map_err(|_| bad("expected three integers 'X Y Z'"))?;
+            if let Some(slot) = dims.get_mut(count) {
+                *slot = dim;
+            }
+            count += 1;
+        }
+        if count != 3 || dims.contains(&0) {
+            return Err(bad("expected three positive integers 'X Y Z'"));
         }
         Ok(dims.iter().product::<u64>() as f64 * CELLS_PER_BLOCK_CELL)
     }

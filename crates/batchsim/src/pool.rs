@@ -1,6 +1,7 @@
 //! Pools: groups of identical nodes backing task execution.
 
-use cloudsim::{AllocationId, Capacity};
+use cloudsim::{AllocationId, Capacity, VmSku};
+use std::sync::Arc;
 
 /// Lifecycle state of a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,14 +13,22 @@ pub enum PoolState {
 }
 
 /// A pool of identical VMs.
+///
+/// What every task on the pool sees the same way is resolved once with the
+/// pool and shared with each task: the catalog entry of its SKU, its name
+/// and the hostnames of its nodes.
 #[derive(Debug, Clone)]
 pub struct Pool {
     /// Pool name (unique within the service).
-    pub name: String,
-    /// SKU of every node in the pool.
+    pub name: Arc<str>,
+    /// SKU of every node in the pool, as the pool was created with it.
     pub sku: String,
+    /// The SKU's catalog entry, looked up when the pool was created.
+    pub vm: Arc<VmSku>,
     /// Current node count.
     pub nodes: u32,
+    /// Hostname of each node, formatted when the pool resizes.
+    pub hosts: Arc<[String]>,
     /// Busy flag per node index (`true` = running a task).
     pub busy: Vec<bool>,
     /// Backing allocation in the cloud provider, if nodes > 0.
@@ -40,11 +49,13 @@ pub struct Pool {
 
 impl Pool {
     /// Creates an empty, active pool.
-    pub fn new(name: &str, sku: &str) -> Self {
+    pub fn new(name: &str, sku: &str, vm: Arc<VmSku>) -> Self {
         Pool {
-            name: name.to_string(),
+            name: name.into(),
             sku: sku.to_string(),
+            vm,
             nodes: 0,
+            hosts: Arc::new([]),
             busy: Vec::new(),
             allocation: None,
             state: PoolState::Active,
@@ -96,6 +107,28 @@ impl Pool {
     pub fn hostname(&self, i: u32) -> String {
         format!("{}-{:04}", self.name, i)
     }
+
+    /// Sets the node count, every node idle, and names the nodes.
+    pub(crate) fn set_nodes(&mut self, nodes: u32) {
+        self.nodes = nodes;
+        self.busy = vec![false; nodes as usize];
+        self.hosts = (0..nodes).map(|i| self.hostname(i)).collect();
+    }
+
+    /// The hostnames of the claimed node `indices`: the pool's own list
+    /// when the claim holds every node, which is how Algorithm 1 runs a
+    /// scenario on a pool sized for it.
+    pub(crate) fn hosts_of(&self, indices: &[u32]) -> Arc<[String]> {
+        if indices.len() == self.hosts.len() {
+            // `claim` hands out the lowest idle indices in order, so a
+            // claim of every node is `0..nodes`.
+            return Arc::clone(&self.hosts);
+        }
+        indices
+            .iter()
+            .map(|&i| self.hosts[i as usize].clone())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -103,9 +136,12 @@ mod tests {
     use super::*;
 
     fn pool_with_nodes(n: u32) -> Pool {
-        let mut p = Pool::new("pool-hb", "Standard_HB120rs_v3");
-        p.nodes = n;
-        p.busy = vec![false; n as usize];
+        let sku = cloudsim::SkuCatalog::azure_hpc()
+            .get("Standard_HB120rs_v3")
+            .cloned()
+            .unwrap();
+        let mut p = Pool::new("pool-hb", &sku.name.clone(), Arc::new(sku));
+        p.set_nodes(n);
         p
     }
 
@@ -136,6 +172,18 @@ mod tests {
         let p = pool_with_nodes(2);
         assert_eq!(p.hostname(0), "pool-hb-0000");
         assert_eq!(p.hostname(1), "pool-hb-0001");
+        assert_eq!(&*p.hosts, ["pool-hb-0000", "pool-hb-0001"]);
+    }
+
+    #[test]
+    fn a_claim_of_every_node_shares_the_pool_hostnames() {
+        let mut p = pool_with_nodes(3);
+        let all = p.claim(3).unwrap();
+        assert!(Arc::ptr_eq(&p.hosts_of(&all), &p.hosts));
+        p.release(&all);
+        let _first = p.claim(1).unwrap();
+        let rest = p.claim(2).unwrap();
+        assert_eq!(&*p.hosts_of(&rest), ["pool-hb-0001", "pool-hb-0002"]);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::SharedProvider;
 use cloudsim::{Capacity, CloudError, CloudProvider, Fault, Operation};
 use simtime::{EventQueue, SharedClock, SimInstant};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 use telemetry::{EventSink, TraceEvent, Value};
 
 /// A task runner: computes the outcome of a task given where it runs.
@@ -22,7 +23,7 @@ struct FinishEvent {
 }
 
 struct RunningTask {
-    pool: String,
+    pool: Arc<str>,
     node_indices: Vec<u32>,
     result: TaskResult,
 }
@@ -30,7 +31,7 @@ struct RunningTask {
 /// The batch orchestrator for one resource group.
 pub struct BatchService {
     provider: SharedProvider,
-    resource_group: String,
+    resource_group: Arc<str>,
     clock: SharedClock,
     pools: HashMap<String, Pool>,
     tasks: BTreeMap<TaskId, TaskRecord>,
@@ -49,7 +50,7 @@ impl BatchService {
         let clock = provider.lock().clock();
         BatchService {
             provider,
-            resource_group: resource_group.to_string(),
+            resource_group: resource_group.into(),
             clock,
             pools: HashMap::new(),
             tasks: BTreeMap::new(),
@@ -123,24 +124,26 @@ impl BatchService {
             .is_some_and(|p| p.state == PoolState::Active)
         {
             return Err(BatchError::Cloud(CloudError::ResourceExists {
-                group: self.resource_group.clone(),
+                group: self.resource_group.to_string(),
                 name: name.to_string(),
             }));
         }
-        let region = {
+        let (vm_sku, region) = {
             let provider = self.provider.lock();
-            provider
+            let vm_sku = provider
                 .catalog()
                 .get(sku)
+                .cloned()
                 .ok_or_else(|| CloudError::UnknownSku(sku.to_string()))?;
             // Canonicalize the region name so quota/billing lookups and
             // trace fields all agree on one spelling.
-            match region {
+            let region = match region {
                 Some(r) => Some(provider.region_named(r)?.name.clone()),
                 None => None,
-            }
+            };
+            (vm_sku, region)
         };
-        let mut pool = Pool::new(name, sku);
+        let mut pool = Pool::new(name, sku, Arc::new(vm_sku));
         pool.region = region.clone();
         self.pools.insert(name.to_string(), pool);
         self.trace.emit("pool_create", name, |m| {
@@ -179,9 +182,7 @@ impl BatchService {
         if let Some(id) = old_allocation {
             locked(&self.provider, &mut self.trace, |p| p.release_nodes(id))?;
         }
-        let pool = self.active_pool(name)?;
-        pool.nodes = 0;
-        pool.busy.clear();
+        self.active_pool(name)?.set_nodes(0);
         if target > 0 {
             // Call and drain under one lock hold so no other shard's
             // provider events interleave into this shard's trace; the
@@ -214,8 +215,7 @@ impl BatchService {
             }
             let pool = self.active_pool(name)?;
             pool.allocation = Some(allocation);
-            pool.nodes = target;
-            pool.busy = vec![false; target as usize];
+            pool.set_nodes(target);
         }
         Ok(())
     }
@@ -263,24 +263,15 @@ impl BatchService {
     pub fn submit(
         &mut self,
         pool: &str,
-        name: &str,
+        name: impl Into<String>,
         kind: TaskKind,
         nodes_required: u32,
         ppn: u32,
         runner: Runner,
     ) -> Result<TaskId, BatchError> {
-        let (sku_name, _) = {
-            let p = self.active_pool(pool)?;
-            (p.sku.clone(), p.nodes)
-        };
-        let cores = {
-            let provider = self.provider.lock();
-            provider
-                .catalog()
-                .get(&sku_name)
-                .map(|s| s.cores)
-                .ok_or_else(|| CloudError::UnknownSku(sku_name.clone()))?
-        };
+        let p = self.active_pool(pool)?;
+        let cores = p.vm.cores;
+        let pool = Arc::clone(&p.name);
         if nodes_required == 0 || ppn == 0 || ppn > cores {
             return Err(BatchError::InvalidLayout {
                 nodes: nodes_required,
@@ -294,9 +285,9 @@ impl BatchService {
             id,
             TaskRecord {
                 id,
-                name: name.to_string(),
+                name: name.into(),
                 kind,
-                pool: pool.to_string(),
+                pool,
                 nodes_required,
                 ppn,
                 state: TaskState::Pending,
@@ -326,13 +317,16 @@ impl BatchService {
     }
 
     /// Tries to start every queued task that fits on idle nodes right now.
+    /// Tasks that must wait go back to the queue in their order.
     fn schedule_ready(&mut self) {
-        let mut requeue = VecDeque::new();
-        while let Some(id) = self.queue.pop_front() {
+        for _ in 0..self.queue.len() {
+            let Some(id) = self.queue.pop_front() else {
+                break;
+            };
             let record = self.tasks.get(&id).expect("queued task has record");
-            let pool_name = record.pool.clone();
+            let pool_name = Arc::clone(&record.pool);
             let needed = record.nodes_required;
-            let Some(pool) = self.pools.get_mut(&pool_name) else {
+            let Some(pool) = self.pools.get_mut(&*pool_name) else {
                 self.fail_now(id, "pool deleted before task ran");
                 continue;
             };
@@ -347,46 +341,35 @@ impl BatchService {
             }
             let Some(indices) = pool.claim(needed) else {
                 // Fits eventually — keep queued.
-                requeue.push_back(id);
+                self.queue.push_back(id);
                 continue;
             };
             // Injected task-start failures (capacity loss, node crash, …),
             // counted per pool so parallel shards replay like a serial run.
             let start_fault = self.roll(Operation::RunTask, &pool_name, None);
             if let Err(fault) = start_fault {
-                let pool = self.pools.get_mut(&pool_name).expect("pool exists");
+                let pool = self.pools.get_mut(&*pool_name).expect("pool exists");
                 pool.release(&indices);
                 self.fail_now(id, &fault.to_string());
                 self.tasks.get_mut(&id).expect("record").fault = Some(fault.kind);
                 continue;
             }
-            let pool = self.pools.get(&pool_name).expect("pool exists");
-            let hosts: Vec<String> = indices.iter().map(|&i| pool.hostname(i)).collect();
+            let pool = self.pools.get(&*pool_name).expect("pool exists");
             let record = self.tasks.get_mut(&id).expect("record");
             record.state = TaskState::Running;
             record.started_at = Some(self.clock.now());
-            let task_name = record.name.clone();
-            let task_kind = record.kind;
             self.trace.emit("task_start", &pool_name, |m| {
-                m.insert("task", Value::str(&task_name));
-                m.insert("task_kind", Value::str(kind_str(task_kind)));
+                m.insert("task", Value::str(&record.name));
+                m.insert("task_kind", Value::str(kind_str(record.kind)));
                 m.insert("nodes", Value::Int(i64::from(needed)));
             });
-            let record = self.tasks.get_mut(&id).expect("record");
             let ctx = TaskContext {
                 task_id: id,
-                sku: {
-                    let provider = self.provider.lock();
-                    provider
-                        .catalog()
-                        .get(&pool.sku)
-                        .expect("validated at create_pool")
-                        .clone()
-                },
-                hosts,
+                sku: Arc::clone(&pool.vm),
+                hosts: pool.hosts_of(&indices),
                 ppn: record.ppn,
-                task_dir: format!("/share/{}/tasks/{}", self.resource_group, id.0),
-                pool: pool_name.clone(),
+                pool: Arc::clone(&pool_name),
+                resource_group: Arc::clone(&self.resource_group),
             };
             let runner = self.runners.remove(&id).expect("runner for queued task");
             let mut result = runner(&ctx);
@@ -412,10 +395,10 @@ impl BatchService {
             if record.kind == TaskKind::Compute
                 && self
                     .pools
-                    .get(&pool_name)
+                    .get(&*pool_name)
                     .is_some_and(|p| p.capacity == Capacity::Spot)
             {
-                let pool_region = self.pools.get(&pool_name).and_then(|p| p.region.clone());
+                let pool_region = self.pools.get(&*pool_name).and_then(|p| p.region.clone());
                 let evicted = self.roll(Operation::Eviction, &pool_name, pool_region.as_deref());
                 if let Err(fault) = evicted {
                     result = TaskResult::failed(
@@ -439,7 +422,6 @@ impl BatchService {
             );
             self.events.schedule(finish_at, FinishEvent { task: id });
         }
-        self.queue = requeue;
     }
 
     /// Rolls an injected fault for `op` in a pool under this service's
@@ -471,12 +453,9 @@ impl BatchService {
         record.completed_at = Some(now);
         record.stdout = format!("task failed before start: {reason}\n");
         record.exit_code = Some(-1);
-        let task_name = record.name.clone();
-        let kind = record.kind;
-        let pool = record.pool.clone();
-        self.trace.emit("task_end", &pool, |m| {
-            m.insert("task", Value::str(&task_name));
-            m.insert("task_kind", Value::str(kind_str(kind)));
+        self.trace.emit("task_end", &record.pool, |m| {
+            m.insert("task", Value::str(&record.name));
+            m.insert("task_kind", Value::str(kind_str(record.kind)));
             m.insert("secs", Value::Float(0.0));
             m.insert("state", Value::str("failed"));
             m.insert("reason", Value::str(reason));
@@ -486,7 +465,7 @@ impl BatchService {
     fn finish(&mut self, id: TaskId, at: SimInstant) {
         self.clock.advance_to(at);
         let running = self.running.remove(&id).expect("finishing task is running");
-        if let Some(pool) = self.pools.get_mut(&running.pool) {
+        if let Some(pool) = self.pools.get_mut(&*running.pool) {
             pool.release(&running.node_indices);
             if running.result.exit_code == 0 {
                 if let Some(rec) = self.tasks.get(&id) {
@@ -503,8 +482,7 @@ impl BatchService {
             let was_evicted = self.tasks.get(&id).is_some_and(|r| r.evicted);
             if was_evicted && pool.is_idle() {
                 if let Some(alloc) = pool.allocation.take() {
-                    pool.nodes = 0;
-                    pool.busy.clear();
+                    pool.set_nodes(0);
                     let _ = locked(&self.provider, &mut self.trace, |p| p.release_nodes(alloc));
                 }
             }
@@ -524,23 +502,19 @@ impl BatchService {
         // tasks durations accumulate rather than overlap — still
         // deterministic; the collector drives one task at a time.
         let secs = running.result.duration.as_secs_f64();
-        let task_name = record.name.clone();
-        let kind = record.kind;
-        let state = record.state;
-        let evicted = record.evicted;
         self.trace.advance(secs);
-        if evicted {
+        if record.evicted {
             self.trace.emit("eviction", &running.pool, |m| {
-                m.insert("task", Value::str(&task_name));
+                m.insert("task", Value::str(&record.name));
             });
         }
         self.trace.emit("task_end", &running.pool, |m| {
-            m.insert("task", Value::str(&task_name));
-            m.insert("task_kind", Value::str(kind_str(kind)));
+            m.insert("task", Value::str(&record.name));
+            m.insert("task_kind", Value::str(kind_str(record.kind)));
             m.insert("secs", Value::Float(secs));
             m.insert(
                 "state",
-                Value::str(if state == TaskState::Completed {
+                Value::str(if record.state == TaskState::Completed {
                     "completed"
                 } else {
                     "failed"
@@ -588,7 +562,7 @@ impl BatchService {
     pub fn run_task(
         &mut self,
         pool: &str,
-        name: &str,
+        name: impl Into<String>,
         kind: TaskKind,
         nodes_required: u32,
         ppn: u32,
@@ -702,7 +676,7 @@ mod tests {
                 ctx.ppn,
                 ctx.hostlist_ppn(),
                 ctx.sku.name.clone(),
-                ctx.task_dir.clone(),
+                ctx.task_dir(),
             ))
             .unwrap();
             TaskResult::ok(SimDuration::from_secs(1), "")
@@ -974,7 +948,7 @@ mod tests {
                 let rec = svc
                     .run_task(
                         "p1",
-                        &format!("t{i}"),
+                        format!("t{i}"),
                         TaskKind::Compute,
                         1,
                         120,

@@ -2,6 +2,8 @@
 
 use cloudsim::{FaultKind, VmSku};
 use simtime::{SimDuration, SimInstant};
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// Unique task identifier within one batch service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,28 +35,35 @@ pub enum TaskState {
 }
 
 /// Everything a task runner can see about where it executes. The fields map
-/// one-to-one onto the environment variables of the paper's Table I.
+/// one-to-one onto the environment variables of the paper's Table I. What
+/// is the same for every task of a pool (its SKU, name and hostnames) is
+/// shared with the pool, not copied per task.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
     /// The task being run.
     pub task_id: TaskId,
     /// VM type of the pool (Table I: `SKU`, `VMTYPE`).
-    pub sku: VmSku,
+    pub sku: Arc<VmSku>,
     /// Hostnames assigned to this task (Table I: `HOSTLIST_PPN` is derived
     /// from this plus `ppn`).
-    pub hosts: Vec<String>,
+    pub hosts: Arc<[String]>,
     /// Processes per node (Table I: `PPN`).
     pub ppn: u32,
-    /// Per-task working directory (Table I: `TASKRUN_DIR`).
-    pub task_dir: String,
     /// Pool name the task runs in.
-    pub pool: String,
+    pub pool: Arc<str>,
+    /// Resource group of the batch service, which roots the task directory.
+    pub resource_group: Arc<str>,
 }
 
 impl TaskContext {
     /// Number of nodes (Table I: `NNODES`).
     pub fn nnodes(&self) -> u32 {
         self.hosts.len() as u32
+    }
+
+    /// Per-task working directory (Table I: `TASKRUN_DIR`).
+    pub fn task_dir(&self) -> String {
+        format!("/share/{}/tasks/{}", self.resource_group, self.task_id.0)
     }
 
     /// The `host:ppn,host:ppn,...` list the paper passes to `mpirun`
@@ -71,22 +80,17 @@ impl TaskContext {
     /// [`TaskContext::hostlist_ppn`] and [`TaskContext::hostfile`], built
     /// in one pass over the hosts.
     pub fn host_lists(&self) -> (String, String) {
-        let ppn = self.ppn.to_string();
+        let digits = self.ppn.checked_ilog10().map_or(1, |d| d as usize + 1);
         let names: usize = self.hosts.iter().map(String::len).sum();
         let n = self.hosts.len();
-        let mut hostlist = String::with_capacity(names + n * (ppn.len() + 2));
-        let mut hostfile = String::with_capacity(names + n * (ppn.len() + 8));
+        let mut hostlist = String::with_capacity(names + n * (digits + 2));
+        let mut hostfile = String::with_capacity(names + n * (digits + 8));
         for (i, host) in self.hosts.iter().enumerate() {
             if i > 0 {
                 hostlist.push(',');
             }
-            hostlist.push_str(host);
-            hostlist.push(':');
-            hostlist.push_str(&ppn);
-            hostfile.push_str(host);
-            hostfile.push_str(" slots=");
-            hostfile.push_str(&ppn);
-            hostfile.push('\n');
+            let _ = write!(hostlist, "{host}:{}", self.ppn);
+            let _ = writeln!(hostfile, "{host} slots={}", self.ppn);
         }
         (hostlist, hostfile)
     }
@@ -134,7 +138,7 @@ pub struct TaskRecord {
     /// Setup or compute.
     pub kind: TaskKind,
     /// Pool the task was submitted to.
-    pub pool: String,
+    pub pool: Arc<str>,
     /// Nodes the task requires.
     pub nodes_required: u32,
     /// Processes per node.
@@ -194,12 +198,17 @@ mod tests {
     fn ctx() -> TaskContext {
         TaskContext {
             task_id: TaskId(1),
-            sku: SkuCatalog::azure_hpc().get("HC44rs").unwrap().clone(),
-            hosts: vec!["node-0".into(), "node-1".into(), "node-2".into()],
+            sku: Arc::new(SkuCatalog::azure_hpc().get("HC44rs").unwrap().clone()),
+            hosts: Arc::new(["node-0".into(), "node-1".into(), "node-2".into()]),
             ppn: 44,
-            task_dir: "/share/tasks/1".into(),
             pool: "pool-hc44rs".into(),
+            resource_group: "rg".into(),
         }
+    }
+
+    #[test]
+    fn task_dir_is_under_the_resource_group() {
+        assert_eq!(ctx().task_dir(), "/share/rg/tasks/1");
     }
 
     #[test]

@@ -253,6 +253,18 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
     }
 }
 
+/// `collect` options only the full-grid collect applies.
+const FULL_GRID_ONLY: [&str; 8] = [
+    "budget",
+    "capacity",
+    "deadline",
+    "workers",
+    "resume",
+    "no-retry",
+    "max-attempts",
+    "trace",
+];
+
 fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     let config = workdir.load_config()?;
     let record = workdir.active_deployment()?.ok_or_else(|| {
@@ -261,6 +273,15 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     let mut scenarios = workdir.load_scenarios()?;
     if scenarios.is_empty() {
         scenarios = generate_scenarios(&config, &cloudsim::SkuCatalog::azure_hpc())?;
+    }
+    // A sampler runs its own sessions and applies none of the full-grid
+    // run options, so one given with it is refused, not silently ignored.
+    if !matches!(args.option("sampler"), None | Some("full")) {
+        if let Some(flag) = FULL_GRID_ONLY.iter().find(|flag| args.has(flag)) {
+            return Err(ToolError::Config(format!(
+                "--{flag} requires the full-grid collect (no --sampler)"
+            )));
+        }
     }
 
     let workers: usize = match args.option("workers") {
@@ -319,11 +340,6 @@ fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
         })
         .transpose()?;
     let tracing = args.has("trace");
-    if tracing && !matches!(args.option("sampler"), None | Some("full")) {
-        return Err(ToolError::Config(
-            "--trace requires the full-grid collect (no --sampler)".into(),
-        ));
-    }
 
     // Each branch returns its dataset increment and the cloud spend of the
     // sessions it ran.
@@ -1267,6 +1283,48 @@ mod tests {
         // Unknown subcommand errors.
         let (_, ok) = run_in(&dir, &["trace", "bogus"]);
         assert!(!ok);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sampler_collect_refuses_full_grid_run_options() {
+        let dir = tempdir("sampler-flags");
+        let config = write_config(&dir);
+        let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
+        assert!(ok);
+        let workdir = dir.to_string_lossy().into_owned();
+        for (flag, value) in [
+            ("budget", Some("0")),
+            ("capacity", Some("spot")),
+            ("deadline", Some("60")),
+            ("workers", Some("2")),
+            ("resume", None),
+            ("no-retry", None),
+            ("max-attempts", Some("2")),
+            ("trace", None),
+        ] {
+            let mut argv = vec!["collect", "--sampler", "aggressive", "--no-cache"];
+            let option = format!("--{flag}");
+            argv.push(&option);
+            argv.extend(value);
+            argv.extend(["--workdir", &workdir]);
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let mut out = Vec::new();
+            let err = super::dispatch(&argv, &mut out).unwrap_err();
+            assert!(
+                matches!(err, hpcadvisor_core::ToolError::Config(_)),
+                "{flag}: {err}"
+            );
+            assert!(err.to_string().contains(&option), "{flag}: {err}");
+            assert!(
+                !String::from_utf8(out).unwrap().contains("cloud spend"),
+                "{flag}: nothing ran"
+            );
+        }
+        // The full-grid collect applies them: a zero budget skips everything.
+        let (out, ok) = run_in(&dir, &["collect", "--no-cache", "--budget", "0"]);
+        assert!(ok, "{out}");
+        assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -54,8 +54,10 @@ use hpcadvisor_core::{
     AdviceRequest, AdvisorService, CachePolicy, JobEvent, JobOutcome, RetryPolicy, ServiceConfig,
     SharedScenarioCache, TenantPolicy, ToolError, UserConfig,
 };
-use hpcadvisor_formats::wire::{ErrorCode, Frame, MonotonicId, KIND_HEARTBEAT, MAX_FRAME_BYTES};
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::wire::{
+    ErrorCode, Frame, MonotonicId, WireError, KIND_HEARTBEAT, MAX_FRAME_BYTES,
+};
+use hpcadvisor_formats::{OrderedMap, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -515,9 +517,9 @@ fn serve_collect(
     loop {
         match handle.events().recv_timeout(heartbeat_every) {
             Ok(JobEvent::Progress(ev)) => {
-                // The event's canonical JSON line becomes the frame body.
-                let body = json::parse(&ev.to_line()).unwrap_or(Value::Null);
-                send(writer, &Frame::new(id, "progress", body))?;
+                // The event's canonical JSON line is the frame body as it is.
+                let line = Frame::encode_with_body(id, "progress", &ev.to_line());
+                write_line(writer, line)?;
             }
             Ok(JobEvent::Finished(outcome)) => {
                 return send(writer, &Frame::new(id, "result", result_body(&outcome)));
@@ -588,9 +590,12 @@ fn result_body(outcome: &JobOutcome) -> Value {
 /// Writes one frame and its newline in a single write, so a frame never
 /// leaves as two segments.
 fn send(writer: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let mut line = frame
-        .encode_checked()
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+    write_line(writer, frame.encode_checked())
+}
+
+/// Writes one encoded frame and its newline.
+fn write_line(writer: &mut TcpStream, line: Result<String, WireError>) -> std::io::Result<()> {
+    let mut line = line.map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
     line.push('\n');
     writer.write_all(line.as_bytes())
 }

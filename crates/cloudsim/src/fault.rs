@@ -343,7 +343,9 @@ fn fault_roll(seed: u64, op: Operation, scope: &str, attempt: u64) -> f64 {
 /// independent of how work is interleaved across threads.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTracker {
-    counters: HashMap<(Operation, String), u64>,
+    /// Per operation, per scope. A scope that has counted before is found
+    /// by `&str`, so a roll allocates its key only once.
+    counters: HashMap<Operation, HashMap<String, u64>>,
 }
 
 impl FaultTracker {
@@ -369,10 +371,11 @@ impl FaultTracker {
         roll_scope: &str,
         pressure: f64,
     ) -> Result<(), Fault> {
-        let count = self
-            .counters
-            .entry((op, counter_scope.to_string()))
-            .or_insert(0);
+        let scopes = self.counters.entry(op).or_default();
+        if !scopes.contains_key(counter_scope) {
+            scopes.insert(counter_scope.to_string(), 0);
+        }
+        let count = scopes.get_mut(counter_scope).expect("inserted above");
         let attempt = *count;
         *count += 1;
         match plan.decide_scaled(op, roll_scope, attempt, pressure) {
@@ -384,7 +387,8 @@ impl FaultTracker {
     /// Number of times `op` has been attempted in `scope` so far.
     pub fn attempts(&self, op: Operation, scope: &str) -> u64 {
         self.counters
-            .get(&(op, scope.to_string()))
+            .get(&op)
+            .and_then(|scopes| scopes.get(scope))
             .copied()
             .unwrap_or(0)
     }
@@ -392,10 +396,8 @@ impl FaultTracker {
     /// Total invocations of `op` across all scopes.
     pub fn total_attempts(&self, op: Operation) -> u64 {
         self.counters
-            .iter()
-            .filter(|((o, _), _)| *o == op)
-            .map(|(_, n)| n)
-            .sum()
+            .get(&op)
+            .map_or(0, |scopes| scopes.values().sum())
     }
 
     /// Forgets all invocation history.

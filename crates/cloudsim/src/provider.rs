@@ -118,6 +118,9 @@ pub struct CloudProvider {
     rng: StdRng,
     trace_on: bool,
     trace_buf: Vec<TraceEvent>,
+    /// Buffer for qualified counter keys (`scope#qualifier`), reused by
+    /// every roll.
+    counter_key: String,
 }
 
 impl CloudProvider {
@@ -160,6 +163,7 @@ impl CloudProvider {
             rng,
             trace_on: false,
             trace_buf: Vec::new(),
+            counter_key: String::new(),
             config,
         })
     }
@@ -331,10 +335,17 @@ impl CloudProvider {
         pressure: f64,
         qualifier: Option<&str>,
     ) -> Result<(), Fault> {
-        match qualifier {
-            Some(q) => self.roll(op, &format!("{scope}#{q}"), scope, pressure),
-            None => self.roll(op, scope, scope, pressure),
-        }
+        let Some(q) = qualifier else {
+            return self.roll(op, scope, scope, pressure);
+        };
+        let mut key = std::mem::take(&mut self.counter_key);
+        key.clear();
+        key.push_str(scope);
+        key.push('#');
+        key.push_str(q);
+        let rolled = self.roll(op, &key, scope, pressure);
+        self.counter_key = key;
+        rolled
     }
 
     /// [`CloudProvider::inject_fault`] for a control-plane operation, as

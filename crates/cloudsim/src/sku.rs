@@ -108,7 +108,7 @@ impl VmSku {
     /// Short lowercase name as printed in the paper's advice tables
     /// (`hb120rs_v3` for `Standard_HB120rs_v3`).
     pub fn short_name(&self) -> String {
-        normalize(&self.name)
+        strip_standard(&self.name).to_ascii_lowercase()
     }
 
     /// Spot/low-priority price in USD per VM-hour (base region): the
@@ -128,13 +128,20 @@ impl fmt::Display for VmSku {
     }
 }
 
-/// Normalizes a SKU name for case/prefix-insensitive lookup.
-fn normalize(name: &str) -> String {
-    let lower = name.to_ascii_lowercase();
-    lower
-        .strip_prefix("standard_")
-        .unwrap_or(&lower)
-        .to_string()
+/// `name` without a leading `standard_` in any case.
+fn strip_standard(name: &str) -> &str {
+    const PREFIX: &[u8] = b"standard_";
+    match name.as_bytes().get(..PREFIX.len()) {
+        // An ASCII match ends on a char boundary.
+        Some(head) if head.eq_ignore_ascii_case(PREFIX) => &name[PREFIX.len()..],
+        _ => name,
+    }
+}
+
+/// True when `a` and `b` name the same SKU, ignoring case and a leading
+/// `standard_`; compared in place.
+fn same_sku(a: &str, b: &str) -> bool {
+    strip_standard(a).eq_ignore_ascii_case(strip_standard(b))
 }
 
 /// An immutable catalog of SKUs with tolerant lookup.
@@ -289,8 +296,7 @@ impl SkuCatalog {
     /// Looks up a SKU by name; accepts `Standard_HB120rs_v3`, `HB120rs_v3`
     /// or `hb120rs_v3`.
     pub fn get(&self, name: &str) -> Option<&VmSku> {
-        let key = normalize(name);
-        self.skus.iter().find(|s| normalize(&s.name) == key)
+        self.skus.iter().find(|s| same_sku(&s.name, name))
     }
 
     /// All SKUs in catalog order.
@@ -300,8 +306,7 @@ impl SkuCatalog {
 
     /// Adds or replaces a SKU (used by tests and custom catalogs).
     pub fn upsert(&mut self, sku: VmSku) {
-        let key = normalize(&sku.name);
-        if let Some(slot) = self.skus.iter_mut().find(|s| normalize(&s.name) == key) {
+        if let Some(slot) = self.skus.iter_mut().find(|s| same_sku(&s.name, &sku.name)) {
             *slot = sku;
         } else {
             self.skus.push(sku);

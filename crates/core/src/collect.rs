@@ -67,7 +67,7 @@ use crate::scenario::{Scenario, ScenarioStatus};
 use batchsim::BatchService;
 use cloudsim::{BillingSummary, Capacity};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use taskshell::Vfs;
@@ -547,8 +547,8 @@ pub const CHUNK_SIZE: usize = 32;
 
 /// One work-stealing unit: a consecutive, id-ordered run of scenarios from
 /// a single SKU group, plus the group index (steal accounting).
-struct Chunk {
-    scenarios: Vec<Scenario>,
+struct Chunk<'a> {
+    scenarios: Vec<&'a Scenario>,
     group: usize,
 }
 
@@ -556,8 +556,8 @@ struct Chunk {
 /// of the SKU, then each group into consecutive chunks of at most
 /// [`CHUNK_SIZE`] scenarios. Boundaries depend only on the input —
 /// never on the worker count.
-fn split_chunks(ordered: Vec<Scenario>) -> Vec<Chunk> {
-    let mut groups: Vec<Vec<Scenario>> = Vec::new();
+fn split_chunks(ordered: Vec<&Scenario>) -> Vec<Chunk<'_>> {
+    let mut groups: Vec<Vec<&Scenario>> = Vec::new();
     for scenario in ordered {
         match groups.iter_mut().find(|g| g[0].sku == scenario.sku) {
             Some(group) => group.push(scenario),
@@ -621,7 +621,8 @@ impl ChunkQueue {
     fn new(ctx: &ExecContext, chunks: &[Chunk]) -> ChunkQueue {
         let provider = ctx.provider.lock();
         let home = provider.region().name.clone();
-        let mut key_ids: HashMap<(String, String), usize> = HashMap::new();
+        // Quota keys `(family, region)`, indexed by key id; a run has few.
+        let mut keys: Vec<(&str, &str)> = Vec::new();
         let mut limits: Vec<u32> = Vec::new();
         let mut reservations = Vec::with_capacity(chunks.len());
         let mut groups = Vec::with_capacity(chunks.len());
@@ -634,12 +635,12 @@ impl ChunkQueue {
                     continue;
                 };
                 let region = s.region.as_deref().unwrap_or(&home);
-                let id = *key_ids
-                    .entry((sku.family.clone(), region.to_string()))
-                    .or_insert_with(|| {
-                        limits.push(provider.quota_limit(region, &sku.family));
-                        limits.len() - 1
-                    });
+                let key = (sku.family.as_str(), region);
+                let id = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    limits.push(provider.quota_limit(region, &sku.family));
+                    limits.len() - 1
+                });
                 let cores = sku.cores.saturating_mul(s.nnodes);
                 let entry = need.entry(id).or_insert(0);
                 *entry = (*entry).max(cores);
@@ -785,7 +786,8 @@ impl Collector {
             }
         }
         let chunks = split_chunks(consult.misses);
-        let workers = plan.workers.max(1).min(chunks.len().max(1));
+        let shards = chunks.len();
+        let workers = plan.workers.max(1).min(shards.max(1));
 
         // Coordinator trace framing: run_start, then the decisions made
         // before any shard executes (journal replays, cache hits, in
@@ -965,7 +967,7 @@ impl Collector {
             trace,
             stats: CollectStats {
                 workers,
-                shards: chunks.len(),
+                shards,
                 steals: worker_loads.iter().map(|w| w.steals).sum(),
                 worker_loads,
                 executed,
@@ -989,7 +991,7 @@ impl Collector {
 /// Everything the chunk workers of one run share.
 struct ChunkEnv<'a> {
     ctx: &'a ExecContext,
-    chunks: &'a [Chunk],
+    chunks: &'a [Chunk<'a>],
     queue: ChunkQueue,
     /// The shared filesystem as the run found it. Every chunk starts from
     /// a clone, so no chunk sees files an earlier one downloaded and each
@@ -1097,7 +1099,7 @@ mod tests {
     #[test]
     fn per_sku_sharding_groups_scenarios() {
         let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
-        let chunks = split_chunks(s.scenarios().to_vec());
+        let chunks = split_chunks(s.scenarios().iter().collect());
         assert_eq!(chunks.len(), 3, "one chunk per SKU");
         for (i, chunk) in chunks.iter().enumerate() {
             assert_eq!(chunk.group, i);
@@ -1135,7 +1137,8 @@ mod tests {
 
     #[test]
     fn interleaved_groups_larger_than_a_chunk_split_in_id_order() {
-        let chunks = split_chunks(interleaved_grid());
+        let grid = interleaved_grid();
+        let chunks = split_chunks(grid.iter().collect());
         let sizes: Vec<(usize, usize)> = chunks
             .iter()
             .map(|c| (c.group, c.scenarios.len()))
@@ -1171,7 +1174,8 @@ mod tests {
     fn chunks_do_not_keep_their_groups_capacity() {
         // Every chunk stays queued until a worker takes it, so capacity a
         // chunk kept from its group would be held for the whole collect.
-        for chunk in split_chunks(interleaved_grid()) {
+        let grid = interleaved_grid();
+        for chunk in split_chunks(grid.iter().collect()) {
             assert!(chunk.scenarios.capacity() <= CHUNK_SIZE);
         }
     }

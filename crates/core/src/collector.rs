@@ -37,7 +37,7 @@ use crate::error::ToolError;
 use crate::journal::{JournalEntry, RunJournal};
 use crate::placement::PlacementPolicy;
 use crate::retry::{classify_batch, FaultClass};
-use crate::scenario::{Scenario, ScenarioStatus};
+use crate::scenario::{push_short_sku, Scenario, ScenarioStatus};
 use appmodel::AppRegistry;
 use batchsim::{
     BatchService, FaultKind, SharedProvider, TaskContext, TaskKind, TaskResult, TaskState,
@@ -46,8 +46,9 @@ use cloudsim::Capacity;
 use parking_lot::Mutex;
 use simtime::SimDuration;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::Arc;
-use taskshell::{ExecutionEnv, Interpreter, Script, ShellError, UrlStore, Vfs};
+use taskshell::{ExecutionEnv, Interpreter, NodeEnv, Script, ShellError, UrlStore, Vfs};
 use telemetry::{EventSink, OrderedMap, Value};
 
 /// Transient provisioning faults a `(SKU, region)` pair absorbs in a
@@ -70,6 +71,9 @@ pub(crate) struct ExecContext {
     program: Result<Script, ShellError>,
     pub(crate) urls: UrlStore,
     pub(crate) deployment: String,
+    /// `/share/{deployment}/apps/{appname}`: where setup runs and task
+    /// directories live.
+    app_dir: String,
     pub(crate) registry: Arc<AppRegistry>,
     /// Seed for the deterministic run-to-run noise and the fingerprints.
     pub(crate) seed: u64,
@@ -96,10 +100,6 @@ impl ExecContext {
             // Skipped scenarios never executed — always worth another try.
             ScenarioStatus::Skipped => true,
         }
-    }
-
-    fn app_dir(&self) -> String {
-        format!("/share/{}/apps/{}", self.deployment, self.config.appname)
     }
 
     /// A zero-cost point for a scenario that settled without a result:
@@ -138,18 +138,32 @@ impl ExecContext {
         }
     }
 
+    /// The environment of every task on a pool of `sku`, resolved once
+    /// per pool.
+    fn node_env(&self, sku: &cloudsim::VmSku) -> NodeEnv {
+        NodeEnv::from(ExecutionEnv {
+            sku: sku.clone(),
+            registry: Arc::clone(&self.registry),
+            experiment_seed: self.seed,
+        })
+    }
+
     /// Builds the task runner closure for the batch service, bound to the
     /// given shared filesystem (the deployment's, or a shard's clone).
     /// Everything it captures is shared, not copied: the parsed script, the
-    /// URL store and the registry are reference-counted.
-    fn make_runner(&self, vfs: &Arc<Mutex<Vfs>>, spec: RunnerSpec) -> batchsim::service::Runner {
-        let shared_vfs = vfs.clone();
+    /// URL store and the pool's node environment are reference-counted.
+    fn make_runner(
+        &self,
+        vfs: &Arc<Mutex<Vfs>>,
+        node: &NodeEnv,
+        spec: RunnerSpec,
+    ) -> batchsim::service::Runner {
+        let shared_vfs = Arc::clone(vfs);
         let urls = self.urls.clone();
-        let registry = self.registry.clone();
+        let node = node.clone();
         let program = self.program.clone();
-        let seed = self.seed;
         Box::new(move |ctx: &TaskContext| -> TaskResult {
-            run_script_task(ctx, spec, &shared_vfs, urls, registry, &program, seed)
+            run_script_task(ctx, spec, &shared_vfs, urls, node, &program)
         })
     }
 }
@@ -236,25 +250,32 @@ pub(crate) struct ShardOutput {
 /// type; the placement dimension extends the reuse key with the region the
 /// pool's nodes actually live in, so a failed-over scenario and its
 /// same-placement successors share a pool.
-#[derive(Debug, Clone)]
 struct PoolCtx {
     sku: String,
     /// Placement region; `None` is the deployment's home region.
     region: Option<String>,
     name: String,
+    /// Environment of every task on the pool.
+    node: NodeEnv,
     /// Whether the app's setup task succeeded on this pool.
     setup_ok: bool,
 }
+
+/// The placement candidates of a scenario without a requested region: the
+/// deployment's home region alone.
+const HOME_REGION: &[Option<String>] = &[None];
 
 /// Pool name for a `(SKU, region)` pair. Home-region pools keep the
 /// pre-placement name so existing trace scopes and backoff jitter streams
 /// stay byte-identical.
 fn pool_name_for(sku: &str, region: Option<&str>) -> String {
-    let base = format!("pool-{}", sku.to_ascii_lowercase().replace("standard_", ""));
-    match region {
-        Some(r) => format!("{base}-{}", r.to_ascii_lowercase()),
-        None => base,
+    let mut name = String::from("pool-");
+    push_short_sku(&mut name, sku);
+    if let Some(r) = region {
+        name.push('-');
+        name.push_str(&r.to_ascii_lowercase());
     }
+    name
 }
 
 /// Emits one scenario's trace event under its `s<id>` scope. The scope is
@@ -295,7 +316,7 @@ pub(crate) struct ShardRun<'a> {
 }
 
 impl ShardRun<'_> {
-    pub(crate) fn run(&mut self, scenarios: &[Scenario]) -> Result<ShardOutput, ToolError> {
+    pub(crate) fn run(&mut self, scenarios: &[&Scenario]) -> Result<ShardOutput, ToolError> {
         let mut out = ShardOutput::default();
         // SKUs whose family quota ran out mid-run: their remaining
         // scenarios are skipped, not failed, and the sweep keeps going.
@@ -305,7 +326,7 @@ impl ShardRun<'_> {
         let mut placement = PlacementPolicy::new(&self.ctx.config.regions, REGION_MARKDOWN_AFTER);
         let mut current: Option<PoolCtx> = None;
 
-        for scenario in scenarios {
+        for &scenario in scenarios {
             if !self.ctx.should_run(scenario) {
                 continue;
             }
@@ -350,8 +371,9 @@ impl ShardRun<'_> {
             // (no placement dimension) keep the legacy single-candidate
             // path; placed ones start at their grid region and fall through
             // the remaining configured regions.
-            let placements: Vec<Option<String>> = match &scenario.region {
-                None => vec![None],
+            let placed: Vec<Option<String>>;
+            let placements = match &scenario.region {
+                None => HOME_REGION,
                 Some(requested) => {
                     let family = self
                         .ctx
@@ -361,11 +383,12 @@ impl ShardRun<'_> {
                         .get(&scenario.sku)
                         .map(|s| s.family.clone())
                         .unwrap_or_default();
-                    placement
+                    placed = placement
                         .candidates(&scenario.sku, &family, requested)
                         .into_iter()
                         .map(Some)
-                        .collect()
+                        .collect();
+                    &placed
                 }
             };
             if placements.is_empty() {
@@ -388,15 +411,12 @@ impl ShardRun<'_> {
             let mut handled = false;
             let mut tried: Vec<String> = Vec::new();
             let mut last_fault = String::new();
-            for region in &placements {
+            for region in placements {
                 let attempt_region = region.as_deref();
                 match self.ensure_pool(scenario, attempt_region, &mut current, &mut tally)? {
                     Ok(()) => {
-                        let (pool_name, setup_ok) = {
-                            let pool = current.as_ref().expect("ensure_pool sets the pool context");
-                            (pool.name.clone(), pool.setup_ok)
-                        };
-                        if !setup_ok {
+                        let pool = current.as_ref().expect("ensure_pool sets the pool context");
+                        if !pool.setup_ok {
                             self.settle(
                                 &mut out,
                                 scenario,
@@ -409,16 +429,12 @@ impl ShardRun<'_> {
                             break;
                         }
                         // Compute task.
-                        let point = self.run_compute_task(
-                            &pool_name,
-                            scenario,
-                            attempt_region,
-                            &mut tally,
-                        )?;
+                        let point =
+                            self.run_compute_task(pool, scenario, attempt_region, &mut tally)?;
                         // Escalation is scoped to the scenario: hand the pool
                         // back to the run's configured capacity class before
                         // the next scenario reuses it.
-                        self.apply_capacity(&pool_name)?;
+                        self.apply_capacity(&pool.name)?;
                         self.trace_scenario_end(scenario, point.status, tally, point.cost_dollars);
                         let outcome = ShardOutcome {
                             scenario_id: scenario.id,
@@ -534,19 +550,16 @@ impl ShardRun<'_> {
     ) -> Result<Result<(), (batchsim::BatchError, FaultClass)>, ToolError> {
         let reusable = current
             .as_ref()
-            .map(|pool| pool.sku == scenario.sku && pool.region.as_deref() == region)
-            .unwrap_or(false);
-        if reusable {
-            let name = current.as_ref().map(|p| p.name.clone()).unwrap_or_default();
+            .filter(|pool| pool.sku == scenario.sku && pool.region.as_deref() == region);
+        if let Some(pool) = reusable {
             if self
                 .service
-                .pool(&name)
-                .map(|p| p.nodes < scenario.nnodes)
-                .unwrap_or(false)
+                .pool(&pool.name)
+                .is_some_and(|p| p.nodes < scenario.nnodes)
             {
                 // "The number of nodes that the user requested for testing
                 // is then incremented in the pool."
-                if let Err(err) = self.resize_with_retry(&name, scenario.nnodes, tally) {
+                if let Err(err) = self.resize_with_retry(&pool.name, scenario.nnodes, tally) {
                     return Ok(Err(err));
                 }
             }
@@ -569,16 +582,19 @@ impl ShardRun<'_> {
             }
             self.service.create_pool_in(&name, &scenario.sku, region)?;
         }
+        let vm = &self.service.pool(&name).expect("pool exists").vm;
+        let node = self.ctx.node_env(vm);
         self.apply_capacity(&name)?;
         let provisioned = self.resize_with_retry(&name, scenario.nnodes, tally);
         let setup_ok = match &provisioned {
-            Ok(()) => self.run_setup_task(&name, tally)?,
+            Ok(()) => self.run_setup_task(&name, &node, tally)?,
             Err(_) => false,
         };
         *current = Some(PoolCtx {
             sku: scenario.sku.clone(),
             region: region.map(str::to_string),
             name,
+            node,
             setup_ok,
         });
         Ok(provisioned)
@@ -711,22 +727,28 @@ impl ShardRun<'_> {
     /// Runs the pool's setup task (`hpcadvisor_setup` in the app directory),
     /// retrying injected transient faults. Returns whether setup succeeded.
     /// Genuine script failures carry no fault kind and never retry.
-    fn run_setup_task(&mut self, pool: &str, tally: &mut Tally) -> Result<bool, ToolError> {
+    fn run_setup_task(
+        &mut self,
+        pool: &str,
+        node: &NodeEnv,
+        tally: &mut Tally,
+    ) -> Result<bool, ToolError> {
         let max_attempts = self.ctx.plan.retry.max_attempts;
         let mut attempt = 1u32;
         loop {
             let runner = self.ctx.make_runner(
                 &self.vfs,
+                node,
                 RunnerSpec {
-                    function: "hpcadvisor_setup".into(),
-                    cwd: self.ctx.app_dir(),
+                    function: "hpcadvisor_setup",
+                    cwd: self.ctx.app_dir.clone(),
                     env: Vec::new(),
                     write_hostfile: false,
                 },
             );
             let record = self.service.run_task(
                 pool,
-                &format!("setup-{}", self.ctx.config.appname),
+                format!("setup-{}", self.ctx.config.appname),
                 TaskKind::Setup,
                 1,
                 1,
@@ -757,11 +779,12 @@ impl ShardRun<'_> {
     /// scenario's simulated wall-clock (attempts plus backoff) exceeds it.
     fn run_compute_task(
         &mut self,
-        pool: &str,
+        pool_ctx: &PoolCtx,
         scenario: &Scenario,
         region: Option<&str>,
         tally: &mut Tally,
     ) -> Result<DataPoint, ToolError> {
+        let pool = pool_ctx.name.as_str();
         let max_attempts = self.ctx.plan.retry.max_attempts;
         let escalate_after = self.ctx.plan.escalate_after;
         let mut attempt = 1u32;
@@ -771,7 +794,7 @@ impl ShardRun<'_> {
         // the final point so spot rows carry their true cost.
         let mut eviction_cost = 0.0f64;
         loop {
-            let (mut point, meta) = self.run_compute_task_once(pool, scenario, region)?;
+            let (mut point, meta) = self.run_compute_task_once(pool_ctx, scenario, region)?;
             task_secs_total += point.task_secs;
             if point.status == ScenarioStatus::Completed {
                 if tally.evictions > 0 {
@@ -836,11 +859,14 @@ impl ShardRun<'_> {
     /// layer flagged it transient) and whether it was a spot eviction.
     fn run_compute_task_once(
         &mut self,
-        pool: &str,
+        pool_ctx: &PoolCtx,
         scenario: &Scenario,
         region: Option<&str>,
     ) -> Result<(DataPoint, AttemptMeta), ToolError> {
-        let task_dir = format!("{}/task-{}", self.ctx.app_dir(), scenario.id);
+        let pool = pool_ctx.name.as_str();
+        // A u32 id takes at most 10 digits.
+        let mut task_dir = String::with_capacity(self.ctx.app_dir.len() + "/task-".len() + 10);
+        let _ = write!(task_dir, "{}/task-{}", self.ctx.app_dir, scenario.id);
         // The capacity class this attempt runs on (escalation may have
         // flipped the pool to dedicated mid-scenario).
         let capacity = self
@@ -848,20 +874,20 @@ impl ShardRun<'_> {
             .pool(pool)
             .map(|p| p.capacity)
             .unwrap_or_default();
-        let mut env: Vec<(String, String)> = vec![
+        let mut env: Vec<(String, String)> = Vec::with_capacity(5 + scenario.appinputs.len());
+        env.extend([
             ("NNODES".into(), scenario.nnodes.to_string()),
             ("PPN".into(), scenario.ppn.to_string()),
             ("SKU".into(), scenario.sku.clone()),
             ("VMTYPE".into(), scenario.sku.clone()),
             ("TASKRUN_DIR".into(), task_dir.clone()),
-        ];
-        for (k, v) in &scenario.appinputs {
-            env.push((k.clone(), v.clone()));
-        }
+        ]);
+        env.extend(scenario.appinputs.iter().cloned());
         let runner = self.ctx.make_runner(
             &self.vfs,
+            &pool_ctx.node,
             RunnerSpec {
-                function: "hpcadvisor_run".into(),
+                function: "hpcadvisor_run",
                 cwd: task_dir,
                 env,
                 write_hostfile: true,
@@ -869,7 +895,7 @@ impl ShardRun<'_> {
         );
         let record = self.service.run_task(
             pool,
-            &scenario.label(&self.ctx.config.appname),
+            scenario.label(&self.ctx.config.appname),
             TaskKind::Compute,
             scenario.nnodes,
             scenario.ppn,
@@ -985,7 +1011,7 @@ struct AttemptMeta {
 pub(crate) struct CacheConsult<'a> {
     pub(crate) hits: Vec<&'a Scenario>,
     pub(crate) points: Vec<DataPoint>,
-    pub(crate) misses: Vec<Scenario>,
+    pub(crate) misses: Vec<&'a Scenario>,
     pub(crate) fingerprints: HashMap<u32, Fingerprint>,
 }
 
@@ -1002,7 +1028,7 @@ pub(crate) fn consult_cache<'a>(
 ) -> CacheConsult<'a> {
     let mut out = CacheConsult::default();
     if !policy.reads() {
-        out.misses = ordered.iter().map(|&s| s.clone()).collect();
+        out.misses = ordered.to_vec();
         return out;
     }
     let revision = ctx.provider.lock().catalog().revision();
@@ -1013,7 +1039,7 @@ pub(crate) fn consult_cache<'a>(
     out.points.reserve(ordered.len());
     for &s in ordered {
         if !ctx.should_run(s) {
-            out.misses.push(s.clone());
+            out.misses.push(s);
             continue;
         }
         let fp = fpr.scenario(s);
@@ -1025,7 +1051,7 @@ pub(crate) fn consult_cache<'a>(
             }
             None => {
                 out.fingerprints.insert(s.id, fp);
-                out.misses.push(s.clone());
+                out.misses.push(s);
             }
         }
     }
@@ -1176,6 +1202,7 @@ impl Collector {
         let mut urls = UrlStore::with_known_inputs();
         appscript::seed_urlstore(&mut urls, &config.appsetupurl, &config.appname);
         let script = appscript::fetch_script(&urls, &config.appsetupurl)?;
+        let app_dir = format!("/share/{deployment}/apps/{}", config.appname);
         Ok(Collector {
             ctx: ExecContext {
                 provider,
@@ -1183,6 +1210,7 @@ impl Collector {
                 program: Script::parse(&script),
                 script,
                 urls,
+                app_dir,
                 deployment: deployment.to_string(),
                 registry: Arc::new(AppRegistry::standard()),
                 seed,
@@ -1268,7 +1296,7 @@ impl Collector {
 /// What a runner should do.
 #[derive(Debug, Clone)]
 struct RunnerSpec {
-    function: String,
+    function: &'static str,
     cwd: String,
     env: Vec<(String, String)>,
     write_hostfile: bool,
@@ -1284,35 +1312,33 @@ fn run_script_task(
     spec: RunnerSpec,
     shared_vfs: &Mutex<Vfs>,
     urls: UrlStore,
-    registry: Arc<AppRegistry>,
+    node: NodeEnv,
     program: &Result<Script, ShellError>,
-    seed: u64,
 ) -> TaskResult {
     let mut vfs = std::mem::take(&mut *shared_vfs.lock());
     vfs.begin();
-    let mut interp = Interpreter::new(
-        ExecutionEnv {
-            sku: ctx.sku.clone(),
-            registry,
-            experiment_seed: seed,
-        },
-        vfs,
-        urls,
-    );
-    interp.set_cwd(&spec.cwd);
+    let mut interp = Interpreter::new(node, vfs, urls);
+    // The hostfile goes into the task directory as the spec names it.
+    let hostfile_path = spec.write_hostfile.then(|| {
+        let dir = spec.cwd.trim_end_matches('/');
+        let mut path = String::with_capacity(dir.len() + "/hostfile".len());
+        path.push_str(dir);
+        path.push_str("/hostfile");
+        path
+    });
+    interp.set_cwd(spec.cwd);
     for (k, v) in spec.env {
         interp.set_var(k, v);
     }
     // Table I variables that depend on the concrete node assignment.
     let (hostlist, hostfile) = ctx.host_lists();
     interp.set_var("HOSTLIST_PPN", hostlist);
-    if spec.write_hostfile {
-        let hostfile_path = format!("{}/hostfile", spec.cwd.trim_end_matches('/'));
+    if let Some(hostfile_path) = hostfile_path {
         interp.vfs_mut().write(&hostfile_path, hostfile);
         interp.set_var("HOSTFILE_PATH", hostfile_path);
     }
 
-    let (result, keep) = run_function(&mut interp, &spec.function, program);
+    let (result, keep) = run_function(&mut interp, spec.function, program);
     let mut vfs = interp.into_vfs();
     if keep {
         vfs.commit();
@@ -1640,7 +1666,7 @@ mod option_tests {
             vfs: collector.shared_vfs(),
             journal: None,
         }
-        .run(&scenarios)
+        .run(&scenarios.iter().collect::<Vec<_>>())
         .unwrap();
         assert_eq!(out.points.len(), 3);
         service

@@ -11,6 +11,7 @@ use crate::config::UserConfig;
 use crate::error::ToolError;
 use cloudsim::SkuCatalog;
 use hpcadvisor_formats::{json, OrderedMap, Value};
+use std::fmt::Write;
 
 /// Task status as recorded in the scenario list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,19 +81,32 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Human-readable label, used as the batch task name.
+    /// Human-readable label, used as the batch task name:
+    /// `{appname}-{short sku}-n{nnodes}-ppn{ppn}`, then `-{key}={value}` per
+    /// input with spaces in the value as `_`, then `-{region}` if placed.
+    /// Built in one allocation.
     pub fn label(&self, appname: &str) -> String {
-        let mut s = format!(
-            "{appname}-{}-n{}-ppn{}",
-            self.sku.to_ascii_lowercase().replace("standard_", ""),
-            self.nnodes,
-            self.ppn
-        );
+        let inputs: usize = self
+            .appinputs
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 2)
+            .sum();
+        let region = self.region.as_ref().map_or(0, |r| r.len() + 1);
+        // Two u32s take at most 20 digits.
+        let mut s = String::with_capacity(appname.len() + self.sku.len() + 26 + inputs + region);
+        s.push_str(appname);
+        s.push('-');
+        push_short_sku(&mut s, &self.sku);
+        let _ = write!(s, "-n{}-ppn{}", self.nnodes, self.ppn);
         for (k, v) in &self.appinputs {
-            s.push_str(&format!("-{k}={}", v.replace(' ', "_")));
+            s.push('-');
+            s.push_str(k);
+            s.push('=');
+            s.extend(v.chars().map(|c| if c == ' ' { '_' } else { c }));
         }
         if let Some(region) = &self.region {
-            s.push_str(&format!("-{region}"));
+            s.push('-');
+            s.push_str(region);
         }
         s
     }
@@ -100,6 +114,25 @@ impl Scenario {
     /// Total MPI ranks.
     pub fn ranks(&self) -> u64 {
         self.nnodes as u64 * self.ppn as u64
+    }
+}
+
+/// Appends `sku` lower-cased with every `standard_` removed (what
+/// `sku.to_ascii_lowercase().replace("standard_", "")` returns), the SKU's
+/// short form in task labels and pool names.
+pub(crate) fn push_short_sku(out: &mut String, sku: &str) {
+    const PREFIX: &str = "standard_";
+    let mut rest = sku;
+    while let Some(c) = rest.chars().next() {
+        if rest
+            .get(..PREFIX.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(PREFIX))
+        {
+            rest = &rest[PREFIX.len()..];
+        } else {
+            out.push(c.to_ascii_lowercase());
+            rest = &rest[c.len_utf8()..];
+        }
     }
 }
 
@@ -327,6 +360,28 @@ mod tests {
     }
 
     #[test]
+    fn short_skus_drop_every_standard_in_any_case() {
+        for sku in [
+            "Standard_HB120rs_v3",
+            "STANDARD_hc44RS",
+            "hb120rs_v2",
+            "",
+            "Standard_",
+            "xStandard_Standard_y",
+            "standstandard_ard_",
+            "Standard_Ünïcode_standard",
+        ] {
+            let mut short = String::new();
+            push_short_sku(&mut short, sku);
+            assert_eq!(
+                short,
+                sku.to_ascii_lowercase().replace("standard_", ""),
+                "{sku}"
+            );
+        }
+    }
+
+    #[test]
     fn labels_are_informative() {
         let config = UserConfig::example_lammps();
         let catalog = SkuCatalog::azure_hpc();
@@ -362,6 +417,10 @@ mod tests {
         assert_eq!(back, scenarios);
         // The region shows in the task label so logs disambiguate placements.
         assert!(scenarios[5].label("lammps").ends_with("-westeurope"));
+        assert_eq!(
+            scenarios[5].label("lammps"),
+            "lammps-hb120rs_v3-n4-ppn120-BOXFACTOR=8-westeurope"
+        );
 
         // A (SKU, region) pair the region does not offer is dropped up
         // front: japaneast lacks the HB (Naples) family entirely.

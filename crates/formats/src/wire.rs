@@ -55,6 +55,30 @@ pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 /// reset their read deadline and otherwise ignore it.
 pub const KIND_HEARTBEAT: &str = "hb";
 
+/// One frame's compact line: the envelope members, then the body written
+/// by `body` into its slot.
+fn envelope(id: i64, kind: &str, body: impl FnOnce(json::Slot<'_>)) -> String {
+    let mut out = String::new();
+    let mut frame = json::Slot::compact(&mut out).object();
+    frame.key("v").int(WIRE_VERSION);
+    frame.key("id").int(id);
+    frame.key("kind").str(kind);
+    body(frame.key("body"));
+    frame.end();
+    out
+}
+
+/// `line`, unless it is longer than [`MAX_FRAME_BYTES`].
+fn within_limit(line: String) -> Result<String, WireError> {
+    if line.len() > MAX_FRAME_BYTES {
+        return Err(WireError::TooLarge {
+            len: line.len(),
+            max: MAX_FRAME_BYTES,
+        });
+    }
+    Ok(line)
+}
+
 /// Typed decode failure. Every adversarial input maps to one of these —
 /// truncated JSON, oversized lines, version skew, random bytes — so the
 /// daemon can answer with a precise [`ErrorCode`] instead of crashing or
@@ -292,28 +316,28 @@ impl Frame {
             .and_then(|ms| u64::try_from(ms).ok())
     }
 
-    /// Serializes to one compact JSON line (no trailing newline).
+    /// Serializes to one compact JSON line (no trailing newline). The body
+    /// is written where it is, not copied into an envelope value.
     pub fn encode(&self) -> String {
-        let mut map = OrderedMap::new();
-        map.insert("v", Value::Int(WIRE_VERSION));
-        map.insert("id", Value::Int(self.id));
-        map.insert("kind", Value::str(self.kind.clone()));
-        map.insert("body", self.body.clone());
-        json::to_string(&Value::Map(map))
+        envelope(self.id, &self.kind, |slot| slot.value(&self.body))
     }
 
     /// Serializes, refusing frames whose encoding exceeds
     /// [`MAX_FRAME_BYTES`] — the writer-side twin of the decode limit, so
     /// a daemon never emits a line its own readers would reject.
     pub fn encode_checked(&self) -> Result<String, WireError> {
-        let line = self.encode();
-        if line.len() > MAX_FRAME_BYTES {
-            return Err(WireError::TooLarge {
-                len: line.len(),
-                max: MAX_FRAME_BYTES,
-            });
-        }
-        Ok(line)
+        within_limit(self.encode())
+    }
+
+    /// Serializes a frame whose body is already compact JSON text, spliced
+    /// in as it is, under the same size limit as
+    /// [`Frame::encode_checked`]. When `body_json` is the text
+    /// [`json::to_string`] writes for a value (a trace event's line is),
+    /// the bytes are those of the frame with the parsed value as its body.
+    pub fn encode_with_body(id: i64, kind: &str, body_json: &str) -> Result<String, WireError> {
+        within_limit(envelope(id, kind, |slot| {
+            slot.into_parts().0.push_str(body_json)
+        }))
     }
 
     /// Parses one line back into a frame, enforcing the size limit, the

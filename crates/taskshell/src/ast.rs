@@ -49,7 +49,7 @@ pub enum Stmt {
         /// Whether the variable is exported (visible to `mpirun` inputs).
         export: bool,
         /// Variable name.
-        name: String,
+        name: Arc<str>,
         /// Unexpanded value.
         value: Word,
     },
@@ -65,7 +65,7 @@ pub enum Stmt {
     /// `name() { body }`
     FuncDef {
         /// Function name.
-        name: String,
+        name: Arc<str>,
         /// Body statements, shared with the interpreter's function table so
         /// defining and calling a function never copies its body.
         body: Arc<[Stmt]>,
@@ -73,7 +73,7 @@ pub enum Stmt {
     /// `for NAME in words…; do body; done`
     For {
         /// Loop variable name.
-        var: String,
+        var: Arc<str>,
         /// Unexpanded item words (expanded and field-split at run time).
         items: Vec<Word>,
         /// Body statements.

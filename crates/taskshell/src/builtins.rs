@@ -84,8 +84,8 @@ fn echo(args: &[Cow<str>], out: &mut String) -> Result<i32, ShellError> {
 
 fn cd(interp: &mut Interpreter, args: &[Cow<str>]) -> Result<i32, ShellError> {
     let target = args.first().map(|s| &**s).unwrap_or("/");
-    let dir = resolve(interp.cwd(), target);
-    interp.set_cwd(&dir);
+    let dir = resolve(interp.cwd(), target).into_owned();
+    interp.set_cwd(dir);
     Ok(0)
 }
 
@@ -243,54 +243,56 @@ fn grep(
     let mut quiet = false;
     let mut count = false;
     let mut invert = false;
-    let mut pattern: Option<&str> = None;
-    let mut files: Vec<&str> = Vec::new();
+    // Operands in order: the pattern, then the files.
+    let mut operands = args
+        .iter()
+        .map(|arg| &**arg)
+        .filter(|arg| !matches!(*arg, "-q" | "-c" | "-v"));
     for arg in args {
         match &**arg {
             "-q" => quiet = true,
             "-c" => count = true,
             "-v" => invert = true,
-            a if pattern.is_none() => pattern = Some(a),
-            a => files.push(a),
+            _ => {}
         }
     }
-    let pattern = pattern.ok_or_else(|| usage("grep", "missing pattern"))?;
+    let pattern = operands
+        .next()
+        .ok_or_else(|| usage("grep", "missing pattern"))?;
+    let mut files = operands.peekable();
     let re = Regex::compile(pattern)?;
-    // Every file is looked up before any is scanned: a missing one ends
-    // the command with status 2 and nothing else printed, like real grep
-    // without -s (Listing 2 relies on this to take its failure branch when
-    // the application never wrote its log).
-    let mut texts: Vec<&str> = Vec::with_capacity(files.len());
-    for f in &files {
-        match interp.vfs().read(&resolve(interp.cwd(), f)) {
-            Ok(content) => texts.push(content),
-            Err(_) => {
-                if !quiet {
-                    let _ = writeln!(out, "grep: {f}: No such file or directory");
-                }
-                return Ok(2);
-            }
-        }
-    }
-    if files.is_empty() {
-        texts.push(stdin);
-    }
+    let first_only = quiet && !count;
+    let print = !quiet && !count;
     // Each input is scanned on its own, so a file without a final newline
     // never joins its last line to the next file's first.
-    let first_only = quiet && !count;
-    let mut print = (!quiet && !count).then_some(&mut *out);
+    let scan = |text: &str, out: &mut String| match re.literal() {
+        Some(literal) if !literal.contains(['\n', '\r']) => {
+            scan_literal(text, literal, invert, first_only, print.then_some(out))
+        }
+        _ => scan_lines(text, first_only, print.then_some(out), |line| {
+            re.is_match(line) != invert
+        }),
+    };
     let mut matched = 0usize;
-    for text in texts {
-        matched += match re.literal() {
-            Some(literal) if !literal.contains(['\n', '\r']) => {
-                scan_literal(text, literal, invert, first_only, print.as_deref_mut())
+    if files.peek().is_none() {
+        matched = scan(stdin, out);
+    }
+    // A missing file ends the command with status 2 and nothing but its
+    // error printed, like real grep without -s (Listing 2 relies on this
+    // to take its failure branch when the application never wrote its
+    // log): what earlier files printed is taken back, and files after a
+    // `-q` hit are still looked up.
+    let printed_from = out.len();
+    for f in files {
+        let Ok(text) = interp.vfs().read(&resolve(interp.cwd(), f)) else {
+            out.truncate(printed_from);
+            if !quiet {
+                let _ = writeln!(out, "grep: {f}: No such file or directory");
             }
-            _ => scan_lines(text, first_only, print.as_deref_mut(), |line| {
-                re.is_match(line) != invert
-            }),
+            return Ok(2);
         };
-        if first_only && matched > 0 {
-            break;
+        if !(first_only && matched > 0) {
+            matched += scan(text, out);
         }
     }
     if count {
@@ -313,6 +315,7 @@ fn scan_lines(
         if hit(line) {
             matched += 1;
             if let Some(out) = print.as_deref_mut() {
+                out.reserve(line.len() + 1);
                 out.push_str(line);
                 out.push('\n');
             }
@@ -383,23 +386,25 @@ fn awk(args: &[Cow<str>], stdin: &str, out: &mut String) -> Result<i32, ShellErr
     let fields_spec = inner
         .strip_prefix("print")
         .ok_or_else(|| usage("awk", "only '{print $N, ...}' programs are supported"))?;
-    let mut field_indices = Vec::new();
-    for tok in fields_spec.split([',', ' ']).filter(|t| !t.is_empty()) {
-        let idx = tok
-            .strip_prefix('$')
-            .and_then(|n| n.parse::<usize>().ok())
-            .ok_or_else(|| usage("awk", format!("unsupported print operand '{tok}'")))?;
-        field_indices.push(idx);
+    // The operands are checked here and parsed again per line: `$N`
+    // fields, or the whole line (`$0`) for a bare `print`.
+    let operands = || fields_spec.split([',', ' ']).filter(|t| !t.is_empty());
+    let field = |tok: &str| tok.strip_prefix('$').and_then(|n| n.parse::<usize>().ok());
+    if let Some(tok) = operands().find(|tok| field(tok).is_none()) {
+        return Err(usage("awk", format!("unsupported print operand '{tok}'")));
     }
-    if field_indices.is_empty() {
-        field_indices.push(0);
-    }
+    let whole_line = operands().next().is_none();
     for line in stdin.lines() {
-        for (i, &idx) in field_indices.iter().enumerate() {
+        // A line's fields are no longer than the line itself.
+        out.reserve(line.len() + 1);
+        if whole_line {
+            out.push_str(line);
+        }
+        for (i, tok) in operands().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(match idx {
+            out.push_str(match field(tok).expect("checked above") {
                 0 => line,
                 n => line.split_whitespace().nth(n - 1).unwrap_or(""),
             });
@@ -609,7 +614,7 @@ fn which(interp: &mut Interpreter, args: &[Cow<str>], out: &mut String) -> Resul
         "mpiexec", "sleep", "module",
     ]
     .contains(&&**name);
-    let known_app = interp.registry.get_by_binary(name).is_some();
+    let known_app = interp.node.registry.get_by_binary(name).is_some();
     if known_builtin || known_app {
         let _ = writeln!(out, "/usr/bin/{name}");
         Ok(0)
@@ -736,7 +741,7 @@ fn mpirun(
         }
     }
     let binary = binary.ok_or_else(|| usage("mpirun", "missing application binary"))?;
-    let registry = interp.registry.clone();
+    let registry = Arc::clone(&interp.node.registry);
     let Some(model) = registry.get_by_binary(binary) else {
         return Err(ShellError::AppError(format!(
             "unknown application binary '{binary}'"
@@ -790,11 +795,11 @@ fn mpirun(
     // them, against the machine profile built with the interpreter.
     let run = registry.run(
         model.name(),
-        &interp.machine,
+        &interp.node.machine,
         nodes,
         ppn,
         &interp.exported,
-        interp.experiment_seed,
+        interp.node.experiment_seed,
     );
     match run {
         Ok(run) => {

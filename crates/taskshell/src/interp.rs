@@ -11,6 +11,7 @@ use cloudsim::{SkuCatalog, VmSku};
 use simtime::SimDuration;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Where a script "runs": the node type it sees and the models behind
@@ -23,6 +24,26 @@ pub struct ExecutionEnv {
     pub registry: Arc<AppRegistry>,
     /// Experiment seed for deterministic run noise.
     pub experiment_seed: u64,
+}
+
+/// An [`ExecutionEnv`] with its node's machine profile built: what every
+/// interpreter on one pool shares. Resolve it once per pool; a clone
+/// shares the registry and the profile instead of copying them.
+#[derive(Clone)]
+pub struct NodeEnv {
+    pub(crate) registry: Arc<AppRegistry>,
+    pub(crate) machine: Arc<MachineProfile>,
+    pub(crate) experiment_seed: u64,
+}
+
+impl From<ExecutionEnv> for NodeEnv {
+    fn from(exec: ExecutionEnv) -> Self {
+        NodeEnv {
+            registry: exec.registry,
+            machine: Arc::new(MachineProfile::from_sku(&exec.sku)),
+            experiment_seed: exec.experiment_seed,
+        }
+    }
 }
 
 /// Result of running a script or calling one of its functions.
@@ -45,21 +66,18 @@ enum Flow {
 /// The interpreter: variables, functions, VFS, virtual time.
 pub struct Interpreter {
     /// Variables that are not exported. A name lives in exactly one of
-    /// `vars` and `exported`.
-    vars: BTreeMap<String, String>,
+    /// `vars` and `exported`. Names share the script's text.
+    vars: BTreeMap<Arc<str>, String>,
     /// Exported variables, kept as the application-model inputs `mpirun`
     /// hands to the model as they are.
     pub(crate) exported: Inputs,
-    functions: BTreeMap<String, Arc<[Stmt]>>,
+    functions: BTreeMap<Arc<str>, Arc<[Stmt]>>,
     pub(crate) vfs: Vfs,
     pub(crate) urls: UrlStore,
-    pub(crate) cwd: String,
+    pub(crate) cwd: Cow<'static, str>,
     pub(crate) elapsed: SimDuration,
-    /// Application models behind `mpirun`.
-    pub(crate) registry: Arc<AppRegistry>,
-    /// The node type's profile, built once with the interpreter.
-    pub(crate) machine: MachineProfile,
-    pub(crate) experiment_seed: u64,
+    /// The node type, the models behind `mpirun` and the noise seed.
+    pub(crate) node: NodeEnv,
     pub(crate) modules: Vec<String>,
     last_status: i32,
     steps: u64,
@@ -67,6 +85,21 @@ pub struct Interpreter {
     /// Output of the statements running now: the last command of a
     /// pipeline appends here.
     stdout: String,
+    /// Emptied argv buffers, reused by the next command (see
+    /// [`Interpreter::exec_pipeline`]).
+    argv_pool: Vec<Vec<Cow<'static, str>>>,
+}
+
+/// Room for a command's words in a fresh argv buffer; `mpirun` lines take
+/// the most.
+const ARGV_CAPACITY: usize = 8;
+
+/// Empties an argv buffer for the pool: the words it borrowed are gone, so
+/// it can outlive them. Collecting an emptied `Vec` into one whose items
+/// have the same layout reuses its allocation.
+fn recycle(mut argv: Vec<Cow<'_, str>>) -> Vec<Cow<'static, str>> {
+    argv.clear();
+    argv.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 /// Hard cap on executed statements — a seatbelt against runaway scripts.
@@ -77,24 +110,24 @@ const MAX_DEPTH: u32 = 64;
 
 impl Interpreter {
     /// Creates an interpreter over the given environment, filesystem and
-    /// URL store, starting in `/`.
-    pub fn new(exec: ExecutionEnv, vfs: Vfs, urls: UrlStore) -> Self {
+    /// URL store, starting in `/`. Pass a [`NodeEnv`] to share one pool's
+    /// resolved environment; an [`ExecutionEnv`] is resolved here.
+    pub fn new(exec: impl Into<NodeEnv>, vfs: Vfs, urls: UrlStore) -> Self {
         Interpreter {
             vars: BTreeMap::new(),
             exported: Inputs::new(),
             functions: BTreeMap::new(),
             vfs,
             urls,
-            cwd: "/".into(),
+            cwd: Cow::Borrowed("/"),
             elapsed: SimDuration::ZERO,
-            registry: exec.registry,
-            machine: MachineProfile::from_sku(&exec.sku),
-            experiment_seed: exec.experiment_seed,
+            node: exec.into(),
             modules: Vec::new(),
             last_status: 0,
             steps: 0,
             depth: 0,
             stdout: String::new(),
+            argv_pool: Vec::new(),
         }
     }
 
@@ -120,7 +153,7 @@ impl Interpreter {
     /// names and values are moved in, not copied.
     pub fn set_var(&mut self, name: impl Into<String>, value: impl Into<String>) {
         let name = name.into();
-        self.vars.remove(&name);
+        self.vars.remove(&*name);
         self.exported.insert(name, value.into());
     }
 
@@ -134,22 +167,28 @@ impl Interpreter {
 
     /// Assigns a variable from the script. An exported variable stays
     /// exported, like in bash.
-    fn assign(&mut self, name: &str, value: String, export: bool) {
-        if let Some(slot) = self.exported.get_mut(name) {
+    fn assign(&mut self, name: &Arc<str>, value: String, export: bool) {
+        if let Some(slot) = self.exported.get_mut(&**name) {
             *slot = value;
         } else if export {
-            self.vars.remove(name);
+            self.vars.remove(&**name);
             self.exported.insert(name.to_string(), value);
-        } else if let Some(slot) = self.vars.get_mut(name) {
+        } else if let Some(slot) = self.vars.get_mut(&**name) {
             *slot = value;
         } else {
-            self.vars.insert(name.to_string(), value);
+            self.vars.insert(Arc::clone(name), value);
         }
     }
 
-    /// Changes the working directory (creating it implicitly).
-    pub fn set_cwd(&mut self, dir: &str) {
-        self.cwd = crate::vfs::resolve("/", dir).into_owned();
+    /// Changes the working directory (creating it implicitly). An owned
+    /// path that is already normal becomes the working directory as it is.
+    pub fn set_cwd(&mut self, dir: impl Into<String>) {
+        let dir = dir.into();
+        let normalized = match crate::vfs::resolve("/", &dir) {
+            Cow::Borrowed(_) => None,
+            Cow::Owned(normal) => Some(normal),
+        };
+        self.cwd = Cow::Owned(normalized.unwrap_or(dir));
         self.vfs.mkdir(&self.cwd);
     }
 
@@ -268,7 +307,7 @@ impl Interpreter {
         self.bump()?;
         match stmt {
             Stmt::FuncDef { name, body } => {
-                self.functions.insert(name.clone(), body.clone());
+                self.functions.insert(Arc::clone(name), Arc::clone(body));
                 self.last_status = 0;
                 Ok(Flow::Normal)
             }
@@ -303,7 +342,8 @@ impl Interpreter {
             }
             Stmt::For { var, items, body } => {
                 // Expand and field-split the item words, like bash.
-                let values = self.expand_words(items)?;
+                let mut values = Vec::new();
+                self.expand_words(items, &mut values)?;
                 for value in values {
                     self.bump()?;
                     self.assign(var, value.into_owned(), false);
@@ -343,20 +383,33 @@ impl Interpreter {
         let last = pipeline.commands.len() - 1;
         for (i, cmd) in pipeline.commands.iter().enumerate() {
             self.bump()?;
-            let argv = self.expand_words(&cmd.words)?;
-            if argv.is_empty() {
-                continue;
-            }
-            if i == last {
-                // The last command writes straight into the output.
-                let mut out = std::mem::take(&mut self.stdout);
-                let result = self.dispatch(&argv, &input, &mut out);
-                self.stdout = out;
-                status = result?;
-            } else {
-                let mut out = String::new();
-                status = self.dispatch(&argv, &input, &mut out)?;
-                input = out;
+            // Commands take their argv buffer from the pool and hand it
+            // back emptied; a substitution inside the words takes its own.
+            let mut argv: Vec<Cow<'_, str>> = self
+                .argv_pool
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(ARGV_CAPACITY));
+            let expanded = self.expand_words(&cmd.words, &mut argv);
+            let result = match expanded {
+                Ok(()) if argv.is_empty() => Ok(None),
+                Ok(()) if i == last => {
+                    // The last command writes straight into the output.
+                    let mut out = std::mem::take(&mut self.stdout);
+                    let result = self.dispatch(&argv, &input, &mut out);
+                    self.stdout = out;
+                    result.map(Some)
+                }
+                Ok(()) => {
+                    let mut out = String::new();
+                    let result = self.dispatch(&argv, &input, &mut out);
+                    input = out;
+                    result.map(Some)
+                }
+                Err(e) => Err(e),
+            };
+            self.argv_pool.push(recycle(argv));
+            if let Some(code) = result? {
+                status = code;
             }
         }
         Ok(status)
@@ -392,14 +445,14 @@ impl Interpreter {
         builtins::run(self, name, &argv[1..], stdin, out)
     }
 
-    /// Expands command words to argv with field splitting of unquoted
-    /// expansions. A word that is a single literal is borrowed from the
-    /// script, not copied.
+    /// Expands command words to argv (appended to `argv`) with field
+    /// splitting of unquoted expansions. A word that is a single literal is
+    /// borrowed from the script, not copied.
     pub(crate) fn expand_words<'w>(
         &mut self,
         words: &'w [Word],
-    ) -> Result<Vec<Cow<'w, str>>, ShellError> {
-        let mut argv = Vec::with_capacity(words.len());
+        argv: &mut Vec<Cow<'w, str>>,
+    ) -> Result<(), ShellError> {
         for word in words {
             if let [Segment::Lit(s)] = word.as_slice() {
                 argv.push(Cow::Borrowed(s.as_str()));
@@ -419,17 +472,17 @@ impl Interpreter {
                     }
                     Segment::Var(name, quoted) => {
                         let value = self.lookup_var(name);
-                        Self::splice(&mut argv, &mut current, &value, *quoted);
+                        Self::splice(argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
                     Segment::CmdSub(stmts, quoted) => {
                         let value = self.command_substitute(stmts)?;
-                        Self::splice(&mut argv, &mut current, &value, *quoted);
+                        Self::splice(argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
                     Segment::Arith(expr) => {
                         let value = self.arithmetic(expr)?;
-                        current.push_str(&value.to_string());
+                        let _ = write!(current, "{value}");
                         keep = true;
                     }
                 }
@@ -439,7 +492,7 @@ impl Interpreter {
                 argv.push(Cow::Owned(current));
             }
         }
-        Ok(argv)
+        Ok(())
     }
 
     /// Splices an expansion into the argv under construction: quoted
@@ -467,8 +520,19 @@ impl Interpreter {
             match seg {
                 Segment::Lit(s) => out.push_str(s),
                 Segment::Var(name, _) => out.push_str(&self.lookup_var(name)),
-                Segment::CmdSub(stmts, _) => out.push_str(&self.command_substitute(stmts)?),
-                Segment::Arith(expr) => out.push_str(&self.arithmetic(expr)?.to_string()),
+                Segment::CmdSub(stmts, _) => {
+                    let value = self.command_substitute(stmts)?;
+                    // A substitution that starts the word is the word so far.
+                    if out.is_empty() {
+                        out = value;
+                    } else {
+                        out.push_str(&value);
+                    }
+                }
+                Segment::Arith(expr) => {
+                    let value = self.arithmetic(expr)?;
+                    let _ = write!(out, "{value}");
+                }
             }
         }
         Ok(out)

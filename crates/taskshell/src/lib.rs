@@ -41,7 +41,7 @@ pub mod vfs;
 
 pub use ast::Script;
 pub use error::ShellError;
-pub use interp::{ExecutionEnv, Interpreter, ScriptOutcome};
+pub use interp::{ExecutionEnv, Interpreter, NodeEnv, ScriptOutcome};
 pub use urlstore::UrlStore;
 pub use vfs::Vfs;
 

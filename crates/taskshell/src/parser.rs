@@ -3,6 +3,7 @@
 use crate::ast::{Command, CommandList, ListOp, Pipeline, Stmt};
 use crate::error::ShellError;
 use crate::lexer::{tokenize, Segment, Token, Word};
+use std::sync::Arc;
 
 /// Parses a full script.
 pub fn parse(script: &str) -> Result<Vec<Stmt>, ShellError> {
@@ -91,7 +92,7 @@ fn peek_keyword(t: Option<&Token>) -> Option<&str> {
 }
 
 /// Splits a word of the form `NAME=rest` into `(name, value_word)`.
-fn split_assignment(word: &Word) -> Option<(String, Word)> {
+fn split_assignment(word: &Word) -> Option<(Arc<str>, Word)> {
     let Segment::Lit(first) = word.first()? else {
         return None;
     };
@@ -112,7 +113,7 @@ fn split_assignment(word: &Word) -> Option<(String, Word)> {
         value.push(Segment::Lit(tail.to_string()));
     }
     value.extend(word[1..].iter().cloned());
-    Some((name.to_string(), value))
+    Some((name.into(), value))
 }
 
 const STMT_KEYWORDS: &[&str] = &[
@@ -155,7 +156,7 @@ fn parse_stmt(stream: &mut Stream) -> Result<Stmt, ShellError> {
         Some("function") => {
             stream.next();
             let name = match peek_keyword(stream.peek()) {
-                Some(n) => n.to_string(),
+                Some(n) => n.into(),
                 None => return Err(stream.err("expected function name after 'function'")),
             };
             stream.next();
@@ -176,7 +177,7 @@ fn parse_stmt(stream: &mut Stream) -> Result<Stmt, ShellError> {
             if let Segment::Lit(s) = &w[0] {
                 if let Some(name) = s.strip_suffix("()") {
                     if !name.is_empty() && !STMT_KEYWORDS.contains(&name) {
-                        let name = name.to_string();
+                        let name = name.into();
                         stream.next();
                         return parse_func_body(stream, name);
                     }
@@ -226,7 +227,7 @@ fn parse_stmt(stream: &mut Stream) -> Result<Stmt, ShellError> {
                     // `export NAME` re-exports the current value.
                     return Ok(Stmt::Assign {
                         export: true,
-                        name: name.clone(),
+                        name: name.as_str().into(),
                         value: vec![Segment::Var(name.clone(), true)],
                     });
                 }
@@ -239,7 +240,7 @@ fn parse_stmt(stream: &mut Stream) -> Result<Stmt, ShellError> {
     }
 }
 
-fn parse_func_body(stream: &mut Stream, name: String) -> Result<Stmt, ShellError> {
+fn parse_func_body(stream: &mut Stream, name: Arc<str>) -> Result<Stmt, ShellError> {
     stream.skip_semis();
     if !stream.eat_keyword("{") {
         return Err(stream.err(format!("expected '{{' to open body of function '{name}'")));
@@ -263,7 +264,7 @@ fn parse_for(stream: &mut Stream) -> Result<Stmt, ShellError> {
             if !STMT_KEYWORDS.contains(&name)
                 && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') =>
         {
-            name.to_string()
+            name.into()
         }
         _ => return Err(stream.err("expected a variable name after 'for'")),
     };
@@ -378,9 +379,9 @@ mod tests {
     #[test]
     fn assignment_forms() {
         let stmts = parse("X=1\nexport Y=two\nexport Z\n").unwrap();
-        assert!(matches!(&stmts[0], Stmt::Assign { export: false, name, .. } if name == "X"));
-        assert!(matches!(&stmts[1], Stmt::Assign { export: true, name, .. } if name == "Y"));
-        assert!(matches!(&stmts[2], Stmt::Assign { export: true, name, .. } if name == "Z"));
+        assert!(matches!(&stmts[0], Stmt::Assign { export: false, name, .. } if &**name == "X"));
+        assert!(matches!(&stmts[1], Stmt::Assign { export: true, name, .. } if &**name == "Y"));
+        assert!(matches!(&stmts[2], Stmt::Assign { export: true, name, .. } if &**name == "Z"));
     }
 
     #[test]
@@ -417,9 +418,9 @@ mod tests {
         let stmts =
             parse("hpcadvisor_setup() {\necho setup\n}\nfunction other {\necho x\n}\n").unwrap();
         assert!(
-            matches!(&stmts[0], Stmt::FuncDef { name, body } if name == "hpcadvisor_setup" && body.len() == 1)
+            matches!(&stmts[0], Stmt::FuncDef { name, body } if &**name == "hpcadvisor_setup" && body.len() == 1)
         );
-        assert!(matches!(&stmts[1], Stmt::FuncDef { name, .. } if name == "other"));
+        assert!(matches!(&stmts[1], Stmt::FuncDef { name, .. } if &**name == "other"));
     }
 
     #[test]
@@ -494,11 +495,11 @@ hpcadvisor_run() {
 "#;
         let stmts = parse(script).unwrap();
         assert_eq!(stmts.len(), 2);
-        assert!(matches!(&stmts[0], Stmt::FuncDef { name, .. } if name == "hpcadvisor_setup"));
+        assert!(matches!(&stmts[0], Stmt::FuncDef { name, .. } if &**name == "hpcadvisor_setup"));
         let Stmt::FuncDef { name, body } = &stmts[1] else {
             panic!()
         };
-        assert_eq!(name, "hpcadvisor_run");
+        assert_eq!(&**name, "hpcadvisor_run");
         assert!(body.len() >= 10, "run body has {} statements", body.len());
     }
 

@@ -15,6 +15,7 @@
 //! config-file-sized inputs and obviously correct.
 
 use crate::error::ShellError;
+use std::borrow::Cow;
 
 /// One match in a haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +54,14 @@ enum Quant {
     OneOrMore,
 }
 
-/// A compiled pattern.
+/// A compiled pattern. A pattern without metacharacters borrows its text.
 #[derive(Debug, Clone)]
-pub struct Regex {
+pub struct Regex<'p> {
     atoms: Vec<(Atom, Quant)>,
     /// The pattern's text when it is nothing but single literal characters
     /// (`grep -q "Finalising parallel run"`): matched with a substring
     /// search instead of the backtracker.
-    literal: Option<String>,
+    literal: Option<Cow<'p, str>>,
 }
 
 /// Byte offset of the leftmost `needle` in `haystack`, like
@@ -89,14 +90,14 @@ pub(crate) fn find_literal(haystack: &str, needle: &str) -> Option<usize> {
 /// any of them is its own literal.
 const META: [char; 8] = ['^', '$', '.', '[', '\\', '+', '*', '?'];
 
-impl Regex {
+impl<'p> Regex<'p> {
     /// Compiles a pattern. A pattern without metacharacters skips the atom
     /// list: it can only ever be matched as a literal.
-    pub fn compile(pattern: &str) -> Result<Regex, ShellError> {
+    pub fn compile(pattern: &'p str) -> Result<Regex<'p>, ShellError> {
         if !pattern.contains(META) {
             return Ok(Regex {
                 atoms: Vec::new(),
-                literal: Some(pattern.to_string()),
+                literal: Some(Cow::Borrowed(pattern)),
             });
         }
         let atoms = Self::parse(pattern)?;
@@ -106,14 +107,15 @@ impl Regex {
                 (Atom::Literal(c), Quant::One) => Some(*c),
                 _ => None,
             })
-            .collect();
+            .collect::<Option<String>>()
+            .map(Cow::Owned);
         Ok(Regex { atoms, literal })
     }
 
     /// The pattern compiled for the backtracker only, without the literal
     /// fast path: the reference the fast paths are tested against.
     #[cfg(test)]
-    pub(crate) fn backtracking(pattern: &str) -> Regex {
+    pub(crate) fn backtracking(pattern: &str) -> Regex<'static> {
         Regex {
             atoms: Self::parse(pattern).expect("valid pattern"),
             literal: None,
@@ -403,7 +405,7 @@ impl Regex {
 mod tests {
     use super::*;
 
-    fn re(p: &str) -> Regex {
+    fn re(p: &str) -> Regex<'_> {
         Regex::compile(p).unwrap()
     }
 

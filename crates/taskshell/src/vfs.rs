@@ -7,8 +7,9 @@
 //! `.`/`..` resolution against a current directory, and implicit parent
 //! directories.
 //!
-//! File contents are shared (`Arc<str>`): cloning the filesystem, copying
-//! a file or merging two filesystems never copies content. A task that must
+//! File contents and paths are shared (`Arc<str>`): cloning the filesystem,
+//! copying a file or merging two filesystems never copies content, and a
+//! transaction's undo record shares the path it undoes. A task that must
 //! not leave a trace when it fails runs inside a transaction
 //! ([`Vfs::begin`]) instead of on a copy: every change records how to undo
 //! itself, and [`Vfs::rollback`] restores the state at `begin`.
@@ -21,8 +22,8 @@ use std::sync::Arc;
 /// In-memory filesystem: path → content.
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
-    files: BTreeMap<String, Arc<str>>,
-    dirs: BTreeSet<String>,
+    files: BTreeMap<Arc<str>, Arc<str>>,
+    dirs: BTreeSet<Arc<str>>,
     /// Undo records of the open transaction, oldest first; `None` outside
     /// a transaction.
     undo: Option<Vec<Undo>>,
@@ -32,9 +33,9 @@ pub struct Vfs {
 #[derive(Debug, Clone)]
 enum Undo {
     /// Restore a file's previous content, or remove it if it was new.
-    File(String, Option<Arc<str>>),
+    File(Arc<str>, Option<Arc<str>>),
     /// Remove a directory the transaction created.
-    Dir(String),
+    Dir(Arc<str>),
 }
 
 /// Normalizes `path` relative to `cwd`, resolving `.` and `..`. An
@@ -43,7 +44,11 @@ pub fn resolve<'a>(cwd: &str, path: &'a str) -> Cow<'a, str> {
     if path.starts_with('/') {
         return normalize(path);
     }
-    let joined = format!("{}/{}", cwd.trim_end_matches('/'), path);
+    let cwd = cwd.trim_end_matches('/');
+    let mut joined = String::with_capacity(cwd.len() + 1 + path.len());
+    joined.push_str(cwd);
+    joined.push('/');
+    joined.push_str(path);
     match normalize(&joined) {
         Cow::Borrowed(_) => Cow::Owned(joined),
         Cow::Owned(normal) => Cow::Owned(normal),
@@ -88,7 +93,7 @@ impl Vfs {
         if let Some(idx) = path.rfind('/') {
             self.mkdir_resolved(&path[..idx]);
         }
-        self.put_file(path.into_owned(), Some(content.into()));
+        self.put_file(Arc::from(&*path), Some(content.into()));
     }
 
     /// Reads a file at an absolute path.
@@ -116,7 +121,7 @@ impl Vfs {
         if !self.files.contains_key(&*path) {
             return Err(ShellError::NoSuchFile(path.into_owned()));
         }
-        self.put_file(path.into_owned(), None);
+        self.put_file(Arc::from(&*path), None);
         Ok(())
     }
 
@@ -135,7 +140,7 @@ impl Vfs {
         if let Some(idx) = path.rfind('/') {
             self.mkdir_resolved(&path[..idx]);
         }
-        self.put_dir(path);
+        self.put_dir(Arc::from(path));
     }
 
     /// True if a directory was created (explicitly or implicitly).
@@ -151,13 +156,16 @@ impl Vfs {
     /// filesystem; merging the shard filesystems back reproduces what a
     /// shared NFS mount would hold after all shards finish (shards write
     /// disjoint per-task directories, so "last writer wins" only applies to
-    /// identical setup artifacts).
+    /// identical setup artifacts). Paths move over, and directories this
+    /// filesystem has already are skipped.
     pub fn merge_from(&mut self, other: Vfs) {
         for (path, content) in other.files {
             self.put_file(path, Some(content));
         }
-        for dir in &other.dirs {
-            self.put_dir(dir);
+        for dir in other.dirs {
+            if !self.dirs.contains(&dir) {
+                self.put_dir(dir);
+            }
         }
     }
 
@@ -167,7 +175,7 @@ impl Vfs {
         self.files
             .keys()
             .filter(|p| p.starts_with(&prefix))
-            .map(|p| p.as_str())
+            .map(|p| &**p)
             .collect()
     }
 
@@ -192,10 +200,10 @@ impl Vfs {
                     self.files.insert(path, content);
                 }
                 Undo::File(path, None) => {
-                    self.files.remove(&path);
+                    self.files.remove(&*path);
                 }
                 Undo::Dir(dir) => {
-                    self.dirs.remove(&dir);
+                    self.dirs.remove(&*dir);
                 }
             }
         }
@@ -203,31 +211,28 @@ impl Vfs {
 
     /// Sets (`Some`) or removes (`None`) a file at a resolved path,
     /// recording the undo inside a transaction.
-    fn put_file(&mut self, path: String, content: Option<Arc<str>>) {
+    fn put_file(&mut self, path: Arc<str>, content: Option<Arc<str>>) {
         let Some(undo) = &mut self.undo else {
             match content {
                 Some(content) => self.files.insert(path, content),
-                None => self.files.remove(&path),
+                None => self.files.remove(&*path),
             };
             return;
         };
         let previous = match content {
-            Some(content) => self.files.insert(path.clone(), content),
-            None => self.files.remove(&path),
+            Some(content) => self.files.insert(Arc::clone(&path), content),
+            None => self.files.remove(&*path),
         };
         undo.push(Undo::File(path, previous));
     }
 
-    /// Registers one resolved directory, recording the undo inside a
-    /// transaction.
-    fn put_dir(&mut self, dir: &str) {
-        if self.dirs.contains(dir) {
-            return;
-        }
-        self.dirs.insert(dir.to_string());
+    /// Registers one resolved directory that does not exist yet, recording
+    /// the undo inside a transaction.
+    fn put_dir(&mut self, dir: Arc<str>) {
         if let Some(undo) = &mut self.undo {
-            undo.push(Undo::Dir(dir.to_string()));
+            undo.push(Undo::Dir(Arc::clone(&dir)));
         }
+        self.dirs.insert(dir);
     }
 }
 
@@ -350,9 +355,9 @@ mod tests {
         (
             fs.files
                 .iter()
-                .map(|(p, c)| (p.clone(), c.to_string()))
+                .map(|(p, c)| (p.to_string(), c.to_string()))
                 .collect(),
-            fs.dirs.iter().cloned().collect(),
+            fs.dirs.iter().map(|d| d.to_string()).collect(),
         )
     }
 

@@ -281,3 +281,28 @@ fn a_wildcard_listener_is_woken_through_loopback() {
     assert!(log.contains(&format!("serving on 0.0.0.0:{port}")), "{log}");
     assert!(log.contains("served 0 requests; shut down"), "{log}");
 }
+
+/// The daemon writes each progress frame by splicing the event's JSON line
+/// in as the body. For every event line of the golden traces, that frame
+/// must be byte for byte the frame built around the parsed line.
+#[test]
+fn spliced_progress_frames_match_tree_encoded_ones() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut lines = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if !path.to_string_lossy().ends_with(".trace.jsonl") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        // The first line is the trace header, not an event.
+        for (id, line) in text.lines().enumerate().skip(1) {
+            let body = hpcadvisor::formats::json::parse(line).unwrap();
+            let tree = Frame::new(id as i64, "progress", body).encode();
+            let spliced = Frame::encode_with_body(id as i64, "progress", line).unwrap();
+            assert_eq!(spliced, tree, "{}:{}", path.display(), id + 1);
+            lines += 1;
+        }
+    }
+    assert!(lines >= 1371, "only {lines} golden event lines found");
+}
