@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::state::{DeploymentRecord, WorkDir};
 use hpcadvisor_core::advice::{Advice, AdviceSort};
-use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache, StoreFormat};
+use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use hpcadvisor_core::collect::CollectPlan;
 use hpcadvisor_core::collector::Collector;
 use hpcadvisor_core::deployment::DeploymentManager;
@@ -201,13 +201,6 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
         None | Some("stats") => {
             let cache = ScenarioCache::open(&path);
             wline(out, &format!("cache file: {}", path.display()))?;
-            wline(out, &format!("store format: {}", cache.format().as_str()))?;
-            if cache.format() != StoreFormat::Binary {
-                wline(
-                    out,
-                    "note: an older store format; 'cache migrate' or the next collect rewrites it",
-                )?;
-            }
             let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             wline(
                 out,
@@ -216,7 +209,7 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
             if cache.recovered() {
                 wline(
                     out,
-                    "warning: cache file was damaged; intact entries were salvaged and the store will be rebuilt on the next save",
+                    "warning: cache file was damaged or written for another model or catalog version; what it cannot serve re-runs, and the next save rebuilds the store",
                 )?;
             }
             Ok(())
@@ -228,27 +221,8 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
             cache.save()?;
             wline(out, &format!("cleared {n} cached results"))
         }
-        Some("migrate") => {
-            // Open and save: a legacy JSON store or an older binary log is
-            // written back as the current binary record log (any collect
-            // that saves does the same).
-            let mut cache = ScenarioCache::open(&path);
-            let legacy = cache.format() != StoreFormat::Binary;
-            cache.save()?;
-            if legacy {
-                wline(
-                    out,
-                    &format!(
-                        "migrated {} cached results to the binary store",
-                        cache.len()
-                    ),
-                )
-            } else {
-                wline(out, "cache store is already in the binary format")
-            }
-        }
         other => Err(ToolError::Config(format!(
-            "cache needs a subcommand (stats|clear|migrate), got {other:?}"
+            "cache needs a subcommand (stats|clear), got {other:?}"
         ))),
     }
 }
@@ -866,9 +840,6 @@ appinputs:
 #[cfg(test)]
 mod tests {
     use super::tests_support::*;
-    use hpcadvisor_core::cache::{Fingerprint, ScenarioCache};
-    use hpcadvisor_core::Dataset;
-    use hpcadvisor_formats::json;
 
     /// The full Table II command walk-through.
     #[test]
@@ -941,15 +912,6 @@ mod tests {
         assert!(dir.join("cache/scenario-cache.json").exists());
         let (out, _) = run_in(&dir, &["cache", "stats"]);
         assert!(out.contains("cached results: 2"), "{out}");
-        assert!(
-            out.contains("store format: binary"),
-            "new stores are binary: {out}"
-        );
-
-        // Migrating an already-binary store is a friendly no-op.
-        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
-        assert!(ok, "{out}");
-        assert!(out.contains("already in the binary format"), "{out}");
 
         // Reset scenario statuses so the grid is pending again, then a warm
         // collect serves everything from the cache.
@@ -1001,135 +963,6 @@ mod tests {
         assert!(out.contains("cached results: 2"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&alt);
-    }
-
-    /// The store's points as compact JSON by fingerprint, in log order:
-    /// the framing `[u32 LE len][16-byte BE fingerprint + point][u64 LE
-    /// checksum]` gives the fingerprints, a lookup the points.
-    fn stored_points_as_json(path: &std::path::Path) -> Vec<(u128, String)> {
-        let log = std::fs::read(path).unwrap();
-        let cache = ScenarioCache::open(path);
-        let mut points = Vec::new();
-        let mut pos = 8;
-        while pos < log.len() {
-            let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
-            let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());
-            let key = Fingerprint::from_hex(&format!("{fp:032x}")).unwrap();
-            let dataset = Dataset {
-                points: vec![cache.lookup(key).unwrap()],
-            };
-            let doc = json::parse(&dataset.to_json()).unwrap();
-            points.push((fp, json::to_string(&doc.as_seq().unwrap()[0])));
-            pos += 12 + len;
-        }
-        points
-    }
-
-    /// Rewrites a binary cache store as the legacy whole-file JSON store
-    /// older releases saved.
-    fn write_legacy_store(path: &std::path::Path) {
-        let entries: Vec<String> = stored_points_as_json(path)
-            .into_iter()
-            .map(|(fp, json)| format!("\"{fp:032x}\": {json}"))
-            .collect();
-        let text = format!(
-            "{{\"version\": 1, \"entries\": {{{}}}}}",
-            entries.join(", ")
-        );
-        std::fs::write(path, text).unwrap();
-    }
-
-    /// Rewrites a binary cache store as an `HPCAV001` log, whose record
-    /// payloads held the point's compact JSON.
-    fn write_v1_log(path: &std::path::Path) {
-        let mut log = b"HPCAV001".to_vec();
-        for (fp, json) in stored_points_as_json(path) {
-            let mut payload = fp.to_be_bytes().to_vec();
-            payload.extend_from_slice(json.as_bytes());
-            let sum = payload.iter().fold(0xcbf29ce484222325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-            });
-            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            log.extend_from_slice(&payload);
-            log.extend_from_slice(&sum.to_le_bytes());
-        }
-        std::fs::write(path, log).unwrap();
-    }
-
-    #[test]
-    fn v1_log_is_reported_and_migrated() {
-        let dir = tempdir("cache-migrate-v1");
-        let config = write_config(&dir);
-        let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
-        assert!(ok);
-        let (out, ok) = run_in(&dir, &["collect"]);
-        assert!(ok, "{out}");
-        let store = dir.join("cache/scenario-cache.json");
-        let current = std::fs::read(&store).unwrap();
-
-        // stats names the older log and does not rewrite it.
-        write_v1_log(&store);
-        let v1 = std::fs::read(&store).unwrap();
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: binary-v1"), "{out}");
-        assert!(out.contains("older store format"), "{out}");
-        assert!(out.contains("cached results: 2"), "{out}");
-        assert_eq!(std::fs::read(&store).unwrap(), v1, "stats only reads");
-
-        // migrate rewrites it as the store a collect writes.
-        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
-        assert!(ok, "{out}");
-        assert!(
-            out.contains("migrated 2 cached results to the binary store"),
-            "{out}"
-        );
-        assert_eq!(std::fs::read(&store).unwrap(), current);
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: binary\n"), "{out}");
-        assert!(!out.contains("older store format"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_json_store_migrates_and_stays_warm() {
-        let dir = tempdir("cache-migrate");
-        let config = write_config(&dir);
-        let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
-        assert!(ok);
-        let (out, ok) = run_in(&dir, &["collect"]);
-        assert!(ok, "{out}");
-        let store = dir.join("cache/scenario-cache.json");
-
-        // A legacy whole-file JSON store that is only read stays JSON.
-        write_legacy_store(&store);
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: json"), "{out}");
-        assert!(out.contains("cached results: 2"), "{out}");
-
-        // Migration converts in place and stats agree across formats.
-        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
-        assert!(ok, "{out}");
-        assert!(
-            out.contains("migrated 2 cached results to the binary store"),
-            "{out}"
-        );
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: binary"), "{out}");
-        assert!(out.contains("cached results: 2"), "{out}");
-
-        // A legacy store serves a warm collect in full, and that collect's
-        // save leaves it binary.
-        write_legacy_store(&store);
-        let scenarios_json = dir.join("scenarios.json");
-        let text = std::fs::read_to_string(&scenarios_json).unwrap();
-        std::fs::write(&scenarios_json, text.replace("completed", "pending")).unwrap();
-        let (out, ok) = run_in(&dir, &["collect"]);
-        assert!(ok, "{out}");
-        assert!(out.contains("cache: reused 2 of 2 scenarios"), "{out}");
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: binary"), "{out}");
-        assert!(out.contains("cached results: 2"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -59,10 +59,6 @@ COMMANDS:
                                      are served from the scenario cache)
     cache stats                      show the scenario-result cache
     cache clear                      drop all cached scenario results
-    cache migrate                    rewrite a legacy JSON cache store or
-                                     an older binary log as the current
-                                     binary record log (a collect's first
-                                     save does the same)
     plot [-f <filter>] [--ascii]     generate the four plots (+ Pareto)
     advice [-f <filter>] [--sort time|cost] [--slurm]
                                      print the Pareto-front advice table

@@ -2,7 +2,7 @@
 //! JSON state files.
 
 use hpcadvisor_core::scenario::{self, Scenario};
-use hpcadvisor_core::{Dataset, ToolError, UserConfig};
+use hpcadvisor_core::{replace, Dataset, ToolError, UserConfig};
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::path::{Path, PathBuf};
 
@@ -78,7 +78,7 @@ impl WorkDir {
 
     /// Saves the active configuration file text.
     pub fn save_config_text(&self, text: &str) -> Result<(), ToolError> {
-        std::fs::write(self.file("config.yaml"), text)?;
+        replace(&self.file("config.yaml"), text.as_bytes())?;
         Ok(())
     }
 
@@ -96,7 +96,10 @@ impl WorkDir {
 
     /// Saves the scenario list.
     pub fn save_scenarios(&self, scenarios: &[Scenario]) -> Result<(), ToolError> {
-        std::fs::write(self.file("scenarios.json"), scenario::to_json(scenarios))?;
+        replace(
+            &self.file("scenarios.json"),
+            scenario::to_json(scenarios).as_bytes(),
+        )?;
         Ok(())
     }
 
@@ -110,7 +113,7 @@ impl WorkDir {
 
     /// Saves the dataset.
     pub fn save_dataset(&self, ds: &Dataset) -> Result<(), ToolError> {
-        std::fs::write(self.file("dataset.json"), ds.to_json())?;
+        replace(&self.file("dataset.json"), ds.to_json().as_bytes())?;
         Ok(())
     }
 
@@ -136,9 +139,9 @@ impl WorkDir {
                 Value::Map(m)
             })
             .collect();
-        std::fs::write(
-            self.file("deployments.json"),
-            json::to_string_pretty(&Value::Seq(items)),
+        replace(
+            &self.file("deployments.json"),
+            json::to_string_pretty(&Value::Seq(items)).as_bytes(),
         )?;
         Ok(())
     }

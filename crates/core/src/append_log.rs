@@ -15,7 +15,8 @@
 //! the next append rewrites the file from the journal's state instead, as
 //! a journal's compaction does. A rewrite goes to the sibling `<file>.tmp`
 //! and is renamed into place, so a crash in the middle of it leaves the
-//! old file whole.
+//! old file whole. That write, [`replace`], is public: the scenario-cache
+//! store's segment rotations and the CLI's work-directory files use it too.
 
 use hpcadvisor_formats::json;
 use std::fs::{File, OpenOptions};
@@ -97,7 +98,7 @@ impl AppendLog {
             None => {
                 text = format!("{{\"version\": {VERSION}}}\n");
                 snapshot(&mut text);
-                (true, replace(path, &text))
+                (true, replace(path, text.as_bytes()))
             }
         };
         if written.is_err() {
@@ -119,14 +120,16 @@ impl AppendLog {
     }
 }
 
-/// Writes `text` to `<path>.tmp` and renames it over `path`.
-fn replace(path: &Path, text: &str) -> std::io::Result<()> {
+/// Writes `bytes` to `<path>.tmp` and renames it over `path`, creating
+/// the parent directory if needed. A crash mid-write leaves the old file
+/// whole, never a torn one.
+pub fn replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
-    std::fs::write(&tmp, text)?;
+    std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
 }
 

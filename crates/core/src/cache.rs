@@ -29,9 +29,16 @@
 //! shifts scenario ids) still reuse every already-known point.
 //!
 //! Persistence is a **binary record log**, one file under the CLI work
-//! directory's `cache/` folder: a magic header, then length-prefixed,
-//! checksummed `(fingerprint, point)` records. A record's point has a
-//! fixed binary layout (`encode_point`) rather than JSON: the store
+//! directory's `cache/` folder: a 20-byte header, then length-prefixed,
+//! checksummed `(fingerprint, point)` records. The header is the magic
+//! `HPCAV003`, the app-model version ([`appmodel::MODEL_VERSION`], `u32`
+//! LE) and the revision of the Azure HPC catalog (`u64` LE), the one
+//! catalog a CLI run prices against. A file's records serve only when its
+//! header is exactly today's: any other file (another model version or
+//! catalog revision, an older store layout, garbage) opens empty with the
+//! `recovered` flag set and is replaced by its first save, so records no
+//! key can reach never outlive the model that wrote them. A record's point
+//! has a fixed binary layout (`encode_point`) rather than JSON: the store
 //! only reads back what it wrote, so a lookup is a run of bounds-checked
 //! copies and an insert formats no floats. The store keeps the log's
 //! bytes in memory, not decoded points: opening a store frames the records
@@ -39,66 +46,57 @@
 //! only the record it returns. Saving appends only the records added since
 //! the last save, not the whole store, and compacts via atomic
 //! segment rotation (write-temp-then-rename) once superseded records
-//! outnumber live ones. Older stores — a whole-file JSON store or an
-//! `HPCAV001` log, whose records held JSON — are imported on open and
-//! written back in the current layout by their first save. A torn log
-//! tail salvages every intact record and is cut on the next save — never
-//! a cold run; a record whose checksum holds but whose point does not
-//! decode is a miss, superseded when the scenario re-runs; only an
-//! unrecognizable store (no magic, unparsable JSON) degrades to cold
-//! instead of erroring.
+//! outnumber live ones. A torn log tail salvages every intact record and
+//! is cut on the next save — never a cold run; a record whose checksum
+//! holds but whose point does not decode is a miss, superseded when the
+//! scenario re-runs. A damaged or foreign store degrades to cold instead
+//! of erroring.
+//!
+//! The fingerprint folds the model version and the catalog revision too:
+//! the run journal and the in-memory and daemon caches have no header, so
+//! their keys must cover both.
 //!
 //! Concurrency: fingerprinting and lookup happen once, up front, on the
 //! coordinating thread; shard workers only ever see the miss list and
 //! accumulate their results into per-shard output buffers. New entries are
 //! inserted after the merge barrier, so the hot path takes no lock.
 
-use crate::dataset::{DataPoint, PointFields};
+use crate::dataset::DataPoint;
 use crate::error::ToolError;
 use crate::scenario::{Scenario, ScenarioStatus};
 use cloudsim::{Capacity, Fnv64};
-use hpcadvisor_formats::{json, FormatError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Version of the legacy JSON store's schema. Files written by a different
-/// schema are discarded wholesale (treated as a cold cache).
-const STORE_VERSION: i64 = 1;
+/// Magic prefix of a record log's header.
+const LOG_MAGIC: &[u8; 8] = b"HPCAV003";
 
-/// Magic prefix of a binary record log (8 bytes, version in the tail).
-const LOG_MAGIC: &[u8; 8] = b"HPCAV002";
+/// Byte length of a store header: the magic, the model version and the
+/// catalog revision.
+const HEADER_LEN: usize = 20;
 
-/// Magic prefix of the previous log version, whose records held a point's
-/// compact JSON. Such a log is imported on open, never written.
-const LOG_MAGIC_V1: &[u8; 8] = b"HPCAV001";
-
-/// On-disk format of a persistent store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreFormat {
-    /// Length-prefixed binary record log, one file (what every save
-    /// writes).
-    #[default]
-    Binary,
-    /// The previous binary log, whose records held JSON; read on open and
-    /// rewritten in the current layout by the next save.
-    BinaryV1,
-    /// Legacy whole-file pretty-printed JSON, read on open and rewritten
-    /// as a binary log by the next save.
-    Json,
+/// A store header for records written by `model_version` against a
+/// catalog at `revision`.
+fn header(model_version: u32, revision: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    h[..8].copy_from_slice(LOG_MAGIC);
+    h[8..12].copy_from_slice(&model_version.to_le_bytes());
+    h[12..].copy_from_slice(&revision.to_le_bytes());
+    h
 }
 
-impl StoreFormat {
-    /// Short human-readable name (`binary`, `binary-v1`, `json`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            StoreFormat::Binary => "binary",
-            StoreFormat::BinaryV1 => "binary-v1",
-            StoreFormat::Json => "json",
-        }
-    }
+/// The header this build writes, and the only one whose records it serves.
+fn current_header() -> &'static [u8; HEADER_LEN] {
+    static CURRENT: OnceLock<[u8; HEADER_LEN]> = OnceLock::new();
+    CURRENT.get_or_init(|| {
+        header(
+            appmodel::MODEL_VERSION,
+            cloudsim::SkuCatalog::azure_hpc().revision(),
+        )
+    })
 }
 
 /// FNV-1a-64 over a record payload — the per-record checksum that catches
@@ -309,7 +307,7 @@ struct LogScan {
 fn scan_log(bytes: &[u8]) -> LogScan {
     // Frame first: the (start, end) of each record whose length fits.
     let mut records = Vec::new();
-    let mut pos = LOG_MAGIC.len();
+    let mut pos = HEADER_LEN;
     while let Some(len) = bytes.get(pos..pos + 4) {
         let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
         if len < 16 || bytes.len() - pos < 12 + len {
@@ -344,7 +342,7 @@ fn scan_log(bytes: &[u8]) -> LogScan {
     }
     LogScan {
         latest,
-        valid_len: records.last().map_or(LOG_MAGIC.len(), |&(_, end)| end),
+        valid_len: records.last().map_or(HEADER_LEN, |&(_, end)| end),
         dead,
     }
 }
@@ -387,7 +385,8 @@ impl CachePolicy {
 pub struct Fingerprint(u128);
 
 impl Fingerprint {
-    /// Hex spelling used as the JSON store key (32 lowercase digits).
+    /// Hex spelling (32 lowercase digits), as the run journal keys its
+    /// records.
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
@@ -527,23 +526,22 @@ pub struct CacheStoreStats {
     pub entries: usize,
     /// Backing file, if the cache is persistent.
     pub path: Option<PathBuf>,
-    /// True if the backing file was damaged: an unrecognizable store
-    /// started cold, a torn binary log salvaged its intact prefix.
+    /// True if the backing file could not serve whole: a file without
+    /// today's header started cold, a torn log salvaged its intact prefix.
     pub recovered: bool,
-    /// On-disk format of the backing store.
-    pub format: StoreFormat,
 }
 
 /// The content-addressed scenario-result store.
 ///
 /// In-memory by default; [`ScenarioCache::open`] binds it to a file, a
-/// binary record log ([`StoreFormat::Binary`]). The store holds that log's
-/// bytes rather than decoded points: `log` is the file's valid prefix
-/// followed by the records inserted since the last save, and `latest`
-/// points every live fingerprint at its latest record. A lookup decodes
-/// the one record it returns. [`ScenarioCache::save`] appends the unsaved
-/// records, or rotates the whole segment atomically (temp-then-rename)
-/// when compaction is due; after every save the log mirrors the file.
+/// binary record log behind a header (see the module docs). The store
+/// holds that log's bytes rather than decoded points: `log` is the file's
+/// valid prefix followed by the records inserted since the last save, and
+/// `latest` points every live fingerprint at its latest record. A lookup
+/// decodes the one record it returns. [`ScenarioCache::save`] appends the
+/// unsaved records, or rotates the whole segment atomically
+/// (temp-then-rename) when compaction is due; after every save the log
+/// mirrors the file.
 #[derive(Default)]
 pub struct ScenarioCache {
     /// The record log: the file's valid prefix, then unsaved records.
@@ -559,12 +557,11 @@ pub struct ScenarioCache {
     /// warm all-hits run never touches the store. Recovered opens start
     /// dirty — the next save heals the damaged file.
     dirty: bool,
-    format: StoreFormat,
     /// Superseded records in the on-disk log. Once they outnumber live
     /// entries, the next save compacts instead of appending.
     dead: usize,
-    /// The next save must rewrite the whole segment (fresh, legacy or
-    /// unrecognizable store, salvaged tail, clear, or compaction due).
+    /// The next save must rewrite the whole segment (fresh or foreign
+    /// store, salvaged tail, clear, or compaction due).
     rewrite_needed: bool,
 }
 
@@ -585,86 +582,47 @@ impl ScenarioCache {
         ScenarioCache::default()
     }
 
-    /// Opens a file-backed cache, sniffing the on-disk format. A missing
-    /// file starts an empty binary store; a file opening with the binary
-    /// magic is read whole and its records framed and checksummed, but not
-    /// decoded (a torn tail is dropped and every intact record salvaged —
-    /// never cold). An older store is imported: an `HPCAV001` log is
-    /// framed and salvaged the same way and its live records' JSON
-    /// decoded, a legacy JSON store is parsed, and either is encoded into
-    /// a log that the next save writes in the current layout. Anything
-    /// else starts cold as an empty binary store with the `recovered` flag
-    /// set, which the next save heals — never an error, since a damaged
-    /// cache must cost a re-run, not a failure.
+    /// Opens a file-backed cache. A missing file starts an empty store. A
+    /// file that starts with today's header (see the module docs) is read
+    /// whole and its records framed and checksummed, but not decoded: a
+    /// torn tail is dropped and every intact record salvaged — never cold.
+    /// Any other file starts cold as an empty store with the `recovered`
+    /// flag set, and the next save replaces it — never an error, since a
+    /// damaged or foreign cache must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref().to_path_buf();
         let Ok(mut bytes) = std::fs::read(&path) else {
-            // Missing file: a fresh binary store.
             return ScenarioCache {
                 path: Some(path),
                 rewrite_needed: true,
                 ..ScenarioCache::default()
             };
         };
-        if bytes.starts_with(LOG_MAGIC) {
-            let scan = scan_log(&bytes);
-            let torn = scan.valid_len != bytes.len();
-            // A torn tail or a dead-heavy log heals on the next save even
-            // without new inserts.
-            let heal = torn || scan.dead > scan.latest.len();
-            bytes.truncate(scan.valid_len);
+        if !bytes.starts_with(current_header()) {
             return ScenarioCache {
-                log: bytes,
-                latest: scan.latest,
-                saved: scan.valid_len,
                 path: Some(path),
-                recovered: torn,
-                dirty: heal,
-                dead: scan.dead,
-                rewrite_needed: heal,
+                recovered: true,
+                dirty: true,
+                rewrite_needed: true,
                 ..ScenarioCache::default()
             };
         }
-        if bytes.starts_with(LOG_MAGIC_V1) {
-            let scan = scan_log(&bytes);
-            // A record whose JSON is not a point is left out: a miss, as
-            // it would be in a current log.
-            let points = scan.latest.into_iter().filter_map(|(fp, off)| {
-                let text = std::str::from_utf8(record_point(&bytes, off)).ok()?;
-                Some((fp, DataPoint::from_json(text).ok()?))
-            });
-            let torn = scan.valid_len != bytes.len();
-            return ScenarioCache::import(path, StoreFormat::BinaryV1, torn, points);
-        }
-        match std::str::from_utf8(&bytes).map(parse_store) {
-            Ok(Ok(entries)) => ScenarioCache::import(path, StoreFormat::Json, false, entries),
-            // Unrecognizable (a damaged magic, an empty or unparsable
-            // file): start cold and heal into a binary store.
-            _ => ScenarioCache::import(path, StoreFormat::Binary, true, []),
-        }
-    }
-
-    /// A store holding `points`, read from an older store (or from none,
-    /// for an unrecognizable file), whose next save rewrites the file in
-    /// the current layout.
-    fn import(
-        path: PathBuf,
-        format: StoreFormat,
-        recovered: bool,
-        points: impl IntoIterator<Item = (u128, DataPoint)>,
-    ) -> Self {
-        let mut cache = ScenarioCache {
+        let scan = scan_log(&bytes);
+        let torn = scan.valid_len != bytes.len();
+        // A torn tail or a dead-heavy log heals on the next save even
+        // without new inserts.
+        let heal = torn || scan.dead > scan.latest.len();
+        bytes.truncate(scan.valid_len);
+        ScenarioCache {
+            log: bytes,
+            latest: scan.latest,
+            saved: scan.valid_len,
             path: Some(path),
-            recovered,
-            dirty: true,
-            format,
-            rewrite_needed: true,
-            ..ScenarioCache::default()
-        };
-        for (fp, point) in points {
-            cache.append(fp, &point);
+            recovered: torn,
+            dirty: heal,
+            dead: scan.dead,
+            rewrite_needed: heal,
         }
-        cache
     }
 
     /// Number of cached points.
@@ -682,15 +640,10 @@ impl ScenarioCache {
         self.path.as_deref()
     }
 
-    /// True if a damaged backing file was discarded (unrecognizable store)
-    /// or salvaged (torn binary log) on open.
+    /// True if the backing file was discarded (without today's header) or
+    /// salvaged (torn log) on open.
     pub fn recovered(&self) -> bool {
         self.recovered
-    }
-
-    /// On-disk format of the backing file as last read or written.
-    pub fn format(&self) -> StoreFormat {
-        self.format
     }
 
     /// Store summary for status displays.
@@ -699,7 +652,6 @@ impl ScenarioCache {
             entries: self.latest.len(),
             path: self.path.clone(),
             recovered: self.recovered,
-            format: self.format,
         }
     }
 
@@ -742,12 +694,6 @@ impl ScenarioCache {
         true
     }
 
-    /// Appends an unsaved record and points its fingerprint at it.
-    fn append(&mut self, fp: u128, point: &DataPoint) {
-        self.latest.insert(fp, self.log.len());
-        push_record(&mut self.log, fp, point);
-    }
-
     /// Drops every entry (the CLI's `cache clear`). The backing file is
     /// rewritten empty on the next [`ScenarioCache::save`].
     pub fn clear(&mut self) {
@@ -769,7 +715,7 @@ impl ScenarioCache {
     ///
     /// A save appends only the live records inserted since the last save,
     /// not the whole store; a full segment rotation happens only on the first
-    /// save, after `clear`, for a legacy or damaged store, or when dead
+    /// save, after `clear`, for a foreign or damaged store, or when dead
     /// records outnumber live ones. Rotations go to a sibling temp file
     /// first and rename into place, so a crash mid-save leaves the old
     /// cache intact.
@@ -780,9 +726,6 @@ impl ScenarioCache {
         if !self.dirty {
             return Ok(());
         }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
         if self.rewrite_needed || !path.exists() {
             self.rotate_segment(&path)?;
         } else {
@@ -792,26 +735,19 @@ impl ScenarioCache {
         Ok(())
     }
 
-    /// Full rewrite: a fresh log with one record per live entry in
-    /// fingerprint order. The sidecar index older builds kept next to the
-    /// log (`<store>.idx`) is removed, since nothing reads it any more.
+    /// Full rewrite: today's header, then one record per live entry in
+    /// fingerprint order.
     fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut log = Vec::with_capacity(self.log.len());
-        log.extend_from_slice(LOG_MAGIC);
+        let mut log = Vec::with_capacity(self.log.len() + HEADER_LEN);
+        log.extend_from_slice(current_header());
         let copied = self.copy_records(|_| true, &mut log, 0);
-        let tmp = path.with_extension("bin.tmp");
-        std::fs::write(&tmp, &log)?;
-        std::fs::rename(&tmp, path)?;
-        let mut stale_index = path.as_os_str().to_os_string();
-        stale_index.push(".idx");
-        let _ = std::fs::remove_file(stale_index);
+        crate::replace(path, &log)?;
         self.latest = copied.into_iter().collect();
         self.saved = log.len();
         self.log = log;
         self.dead = 0;
         self.rewrite_needed = false;
         self.recovered = false;
-        self.format = StoreFormat::Binary;
         Ok(())
     }
 
@@ -906,7 +842,8 @@ impl SharedScenarioCache {
         self.lock().is_empty()
     }
 
-    /// True if a damaged backing file was discarded on open.
+    /// True if the backing file was discarded or salvaged on open (see
+    /// [`ScenarioCache::recovered`]).
     pub fn recovered(&self) -> bool {
         self.lock().recovered()
     }
@@ -922,75 +859,12 @@ impl SharedScenarioCache {
     }
 }
 
-/// Reads a legacy JSON store: `{"version": 1, "entries": {hex: point}}`.
-fn parse_store(text: &str) -> Result<HashMap<u128, DataPoint>, ToolError> {
-    let mut r = json::Reader::new(text);
-    if r.peek_token() != Some(b'{') {
-        return Err(ToolError::Config(
-            "cache store must be a JSON object".into(),
-        ));
-    }
-    let mut version = None;
-    let mut entries = None;
-    r.object(|r, key| {
-        match key {
-            "version" => version = Some(r.value()?),
-            "entries" => entries = read_store_entries(r)?,
-            _ => drop(r.value()?),
-        }
-        Ok::<_, FormatError>(())
-    })?;
-    r.finish()?;
-    let version = version
-        .and_then(|v| v.as_int())
-        .ok_or_else(|| ToolError::Config("cache store missing version".into()))?;
-    if version != STORE_VERSION {
-        return Err(ToolError::Config(format!(
-            "cache store version {version} != {STORE_VERSION}"
-        )));
-    }
-    let entries = entries.ok_or_else(|| ToolError::Config("cache store missing entries".into()))?;
-    let mut out = HashMap::with_capacity(entries.len());
-    for (key, point) in entries {
-        let fp = Fingerprint::from_hex(&key)
-            .ok_or_else(|| ToolError::Config(format!("bad cache key '{key}'")))?;
-        out.insert(fp.0, point?);
-    }
-    Ok(out)
-}
-
-/// A legacy store's entries: (key, checked point) in first-seen key order.
-type StoreEntries = Vec<(String, Result<DataPoint, ToolError>)>;
-
-/// Reads the store's `entries` object; a repeated key takes its last
-/// point. `None` when the value is not an object.
-fn read_store_entries(r: &mut json::Reader<'_>) -> Result<Option<StoreEntries>, FormatError> {
-    if r.peek_token() != Some(b'{') {
-        r.value()?;
-        return Ok(None);
-    }
-    let mut entries = StoreEntries::new();
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    r.object(|r, key| {
-        let point = PointFields::read(r)?.check();
-        match seen.get(key) {
-            Some(&i) => entries[i].1 = point,
-            None => {
-                seen.insert(key.to_string(), entries.len());
-                entries.push((key.to_string(), point));
-            }
-        }
-        Ok::<_, FormatError>(())
-    })?;
-    Ok(Some(entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::oracle::{generated_points, point_to_value, value_to_point};
+    use crate::dataset::oracle::generated_points;
     use crate::dataset::point;
-    use hpcadvisor_formats::{OrderedMap, Value};
+    use hpcadvisor_formats::json;
 
     fn scenario(id: u32, sku: &str, nnodes: u32) -> Scenario {
         Scenario {
@@ -1087,12 +961,16 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(""), None);
     }
 
-    /// Every user's store is keyed by these values: a hash change here
-    /// turns every existing cache cold.
+    /// Every user's store is keyed by these values and headed by these
+    /// bytes: a change here turns every existing cache cold.
     #[test]
     fn cache_key_values_are_pinned() {
         let catalog = cloudsim::SkuCatalog::azure_hpc();
         assert_eq!(catalog.revision(), 0xb22e_2f36_14c1_4c14);
+        assert_eq!(
+            current_header(),
+            b"HPCAV003\x01\x00\x00\x00\x14\x4c\xc1\x14\x36\x2f\x2e\xb2"
+        );
         let config = crate::config::UserConfig::example_openfoam();
         let scenarios = crate::scenario::generate_scenarios(&config, &catalog).unwrap();
         let script = crate::appscript::bundled_script(&config.appname).unwrap();
@@ -1148,29 +1026,67 @@ mod tests {
 
     #[test]
     fn corrupted_or_truncated_store_recovers_cold() {
-        for (tag, garbage) in [
-            ("garbage", "this is not json"),
-            ("truncated", "{\"version\": 1, \"entries\": {\"00"),
-            ("wrong-version", "{\"version\": 999, \"entries\": {}}"),
-            ("wrong-shape", "[1, 2, 3]"),
+        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
+        let fp = fpr.scenario(&scenario(1, "Standard_HB120rs_v3", 4));
+        let p = point(1, "lammps", "Standard_HB120rs_v3", 4, 120, 12.5, 0.05);
+        // What a fresh store holding `p` saves.
+        let fresh = tempfile("recover-fresh");
+        let _ = std::fs::remove_file(&fresh);
+        let mut cache = ScenarioCache::open(&fresh);
+        assert!(cache.insert(fp, &p));
+        cache.save().unwrap();
+        let saved = std::fs::read(&fresh).unwrap();
+        let records = &saved[HEADER_LEN..];
+        let with_header = |head: &[u8]| [head, records].concat();
+        let revision = cloudsim::SkuCatalog::azure_hpc().revision();
+        // The older logs' magics differ from today's in the last digit; the
+        // first log's records held the point's compact JSON.
+        let magic = |digit: u8| [&LOG_MAGIC[..7], &[digit]].concat();
+        let mut payload = fp.0.to_be_bytes().to_vec();
+        payload.extend_from_slice(compact_json(&p).as_bytes());
+        let mut v1 = magic(b'1');
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        v1.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        let json_store = format!(
+            "{{\"version\": 1, \"entries\": {{\"{}\": {}}}}}",
+            fp.to_hex(),
+            compact_json(&p)
+        );
+        for (tag, damaged) in [
+            ("garbage", b"this is not json".to_vec()),
+            ("empty", Vec::new()),
+            ("torn-header", saved[..HEADER_LEN - 1].to_vec()),
             (
-                "bad-point",
-                "{\"version\": 1, \"entries\": {\"0123456789abcdef0123456789abcdef\": {\"nope\": 1}}}",
+                "next-model",
+                with_header(&header(appmodel::MODEL_VERSION + 1, revision)),
             ),
+            (
+                "other-catalog",
+                with_header(&header(appmodel::MODEL_VERSION, revision ^ 1)),
+            ),
+            ("log-v2", with_header(&magic(b'2'))),
+            ("log-v1", v1),
+            ("json-store", json_store.into_bytes()),
         ] {
             let path = tempfile(tag);
-            std::fs::write(&path, garbage).unwrap();
+            std::fs::write(&path, &damaged).unwrap();
             let mut cache = ScenarioCache::open(&path);
-            assert!(cache.is_empty(), "{tag}: damaged store starts cold");
+            assert!(cache.is_empty(), "{tag}: the store starts cold");
+            assert_eq!(cache.lookup(fp), None, "{tag}");
             assert!(cache.recovered(), "{tag}: recovery is flagged");
             assert!(cache.is_dirty(), "{tag}: recovered stores save eagerly");
-            // And saving over the damage produces a loadable binary store.
+            // The first save replaces the file with what a fresh store
+            // writes.
+            assert!(cache.insert(fp, &p));
             cache.save().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), saved, "{tag}");
             let healed = ScenarioCache::open(&path);
-            assert!(!healed.recovered(), "{tag}");
-            assert_eq!(healed.format(), StoreFormat::Binary, "{tag}");
+            assert!(!healed.recovered() && !healed.is_dirty(), "{tag}");
+            assert_eq!(healed.lookup(fp), Some(p.clone()), "{tag}");
             let _ = std::fs::remove_file(&path);
         }
+        let _ = std::fs::remove_file(&fresh);
     }
 
     #[test]
@@ -1234,13 +1150,8 @@ mod tests {
     fn new_stores_are_one_binary_file() {
         let path = tempfile("binary-fresh");
         let _ = std::fs::remove_file(&path);
-        // A sidecar index an older build left behind goes with the first
-        // rewrite.
-        let stale_index = path.with_extension("json.idx");
-        std::fs::write(&stale_index, b"HPCAIDX1").unwrap();
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
-        assert_eq!(cache.format(), StoreFormat::Binary);
         for id in 1..=3u32 {
             let s = scenario(id, "Standard_HB120rs_v3", id);
             let p = point(
@@ -1256,15 +1167,16 @@ mod tests {
         }
         cache.save().unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(LOG_MAGIC), "log leads with the magic");
+        assert!(
+            bytes.starts_with(current_header()),
+            "log leads with the header"
+        );
         assert_eq!(cache.log, bytes, "after a save the log mirrors the file");
-        assert!(!stale_index.exists(), "the stale index is removed");
 
         let warm = ScenarioCache::open(&path);
         assert_eq!(warm.len(), 3);
         assert!(!warm.recovered());
         assert!(!warm.is_dirty(), "clean binary open stays clean");
-        assert_eq!(warm.stats().format, StoreFormat::Binary);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1353,8 +1265,7 @@ mod tests {
         let fp = fpr.scenario(&s);
         // Hand-write a log where the same key was superseded twice: two
         // dead records against one live one.
-        let mut log = Vec::new();
-        log.extend_from_slice(LOG_MAGIC);
+        let mut log = current_header().to_vec();
         let mut last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
         for round in 0..3u32 {
             last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
@@ -1378,137 +1289,6 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         assert!(!reopened.is_dirty());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn legacy_json_opens_warm_and_saves_binary() {
-        let path = tempfile("legacy-migrate");
-        let _ = std::fs::remove_file(&path);
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
-        let mut fps = Vec::new();
-        // Hand-write a legacy JSON store, the format older releases saved.
-        let mut entries = OrderedMap::new();
-        for id in 1..=3u32 {
-            let s = scenario(id, "Standard_HB120rs_v3", id);
-            let p = point(
-                id,
-                "lammps",
-                "Standard_HB120rs_v3",
-                id,
-                120,
-                10.0 + f64::from(id),
-                0.05,
-            );
-            let fp = fpr.scenario(&s);
-            entries.insert(fp.to_hex(), point_to_value(&p));
-            fps.push((fp, p));
-        }
-        let mut doc = OrderedMap::new();
-        doc.insert("version", Value::Int(STORE_VERSION));
-        doc.insert("entries", Value::Map(entries));
-        let legacy = json::to_string_pretty(&Value::Map(doc));
-        std::fs::write(&path, &legacy).unwrap();
-
-        // Transparent read: the store opens warm, and a store that is only
-        // read stays JSON on disk.
-        let cache = ScenarioCache::open(&path);
-        assert_eq!(cache.format(), StoreFormat::Json);
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.recovered());
-        assert!(cache.is_dirty(), "the conversion is due on the next save");
-        for (fp, p) in &fps {
-            assert_eq!(cache.lookup(*fp), Some(p.clone()));
-        }
-        drop(cache);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy);
-
-        // The first save writes binary; every point survives bit-for-bit.
-        let mut cache = ScenarioCache::open(&path);
-        let s4 = scenario(4, "Standard_HC44rs", 4);
-        let p4 = point(4, "lammps", "Standard_HC44rs", 4, 44, 14.0, 0.03);
-        assert!(cache.insert(fpr.scenario(&s4), &p4));
-        cache.save().unwrap();
-        assert_eq!(cache.format(), StoreFormat::Binary);
-        assert!(std::fs::read(&path).unwrap().starts_with(LOG_MAGIC));
-        let migrated = ScenarioCache::open(&path);
-        assert_eq!(migrated.format(), StoreFormat::Binary);
-        assert_eq!(migrated.len(), 4);
-        assert!(!migrated.is_dirty());
-        for (fp, p) in &fps {
-            assert_eq!(migrated.lookup(*fp), Some(p.clone()));
-        }
-        assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    fn oracle_store(entries: &[(u128, DataPoint)]) -> String {
-        let mut map = OrderedMap::new();
-        for (fp, p) in entries {
-            map.insert(Fingerprint(*fp).to_hex(), point_to_value(p));
-        }
-        let mut doc = OrderedMap::new();
-        doc.insert("version", Value::Int(STORE_VERSION));
-        doc.insert("entries", Value::Map(map));
-        json::to_string_pretty(&Value::Map(doc))
-    }
-
-    fn oracle_parse_store(text: &str) -> Option<HashMap<u128, DataPoint>> {
-        let doc = json::parse(text).ok()?;
-        if doc.get("version")?.as_int()? != STORE_VERSION {
-            return None;
-        }
-        let mut out = HashMap::new();
-        for (key, value) in doc.get("entries")?.as_map()?.iter() {
-            out.insert(Fingerprint::from_hex(key)?.0, value_to_point(value).ok()?);
-        }
-        Some(out)
-    }
-
-    #[test]
-    fn legacy_stores_match_the_tree_oracle() {
-        let entries: Vec<(u128, DataPoint)> = generated_points()
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (0x5eed_u128 << 64 | i as u128, p))
-            .collect();
-
-        // Legacy JSON stores read back as the tree reader did.
-        let text = oracle_store(&entries);
-        let read = parse_store(&text).ok();
-        assert_eq!(read.as_ref().map(HashMap::len), Some(entries.len()));
-        assert_eq!(read, oracle_parse_store(&text));
-
-        let one = oracle_store(&entries[..1]);
-        let fp = Fingerprint(entries[0].0).to_hex();
-        let body = one.trim_end();
-        let body = &body[..body.len() - 1];
-        for text in [
-            one.replace("\"version\": 1", "\"version\": 2"),
-            one.replace("\"version\": 1", "\"version\": \"1\""),
-            format!("{body}, \"version\": 1}}"),
-            format!("{body}, \"version\": 3}}"),
-            format!("{body}, \"entries\": 5}}"),
-            format!("{body}, \"entries\": {{}}}}"),
-            format!("{{\"entries\": 5, {}", &one[1..]),
-            one.replacen(&fp, "not-a-fingerprint", 1),
-            one.replacen(&fp, &fp.to_uppercase(), 1),
-            one.replacen(
-                "\"entries\": {",
-                &format!("\"entries\": {{\"{fp}\": 5, "),
-                1,
-            ),
-            one.replacen(
-                "\"entries\": {",
-                &format!("\"entries\": {{\"{fp}\": {{}}, "),
-                1,
-            ),
-            one.replacen("\"entries\": {", "\"entries\": {\"bad\": {}, ", 1),
-            "{\"version\": 1}".to_string(),
-            "[]".to_string(),
-            "{".to_string(),
-        ] {
-            assert_eq!(parse_store(&text).ok(), oracle_parse_store(&text), "{text}");
-        }
     }
 
     fn encoded(p: &DataPoint) -> Vec<u8> {
@@ -1570,72 +1350,6 @@ mod tests {
         let mut damaged = bytes.clone();
         damaged[8] = 0xff;
         assert_eq!(decode_point(&damaged), None, "invalid UTF-8");
-    }
-
-    /// Appends a record in the `HPCAV001` layout, a point's compact JSON.
-    fn push_v1_record(log: &mut Vec<u8>, fp: u128, json: &str) {
-        let mut payload = fp.to_be_bytes().to_vec();
-        payload.extend_from_slice(json.as_bytes());
-        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        log.extend_from_slice(&payload);
-        log.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    }
-
-    #[test]
-    fn v1_logs_import_and_save_in_the_current_layout() {
-        let path = tempfile("v1-import");
-        let fresh = tempfile("v1-import-fresh");
-        let _ = std::fs::remove_file(&fresh);
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
-        let mut points: Vec<(Fingerprint, DataPoint)> = (1..=3u32)
-            .map(|id| {
-                let s = scenario(id, "Standard_HB120rs_v3", id);
-                let mut p = point(id, "lammps", "Standard_HB120rs_v3", id, 120, 9.5, 0.04);
-                p.metrics = vec![("NOTE".into(), format!("µ \"{id}\""))];
-                (fpr.scenario(&s), p)
-            })
-            .collect();
-        // Point 1 is superseded, a fourth record is not a point, and the
-        // last record is torn.
-        let mut log = LOG_MAGIC_V1.to_vec();
-        for (fp, p) in &points {
-            push_v1_record(&mut log, fp.0, &compact_json(p));
-        }
-        points[0].1.exec_time_secs = 10.25;
-        push_v1_record(&mut log, points[0].0 .0, &compact_json(&points[0].1));
-        let bad = fpr.scenario(&scenario(4, "Standard_HC44rs", 1));
-        push_v1_record(&mut log, bad.0, "{\"not\": \"a point\"}");
-        push_v1_record(&mut log, 7, &compact_json(&points[1].1));
-        log.truncate(log.len() - 3);
-        std::fs::write(&path, &log).unwrap();
-
-        let mut cache = ScenarioCache::open(&path);
-        assert_eq!(cache.format(), StoreFormat::BinaryV1);
-        assert_eq!(cache.len(), 3, "the undecodable record is left out");
-        assert!(cache.recovered(), "the torn tail is flagged");
-        assert!(cache.is_dirty(), "the rewrite is due on the next save");
-        for (fp, p) in &points {
-            assert_eq!(cache.lookup(*fp).as_ref(), Some(p));
-        }
-        assert_eq!(cache.lookup(bad), None);
-        assert_eq!(std::fs::read(&path).unwrap(), log, "open writes nothing");
-
-        // One save writes what a fresh store of the same points writes.
-        cache.save().unwrap();
-        let mut expected = ScenarioCache::open(&fresh);
-        for (fp, p) in &points {
-            expected.insert(*fp, p);
-        }
-        expected.save().unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(&fresh).unwrap()
-        );
-        let reopened = ScenarioCache::open(&path);
-        assert_eq!(reopened.format(), StoreFormat::Binary);
-        assert!(!reopened.recovered() && !reopened.is_dirty());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&fresh);
     }
 
     #[test]

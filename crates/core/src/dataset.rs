@@ -142,7 +142,9 @@ impl DataPoint {
         out.push_str(&lit.close);
     }
 
-    /// Parses a point from a JSON document holding just that point.
+    /// Parses a point from a JSON document holding just that point (the
+    /// reader tests' entry point; no store holds a lone point's JSON).
+    #[cfg(test)]
     pub(crate) fn from_json(text: &str) -> Result<DataPoint, ToolError> {
         let mut r = json::Reader::new(text);
         let fields = PointFields::read(&mut r)?;

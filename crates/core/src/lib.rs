@@ -74,6 +74,7 @@ pub mod service_state;
 pub mod session;
 
 pub use advice::{Advice, CapacityComparison};
+pub use append_log::replace;
 pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
 pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};

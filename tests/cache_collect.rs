@@ -272,13 +272,14 @@ fn an_undecodable_record_reruns_only_its_scenario() {
     let mut cold = session_with_cache(config(), &path);
     cold.collect_with(&CollectPlan::new()).unwrap();
 
-    // Walk the documented framing, [u32 LE len][16-byte BE fingerprint +
-    // encoded point][u64 LE FNV-1a of fingerprint + point], and swap the
-    // middle record's point for checksummed bytes that do not decode as
-    // one (read as a point, they give an appname longer than the record).
+    // Walk the documented framing after the 20-byte header, [u32 LE
+    // len][16-byte BE fingerprint + encoded point][u64 LE FNV-1a of
+    // fingerprint + point], and swap the middle record's point for
+    // checksummed bytes that do not decode as one (read as a point, they
+    // give an appname longer than the record).
     let log = std::fs::read(&path).unwrap();
     let mut records = Vec::new();
-    let mut pos = 8;
+    let mut pos = 20;
     while pos < log.len() {
         let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
         let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());

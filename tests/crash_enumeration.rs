@@ -1,24 +1,26 @@
 //! Crash safety of the on-disk stores, checked by enumeration rather than
 //! by example: every truncation offset and a bit flip at every byte (every
-//! bit of the magic) of a small binary scenario-cache store, and every
-//! truncation offset and every bit of every byte of a run journal and of a
-//! service journal. Each damaged file must open without panicking, give
-//! back exactly the records that precede the damage, and heal on the next
-//! write; a damaged cache store always heals into a binary one.
+//! bit of the header: magic, model version and catalog revision) of a small
+//! binary scenario-cache store, and every truncation offset and every bit
+//! of every byte of a run journal and of a service journal. Each damaged
+//! file must open without panicking, give back exactly the records that
+//! precede the damage, and heal on the next write; a damaged cache store
+//! always heals into one with today's header.
 //!
 //! Journal lines carry no checksum, so a flipped bit can turn one valid
 //! record into another (`1.0` into `9.0`). For bit flips the journals are
 //! held to locality instead: the damaged file opens to what its lines give
 //! when each is decoded alone, through a journal of that one line.
 
-use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache, StoreFormat};
+use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache};
 use hpcadvisor::core::dataset::point;
 use hpcadvisor::core::{Capacity, PendingJob, ServiceJournal, ServiceRecord, ServiceState};
 use hpcadvisor::core::{DataPoint, JournalEntry, RunJournal, ScenarioStatus};
 use std::path::{Path, PathBuf};
 
-/// Length of the binary log's magic prefix (`HPCAV002`).
-const LOG_MAGIC_LEN: usize = 8;
+/// Length of the store header: the magic `HPCAV003`, the model version
+/// (`u32` LE) and the catalog revision (`u64` LE).
+const HEADER_LEN: usize = 20;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hpcadvisor-crash-{tag}-{}", std::process::id()));
@@ -69,7 +71,7 @@ fn reference_store(dir: &Path) -> (Vec<u8>, Vec<(usize, Fingerprint)>) {
     // Walk the documented record framing:
     // [u32 LE len][16-byte BE fingerprint + encoded point][u64 LE checksum].
     let mut ends = Vec::new();
-    let mut pos = LOG_MAGIC_LEN;
+    let mut pos = HEADER_LEN;
     while pos < log.len() {
         let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
         let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());
@@ -125,7 +127,6 @@ fn check_damaged_store(path: &Path, what: &str, survivors: &[Fingerprint], expec
         assert_eq!(full.lookup(*fp).as_ref(), Some(p), "{what}: record {fp}");
     }
     assert!(!full.recovered() && !full.is_dirty(), "{what}: refilled");
-    assert_eq!(full.format(), StoreFormat::Binary, "{what}: format");
 }
 
 fn survivors_before(ends: &[(usize, Fingerprint)], offset: usize) -> Vec<Fingerprint> {
@@ -144,7 +145,7 @@ fn cache_store_survives_truncation_at_every_offset() {
         std::fs::write(&path, &log[..cut]).unwrap();
         // A cut on a record boundary leaves a valid (shorter) log; any
         // other cut tears a record.
-        let on_boundary = cut == LOG_MAGIC_LEN || ends.iter().any(|(end, _)| *end == cut);
+        let on_boundary = cut == HEADER_LEN || ends.iter().any(|(end, _)| *end == cut);
         check_damaged_store(
             &path,
             &format!("truncated at {cut}"),
@@ -160,8 +161,8 @@ fn cache_store_survives_a_bit_flip_at_every_offset() {
     let dir = scratch_dir("store-flip");
     let (log, ends) = reference_store(&dir);
     let path = dir.join("damaged.bin");
-    // Every bit of the magic, one bit of every other byte.
-    let flips = (0..LOG_MAGIC_LEN * 8).chain((LOG_MAGIC_LEN..log.len()).map(|at| at * 8 + at % 8));
+    // Every bit of the header, one bit of every other byte.
+    let flips = (0..HEADER_LEN * 8).chain((HEADER_LEN..log.len()).map(|at| at * 8 + at % 8));
     for bit in flips {
         let at = bit / 8;
         let mut damaged = log.clone();

@@ -3,14 +3,10 @@
 //! under `tests/golden/`. The sequence covers a fresh store's first save (a
 //! segment rotation), an append save after a reopen, a superseding insert,
 //! a compaction once dead records outnumber live ones, and `clear`
-//! followed by a save. Only the record log is pinned.
-//!
-//! The same sequence's files as the previous log version wrote them
-//! (`HPCAV001`, records of compact JSON) are kept under `tests/golden/v1/`:
-//! each must open to the points the sequence left live and save as the
-//! current layout's bytes.
+//! followed by a save. Only the record log is pinned, its 20-byte header
+//! (magic, model version, catalog revision) included.
 
-use hpcadvisor::core::cache::{Fingerprint, ScenarioCache, StoreFormat};
+use hpcadvisor::core::cache::{Fingerprint, ScenarioCache};
 use hpcadvisor::core::dataset::{point, DataPoint};
 use hpcadvisor::core::Capacity;
 use std::path::{Path, PathBuf};
@@ -32,10 +28,6 @@ fn golden_path(name: &str) -> PathBuf {
 /// are left next to the store as `<name>.actual` for inspection.
 fn assert_golden(name: &str, store: &Path) {
     let expected = std::fs::read(golden_path(name)).unwrap_or_default();
-    assert_bytes(name, store, &expected);
-}
-
-fn assert_bytes(name: &str, store: &Path, expected: &[u8]) {
     let actual = std::fs::read(store).unwrap();
     if actual != expected {
         let dump = store.with_file_name(format!("{name}.actual"));
@@ -137,73 +129,5 @@ fn cache_store_bytes_are_pinned() {
     drop(cache);
     assert_golden("store.clear.bin", &path);
     assert_eq!(ScenarioCache::open(&path).len(), 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The points each golden's store holds live, by golden name.
-fn live_after_each_step() -> Vec<(&'static str, Vec<(Fingerprint, DataPoint)>)> {
-    let sampled = |ns: &[u32]| -> Vec<(Fingerprint, DataPoint)> {
-        ns.iter().map(|&n| (fp(n.into()), sample(n))).collect()
-    };
-    let mut supersede = sampled(&[1, 2, 3, 4, 5, 6, 7, 8]);
-    supersede[1].1.exec_time_secs += 0.5;
-    let mut compact = sampled(&[1, 2, 3, 4, 5, 6, 7, 8]);
-    for (_, p) in &mut compact {
-        p.deployment = "rg-next".into();
-    }
-    vec![
-        ("store.fresh.bin", sampled(&[1, 2, 3, 4])),
-        ("store.append.bin", sampled(&[1, 2, 3, 4, 5, 6, 7])),
-        ("store.supersede.bin", supersede),
-        ("store.compact.bin", compact),
-        ("store.clear.bin", sampled(&[9])),
-    ]
-}
-
-/// A log's live records (the last one per fingerprint) in fingerprint
-/// order behind its magic: what a rotation of that log writes. Walks the
-/// documented framing, `[u32 LE len][16-byte BE fingerprint + point][u64
-/// LE checksum]`.
-fn rotated(log: &[u8]) -> Vec<u8> {
-    let mut latest = std::collections::BTreeMap::new();
-    let mut pos = 8;
-    while pos < log.len() {
-        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
-        let fp = u128::from_be_bytes(log[pos + 4..pos + 20].try_into().unwrap());
-        latest.insert(fp, &log[pos..pos + 12 + len]);
-        pos += 12 + len;
-    }
-    let mut out = log[..8].to_vec();
-    for record in latest.values() {
-        out.extend_from_slice(record);
-    }
-    out
-}
-
-#[test]
-fn v1_store_files_upgrade_to_the_current_layout() {
-    let dir = scratch_dir("v1");
-    for (name, live) in live_after_each_step() {
-        let path = dir.join(name);
-        std::fs::copy(golden_path(&format!("v1/{name}")), &path).unwrap();
-        let mut cache = ScenarioCache::open(&path);
-        assert_eq!(cache.format(), StoreFormat::BinaryV1, "{name}");
-        assert!(cache.is_dirty(), "{name}: the rewrite is due on open");
-        assert!(!cache.recovered(), "{name}");
-        assert_eq!(cache.len(), live.len(), "{name}");
-        for (fp, p) in &live {
-            assert_eq!(cache.lookup(*fp).as_ref(), Some(p), "{name}: {fp}");
-        }
-
-        // The upgrade is a rotation: the current golden's live records in
-        // fingerprint order. Only the supersede golden keeps a dead record
-        // that a rotation drops.
-        cache.save().unwrap();
-        let golden = std::fs::read(golden_path(name)).unwrap();
-        let expected = rotated(&golden);
-        assert_eq!(expected == golden, name != "store.supersede.bin", "{name}");
-        assert_bytes(name, &path, &expected);
-        assert_eq!(ScenarioCache::open(&path).format(), StoreFormat::Binary);
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
