@@ -89,6 +89,7 @@ fn header(model_version: u32, revision: u64) -> [u8; HEADER_LEN] {
 }
 
 /// The header this build writes, and the only one whose records it serves.
+/// Built once: hashing the catalog for its revision costs tens of µs.
 fn current_header() -> &'static [u8; HEADER_LEN] {
     static CURRENT: OnceLock<[u8; HEADER_LEN]> = OnceLock::new();
     CURRENT.get_or_init(|| {
@@ -738,7 +739,7 @@ impl ScenarioCache {
     /// Full rewrite: today's header, then one record per live entry in
     /// fingerprint order.
     fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut log = Vec::with_capacity(self.log.len() + HEADER_LEN);
+        let mut log = Vec::with_capacity(self.log.len());
         log.extend_from_slice(current_header());
         let copied = self.copy_records(|_| true, &mut log, 0);
         crate::replace(path, &log)?;

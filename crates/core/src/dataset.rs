@@ -84,12 +84,12 @@ impl DataPoint {
     }
 
     /// Writes the point as a JSON object: the dataset file's schema, which
-    /// journal lines and the legacy JSON cache store share. `capacity` and
-    /// `region` are written only when they are not the implicit default,
-    /// so datasets from before those dimensions existed stay
-    /// byte-identical. The text between the values is the slot layout's
-    /// [`PointLiterals`]; the tables of the two layouts a point is written
-    /// in (compact, and pretty as a dataset item) are built once.
+    /// run-journal lines share. `capacity` and `region` are written only
+    /// when they are not the implicit default, so datasets from before
+    /// those dimensions existed stay byte-identical. The text between the
+    /// values is the slot layout's [`PointLiterals`]; the tables of the two
+    /// layouts a point is written in (compact, and pretty as a dataset
+    /// item) are built once.
     pub(crate) fn write_json(&self, slot: json::Slot<'_>) {
         static COMPACT: OnceLock<PointLiterals> = OnceLock::new();
         static DATASET_ITEM: OnceLock<PointLiterals> = OnceLock::new();
