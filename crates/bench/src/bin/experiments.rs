@@ -301,8 +301,9 @@ fn hpcadvisor_cli_run(argv: &[String], out: &mut Vec<u8>) -> i32 {
 fn e12_sampling(out: &Path) {
     let reference = {
         let mut session = Session::create(ablation_config(), SEED).unwrap();
-        let (ds, _) = run_sampled(&mut session, &mut FullGrid::new()).unwrap();
-        Advice::from_dataset(&ds, &DataFilter::all())
+        let (run, _) =
+            run_sampled(&mut session, &CollectPlan::new(), &mut FullGrid::new()).unwrap();
+        Advice::from_dataset(&run.dataset, &DataFilter::all())
     };
     let mut text =
         String::from("strategy               executed  saved%  front-similarity  regret%\n");
@@ -315,8 +316,9 @@ fn e12_sampling(out: &Path) {
     let mut summary = Vec::new();
     for mut sampler in samplers {
         let mut session = Session::create(ablation_config(), SEED).unwrap();
-        let (ds, report) = run_sampled(&mut session, sampler.as_mut()).unwrap();
-        let advice = Advice::from_dataset(&ds, &DataFilter::all());
+        let (run, report) =
+            run_sampled(&mut session, &CollectPlan::new(), sampler.as_mut()).unwrap();
+        let advice = Advice::from_dataset(&run.dataset, &DataFilter::all());
         let _ = writeln!(
             text,
             "{:<22} {:>5}/{:<3} {:>6.0}% {:>17.2} {:>7.1}%",

@@ -5,15 +5,17 @@ use crate::state::{DeploymentRecord, WorkDir};
 use hpcadvisor_core::advice::{Advice, AdviceSort};
 use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use hpcadvisor_core::collect::CollectPlan;
-use hpcadvisor_core::collector::Collector;
 use hpcadvisor_core::deployment::DeploymentManager;
 use hpcadvisor_core::plot;
 use hpcadvisor_core::sampling::{
-    run_sampled, AggressiveDiscard, BottleneckAware, FixedPerfFactor, FullGrid, Sampler,
+    run_partial_execution, run_sampled, AggressiveDiscard, BottleneckAware, FixedPerfFactor,
+    FullGrid, Sampler,
 };
 use hpcadvisor_core::scenario::generate_scenarios;
 use hpcadvisor_core::session::Session;
-use hpcadvisor_core::{Capacity, DataFilter, RetryPolicy, RunJournal, ToolError, UserConfig};
+use hpcadvisor_core::{
+    Capacity, DataFilter, RetryPolicy, RunJournal, ScenarioStatus, ToolError, UserConfig,
+};
 use std::io::Write;
 
 type Out<'a> = &'a mut dyn Write;
@@ -227,334 +229,247 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
     }
 }
 
-/// `collect` options only the full-grid collect applies.
-const FULL_GRID_ONLY: [&str; 8] = [
-    "budget",
-    "capacity",
-    "deadline",
-    "workers",
-    "resume",
-    "no-retry",
-    "max-attempts",
-    "trace",
-];
+/// Builds the one plan every `collect` runs from its run flags.
+fn collect_plan(args: &Args) -> Result<CollectPlan, ToolError> {
+    let mut plan = CollectPlan::new();
+    if let Some(n) = args.option("workers") {
+        let n: usize = n
+            .parse()
+            .map_err(|_| ToolError::Config(format!("--workers must be a number, got '{n}'")))?;
+        plan = plan.workers(n);
+    }
+    if args.has("no-retry") {
+        plan = plan.retry(RetryPolicy::none());
+    } else if let Some(n) = args.option("max-attempts") {
+        let n: u32 = n.parse().map_err(|_| {
+            ToolError::Config(format!("--max-attempts must be a number, got '{n}'"))
+        })?;
+        plan = plan.retry(RetryPolicy::with_max_attempts(n));
+    }
+    // Spot-capacity collection: `--capacity spot` provisions spot pools
+    // (discounted, evictable); `auto` starts on spot but escalates a
+    // scenario to dedicated after its first eviction.
+    match args.option("capacity") {
+        None | Some("dedicated") => {}
+        Some("spot") => plan = plan.capacity(Capacity::Spot),
+        Some("auto") => plan = plan.capacity(Capacity::Spot).escalate_after(1),
+        Some(v) => {
+            return Err(ToolError::Config(format!(
+                "--capacity must be spot, dedicated or auto, got '{v}'"
+            )))
+        }
+    }
+    if let Some(secs) = non_negative(args, "deadline", "simulated seconds")? {
+        plan = plan.deadline_secs(secs);
+    }
+    if let Some(dollars) = non_negative(args, "budget", "US dollars")? {
+        plan = plan.budget_dollars(dollars);
+    }
+    Ok(plan.trace(args.has("trace")))
+}
+
+/// Parses `--<flag>` as a finite, non-negative number of `unit`.
+fn non_negative(args: &Args, flag: &str, unit: &str) -> Result<Option<f64>, ToolError> {
+    let Some(v) = args.option(flag) else {
+        return Ok(None);
+    };
+    match v.parse::<f64>() {
+        Ok(n) if n.is_finite() && n >= 0.0 => Ok(Some(n)),
+        Ok(_) => Err(ToolError::Config(format!(
+            "--{flag} must be non-negative {unit}, got '{v}'"
+        ))),
+        Err(_) => Err(ToolError::Config(format!(
+            "--{flag} must be a number of {unit}, got '{v}'"
+        ))),
+    }
+}
 
 fn collect(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> {
     let config = workdir.load_config()?;
     let record = workdir.active_deployment()?.ok_or_else(|| {
         ToolError::Config("no active deployment; run 'deploy create' first".into())
     })?;
-    let mut scenarios = workdir.load_scenarios()?;
-    if scenarios.is_empty() {
-        scenarios = generate_scenarios(&config, &cloudsim::SkuCatalog::azure_hpc())?;
-    }
-    // A sampler runs its own sessions and applies none of the full-grid
-    // run options, so one given with it is refused, not silently ignored.
-    if !matches!(args.option("sampler"), None | Some("full")) {
-        if let Some(flag) = FULL_GRID_ONLY.iter().find(|flag| args.has(flag)) {
-            return Err(ToolError::Config(format!(
-                "--{flag} requires the full-grid collect (no --sampler)"
-            )));
-        }
-    }
-
-    let workers: usize = match args.option("workers") {
-        None => 1,
-        Some(n) => n
-            .parse()
-            .map_err(|_| ToolError::Config(format!("--workers must be a number, got '{n}'")))?,
+    let plan = collect_plan(args)?;
+    let sampler = args.option("sampler");
+    let mut strategy = match sampler {
+        Some("partial") => None,
+        name => Some(make_sampler(name.unwrap_or("full"))?),
     };
-    // Incremental collection: reuse finished results from the work
-    // directory's scenario cache unless --no-cache was given.
+
+    // The session starts from the work directory's scenario statuses and
+    // reuses finished results from its scenario cache unless --no-cache
+    // was given. Its crash-safe run journal takes every outcome as it
+    // lands: `--resume` replays an interrupted run's journal so only the
+    // remainder executes; without it the journal starts fresh.
     let cache_path = cache_file(args, workdir);
+    let journal_path = workdir.journal_file();
+    let journal = if args.has("resume") {
+        RunJournal::open(&journal_path)
+    } else {
+        RunJournal::open_fresh(&journal_path)
+    };
+    if journal.recovered() {
+        wline(
+            out,
+            "warning: run journal was damaged; salvaged the readable prefix",
+        )?;
+    }
+    let mut builder = Session::builder(config).seed(record.seed).journal(journal);
+    builder = if args.has("no-cache") {
+        builder.cache_policy(CachePolicy::Off)
+    } else {
+        builder.shared_cache(SharedScenarioCache::open(&cache_path))
+    };
+    let scenarios = workdir.load_scenarios()?;
+    if !scenarios.is_empty() {
+        builder = builder.scenarios(scenarios);
+    }
+    let mut session = builder.build()?;
 
-    // Spot-capacity collection: `--capacity spot` provisions spot pools
-    // (discounted, evictable); `auto` starts on spot but escalates a
-    // scenario to dedicated after its first eviction.
-    let capacity = match args.option("capacity") {
-        None | Some("dedicated") => None,
-        Some("spot") => Some((Capacity::Spot, None)),
-        Some("auto") => Some((Capacity::Spot, Some(1u32))),
-        Some(v) => {
-            return Err(ToolError::Config(format!(
-                "--capacity must be spot, dedicated or auto, got '{v}'"
-            )))
+    let (report, summary) = match strategy.as_mut() {
+        // Partial-execution prediction (cited technique): probe every
+        // scenario at 10% of its steps, verify the predicted front.
+        None => {
+            let partial = run_partial_execution(&mut session, &plan, 0.10, 0.10)?;
+            let summary = format!(
+                "partial execution: {} probes + {} full runs for {} scenarios (prediction error {:.1}%)",
+                partial.probe_runs,
+                partial.full_runs,
+                partial.total,
+                partial.mean_relative_error * 100.0
+            );
+            (partial.verified, summary)
+        }
+        Some(strategy) => {
+            let (report, sampling) = run_sampled(&mut session, &plan, strategy.as_mut())?;
+            let summary = format!(
+                "sampler '{}': executed {}/{} scenarios ({} batches, {:.0}% saved)",
+                sampling.strategy,
+                sampling.executed,
+                sampling.total,
+                sampling.batches,
+                sampling.savings() * 100.0
+            );
+            (report, summary)
         }
     };
-    let deadline: Option<f64> = args
-        .option("deadline")
-        .map(|v| {
-            let secs: f64 = v.parse().map_err(|_| {
-                ToolError::Config(format!(
-                    "--deadline must be a number of simulated seconds, got '{v}'"
-                ))
-            })?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(ToolError::Config(format!(
-                    "--deadline must be non-negative simulated seconds, got '{v}'"
-                )));
-            }
-            Ok(secs)
-        })
-        .transpose()?;
-    let budget: Option<f64> = args
-        .option("budget")
-        .map(|v| {
-            let dollars: f64 = v.parse().map_err(|_| {
-                ToolError::Config(format!(
-                    "--budget must be a number of US dollars, got '{v}'"
-                ))
-            })?;
-            if !dollars.is_finite() || dollars < 0.0 {
-                return Err(ToolError::Config(format!(
-                    "--budget must be non-negative US dollars, got '{v}'"
-                )));
-            }
-            Ok(dollars)
-        })
-        .transpose()?;
-    let tracing = args.has("trace");
 
-    // Each branch returns its dataset increment and the cloud spend of the
-    // sessions it ran.
-    let (increment, total_cost) = match args.option("sampler") {
-        None | Some("full") => {
-            // Re-provision the recorded deployment deterministically (the
-            // cloud is simulated in-process) and run the collection loop on
-            // it.
-            let mut manager =
-                DeploymentManager::new(&config.subscription, &config.region, record.seed)?;
-            let name = manager.create(&config)?;
-            let mut collector =
-                Collector::new(manager.provider(), &name, config.clone(), record.seed)?;
-            if args.has("no-cache") {
-                collector.set_cache_policy(CachePolicy::Off);
+    if let Some(trace) = &report.trace {
+        let path = workdir.trace_file();
+        hpcadvisor_core::replace(&path, trace.to_jsonl().as_bytes())?;
+        wline(
+            out,
+            &format!(
+                "trace: wrote {} events to {}; see 'trace summary' and 'trace timeline'",
+                trace.len(),
+                path.display()
+            ),
+        )?;
+    }
+    if sampler.is_some() {
+        wline(out, &summary)?;
+    }
+    let stats = &report.stats;
+    if stats.workers > 1 {
+        wline(
+            out,
+            &format!(
+                "parallel collect: {} workers over {} chunks ({} stolen) in {:.2}s",
+                stats.workers, stats.shards, stats.steals, stats.wall_secs
+            ),
+        )?;
+        for (i, load) in stats.worker_loads.iter().enumerate() {
+            let busy_pct = if stats.wall_secs > 0.0 {
+                100.0 * load.busy_secs / stats.wall_secs
             } else {
-                collector.set_shared_cache(SharedScenarioCache::open(&cache_path));
-            }
-            // Crash-safe run journal: every finished outcome is appended as
-            // it lands. `--resume` replays a previous (interrupted) run's
-            // journal so only the remainder executes; without it the
-            // journal starts fresh.
-            let journal_path = workdir.journal_file();
-            let journal = if args.has("resume") {
-                RunJournal::open(&journal_path)
-            } else {
-                RunJournal::open_fresh(&journal_path)
+                0.0
             };
-            if journal.recovered() {
-                wline(
-                    out,
-                    "warning: run journal was damaged; salvaged the readable prefix",
-                )?;
-            }
-            collector.set_journal(journal);
-            let mut plan = CollectPlan::new().workers(workers);
-            if args.has("no-retry") {
-                plan = plan.retry(RetryPolicy::none());
-            } else if let Some(n) = args.option("max-attempts") {
-                let n: u32 = n.parse().map_err(|_| {
-                    ToolError::Config(format!("--max-attempts must be a number, got '{n}'"))
-                })?;
-                plan = plan.retry(RetryPolicy::with_max_attempts(n));
-            }
-            if let Some((class, escalate)) = capacity {
-                plan = plan.capacity(class);
-                if let Some(n) = escalate {
-                    plan = plan.escalate_after(n);
-                }
-            }
-            if let Some(secs) = deadline {
-                plan = plan.deadline_secs(secs);
-            }
-            if let Some(dollars) = budget {
-                plan = plan.budget_dollars(dollars);
-            }
-            if tracing {
-                plan = plan.trace(true);
-            }
-            let report = collector.collect_with_plan(&mut scenarios, &plan)?;
-            if let Some(trace) = &report.trace {
-                let path = workdir.trace_file();
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent)?;
-                }
-                std::fs::write(&path, trace.to_jsonl())?;
-                wline(
-                    out,
-                    &format!(
-                        "trace: wrote {} events to {}; see 'trace summary' and 'trace timeline'",
-                        trace.len(),
-                        path.display()
-                    ),
-                )?;
-            }
-            if workers > 1 {
-                wline(
-                    out,
-                    &format!(
-                        "parallel collect: {} workers over {} chunks ({} stolen) in {:.2}s",
-                        report.stats.workers,
-                        report.stats.shards,
-                        report.stats.steals,
-                        report.stats.wall_secs
-                    ),
-                )?;
-                for (i, load) in report.stats.worker_loads.iter().enumerate() {
-                    let busy_pct = if report.stats.wall_secs > 0.0 {
-                        100.0 * load.busy_secs / report.stats.wall_secs
-                    } else {
-                        0.0
-                    };
-                    wline(
-                        out,
-                        &format!(
-                            "  worker {i}: {} chunks ({} stolen), {} scenarios, {busy_pct:.0}% busy",
-                            load.chunks, load.steals, load.scenarios
-                        ),
-                    )?;
-                }
-            }
-            if report.stats.cache_hits > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "cache: reused {} of {} scenarios from {}",
-                        report.stats.cache_hits,
-                        report.stats.cache_hits + report.stats.executed,
-                        cache_path.display()
-                    ),
-                )?;
-            }
-            if report.stats.journal_replayed > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "journal: replayed {} finished scenarios from {}",
-                        report.stats.journal_replayed,
-                        journal_path.display()
-                    ),
-                )?;
-            }
-            if report.stats.retried > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "retries: {} scenarios needed more than one attempt ({:.1}s simulated backoff)",
-                        report.stats.retried, report.stats.backoff_secs
-                    ),
-                )?;
-            }
-            if report.stats.skipped > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "skipped: {} scenarios degraded gracefully (e.g. quota or budget); rerun collect to retry",
-                        report.stats.skipped
-                    ),
-                )?;
-            }
-            if report.stats.evictions > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "evictions: {} spot evictions survived via requeue/escalation",
-                        report.stats.evictions
-                    ),
-                )?;
-            }
-            if report.stats.timed_out > 0 {
-                wline(
-                    out,
-                    &format!(
-                        "timed out: {} scenarios hit the --deadline watchdog",
-                        report.stats.timed_out
-                    ),
-                )?;
-            }
-            let spend = manager.provider().lock().billing().total_cost();
-            (report.into_dataset(), spend)
-        }
-        Some("partial") => {
-            // Partial-execution prediction (cited technique): probe every
-            // scenario at 10% of its steps, verify the predicted front.
-            let report = hpcadvisor_core::sampling::partial::run_partial_execution(
-                &config,
-                record.seed,
-                0.10,
-                0.10,
-            )?;
-            for p in &report.verified.points {
-                if let Some(slot) = scenarios.iter_mut().find(|x| x.id == p.scenario_id) {
-                    slot.status = p.status;
-                }
-            }
             wline(
                 out,
                 &format!(
-                    "partial execution: {} probes + {} full runs for {} scenarios (prediction error {:.1}%)",
-                    report.probe_runs,
-                    report.full_runs,
-                    report.total,
-                    report.mean_relative_error * 100.0
+                    "  worker {i}: {} chunks ({} stolen), {} scenarios, {busy_pct:.0}% busy",
+                    load.chunks, load.steals, load.scenarios
                 ),
             )?;
-            (report.verified, report.cloud_cost)
         }
-        Some(sampler_name) => {
-            // Sampling needs the Session wrapper for iterative batches.
-            let mut builder = Session::builder(config.clone()).seed(record.seed);
-            if args.has("no-cache") {
-                builder = builder.cache_policy(CachePolicy::Off);
-            } else {
-                builder = builder.cache(ScenarioCache::open(&cache_path));
-            }
-            let mut session = builder.build()?;
-            let mut sampler = make_sampler(sampler_name)?;
-            let (ds, report) = run_sampled(&mut session, sampler.as_mut())?;
-            for s in session.scenarios() {
-                if let Some(slot) = scenarios.iter_mut().find(|x| x.id == s.id) {
-                    slot.status = s.status;
-                }
-            }
-            wline(
-                out,
-                &format!(
-                    "sampler '{}': executed {}/{} scenarios ({} batches, {:.0}% saved)",
-                    report.strategy,
-                    report.executed,
-                    report.total,
-                    report.batches,
-                    report.savings() * 100.0
-                ),
-            )?;
-            (ds, session.total_cloud_cost())
-        }
-    };
+    }
+    if stats.cache_hits > 0 {
+        wline(
+            out,
+            &format!(
+                "cache: reused {} of {} scenarios from {}",
+                stats.cache_hits,
+                stats.cache_hits + stats.executed,
+                cache_path.display()
+            ),
+        )?;
+    }
+    if stats.journal_replayed > 0 {
+        wline(
+            out,
+            &format!(
+                "journal: replayed {} finished scenarios from {}",
+                stats.journal_replayed,
+                journal_path.display()
+            ),
+        )?;
+    }
+    if stats.retried > 0 {
+        wline(
+            out,
+            &format!(
+                "retries: {} scenarios needed more than one attempt ({:.1}s simulated backoff)",
+                stats.retried, stats.backoff_secs
+            ),
+        )?;
+    }
+    if stats.skipped > 0 {
+        wline(
+            out,
+            &format!(
+                "skipped: {} scenarios degraded gracefully (e.g. quota or budget); rerun collect to retry",
+                stats.skipped
+            ),
+        )?;
+    }
+    if stats.evictions > 0 {
+        wline(
+            out,
+            &format!(
+                "evictions: {} spot evictions survived via requeue/escalation",
+                stats.evictions
+            ),
+        )?;
+    }
+    if stats.timed_out > 0 {
+        wline(
+            out,
+            &format!(
+                "timed out: {} scenarios hit the --deadline watchdog",
+                stats.timed_out
+            ),
+        )?;
+    }
 
-    let completed = increment
-        .points
-        .iter()
-        .filter(|p| p.status == hpcadvisor_core::ScenarioStatus::Completed)
-        .count();
-    let skipped = increment
-        .points
-        .iter()
-        .filter(|p| p.status == hpcadvisor_core::ScenarioStatus::Skipped)
-        .count();
-    let timed_out = increment
-        .points
-        .iter()
-        .filter(|p| p.status == hpcadvisor_core::ScenarioStatus::TimedOut)
-        .count();
-    let failed = increment.len() - completed - skipped - timed_out;
-    let mut dataset = workdir.load_dataset()?;
-    dataset.extend(increment);
-    workdir.save_dataset(&dataset)?;
-    workdir.save_scenarios(&scenarios)?;
+    let count = |status| {
+        report
+            .dataset
+            .points
+            .iter()
+            .filter(|p| p.status == status)
+            .count()
+    };
+    let completed = count(ScenarioStatus::Completed);
+    let skipped = count(ScenarioStatus::Skipped);
+    let timed_out = count(ScenarioStatus::TimedOut);
+    let failed = report.dataset.len() - completed - skipped - timed_out;
     // `+ 0.0` normalizes the negative zero an empty billing ledger sums to,
     // so a fully-cached collection prints $0.00 rather than $-0.00.
-    let total_cost = total_cost + 0.0;
+    let total_cost = report.stats.cloud_cost + 0.0;
+    let mut dataset = workdir.load_dataset()?;
+    dataset.extend(report.dataset);
+    workdir.save_dataset(&dataset)?;
+    workdir.save_scenarios(session.scenarios())?;
     let mut skipnote = if skipped > 0 {
         format!(", {skipped} skipped")
     } else {
@@ -840,6 +755,10 @@ appinputs:
 #[cfg(test)]
 mod tests {
     use super::tests_support::*;
+    use crate::args::Args;
+    use hpcadvisor_core::collect::CollectPlan;
+    use hpcadvisor_core::RetryPolicy;
+    use std::path::{Path, PathBuf};
 
     /// The full Table II command walk-through.
     #[test]
@@ -1110,55 +1029,224 @@ mod tests {
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("shard0/"), "{out}");
 
-        // --trace is a full-grid-only flag.
-        let (_, ok) = run_in(&dir, &["collect", "--trace", "--sampler", "aggressive"]);
-        assert!(!ok, "--trace with a sampler must error");
+        // A sampled collect traces too.
+        std::fs::remove_file(&trace_path).unwrap();
+        let (out, ok) = run_in(&dir, &["collect", "--trace", "--sampler", "aggressive"]);
+        assert!(ok, "{out}");
+        assert!(out.contains("trace: wrote"), "{out}");
+        assert!(trace_path.exists());
         // Unknown subcommand errors.
         let (_, ok) = run_in(&dir, &["trace", "bogus"]);
         assert!(!ok);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Two SKUs × three node counts: `aggressive` probes both SKUs at 1
+    /// and 4 nodes, then runs the 2-node scenario of the SKU it keeps.
+    fn write_sampling_config(dir: &Path) -> PathBuf {
+        let path = write_config(dir);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text
+            .replace(
+                "- Standard_HB120rs_v3\n",
+                "- Standard_HB120rs_v3\n- Standard_HC44rs\n",
+            )
+            .replace("nnodes: [1, 2]", "nnodes: [1, 2, 4]");
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    /// A fresh work directory deployed from `config`.
+    fn deployed(tag: &str, config: fn(&Path) -> PathBuf) -> PathBuf {
+        let dir = tempdir(tag);
+        let config = config(&dir);
+        let (out, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
+        assert!(ok, "{out}");
+        dir
+    }
+
+    fn spend(out: &str) -> f64 {
+        out.split("cloud spend this collection: $")
+            .nth(1)
+            .and_then(|rest| rest.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no spend line: {out}"))
+    }
+
+    fn read(dir: &Path, file: &str) -> String {
+        std::fs::read_to_string(dir.join(file)).unwrap()
+    }
+
+    fn reset_statuses(dir: &Path) {
+        let text = read(dir, "scenarios.json").replace("completed", "pending");
+        std::fs::write(dir.join("scenarios.json"), text).unwrap();
+    }
+
     #[test]
-    fn sampler_collect_refuses_full_grid_run_options() {
-        let dir = tempdir("sampler-flags");
-        let config = write_config(&dir);
-        let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
-        assert!(ok);
-        let workdir = dir.to_string_lossy().into_owned();
-        for (flag, value) in [
-            ("budget", Some("0")),
-            ("capacity", Some("spot")),
-            ("deadline", Some("60")),
-            ("workers", Some("2")),
-            ("resume", None),
-            ("no-retry", None),
-            ("max-attempts", Some("2")),
-            ("trace", None),
-        ] {
-            let mut argv = vec!["collect", "--sampler", "aggressive", "--no-cache"];
-            let option = format!("--{flag}");
-            argv.push(&option);
-            argv.extend(value);
-            argv.extend(["--workdir", &workdir]);
-            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            let mut out = Vec::new();
-            let err = super::dispatch(&argv, &mut out).unwrap_err();
-            assert!(
-                matches!(err, hpcadvisor_core::ToolError::Config(_)),
-                "{flag}: {err}"
-            );
-            assert!(err.to_string().contains(&option), "{flag}: {err}");
-            assert!(
-                !String::from_utf8(out).unwrap().contains("cloud spend"),
-                "{flag}: nothing ran"
-            );
+    fn sampler_collect_applies_every_run_flag() {
+        let sampled = ["collect", "--sampler", "aggressive", "--no-cache"];
+        let with = |extra: &[&'static str]| [&sampled[..], extra].concat();
+
+        // --budget 0 skips the whole first batch at $0.00 and ends the run.
+        let dir = deployed("flag-budget", write_sampling_config);
+        let (out, ok) = run_in(&dir, &with(&["--budget", "0"]));
+        assert!(ok, "{out}");
+        assert!(out.contains("executed 4/6 scenarios (1 batches"), "{out}");
+        assert!(
+            out.contains("collected 0 completed, 0 failed, 4 skipped; dataset now has 4 rows"),
+            "{out}"
+        );
+        assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
+
+        // --capacity spot provisions spot pools.
+        let dir = deployed("flag-capacity", write_sampling_config);
+        let (out, ok) = run_in(&dir, &with(&["--capacity", "spot"]));
+        assert!(ok, "{out}");
+        assert_eq!(read(&dir, "dataset.json").matches("\"spot\"").count(), 5);
+
+        // --deadline 0 turns every failing scenario into a timed-out one.
+        let wrf = |dir: &Path| {
+            let path = write_config(dir);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let text = text
+                .replace(
+                    "- Standard_HB120rs_v3\n",
+                    "- Standard_HC44rs\n- Standard_HB120rs_v3\n",
+                )
+                .replace("lammps", "wrf")
+                .replace("BOXFACTOR: \"8\"", "resolution_km: \"1\"\n  hours: \"3\"");
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        let dir = deployed("flag-deadline", wrf);
+        let (out, ok) = run_in(&dir, &sampled);
+        assert!(ok, "{out}");
+        assert!(out.contains("collected 1 completed, 3 failed;"), "{out}");
+        let dir = deployed("flag-deadline-0", wrf);
+        let (out, ok) = run_in(&dir, &with(&["--deadline", "0"]));
+        assert!(ok, "{out}");
+        assert!(
+            out.contains("collected 1 completed, 0 failed, 3 timed out;"),
+            "{out}"
+        );
+
+        // --workers 4 writes the bytes --workers 1 writes; --trace writes
+        // the run trace.
+        let dirs: Vec<PathBuf> = ["1", "4"]
+            .into_iter()
+            .map(|w| {
+                let dir = deployed(&format!("flag-workers-{w}"), write_sampling_config);
+                let (out, ok) = run_in(&dir, &with(&["--workers", w, "--trace"]));
+                assert!(ok, "{out}");
+                assert!(out.contains("trace: wrote"), "{out}");
+                dir
+            })
+            .collect();
+        for file in ["dataset.json", "scenarios.json", "trace/run-trace.jsonl"] {
+            assert_eq!(read(&dirs[0], file), read(&dirs[1], file), "{file}");
         }
-        // The full-grid collect applies them: a zero budget skips everything.
-        let (out, ok) = run_in(&dir, &["collect", "--no-cache", "--budget", "0"]);
+
+        // --resume replays the run journal.
+        let dir = &dirs[0];
+        reset_statuses(dir);
+        let (out, ok) = run_in(dir, &with(&["--resume"]));
+        assert!(ok, "{out}");
+        assert!(
+            out.contains("journal: replayed 5 finished scenarios"),
+            "{out}"
+        );
+        assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
+
+        // --no-retry and --max-attempts set the retry policy of the one
+        // plan every sampler runs; no fault fires here, so the sampled
+        // collect just completes under it.
+        let plan = |words: &[&str]| {
+            let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
+            format!(
+                "{:?}",
+                super::collect_plan(&Args::parse(&argv).unwrap()).unwrap()
+            )
+        };
+        assert_eq!(
+            plan(&["collect", "--no-retry"]),
+            format!("{:?}", CollectPlan::new().retry(RetryPolicy::none()))
+        );
+        assert_eq!(
+            plan(&["collect", "--max-attempts", "5"]),
+            format!(
+                "{:?}",
+                CollectPlan::new().retry(RetryPolicy::with_max_attempts(5))
+            )
+        );
+        for extra in [&["--no-retry"][..], &["--max-attempts", "5"]] {
+            reset_statuses(dir);
+            let (out, ok) = run_in(dir, &with(extra));
+            assert!(ok, "{out}");
+            assert!(out.contains("collected 5 completed"), "{out}");
+        }
+        let (_, ok) = run_in(dir, &with(&["--max-attempts", "lots"]));
+        assert!(!ok, "non-numeric --max-attempts must error");
+    }
+
+    #[test]
+    fn sampled_collect_after_a_full_collect_runs_nothing() {
+        let dir = deployed("sampled-after-full", write_sampling_config);
+        let (out, ok) = run_in(&dir, &["collect"]);
+        assert!(ok, "{out}");
+        assert!(spend(&out) > 0.0, "{out}");
+        let (out, ok) = run_in(&dir, &["collect", "--sampler", "aggressive", "--no-cache"]);
+        assert!(ok, "{out}");
+        assert!(out.contains("executed 0/0 scenarios"), "{out}");
+        assert!(
+            out.contains("collected 0 completed, 0 failed; dataset now has 6 rows"),
+            "{out}"
+        );
+        assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
+    }
+
+    #[test]
+    fn partial_collect_uses_the_scenario_cache() {
+        let dir = deployed("partial-cache", write_config);
+        let partial = ["collect", "--sampler", "partial"];
+        let (out, ok) = run_in(&dir, &partial);
+        assert!(ok, "{out}");
+        assert!(out.contains("partial execution: 4 probes"), "{out}");
+        assert!(spend(&out) > 0.0, "{out}");
+        let (out, ok) = run_in(&dir, &partial);
+        assert!(ok, "{out}");
+        assert!(out.contains("cache: reused 4 of 4 scenarios"), "{out}");
+        assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
+        let (out, ok) = run_in(&dir, &[&partial[..], &["--no-cache"]].concat());
+        assert!(ok, "{out}");
+        assert!(!out.contains("cache: reused"), "{out}");
+        assert!(spend(&out) > 0.0, "--no-cache probes run cold: {out}");
+        // The plan's budget caps the probes too.
+        let (out, ok) = run_in(&dir, &[&partial[..], &["--budget", "0"]].concat());
         assert!(ok, "{out}");
         assert!(out.contains("cloud spend this collection: $0.00"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sampled collect killed after any journal line and resumed writes
+    /// what the uninterrupted run writes.
+    #[test]
+    fn sampled_collect_resumes_from_every_journal_prefix() {
+        let collect = ["collect", "--sampler", "aggressive", "--no-cache"];
+        let full = deployed("sampled-resume", write_sampling_config);
+        let (out, ok) = run_in(&full, &collect);
+        assert!(ok, "{out}");
+        let journal = read(&full, "run-journal.jsonl");
+        let lines: Vec<&str> = journal.split_inclusive('\n').collect();
+        assert_eq!(lines.len(), 6, "a header and five outcomes: {journal}");
+        for k in 0..=lines.len() {
+            let dir = deployed(&format!("sampled-resume-{k}"), write_sampling_config);
+            std::fs::write(dir.join("run-journal.jsonl"), lines[..k].concat()).unwrap();
+            let (out, ok) = run_in(&dir, &[&collect[..], &["--resume"]].concat());
+            assert!(ok, "{out}");
+            for file in ["dataset.json", "scenarios.json", "run-journal.jsonl"] {
+                assert_eq!(read(&dir, file), read(&full, file), "prefix {k}: {file}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&full);
     }
 
     #[test]
@@ -1167,20 +1255,18 @@ mod tests {
         let config = write_config(&dir);
         let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
         assert!(ok);
-        // An interrupted full collect's journal survives a sampler collect.
+        // A sampled collect owns the run journal: without --resume it
+        // starts it fresh, as a full collect does.
         let journal = dir.join("run-journal.jsonl");
         std::fs::write(&journal, "interrupted\n").unwrap();
         let (out, ok) = run_in(&dir, &["collect", "--sampler", "aggressive"]);
         assert!(ok, "{out}");
         assert!(out.contains("sampler 'aggressive-discard'"), "{out}");
         assert!(!out.contains("executed 0/"), "{out}");
-        let spend: f64 = out
-            .split("cloud spend this collection: $")
-            .nth(1)
-            .and_then(|rest| rest.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no spend line: {out}"));
-        assert!(spend > 0.0, "the sampled scenarios ran: {out}");
-        assert_eq!(std::fs::read_to_string(&journal).unwrap(), "interrupted\n");
+        assert!(spend(&out) > 0.0, "the sampled scenarios ran: {out}");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert!(text.starts_with("{\"version\": 1}\n"), "{text}");
+        assert_eq!(text.lines().count(), 3, "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -82,7 +82,7 @@ OPTIONS:
     -f, --filter <spec>    data filter, e.g. 'appname=lammps,BOXFACTOR=30'
     --seed <n>             experiment seed (default 42)
     --sampler <name>       full | aggressive | perf-factor | bottleneck | partial
-    --workers <n>          run the full-grid collect on n parallel workers
+    --workers <n>          run the collect on n parallel workers
     --no-cache             collect cold: skip the scenario-result cache
     --cache-dir <dir>      cache directory (default <workdir>/cache)
     --resume               replay the run journal of an interrupted collect
@@ -102,9 +102,8 @@ OPTIONS:
                            reaches it, remaining scenarios are skipped
                            (journaled)
     --trace                capture a deterministic run trace to
-                           <workdir>/trace/run-trace.jsonl (full-grid
-                           collect only); bytes are identical for any
-                           --workers value
+                           <workdir>/trace/run-trace.jsonl; bytes are
+                           identical for any --workers value
     --ascii                print plots to the terminal instead of SVG files
     --sort <key>           advice sort order: time (default) or cost
     --slurm                also print a Slurm recipe for the fastest row

@@ -90,7 +90,7 @@ use telemetry::{EventSink, EventTap, Trace, TraceEvent, TraceSummary, Value, COO
 pub struct CollectPlan {
     workers: usize,
     subset: Option<Vec<u32>>,
-    trace: bool,
+    pub(crate) trace: bool,
     pub(crate) rerun_failed: bool,
     pub(crate) retry: RetryPolicy,
     pub(crate) capacity: Capacity,
@@ -200,6 +200,21 @@ impl CollectPlan {
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
+    }
+
+    /// Whether this plan runs `s`, given the status an earlier collect
+    /// left it in.
+    pub(crate) fn should_run(&self, s: &Scenario) -> bool {
+        match s.status {
+            ScenarioStatus::Pending => true,
+            ScenarioStatus::Failed => self.rerun_failed,
+            // Timed-out scenarios burned their wall-clock budget once
+            // already; only an explicit rerun request tries again.
+            ScenarioStatus::TimedOut => self.rerun_failed,
+            ScenarioStatus::Completed => false,
+            // Skipped scenarios never executed — always worth another try.
+            ScenarioStatus::Skipped => true,
+        }
     }
 }
 
@@ -313,7 +328,7 @@ pub struct WorkerLoad {
 }
 
 /// Aggregate statistics for one collection run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectStats {
     /// Worker threads actually used.
     pub workers: usize,
@@ -357,11 +372,49 @@ pub struct CollectStats {
     pub cache_misses: usize,
     /// Wall-clock time of the executor, in seconds.
     pub wall_secs: f64,
+    /// Cloud spend billed while the run executed, in US dollars: all VM
+    /// usage, idle pool time included.
+    pub cloud_cost: f64,
+}
+
+impl CollectStats {
+    /// Adds a later run's statistics to these: counts and times sum,
+    /// worker loads add up per worker id, and the worker count is the
+    /// larger of the two.
+    fn add(&mut self, next: CollectStats) {
+        self.workers = self.workers.max(next.workers);
+        self.shards += next.shards;
+        self.steals += next.steals;
+        if self.worker_loads.len() < next.worker_loads.len() {
+            self.worker_loads
+                .resize_with(next.worker_loads.len(), Default::default);
+        }
+        for (mine, theirs) in self.worker_loads.iter_mut().zip(next.worker_loads) {
+            mine.chunks += theirs.chunks;
+            mine.scenarios += theirs.scenarios;
+            mine.busy_secs += theirs.busy_secs;
+            mine.steals += theirs.steals;
+        }
+        self.executed += next.executed;
+        self.completed += next.completed;
+        self.failed += next.failed;
+        self.skipped += next.skipped;
+        self.timed_out += next.timed_out;
+        self.evictions += next.evictions;
+        self.retried += next.retried;
+        self.backoff_secs += next.backoff_secs;
+        self.failovers += next.failovers;
+        self.journal_replayed += next.journal_replayed;
+        self.cache_hits += next.cache_hits;
+        self.cache_misses += next.cache_misses;
+        self.wall_secs += next.wall_secs;
+        self.cloud_cost += next.cloud_cost;
+    }
 }
 
 /// Everything a collection run produced: the dataset, per-scenario
 /// outcomes, per-pool billing and executor statistics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CollectReport {
     /// Collected data points, ordered by scenario id.
     pub dataset: Dataset,
@@ -382,6 +435,20 @@ impl CollectReport {
     /// [`Session::collect`]: crate::session::Session::collect
     pub fn into_dataset(self) -> Dataset {
         self.dataset
+    }
+
+    /// Appends a later run of the same session: its points, outcomes and
+    /// trace events follow this report's, its stats add to these, and its
+    /// billing (cumulative for the deployment) replaces this report's.
+    pub(crate) fn append(&mut self, next: CollectReport) {
+        self.dataset.extend(next.dataset);
+        self.outcomes.extend(next.outcomes);
+        self.billing = next.billing;
+        self.stats.add(next.stats);
+        match (&mut self.trace, next.trace) {
+            (Some(trace), Some(more)) => trace.events.extend(more.events),
+            (slot, more) => *slot = slot.take().or(more),
+        }
     }
 
     /// Aggregated trace counters and histograms (provision latency, boot
@@ -747,11 +814,15 @@ impl Collector {
         let started = std::time::Instant::now();
         let mut ctx = self.ctx.clone();
         ctx.plan = plan.clone();
+        let billed_before = ctx.provider.lock().billing().total_cost();
 
         let index = index_by_id(scenarios);
         let ordered: Vec<&Scenario> = match &plan.subset {
             Some(ids) => resolve_ids(scenarios, &index, ids)?,
-            None => scenarios.iter().filter(|s| ctx.should_run(s)).collect(),
+            None => scenarios
+                .iter()
+                .filter(|s| ctx.plan.should_run(s))
+                .collect(),
         };
         let requested = ordered.len();
         // Replay the crash-safe run journal first (the resume path):
@@ -868,7 +939,7 @@ impl Collector {
                     for scenario in chunks[chunk_idx]
                         .scenarios
                         .iter()
-                        .filter(|s| ctx.should_run(s))
+                        .filter(|s| ctx.plan.should_run(s))
                     {
                         points.push(ctx.settled_point(scenario, ScenarioStatus::Failed, &reason));
                         outcomes.push(ScenarioOutcome::chunk_failed(scenario, chunk_idx, &reason));
@@ -939,11 +1010,14 @@ impl Collector {
         let retried = outcomes.iter().filter(|o| o.attempts > 1).count();
         let backoff_secs = outcomes.iter().map(|o| o.backoff_secs).sum();
         let dataset = Dataset { points };
-        let billing = ctx
-            .provider
-            .lock()
-            .billing()
-            .summarize_by_sku(Some(&ctx.deployment));
+        let (billing, cloud_cost) = {
+            let provider = ctx.provider.lock();
+            let billed = provider.billing();
+            (
+                billed.summarize_by_sku(Some(&ctx.deployment)),
+                billed.total_cost() - billed_before,
+            )
+        };
         // run_end carries only worker-count-invariant aggregates: the cost
         // figure sums the points' deterministic price × nodes × exec-time
         // values, never the jitter-affected billing spans.
@@ -983,6 +1057,7 @@ impl Collector {
                 cache_hits,
                 cache_misses,
                 wall_secs: started.elapsed().as_secs_f64(),
+                cloud_cost,
             },
         })
     }

@@ -89,19 +89,6 @@ impl ExecContext {
         self.script = script;
     }
 
-    pub(crate) fn should_run(&self, s: &Scenario) -> bool {
-        match s.status {
-            ScenarioStatus::Pending => true,
-            ScenarioStatus::Failed => self.plan.rerun_failed,
-            // Timed-out scenarios burned their wall-clock budget once
-            // already; only an explicit rerun request tries again.
-            ScenarioStatus::TimedOut => self.plan.rerun_failed,
-            ScenarioStatus::Completed => false,
-            // Skipped scenarios never executed — always worth another try.
-            ScenarioStatus::Skipped => true,
-        }
-    }
-
     /// A zero-cost point for a scenario that settled without a result:
     /// failed, timed out (killed by the deadline watchdog) or skipped (not
     /// executed, e.g. quota or budget degradation). The reason lands under
@@ -327,7 +314,7 @@ impl ShardRun<'_> {
         let mut current: Option<PoolCtx> = None;
 
         for &scenario in scenarios {
-            if !self.ctx.should_run(scenario) {
+            if !self.ctx.plan.should_run(scenario) {
                 continue;
             }
             let mut tally = Tally::fresh();
@@ -1038,7 +1025,7 @@ pub(crate) fn consult_cache<'a>(
     // reservation, and a warm one never regrows the vector.
     out.points.reserve(ordered.len());
     for &s in ordered {
-        if !ctx.should_run(s) {
+        if !ctx.plan.should_run(s) {
             out.misses.push(s);
             continue;
         }
@@ -1104,7 +1091,7 @@ pub(crate) fn consult_journal<'a>(
     let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
         .with_capacity(ctx.plan.capacity);
     for &s in ordered {
-        if !ctx.should_run(s) {
+        if !ctx.plan.should_run(s) {
             out.misses.push(s);
             continue;
         }
@@ -1179,7 +1166,9 @@ pub(crate) fn resolve_ids<'a>(
     Ok(ordered)
 }
 
-/// The collector for one deployment.
+/// The collector for one deployment. A bare collector memoizes results in
+/// an in-memory cache and journals nothing; [`crate::SessionBuilder`]
+/// wires the cache, its policy, the run journal and the progress tap.
 pub struct Collector {
     pub(crate) ctx: ExecContext,
     pub(crate) shared_vfs: Arc<Mutex<Vfs>>,
@@ -1222,42 +1211,6 @@ impl Collector {
             journal: None,
             progress: None,
         })
-    }
-
-    /// Replaces the scenario-result cache: a file-backed store from
-    /// [`SharedScenarioCache::open`], or a handle shared with other
-    /// collectors (the advisor daemon's cross-tenant dedup point), whose
-    /// consults and inserts all hit the same store. The default is an
-    /// empty in-memory cache, which memoizes results for this collector's
-    /// lifetime only.
-    pub fn set_shared_cache(&mut self, cache: SharedScenarioCache) {
-        self.cache = cache;
-    }
-
-    /// Attaches a live progress tap: plan-based collects hand every trace
-    /// event (scenario starts/ends, pool activity, run framing) to `tap`
-    /// as it is emitted, whether or not the plan records a trace. Pass
-    /// `None` to detach.
-    pub fn set_progress_tap(&mut self, tap: Option<Arc<dyn telemetry::EventTap>>) {
-        self.progress = tap;
-    }
-
-    /// Sets the cache policy every collect of this collector uses.
-    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
-        self.cache_policy = policy;
-    }
-
-    /// Attaches a crash-safe run journal. Plan-level collects
-    /// ([`crate::collect::CollectPlan`]) replay its finished entries and
-    /// append each new outcome as it lands; without one, nothing is
-    /// journaled.
-    pub fn set_journal(&mut self, journal: RunJournal) {
-        self.journal = Some(Arc::new(Mutex::new(journal)));
-    }
-
-    /// The attached run journal, if any.
-    pub fn journal(&self) -> Option<Arc<Mutex<RunJournal>>> {
-        self.journal.clone()
     }
 
     /// A handle to the scenario-result cache (clones share the store).

@@ -101,6 +101,7 @@ impl Sampler for AggressiveDiscard {
 mod tests {
     use super::*;
     use crate::advice::Advice;
+    use crate::collect::CollectPlan;
     use crate::config::UserConfig;
     use crate::sampling::{front_regret, run_sampled, FullGrid};
     use crate::session::Session;
@@ -120,14 +121,15 @@ mod tests {
         // Reference front from the full grid.
         let mut full_session = Session::create(config(), 42).unwrap();
         let mut full = FullGrid::new();
-        let (full_ds, full_report) = run_sampled(&mut full_session, &mut full).unwrap();
-        let reference = Advice::from_dataset(&full_ds, &DataFilter::all());
+        let (full_ds, full_report) =
+            run_sampled(&mut full_session, &CollectPlan::new(), &mut full).unwrap();
+        let reference = Advice::from_dataset(&full_ds.dataset, &DataFilter::all());
 
         // Sampled front.
         let mut session = Session::create(config(), 42).unwrap();
         let mut sampler = AggressiveDiscard::new(0.15);
-        let (ds, report) = run_sampled(&mut session, &mut sampler).unwrap();
-        let sampled = Advice::from_dataset(&ds, &DataFilter::all());
+        let (ds, report) = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
+        let sampled = Advice::from_dataset(&ds.dataset, &DataFilter::all());
 
         assert_eq!(full_report.executed, 8);
         assert!(

@@ -106,6 +106,7 @@ impl Sampler for BottleneckAware {
 mod tests {
     use super::*;
     use crate::advice::Advice;
+    use crate::collect::CollectPlan;
     use crate::config::UserConfig;
     use crate::sampling::{front_regret, run_sampled, FullGrid};
     use crate::session::Session;
@@ -136,7 +137,7 @@ appinputs:
     fn stops_scaling_when_network_bound() {
         let mut session = Session::create(config(), 42).unwrap();
         let mut sampler = BottleneckAware::new(0.55, 0.35);
-        let (ds, report) = run_sampled(&mut session, &mut sampler).unwrap();
+        let (ds, report) = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
         assert!(
             report.executed < report.total,
             "should stop before 16 nodes: {report:?}"
@@ -144,7 +145,7 @@ appinputs:
         assert!(!sampler.stopped.is_empty(), "a stop must be recorded");
         assert!(sampler.stopped[0].2.contains("network-bound"));
         // The observed data still yields a usable front.
-        assert!(!Advice::from_dataset(&ds, &DataFilter::all())
+        assert!(!Advice::from_dataset(&ds.dataset, &DataFilter::all())
             .rows
             .is_empty());
     }
@@ -156,7 +157,7 @@ appinputs:
         c.nnodes = vec![1, 2, 4];
         let mut session = Session::create(c, 42).unwrap();
         let mut sampler = BottleneckAware::new(0.5, 0.10);
-        let (_, report) = run_sampled(&mut session, &mut sampler).unwrap();
+        let (_, report) = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
         assert_eq!(report.executed, report.total);
         assert!(sampler.stopped.is_empty());
     }
@@ -164,13 +165,14 @@ appinputs:
     #[test]
     fn front_quality_close_to_full_grid() {
         let mut full_session = Session::create(config(), 42).unwrap();
-        let (full_ds, _) = run_sampled(&mut full_session, &mut FullGrid::new()).unwrap();
-        let reference = Advice::from_dataset(&full_ds, &DataFilter::all());
+        let (full_ds, _) =
+            run_sampled(&mut full_session, &CollectPlan::new(), &mut FullGrid::new()).unwrap();
+        let reference = Advice::from_dataset(&full_ds.dataset, &DataFilter::all());
 
         let mut session = Session::create(config(), 42).unwrap();
         let mut sampler = BottleneckAware::new(0.55, 0.35);
-        let (ds, _) = run_sampled(&mut session, &mut sampler).unwrap();
-        let sampled = Advice::from_dataset(&ds, &DataFilter::all());
+        let (ds, _) = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
+        let sampled = Advice::from_dataset(&ds.dataset, &DataFilter::all());
         // The cheap end of the front is found exactly; the fast end may be
         // curtailed if scaling stops early — that is the strategy's
         // deliberate trade-off, so only require bounded regret.

@@ -16,6 +16,10 @@
 //! * [`BottleneckAware`] — walk node counts upward and stop scaling a VM
 //!   type out once the infrastructure metrics say it is network-bound and
 //!   no longer improving.
+//!
+//! [`run_sampled`] runs any of them on a session under one
+//! [`CollectPlan`], so a sampled sweep takes every run option a full one
+//! does.
 
 mod aggressive;
 mod bottleneck;
@@ -28,10 +32,13 @@ pub use partial::{run_partial_execution, PartialExecutionReport};
 pub use perf_factor::FixedPerfFactor;
 
 use crate::advice::Advice;
+use crate::collect::{CollectPlan, CollectReport};
 use crate::dataset::Dataset;
 use crate::error::ToolError;
 use crate::scenario::Scenario;
 use crate::session::Session;
+use std::collections::HashMap;
+use telemetry::Trace;
 
 /// An iterative scenario-selection strategy.
 pub trait Sampler {
@@ -47,7 +54,7 @@ pub trait Sampler {
     }
 }
 
-/// The baseline: one batch containing every pending scenario.
+/// The baseline: one batch containing every candidate, in grid order.
 #[derive(Debug, Default)]
 pub struct FullGrid {
     issued: bool,
@@ -100,27 +107,48 @@ impl SamplingReport {
     }
 }
 
-/// Drives a sampler against a live session: repeatedly asks for a batch,
-/// executes it through the collector (Algorithm 1 pool reuse included), and
-/// feeds the observations back. Returns the measured dataset and a report.
+/// Drives a sampler against a live session under `plan`: repeatedly asks
+/// for a batch, runs it as `plan` restricted to that batch (Algorithm 1
+/// pool reuse, the run journal, the cache and every run policy included),
+/// and feeds the observations back. The candidates are the scenarios the
+/// plan would run, so settled ones stay settled.
+///
+/// Returns one report for the whole run: points and outcomes in batch
+/// order, the batches' traces one after another, and summed stats. Once
+/// the budget breaker has skipped a whole batch the loop ends, since no
+/// later batch could run either.
 pub fn run_sampled(
     session: &mut Session,
+    plan: &CollectPlan,
     sampler: &mut dyn Sampler,
-) -> Result<(Dataset, SamplingReport), ToolError> {
-    let total = session.scenarios().len();
-    let mut observed = Dataset::new();
+) -> Result<(CollectReport, SamplingReport), ToolError> {
+    let candidates: Vec<Scenario> = session
+        .scenarios()
+        .iter()
+        .filter(|s| plan.should_run(s))
+        .cloned()
+        .collect();
+    let total = candidates.len();
+    let mut report = CollectReport {
+        trace: plan.trace.then(Trace::default),
+        ..CollectReport::default()
+    };
     let mut executed = 0usize;
     let mut batches = 0usize;
     loop {
-        let candidates: Vec<Scenario> = session.scenarios().to_vec();
-        let batch = sampler.next_batch(&candidates, &observed);
+        let batch = sampler.next_batch(&candidates, &report.dataset);
         if batch.is_empty() {
             break;
         }
         batches += 1;
         executed += batch.len();
-        let increment = session.collect_subset(&batch)?;
-        observed.extend(increment);
+        let budget_spent = plan
+            .budget_dollars
+            .is_some_and(|budget| session.total_cloud_cost() >= budget);
+        report.append(run_batch(session, plan, &batch)?);
+        if budget_spent {
+            break;
+        }
         // Seatbelt: a sampler that keeps issuing batches cannot loop
         // forever past the candidate count.
         if executed > total * 2 {
@@ -130,14 +158,32 @@ pub fn run_sampled(
             )));
         }
     }
-    let report = SamplingReport {
+    let sampling = SamplingReport {
         strategy: sampler.name().to_string(),
         total,
         executed,
         skipped: total.saturating_sub(executed),
         batches,
     };
-    Ok((observed, report))
+    Ok((report, sampling))
+}
+
+/// Runs `plan` restricted to `ids` and returns its points and outcomes in
+/// the requested order, since samplers issue batches that are not sorted
+/// by id. A repeated id runs once, at its first occurrence.
+pub(crate) fn run_batch(
+    session: &mut Session,
+    plan: &CollectPlan,
+    ids: &[u32],
+) -> Result<CollectReport, ToolError> {
+    let mut report = session.collect_with(&plan.clone().subset(ids))?;
+    let mut pos: HashMap<u32, usize> = HashMap::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        pos.entry(id).or_insert(i);
+    }
+    report.dataset.points.sort_by_key(|p| pos[&p.scenario_id]);
+    report.outcomes.sort_by_key(|o| pos[&o.scenario_id]);
+    Ok(report)
 }
 
 /// Similarity between two advice tables: Jaccard index over their
@@ -214,8 +260,7 @@ mod tests {
     use super::*;
     use crate::advice::AdviceRow;
     use crate::config::UserConfig;
-    use crate::dataset::DataFilter;
-    use crate::scenario::generate_scenarios;
+    use crate::scenario::{generate_scenarios, ScenarioStatus};
     use cloudsim::SkuCatalog;
 
     fn advice_of(rows: &[(&str, u32, f64, f64)]) -> Advice {
@@ -251,21 +296,81 @@ mod tests {
 
     #[test]
     fn run_sampled_full_grid_equals_collect() {
-        let config = UserConfig::example_lammps_small();
-        let mut session = Session::create(config.clone(), 42).unwrap();
-        let mut sampler = FullGrid::new();
-        let (ds, report) = run_sampled(&mut session, &mut sampler).unwrap();
-        assert_eq!(report.executed, 3);
-        assert_eq!(report.skipped, 0);
-        assert_eq!(report.batches, 1);
-        assert_eq!(report.savings(), 0.0);
-        let mut reference = Session::create(config, 42).unwrap();
-        let ref_ds = reference.collect().unwrap();
-        assert_eq!(ds.len(), ref_ds.len());
-        let a = Advice::from_dataset(&ds, &DataFilter::all());
-        let b = Advice::from_dataset(&ref_ds, &DataFilter::all());
-        assert_eq!(front_similarity(&a, &b), 1.0);
-        assert_eq!(front_regret(&b, &a), 0.0);
+        let config = UserConfig::example_openfoam();
+        for workers in [1, 4] {
+            let plan = CollectPlan::new().workers(workers).trace(true);
+            let mut session = Session::create(config.clone(), 42).unwrap();
+            let (report, sampling) =
+                run_sampled(&mut session, &plan, &mut FullGrid::new()).unwrap();
+            assert_eq!(sampling.executed, 36);
+            assert_eq!(sampling.skipped, 0);
+            assert_eq!(sampling.batches, 1);
+            assert_eq!(sampling.savings(), 0.0);
+            let mut reference = Session::create(config.clone(), 42).unwrap();
+            let expected = reference.collect_with(&plan).unwrap();
+            assert_eq!(report.dataset.to_json(), expected.dataset.to_json());
+            assert_eq!(
+                report.trace.unwrap().to_jsonl(),
+                expected.trace.unwrap().to_jsonl(),
+                "{workers} workers"
+            );
+            assert_eq!(report.stats.cloud_cost, session.total_cloud_cost());
+        }
+    }
+
+    #[test]
+    fn run_batch_keeps_requested_order_and_runs_repeats_once() {
+        let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
+        let report = run_batch(&mut s, &CollectPlan::new(), &[14, 2, 14, 1]).unwrap();
+        let ids: Vec<u32> = report
+            .dataset
+            .points
+            .iter()
+            .map(|p| p.scenario_id)
+            .collect();
+        assert_eq!(ids, vec![14, 2, 1]);
+        let outcome_ids: Vec<u32> = report.outcomes.iter().map(|o| o.scenario_id).collect();
+        assert_eq!(outcome_ids, ids);
+        let completed: Vec<u32> = s
+            .scenarios()
+            .iter()
+            .filter(|s| s.status == ScenarioStatus::Completed)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(completed, vec![1, 2, 14]);
+    }
+
+    #[test]
+    fn sampled_collect_leaves_settled_scenarios_alone() {
+        let mut session = Session::create(UserConfig::example_openfoam(), 42).unwrap();
+        session.collect().unwrap();
+        let spent = session.total_cloud_cost();
+        let (report, sampling) = run_sampled(
+            &mut session,
+            &CollectPlan::new(),
+            &mut AggressiveDiscard::new(0.15),
+        )
+        .unwrap();
+        assert_eq!((sampling.total, sampling.executed), (0, 0));
+        assert!(report.dataset.is_empty());
+        assert_eq!(report.stats.cloud_cost, 0.0);
+        assert_eq!(session.total_cloud_cost(), spent);
+    }
+
+    #[test]
+    fn a_spent_budget_skips_one_batch_and_ends_the_run() {
+        let mut session = Session::create(UserConfig::example_openfoam(), 42).unwrap();
+        let plan = CollectPlan::new().budget_dollars(0.0);
+        let (report, sampling) =
+            run_sampled(&mut session, &plan, &mut AggressiveDiscard::new(0.15)).unwrap();
+        assert_eq!(sampling.batches, 1);
+        assert_eq!(report.stats.skipped, sampling.executed);
+        assert!(report
+            .dataset
+            .points
+            .iter()
+            .all(|p| p.status == ScenarioStatus::Skipped));
+        assert_eq!(report.stats.cloud_cost, 0.0);
     }
 
     #[test]

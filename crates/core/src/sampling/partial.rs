@@ -7,33 +7,38 @@
 //! down by a probe fraction, extrapolates the full-length time from the
 //! steady per-step rate, builds a *predicted* Pareto front, and verifies
 //! only the front candidates at full length. Unlike the [`super::Sampler`]
-//! strategies this needs to *change the workload* (the step count), so it
-//! drives its own sessions instead of implementing the sampler protocol.
+//! strategies this needs to *change the workload* (the step count), so its
+//! probes run on two sibling sessions of the probe configs. They share the
+//! session's seed, cache handle and cache policy; the verification runs on
+//! the session itself, under its run journal. All three run the one plan.
 
 use crate::advice::Advice;
+use crate::collect::{CollectPlan, CollectReport};
 use crate::config::UserConfig;
 use crate::dataset::{set_pair, DataFilter, Dataset};
 use crate::error::ToolError;
 use crate::pareto::pareto_front;
+use crate::sampling::run_batch;
 use crate::session::Session;
 
 /// Result of a partial-execution prediction run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PartialExecutionReport {
     /// Scenario count of the full grid.
     pub total: usize,
-    /// Full-length executions actually performed (the verified front).
+    /// Front candidates the verification ran at full length (those the
+    /// plan would run; settled ones are left alone).
     pub full_runs: usize,
     /// Probe (short) executions performed.
     pub probe_runs: usize,
     /// Predicted full-length dataset (every scenario).
     pub predicted: Dataset,
-    /// Measured full-length dataset (front candidates only).
-    pub verified: Dataset,
+    /// The verification run: its dataset holds the measured full-length
+    /// points (front candidates only), and its stats and trace also cover
+    /// both probe runs, so `stats.cloud_cost` is the spend of all three.
+    pub verified: CollectReport,
     /// Mean absolute relative error of predictions vs. verification.
     pub mean_relative_error: f64,
-    /// Cloud spend of the probe and verification sessions, in US dollars.
-    pub cloud_cost: f64,
 }
 
 /// Which input key carries the step count for an application.
@@ -58,17 +63,19 @@ fn configured_steps(config: &UserConfig, key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs the partial-execution strategy.
+/// Runs the partial-execution strategy on `session` under `plan`.
 ///
 /// `probe_fraction` scales the step count of the probe runs (e.g. 0.1 runs
 /// 10% of the steps); `margin` widens the predicted front before
-/// verification, like the other samplers.
+/// verification, like the other samplers. The plan's budget caps the
+/// spend of all three runs together.
 pub fn run_partial_execution(
-    config: &UserConfig,
-    seed: u64,
+    session: &mut Session,
+    plan: &CollectPlan,
     probe_fraction: f64,
     margin: f64,
 ) -> Result<PartialExecutionReport, ToolError> {
+    let config = session.config().clone();
     let (key, default_steps) = steps_key(&config.appname).ok_or_else(|| {
         ToolError::Config(format!(
             "application '{}' has no step-count input for partial execution",
@@ -80,7 +87,7 @@ pub fn run_partial_execution(
             "probe_fraction {probe_fraction} must be in 0.01..=0.9"
         )));
     }
-    let full_steps = configured_steps(config, key, default_steps);
+    let full_steps = configured_steps(&config, key, default_steps);
     let probe_steps = ((full_steps as f64 * probe_fraction).round() as u64).max(1);
     if probe_steps >= full_steps {
         return Err(ToolError::Config(format!(
@@ -93,7 +100,16 @@ pub fn run_partial_execution(
     // the fixed startup s from the steady per-step rate r — the actual
     // technique of the cited partial-execution predictors.
     let probe_steps_2 = (probe_steps * 2).min(full_steps - 1).max(probe_steps + 1);
-    let run_probe = |steps: u64| -> Result<(Dataset, f64), ToolError> {
+    // What is left of the plan's budget once `report` has been spent.
+    let remaining = |report: &CollectReport| {
+        let mut rest = plan.clone();
+        rest.budget_dollars = plan
+            .budget_dollars
+            .map(|budget| (budget - report.stats.cloud_cost).max(0.0));
+        rest
+    };
+    let mut report = CollectReport::default();
+    let mut run_probe = |steps: u64| -> Result<Dataset, ToolError> {
         let mut probe_config = config.clone();
         probe_config
             .appinputs
@@ -101,12 +117,15 @@ pub fn run_partial_execution(
         probe_config
             .appinputs
             .push((key.to_string(), vec![steps.to_string()]));
-        let mut probe_session = Session::create(probe_config, seed)?;
-        let probe = probe_session.collect()?;
-        Ok((probe, probe_session.total_cloud_cost()))
+        let mut probe_session = session.sibling(probe_config).build()?;
+        let mut probe = probe_session.collect_with(&remaining(&report))?;
+        let dataset = std::mem::take(&mut probe.dataset);
+        probe.outcomes.clear();
+        report.append(probe);
+        Ok(dataset)
     };
-    let (probe_a, cost_a) = run_probe(probe_steps)?;
-    let (probe_b, cost_b) = run_probe(probe_steps_2)?;
+    let probe_a = run_probe(probe_steps)?;
+    let probe_b = run_probe(probe_steps_2)?;
 
     // --- Extrapolate ------------------------------------------------------
     let price_of = |p: &crate::dataset::DataPoint| {
@@ -159,14 +178,13 @@ pub fn run_partial_execution(
             to_verify.push(p.scenario_id);
         }
     }
-
-    let mut full_session = Session::create(config.clone(), seed)?;
-    let verified = full_session.collect_subset(&to_verify)?;
+    let verification = run_batch(session, &remaining(&report), &to_verify)?;
+    report.append(verification);
 
     // --- Prediction quality -------------------------------------------------
     let mut err_sum = 0.0;
     let mut err_n = 0usize;
-    for v in verified.completed() {
+    for v in report.dataset.completed() {
         if let Some(p) = predicted
             .points
             .iter()
@@ -178,23 +196,22 @@ pub fn run_partial_execution(
     }
     Ok(PartialExecutionReport {
         total: probe_a.len(),
-        full_runs: to_verify.len(),
+        full_runs: report.outcomes.len(),
         probe_runs: probe_a.len() + probe_b.len(),
         predicted,
-        verified,
+        verified: report,
         mean_relative_error: if err_n > 0 {
             err_sum / err_n as f64
         } else {
             f64::NAN
         },
-        cloud_cost: cost_a + cost_b + full_session.total_cloud_cost(),
     })
 }
 
 impl PartialExecutionReport {
     /// The verified advice (Pareto front of the full-length measurements).
     pub fn advice(&self) -> Advice {
-        Advice::from_dataset(&self.verified, &DataFilter::all())
+        Advice::from_dataset(&self.verified.dataset, &DataFilter::all())
     }
 
     /// Fraction of full-length executions saved vs. running the whole grid
@@ -211,6 +228,7 @@ impl PartialExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CachePolicy, SharedScenarioCache};
     use crate::sampling::front_regret;
 
     fn config() -> UserConfig {
@@ -221,9 +239,61 @@ mod tests {
         c
     }
 
+    fn partial(
+        config: &UserConfig,
+        seed: u64,
+        probe_fraction: f64,
+        margin: f64,
+    ) -> Result<PartialExecutionReport, ToolError> {
+        let mut session = Session::create(config.clone(), seed)?;
+        run_partial_execution(&mut session, &CollectPlan::new(), probe_fraction, margin)
+    }
+
+    #[test]
+    fn probes_and_verification_share_the_session_cache() {
+        let cache = SharedScenarioCache::in_memory();
+        let run = |policy: CachePolicy| {
+            let mut session = Session::builder(config())
+                .seed(7)
+                .shared_cache(cache.clone())
+                .cache_policy(policy)
+                .build()
+                .unwrap();
+            run_partial_execution(&mut session, &CollectPlan::new(), 0.1, 0.05).unwrap()
+        };
+        let cold = run(CachePolicy::ReadWrite);
+        assert!(cold.verified.stats.cloud_cost > 0.0, "{cold:?}");
+        let warm = run(CachePolicy::ReadWrite);
+        assert_eq!(warm.verified.stats.cloud_cost, 0.0, "{warm:?}");
+        assert_eq!(
+            warm.verified.stats.cache_hits,
+            cold.probe_runs + cold.full_runs
+        );
+        assert_eq!(
+            warm.verified.dataset.to_json(),
+            cold.verified.dataset.to_json()
+        );
+        let off = run(CachePolicy::Off);
+        assert_eq!(
+            off.verified.stats.cloud_cost,
+            cold.verified.stats.cloud_cost
+        );
+    }
+
+    #[test]
+    fn budget_caps_all_three_runs() {
+        let mut session = Session::create(config(), 7).unwrap();
+        let plan = CollectPlan::new().budget_dollars(0.0);
+        let report = run_partial_execution(&mut session, &plan, 0.1, 0.05).unwrap();
+        assert_eq!(report.verified.stats.cloud_cost, 0.0);
+        assert_eq!(report.verified.stats.skipped, report.probe_runs);
+        assert_eq!(report.full_runs, 0);
+        assert!(report.verified.dataset.is_empty());
+    }
+
     #[test]
     fn predicts_accurately_and_saves_full_runs() {
-        let report = run_partial_execution(&config(), 7, 0.1, 0.05).unwrap();
+        let report = partial(&config(), 7, 0.1, 0.05).unwrap();
         assert_eq!(report.total, 8);
         assert!(report.full_runs < report.total, "{report:?}");
         assert!(
@@ -240,7 +310,7 @@ mod tests {
 
     #[test]
     fn predictions_carry_probe_provenance() {
-        let report = run_partial_execution(&config(), 7, 0.1, 0.05).unwrap();
+        let report = partial(&config(), 7, 0.1, 0.05).unwrap();
         for p in &report.predicted.points {
             assert!(
                 p.metric("PREDICTED_FROM_STEPS").is_some(),
@@ -258,9 +328,9 @@ mod tests {
     fn rejects_unsupported_apps_and_bad_fractions() {
         let mut c = config();
         c.appname = "wrf".into();
-        assert!(run_partial_execution(&c, 7, 0.1, 0.05).is_err());
-        assert!(run_partial_execution(&config(), 7, 0.0, 0.05).is_err());
-        assert!(run_partial_execution(&config(), 7, 0.95, 0.05).is_err());
+        assert!(partial(&c, 7, 0.1, 0.05).is_err());
+        assert!(partial(&config(), 7, 0.0, 0.05).is_err());
+        assert!(partial(&config(), 7, 0.95, 0.05).is_err());
     }
 
     #[test]
@@ -268,7 +338,7 @@ mod tests {
         let mut c = UserConfig::example_openfoam_motorbike();
         c.skus = vec!["Standard_HB120rs_v3".into()];
         c.nnodes = vec![2, 4, 8];
-        let report = run_partial_execution(&c, 7, 0.2, 0.05).unwrap();
+        let report = partial(&c, 7, 0.2, 0.05).unwrap();
         assert_eq!(report.total, 3);
         // The two-point fit separates OpenFOAM's fixed startup (8 s inside
         // ExecutionTime) from the per-iteration rate.

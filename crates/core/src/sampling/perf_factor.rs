@@ -186,6 +186,7 @@ impl Sampler for FixedPerfFactor {
 mod tests {
     use super::*;
     use crate::advice::Advice;
+    use crate::collect::CollectPlan;
     use crate::config::UserConfig;
     use crate::dataset::DataFilter;
     use crate::sampling::{front_regret, run_sampled, FullGrid};
@@ -205,17 +206,18 @@ mod tests {
     #[test]
     fn saves_executions_with_low_regret() {
         let mut full_session = Session::create(config(), 42).unwrap();
-        let (full_ds, _) = run_sampled(&mut full_session, &mut FullGrid::new()).unwrap();
-        let reference = Advice::from_dataset(&full_ds, &DataFilter::all());
+        let (full_ds, _) =
+            run_sampled(&mut full_session, &CollectPlan::new(), &mut FullGrid::new()).unwrap();
+        let reference = Advice::from_dataset(&full_ds.dataset, &DataFilter::all());
 
         let mut session = Session::create(config(), 42).unwrap();
         let mut sampler = FixedPerfFactor::new(0.10);
-        let (ds, report) = run_sampled(&mut session, &mut sampler).unwrap();
+        let (ds, report) = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
         assert!(report.executed < report.total, "{report:?}");
         // Phase 1 runs 4 (reference curve) + 1 (anchor) = 5 of 8.
         assert!(report.executed >= 5);
 
-        let sampled = Advice::from_dataset(&ds, &DataFilter::all());
+        let sampled = Advice::from_dataset(&ds.dataset, &DataFilter::all());
         assert!(front_regret(&reference, &sampled) < 0.10, "regret too high");
         // Predictions exist for skipped scenarios.
         let predicted = sampler.predicted();
@@ -224,7 +226,7 @@ mod tests {
             report.total + {
                 // scenarios both predicted and then executed appear in both
                 // sets; count the overlap.
-                let exec_ids: Vec<u32> = ds.points.iter().map(|p| p.scenario_id).collect();
+                let exec_ids: Vec<u32> = ds.dataset.points.iter().map(|p| p.scenario_id).collect();
                 predicted
                     .points
                     .iter()
@@ -239,15 +241,17 @@ mod tests {
         // Run the sampler, then compare its predictions for skipped
         // scenarios against a full-grid ground truth at the same seed.
         let mut full_session = Session::create(config(), 42).unwrap();
-        let (full_ds, _) = run_sampled(&mut full_session, &mut FullGrid::new()).unwrap();
+        let (full_ds, _) =
+            run_sampled(&mut full_session, &CollectPlan::new(), &mut FullGrid::new()).unwrap();
 
         let mut session = Session::create(config(), 42).unwrap();
         let mut sampler = FixedPerfFactor::new(0.0);
-        let _ = run_sampled(&mut session, &mut sampler).unwrap();
+        let _ = run_sampled(&mut session, &CollectPlan::new(), &mut sampler).unwrap();
         let predicted = sampler.predicted();
         assert!(!predicted.is_empty());
         for p in &predicted.points {
             let truth = full_ds
+                .dataset
                 .points
                 .iter()
                 .find(|q| q.scenario_id == p.scenario_id)

@@ -3,11 +3,11 @@
 //! of the CLI sequence `deploy create && collect`.
 //!
 //! Construction goes through [`SessionBuilder`]: everything a session
-//! carries for its lifetime — seed, cache (owned or shared), cache policy,
-//! journal, custom scripts, progress tap — is declared up front, and the
-//! built session is ready to collect with no further mutation. Per-run
-//! knobs (workers, retries, capacity, budget, trace) belong on
-//! [`CollectPlan`], not here:
+//! carries for its lifetime — seed, scenario list, cache (owned or shared),
+//! cache policy, journal, custom scripts, progress tap — is declared up
+//! front, and the built session is ready to collect with no further
+//! mutation. Per-run knobs (workers, retries, capacity, budget, trace)
+//! belong on [`CollectPlan`], not here:
 //!
 //! ```no_run
 //! use hpcadvisor_core::prelude::*;
@@ -34,7 +34,6 @@ use crate::scenario::{generate_scenarios, Scenario};
 use batchsim::SharedProvider;
 use cloudsim::SkuCatalog;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use taskshell::Vfs;
 use telemetry::EventTap;
@@ -51,6 +50,7 @@ pub struct SessionBuilder {
     journal: Option<RunJournal>,
     scripts: Vec<(String, String)>,
     progress: Option<Arc<dyn EventTap>>,
+    scenarios: Option<Vec<Scenario>>,
 }
 
 impl SessionBuilder {
@@ -63,6 +63,7 @@ impl SessionBuilder {
             journal: None,
             scripts: Vec::new(),
             progress: None,
+            scenarios: None,
         }
     }
 
@@ -117,28 +118,37 @@ impl SessionBuilder {
         self
     }
 
+    /// Starts the session from an existing scenario list, statuses
+    /// included (a work directory's), instead of expanding the grid: the
+    /// collects run what that list leaves to run.
+    pub fn scenarios(mut self, scenarios: Vec<Scenario>) -> Self {
+        self.scenarios = Some(scenarios);
+        self
+    }
+
     /// Creates the cloud environment, expands the scenario grid, and wires
     /// the collector with everything declared on the builder.
     pub fn build(self) -> Result<Session, ToolError> {
         let config = self.config;
         let mut manager = DeploymentManager::new(&config.subscription, &config.region, self.seed)?;
         let deployment = manager.create(&config)?;
-        let scenarios = generate_scenarios(&config, &SkuCatalog::azure_hpc())?;
+        let scenarios = match self.scenarios {
+            Some(scenarios) => scenarios,
+            None => generate_scenarios(&config, &SkuCatalog::azure_hpc())?,
+        };
         let mut collector =
             Collector::new(manager.provider(), &deployment, config.clone(), self.seed)?;
         if let Some(cache) = self.cache {
-            collector.set_shared_cache(cache);
+            collector.cache = cache;
         }
         if let Some(policy) = self.cache_policy {
-            collector.set_cache_policy(policy);
+            collector.cache_policy = policy;
         }
-        if let Some(journal) = self.journal {
-            collector.set_journal(journal);
-        }
+        collector.journal = self.journal.map(|j| Arc::new(Mutex::new(j)));
         for (url, content) in &self.scripts {
             collector.register_script(url, content)?;
         }
-        collector.set_progress_tap(self.progress);
+        collector.progress = self.progress;
         Ok(Session {
             manager,
             collector,
@@ -233,19 +243,14 @@ impl Session {
         self.collector.collect_with_plan(&mut self.scenarios, plan)
     }
 
-    /// Runs a chosen subset of scenario ids (used by smart sampling) and
-    /// returns their points in the requested order. A repeated id runs
-    /// once, at its first occurrence.
-    pub fn collect_subset(&mut self, ids: &[u32]) -> Result<Dataset, ToolError> {
-        let mut dataset = self
-            .collect_with(&CollectPlan::new().subset(ids))?
-            .into_dataset();
-        let mut pos: HashMap<u32, usize> = HashMap::with_capacity(ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            pos.entry(id).or_insert(i);
-        }
-        dataset.points.sort_by_key(|p| pos[&p.scenario_id]);
-        Ok(dataset)
+    /// A builder for another session over `config` with this one's seed,
+    /// cache handle and cache policy: how partial execution builds its
+    /// probe sessions.
+    pub(crate) fn sibling(&self, config: UserConfig) -> SessionBuilder {
+        Session::builder(config)
+            .seed(self.collector.ctx.seed)
+            .shared_cache(self.collector.cache())
+            .cache_policy(self.collector.cache_policy)
     }
 
     /// Total cloud spend of this session so far (all VM usage, including
@@ -293,21 +298,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn collect_subset_keeps_requested_order_and_runs_repeats_once() {
-        let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
-        let ds = s.collect_subset(&[14, 2, 14, 1]).unwrap();
-        let ids: Vec<u32> = ds.points.iter().map(|p| p.scenario_id).collect();
-        assert_eq!(ids, vec![14, 2, 1]);
-        let completed: Vec<u32> = s
-            .scenarios()
-            .iter()
-            .filter(|s| s.status == ScenarioStatus::Completed)
-            .map(|s| s.id)
-            .collect();
-        assert_eq!(completed, vec![1, 2, 14]);
     }
 
     #[test]

@@ -17,8 +17,9 @@ fn config() -> UserConfig {
 fn main() -> Result<(), ToolError> {
     // Ground truth: run everything.
     let mut full_session = Session::create(config(), 42)?;
-    let (full_ds, full_report) = run_sampled(&mut full_session, &mut FullGrid::new())?;
-    let reference = Advice::from_dataset(&full_ds, &DataFilter::all());
+    let plan = CollectPlan::new();
+    let (full_run, full_report) = run_sampled(&mut full_session, &plan, &mut FullGrid::new())?;
+    let reference = Advice::from_dataset(&full_run.dataset, &DataFilter::all());
     let full_cost = full_session.total_cloud_cost();
     println!(
         "full grid: {} scenarios executed, cloud spend ${:.2}, front size {}\n",
@@ -38,8 +39,8 @@ fn main() -> Result<(), ToolError> {
     ];
     for mut sampler in strategies {
         let mut session = Session::create(config(), 42)?;
-        let (ds, report) = run_sampled(&mut session, sampler.as_mut())?;
-        let sampled = Advice::from_dataset(&ds, &DataFilter::all());
+        let (run, report) = run_sampled(&mut session, &plan, sampler.as_mut())?;
+        let sampled = Advice::from_dataset(&run.dataset, &DataFilter::all());
         println!(
             "{:<22} {:>6}/{:<2} {:>7.0}% {:>11.2} {:>11.1}% {:>9.2}",
             report.strategy,

@@ -193,6 +193,7 @@ fn matmul() {
 #[test]
 fn aggressive_discard_sampling() {
     let mut session = Session::create(UserConfig::example_openfoam(), SEED).unwrap();
-    let (dataset, _) = run_sampled(&mut session, &mut AggressiveDiscard::new(0.15)).unwrap();
-    assert_golden("aggressive_discard.dataset.json", &dataset.to_json());
+    let plan = CollectPlan::new();
+    let (run, _) = run_sampled(&mut session, &plan, &mut AggressiveDiscard::new(0.15)).unwrap();
+    assert_golden("aggressive_discard.dataset.json", &run.dataset.to_json());
 }
