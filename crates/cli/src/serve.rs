@@ -557,7 +557,10 @@ fn parse_collect_body(body: &Value) -> Result<AdviceRequest, String> {
         request.seed = seed as u64;
     }
     if let Some(workers) = map.get("workers").and_then(Value::as_int) {
-        request.workers = (workers.max(1)) as usize;
+        // A job starts a thread per worker; beyond the machine's cores
+        // they only contend, and outputs do not depend on the count.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        request.workers = workers.clamp(1, cores as i64) as usize;
     }
     if let Some(key) = map.get("request_key").and_then(Value::as_str) {
         request.request_key = Some(key.to_string());
@@ -927,4 +930,27 @@ fn shutdown_daemon(addr: &str, force: bool, out: Out) -> Result<(), ToolError> {
             "daemon shutting down (graceful drain)"
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn collect_body_caps_workers_at_the_machines_cores() {
+        let body = |workers: i64| {
+            let mut m = OrderedMap::new();
+            m.insert(
+                "config_yaml",
+                Value::str(UserConfig::example_lammps_small().to_yaml()),
+            );
+            m.insert("workers", Value::Int(workers));
+            Value::Map(m)
+        };
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let request = parse_collect_body(&body(1_000_000)).unwrap();
+        assert_eq!(request.workers, cores);
+        assert_eq!(parse_collect_body(&body(1)).unwrap().workers, 1);
+        assert_eq!(parse_collect_body(&body(-3)).unwrap().workers, 1);
+    }
 }

@@ -35,13 +35,14 @@
 //! Chunk filesystems are merged back into the deployment's shared
 //! filesystem, in chunk-index order, when all chunks finish.
 //!
-//! Incremental collection: before chunking, the run consults the
-//! collector's [`crate::cache::ScenarioCache`] — scenarios whose
-//! fingerprint is already known are answered without touching a pool, and
-//! only the misses are split into chunks. New results are buffered in each
-//! chunk's `ShardOutput` and inserted into the cache after the merge
-//! barrier on the coordinating thread, so chunk workers never contend on a
-//! cache lock.
+//! Incremental collection and resume: before chunking, one pass over the
+//! run list fingerprints each runnable scenario once and consults the
+//! session's run journal, then its [`crate::cache::ScenarioCache`] —
+//! journaled outcomes replay and known fingerprints are answered without
+//! touching a pool, and only the misses are split into chunks. New results
+//! are buffered in each chunk's `ShardOutput` and inserted into the cache
+//! after the merge barrier on the coordinating thread, so chunk workers
+//! never contend on a cache lock.
 //!
 //! ```no_run
 //! use hpcadvisor_core::prelude::*;
@@ -53,21 +54,21 @@
 //! # let _ = dataset;
 //! ```
 
-use crate::cache::rehydrate_point;
+use crate::cache::{rehydrate_point, Fingerprint, Fingerprinter, ScenarioCache};
 use crate::collector::{
-    consult_cache, consult_journal, emit_scenario, index_by_id, resolve_ids, status_str,
-    store_new_points, Collector, ExecContext, JournalConsult, JournalWriter, ShardOutcome,
-    ShardOutput, ShardRun,
+    emit_scenario, index_by_id, resolve_ids, status_str, store_new_points, ExecContext,
+    JournalWriter, ShardOutput, ShardRun,
 };
-use crate::dataset::Dataset;
+use crate::dataset::{DataPoint, Dataset};
 use crate::error::ToolError;
-use crate::journal::JournalEntry;
+use crate::journal::{JournalEntry, RunJournal};
 use crate::retry::RetryPolicy;
 use crate::scenario::{Scenario, ScenarioStatus};
+use crate::session::Session;
 use batchsim::BatchService;
 use cloudsim::{BillingSummary, Capacity};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use taskshell::Vfs;
@@ -75,16 +76,14 @@ use telemetry::{EventSink, EventTap, Trace, TraceEvent, TraceSummary, Value, COO
 
 /// A declarative description of one collection run, and the one home of
 /// every per-run policy: retries, capacity class, eviction escalation,
-/// deadline, budget, rerunning failures and pool teardown. What the
-/// collector *is* (deployment, seed, cache and its policy, journal,
-/// progress tap) is set on the collector or [`SessionBuilder`] instead.
+/// deadline, budget, rerunning failures and pool teardown. What a session
+/// *is* (deployment, seed, cache and its policy, journal, progress tap) is
+/// set on its [`SessionBuilder`] instead.
 ///
-/// Built fluently and handed to [`Session::collect_with`] or
-/// [`Collector::collect_with_plan`]; [`Session::collect`] runs the default
-/// plan.
+/// Built fluently and handed to [`Session::collect_with`];
+/// [`Session::collect`] runs the default plan.
 ///
 /// [`SessionBuilder`]: crate::session::SessionBuilder
-/// [`Session::collect_with`]: crate::session::Session::collect_with
 /// [`Session::collect`]: crate::session::Session::collect
 #[derive(Debug, Clone)]
 pub struct CollectPlan {
@@ -255,7 +254,11 @@ pub struct ScenarioOutcome {
 
 impl ScenarioOutcome {
     /// An outcome that spent no execution attempts.
-    fn settled(scenario: &Scenario, status: ScenarioStatus, fail_reason: Option<String>) -> Self {
+    pub(crate) fn settled(
+        scenario: &Scenario,
+        status: ScenarioStatus,
+        fail_reason: Option<String>,
+    ) -> Self {
         ScenarioOutcome {
             scenario_id: scenario.id,
             sku: scenario.sku.clone(),
@@ -269,18 +272,6 @@ impl ScenarioOutcome {
             evictions: 0,
             failovers: 0,
             fail_reason,
-        }
-    }
-
-    /// A scenario that chunk `chunk` executed.
-    fn executed(scenario: &Scenario, chunk: usize, oc: ShardOutcome) -> Self {
-        ScenarioOutcome {
-            shard: Some(chunk),
-            attempts: oc.attempts,
-            backoff_secs: oc.backoff_secs,
-            evictions: oc.evictions,
-            failovers: oc.failovers,
-            ..ScenarioOutcome::settled(scenario, oc.status, oc.fail_reason)
         }
     }
 
@@ -795,65 +786,166 @@ impl ChunkQueue {
     }
 }
 
-impl Collector {
-    /// Runs a collection under `plan` and returns a full [`CollectReport`].
+/// One scenario answered from the run journal instead of executing.
+struct Replay<'a> {
+    scenario: &'a Scenario,
+    entry: JournalEntry,
+}
+
+/// How one collect's run list splits before anything executes.
+#[derive(Default)]
+struct Consult<'a> {
+    /// Scenarios the run journal answers, with the entries they replay.
+    replays: Vec<Replay<'a>>,
+    /// Scenarios the cache answers; their rehydrated points are in
+    /// `points` at the same index, and so are their fingerprints in
+    /// `hit_fingerprints` when a journal is there to record them.
+    hits: Vec<&'a Scenario>,
+    points: Vec<DataPoint>,
+    hit_fingerprints: Vec<Fingerprint>,
+    /// Scenarios left to the chunks, in run-list order.
+    misses: Vec<&'a Scenario>,
+    /// Runnable misses the cache was asked about (0 when it was not read).
+    cache_misses: usize,
+    /// Scenario id → fingerprint of every replay and runnable miss: the
+    /// journal writer keys executed outcomes by it, and the cache stores
+    /// executed and replayed points under it, so a resumed run heals a
+    /// store the interrupted run never got to save. Cache hits are not in
+    /// it: they are neither executed nor stored again.
+    fingerprints: HashMap<u32, Fingerprint>,
+}
+
+/// Sorts an ordered run list of distinct ids into journal replays, cache
+/// hits and misses, fingerprinting each runnable scenario once. `cache` is
+/// `None` when the collect's policy does not read it; with neither a
+/// journal nor a cache to ask, nothing is fingerprinted.
+///
+/// Scenarios the plan would not run pass through as misses, so the shard
+/// loop applies exactly the cold-path skip logic. Completed journal entries
+/// always replay. Failed, timed-out and budget-skipped entries were all
+/// deliberate terminal decisions, so they replay unless the run reruns
+/// failures. Quota skips are never journaled, so they (and anything the
+/// journal has not seen) go on to the cache.
+fn consult<'a>(
+    ctx: &ExecContext,
+    journal: Option<&RunJournal>,
+    cache: Option<&ScenarioCache>,
+    ordered: Vec<&'a Scenario>,
+) -> Consult<'a> {
+    if journal.is_none() && cache.is_none() {
+        return Consult {
+            misses: ordered,
+            ..Consult::default()
+        };
+    }
+    let revision = ctx.provider.lock().catalog().revision();
+    let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
+        .with_capacity(ctx.plan.capacity);
+    let mut out = Consult::default();
+    if cache.is_some() {
+        // Room for every scenario to hit: a cold run never writes to this
+        // reservation, and a warm one never regrows the vector.
+        out.points.reserve(ordered.len());
+    }
+    for s in ordered {
+        if !ctx.plan.should_run(s) {
+            out.misses.push(s);
+            continue;
+        }
+        let fp = fpr.scenario(s);
+        let replay = journal
+            .and_then(|j| j.lookup(fp))
+            .filter(|e| match e.status {
+                ScenarioStatus::Completed => true,
+                ScenarioStatus::Failed | ScenarioStatus::TimedOut | ScenarioStatus::Skipped => {
+                    !ctx.plan.rerun_failed
+                }
+                ScenarioStatus::Pending => false,
+            });
+        if let Some(entry) = replay {
+            out.fingerprints.insert(s.id, fp);
+            out.replays.push(Replay {
+                scenario: s,
+                entry: entry.clone(),
+            });
+            continue;
+        }
+        if let Some(cache) = cache {
+            if let Some(point) = cache.lookup(fp) {
+                if journal.is_some() {
+                    out.hit_fingerprints.push(fp);
+                }
+                out.hits.push(s);
+                out.points
+                    .push(rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment));
+                continue;
+            }
+            out.cache_misses += 1;
+        }
+        out.fingerprints.insert(s.id, fp);
+        out.misses.push(s);
+    }
+    out
+}
+
+impl Session {
+    /// Runs a collection under `plan` (worker count, retry, capacity,
+    /// deadline, budget, optional subset) and returns a [`CollectReport`]
+    /// with the dataset, per-scenario outcomes, billing and stats.
     ///
-    /// Every chunk gets a fresh batch service and a clone of the shared
-    /// filesystem. One worker drains the chunk queue on the calling thread,
-    /// more drain it on scoped threads; either way the results are merged
-    /// in scenario-id order and filesystem changes are merged back, in
-    /// chunk order, at the end.
+    /// Journal replays and cache hits are settled first, on the calling
+    /// thread. The rest is split into chunks; every chunk gets a fresh
+    /// batch service and a clone of the shared filesystem. One worker
+    /// drains the chunk queue on the calling thread, more drain it on
+    /// scoped threads; either way the results are merged in scenario-id
+    /// order and filesystem changes are merged back, in chunk order, at
+    /// the end.
     ///
     /// A chunk-level error (systemic, not per-scenario) marks that chunk's
     /// scenarios failed instead of aborting sibling chunks.
-    pub fn collect_with_plan(
-        &mut self,
-        scenarios: &mut [Scenario],
-        plan: &CollectPlan,
-    ) -> Result<CollectReport, ToolError> {
+    pub fn collect_with(&mut self, plan: &CollectPlan) -> Result<CollectReport, ToolError> {
         let started = std::time::Instant::now();
         let mut ctx = self.ctx.clone();
         ctx.plan = plan.clone();
         let billed_before = ctx.provider.lock().billing().total_cost();
 
-        let index = index_by_id(scenarios);
+        let index = index_by_id(&self.scenarios);
         let ordered: Vec<&Scenario> = match &plan.subset {
-            Some(ids) => resolve_ids(scenarios, &index, ids)?,
-            None => scenarios
+            Some(ids) => resolve_ids(&self.scenarios, &index, ids)?,
+            None => self
+                .scenarios
                 .iter()
                 .filter(|s| ctx.plan.should_run(s))
                 .collect(),
         };
         let requested = ordered.len();
-        // Replay the crash-safe run journal first (the resume path):
-        // outcomes a previous interrupted run already finished are emitted
-        // verbatim, and only the remainder is collected.
-        let journal = self.journal.clone();
-        let jconsult = match &journal {
-            Some(j) => consult_journal(&ctx, &j.lock(), &ordered),
-            None => JournalConsult::pass_through(ordered),
-        };
-        let journal_replayed = jconsult.hits.len();
-        // Consult the result cache next, on this thread: hits never reach
-        // a shard (or a pool), and only the misses are split below.
+        // One pass over the run list: outcomes a previous interrupted run
+        // journaled are replayed verbatim (the resume path), the cache
+        // answers what it knows, and only the rest reaches a shard (or a
+        // pool).
         let policy = self.cache_policy;
-        let consult = consult_cache(&ctx, &self.cache.lock(), policy, &jconsult.misses);
+        let consult = {
+            let journal = self.journal.as_ref().map(|j| j.lock());
+            let cache = policy.reads().then(|| self.cache.lock());
+            consult(&ctx, journal.as_deref(), cache.as_deref(), ordered)
+        };
+        let journal_replayed = consult.replays.len();
         let cache_hits = consult.hits.len();
-        let cache_misses = consult.fingerprints.len();
+        let cache_misses = consult.cache_misses;
         // Cache hits count as finished for resume purposes too.
-        if let Some(j) = &journal {
-            for (hit, point) in consult.hits.iter().zip(&consult.points) {
-                if let Some(&fingerprint) = jconsult.fingerprints.get(&hit.id) {
-                    j.lock().append(JournalEntry {
-                        fingerprint,
-                        scenario_id: hit.id,
-                        status: ScenarioStatus::Completed,
-                        attempts: 0,
-                        backoff_secs: 0.0,
-                        fail_reason: None,
-                        point: Some(point.clone()),
-                    });
-                }
+        if let Some(j) = &self.journal {
+            let mut j = j.lock();
+            let hits = consult.hits.iter().zip(&consult.hit_fingerprints);
+            for ((hit, &fingerprint), point) in hits.zip(&consult.points) {
+                j.append(JournalEntry {
+                    fingerprint,
+                    scenario_id: hit.id,
+                    status: ScenarioStatus::Completed,
+                    attempts: 0,
+                    backoff_secs: 0.0,
+                    fail_reason: None,
+                    point: Some(point.clone()),
+                });
             }
         }
         let chunks = split_chunks(consult.misses);
@@ -883,9 +975,9 @@ impl Collector {
             m.insert("scenarios", Value::Int(requested as i64));
             m.insert("seed", Value::Int(ctx.seed as i64));
         });
-        for hit in &jconsult.hits {
-            emit_scenario(&mut coord, "journal_replay", hit.scenario, |m| {
-                m.insert("status", Value::str(status_str(hit.entry.status)));
+        for replay in &consult.replays {
+            emit_scenario(&mut coord, "journal_replay", replay.scenario, |m| {
+                m.insert("status", Value::str(status_str(replay.entry.status)));
             });
         }
         for &hit in &consult.hits {
@@ -895,14 +987,15 @@ impl Collector {
             });
         }
 
+        let fingerprints = Arc::new(consult.fingerprints);
         let env = ChunkEnv {
             ctx: &ctx,
             chunks: &chunks,
             queue: ChunkQueue::new(&ctx, &chunks),
             initial_vfs: self.shared_vfs.lock().clone(),
-            journal: journal.as_ref().map(|j| JournalWriter {
+            journal: self.journal.as_ref().map(|j| JournalWriter {
                 journal: j.clone(),
-                fingerprints: Arc::new(jconsult.fingerprints.clone()),
+                fingerprints: Arc::clone(&fingerprints),
             }),
             sink_on,
             tap,
@@ -926,10 +1019,7 @@ impl Collector {
                 Ok((out, vfs, events)) => {
                     trace_events.extend(events);
                     self.shared_vfs.lock().merge_from(vfs);
-                    for oc in out.outcomes {
-                        let scenario = &scenarios[index[&oc.scenario_id]];
-                        outcomes.push(ScenarioOutcome::executed(scenario, chunk_idx, oc));
-                    }
+                    outcomes.extend(out.outcomes);
                     points.extend(out.points);
                 }
                 Err(e) => {
@@ -951,42 +1041,28 @@ impl Collector {
         // Splice journal replays back in with their recorded outcome. The
         // stored point is rehydrated onto the current scenario identity,
         // exactly like a cache hit.
-        let mut store_fps = consult.fingerprints.clone();
-        for hit in jconsult.hits {
-            if let Some(&fp) = jconsult.fingerprints.get(&hit.scenario.id) {
-                store_fps.insert(hit.scenario.id, fp);
-            }
-            let point = match &hit.entry.point {
-                Some(p) => {
-                    rehydrate_point(p.clone(), hit.scenario, &ctx.config.tags, &ctx.deployment)
-                }
+        for Replay { scenario, entry } in consult.replays {
+            outcomes.push(ScenarioOutcome::replayed(scenario, &entry));
+            points.push(match entry.point {
+                Some(p) => rehydrate_point(p, scenario, &ctx.config.tags, &ctx.deployment),
                 // Point-less entries (older journals) get a synthetic point
                 // matching the journaled status.
                 None => {
-                    let reason = hit
-                        .entry
-                        .fail_reason
-                        .as_deref()
-                        .unwrap_or("journaled failure");
-                    ctx.settled_point(hit.scenario, hit.entry.status, reason)
+                    let reason = entry.fail_reason.as_deref().unwrap_or("journaled failure");
+                    ctx.settled_point(scenario, entry.status, reason)
                 }
-            };
-            outcomes.push(ScenarioOutcome::replayed(hit.scenario, &hit.entry));
-            points.push(point);
+            });
         }
 
         // Deterministic id order, independent of shard completion order.
         points.sort_by_key(|p| p.scenario_id);
         outcomes.sort_by_key(|o| o.scenario_id);
         for oc in &outcomes {
-            scenarios[index[&oc.scenario_id]].status = oc.status;
+            self.scenarios[index[&oc.scenario_id]].status = oc.status;
         }
         if policy.writes() {
-            // store_fps also covers journal replays, so a resumed run heals
-            // a cache the interrupted run never got to save.
-            store_new_points(&self.cache, &store_fps, &points)?;
+            store_new_points(&self.cache, &fingerprints, &points)?;
         }
-
         let outcomes_total = outcomes.len();
         let executed = outcomes_total - cache_hits - journal_replayed;
         let completed = outcomes
@@ -1125,6 +1201,7 @@ fn chunk_worker(env: &ChunkEnv, worker: usize, slots: &[Mutex<Option<ShardResult
         let vfs = Arc::new(Mutex::new(env.initial_vfs.clone()));
         let result = ShardRun {
             ctx,
+            chunk: i,
             service: &mut service,
             vfs: vfs.clone(),
             journal: env.journal.clone(),

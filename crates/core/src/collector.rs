@@ -16,7 +16,7 @@
 //! Each compute task runs the user's `hpcadvisor_run` function in a fresh
 //! `taskshell` interpreter over the deployment's shared filesystem, with the
 //! Table I environment variables injected. The script is parsed once per
-//! collector, and the filesystem is moved into the interpreter, not copied.
+//! session, and the filesystem is moved into the interpreter, not copied.
 //! `HPCADVISORVAR key=value` lines printed by the script are scraped into
 //! the dataset, exactly as the paper describes.
 //!
@@ -27,12 +27,10 @@
 //! ([`crate::collect`]).
 
 use crate::appscript;
-use crate::cache::{
-    rehydrate_point, CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache,
-};
-use crate::collect::{CollectPlan, CollectReport};
+use crate::cache::{Fingerprint, SharedScenarioCache};
+use crate::collect::{CollectPlan, ScenarioOutcome};
 use crate::config::UserConfig;
-use crate::dataset::{set_pair, DataPoint, Dataset};
+use crate::dataset::{set_pair, DataPoint};
 use crate::error::ToolError;
 use crate::journal::{JournalEntry, RunJournal};
 use crate::placement::PlacementPolicy;
@@ -83,10 +81,40 @@ pub(crate) struct ExecContext {
 }
 
 impl ExecContext {
-    /// Replaces the app script, parsing it once for all later tasks.
-    fn set_script(&mut self, script: String) {
-        self.program = Script::parse(&script);
-        self.script = script;
+    /// The context of collects on an existing deployment. Resolves the
+    /// application script from `appsetupurl` (bundled scripts are
+    /// registered automatically for known app names), then registers the
+    /// custom `scripts` by URL: one under `appsetupurl` replaces the app
+    /// script. The script is parsed once, for every task.
+    pub(crate) fn new(
+        provider: SharedProvider,
+        deployment: &str,
+        config: UserConfig,
+        seed: u64,
+        scripts: &[(String, String)],
+    ) -> Result<Self, ToolError> {
+        let mut urls = UrlStore::with_known_inputs();
+        appscript::seed_urlstore(&mut urls, &config.appsetupurl, &config.appname);
+        let mut script = appscript::fetch_script(&urls, &config.appsetupurl)?;
+        for (url, content) in scripts {
+            urls.put(url, content.as_str());
+            if *url == config.appsetupurl {
+                script = content.clone();
+            }
+        }
+        let app_dir = format!("/share/{deployment}/apps/{}", config.appname);
+        Ok(ExecContext {
+            provider,
+            config,
+            program: Script::parse(&script),
+            script,
+            urls,
+            app_dir,
+            deployment: deployment.to_string(),
+            registry: Arc::new(AppRegistry::standard()),
+            seed,
+            plan: CollectPlan::default(),
+        })
     }
 
     /// A zero-cost point for a scenario that settled without a result:
@@ -155,25 +183,6 @@ impl ExecContext {
     }
 }
 
-/// Result of one executed scenario, independent of the scenario array it
-/// came from (shards return these so the caller can write statuses back).
-#[derive(Debug, Clone)]
-pub(crate) struct ShardOutcome {
-    pub(crate) scenario_id: u32,
-    pub(crate) status: ScenarioStatus,
-    pub(crate) fail_reason: Option<String>,
-    /// Execution attempts spent on the scenario (1 = no retries, 0 = the
-    /// scenario was skipped without touching the cloud).
-    pub(crate) attempts: u32,
-    /// Total simulated backoff the scenario waited through.
-    pub(crate) backoff_secs: f64,
-    /// Spot evictions the scenario survived (0 on dedicated capacity).
-    pub(crate) evictions: u32,
-    /// Region failovers the scenario went through before settling (0 when
-    /// its first candidate region provisioned, or without a regions list).
-    pub(crate) failovers: u32,
-}
-
 /// Per-scenario retry bookkeeping: how many attempts were spent (across
 /// pool resizes, setup and compute submissions), how much simulated
 /// backoff the scenario waited through, and how many spot evictions it
@@ -195,6 +204,24 @@ impl Tally {
             failovers: 0,
         }
     }
+
+    /// The outcome of `scenario` as chunk `chunk` settled it.
+    fn outcome(
+        self,
+        scenario: &Scenario,
+        chunk: usize,
+        status: ScenarioStatus,
+        fail_reason: Option<String>,
+    ) -> ScenarioOutcome {
+        ScenarioOutcome {
+            shard: Some(chunk),
+            attempts: self.attempts,
+            backoff_secs: self.backoff_secs,
+            evictions: self.evictions,
+            failovers: self.failovers,
+            ..ScenarioOutcome::settled(scenario, status, fail_reason)
+        }
+    }
 }
 
 /// Live journal hook handed into shard runs: appends each terminal outcome
@@ -209,7 +236,7 @@ pub(crate) struct JournalWriter {
 }
 
 impl JournalWriter {
-    pub(crate) fn record(&self, outcome: &ShardOutcome, point: &DataPoint) {
+    pub(crate) fn record(&self, outcome: &ScenarioOutcome, point: &DataPoint) {
         let Some(&fingerprint) = self.fingerprints.get(&outcome.scenario_id) else {
             return;
         };
@@ -230,7 +257,7 @@ impl JournalWriter {
 #[derive(Debug, Default)]
 pub(crate) struct ShardOutput {
     pub(crate) points: Vec<DataPoint>,
-    pub(crate) outcomes: Vec<ShardOutcome>,
+    pub(crate) outcomes: Vec<ScenarioOutcome>,
 }
 
 /// The pool a shard currently holds. Algorithm 1 reuses one pool per VM
@@ -295,6 +322,8 @@ pub(crate) fn status_str(status: ScenarioStatus) -> &'static str {
 /// a consecutive run of one VM type's scenarios.
 pub(crate) struct ShardRun<'a> {
     pub(crate) ctx: &'a ExecContext,
+    /// Index of the chunk this run executes, recorded on its outcomes.
+    pub(crate) chunk: usize,
     pub(crate) service: &'a mut BatchService,
     pub(crate) vfs: Arc<Mutex<Vfs>>,
     /// When set, every terminal outcome is appended to the run journal as
@@ -423,29 +452,23 @@ impl ShardRun<'_> {
                         // the next scenario reuses it.
                         self.apply_capacity(&pool.name)?;
                         self.trace_scenario_end(scenario, point.status, tally, point.cost_dollars);
-                        let outcome = ShardOutcome {
-                            scenario_id: scenario.id,
-                            status: point.status,
-                            fail_reason: match point.status {
-                                ScenarioStatus::Failed => Some(
-                                    point
-                                        .metric("FAILREASON")
-                                        .map(str::to_string)
-                                        .unwrap_or_else(|| "compute task failed".into()),
-                                ),
-                                ScenarioStatus::TimedOut => Some(
-                                    point
-                                        .metric("TIMEOUTREASON")
-                                        .map(str::to_string)
-                                        .unwrap_or_else(|| "deadline exceeded".into()),
-                                ),
-                                _ => None,
-                            },
-                            attempts: tally.attempts,
-                            backoff_secs: tally.backoff_secs,
-                            evictions: tally.evictions,
-                            failovers: tally.failovers,
+                        let fail_reason = match point.status {
+                            ScenarioStatus::Failed => Some(
+                                point
+                                    .metric("FAILREASON")
+                                    .map(str::to_string)
+                                    .unwrap_or_else(|| "compute task failed".into()),
+                            ),
+                            ScenarioStatus::TimedOut => Some(
+                                point
+                                    .metric("TIMEOUTREASON")
+                                    .map(str::to_string)
+                                    .unwrap_or_else(|| "deadline exceeded".into()),
+                            ),
+                            _ => None,
                         };
+                        let outcome =
+                            tally.outcome(scenario, self.chunk, point.status, fail_reason);
                         if let Some(writer) = &self.journal {
                             writer.record(&outcome, &point);
                         }
@@ -683,15 +706,7 @@ impl ShardRun<'_> {
     ) {
         let point = self.ctx.settled_point(scenario, status, reason);
         self.trace_scenario_end(scenario, point.status, tally, 0.0);
-        let outcome = ShardOutcome {
-            scenario_id: scenario.id,
-            status: point.status,
-            fail_reason: Some(reason.to_string()),
-            attempts: tally.attempts,
-            backoff_secs: tally.backoff_secs,
-            evictions: tally.evictions,
-            failovers: tally.failovers,
-        };
+        let outcome = tally.outcome(scenario, self.chunk, point.status, Some(reason.to_string()));
         if let (true, Some(writer)) = (journal, &self.journal) {
             writer.record(&outcome, &point);
         }
@@ -989,132 +1004,6 @@ struct AttemptMeta {
     evicted: bool,
 }
 
-/// The cache's answer for one ordered scenario list: which scenarios are
-/// already known (hits, with their rehydrated points at the same index,
-/// ready to emit) and which must run (misses, cloned for the chunk queue,
-/// with their fingerprints kept so fresh results can be stored after the
-/// run).
-#[derive(Debug, Default)]
-pub(crate) struct CacheConsult<'a> {
-    pub(crate) hits: Vec<&'a Scenario>,
-    pub(crate) points: Vec<DataPoint>,
-    pub(crate) misses: Vec<&'a Scenario>,
-    pub(crate) fingerprints: HashMap<u32, Fingerprint>,
-}
-
-/// Consults the scenario cache for an ordered run list of distinct ids.
-///
-/// Only scenarios the context would actually run are looked up; skipped ones
-/// (already completed, or failed without rerun) pass through as misses so
-/// the shard loop applies exactly the cold-path skip logic.
-pub(crate) fn consult_cache<'a>(
-    ctx: &ExecContext,
-    cache: &ScenarioCache,
-    policy: CachePolicy,
-    ordered: &[&'a Scenario],
-) -> CacheConsult<'a> {
-    let mut out = CacheConsult::default();
-    if !policy.reads() {
-        out.misses = ordered.to_vec();
-        return out;
-    }
-    let revision = ctx.provider.lock().catalog().revision();
-    let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
-        .with_capacity(ctx.plan.capacity);
-    // Room for every scenario to hit: a cold run never writes to this
-    // reservation, and a warm one never regrows the vector.
-    out.points.reserve(ordered.len());
-    for &s in ordered {
-        if !ctx.plan.should_run(s) {
-            out.misses.push(s);
-            continue;
-        }
-        let fp = fpr.scenario(s);
-        match cache.lookup(fp) {
-            Some(point) => {
-                out.hits.push(s);
-                out.points
-                    .push(rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment));
-            }
-            None => {
-                out.fingerprints.insert(s.id, fp);
-                out.misses.push(s);
-            }
-        }
-    }
-    out
-}
-
-/// One scenario answered from the run journal instead of executing.
-#[derive(Debug)]
-pub(crate) struct JournalHit<'a> {
-    pub(crate) scenario: &'a Scenario,
-    pub(crate) entry: JournalEntry,
-}
-
-/// The journal's answer for an ordered run list: finished outcomes to
-/// replay verbatim, scenarios still to run, and the fingerprint of every
-/// runnable scenario (feeding the live [`JournalWriter`] and cache
-/// healing).
-#[derive(Debug, Default)]
-pub(crate) struct JournalConsult<'a> {
-    pub(crate) hits: Vec<JournalHit<'a>>,
-    pub(crate) misses: Vec<&'a Scenario>,
-    pub(crate) fingerprints: HashMap<u32, Fingerprint>,
-}
-
-impl<'a> JournalConsult<'a> {
-    /// The no-journal answer: the whole run list is a miss, nothing is
-    /// tracked.
-    pub(crate) fn pass_through(ordered: Vec<&'a Scenario>) -> Self {
-        JournalConsult {
-            misses: ordered,
-            ..JournalConsult::default()
-        }
-    }
-}
-
-/// Consults the run journal for an ordered run list of distinct ids — the
-/// resume path.
-///
-/// Completed entries always replay. Failed, timed-out and budget-skipped
-/// entries were all deliberate terminal decisions, so they replay unless
-/// the run reruns failures. Quota skips are never journaled, so they (and
-/// anything the journal has not seen) fall through as misses.
-pub(crate) fn consult_journal<'a>(
-    ctx: &ExecContext,
-    journal: &RunJournal,
-    ordered: &[&'a Scenario],
-) -> JournalConsult<'a> {
-    let mut out = JournalConsult::default();
-    let revision = ctx.provider.lock().catalog().revision();
-    let fpr = Fingerprinter::new(&ctx.config.appname, &ctx.script, ctx.seed, revision)
-        .with_capacity(ctx.plan.capacity);
-    for &s in ordered {
-        if !ctx.plan.should_run(s) {
-            out.misses.push(s);
-            continue;
-        }
-        let fp = fpr.scenario(s);
-        out.fingerprints.insert(s.id, fp);
-        let replay = journal.lookup(fp).filter(|e| match e.status {
-            ScenarioStatus::Completed => true,
-            ScenarioStatus::Failed | ScenarioStatus::TimedOut | ScenarioStatus::Skipped => {
-                !ctx.plan.rerun_failed
-            }
-            ScenarioStatus::Pending => false,
-        });
-        match replay {
-            Some(entry) => out.hits.push(JournalHit {
-                scenario: s,
-                entry: entry.clone(),
-            }),
-            None => out.misses.push(s),
-        }
-    }
-    out
-}
-
 /// Stores freshly-executed completed points under the fingerprints recorded
 /// at consult time, persisting the cache if anything changed. Runs on the
 /// coordinating thread after all shards have merged — shard workers never
@@ -1164,86 +1053,6 @@ pub(crate) fn resolve_ids<'a>(
         }
     }
     Ok(ordered)
-}
-
-/// The collector for one deployment. A bare collector memoizes results in
-/// an in-memory cache and journals nothing; [`crate::SessionBuilder`]
-/// wires the cache, its policy, the run journal and the progress tap.
-pub struct Collector {
-    pub(crate) ctx: ExecContext,
-    pub(crate) shared_vfs: Arc<Mutex<Vfs>>,
-    pub(crate) cache: SharedScenarioCache,
-    pub(crate) cache_policy: CachePolicy,
-    pub(crate) journal: Option<Arc<Mutex<RunJournal>>>,
-    pub(crate) progress: Option<Arc<dyn telemetry::EventTap>>,
-}
-
-impl Collector {
-    /// Creates a collector bound to an existing deployment. Resolves the
-    /// application script from `appsetupurl` (bundled scripts are
-    /// registered automatically for known app names).
-    pub fn new(
-        provider: SharedProvider,
-        deployment: &str,
-        config: UserConfig,
-        seed: u64,
-    ) -> Result<Self, ToolError> {
-        let mut urls = UrlStore::with_known_inputs();
-        appscript::seed_urlstore(&mut urls, &config.appsetupurl, &config.appname);
-        let script = appscript::fetch_script(&urls, &config.appsetupurl)?;
-        let app_dir = format!("/share/{deployment}/apps/{}", config.appname);
-        Ok(Collector {
-            ctx: ExecContext {
-                provider,
-                config,
-                program: Script::parse(&script),
-                script,
-                urls,
-                app_dir,
-                deployment: deployment.to_string(),
-                registry: Arc::new(AppRegistry::standard()),
-                seed,
-                plan: CollectPlan::default(),
-            },
-            shared_vfs: Arc::new(Mutex::new(Vfs::new())),
-            cache: SharedScenarioCache::in_memory(),
-            cache_policy: CachePolicy::default(),
-            journal: None,
-            progress: None,
-        })
-    }
-
-    /// A handle to the scenario-result cache (clones share the store).
-    pub fn cache(&self) -> SharedScenarioCache {
-        self.cache.clone()
-    }
-
-    /// Registers custom script content for a URL (user-provided scripts).
-    pub fn register_script(&mut self, url: &str, content: &str) -> Result<(), ToolError> {
-        self.ctx.urls.put(url, content);
-        if url == self.ctx.config.appsetupurl {
-            self.ctx.set_script(content.to_string());
-        }
-        Ok(())
-    }
-
-    /// The cloud provider this collector bills against.
-    pub fn provider(&self) -> SharedProvider {
-        self.ctx.provider.clone()
-    }
-
-    /// The deployment's shared filesystem (inspectable, like the paper's
-    /// jumpbox lets users do).
-    pub fn shared_vfs(&self) -> Arc<Mutex<Vfs>> {
-        self.shared_vfs.clone()
-    }
-
-    /// Runs every pending scenario (Algorithm 1 over the whole list) under
-    /// the default plan and returns the dataset.
-    pub fn collect(&mut self, scenarios: &mut [Scenario]) -> Result<Dataset, ToolError> {
-        self.collect_with_plan(scenarios, &CollectPlan::new())
-            .map(CollectReport::into_dataset)
-    }
 }
 
 /// What a runner should do.
@@ -1349,25 +1158,20 @@ fn run_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::DeploymentManager;
-    use crate::scenario::generate_scenarios;
-    use cloudsim::SkuCatalog;
+    use crate::session::Session;
 
-    fn setup(config: &UserConfig) -> (Collector, Vec<Scenario>) {
-        let mut manager = DeploymentManager::new(&config.subscription, &config.region, 7).unwrap();
-        let rg = manager.create(config).unwrap();
-        let collector = Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
-        let scenarios = generate_scenarios(config, &SkuCatalog::azure_hpc()).unwrap();
-        (collector, scenarios)
+    fn setup(config: &UserConfig) -> Session {
+        Session::builder(config.clone()).seed(42).build().unwrap()
     }
 
     #[test]
     fn collects_small_lammps_sweep() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let mut session = setup(&config);
+        let ds = session.collect().unwrap();
         assert_eq!(ds.len(), 3);
-        assert!(scenarios
+        assert!(session
+            .scenarios()
             .iter()
             .all(|s| s.status == ScenarioStatus::Completed));
         for p in &ds.points {
@@ -1397,8 +1201,8 @@ mod tests {
     #[test]
     fn scraped_exectime_excludes_setup_overhead() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let mut session = setup(&config);
+        let ds = session.collect().unwrap();
         for p in &ds.points {
             // APPEXECTIME (loop time) is well below the whole task duration
             // (which includes EESSI init, module load, wget, mpirun launch).
@@ -1409,10 +1213,10 @@ mod tests {
     #[test]
     fn completed_scenarios_are_not_rerun() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let first = collector.collect(&mut scenarios).unwrap();
+        let mut session = setup(&config);
+        let first = session.collect().unwrap();
         assert_eq!(first.len(), 3);
-        let second = collector.collect(&mut scenarios).unwrap();
+        let second = session.collect().unwrap();
         assert!(second.is_empty(), "everything already completed");
     }
 
@@ -1421,9 +1225,9 @@ mod tests {
         // With 1 SKU and 3 node counts, billing shows pool growth (resizes),
         // not one pool per scenario.
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        collector.collect(&mut scenarios).unwrap();
-        let provider = collector.provider();
+        let mut session = setup(&config);
+        session.collect().unwrap();
+        let provider = session.provider();
         let p = provider.lock();
         let spans = p.billing().records();
         // Three resizes (1→2→4 nodes) plus the final resize-to-zero closes
@@ -1445,15 +1249,16 @@ mod tests {
             ("hours".into(), vec!["1".into()]),
         ];
         config.nnodes = vec![1, 16];
-        let (mut collector, mut scenarios) = setup(&config);
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let mut session = setup(&config);
+        let ds = session.collect().unwrap();
         assert_eq!(ds.len(), 2);
         let failed = ds.points.iter().find(|p| p.nnodes == 1).unwrap();
         assert_eq!(failed.status, ScenarioStatus::Failed);
         let ok = ds.points.iter().find(|p| p.nnodes == 16).unwrap();
         assert_eq!(ok.status, ScenarioStatus::Completed);
         assert_eq!(
-            scenarios
+            session
+                .scenarios()
                 .iter()
                 .filter(|s| s.status == ScenarioStatus::Failed)
                 .count(),
@@ -1464,8 +1269,8 @@ mod tests {
     #[test]
     fn cost_matches_price_times_nodes_times_time() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let mut session = setup(&config);
+        let ds = session.collect().unwrap();
         for p in ds.completed() {
             let expected = 3.60 * p.nnodes as f64 * p.exec_time_secs / 3600.0;
             assert!(
@@ -1479,14 +1284,14 @@ mod tests {
     #[test]
     fn setup_artifacts_visible_to_tasks_via_shared_fs() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        collector.collect(&mut scenarios).unwrap();
-        let vfs = collector.shared_vfs();
+        let mut session = setup(&config);
+        session.collect().unwrap();
+        let vfs = session.shared_vfs();
         let vfs = vfs.lock();
         // Setup downloaded in.lj.txt into the app dir...
         assert!(vfs.exists("/share/hpcadvisorlammps001/apps/lammps/in.lj.txt"));
         // ...and each task dir holds its own (sed-patched) copy + log.
-        for s in &scenarios {
+        for s in session.scenarios() {
             let dir = format!("/share/hpcadvisorlammps001/apps/lammps/task-{}", s.id);
             assert!(vfs.exists(&format!("{dir}/in.lj.txt")), "{dir}");
             assert!(vfs.exists(&format!("{dir}/log.lammps")), "{dir}");
@@ -1513,16 +1318,17 @@ hpcadvisor_run() {
 }
 ";
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        collector
-            .register_script(&config.appsetupurl, SCRIPT)
+        let mut session = Session::builder(config.clone())
+            .seed(42)
+            .script(config.appsetupurl.clone(), SCRIPT)
+            .build()
             .unwrap();
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let ds = session.collect().unwrap();
         assert_eq!(ds.len(), 3);
         assert!(ds.points.iter().all(|p| p.status == ScenarioStatus::Failed));
-        let vfs = collector.shared_vfs();
+        let vfs = session.shared_vfs();
         let vfs = vfs.lock();
-        for s in &scenarios {
+        for s in session.scenarios() {
             let dir = format!("/share/hpcadvisorlammps001/apps/lammps/task-{}", s.id);
             let kept = s.nnodes == 1;
             assert_eq!(vfs.exists(&format!("{dir}/in.lj.txt")), kept, "{dir}");
@@ -1534,14 +1340,18 @@ hpcadvisor_run() {
     #[test]
     fn script_syntax_error_fails_every_scenario() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        collector
-            .register_script(&config.appsetupurl, "hpcadvisor_run() {\n  echo $(\n}\n")
+        let mut session = Session::builder(config.clone())
+            .seed(42)
+            .script(
+                config.appsetupurl.clone(),
+                "hpcadvisor_run() {\n  echo $(\n}\n",
+            )
+            .build()
             .unwrap();
-        let ds = collector.collect(&mut scenarios).unwrap();
+        let ds = session.collect().unwrap();
         assert_eq!(ds.len(), 3);
         assert!(ds.points.iter().all(|p| p.status == ScenarioStatus::Failed));
-        assert!(!collector
+        assert!(!session
             .shared_vfs()
             .lock()
             .dir_exists("/share/hpcadvisorlammps001/apps/lammps"));
@@ -1550,15 +1360,16 @@ hpcadvisor_run() {
     #[test]
     fn run_subset_only_runs_requested_ids() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let ids: Vec<u32> = scenarios.iter().map(|s| s.id).take(1).collect();
-        let ds = collector
-            .collect_with_plan(&mut scenarios, &CollectPlan::new().subset(ids))
+        let mut session = setup(&config);
+        let ids: Vec<u32> = session.scenarios().iter().map(|s| s.id).take(1).collect();
+        let ds = session
+            .collect_with(&CollectPlan::new().subset(ids))
             .unwrap()
             .into_dataset();
         assert_eq!(ds.len(), 1);
         assert_eq!(
-            scenarios
+            session
+                .scenarios()
                 .iter()
                 .filter(|s| s.status == ScenarioStatus::Completed)
                 .count(),
@@ -1569,15 +1380,16 @@ hpcadvisor_run() {
     #[test]
     fn unknown_id_fails_before_running_anything() {
         let config = UserConfig::example_lammps_small();
-        let (mut collector, mut scenarios) = setup(&config);
-        let mut ids: Vec<u32> = scenarios.iter().map(|s| s.id).collect();
+        let mut session = setup(&config);
+        let mut ids: Vec<u32> = session.scenarios().iter().map(|s| s.id).collect();
         ids.push(9999);
-        let err = collector
-            .collect_with_plan(&mut scenarios, &CollectPlan::new().subset(ids))
+        let err = session
+            .collect_with(&CollectPlan::new().subset(ids))
             .unwrap_err();
         assert!(matches!(err, ToolError::NoData(_)), "{err}");
         assert!(
-            scenarios
+            session
+                .scenarios()
                 .iter()
                 .all(|s| s.status == ScenarioStatus::Pending),
             "id validation happens before execution"
@@ -1588,18 +1400,11 @@ hpcadvisor_run() {
 #[cfg(test)]
 mod option_tests {
     use super::*;
-    use crate::deployment::DeploymentManager;
     use crate::retry::RetryPolicy;
-    use crate::scenario::generate_scenarios;
-    use cloudsim::SkuCatalog;
+    use crate::session::Session;
 
-    fn setup_with(config: &UserConfig) -> (Collector, Vec<Scenario>, batchsim::SharedProvider) {
-        let mut manager = DeploymentManager::new(&config.subscription, &config.region, 7).unwrap();
-        let rg = manager.create(config).unwrap();
-        let provider = manager.provider();
-        let collector = Collector::new(provider.clone(), &rg, config.clone(), 42).unwrap();
-        let scenarios = generate_scenarios(config, &SkuCatalog::azure_hpc()).unwrap();
-        (collector, scenarios, provider)
+    fn setup_with(config: &UserConfig) -> Session {
+        Session::builder(config.clone()).seed(42).build().unwrap()
     }
 
     /// Runs the small LAMMPS grid under `plan` as one `ShardRun` on a batch
@@ -1607,19 +1412,20 @@ mod option_tests {
     /// inspected.
     fn run_on_own_service(plan: CollectPlan) -> BatchService {
         let config = UserConfig::example_lammps_small();
-        let (collector, scenarios, provider) = setup_with(&config);
-        let mut service = BatchService::new(provider, &collector.ctx.deployment);
+        let session = setup_with(&config);
+        let mut service = BatchService::new(session.provider(), session.deployment());
         let ctx = ExecContext {
             plan,
-            ..collector.ctx.clone()
+            ..session.ctx.clone()
         };
         let out = ShardRun {
             ctx: &ctx,
+            chunk: 0,
             service: &mut service,
-            vfs: collector.shared_vfs(),
+            vfs: session.shared_vfs(),
             journal: None,
         }
-        .run(&scenarios.iter().collect::<Vec<_>>())
+        .run(&session.scenarios().iter().collect::<Vec<_>>())
         .unwrap();
         assert_eq!(out.points.len(), 3);
         service
@@ -1649,16 +1455,14 @@ mod option_tests {
         let plan = CollectPlan::new()
             .rerun_failed(true)
             .retry(RetryPolicy::none());
-        let (mut collector, mut scenarios, provider) = setup_with(&config);
+        let mut session = setup_with(&config);
         // First pass: the second compute task (invocation 2: setup=0,
         // compute=1,2,3) fails by injection.
-        provider
+        session
+            .provider()
             .lock()
             .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 2));
-        let first = collector
-            .collect_with_plan(&mut scenarios, &plan)
-            .unwrap()
-            .into_dataset();
+        let first = session.collect_with(&plan).unwrap().into_dataset();
         assert_eq!(
             first
                 .points
@@ -1668,13 +1472,11 @@ mod option_tests {
             1
         );
         // Second pass: only the failed scenario reruns, and succeeds.
-        let second = collector
-            .collect_with_plan(&mut scenarios, &plan)
-            .unwrap()
-            .into_dataset();
+        let second = session.collect_with(&plan).unwrap().into_dataset();
         assert_eq!(second.len(), 1);
         assert_eq!(second.points[0].status, ScenarioStatus::Completed);
-        assert!(scenarios
+        assert!(session
+            .scenarios()
             .iter()
             .all(|s| s.status == ScenarioStatus::Completed));
     }

@@ -9,7 +9,7 @@
 //!    storage, batch service, optional jumpbox/peering) — [`deployment`];
 //! 2. **collects data** by expanding the scenario grid and running every
 //!    scenario through the batch orchestrator with per-VM-type pool reuse
-//!    (the paper's Algorithm 1) — [`scenario`], [`collector`], [`dataset`];
+//!    (the paper's Algorithm 1) — [`scenario`], [`collect`], [`dataset`];
 //! 3. **plots** execution time vs. nodes, execution time vs. cost, speed-up
 //!    and efficiency (Figures 2–5) — [`plot`], [`metrics`];
 //! 4. **advises** with the Pareto front over (execution time, cost)
@@ -53,7 +53,7 @@ mod append_log;
 pub mod appscript;
 pub mod cache;
 pub mod collect;
-pub mod collector;
+mod collector;
 pub mod config;
 pub mod dataset;
 pub mod deployment;
@@ -78,7 +78,6 @@ pub use append_log::replace;
 pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
 pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};
-pub use collector::Collector;
 pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
 pub use deployment::{Deployment, DeploymentManager};
@@ -100,7 +99,6 @@ pub mod prelude {
     pub use crate::advice::Advice;
     pub use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
     pub use crate::collect::{CollectPlan, CollectReport};
-    pub use crate::collector::Collector;
     pub use crate::config::UserConfig;
     pub use crate::dataset::{DataFilter, DataPoint, Dataset};
     pub use crate::deployment::DeploymentManager;

@@ -1,6 +1,8 @@
-//! A convenience wrapper tying the whole pipeline together: provider →
-//! deployment → scenarios → collector. This is the programmatic equivalent
-//! of the CLI sequence `deploy create && collect`.
+//! The session: the whole pipeline, provider → deployment → scenarios →
+//! collect, and the one owner of the data collector. This is the
+//! programmatic equivalent of the CLI sequence `deploy create && collect`.
+//! Its collect, [`Session::collect_with`], lives beside the chunk queue in
+//! [`crate::collect`].
 //!
 //! Construction goes through [`SessionBuilder`]: everything a session
 //! carries for its lifetime — seed, scenario list, cache (owned or shared),
@@ -24,7 +26,7 @@
 
 use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use crate::collect::{CollectPlan, CollectReport};
-use crate::collector::Collector;
+use crate::collector::ExecContext;
 use crate::config::UserConfig;
 use crate::dataset::Dataset;
 use crate::deployment::DeploymentManager;
@@ -127,7 +129,8 @@ impl SessionBuilder {
     }
 
     /// Creates the cloud environment, expands the scenario grid, and wires
-    /// the collector with everything declared on the builder.
+    /// the session with everything declared on the builder. Without a
+    /// cache, the session memoizes results in an in-memory one.
     pub fn build(self) -> Result<Session, ToolError> {
         let config = self.config;
         let mut manager = DeploymentManager::new(&config.subscription, &config.region, self.seed)?;
@@ -136,36 +139,42 @@ impl SessionBuilder {
             Some(scenarios) => scenarios,
             None => generate_scenarios(&config, &SkuCatalog::azure_hpc())?,
         };
-        let mut collector =
-            Collector::new(manager.provider(), &deployment, config.clone(), self.seed)?;
-        if let Some(cache) = self.cache {
-            collector.cache = cache;
-        }
-        if let Some(policy) = self.cache_policy {
-            collector.cache_policy = policy;
-        }
-        collector.journal = self.journal.map(|j| Arc::new(Mutex::new(j)));
-        for (url, content) in &self.scripts {
-            collector.register_script(url, content)?;
-        }
-        collector.progress = self.progress;
+        let ctx = ExecContext::new(
+            manager.provider(),
+            &deployment,
+            config,
+            self.seed,
+            &self.scripts,
+        )?;
         Ok(Session {
             manager,
-            collector,
             scenarios,
-            deployment,
-            config,
+            ctx,
+            shared_vfs: Arc::new(Mutex::new(Vfs::new())),
+            cache: self.cache.unwrap_or_else(SharedScenarioCache::in_memory),
+            cache_policy: self.cache_policy.unwrap_or_default(),
+            journal: self.journal.map(|j| Arc::new(Mutex::new(j))),
+            progress: self.progress,
         })
     }
 }
 
-/// One end-to-end advisory session over a single deployment.
+/// One end-to-end advisory session over a single deployment, and the data
+/// collector that runs its scenarios.
 pub struct Session {
     manager: DeploymentManager,
-    collector: Collector,
-    scenarios: Vec<Scenario>,
-    deployment: String,
-    config: UserConfig,
+    /// The scenario list with statuses.
+    pub(crate) scenarios: Vec<Scenario>,
+    /// Provider, deployment, configuration, seed and app script of every
+    /// collect.
+    pub(crate) ctx: ExecContext,
+    /// The deployment's shared filesystem; chunks work on clones and are
+    /// merged back.
+    pub(crate) shared_vfs: Arc<Mutex<Vfs>>,
+    pub(crate) cache: SharedScenarioCache,
+    pub(crate) cache_policy: CachePolicy,
+    pub(crate) journal: Option<Arc<Mutex<RunJournal>>>,
+    pub(crate) progress: Option<Arc<dyn EventTap>>,
 }
 
 impl Session {
@@ -191,12 +200,12 @@ impl Session {
 
     /// The deployment (resource-group) name.
     pub fn deployment(&self) -> &str {
-        &self.deployment
+        &self.ctx.deployment
     }
 
     /// The configuration this session runs.
     pub fn config(&self) -> &UserConfig {
-        &self.config
+        &self.ctx.config
     }
 
     /// The scenario list with statuses.
@@ -206,26 +215,19 @@ impl Session {
 
     /// The shared cloud provider (billing, clock, quotas).
     pub fn provider(&self) -> SharedProvider {
-        self.manager.provider()
+        self.ctx.provider.clone()
     }
 
-    /// A handle to the collector's scenario-result cache (clones share
-    /// the store).
+    /// A handle to the session's scenario-result cache (clones share the
+    /// store).
     pub fn cache(&self) -> SharedScenarioCache {
-        self.collector.cache()
-    }
-
-    /// Registers custom script content for a URL (user-provided scripts),
-    /// replacing the bundled script when the URL matches `appsetupurl`.
-    /// Also available at build time via [`SessionBuilder::script`].
-    pub fn register_script(&mut self, url: &str, content: &str) -> Result<(), ToolError> {
-        self.collector.register_script(url, content)
+        self.cache.clone()
     }
 
     /// The deployment's shared filesystem (inspectable, like the paper's
     /// jumpbox lets users do).
     pub fn shared_vfs(&self) -> Arc<Mutex<Vfs>> {
-        self.collector.shared_vfs()
+        self.shared_vfs.clone()
     }
 
     /// Runs all pending scenarios and returns the collected dataset:
@@ -233,14 +235,8 @@ impl Session {
     /// [`CollectReport::into_dataset`]. A chunk-level error fails that
     /// chunk's scenarios rather than the whole call.
     pub fn collect(&mut self) -> Result<Dataset, ToolError> {
-        self.collector.collect(&mut self.scenarios)
-    }
-
-    /// Runs a collection under `plan` (worker count, retry, capacity,
-    /// deadline, budget, optional subset) and returns a [`CollectReport`]
-    /// with the dataset, per-scenario outcomes, billing and stats.
-    pub fn collect_with(&mut self, plan: &CollectPlan) -> Result<CollectReport, ToolError> {
-        self.collector.collect_with_plan(&mut self.scenarios, plan)
+        self.collect_with(&CollectPlan::new())
+            .map(CollectReport::into_dataset)
     }
 
     /// A builder for another session over `config` with this one's seed,
@@ -248,9 +244,9 @@ impl Session {
     /// probe sessions.
     pub(crate) fn sibling(&self, config: UserConfig) -> SessionBuilder {
         Session::builder(config)
-            .seed(self.collector.ctx.seed)
-            .shared_cache(self.collector.cache())
-            .cache_policy(self.collector.cache_policy)
+            .seed(self.ctx.seed)
+            .shared_cache(self.cache())
+            .cache_policy(self.cache_policy)
     }
 
     /// Total cloud spend of this session so far (all VM usage, including
@@ -261,8 +257,7 @@ impl Session {
 
     /// Shuts the deployment down, deleting its resources.
     pub fn shutdown(&mut self) -> Result<(), ToolError> {
-        let name = self.deployment.clone();
-        self.manager.shutdown(&name)
+        self.manager.shutdown(&self.ctx.deployment)
     }
 }
 

@@ -81,21 +81,10 @@ fn setup_task_runs_once_per_pool() {
 
 #[test]
 fn quota_failure_fails_scenarios_but_not_the_sweep() {
-    let config = two_sku_config();
-    let mut manager =
-        hpcadvisor::core::deployment::DeploymentManager::new("mysubscription", "southcentralus", 7)
-            .unwrap();
-    let rg = manager.create(&config).unwrap();
+    let mut session = Session::builder(two_sku_config()).seed(42).build().unwrap();
     // Cap HC quota below 2 nodes (88 cores): 1-node runs fit, 2+ fail.
-    manager.provider().lock().quota_mut().set_limit("HC", 50);
-    let mut collector =
-        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
-    let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
-        &config,
-        &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),
-    )
-    .unwrap();
-    let ds = collector.collect(&mut scenarios).unwrap();
+    session.provider().lock().quota_mut().set_limit("HC", 50);
+    let ds = session.collect().unwrap();
     // HC44rs: 1 node ok; 2 and 4 nodes degrade to Skipped on quota
     // exhaustion (not Failed — nothing executed); HBv3 unaffected.
     let hc_skipped: Vec<&DataPoint> = ds
@@ -120,7 +109,8 @@ fn quota_failure_fails_scenarios_but_not_the_sweep() {
     // Skipped scenarios re-run on a later collect; with quota restored they
     // complete.
     assert_eq!(
-        scenarios
+        session
+            .scenarios()
             .iter()
             .filter(|s| s.status == ScenarioStatus::Skipped)
             .count(),
@@ -131,29 +121,15 @@ fn quota_failure_fails_scenarios_but_not_the_sweep() {
 #[test]
 fn injected_task_failure_marks_nth_scenario_per_pool() {
     use hpcadvisor::cloudsim::{FaultPlan, Operation};
-    let config = two_sku_config();
-    let mut manager =
-        hpcadvisor::core::deployment::DeploymentManager::new("mysubscription", "southcentralus", 7)
-            .unwrap();
-    let rg = manager.create(&config).unwrap();
-    manager
+    let mut session = Session::builder(two_sku_config()).seed(42).build().unwrap();
+    session
         .provider()
         .lock()
         .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 3));
     // Retries disabled: a one-shot injected fault must surface as a
     // failure (the default policy would absorb it — see below).
-    let mut collector =
-        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
-    let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
-        &config,
-        &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),
-    )
-    .unwrap();
-    let ds = collector
-        .collect_with_plan(
-            &mut scenarios,
-            &CollectPlan::new().retry(RetryPolicy::none()),
-        )
+    let ds = session
+        .collect_with(&CollectPlan::new().retry(RetryPolicy::none()))
         .unwrap()
         .into_dataset();
     let failed: Vec<u32> = ds
@@ -172,23 +148,12 @@ fn injected_task_failure_marks_nth_scenario_per_pool() {
 #[test]
 fn default_retry_absorbs_one_shot_task_fault() {
     use hpcadvisor::cloudsim::{FaultPlan, Operation};
-    let config = two_sku_config();
-    let mut manager =
-        hpcadvisor::core::deployment::DeploymentManager::new("mysubscription", "southcentralus", 7)
-            .unwrap();
-    let rg = manager.create(&config).unwrap();
-    manager
+    let mut session = Session::builder(two_sku_config()).seed(42).build().unwrap();
+    session
         .provider()
         .lock()
         .set_fault_plan(FaultPlan::none().fail_nth(Operation::RunTask, 3));
-    let mut collector =
-        hpcadvisor::core::Collector::new(manager.provider(), &rg, config.clone(), 42).unwrap();
-    let mut scenarios = hpcadvisor::core::scenario::generate_scenarios(
-        &config,
-        &hpcadvisor::cloudsim::SkuCatalog::azure_hpc(),
-    )
-    .unwrap();
-    let ds = collector.collect(&mut scenarios).unwrap();
+    let ds = session.collect().unwrap();
     assert!(
         ds.points
             .iter()

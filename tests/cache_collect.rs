@@ -3,6 +3,7 @@
 //! and survive cache-file damage by degrading to a cold run.
 
 use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache};
+use hpcadvisor::core::JournalEntry;
 use hpcadvisor::prelude::*;
 use std::path::PathBuf;
 
@@ -382,4 +383,84 @@ appinputs:
     assert_eq!(warm.dataset.to_csv(), cold.dataset.to_csv());
     assert_eq!(read_back.to_csv(), cold.dataset.to_csv());
     let _ = std::fs::remove_file(&path);
+}
+
+/// One collect that draws on all three sources: the run journal replays
+/// some scenarios, the cache answers others, and the rest execute. The
+/// dataset matches an uninterrupted cold run, each cache hit is journaled
+/// once as finished without an attempt, and the store gains the replayed
+/// points an interrupted run never got to save.
+#[test]
+fn a_resumed_collect_replays_the_journal_serves_the_cache_and_runs_the_rest() {
+    let path = cache_path("three-way");
+    let journal_path = cache_path("three-way-journal");
+    let cold_json = {
+        let mut s = Session::create(config(), 42).unwrap();
+        s.collect().unwrap().to_json()
+    };
+    let ids: Vec<u32> = Session::create(config(), 42)
+        .unwrap()
+        .scenarios()
+        .iter()
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(ids.len(), 6);
+    let (journaled, rest) = ids.split_at(2);
+    let cached = &rest[..2];
+
+    // An interrupted run journaled its first two scenarios and saved
+    // nothing to the store; another run stored the next two.
+    let mut interrupted = Session::builder(config())
+        .seed(42)
+        .journal(RunJournal::open_fresh(&journal_path))
+        .build()
+        .unwrap();
+    interrupted
+        .collect_with(&CollectPlan::new().subset(journaled))
+        .unwrap();
+    drop(interrupted);
+    session_with_cache(config(), &path)
+        .collect_with(&CollectPlan::new().subset(cached))
+        .unwrap();
+    assert_eq!(ScenarioCache::open(&path).len(), 2);
+
+    let mut resumed = Session::builder(config())
+        .seed(42)
+        .cache(ScenarioCache::open(&path))
+        .journal(RunJournal::open(&journal_path))
+        .build()
+        .unwrap();
+    let report = resumed.collect_with(&CollectPlan::new()).unwrap();
+    assert_eq!(report.stats.journal_replayed, 2);
+    assert_eq!(report.stats.cache_hits, 2);
+    assert_eq!(report.stats.cache_misses, 2);
+    assert_eq!(report.stats.executed, 2);
+    assert_eq!(report.dataset.to_json(), cold_json);
+    drop(resumed);
+
+    // One line per scenario: the replays' from the interrupted run, one
+    // attempt-free line per cache hit, and the executed scenarios' own.
+    let journal = RunJournal::open(&journal_path);
+    assert_eq!(journal.len(), 6);
+    for &id in &ids {
+        let lines: Vec<&JournalEntry> = journal
+            .entries()
+            .iter()
+            .filter(|e| e.scenario_id == id)
+            .collect();
+        assert_eq!(lines.len(), 1, "scenario {id}: {lines:?}");
+        assert_eq!(lines[0].status, ScenarioStatus::Completed);
+        assert_eq!(lines[0].attempts == 0, cached.contains(&id), "{id}");
+    }
+
+    // The store now holds every point, the replayed ones included, and
+    // serves the whole grid.
+    assert_eq!(ScenarioCache::open(&path).len(), 6);
+    let report = session_with_cache(config(), &path)
+        .collect_with(&CollectPlan::new())
+        .unwrap();
+    assert_eq!(report.stats.cache_hits, 6);
+    assert_eq!(report.dataset.to_json(), cold_json);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&journal_path);
 }
