@@ -3,7 +3,7 @@
 //! Before this module existed the service surfaced raw
 //! [`cloudsim::CloudError`]s, forcing callers to string-format batch-level
 //! failures (`format!("pool resize: {e}")`). `BatchError` distinguishes the
-//! batch-layer failure modes — a missing/deleted pool, a busy pool, an
+//! batch-layer failure modes — a missing/deleted pool, a populated pool, an
 //! invalid task layout — from genuine cloud control-plane errors, and
 //! carries the cloud error as a typed `source()` instead of flattened text.
 
@@ -21,7 +21,7 @@ pub enum BatchError {
         /// Pool name as requested.
         pool: String,
     },
-    /// The pool has running tasks and cannot be resized.
+    /// The pool still has nodes, so its capacity class cannot change.
     PoolBusy {
         /// Pool name as requested.
         pool: String,
@@ -46,7 +46,7 @@ impl fmt::Display for BatchError {
                 write!(f, "pool '{pool}' does not exist or is deleted")
             }
             BatchError::PoolBusy { pool } => {
-                write!(f, "pool '{pool}' has running tasks")
+                write!(f, "pool '{pool}' still has nodes")
             }
             BatchError::InvalidLayout { nodes, ppn, cores } => write!(
                 f,

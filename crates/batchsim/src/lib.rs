@@ -2,21 +2,21 @@
 //!
 //! HPCAdvisor's data-collection loop (the paper's Algorithm 1) talks to
 //! Azure Batch through a narrow surface: create a pool of a given VM type,
-//! resize it, submit a *setup task* (runs once per pool, prepares the
-//! application on the shared filesystem) and *compute tasks* (one per
-//! scenario, spanning several nodes), observe task status
-//! (pending/running/completed/failed), and finally resize to zero or delete
-//! the pool. This crate provides exactly that surface over
-//! [`cloudsim::CloudProvider`] and virtual time.
+//! resize it, run a *setup task* (once per pool, prepares the application
+//! on the shared filesystem) and *compute tasks* (one per scenario,
+//! spanning several nodes), read whether each completed or failed, and
+//! finally resize to zero or delete the pool. This crate provides exactly
+//! that surface over [`cloudsim::CloudProvider`] and virtual time.
 //!
-//! The orchestrator is a small discrete-event scheduler: tasks occupy
-//! concrete nodes (so their host lists are real), several tasks can run
-//! concurrently on disjoint nodes of one pool, and
-//! [`BatchService::run_until_idle`] drives the event queue to completion,
-//! advancing the shared virtual clock. Task *work* is supplied by the caller
-//! as a closure from [`TaskContext`] to [`TaskResult`] — the core crate
-//! wires that closure to the `taskshell` interpreter running the user's
-//! setup/run script against the application models.
+//! Algorithm 1 creates one task at a time and waits for it, so
+//! [`BatchService::run_task`] runs a task to completion in one call: the
+//! task gets the pool's first nodes (so its host list is real), rolls the
+//! injected task, node-death and eviction faults, advances the shared
+//! virtual clock by its duration and returns its [`TaskRecord`]. Task
+//! *work* is supplied by the caller as a closure from [`TaskContext`] to
+//! [`TaskResult`] — the core crate wires that closure to the `taskshell`
+//! interpreter running the user's setup/run script against the
+//! application models.
 
 pub mod error;
 pub mod pool;
@@ -27,7 +27,7 @@ pub use cloudsim::FaultKind;
 pub use error::BatchError;
 pub use pool::{Pool, PoolState};
 pub use service::BatchService;
-pub use task::{TaskContext, TaskId, TaskKind, TaskRecord, TaskResult, TaskState};
+pub use task::{TaskContext, TaskKind, TaskRecord, TaskResult, TaskState};
 
 use parking_lot::Mutex;
 use std::sync::Arc;

@@ -1,32 +1,24 @@
-//! The batch service: pools + a discrete-event task scheduler.
+//! The batch service: pools, and tasks that run to completion one call at
+//! a time.
 
 use crate::error::BatchError;
 use crate::pool::{Pool, PoolState};
-use crate::task::{TaskContext, TaskId, TaskKind, TaskRecord, TaskResult, TaskState};
+use crate::task::{TaskContext, TaskKind, TaskRecord, TaskResult, TaskState};
 use crate::SharedProvider;
 use cloudsim::{Capacity, CloudError, CloudProvider, Fault, Operation};
-use simtime::{EventQueue, SharedClock, SimInstant};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use simtime::{SharedClock, SimDuration};
+use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 use telemetry::{EventSink, TraceEvent, Value};
 
-/// A task runner: computes the outcome of a task given where it runs.
+/// A boxed task runner: computes the outcome of a task given where it
+/// runs. [`BatchService::run_task`] takes any such closure, boxed or not.
 ///
 /// The core crate passes a closure that interprets the user's run script
 /// (via `taskshell`) against the application models; tests pass simple
 /// stubs.
 pub type Runner = Box<dyn FnOnce(&TaskContext) -> TaskResult + Send>;
-
-#[derive(Debug)]
-struct FinishEvent {
-    task: TaskId,
-}
-
-struct RunningTask {
-    pool: Arc<str>,
-    node_indices: Vec<u32>,
-    result: TaskResult,
-}
 
 /// The batch orchestrator for one resource group.
 pub struct BatchService {
@@ -34,12 +26,6 @@ pub struct BatchService {
     resource_group: Arc<str>,
     clock: SharedClock,
     pools: HashMap<String, Pool>,
-    tasks: BTreeMap<TaskId, TaskRecord>,
-    runners: HashMap<TaskId, Runner>,
-    queue: VecDeque<TaskId>,
-    events: EventQueue<FinishEvent>,
-    running: HashMap<TaskId, RunningTask>,
-    next_task: u64,
     trace: EventSink,
     fault_qualifier: Option<String>,
 }
@@ -53,12 +39,6 @@ impl BatchService {
             resource_group: resource_group.into(),
             clock,
             pools: HashMap::new(),
-            tasks: BTreeMap::new(),
-            runners: HashMap::new(),
-            queue: VecDeque::new(),
-            events: EventQueue::new(),
-            running: HashMap::new(),
-            next_task: 1,
             trace: EventSink::disabled(),
             fault_qualifier: None,
         }
@@ -155,16 +135,11 @@ impl BatchService {
         Ok(())
     }
 
-    /// Resizes a pool to `target` nodes. The pool must be idle: Algorithm 1
-    /// only resizes between scenarios. Each resize closes the previous
-    /// billing span and opens a new one.
+    /// Resizes a pool to `target` nodes. Algorithm 1 resizes between
+    /// scenarios, and a task holds no nodes once `run_task` returns. Each
+    /// resize closes the previous billing span and opens a new one.
     pub fn resize_pool(&mut self, name: &str, target: u32) -> Result<(), BatchError> {
         let pool = self.active_pool(name)?;
-        if !pool.is_idle() {
-            return Err(BatchError::PoolBusy {
-                pool: name.to_string(),
-            });
-        }
         if pool.nodes == target {
             return Ok(());
         }
@@ -221,12 +196,12 @@ impl BatchService {
     }
 
     /// Switches a pool between dedicated and spot capacity. The pool must be
-    /// idle and empty: capacity applies to the *next* resize, so callers
-    /// shrink to zero first (the collector escalates evicted scenarios this
-    /// way — resize to 0, switch to dedicated, resize back up).
+    /// empty: capacity applies to the *next* resize, so callers shrink to
+    /// zero first (the collector escalates evicted scenarios this way —
+    /// resize to 0, switch to dedicated, resize back up).
     pub fn set_pool_capacity(&mut self, name: &str, capacity: Capacity) -> Result<(), BatchError> {
         let pool = self.active_pool(name)?;
-        if !pool.is_idle() || pool.nodes > 0 {
+        if pool.nodes > 0 {
             return Err(BatchError::PoolBusy {
                 pool: name.to_string(),
             });
@@ -258,20 +233,22 @@ impl BatchService {
         }
     }
 
-    /// Submits a task. It stays `Pending` until nodes free up; execution
-    /// happens inside [`BatchService::run_until_idle`].
-    pub fn submit(
+    /// Runs one task on the pool's first `nodes_required` nodes to
+    /// completion and returns its record, the way Algorithm 1 runs each
+    /// step. The shared clock advances by the task's duration. A task that
+    /// needs more nodes than the pool has fails without running, rather
+    /// than hang the sweep.
+    pub fn run_task(
         &mut self,
         pool: &str,
         name: impl Into<String>,
         kind: TaskKind,
         nodes_required: u32,
         ppn: u32,
-        runner: Runner,
-    ) -> Result<TaskId, BatchError> {
+        runner: impl FnOnce(&TaskContext) -> TaskResult,
+    ) -> Result<TaskRecord, BatchError> {
         let p = self.active_pool(pool)?;
         let cores = p.vm.cores;
-        let pool = Arc::clone(&p.name);
         if nodes_required == 0 || ppn == 0 || ppn > cores {
             return Err(BatchError::InvalidLayout {
                 nodes: nodes_required,
@@ -279,149 +256,101 @@ impl BatchService {
                 cores,
             });
         }
-        let id = TaskId(self.next_task);
-        self.next_task += 1;
-        self.tasks.insert(
-            id,
-            TaskRecord {
-                id,
-                name: name.into(),
-                kind,
-                pool,
-                nodes_required,
-                ppn,
-                state: TaskState::Pending,
-                submitted_at: self.clock.now(),
-                started_at: None,
-                completed_at: None,
-                stdout: String::new(),
-                exit_code: None,
-                run_duration: None,
-                fault: None,
-                evicted: false,
-            },
-        );
-        self.runners.insert(id, runner);
-        self.queue.push_back(id);
-        Ok(id)
-    }
-
-    /// One task record.
-    pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
-        self.tasks.get(&id)
-    }
-
-    /// All task records in submission order.
-    pub fn tasks(&self) -> impl Iterator<Item = &TaskRecord> {
-        self.tasks.values()
-    }
-
-    /// Tries to start every queued task that fits on idle nodes right now.
-    /// Tasks that must wait go back to the queue in their order.
-    fn schedule_ready(&mut self) {
-        for _ in 0..self.queue.len() {
-            let Some(id) = self.queue.pop_front() else {
-                break;
-            };
-            let record = self.tasks.get(&id).expect("queued task has record");
-            let pool_name = Arc::clone(&record.pool);
-            let needed = record.nodes_required;
-            let Some(pool) = self.pools.get_mut(&*pool_name) else {
-                self.fail_now(id, "pool deleted before task ran");
-                continue;
-            };
-            if pool.state != PoolState::Active || pool.nodes < needed {
-                // Will never fit: fail rather than hang the sweep.
-                let reason = format!(
-                    "pool '{}' has {} nodes, task needs {}",
-                    pool_name, pool.nodes, needed
-                );
-                self.fail_now(id, &reason);
-                continue;
-            }
-            let Some(indices) = pool.claim(needed) else {
-                // Fits eventually — keep queued.
-                self.queue.push_back(id);
-                continue;
-            };
-            // Injected task-start failures (capacity loss, node crash, …),
-            // counted per pool so parallel shards replay like a serial run.
-            let start_fault = self.roll(Operation::RunTask, &pool_name, None);
-            if let Err(fault) = start_fault {
-                let pool = self.pools.get_mut(&*pool_name).expect("pool exists");
-                pool.release(&indices);
-                self.fail_now(id, &fault.to_string());
-                self.tasks.get_mut(&id).expect("record").fault = Some(fault.kind);
-                continue;
-            }
-            let pool = self.pools.get(&*pool_name).expect("pool exists");
-            let record = self.tasks.get_mut(&id).expect("record");
-            record.state = TaskState::Running;
-            record.started_at = Some(self.clock.now());
-            self.trace.emit("task_start", &pool_name, |m| {
-                m.insert("task", Value::str(&record.name));
-                m.insert("task_kind", Value::str(kind_str(record.kind)));
-                m.insert("nodes", Value::Int(i64::from(needed)));
-            });
-            let ctx = TaskContext {
-                task_id: id,
-                sku: Arc::clone(&pool.vm),
-                hosts: pool.hosts_of(&indices),
-                ppn: record.ppn,
-                pool: Arc::clone(&pool_name),
-                resource_group: Arc::clone(&self.resource_group),
-            };
-            let runner = self.runners.remove(&id).expect("runner for queued task");
-            let mut result = runner(&ctx);
-            // A node can die while the task runs: the task still consumes
-            // its duration (the paper's failed tasks are billed too) but
-            // finishes failed, tagged as an injected transient fault.
-            let death = self.roll(Operation::NodeDeath, &pool_name, None);
-            if let Err(fault) = death {
-                result = TaskResult::failed(
-                    result.duration,
-                    format!("{}node died mid-task: {fault}\n", result.stdout),
-                    -1,
-                );
-                self.tasks.get_mut(&id).expect("record").fault = Some(fault.kind);
-            }
-            // Spot pools can lose their nodes to capacity reclaim while a
-            // compute task runs. The eviction check is keyed by pool name so
-            // it replays identically under any worker count; the doomed task
-            // consumes its runtime (the partial node-hours are billed when
-            // the pool deprovisions in `finish`), fails with an eviction
-            // tag, and the collector requeues or escalates it.
-            let record = self.tasks.get(&id).expect("record");
-            if record.kind == TaskKind::Compute
-                && self
-                    .pools
-                    .get(&*pool_name)
-                    .is_some_and(|p| p.capacity == Capacity::Spot)
-            {
-                let pool_region = self.pools.get(&*pool_name).and_then(|p| p.region.clone());
-                let evicted = self.roll(Operation::Eviction, &pool_name, pool_region.as_deref());
-                if let Err(fault) = evicted {
-                    result = TaskResult::failed(
-                        result.duration,
-                        format!("{}spot capacity evicted mid-task: {fault}\n", result.stdout),
-                        -1,
-                    );
-                    let record = self.tasks.get_mut(&id).expect("record");
-                    record.fault = Some(fault.kind);
-                    record.evicted = true;
-                }
-            }
-            let finish_at = self.clock.now() + result.duration;
-            self.running.insert(
-                id,
-                RunningTask {
-                    pool: pool_name,
-                    node_indices: indices,
-                    result,
-                },
-            );
-            self.events.schedule(finish_at, FinishEvent { task: id });
+        let nodes = p.nodes;
+        let mut record = TaskRecord {
+            name: name.into(),
+            kind,
+            pool: Arc::clone(&p.name),
+            nodes_required,
+            ppn,
+            state: TaskState::Failed,
+            duration: SimDuration::ZERO,
+            stdout: String::new(),
+            exit_code: -1,
+            fault: None,
+            evicted: false,
+        };
+        if nodes < nodes_required {
+            let reason = format!("pool '{pool}' has {nodes} nodes, task needs {nodes_required}");
+            return Ok(self.fail_unstarted(record, &reason));
         }
+        // Injected task-start failures (capacity loss, node crash, …),
+        // counted per pool so parallel shards replay like a serial run.
+        if let Err(fault) = self.roll(Operation::RunTask, pool, None) {
+            record.fault = Some(fault.kind);
+            return Ok(self.fail_unstarted(record, &fault.to_string()));
+        }
+        self.trace.emit("task_start", pool, |m| {
+            m.insert("task", Value::str(&record.name));
+            m.insert("task_kind", Value::str(kind_str(kind)));
+            m.insert("nodes", Value::Int(i64::from(nodes_required)));
+        });
+        let p = &self.pools[pool];
+        let ctx = TaskContext {
+            sku: Arc::clone(&p.vm),
+            hosts: p.first_hosts(nodes_required),
+            ppn,
+            pool: Arc::clone(&p.name),
+        };
+        let result = runner(&ctx);
+        record.duration = result.duration;
+        record.stdout = result.stdout;
+        record.exit_code = result.exit_code;
+        // A node can die while the task runs: the task still consumes
+        // its duration (the paper's failed tasks are billed too) but
+        // finishes failed, tagged as an injected transient fault.
+        if let Err(fault) = self.roll(Operation::NodeDeath, pool, None) {
+            let _ = writeln!(record.stdout, "node died mid-task: {fault}");
+            record.exit_code = -1;
+            record.fault = Some(fault.kind);
+        }
+        // Spot pools can lose their nodes to capacity reclaim while a
+        // compute task runs. The eviction check is keyed by pool name so
+        // it replays identically under any worker count; the doomed task
+        // consumes its runtime (the partial node-hours are billed when
+        // the pool deprovisions below), fails with an eviction tag, and
+        // the collector requeues or escalates it.
+        let p = &self.pools[pool];
+        if kind == TaskKind::Compute && p.capacity == Capacity::Spot {
+            let region = p.region.clone();
+            if let Err(fault) = self.roll(Operation::Eviction, pool, region.as_deref()) {
+                let _ = writeln!(record.stdout, "spot capacity evicted mid-task: {fault}");
+                record.exit_code = -1;
+                record.fault = Some(fault.kind);
+                record.evicted = true;
+            }
+        }
+        self.clock.advance_to(self.clock.now() + record.duration);
+        let p = self.pools.get_mut(pool).expect("the task's pool exists");
+        if record.exit_code == 0 {
+            record.state = TaskState::Completed;
+            if kind == TaskKind::Setup {
+                p.setup_done = true;
+            }
+        }
+        // An eviction takes the whole pool with it: the provider reclaims
+        // the nodes now, which closes the billing span at the eviction
+        // instant — only the consumed (partial) node-hours are charged.
+        // The pool object survives empty, setup state intact, so the
+        // collector can resize it back up and retry.
+        if record.evicted {
+            if let Some(alloc) = p.allocation.take() {
+                p.set_nodes(0);
+                let _ = locked(&self.provider, &mut self.trace, |provider| {
+                    provider.release_nodes(alloc)
+                });
+            }
+        }
+        // The shard-local timeline advances by the runner-reported duration
+        // (deterministic), never by shared-clock readings.
+        self.trace.advance(record.duration.as_secs_f64());
+        if record.evicted {
+            self.trace.emit("eviction", pool, |m| {
+                m.insert("task", Value::str(&record.name));
+            });
+        }
+        self.emit_task_end(&record, None);
+        Ok(record)
     }
 
     /// Rolls an injected fault for `op` in a pool under this service's
@@ -443,134 +372,31 @@ impl BatchService {
         })
     }
 
-    /// Marks a task failed without running it.
-    fn fail_now(&mut self, id: TaskId, reason: &str) {
-        self.runners.remove(&id);
-        let now = self.clock.now();
-        let record = self.tasks.get_mut(&id).expect("record");
-        record.state = TaskState::Failed;
-        record.started_at = Some(now);
-        record.completed_at = Some(now);
+    /// Fails a task that never started: it took no time.
+    fn fail_unstarted(&mut self, mut record: TaskRecord, reason: &str) -> TaskRecord {
         record.stdout = format!("task failed before start: {reason}\n");
-        record.exit_code = Some(-1);
+        self.emit_task_end(&record, Some(reason));
+        record
+    }
+
+    /// Emits a finished task's `task_end` event, with the reason a task
+    /// that never started failed.
+    fn emit_task_end(&mut self, record: &TaskRecord, reason: Option<&str>) {
         self.trace.emit("task_end", &record.pool, |m| {
             m.insert("task", Value::str(&record.name));
             m.insert("task_kind", Value::str(kind_str(record.kind)));
-            m.insert("secs", Value::Float(0.0));
-            m.insert("state", Value::str("failed"));
-            m.insert("reason", Value::str(reason));
-        });
-    }
-
-    fn finish(&mut self, id: TaskId, at: SimInstant) {
-        self.clock.advance_to(at);
-        let running = self.running.remove(&id).expect("finishing task is running");
-        if let Some(pool) = self.pools.get_mut(&*running.pool) {
-            pool.release(&running.node_indices);
-            if running.result.exit_code == 0 {
-                if let Some(rec) = self.tasks.get(&id) {
-                    if rec.kind == TaskKind::Setup {
-                        pool.setup_done = true;
-                    }
-                }
-            }
-            // An eviction takes the whole pool with it: the provider
-            // reclaims the nodes now, which closes the billing span at the
-            // eviction instant — only the consumed (partial) node-hours are
-            // charged. The pool object survives empty, setup state intact,
-            // so the collector can resize it back up and retry.
-            let was_evicted = self.tasks.get(&id).is_some_and(|r| r.evicted);
-            if was_evicted && pool.is_idle() {
-                if let Some(alloc) = pool.allocation.take() {
-                    pool.set_nodes(0);
-                    let _ = locked(&self.provider, &mut self.trace, |p| p.release_nodes(alloc));
-                }
-            }
-        }
-        let record = self.tasks.get_mut(&id).expect("record");
-        record.completed_at = Some(at);
-        record.run_duration = Some(running.result.duration);
-        record.stdout = running.result.stdout;
-        record.exit_code = Some(running.result.exit_code);
-        record.state = if running.result.exit_code == 0 {
-            TaskState::Completed
-        } else {
-            TaskState::Failed
-        };
-        // The shard-local timeline advances by the runner-reported duration
-        // (deterministic), never by shared-clock readings. With overlapping
-        // tasks durations accumulate rather than overlap — still
-        // deterministic; the collector drives one task at a time.
-        let secs = running.result.duration.as_secs_f64();
-        self.trace.advance(secs);
-        if record.evicted {
-            self.trace.emit("eviction", &running.pool, |m| {
-                m.insert("task", Value::str(&record.name));
-            });
-        }
-        self.trace.emit("task_end", &running.pool, |m| {
-            m.insert("task", Value::str(&record.name));
-            m.insert("task_kind", Value::str(kind_str(record.kind)));
-            m.insert("secs", Value::Float(secs));
+            m.insert("secs", Value::Float(record.duration.as_secs_f64()));
             m.insert(
                 "state",
-                Value::str(if record.state == TaskState::Completed {
-                    "completed"
-                } else {
-                    "failed"
+                Value::str(match record.state {
+                    TaskState::Completed => "completed",
+                    TaskState::Failed => "failed",
                 }),
             );
-        });
-    }
-
-    /// Drives the scheduler until no task is pending or running, advancing
-    /// the shared virtual clock through each completion.
-    pub fn run_until_idle(&mut self) {
-        loop {
-            self.schedule_ready();
-            match self.events.peek_time() {
-                Some(next_at) => {
-                    // Deliver every completion sharing the earliest
-                    // timestamp before rescheduling, so nodes freed at the
-                    // same instant are claimed in one pass. The queue is
-                    // taken out of `self` for the duration of the callback
-                    // (finish never touches it).
-                    let mut events = std::mem::take(&mut self.events);
-                    events.pop_until(next_at, |at, ev| self.finish(ev.task, at));
-                    self.events = events;
-                }
-                None => {
-                    if self.queue.is_empty() {
-                        break;
-                    }
-                    // Queue non-empty but nothing running and nothing could
-                    // be scheduled: schedule_ready already failed the
-                    // impossible ones; anything left fits but is blocked by
-                    // a task that no longer exists — fail defensively.
-                    let stuck: Vec<TaskId> = self.queue.drain(..).collect();
-                    for id in stuck {
-                        self.fail_now(id, "scheduler stuck: no running task to free nodes");
-                    }
-                    break;
-                }
+            if let Some(reason) = reason {
+                m.insert("reason", Value::str(reason));
             }
-        }
-    }
-
-    /// Convenience for the sequential Algorithm 1 loop: submit one task and
-    /// run it to completion, returning its final record.
-    pub fn run_task(
-        &mut self,
-        pool: &str,
-        name: impl Into<String>,
-        kind: TaskKind,
-        nodes_required: u32,
-        ppn: u32,
-        runner: Runner,
-    ) -> Result<&TaskRecord, BatchError> {
-        let id = self.submit(pool, name, kind, nodes_required, ppn, runner)?;
-        self.run_until_idle();
-        Ok(self.task(id).expect("task just ran"))
+        });
     }
 }
 
@@ -657,11 +483,63 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rec.state, TaskState::Completed);
-        assert_eq!(rec.exit_code, Some(0));
-        assert_eq!(rec.duration(), Some(SimDuration::from_secs(120)));
+        assert_eq!(rec.exit_code, 0);
+        assert_eq!(rec.duration, SimDuration::from_secs(120));
         assert_eq!(svc.clock().now() - before, SimDuration::from_secs(120));
-        // Nodes freed.
-        assert_eq!(svc.pool("p1").unwrap().idle_nodes(), 2);
+        // The task holds no nodes once it returns: the pool resizes at once.
+        svc.resize_pool("p1", 4).unwrap();
+        assert_eq!(svc.pool("p1").unwrap().nodes, 4);
+    }
+
+    #[test]
+    fn record_duration() {
+        let mut svc = service();
+        svc.create_pool("p1", "HC44rs").unwrap();
+        svc.resize_pool("p1", 1).unwrap();
+        let before = svc.clock().now();
+        // A sibling pool advances the shared clock while the task runs; the
+        // record keeps the runner's own duration.
+        let clock = svc.clock();
+        let runner = move |_: &TaskContext| {
+            clock.advance_by(SimDuration::from_secs(30));
+            TaskResult::ok(SimDuration::from_secs(12), "")
+        };
+        let rec = svc
+            .run_task("p1", "t", TaskKind::Compute, 1, 44, runner)
+            .unwrap();
+        assert_eq!(rec.duration, SimDuration::from_secs(12));
+        assert_eq!(svc.clock().now() - before, SimDuration::from_secs(42));
+        // A task that never started took no time.
+        let rec = svc
+            .run_task("p1", "huge", TaskKind::Compute, 2, 44, quick_runner(5))
+            .unwrap();
+        assert_eq!(rec.state, TaskState::Failed);
+        assert_eq!(rec.duration, SimDuration::ZERO);
+        assert_eq!(svc.clock().now() - before, SimDuration::from_secs(42));
+    }
+
+    #[test]
+    fn a_task_runs_on_the_pools_first_nodes() {
+        let mut svc = service();
+        svc.create_pool("p1", "HB120rs_v3").unwrap();
+        svc.resize_pool("p1", 3).unwrap();
+        let seen = |svc: &mut BatchService, nodes: u32| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = move |ctx: &TaskContext| {
+                tx.send(ctx.clone()).unwrap();
+                TaskResult::ok(SimDuration::from_secs(7), "")
+            };
+            let before = svc.clock().now();
+            svc.run_task("p1", "t", TaskKind::Compute, nodes, 2, runner)
+                .unwrap();
+            assert_eq!(svc.clock().now() - before, SimDuration::from_secs(7));
+            rx.recv().unwrap()
+        };
+        let one = seen(&mut svc, 1);
+        assert_eq!(one.hostlist_ppn(), "p1-0000:2");
+        assert_eq!(one.hostfile(), "p1-0000 slots=2\n");
+        let all = seen(&mut svc, 3);
+        assert!(Arc::ptr_eq(&all.hosts, &svc.pool("p1").unwrap().hosts));
     }
 
     #[test]
@@ -676,19 +554,17 @@ mod tests {
                 ctx.ppn,
                 ctx.hostlist_ppn(),
                 ctx.sku.name.clone(),
-                ctx.task_dir(),
             ))
             .unwrap();
             TaskResult::ok(SimDuration::from_secs(1), "")
         });
         svc.run_task("p1", "t", TaskKind::Compute, 3, 120, runner)
             .unwrap();
-        let (nnodes, ppn, hostlist, sku, dir) = rx.recv().unwrap();
+        let (nnodes, ppn, hostlist, sku) = rx.recv().unwrap();
         assert_eq!(nnodes, 3);
         assert_eq!(ppn, 120);
         assert_eq!(hostlist, "p1-0000:120,p1-0001:120,p1-0002:120");
         assert_eq!(sku, "Standard_HB120rs_v3");
-        assert!(dir.starts_with("/share/rg/tasks/"));
     }
 
     #[test]
@@ -707,7 +583,7 @@ mod tests {
             .run_task("p1", "bad", TaskKind::Compute, 1, 44, runner)
             .unwrap();
         assert_eq!(rec.state, TaskState::Failed);
-        assert_eq!(rec.exit_code, Some(1));
+        assert_eq!(rec.exit_code, 1);
         assert!(rec.stdout.contains("did not complete"));
     }
 
@@ -721,28 +597,6 @@ mod tests {
             .unwrap();
         assert_eq!(rec.state, TaskState::Failed);
         assert!(rec.stdout.contains("needs 16"));
-    }
-
-    #[test]
-    fn concurrent_tasks_on_disjoint_nodes() {
-        let mut svc = service();
-        svc.create_pool("p1", "HC44rs").unwrap();
-        svc.resize_pool("p1", 4).unwrap();
-        let t0 = svc.clock().now();
-        // Two 2-node tasks fit simultaneously on 4 nodes.
-        svc.submit("p1", "a", TaskKind::Compute, 2, 44, quick_runner(100))
-            .unwrap();
-        svc.submit("p1", "b", TaskKind::Compute, 2, 44, quick_runner(100))
-            .unwrap();
-        // A third queues behind them.
-        let c = svc
-            .submit("p1", "c", TaskKind::Compute, 2, 44, quick_runner(50))
-            .unwrap();
-        svc.run_until_idle();
-        // a, b run in parallel (100 s), then c (50 s) ⇒ 150 s total.
-        assert_eq!(svc.clock().now() - t0, SimDuration::from_secs(150));
-        assert_eq!(svc.task(c).unwrap().state, TaskState::Completed);
-        assert!(svc.tasks().all(|t| t.state == TaskState::Completed));
     }
 
     #[test]
@@ -1051,19 +905,5 @@ mod tests {
         svc.run_task("p1", "t", TaskKind::Compute, 1, 44, quick_runner(10))
             .unwrap();
         assert!(svc.take_trace().is_empty());
-    }
-
-    #[test]
-    fn resize_while_running_rejected() {
-        let mut svc = service();
-        svc.create_pool("p1", "HC44rs").unwrap();
-        svc.resize_pool("p1", 1).unwrap();
-        svc.submit("p1", "t", TaskKind::Compute, 1, 44, quick_runner(100))
-            .unwrap();
-        // Manually drive one scheduling pass without finishing the task.
-        svc.schedule_ready();
-        assert!(svc.resize_pool("p1", 2).is_err());
-        svc.run_until_idle();
-        assert!(svc.resize_pool("p1", 2).is_ok());
     }
 }

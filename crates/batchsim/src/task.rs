@@ -1,13 +1,9 @@
 //! Task records and the execution context handed to task runners.
 
 use cloudsim::{FaultKind, VmSku};
-use simtime::{SimDuration, SimInstant};
+use simtime::SimDuration;
 use std::fmt::Write;
 use std::sync::Arc;
-
-/// Unique task identifier within one batch service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub u64);
 
 /// What a task is for — mirrors the paper's Algorithm 1, which runs one
 /// setup task per pool and one compute task per scenario.
@@ -20,14 +16,10 @@ pub enum TaskKind {
     Compute,
 }
 
-/// Lifecycle state of a task. These are exactly the states the paper's
-/// scenario list records: pending, (running,) completed, failed.
+/// How a task ended. A task runs to completion in one call, so these are
+/// the terminal states of the paper's scenario list: completed, failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
-    /// Submitted, waiting for nodes.
-    Pending,
-    /// Occupying nodes.
-    Running,
     /// Finished with exit code 0.
     Completed,
     /// Finished with non-zero exit code or infrastructure failure.
@@ -40,8 +32,6 @@ pub enum TaskState {
 /// shared with the pool, not copied per task.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
-    /// The task being run.
-    pub task_id: TaskId,
     /// VM type of the pool (Table I: `SKU`, `VMTYPE`).
     pub sku: Arc<VmSku>,
     /// Hostnames assigned to this task (Table I: `HOSTLIST_PPN` is derived
@@ -51,19 +41,12 @@ pub struct TaskContext {
     pub ppn: u32,
     /// Pool name the task runs in.
     pub pool: Arc<str>,
-    /// Resource group of the batch service, which roots the task directory.
-    pub resource_group: Arc<str>,
 }
 
 impl TaskContext {
     /// Number of nodes (Table I: `NNODES`).
     pub fn nnodes(&self) -> u32 {
         self.hosts.len() as u32
-    }
-
-    /// Per-task working directory (Table I: `TASKRUN_DIR`).
-    pub fn task_dir(&self) -> String {
-        format!("/share/{}/tasks/{}", self.resource_group, self.task_id.0)
     }
 
     /// The `host:ppn,host:ppn,...` list the paper passes to `mpirun`
@@ -128,11 +111,9 @@ impl TaskResult {
     }
 }
 
-/// The service's record of one task.
+/// The service's record of one finished task.
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
-    /// Task id.
-    pub id: TaskId,
     /// Human-readable name (scenario id in the tool).
     pub name: String,
     /// Setup or compute.
@@ -143,22 +124,16 @@ pub struct TaskRecord {
     pub nodes_required: u32,
     /// Processes per node.
     pub ppn: u32,
-    /// Current state.
+    /// How the task ended.
     pub state: TaskState,
-    /// Submission time.
-    pub submitted_at: SimInstant,
-    /// Start time, once running.
-    pub started_at: Option<SimInstant>,
-    /// Completion time, once finished.
-    pub completed_at: Option<SimInstant>,
-    /// Captured stdout, once finished.
+    /// Time the task took, as reported by its runner; zero for a task that
+    /// never started. It does not depend on the shared clock, which other
+    /// pools may advance concurrently.
+    pub duration: SimDuration,
+    /// Captured stdout.
     pub stdout: String,
-    /// Exit code, once finished (infrastructure failures use -1).
-    pub exit_code: Option<i32>,
-    /// Time the task itself took, as reported by its runner. Unlike
-    /// [`TaskRecord::duration`] this does not depend on the shared clock,
-    /// which other pools may advance concurrently.
-    pub run_duration: Option<SimDuration>,
+    /// Exit code (infrastructure failures use -1).
+    pub exit_code: i32,
     /// Set when the failure was injected by the fault plan (task-start fault
     /// or mid-task node death); `None` for genuine application failures.
     /// Retry logic uses this to tell transient infrastructure loss apart
@@ -171,25 +146,6 @@ pub struct TaskRecord {
     pub evicted: bool,
 }
 
-impl TaskRecord {
-    /// Wall-clock duration, once finished.
-    pub fn duration(&self) -> Option<SimDuration> {
-        Some(self.completed_at? - self.started_at?)
-    }
-
-    /// The task's own execution time: the runner-reported duration when
-    /// available (always, for tasks that ran), else the wall-clock span.
-    /// Identical to [`TaskRecord::duration`] under serial execution.
-    pub fn execution_duration(&self) -> Option<SimDuration> {
-        self.run_duration.or_else(|| self.duration())
-    }
-
-    /// True once the task reached a terminal state.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.state, TaskState::Completed | TaskState::Failed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,18 +153,11 @@ mod tests {
 
     fn ctx() -> TaskContext {
         TaskContext {
-            task_id: TaskId(1),
             sku: Arc::new(SkuCatalog::azure_hpc().get("HC44rs").unwrap().clone()),
             hosts: Arc::new(["node-0".into(), "node-1".into(), "node-2".into()]),
             ppn: 44,
             pool: "pool-hc44rs".into(),
-            resource_group: "rg".into(),
         }
-    }
-
-    #[test]
-    fn task_dir_is_under_the_resource_group() {
-        assert_eq!(ctx().task_dir(), "/share/rg/tasks/1");
     }
 
     #[test]
@@ -245,37 +194,5 @@ mod tests {
         assert_eq!(r.exit_code, 1);
         let r = TaskResult::failed(SimDuration::from_secs(1), "boom", 7);
         assert_eq!(r.exit_code, 7);
-    }
-
-    #[test]
-    fn record_duration() {
-        let mut rec = TaskRecord {
-            id: TaskId(1),
-            name: "t".into(),
-            kind: TaskKind::Compute,
-            pool: "p".into(),
-            nodes_required: 2,
-            ppn: 4,
-            state: TaskState::Pending,
-            submitted_at: SimInstant::EPOCH,
-            started_at: None,
-            completed_at: None,
-            stdout: String::new(),
-            exit_code: None,
-            run_duration: None,
-            fault: None,
-            evicted: false,
-        };
-        assert_eq!(rec.duration(), None);
-        assert!(!rec.is_finished());
-        rec.started_at = Some(SimInstant::EPOCH + SimDuration::from_secs(10));
-        rec.completed_at = Some(SimInstant::EPOCH + SimDuration::from_secs(25));
-        rec.state = TaskState::Completed;
-        assert_eq!(rec.duration(), Some(SimDuration::from_secs(15)));
-        // Without a runner report, execution time falls back to wall clock.
-        assert_eq!(rec.execution_duration(), Some(SimDuration::from_secs(15)));
-        rec.run_duration = Some(SimDuration::from_secs(12));
-        assert_eq!(rec.execution_duration(), Some(SimDuration::from_secs(12)));
-        assert!(rec.is_finished());
     }
 }

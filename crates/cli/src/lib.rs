@@ -100,7 +100,8 @@ OPTIONS:
     --budget <dollars>     sweep-level cost budget, in US dollars of
                            simulated billing; must be >= 0; once spend
                            reaches it, remaining scenarios are skipped
-                           (journaled)
+                           (journaled); with --workers above 1 where it
+                           stops can vary between runs (known fault)
     --trace                capture a deterministic run trace to
                            <workdir>/trace/run-trace.jsonl; bytes are
                            identical for any --workers value

@@ -174,11 +174,6 @@ impl CloudProvider {
         self.tracker.reset();
     }
 
-    /// The installed failure-injection plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// The shared virtual clock.
     pub fn clock(&self) -> SharedClock {
         self.clock.clone()
@@ -557,13 +552,6 @@ impl CloudProvider {
             r.state = ResourceState::Deleted;
         }
         Ok(())
-    }
-
-    /// Lists resource groups (including deleted ones, flagged by state).
-    pub fn resource_groups(&self) -> Vec<&ResourceGroup> {
-        let mut gs: Vec<&ResourceGroup> = self.groups.values().collect();
-        gs.sort_by(|a, b| a.created_at.cmp(&b.created_at).then(a.name.cmp(&b.name)));
-        gs
     }
 
     /// Looks up one resource group.

@@ -178,6 +178,12 @@ impl CollectPlan {
 
     /// Sets a sweep-level cost budget in dollars; once billed spend reaches
     /// it, remaining scenarios are skipped (journaled) instead of executed.
+    ///
+    /// Known fault: above one worker, each chunk reads the spend billed on
+    /// the shared provider clock, which concurrent chunks advance under
+    /// each other's open pool spans. So where a budgeted parallel collect
+    /// stops can vary between runs and differ from the serial run; only a
+    /// one-worker budgeted collect is reproducible.
     pub fn budget_dollars(mut self, dollars: f64) -> Self {
         self.budget_dollars = Some(dollars);
         self

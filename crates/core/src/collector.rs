@@ -172,14 +172,12 @@ impl ExecContext {
         vfs: &Arc<Mutex<Vfs>>,
         node: &NodeEnv,
         spec: RunnerSpec,
-    ) -> batchsim::service::Runner {
+    ) -> impl FnOnce(&TaskContext) -> TaskResult {
         let shared_vfs = Arc::clone(vfs);
         let urls = self.urls.clone();
         let node = node.clone();
         let program = self.program.clone();
-        Box::new(move |ctx: &TaskContext| -> TaskResult {
-            run_script_task(ctx, spec, &shared_vfs, urls, node, &program)
-        })
+        move |ctx: &TaskContext| run_script_task(ctx, spec, &shared_vfs, urls, node, &program)
     }
 }
 
@@ -923,13 +921,9 @@ impl ShardRun<'_> {
             }
         }
 
-        // Runner-reported execution time: identical to the wall-clock span
-        // under serial execution, but immune to sibling shards advancing the
-        // shared virtual clock while this task runs.
-        let task_secs = record
-            .execution_duration()
-            .unwrap_or(SimDuration::ZERO)
-            .as_secs_f64();
+        // Runner-reported execution time: immune to sibling shards advancing
+        // the shared virtual clock while this task runs.
+        let task_secs = record.duration.as_secs_f64();
         // A non-finite APPEXECTIME (`nan`, `inf`) counts as unparsable: it
         // cannot be written to the dataset or the cache as JSON.
         let exec_time_secs = metrics

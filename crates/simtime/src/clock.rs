@@ -3,10 +3,9 @@ use crate::{SimDuration, SimInstant};
 /// A monotonically advancing virtual clock.
 ///
 /// The clock only moves forward: [`Clock::advance_to`] with an instant in the
-/// past is a no-op. This mirrors how the batch orchestrator drives time — it
-/// repeatedly pops the next event and advances to it, and defensive callers
-/// (e.g. a pool resize completing "in the past" after a failure retry) must
-/// not rewind history.
+/// past is a no-op. The batch orchestrator advances it to each task's end,
+/// and defensive callers (e.g. a pool resize completing "in the past" after
+/// a failure retry) must not rewind history.
 #[derive(Debug, Clone)]
 pub struct Clock {
     now: SimInstant,

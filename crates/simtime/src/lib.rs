@@ -9,36 +9,28 @@
 //!   the arithmetic the simulators need (no reliance on `std::time`, which
 //!   would tie results to the host clock).
 //! * [`Clock`] — a monotonically advancing virtual clock.
-//! * [`EventQueue`] — a deterministic discrete-event queue: events scheduled
-//!   for the same instant pop in insertion order (FIFO tiebreak), which keeps
-//!   multi-component simulations reproducible.
+//! * [`SharedClock`] — a [`Clock`] behind a lock, shared by the cloud
+//!   provider and every batch service drawing on it.
 //!
 //! # Example
 //!
 //! ```
-//! use simtime::{Clock, EventQueue, SimDuration};
+//! use simtime::{Clock, SimDuration};
 //!
 //! let mut clock = Clock::new();
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule(clock.now() + SimDuration::from_secs(30), "vm booted");
-//! q.schedule(clock.now() + SimDuration::from_secs(5), "disk attached");
-//!
-//! let (t, ev) = q.pop().unwrap();
-//! clock.advance_to(t);
-//! assert_eq!(ev, "disk attached");
-//! assert_eq!(clock.now().as_secs_f64(), 5.0);
+//! let booted = clock.now() + SimDuration::from_secs(30);
+//! clock.advance_to(booted);
+//! assert_eq!(clock.now().as_secs_f64(), 30.0);
 //! ```
 
 mod clock;
 mod duration;
 mod instant;
-mod queue;
 mod shared;
 
 pub use clock::Clock;
 pub use duration::SimDuration;
 pub use instant::SimInstant;
-pub use queue::EventQueue;
 pub use shared::SharedClock;
 
 #[cfg(test)]
@@ -47,20 +39,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Popping an event queue always yields non-decreasing timestamps.
-        #[test]
-        fn queue_pops_in_time_order(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-            let mut q = EventQueue::new();
-            for (i, t) in times.iter().enumerate() {
-                q.schedule(SimInstant::from_nanos(*t), i);
-            }
-            let mut last = SimInstant::EPOCH;
-            while let Some((t, _)) = q.pop() {
-                prop_assert!(t >= last);
-                last = t;
-            }
-        }
-
         /// Duration addition is commutative within u64 range.
         #[test]
         fn duration_add_commutes(a in 0u64..u32::MAX as u64, b in 0u64..u32::MAX as u64) {

@@ -1,4 +1,4 @@
-//! Live fan-out of trace events to subscribers.
+//! Live observation of trace events.
 //!
 //! The sink layer buffers events per shard and merges them once, after the
 //! run — perfect for deterministic trace files, useless for a client that
@@ -6,14 +6,9 @@
 //! counterpart: a sink with a tap attached hands every event to the tap
 //! *as it is recorded*, in addition to buffering it. Taps observe the
 //! stream; they can never change what lands in the trace, so a tapped run
-//! stays byte-identical to an untapped one.
-//!
-//! [`EventBus`] is the standard tap: a subscriber list of mpsc senders.
-//! Each [`EventBus::subscribe`] call returns an independent receiver that
-//! sees every event published after the subscription; receivers that have
-//! been dropped are pruned on the next publish. The advisor daemon uses
-//! one bus per job to stream `scenario_start`/`scenario_end` progress
-//! frames to the requesting client.
+//! stays byte-identical to an untapped one. The advisor daemon's tap
+//! forwards each job's run and scenario lifecycle events to the clients
+//! waiting on that job.
 //!
 //! Ordering: a tap sees events in the order each shard emits them, which
 //! on a parallel run interleaves arbitrarily across shards — live
@@ -21,8 +16,6 @@
 //! only ordering-stable artifact.
 
 use crate::TraceEvent;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
 
 /// An observer of trace events at emit time.
 ///
@@ -32,96 +25,4 @@ use std::sync::Mutex;
 pub trait EventTap: Send + Sync {
     /// Called once per recorded event, on the emitting thread.
     fn on_event(&self, event: &TraceEvent);
-}
-
-/// A fan-out tap: every published event is cloned to all live subscribers.
-#[derive(Default)]
-pub struct EventBus {
-    subscribers: Mutex<Vec<Sender<TraceEvent>>>,
-}
-
-impl EventBus {
-    /// A bus with no subscribers.
-    pub fn new() -> EventBus {
-        EventBus::default()
-    }
-
-    /// Registers a new subscriber; it sees every event published from now
-    /// on. Dropping the receiver unsubscribes implicitly.
-    pub fn subscribe(&self) -> Receiver<TraceEvent> {
-        let (tx, rx) = channel();
-        self.subscribers.lock().unwrap().push(tx);
-        rx
-    }
-
-    /// Number of currently-registered subscribers (dead ones are only
-    /// pruned when a publish hits them).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().unwrap().len()
-    }
-
-    /// Publishes one event to every live subscriber, pruning dead ones.
-    pub fn publish(&self, event: &TraceEvent) {
-        let mut subs = self.subscribers.lock().unwrap();
-        subs.retain(|tx| tx.send(event.clone()).is_ok());
-    }
-}
-
-impl EventTap for EventBus {
-    fn on_event(&self, event: &TraceEvent) {
-        self.publish(event);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    fn ev(kind: &str) -> TraceEvent {
-        TraceEvent::pending(kind, "scope", |_| {})
-    }
-
-    #[test]
-    fn bus_fans_out_to_every_subscriber() {
-        let bus = EventBus::new();
-        let a = bus.subscribe();
-        let b = bus.subscribe();
-        bus.publish(&ev("one"));
-        bus.publish(&ev("two"));
-        for rx in [&a, &b] {
-            assert_eq!(rx.recv().unwrap().kind, "one");
-            assert_eq!(rx.recv().unwrap().kind, "two");
-        }
-    }
-
-    #[test]
-    fn dropped_subscribers_are_pruned() {
-        let bus = EventBus::new();
-        let a = bus.subscribe();
-        drop(bus.subscribe());
-        assert_eq!(bus.subscriber_count(), 2);
-        bus.publish(&ev("tick"));
-        assert_eq!(bus.subscriber_count(), 1, "dead receiver pruned");
-        assert_eq!(a.recv().unwrap().kind, "tick");
-    }
-
-    #[test]
-    fn bus_is_shareable_across_threads() {
-        let bus = Arc::new(EventBus::new());
-        let rx = bus.subscribe();
-        let publisher = {
-            let bus = bus.clone();
-            std::thread::spawn(move || {
-                for i in 0..10 {
-                    bus.publish(&ev(&format!("e{i}")));
-                }
-            })
-        };
-        publisher.join().unwrap();
-        let kinds: Vec<String> = rx.try_iter().map(|e| e.kind).collect();
-        assert_eq!(kinds.len(), 10);
-        assert_eq!(kinds[0], "e0");
-        assert_eq!(kinds[9], "e9");
-    }
 }

@@ -31,7 +31,7 @@ mod sink;
 pub mod summary;
 pub mod timeline;
 
-pub use bus::{EventBus, EventTap};
+pub use bus::EventTap;
 pub use event::{Trace, TraceError, TraceEvent, TRACE_VERSION};
 pub use sink::{EventSink, COORDINATOR_SHARD};
 pub use summary::{Histogram, TraceSummary};

@@ -183,17 +183,24 @@ mod tests {
         assert!(sink.is_enabled(), "take keeps the sink enabled");
     }
 
+    /// A tap that keeps every event it sees.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<TraceEvent>>);
+
+    impl EventTap for Recorder {
+        fn on_event(&self, event: &TraceEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
     #[test]
     fn tap_sees_every_event_without_disturbing_the_buffer() {
-        use crate::bus::EventBus;
-        use std::sync::Arc;
-        let bus = Arc::new(EventBus::new());
-        let rx = bus.subscribe();
-        let mut sink = EventSink::for_shard(2).with_tap(bus);
+        let tap = Arc::new(Recorder::default());
+        let mut sink = EventSink::for_shard(2).with_tap(tap.clone());
         sink.emit("direct", "s", |_| {});
         sink.advance(3.0);
         sink.absorb(vec![TraceEvent::pending("absorbed", "s", |_| {})]);
-        let live: Vec<TraceEvent> = rx.try_iter().collect();
+        let live = tap.0.lock().unwrap().clone();
         assert_eq!(live.len(), 2, "tap saw both events live");
         assert_eq!(live[0].kind, "direct");
         assert_eq!(
@@ -202,9 +209,11 @@ mod tests {
         );
         assert_eq!(sink.take(), live, "buffered stream is identical");
         // Tapping a disabled sink stays inert.
-        let mut off = EventSink::disabled().with_tap(Arc::new(EventBus::new()));
+        let tap = Arc::new(Recorder::default());
+        let mut off = EventSink::disabled().with_tap(tap.clone());
         off.emit("x", "y", |_| {});
         assert!(off.take().is_empty());
+        assert!(tap.0.lock().unwrap().is_empty());
     }
 
     #[test]

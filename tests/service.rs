@@ -306,19 +306,26 @@ fn shared_cache_survives_the_service_and_feeds_sessions() {
 #[test]
 fn session_progress_tap_works_without_a_service() {
     // The builder's progress tap is usable directly (the daemon is just
-    // one consumer): count scenario events through an EventBus.
-    use hpcadvisor::telemetry::EventBus;
-    let bus = Arc::new(EventBus::new());
-    let events = bus.subscribe();
+    // one consumer): count scenario events through a recording tap.
+    use hpcadvisor::telemetry::{EventTap, TraceEvent};
+    use std::sync::Mutex;
+    #[derive(Default)]
+    struct Kinds(Mutex<Vec<String>>);
+    impl EventTap for Kinds {
+        fn on_event(&self, event: &TraceEvent) {
+            self.0.lock().unwrap().push(event.kind.clone());
+        }
+    }
+    let tap = Arc::new(Kinds::default());
     let mut session = Session::builder(config("tap", "[1, 2]"))
         .seed(42)
-        .progress(bus)
+        .progress(tap.clone())
         .build()
         .unwrap();
     session
         .collect_with(&CollectPlan::new().workers(2))
         .unwrap();
-    let kinds: Vec<String> = events.try_iter().map(|ev| ev.kind).collect();
+    let kinds = tap.0.lock().unwrap().clone();
     assert_eq!(
         kinds.iter().filter(|k| *k == "scenario_end").count(),
         4,
