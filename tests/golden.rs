@@ -4,7 +4,7 @@
 //!
 //! Each case pins two entry points to the same dataset file: the plain
 //! `Session::collect()` and a traced one-worker `collect_with` run, whose
-//! trace is pinned as well.
+//! trace is pinned as well. Each dataset's CSV export is pinned beside it.
 
 use cloudsim::{FaultMode, FaultPlan, Operation, RegionFault};
 use hpcadvisor_core::prelude::*;
@@ -42,12 +42,14 @@ fn assert_golden(name: &str, actual: &str) {
 
 /// Runs `config` twice under `faults`: once through `Session::collect()`
 /// and once through a traced one-worker plan. Both datasets must match
-/// `<case>.dataset.json`; the trace must match `<case>.trace.jsonl`.
+/// `<case>.dataset.json`, the first one's CSV export `<case>.dataset.csv`,
+/// and the trace `<case>.trace.jsonl`.
 fn check_case(case: &str, config: UserConfig, faults: FaultPlan) {
     let mut session = Session::create(config.clone(), SEED).unwrap();
     session.provider().lock().set_fault_plan(faults.clone());
-    let dataset = session.collect().unwrap().to_json();
-    assert_golden(&format!("{case}.dataset.json"), &dataset);
+    let dataset = session.collect().unwrap();
+    assert_golden(&format!("{case}.dataset.json"), &dataset.to_json());
+    assert_golden(&format!("{case}.dataset.csv"), &dataset.to_csv());
 
     let mut session = Session::create(config, SEED).unwrap();
     session.provider().lock().set_fault_plan(faults);
@@ -196,4 +198,5 @@ fn aggressive_discard_sampling() {
     let plan = CollectPlan::new();
     let (run, _) = run_sampled(&mut session, &plan, &mut AggressiveDiscard::new(0.15)).unwrap();
     assert_golden("aggressive_discard.dataset.json", &run.dataset.to_json());
+    assert_golden("aggressive_discard.dataset.csv", &run.dataset.to_csv());
 }
