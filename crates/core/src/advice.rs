@@ -2,10 +2,12 @@
 //! "comprehensive advice" extension (Slurm-recipe generation) from the
 //! paper's future-work list.
 
-use crate::dataset::{DataFilter, Dataset};
+use crate::dataset::{DataFilter, DataPoint, Dataset};
+use crate::pairs::Pairs;
 use crate::pareto::pareto_front;
 use crate::scenario::ScenarioStatus;
 use cloudsim::Capacity;
+use std::collections::{BTreeMap, HashMap};
 
 /// How the advice table is sorted. "The advice data presented here is
 /// sorted by the least execution time first, but the tool has the option to
@@ -33,7 +35,7 @@ pub struct AdviceRow {
     /// Short SKU name (as the paper prints it).
     pub sku: String,
     /// Appinput combination the row was measured at.
-    pub appinputs: Vec<(String, String)>,
+    pub appinputs: Pairs,
     /// Region the row's measurement actually ran in (after any failover).
     /// `None` for single-region sweeps, where every row ran in the
     /// deployment's home region.
@@ -335,22 +337,25 @@ fn compare_capacity(ds: &Dataset) -> Option<CapacityComparison> {
         return None;
     }
     // Pair scenarios completed in both classes and average the fractional
-    // cost delta.
+    // cost delta. Each scenario pairs with its first priced dedicated row.
+    let mut dedicated: HashMap<u32, f64> = HashMap::new();
+    for dp in &ds.points {
+        if dp.capacity == Capacity::Dedicated
+            && dp.status == ScenarioStatus::Completed
+            && dp.cost_dollars > 0.0
+        {
+            dedicated.entry(dp.scenario_id).or_insert(dp.cost_dollars);
+        }
+    }
     let mut pairs = 0usize;
     let mut delta_sum = 0.0f64;
     for sp in &ds.points {
         if sp.capacity != Capacity::Spot || sp.status != ScenarioStatus::Completed {
             continue;
         }
-        let paired = ds.points.iter().find(|dp| {
-            dp.capacity == Capacity::Dedicated
-                && dp.scenario_id == sp.scenario_id
-                && dp.status == ScenarioStatus::Completed
-                && dp.cost_dollars > 0.0
-        });
-        if let Some(dp) = paired {
+        if let Some(&dedicated_cost) = dedicated.get(&sp.scenario_id) {
             pairs += 1;
-            delta_sum += (sp.cost_dollars - dp.cost_dollars) / dp.cost_dollars;
+            delta_sum += (sp.cost_dollars - dedicated_cost) / dedicated_cost;
         }
     }
     Some(CapacityComparison {
@@ -372,44 +377,47 @@ fn compare_capacity(ds: &Dataset) -> Option<CapacityComparison> {
 /// appinputs) — across regions and measure each completed row against the
 /// cheapest completed sibling anywhere.
 fn compare_placement(ds: &Dataset) -> Option<PlacementComparison> {
-    use std::collections::BTreeMap;
     if !ds.points.iter().any(|p| p.region.is_some()) {
         return None;
     }
-    let config_key = |p: &crate::dataset::DataPoint| {
-        let mut inputs: Vec<String> = p
-            .appinputs
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        inputs.sort();
-        format!("{}|{}|{}|{}", p.sku, p.nnodes, p.ppn, inputs.join(","))
-    };
-    // Cheapest completed cost per configuration across all regions.
-    let mut floor: BTreeMap<String, f64> = BTreeMap::new();
-    for p in &ds.points {
-        if p.region.is_none() || p.status != ScenarioStatus::Completed || p.cost_dollars <= 0.0 {
-            continue;
+    /// A configuration: SKU, nodes, ppn and the appinputs in key order, so
+    /// rows that list the same inputs in another order still pair.
+    fn config_key(p: &DataPoint) -> (&str, u32, u32, Vec<(&str, &str)>) {
+        let mut inputs: Vec<(&str, &str)> = p.appinputs.iter().collect();
+        inputs.sort_unstable();
+        (&p.sku, p.nnodes, p.ppn, inputs)
+    }
+    // Each completed placed row's configuration, built once, and the
+    // cheapest completed cost per configuration across all regions.
+    let keys: Vec<_> = ds
+        .points
+        .iter()
+        .map(|p| {
+            let priced = p.status == ScenarioStatus::Completed && p.cost_dollars > 0.0;
+            (p.region.is_some() && priced).then(|| config_key(p))
+        })
+        .collect();
+    let mut floor = HashMap::new();
+    for (p, key) in ds.points.iter().zip(&keys) {
+        if let Some(key) = key {
+            let entry = floor.entry(key).or_insert(f64::INFINITY);
+            *entry = entry.min(p.cost_dollars);
         }
-        let key = config_key(p);
-        let entry = floor.entry(key).or_insert(f64::INFINITY);
-        *entry = entry.min(p.cost_dollars);
     }
     // Region name -> (completed, unfinished, sla_skipped, premium sum, premium count).
-    let mut tallies: BTreeMap<String, (usize, usize, usize, f64, usize)> = BTreeMap::new();
-    for p in &ds.points {
+    let mut tallies: BTreeMap<&str, (usize, usize, usize, f64, usize)> = BTreeMap::new();
+    for (p, key) in ds.points.iter().zip(&keys) {
         let Some(region) = &p.region else { continue };
-        let t = tallies.entry(region.clone()).or_default();
+        let t = tallies.entry(region).or_default();
         match p.status {
             ScenarioStatus::Completed => {
                 t.0 += 1;
-                if p.cost_dollars > 0.0 {
-                    if let Some(&min) = floor.get(&config_key(p)) {
-                        if min.is_finite() && min > 0.0 {
-                            t.3 += (p.cost_dollars - min) / min;
-                            t.4 += 1;
-                        }
-                    }
+                if let Some(key) = key {
+                    // The row itself is in its configuration's floor, so
+                    // the floor is finite and positive.
+                    let min = floor[&key];
+                    t.3 += (p.cost_dollars - min) / min;
+                    t.4 += 1;
                 }
             }
             ScenarioStatus::Failed | ScenarioStatus::TimedOut => t.1 += 1,
@@ -422,7 +430,7 @@ fn compare_placement(ds: &Dataset) -> Option<PlacementComparison> {
             .into_iter()
             .map(
                 |(region, (completed, unfinished, sla_skipped, sum, n))| RegionReport {
-                    region,
+                    region: region.to_string(),
                     completed,
                     unfinished,
                     sla_skipped,
@@ -540,7 +548,7 @@ mod tests {
             0.519 * 0.4,
         );
         sp.capacity = Capacity::Spot;
-        sp.metrics.push(("EVICTIONS".into(), "2".into()));
+        sp.metrics.set("EVICTIONS", "2");
         ds.push(sp);
         let mut sp = point(
             2,
@@ -596,10 +604,8 @@ mod tests {
             p.region = Some(region.into());
             p.status = status;
             if status == ScenarioStatus::Skipped {
-                p.metrics.push((
-                    "SKIPREASON".into(),
-                    "no region satisfies placement SLA".into(),
-                ));
+                p.metrics
+                    .set("SKIPREASON", "no region satisfies placement SLA");
             }
             ds.push(p);
         }

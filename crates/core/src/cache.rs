@@ -63,6 +63,7 @@
 
 use crate::dataset::DataPoint;
 use crate::error::ToolError;
+use crate::pairs::Pairs;
 use crate::scenario::{Scenario, ScenarioStatus};
 use cloudsim::{Capacity, Fnv64};
 use parking_lot::{Mutex, MutexGuard};
@@ -177,7 +178,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_pairs(out: &mut Vec<u8>, pairs: &[(String, String)]) {
+fn put_pairs(out: &mut Vec<u8>, pairs: &Pairs) {
     put_u32(out, pairs.len() as u32);
     for (k, v) in pairs {
         put_str(out, k);
@@ -190,9 +191,9 @@ fn put_pairs(out: &mut Vec<u8>, pairs: &[(String, String)]) {
 /// the three floats, a status byte, a capacity byte, an optional
 /// `region`, then `metrics`, `infra`, `tags` and `deployment`. Integers
 /// are little-endian `u32`s, floats their `f64` bit patterns as `u64`s,
-/// strings UTF-8 behind a `u32` byte length, pair lists a `u32` count of
-/// key-then-value strings (kept as they are, repeats included), and the
-/// region a `0` byte when absent or a `1` byte and the string.
+/// strings UTF-8 behind a `u32` byte length, string maps a `u32` count of
+/// key-then-value strings, and the region a `0` byte when absent or a
+/// `1` byte and the string.
 fn encode_point(out: &mut Vec<u8>, p: &DataPoint) {
     put_u32(out, p.scenario_id);
     put_str(out, &p.appname);
@@ -245,18 +246,29 @@ impl<'a> Fields<'a> {
         self.array().map(|b| f64::from_bits(u64::from_le_bytes(b)))
     }
 
-    fn str(&mut self) -> Option<String> {
+    fn text(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok().map(str::to_owned)
+        std::str::from_utf8(self.take(len)?).ok()
     }
 
-    fn pairs(&mut self) -> Option<Vec<(String, String)>> {
+    fn str(&mut self) -> Option<String> {
+        self.text().map(str::to_owned)
+    }
+
+    /// A string map. Every string is checked before anything is reserved,
+    /// so a damaged count fails on the bytes it claims, and the map is
+    /// then built in one reservation.
+    fn pairs(&mut self) -> Option<Pairs> {
         let n = self.u32()? as usize;
-        // A pair takes at least its two length prefixes, so a damaged
-        // count cannot reserve more than the rest of the record holds.
-        let mut pairs = Vec::with_capacity(n.min(self.0.len() / 8));
+        let mut strings = Fields(self.0);
+        for _ in 0..2 * n {
+            self.text()?;
+        }
+        // The strings' bytes, less their two length prefixes per pair.
+        let text_len = strings.0.len() - self.0.len() - 8 * n;
+        let mut pairs = Pairs::with_capacity(n, text_len);
         for _ in 0..n {
-            pairs.push((self.str()?, self.str()?));
+            pairs.set(strings.text()?, strings.text()?);
         }
         Some(pairs)
     }
@@ -505,14 +517,14 @@ impl Fingerprinter {
 pub fn rehydrate_point(
     mut point: DataPoint,
     scenario: &Scenario,
-    tags: &[(String, String)],
+    tags: &Pairs,
     deployment: &str,
 ) -> DataPoint {
     point.scenario_id = scenario.id;
     // A point stored by the same deployment already carries these values;
     // only a differing one is replaced, so a warm rerun copies nothing.
-    if point.tags != tags {
-        point.tags = tags.to_vec();
+    if point.tags != *tags {
+        point.tags = tags.clone();
     }
     if point.deployment != deployment {
         point.deployment = deployment.to_string();
@@ -1370,10 +1382,10 @@ mod tests {
     #[test]
     fn rehydrate_restamps_identity_fields_only() {
         let mut stored = point(1, "lammps", "Standard_HB120rs_v3", 4, 120, 9.0, 0.04);
-        stored.tags = vec![("version".into(), "old".into())];
+        stored.tags = Pairs::from([("version", "old")]);
         stored.deployment = "oldrg001".into();
         let s = scenario(42, "Standard_HB120rs_v3", 4);
-        let tags = vec![("version".into(), "v2".into())];
+        let tags = Pairs::from([("version", "v2")]);
         let out = rehydrate_point(stored.clone(), &s, &tags, "newrg001");
         assert_eq!(out.scenario_id, 42);
         assert_eq!(out.tags, tags);

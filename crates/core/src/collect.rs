@@ -883,7 +883,7 @@ fn consult<'a>(
                 }
                 out.hits.push(s);
                 out.points
-                    .push(rehydrate_point(point, s, &ctx.config.tags, &ctx.deployment));
+                    .push(rehydrate_point(point, s, &ctx.tags, &ctx.deployment));
                 continue;
             }
             out.cache_misses += 1;
@@ -1050,7 +1050,7 @@ impl Session {
         for Replay { scenario, entry } in consult.replays {
             outcomes.push(ScenarioOutcome::replayed(scenario, &entry));
             points.push(match entry.point {
-                Some(p) => rehydrate_point(p, scenario, &ctx.config.tags, &ctx.deployment),
+                Some(p) => rehydrate_point(p, scenario, &ctx.tags, &ctx.deployment),
                 // Point-less entries (older journals) get a synthetic point
                 // matching the journaled status.
                 None => {

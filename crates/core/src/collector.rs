@@ -30,9 +30,10 @@ use crate::appscript;
 use crate::cache::{Fingerprint, SharedScenarioCache};
 use crate::collect::{CollectPlan, ScenarioOutcome};
 use crate::config::UserConfig;
-use crate::dataset::{set_pair, DataPoint};
+use crate::dataset::DataPoint;
 use crate::error::ToolError;
 use crate::journal::{JournalEntry, RunJournal};
+use crate::pairs::Pairs;
 use crate::placement::PlacementPolicy;
 use crate::retry::{classify_batch, FaultClass};
 use crate::scenario::{push_short_sku, Scenario, ScenarioStatus};
@@ -69,6 +70,9 @@ pub(crate) struct ExecContext {
     program: Result<Script, ShellError>,
     pub(crate) urls: UrlStore,
     pub(crate) deployment: String,
+    /// The configuration's tags, as every point of the session carries
+    /// them.
+    pub(crate) tags: Pairs,
     /// `/share/{deployment}/apps/{appname}`: where setup runs and task
     /// directories live.
     app_dir: String,
@@ -105,6 +109,7 @@ impl ExecContext {
         let app_dir = format!("/share/{deployment}/apps/{}", config.appname);
         Ok(ExecContext {
             provider,
+            tags: Pairs::from(config.tags.as_slice()),
             config,
             program: Script::parse(&script),
             script,
@@ -139,16 +144,16 @@ impl ExecContext {
             sku: scenario.sku.clone(),
             nnodes: scenario.nnodes,
             ppn: scenario.ppn,
-            appinputs: scenario.appinputs.clone(),
+            appinputs: Pairs::from(scenario.appinputs.as_slice()),
             exec_time_secs: 0.0,
             task_secs: 0.0,
             cost_dollars: 0.0,
             status,
             capacity: self.plan.capacity,
             region: scenario.region.clone(),
-            metrics: vec![(key.into(), reason.to_string())],
-            infra: Vec::new(),
-            tags: self.config.tags.clone(),
+            metrics: Pairs::from([(key, reason)]),
+            infra: Pairs::new(),
+            tags: self.tags.clone(),
             deployment: self.deployment.clone(),
         }
     }
@@ -799,7 +804,7 @@ impl ShardRun<'_> {
             if point.status == ScenarioStatus::Completed {
                 if tally.evictions > 0 {
                     point.cost_dollars += eviction_cost;
-                    set_pair(&mut point.metrics, "EVICTIONS", tally.evictions.to_string());
+                    point.metrics.set("EVICTIONS", &tally.evictions.to_string());
                 }
                 return Ok(point);
             }
@@ -837,10 +842,9 @@ impl ShardRun<'_> {
                 // The eviction deprovisioned the pool; bring it back before
                 // the next attempt.
                 if let Err((e, _)) = self.resize_with_retry(pool, scenario.nnodes, tally) {
-                    set_pair(
-                        &mut point.metrics,
+                    point.metrics.set(
                         "FAILREASON",
-                        format!("pool re-provision after eviction: {e}"),
+                        &format!("pool re-provision after eviction: {e}"),
                     );
                     return Ok(point);
                 }
@@ -902,24 +906,26 @@ impl ShardRun<'_> {
             runner,
         )?;
 
-        // Scrape HPCADVISORVAR / HPCADVISORINFRA lines. A variable printed
-        // twice keeps its first position and its last value, as the
-        // dataset file writes it, so cold and warm runs read alike.
-        let mut metrics: Vec<(String, String)> = Vec::new();
-        let mut infra: Vec<(String, String)> = Vec::new();
-        for line in record.stdout.lines() {
-            if let Some(rest) = line.strip_prefix("HPCADVISORVAR ") {
-                if let Some((k, v)) = rest.split_once('=') {
-                    set_pair(&mut metrics, k.trim(), v.trim().to_string());
-                }
-            } else if let Some(rest) = line.strip_prefix("HPCADVISORINFRA ") {
-                for kv in rest.split_whitespace() {
-                    if let Some((k, v)) = kv.split_once('=') {
-                        set_pair(&mut infra, k, v.to_string());
-                    }
-                }
-            }
-        }
+        // Scrape HPCADVISORVAR / HPCADVISORINFRA lines straight into the
+        // point's maps. A variable printed twice keeps its first position
+        // and its last value, as a `Pairs` does however it is built, so
+        // cold and warm runs read alike.
+        let lines = |prefix: &'static str| {
+            record
+                .stdout
+                .lines()
+                .filter_map(move |line| line.strip_prefix(prefix))
+        };
+        let metrics = Pairs::from_sized(
+            lines("HPCADVISORVAR ")
+                .filter_map(|rest| rest.split_once('='))
+                .map(|(k, v)| (k.trim(), v.trim())),
+        );
+        let infra = Pairs::from_sized(
+            lines("HPCADVISORINFRA ")
+                .flat_map(str::split_whitespace)
+                .filter_map(|kv| kv.split_once('=')),
+        );
 
         // Runner-reported execution time: immune to sibling shards advancing
         // the shared virtual clock while this task runs.
@@ -927,9 +933,8 @@ impl ShardRun<'_> {
         // A non-finite APPEXECTIME (`nan`, `inf`) counts as unparsable: it
         // cannot be written to the dataset or the cache as JSON.
         let exec_time_secs = metrics
-            .iter()
-            .find(|(k, _)| k == "APPEXECTIME")
-            .and_then(|(_, v)| v.parse::<f64>().ok())
+            .get("APPEXECTIME")
+            .and_then(|v| v.parse::<f64>().ok())
             .filter(|t| t.is_finite())
             .unwrap_or(task_secs);
         let price = {
@@ -966,7 +971,7 @@ impl ShardRun<'_> {
                 sku: scenario.sku.clone(),
                 nnodes: scenario.nnodes,
                 ppn: scenario.ppn,
-                appinputs: scenario.appinputs.clone(),
+                appinputs: Pairs::from(scenario.appinputs.as_slice()),
                 exec_time_secs,
                 task_secs,
                 cost_dollars,
@@ -982,7 +987,7 @@ impl ShardRun<'_> {
                 region: region.map(str::to_string),
                 metrics,
                 infra,
-                tags: self.ctx.config.tags.clone(),
+                tags: self.ctx.tags.clone(),
                 deployment: self.ctx.deployment.clone(),
             },
             AttemptMeta { retryable, evicted },
@@ -1174,7 +1179,7 @@ mod tests {
             assert!(p.task_secs >= p.exec_time_secs * 0.5);
             assert!(p.metric("LAMMPSATOMS").is_some(), "scraped metrics present");
             assert!(p.infra_metric("bottleneck").is_some());
-            assert_eq!(p.tags, vec![("version".to_string(), "v1".to_string())]);
+            assert_eq!(p.tags, Pairs::from([("version", "v1")]));
         }
         // More nodes ⇒ faster for this compute-bound input.
         let t1 = ds

@@ -1,6 +1,7 @@
 //! The collected dataset and its filters.
 
 use crate::error::ToolError;
+use crate::pairs::Pairs;
 use crate::scenario::ScenarioStatus;
 use cloudsim::Capacity;
 use hpcadvisor_formats::{json, FormatError, Value};
@@ -21,7 +22,7 @@ pub struct DataPoint {
     /// Processes per node.
     pub ppn: u32,
     /// Application inputs of the scenario.
-    pub appinputs: Vec<(String, String)>,
+    pub appinputs: Pairs,
     /// Application execution time in seconds (`APPEXECTIME` when the run
     /// script exported it, otherwise the whole task duration).
     pub exec_time_secs: f64,
@@ -33,12 +34,12 @@ pub struct DataPoint {
     /// Final status.
     pub status: ScenarioStatus,
     /// Extra `HPCADVISORVAR` metrics scraped from the task output.
-    pub metrics: Vec<(String, String)>,
+    pub metrics: Pairs,
     /// Infrastructure utilizations scraped from monitoring
     /// (`cpu`/`membw`/`net`/`bottleneck`).
-    pub infra: Vec<(String, String)>,
+    pub infra: Pairs,
     /// Tags from the configuration.
-    pub tags: Vec<(String, String)>,
+    pub tags: Pairs,
     /// Deployment (resource group) the row was collected in.
     pub deployment: String,
     /// Capacity class the row was measured on. Spot rows carry the eviction
@@ -55,18 +56,12 @@ pub struct DataPoint {
 impl DataPoint {
     /// Looks up a scraped metric.
     pub fn metric(&self, key: &str) -> Option<&str> {
-        self.metrics
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.metrics.get(key)
     }
 
     /// Looks up an infrastructure metric.
     pub fn infra_metric(&self, key: &str) -> Option<&str> {
-        self.infra
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.infra.get(key)
     }
 
     /// Short SKU spelling used in advice tables (`hb120rs_v3`).
@@ -87,21 +82,16 @@ impl DataPoint {
     /// run-journal lines share. `capacity` and `region` are written only
     /// when they are not the implicit default, so datasets from before
     /// those dimensions existed stay byte-identical. The text between the
-    /// values is the slot layout's [`PointLiterals`]; the tables of the two
-    /// layouts a point is written in (compact, and pretty as a dataset
-    /// item) are built once.
+    /// values is the slot layout's [`PointLiterals`].
     pub(crate) fn write_json(&self, slot: json::Slot<'_>) {
-        static COMPACT: OnceLock<PointLiterals> = OnceLock::new();
-        static DATASET_ITEM: OnceLock<PointLiterals> = OnceLock::new();
         let (out, layout) = slot.into_parts();
         let built;
-        let lit = if layout == json::Layout::COMPACT {
-            COMPACT.get_or_init(|| PointLiterals::new(layout))
-        } else if layout == json::Layout::PRETTY.inner() {
-            DATASET_ITEM.get_or_init(|| PointLiterals::new(layout))
-        } else {
-            built = PointLiterals::new(layout);
-            &built
+        let lit = match PointLiterals::shared(layout) {
+            Some(lit) => lit,
+            None => {
+                built = PointLiterals::new(layout);
+                &built
+            }
         };
         out.push_str(&lit.scenario_id);
         json::write_i64(out, i64::from(self.scenario_id));
@@ -140,6 +130,32 @@ impl DataPoint {
         out.push_str(&lit.deployment);
         json::write_str(out, &self.deployment);
         out.push_str(&lit.close);
+    }
+
+    /// At least the length of what [`DataPoint::write_json`] writes with
+    /// `lit`: exact but for the floats, which are bounded.
+    fn json_max_len(&self, lit: &PointLiterals) -> usize {
+        let mut len = lit.always
+            + json::i64_len(i64::from(self.scenario_id))
+            + json::str_len(&self.appname)
+            + json::str_len(&self.sku)
+            + json::i64_len(i64::from(self.nnodes))
+            + json::i64_len(i64::from(self.ppn))
+            + json::f64_max_len(self.exec_time_secs)
+            + json::f64_max_len(self.task_secs)
+            + json::f64_max_len(self.cost_dollars)
+            + json::str_len(self.status.as_str())
+            + json::str_len(&self.deployment);
+        for pairs in [&self.appinputs, &self.metrics, &self.infra, &self.tags] {
+            len += lit.pairs.json_len(pairs);
+        }
+        if self.capacity != Capacity::Dedicated {
+            len += lit.capacity.len() + json::str_len(self.capacity.as_str());
+        }
+        if let Some(region) = &self.region {
+            len += lit.region.len() + json::str_len(region);
+        }
+        len
     }
 
     /// Parses a point from a JSON document holding just that point (the
@@ -185,12 +201,30 @@ struct PointLiterals {
     close: String,
     /// The string maps, written as member values.
     pairs: PairLiterals,
+    /// The length of the literals written around every point, that is all
+    /// but `capacity` and `region`.
+    always: usize,
 }
 
 impl PointLiterals {
+    /// The tables of the two layouts a point is written in, compact and
+    /// pretty as a dataset item, built once; `None` for other layouts.
+    fn shared(layout: json::Layout) -> Option<&'static PointLiterals> {
+        static COMPACT: OnceLock<PointLiterals> = OnceLock::new();
+        static DATASET_ITEM: OnceLock<PointLiterals> = OnceLock::new();
+        let table = if layout == json::Layout::COMPACT {
+            &COMPACT
+        } else if layout == DATASET_ITEM_LAYOUT {
+            &DATASET_ITEM
+        } else {
+            return None;
+        };
+        Some(table.get_or_init(|| PointLiterals::new(layout)))
+    }
+
     fn new(layout: json::Layout) -> Self {
         let member = |key| layout.member(false, key);
-        PointLiterals {
+        let mut lit = PointLiterals {
             scenario_id: layout.member(true, "scenario_id"),
             appname: member("appname"),
             sku: member("sku"),
@@ -209,9 +243,34 @@ impl PointLiterals {
             deployment: member("deployment"),
             close: layout.close_object(),
             pairs: PairLiterals::new(layout.inner()),
-        }
+            always: 0,
+        };
+        lit.always = [
+            &lit.scenario_id,
+            &lit.appname,
+            &lit.sku,
+            &lit.nnodes,
+            &lit.ppn,
+            &lit.appinputs,
+            &lit.exec_time_secs,
+            &lit.task_secs,
+            &lit.cost_dollars,
+            &lit.status,
+            &lit.metrics,
+            &lit.infra,
+            &lit.tags,
+            &lit.deployment,
+            &lit.close,
+        ]
+        .iter()
+        .map(|s| s.len())
+        .sum();
+        lit
     }
 }
+
+/// Where a dataset file's points sit: the items of a pretty array.
+const DATASET_ITEM_LAYOUT: json::Layout = json::Layout::PRETTY.inner();
 
 /// The text around a string map's members, for maps written at one layout.
 struct PairLiterals {
@@ -235,23 +294,8 @@ impl PairLiterals {
         }
     }
 
-    /// Writes string pairs as a JSON object. A repeated key keeps its
-    /// first position and takes its last value, as an `OrderedMap` would:
-    /// such a list is first merged by [`set_pair`], which keeps that rule.
-    /// Every list the program builds has distinct keys and is written
-    /// straight through.
-    fn write(&self, out: &mut String, pairs: &[(String, String)]) {
-        let repeats = pairs
-            .iter()
-            .enumerate()
-            .any(|(i, (k, _))| pairs[..i].iter().any(|(seen, _)| seen == k));
-        if repeats {
-            let mut merged = Vec::with_capacity(pairs.len());
-            for (k, v) in pairs {
-                set_pair(&mut merged, k, v.clone());
-            }
-            return self.write(out, &merged);
-        }
+    /// Writes a string map as a JSON object.
+    fn write(&self, out: &mut String, pairs: &Pairs) {
         if pairs.is_empty() {
             out.push_str(&self.empty);
             return;
@@ -264,23 +308,28 @@ impl PairLiterals {
         }
         out.push_str(&self.close);
     }
-}
 
-/// Sets `key` in a pair list: a repeated key keeps its first position and
-/// takes the last value, as an `OrderedMap` would. The JSON writer merges
-/// a list with repeated keys by this rule, so pairs built this way read
-/// the same before and after a JSON round trip.
-pub(crate) fn set_pair(pairs: &mut Vec<(String, String)>, key: &str, value: String) {
-    match pairs.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => pairs.push((key.to_string(), value)),
+    /// The length of what [`PairLiterals::write`] writes for `pairs`.
+    fn json_len(&self, pairs: &Pairs) -> usize {
+        let n = pairs.len();
+        if n == 0 {
+            return self.empty.len();
+        }
+        // One scan of the map's text counts every escape; each of its
+        // 2n strings also takes two quotes, and `str_len` counted two.
+        let strings = json::str_len(pairs.text()) + 4 * n - 2;
+        self.first.len()
+            + (n - 1) * self.next.len()
+            + n * self.colon.len()
+            + self.close.len()
+            + strings
     }
 }
 
 /// Reads a JSON object of pairs. Non-string values become their plain
 /// string form; a value that is not an object reads as no pairs.
-fn read_pairs(r: &mut json::Reader<'_>) -> Result<Vec<(String, String)>, FormatError> {
-    let mut pairs: Vec<(String, String)> = Vec::new();
+fn read_pairs(r: &mut json::Reader<'_>) -> Result<Pairs, FormatError> {
+    let mut pairs = Pairs::new();
     if r.peek_token() != Some(b'{') {
         r.value()?;
         return Ok(pairs);
@@ -290,7 +339,7 @@ fn read_pairs(r: &mut json::Reader<'_>) -> Result<Vec<(String, String)>, FormatE
             Value::Str(s) => s,
             other => other.to_plain_string(),
         };
-        set_pair(&mut pairs, key, value);
+        pairs.set(key, &value);
         Ok::<_, FormatError>(())
     })?;
     Ok(pairs)
@@ -316,10 +365,10 @@ pub(crate) struct PointFields {
     deployment: Option<Value>,
     capacity: Option<Value>,
     region: Option<Value>,
-    appinputs: Vec<(String, String)>,
-    metrics: Vec<(String, String)>,
-    infra: Vec<(String, String)>,
-    tags: Vec<(String, String)>,
+    appinputs: Pairs,
+    metrics: Pairs,
+    infra: Pairs,
+    tags: Pairs,
 }
 
 impl PointFields {
@@ -495,12 +544,12 @@ impl DataFilter {
             }
         }
         for (k, v) in &self.appinputs {
-            if !p.appinputs.iter().any(|(pk, pv)| pk == k && pv == v) {
+            if p.appinputs.get(k) != Some(v.as_str()) {
                 return false;
             }
         }
         for (k, v) in &self.tags {
-            if !p.tags.iter().any(|(pk, pv)| pk == k && pv == v) {
+            if p.tags.get(k) != Some(v.as_str()) {
                 return false;
             }
         }
@@ -607,24 +656,29 @@ impl Dataset {
         out
     }
 
-    /// Serializes the dataset as pretty JSON.
+    /// Serializes the dataset as pretty JSON. The buffer is sized up front
+    /// from a bound on the text, which is exact but for the floats, so it
+    /// never regrows.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let lit = PointLiterals::shared(DATASET_ITEM_LAYOUT).expect("a shared layout");
+        // `[`, `\n  ` before the first item and `,\n  ` before each other
+        // one, the closing `\n]` and the final newline: 4 bytes per item
+        // and 3 more, which also counts the empty `[]\n`.
+        let framing = 4 * self.points.len() + 3;
+        let bound = framing
+            + self
+                .points
+                .iter()
+                .map(|p| p.json_max_len(lit))
+                .sum::<usize>();
+        let mut out = String::with_capacity(bound);
         let mut items = json::Slot::pretty(&mut out).array();
-        let mut points = self.points.iter();
-        if let Some(first) = points.next() {
-            first.write_json(items.item());
-            // The rest are about as long as the first: reserve room for all
-            // of them once instead of regrowing the buffer as it fills. The
-            // closing `\n]\n` is 3 bytes.
-            let per_point = items.written();
-            items.reserve(per_point * points.len() + 3);
-        }
-        for p in points {
+        for p in &self.points {
             p.write_json(items.item());
         }
         items.end();
         out.push('\n');
+        debug_assert!(out.len() <= bound, "the size bound holds");
         out
     }
 
@@ -660,14 +714,14 @@ pub fn point(
         sku: sku.to_string(),
         nnodes,
         ppn,
-        appinputs: Vec::new(),
+        appinputs: Pairs::new(),
         exec_time_secs,
         task_secs: exec_time_secs + 10.0,
         cost_dollars,
         status: ScenarioStatus::Completed,
-        metrics: Vec::new(),
-        infra: Vec::new(),
-        tags: Vec::new(),
+        metrics: Pairs::new(),
+        infra: Pairs::new(),
+        tags: Pairs::new(),
         deployment: "test".to_string(),
         capacity: Capacity::Dedicated,
         region: None,
@@ -681,21 +735,17 @@ pub(crate) mod oracle {
     use super::*;
     use hpcadvisor_formats::OrderedMap;
 
-    fn pairs_to_value(pairs: &[(String, String)]) -> Value {
+    fn pairs_to_value(pairs: &Pairs) -> Value {
         let mut m = OrderedMap::new();
         for (k, v) in pairs {
-            m.insert(k.clone(), Value::str(v));
+            m.insert(k, Value::str(v));
         }
         Value::Map(m)
     }
 
-    fn value_to_pairs(v: Option<&Value>) -> Vec<(String, String)> {
+    fn value_to_pairs(v: Option<&Value>) -> Pairs {
         v.and_then(|v| v.as_map())
-            .map(|m| {
-                m.iter()
-                    .map(|(k, v)| (k.to_string(), v.to_plain_string()))
-                    .collect()
-            })
+            .map(|m| m.iter().map(|(k, v)| (k, v.to_plain_string())).collect())
             .unwrap_or_default()
     }
 
@@ -807,7 +857,7 @@ pub(crate) mod oracle {
     ];
 
     /// Points that cover every escape, every edge float, present and absent
-    /// `capacity`/`region`, empty maps and repeated map keys. Generated by a
+    /// `capacity`/`region`, empty maps and maps built from repeated keys. Generated by a
     /// fixed xorshift sequence, so every run checks the same points.
     pub(crate) fn generated_points() -> Vec<DataPoint> {
         generate(600)
@@ -831,12 +881,12 @@ pub(crate) mod oracle {
         ];
         (0..n)
             .map(|i| {
-                let mut pairs = || -> Vec<(String, String)> {
+                let mut pairs = || -> Pairs {
                     (0..next(4))
                         .map(|_| {
                             // Keys come from a short list so they repeat.
-                            let k = STRINGS[next(4)].to_string();
-                            (k, STRINGS[next(STRINGS.len())].to_string())
+                            let k = STRINGS[next(4)];
+                            (k, STRINGS[next(STRINGS.len())])
                         })
                         .collect()
                 };
@@ -878,11 +928,11 @@ mod tests {
     fn sample() -> Dataset {
         let mut ds = Dataset::new();
         let mut p1 = point(1, "lammps", "Standard_HB120rs_v3", 16, 120, 36.0, 0.576);
-        p1.appinputs = vec![("BOXFACTOR".into(), "30".into())];
-        p1.tags = vec![("version".into(), "v1".into())];
+        p1.appinputs = Pairs::from([("BOXFACTOR", "30")]);
+        p1.tags = Pairs::from([("version", "v1")]);
         ds.push(p1);
         let mut p2 = point(2, "lammps", "Standard_HC44rs", 16, 44, 60.0, 0.84);
-        p2.appinputs = vec![("BOXFACTOR".into(), "30".into())];
+        p2.appinputs = Pairs::from([("BOXFACTOR", "30")]);
         ds.push(p2);
         let mut p3 = point(3, "openfoam", "Standard_HB120rs_v3", 8, 120, 38.0, 0.304);
         p3.status = ScenarioStatus::Failed;
@@ -943,17 +993,14 @@ mod tests {
         // A failed point with a failure metric but no infra data.
         let mut failed = point(7, "wrf", "Standard_HC44rs", 4, 44, 0.0, 0.0);
         failed.status = ScenarioStatus::Failed;
-        failed.metrics = vec![("FAILREASON".into(), "node fault".into())];
+        failed.metrics = Pairs::from([("FAILREASON", "node fault")]);
         ds.push(failed);
         // A rich completed point exercising every optional field at once.
         let mut full = point(8, "lammps", "Standard_HB120rs_v3", 2, 120, 21.5, 0.11);
-        full.appinputs = vec![("BOXFACTOR".into(), "12".into())];
-        full.metrics = vec![("LAMMPSATOMS".into(), "1000".into())];
-        full.infra = vec![
-            ("cpu".into(), "0.93".into()),
-            ("bottleneck".into(), "compute".into()),
-        ];
-        full.tags = vec![("team".into(), "hpc".into())];
+        full.appinputs = Pairs::from([("BOXFACTOR", "12")]);
+        full.metrics = Pairs::from([("LAMMPSATOMS", "1000")]);
+        full.infra = Pairs::from([("cpu", "0.93"), ("bottleneck", "compute")]);
+        full.tags = Pairs::from([("team", "hpc")]);
         ds.push(full);
         let back = Dataset::from_json(&ds.to_json()).unwrap();
         assert_eq!(ds, back);
@@ -1090,8 +1137,8 @@ mod tests {
     #[test]
     fn metric_lookup() {
         let mut p = point(1, "a", "S", 1, 4, 1.0, 0.1);
-        p.metrics = vec![("LAMMPSATOMS".into(), "864000000".into())];
-        p.infra = vec![("bottleneck".into(), "compute".into())];
+        p.metrics = Pairs::from([("LAMMPSATOMS", "864000000")]);
+        p.infra = Pairs::from([("bottleneck", "compute")]);
         assert_eq!(p.metric("LAMMPSATOMS"), Some("864000000"));
         assert_eq!(p.metric("NOPE"), None);
         assert_eq!(p.infra_metric("bottleneck"), Some("compute"));
@@ -1105,17 +1152,17 @@ impl Dataset {
     /// cells stay empty) — the spreadsheet-friendly sibling of
     /// [`Dataset::to_json`].
     pub fn to_csv(&self) -> String {
-        let mut input_keys: Vec<String> = Vec::new();
-        let mut metric_keys: Vec<String> = Vec::new();
+        let mut input_keys: Vec<&str> = Vec::new();
+        let mut metric_keys: Vec<&str> = Vec::new();
         for p in &self.points {
             for (k, _) in &p.appinputs {
-                if !input_keys.contains(k) {
-                    input_keys.push(k.clone());
+                if !input_keys.contains(&k) {
+                    input_keys.push(k);
                 }
             }
             for (k, _) in &p.metrics {
-                if !metric_keys.contains(k) {
-                    metric_keys.push(k.clone());
+                if !metric_keys.contains(&k) {
+                    metric_keys.push(k);
                 }
             }
         }
@@ -1136,8 +1183,7 @@ impl Dataset {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        header.extend(input_keys.iter().cloned());
-        header.extend(metric_keys.iter().cloned());
+        header.extend(input_keys.iter().chain(&metric_keys).map(|k| k.to_string()));
         let mut rows = vec![header];
         for p in &self.points {
             let mut row = vec![
@@ -1155,13 +1201,7 @@ impl Dataset {
                 p.deployment.clone(),
             ];
             for k in &input_keys {
-                row.push(
-                    p.appinputs
-                        .iter()
-                        .find(|(pk, _)| pk == k)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default(),
-                );
+                row.push(p.appinputs.get(k).unwrap_or_default().to_string());
             }
             for k in &metric_keys {
                 row.push(p.metric(k).unwrap_or_default().to_string());
@@ -1203,15 +1243,13 @@ mod codec_tests {
     #[test]
     fn writer_matches_the_tree_oracle_byte_for_byte() {
         let mut points = generated_points();
-        // A point with a repeated key in every string map: the first
-        // position and the last value are written.
+        // A point whose every string map was built with a repeated key:
+        // the first position and the last value are written.
         let mut repeated = points[1].clone();
-        let twice = || -> Vec<(String, String)> {
-            vec![
-                ("k".into(), "first".into()),
-                ("other".into(), "x".into()),
-                ("k".into(), "last".into()),
-            ]
+        let twice = || -> Pairs {
+            [("k", "first"), ("other", "x"), ("k", "last")]
+                .into_iter()
+                .collect()
         };
         repeated.appinputs = twice();
         repeated.metrics = twice();
@@ -1249,32 +1287,64 @@ mod codec_tests {
     }
 
     #[test]
-    fn presized_buffer_fits_a_first_point_smallest_or_largest() {
-        let points = generate(1200);
-        let item_len = |p: &DataPoint| {
+    fn the_dataset_buffer_is_reserved_once() {
+        let lit = PointLiterals::shared(DATASET_ITEM_LAYOUT).unwrap();
+        // Every escape, edge float, map shape and optional member, with
+        // the shortest and the longest point first and last.
+        let mut points = generate(1200);
+        points.sort_by_key(|p| compact(p).len());
+        for ds in [
+            Dataset { points },
+            Dataset::new(),
             Dataset {
-                points: vec![p.clone()],
-            }
-            .to_json()
-            .len()
-        };
-        let lens: Vec<usize> = points.iter().map(item_len).collect();
-        let smallest = (0..lens.len()).min_by_key(|&i| lens[i]).unwrap();
-        let largest = (0..lens.len()).max_by_key(|&i| lens[i]).unwrap();
-        for (first, exceeded) in [(smallest, true), (largest, false)] {
-            let mut ds = Dataset {
-                points: points.clone(),
-            };
-            let p = ds.points.remove(first);
-            ds.points.insert(0, p);
+                points: vec![point(1, "a", "S", 1, 1, 1.0, 0.1)],
+            },
+        ] {
             let text = ds.to_json();
             let tree = Value::Seq(ds.points.iter().map(point_to_value).collect());
             assert_eq!(text, json::to_string_pretty(&tree));
-            // `to_json` reserves the first point's length for every point:
-            // too little here, so the buffer regrows, or more than enough.
-            let estimate = lens[first] * ds.len();
-            assert_eq!(text.len() > estimate, exceeded, "first point {first}");
+            // The buffer still has the capacity it was reserved with, so it
+            // never regrew.
+            let bound =
+                4 * ds.len() + 3 + ds.points.iter().map(|p| p.json_max_len(lit)).sum::<usize>();
+            assert_eq!(text.capacity(), bound, "{} points", ds.len());
         }
+        // Each point's bound covers it: a one-point dataset is the point
+        // and 7 bytes of framing.
+        for p in generate(1200) {
+            let max_len = p.json_max_len(lit);
+            let len = Dataset { points: vec![p] }.to_json().len() - 7;
+            assert!(max_len >= len, "{max_len} < {len}");
+        }
+    }
+
+    #[test]
+    fn a_growing_id_does_not_regrow_the_buffer() {
+        // The first point's one-digit id is the shortest of them all.
+        let points = (1..=10_000)
+            .map(|id| {
+                let mut p = point(
+                    id,
+                    "openfoam",
+                    "Standard_HC44rs",
+                    1,
+                    44,
+                    1501.92,
+                    1.3216896000000002,
+                );
+                p.task_secs = 1521.933600402;
+                p.appinputs = Pairs::from([("mesh", "80 24 24")]);
+                p.metrics = Pairs::from([("APPEXECTIME", "1501.92"), ("OFCELLS", "35942400")]);
+                p
+            })
+            .collect();
+        let text = Dataset { points }.to_json();
+        assert!(
+            text.capacity() as f64 <= text.len() as f64 * 1.1,
+            "{} bytes of capacity for {} bytes of text",
+            text.capacity(),
+            text.len()
+        );
     }
 
     #[test]
@@ -1295,8 +1365,8 @@ mod codec_tests {
     /// The base point of the decoding variants, as a map to edit.
     fn base() -> OrderedMap {
         let mut p = point(7, "openfoam", "Standard_HB120rs_v3", 4, 120, 12.5, 0.25);
-        p.appinputs = vec![("mesh".into(), "40 16 16".into())];
-        p.metrics = vec![("APPEXECTIME".into(), "12.5".into())];
+        p.appinputs = Pairs::from([("mesh", "40 16 16")]);
+        p.metrics = Pairs::from([("APPEXECTIME", "12.5")]);
         match point_to_value(&p) {
             Value::Map(m) => m,
             _ => unreachable!(),
@@ -1515,11 +1585,11 @@ mod csv_tests {
     fn csv_export_has_sparse_columns() {
         let mut ds = Dataset::new();
         let mut p1 = point(1, "lammps", "Standard_HB120rs_v3", 16, 120, 36.0, 0.576);
-        p1.appinputs = vec![("BOXFACTOR".into(), "30".into())];
-        p1.metrics = vec![("LAMMPSATOMS".into(), "864000000".into())];
+        p1.appinputs = Pairs::from([("BOXFACTOR", "30")]);
+        p1.metrics = Pairs::from([("LAMMPSATOMS", "864000000")]);
         ds.push(p1);
         let mut p2 = point(2, "openfoam", "Standard_HB120rs_v2", 8, 120, 38.0, 0.304);
-        p2.appinputs = vec![("mesh".into(), "40 16 16".into())];
+        p2.appinputs = Pairs::from([("mesh", "40 16 16")]);
         ds.push(p2);
         let text = ds.to_csv();
         let rows = hpcadvisor_formats::csv::read(&text).unwrap();

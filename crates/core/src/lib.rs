@@ -60,6 +60,7 @@ pub mod deployment;
 pub mod error;
 pub mod journal;
 pub mod metrics;
+pub mod pairs;
 pub mod pareto;
 pub mod placement;
 pub mod plot;
@@ -83,6 +84,7 @@ pub use dataset::{DataFilter, DataPoint, Dataset};
 pub use deployment::{Deployment, DeploymentManager};
 pub use error::ToolError;
 pub use journal::{JournalEntry, RunJournal};
+pub use pairs::Pairs;
 pub use placement::PlacementPolicy;
 pub use retry::{FaultClass, RetryPolicy};
 pub use scenario::{Scenario, ScenarioStatus};
@@ -104,6 +106,7 @@ pub mod prelude {
     pub use crate::deployment::DeploymentManager;
     pub use crate::error::ToolError;
     pub use crate::journal::RunJournal;
+    pub use crate::pairs::Pairs;
     pub use crate::pareto::pareto_front;
     pub use crate::predictor::{advise_from_history, HistoryPredictor};
     pub use crate::replicate::{front_stability, render_stability, run_replicates};

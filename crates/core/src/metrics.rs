@@ -114,6 +114,7 @@ pub fn mean_time(ds: &Dataset, filter: &DataFilter) -> f64 {
 mod tests {
     use super::*;
     use crate::dataset::point;
+    use crate::pairs::Pairs;
 
     /// A dataset shaped like the paper's Listing 4 LAMMPS table.
     fn listing4_dataset() -> Dataset {
@@ -204,7 +205,7 @@ mod tests {
             (4, 4, 160.0, "24"),
         ] {
             let mut p = point(id, "lammps", "Standard_HB120rs_v3", n, 120, t, 0.1);
-            p.appinputs = vec![("BOXFACTOR".into(), input.into())];
+            p.appinputs = Pairs::from([("BOXFACTOR", input)]);
             ds.push(p);
         }
         let series = time_vs_nodes(&ds, &DataFilter::all());

@@ -29,6 +29,7 @@ use crate::advice::{Advice, AdviceRow, AdviceSort};
 use crate::config::UserConfig;
 use crate::dataset::{DataFilter, Dataset};
 use crate::error::ToolError;
+use crate::pairs::Pairs;
 use crate::pareto::pareto_front;
 use crate::regress::{multilinear_eval, multilinear_fit_ridge};
 use crate::scenario::{generate_scenarios, Scenario};
@@ -62,20 +63,20 @@ fn numeric_input(value: &str) -> Option<f64> {
     Some(tokens.iter().product())
 }
 
-fn features_for(
+fn features_for<'a>(
     input_keys: &[String],
     catalog: &SkuCatalog,
     sku: &str,
     nnodes: u32,
     ppn: u32,
-    appinputs: &[(String, String)],
+    appinputs: impl Iterator<Item = (&'a str, &'a str)> + Clone,
 ) -> Option<Vec<f64>> {
     let sku = catalog.get(sku)?;
     let ranks = nnodes as f64 * ppn as f64;
     let mut features = vec![ranks.ln(), sku.gflops_per_core.ln(), sku.mem_bw_gbs.ln()];
     for key in input_keys {
         let value = appinputs
-            .iter()
+            .clone()
             .find(|(k, _)| k.eq_ignore_ascii_case(key))
             .and_then(|(_, v)| numeric_input(v))?;
         features.push(value.ln());
@@ -103,7 +104,7 @@ impl HistoryPredictor {
         for p in &rows_src {
             for (k, v) in &p.appinputs {
                 if numeric_input(v).is_some() && !input_keys.iter().any(|x| x == k) {
-                    input_keys.push(k.clone());
+                    input_keys.push(k.to_string());
                 }
             }
         }
@@ -121,9 +122,14 @@ impl HistoryPredictor {
             if p.exec_time_secs <= 0.0 {
                 continue;
             }
-            if let Some(f) =
-                features_for(&input_keys, &catalog, &p.sku, p.nnodes, p.ppn, &p.appinputs)
-            {
+            if let Some(f) = features_for(
+                &input_keys,
+                &catalog,
+                &p.sku,
+                p.nnodes,
+                p.ppn,
+                p.appinputs.iter(),
+            ) {
                 rows.push((f, p.exec_time_secs.ln()));
             }
         }
@@ -161,7 +167,8 @@ impl HistoryPredictor {
         appinputs: &[(String, String)],
     ) -> Option<f64> {
         let catalog = SkuCatalog::azure_hpc();
-        let f = features_for(&self.input_keys, &catalog, sku, nnodes, ppn, appinputs)?;
+        let inputs = appinputs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let f = features_for(&self.input_keys, &catalog, sku, nnodes, ppn, inputs)?;
         Some(multilinear_eval(&self.beta, &f).exp())
     }
 
@@ -212,7 +219,7 @@ pub fn advise_from_history(
                 nodes: s.nnodes,
                 ppn: s.ppn,
                 sku: s.sku.to_ascii_lowercase().replace("standard_", ""),
-                appinputs: s.appinputs.clone(),
+                appinputs: Pairs::from(s.appinputs.as_slice()),
                 region: s.region.clone(),
             }
         })

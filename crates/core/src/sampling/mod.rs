@@ -273,7 +273,7 @@ mod tests {
                     nodes: *n,
                     ppn: 120,
                     sku: sku.to_string(),
-                    appinputs: Vec::new(),
+                    appinputs: Default::default(),
                     region: None,
                 })
                 .collect(),

@@ -15,7 +15,7 @@
 use crate::advice::Advice;
 use crate::collect::{CollectPlan, CollectReport};
 use crate::config::UserConfig;
-use crate::dataset::{set_pair, DataFilter, Dataset};
+use crate::dataset::{DataFilter, Dataset};
 use crate::error::ToolError;
 use crate::pareto::pareto_front;
 use crate::sampling::run_batch;
@@ -151,10 +151,9 @@ pub fn run_partial_execution(
         let mut q = pa.clone();
         q.cost_dollars = price_of(pa) * t_full;
         q.exec_time_secs = t_full;
-        set_pair(
-            &mut q.metrics,
+        q.metrics.set(
             "PREDICTED_FROM_STEPS",
-            format!("{probe_steps}+{probe_steps_2}"),
+            &format!("{probe_steps}+{probe_steps_2}"),
         );
         predicted.push(q);
     }

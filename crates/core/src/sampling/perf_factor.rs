@@ -6,6 +6,7 @@
 
 use super::{scaling_groups, Sampler};
 use crate::dataset::{DataFilter, Dataset};
+use crate::pairs::Pairs;
 use crate::pareto::pareto_front;
 use crate::regress::{amdahl_eval, amdahl_fit};
 use crate::scenario::Scenario;
@@ -143,8 +144,8 @@ impl Sampler for FixedPerfFactor {
                             t,
                             cost,
                         );
-                        point.appinputs = s.appinputs.clone();
-                        point.metrics = vec![("PREDICTED".into(), "1".into())];
+                        point.appinputs = Pairs::from(s.appinputs.as_slice());
+                        point.metrics = Pairs::from([("PREDICTED", "1")]);
                         self.predicted.push(point);
                     }
                 }

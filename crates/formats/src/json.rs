@@ -43,10 +43,14 @@ pub fn to_string_pretty(v: &Value) -> String {
     out
 }
 
+/// True for a byte that [`write_str`] escapes.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
 /// Appends `s` as a JSON string literal. `"`, `\` and control characters
 /// are escaped; everything else, non-ASCII included, is written as is.
 pub fn write_str(out: &mut String, s: &str) {
-    let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
     // Most strings need no escaping; a branch-free scan finds that out.
     if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
         out.reserve(s.len() + 2);
@@ -124,6 +128,69 @@ pub fn write_i64(out: &mut String, i: i64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
+/// The length of what [`write_str`] appends for `s`.
+pub fn str_len(s: &str) -> usize {
+    // The branch-free scan of `write_str` first: most strings need no
+    // escaping.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        return s.len() + 2;
+    }
+    let escapes: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+            0..=0x1f => 5,
+            _ => 0,
+        })
+        .sum();
+    s.len() + escapes + 2
+}
+
+/// The length of what [`write_i64`] appends for `i`.
+pub fn i64_len(i: i64) -> usize {
+    let digits = i
+        .unsigned_abs()
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1);
+    digits + usize::from(i < 0)
+}
+
+/// At least the length of what [`write_f64`] appends for `f`, mostly
+/// found without formatting `f`. An integral float below 1e15 is counted
+/// exactly. Any other float in [1e-5, 1e15) is bounded: `Display` writes
+/// a sign, at most 17 significant digits and a point, and below 1 a
+/// leading `0` and at most four zeros between the point and the digits.
+/// A float outside that range is formatted into a counter.
+pub fn f64_max_len(f: f64) -> usize {
+    let abs = f.abs();
+    if f == f.trunc() && abs < 1e15 {
+        return usize::from(f == 0.0 && f.is_sign_negative()) + i64_len(f as i64) + 2;
+    }
+    if (1.0..1e15).contains(&abs) {
+        return 19;
+    }
+    if (1e-5..1.0).contains(&abs) {
+        return 24;
+    }
+    struct Count {
+        len: usize,
+        point: bool,
+    }
+    impl std::fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.len += s.len();
+            self.point |= s.contains('.');
+            Ok(())
+        }
+    }
+    let mut count = Count {
+        len: 0,
+        point: false,
+    };
+    let _ = write!(count, "{f}");
+    count.len + if f.is_finite() && !count.point { 2 } else { 0 }
+}
+
 /// Where a value sits in a document: compact, or pretty (2-space indented)
 /// at some nesting depth. [`Slot`] and [`Container`] lay text out by it.
 /// Its literal methods return the text they would write around an
@@ -151,7 +218,7 @@ impl Layout {
 
     /// The layout of the items and member values of a container opened at
     /// this one.
-    pub fn inner(self) -> Layout {
+    pub const fn inner(self) -> Layout {
         match self.indent {
             Some(_) => Layout {
                 depth: self.depth + 1,
@@ -342,16 +409,6 @@ impl Container<'_> {
         write_str(slot.out, key);
         slot.out.push_str(slot.layout.colon());
         slot
-    }
-
-    /// Bytes of the document written so far.
-    pub fn written(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Reserves room for at least `additional` more bytes of the document.
-    pub fn reserve(&mut self, additional: usize) {
-        self.out.reserve(additional);
     }
 
     /// Closes the container.
@@ -890,6 +947,63 @@ mod tests {
             let mut out = String::new();
             write_f64(&mut out, f);
             assert_eq!(out, text, "{f:e}");
+        }
+    }
+
+    #[test]
+    fn lengths_match_what_the_writers_append() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in ["", "plain", "a\"b\\c", "\u{7f}\u{e9}\u{1f680}", &controls] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(str_len(s), out.len(), "{s:?}");
+        }
+        for i in [0, 7, -7, 9, 10, -10, 99, 100, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            write_i64(&mut out, i);
+            assert_eq!(i64_len(i), out.len(), "{i}");
+        }
+        let float_len = |f: f64| {
+            let mut out = String::new();
+            write_f64(&mut out, f);
+            out.len()
+        };
+        // Exact for small integers and outside [1e-5, 1e15).
+        for f in [
+            0.0,
+            -0.0,
+            2.0,
+            -36.0,
+            1e-7,
+            5e-324,
+            1e15,
+            -2.5e20,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(f64_max_len(f), float_len(f), "{f:e}");
+        }
+        // A bound inside it, reached by the longest texts.
+        for f in [-0.000012345678901234567, -0.30000000000000004, 1.5] {
+            assert!(f64_max_len(f) >= float_len(f), "{f:e}");
+        }
+        assert_eq!(float_len(-1.0000000000000002e-5), 24);
+        // Every non-integral float in the range, over a spread of
+        // exponents and mantissas.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let f = f64::from_bits(state);
+            assert!(f64_max_len(f) >= float_len(f), "{f:e}");
+            let g =
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi((state % 21) as i32 - 5);
+            assert!(f64_max_len(g) >= float_len(g), "{g:e}");
         }
     }
 

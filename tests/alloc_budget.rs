@@ -1,11 +1,14 @@
-//! Heap-allocation budget of a cold scenario.
+//! Heap-allocation budgets of a cold scenario and of a cache hit.
 //!
 //! A cold sweep's fixed cost is what each of its tasks costs, and a good
 //! part of that is allocator traffic: the script task, batchsim around it,
-//! the collector and the merge barrier. This test counts the allocations a
-//! cold collect makes on its own thread and pins them per executed
-//! scenario, so per-pool facts resolved per task, or strings built for a
-//! disabled trace, show up here as a failure.
+//! the collector and the merge barrier. A warm rerun's is the decode of
+//! each cached point and its place in the dataset. These tests count the
+//! allocations a collect makes on its own thread and pin them per executed
+//! scenario and per cache hit, so per-pool facts resolved per task,
+//! strings built for a disabled trace, or a point's maps spread over a
+//! block per string show up here as a failure. Each budget is the count
+//! measured when it was set plus about 15%.
 //!
 //! The counter is per thread (a const `thread_local!` `Cell`, which never
 //! allocates), so allocations of other tests running in parallel are not
@@ -15,8 +18,13 @@ use hpcadvisor::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations a cold scenario may make, counted inside `collect_with`.
-const BUDGET_PER_SCENARIO: u64 = 120;
+/// Allocations a cold scenario may make, counted inside `collect_with`
+/// (80.9 measured).
+const BUDGET_PER_SCENARIO: u64 = 93;
+
+/// Allocations a cache hit may make, counted inside an all-hits
+/// `collect_with` (12.5 measured).
+const BUDGET_PER_HIT: u64 = 14;
 
 struct Counting;
 
@@ -83,27 +91,59 @@ fn meshes(seed: u64, n: usize) -> Vec<String> {
     out
 }
 
-#[test]
-fn a_cold_scenario_stays_within_its_allocation_budget() {
-    // Listing 1's three SKUs × nnodes 1–4 × 20 meshes = 240 scenarios.
+/// Listing 1's three SKUs × nnodes 1–4 × 20 meshes = 240 scenarios, on a
+/// session with its own empty in-memory cache or with `cache`.
+fn grid_session(cache: Option<SharedScenarioCache>) -> Session {
     let mut config = UserConfig::example_openfoam();
     config.nnodes = vec![1, 2, 3, 4];
     config.appinputs = vec![("mesh".into(), meshes(7, 20))];
-    // The default session cache is in memory: a cold collect only writes.
-    let mut session = Session::builder(config).seed(7).build().unwrap();
-    let plan = CollectPlan::new().workers(1);
+    let builder = Session::builder(config).seed(7);
+    match cache {
+        Some(cache) => builder.shared_cache(cache),
+        None => builder,
+    }
+    .build()
+    .unwrap()
+}
 
+/// Allocations `collect_with` makes on this thread, and its report.
+fn counted_collect(session: &mut Session) -> (u64, CollectReport) {
+    let plan = CollectPlan::new().workers(1);
     let before = allocations();
     let report = session.collect_with(&plan).unwrap();
-    let spent = allocations() - before;
+    (allocations() - before, report)
+}
 
+#[test]
+fn a_cold_scenario_stays_within_its_allocation_budget() {
+    // The default session cache is in memory: a cold collect only writes.
+    let (spent, report) = counted_collect(&mut grid_session(None));
     let executed = report.stats.executed as u64;
     assert_eq!(executed, 240, "every scenario of the cold grid runs");
     assert_eq!(report.stats.completed, 240, "and completes");
     let per_scenario = spent as f64 / executed as f64;
+    eprintln!("{per_scenario:.1} allocations per cold scenario");
     assert!(
         spent <= BUDGET_PER_SCENARIO * executed,
         "{spent} allocations for {executed} scenarios ({per_scenario:.1} each) exceed the \
          budget of {BUDGET_PER_SCENARIO} per scenario"
+    );
+}
+
+#[test]
+fn a_cache_hit_stays_within_its_allocation_budget() {
+    let mut cold = grid_session(None);
+    counted_collect(&mut cold);
+    // A second session over the first one's cache finds every scenario.
+    let (spent, report) = counted_collect(&mut grid_session(Some(cold.cache())));
+    let hits = report.stats.cache_hits as u64;
+    assert_eq!(hits, 240, "every scenario of the warm grid hits");
+    assert_eq!(report.stats.executed, 0, "and none runs");
+    let per_hit = spent as f64 / hits as f64;
+    eprintln!("{per_hit:.1} allocations per cache hit");
+    assert!(
+        spent <= BUDGET_PER_HIT * hits,
+        "{spent} allocations for {hits} cache hits ({per_hit:.1} each) exceed the budget of \
+         {BUDGET_PER_HIT} per hit"
     );
 }

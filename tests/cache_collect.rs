@@ -375,7 +375,7 @@ appinputs:
     for ds in [&cold.dataset, &warm.dataset, &read_back] {
         for p in &ds.points {
             assert_eq!(p.metric("OFCELLS"), Some("second"));
-            let keys: Vec<&str> = p.metrics.iter().map(|(k, _)| k.as_str()).collect();
+            let keys: Vec<&str> = p.metrics.iter().map(|(k, _)| k).collect();
             assert_eq!(keys, ["APPEXECTIME", "OFCELLS"]);
         }
     }

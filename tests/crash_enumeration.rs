@@ -15,7 +15,7 @@
 use hpcadvisor::core::cache::{CachePolicy, Fingerprint, ScenarioCache};
 use hpcadvisor::core::dataset::point;
 use hpcadvisor::core::{Capacity, PendingJob, ServiceJournal, ServiceRecord, ServiceState};
-use hpcadvisor::core::{DataPoint, JournalEntry, RunJournal, ScenarioStatus};
+use hpcadvisor::core::{DataPoint, JournalEntry, Pairs, RunJournal, ScenarioStatus};
 use std::path::{Path, PathBuf};
 
 /// Length of the store header: the magic `HPCAV003`, the model version
@@ -47,8 +47,8 @@ fn points() -> Vec<(Fingerprint, DataPoint)> {
                 10.0 + f64::from(id) / 3.0,
                 0.05 * f64::from(id),
             );
-            p.appinputs = vec![("BOXFACTOR".into(), format!("{}", 8 * id))];
-            p.metrics = vec![("NOTE".into(), format!("run \"{id}\"\t\\ok in {id} µs"))];
+            p.appinputs = Pairs::from([("BOXFACTOR", format!("{}", 8 * id))]);
+            p.metrics = Pairs::from([("NOTE", format!("run \"{id}\"\t\\ok in {id} µs"))]);
             if id % 2 == 0 {
                 p.capacity = Capacity::Spot;
                 p.region = Some("westeurope".into());

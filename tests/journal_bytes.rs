@@ -7,7 +7,7 @@
 use hpcadvisor::core::cache::{CachePolicy, Fingerprint};
 use hpcadvisor::core::dataset::point;
 use hpcadvisor::core::service_state::{PendingJob, ServiceJournal, ServiceRecord};
-use hpcadvisor::core::{Capacity, JournalEntry, RunJournal, ScenarioStatus};
+use hpcadvisor::core::{Capacity, JournalEntry, Pairs, RunJournal, ScenarioStatus};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -40,7 +40,7 @@ fn entry(id: u32) -> JournalEntry {
         9.5 + f64::from(id),
         0.03,
     );
-    p.metrics = vec![("NOTE".into(), format!("µ-run \"{id}\""))];
+    p.metrics = Pairs::from([("NOTE", format!("µ-run \"{id}\""))]);
     if id.is_multiple_of(2) {
         p.capacity = Capacity::Spot;
         p.region = Some("westeurope".into());

@@ -8,7 +8,7 @@
 
 use hpcadvisor::core::cache::{Fingerprint, ScenarioCache};
 use hpcadvisor::core::dataset::{point, DataPoint};
-use hpcadvisor::core::Capacity;
+use hpcadvisor::core::{Capacity, Pairs};
 use std::path::{Path, PathBuf};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -55,9 +55,9 @@ fn sample(id: u32) -> DataPoint {
         7.25 + f64::from(id),
         0.02 * f64::from(id),
     );
-    p.appinputs = vec![("BOXFACTOR".into(), format!("{}", 10 + id))];
-    p.metrics = vec![("NOTE".into(), format!("µ-run \"{id}\""))];
-    p.infra = vec![("cpu".into(), "93.5".into())];
+    p.appinputs = Pairs::from([("BOXFACTOR", format!("{}", 10 + id))]);
+    p.metrics = Pairs::from([("NOTE", format!("µ-run \"{id}\""))]);
+    p.infra = Pairs::from([("cpu", "93.5")]);
     if id.is_multiple_of(3) {
         p.capacity = Capacity::Spot;
         p.region = Some("westeurope".into());
