@@ -857,8 +857,9 @@ pub(crate) mod oracle {
     ];
 
     /// Points that cover every escape, every edge float, present and absent
-    /// `capacity`/`region`, empty maps and maps built from repeated keys. Generated by a
-    /// fixed xorshift sequence, so every run checks the same points.
+    /// `capacity`/`region`, empty maps and maps built from repeated keys.
+    /// Generated by a fixed xorshift sequence, so every run checks the same
+    /// points.
     pub(crate) fn generated_points() -> Vec<DataPoint> {
         generate(600)
     }

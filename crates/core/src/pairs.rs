@@ -79,13 +79,15 @@ impl Pairs {
     /// Sets `key` to `value`. A key already present keeps its position.
     pub fn set(&mut self, key: &str, value: &str) {
         let mut start = 0;
-        for (i, pair) in self.ends.chunks_exact(2).enumerate() {
-            let (key_end, value_end) = (pair[0] as usize, pair[1] as usize);
+        for i in 0..self.len() {
+            let (key_end, value_end) = (self.ends[2 * i] as usize, self.ends[2 * i + 1] as usize);
             if &self.text[start..key_end] == key {
                 self.text.replace_range(key_end..value_end, value);
-                let grown = value.len() as i64 - (value_end - key_end) as i64;
+                // This value's end and every later one move by the change
+                // in the value's length.
+                let old_len = value_end - key_end;
                 for end in &mut self.ends[2 * i + 1..] {
-                    *end = (*end as i64 + grown) as u32;
+                    *end = offset(*end as usize + value.len() - old_len);
                 }
                 return;
             }
@@ -93,8 +95,7 @@ impl Pairs {
         }
         for part in [key, value] {
             self.text.push_str(part);
-            let end = u32::try_from(self.text.len()).expect("a map's text fits in 4 GiB");
-            self.ends.push(end);
+            self.ends.push(offset(self.text.len()));
         }
     }
 
@@ -111,6 +112,11 @@ impl Pairs {
             start: 0,
         }
     }
+}
+
+/// `len` as an end offset in a map's text.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a map's text fits in 4 GiB")
 }
 
 /// The entries of a [`Pairs`] in order, from [`Pairs::iter`].
