@@ -160,7 +160,7 @@ pub fn i64_len(i: i64) -> usize {
 /// exactly. Any other float in [1e-5, 1e15) is bounded: `Display` writes
 /// a sign, at most 17 significant digits and a point, and below 1 a
 /// leading `0` and at most four zeros between the point and the digits.
-/// A float outside that range is formatted into a counter.
+/// A float outside that range, rare in a dataset, is written and counted.
 pub fn f64_max_len(f: f64) -> usize {
     let abs = f.abs();
     if f == f.trunc() && abs < 1e15 {
@@ -172,23 +172,9 @@ pub fn f64_max_len(f: f64) -> usize {
     if (1e-5..1.0).contains(&abs) {
         return 24;
     }
-    struct Count {
-        len: usize,
-        point: bool,
-    }
-    impl std::fmt::Write for Count {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.len += s.len();
-            self.point |= s.contains('.');
-            Ok(())
-        }
-    }
-    let mut count = Count {
-        len: 0,
-        point: false,
-    };
-    let _ = write!(count, "{f}");
-    count.len + if f.is_finite() && !count.point { 2 } else { 0 }
+    let mut text = String::new();
+    write_f64(&mut text, f);
+    text.len()
 }
 
 /// Where a value sits in a document: compact, or pretty (2-space indented)
