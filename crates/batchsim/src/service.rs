@@ -285,14 +285,12 @@ impl BatchService {
             m.insert("task_kind", Value::str(kind_str(kind)));
             m.insert("nodes", Value::Int(i64::from(nodes_required)));
         });
-        let p = &self.pools[pool];
-        let ctx = TaskContext {
-            sku: Arc::clone(&p.vm),
-            hosts: p.first_hosts(nodes_required),
-            ppn,
-            pool: Arc::clone(&p.name),
-        };
-        let result = runner(&ctx);
+        let ctx = self
+            .pools
+            .get_mut(pool)
+            .expect("the task's pool exists")
+            .task_context(nodes_required, ppn);
+        let result = runner(ctx);
         record.duration = result.duration;
         record.stdout = result.stdout;
         record.exit_code = result.exit_code;
@@ -540,6 +538,49 @@ mod tests {
         assert_eq!(one.hostfile(), "p1-0000 slots=2\n");
         let all = seen(&mut svc, 3);
         assert!(Arc::ptr_eq(&all.hosts, &svc.pool("p1").unwrap().hosts));
+        // A second task of a layout shares the first one's texts.
+        let again = seen(&mut svc, 1);
+        assert!(Arc::ptr_eq(&one.hostfile_text, &again.hostfile_text));
+        assert!(Arc::ptr_eq(
+            &one.hostlist_ppn_text,
+            &again.hostlist_ppn_text
+        ));
+    }
+
+    #[test]
+    fn host_lists_survive_an_eviction_and_re_provision() {
+        let mut provider = CloudProvider::new(ProviderConfig::default()).unwrap();
+        provider.create_resource_group("rg").unwrap();
+        provider.create_vnet("rg", "vnet", "default").unwrap();
+        provider.create_storage_account("rg", "stor").unwrap();
+        provider.create_batch_account("rg", "batch").unwrap();
+        provider.set_fault_plan(FaultPlan::none().fail_nth(Operation::Eviction, 0));
+        let mut svc = BatchService::new(share(provider), "rg");
+        svc.create_pool("p1", "HB120rs_v3").unwrap();
+        svc.set_pool_capacity("p1", Capacity::Spot).unwrap();
+        let run = |svc: &mut BatchService, nodes: u32| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = move |ctx: &TaskContext| {
+                tx.send(ctx.clone()).unwrap();
+                TaskResult::ok(SimDuration::from_secs(60), "")
+            };
+            let rec = svc
+                .run_task("p1", "t", TaskKind::Compute, nodes, 120, runner)
+                .unwrap();
+            (rec, rx.recv().unwrap())
+        };
+        svc.resize_pool("p1", 2).unwrap();
+        let (rec, before) = run(&mut svc, 2);
+        assert!(rec.evicted);
+        assert_eq!(svc.pool("p1").unwrap().nodes, 0);
+        svc.resize_pool("p1", 3).unwrap();
+        let (rec, after) = run(&mut svc, 2);
+        assert!(!rec.evicted);
+        assert_eq!(after.hostlist_ppn(), "p1-0000:120,p1-0001:120");
+        assert_eq!(after.hostfile(), "p1-0000 slots=120\np1-0001 slots=120\n");
+        assert_eq!(after.hostfile_text, before.hostfile_text);
+        let (_, all) = run(&mut svc, 3);
+        assert_eq!(all.hostlist_ppn(), "p1-0000:120,p1-0001:120,p1-0002:120");
     }
 
     #[test]

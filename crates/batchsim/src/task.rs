@@ -2,7 +2,6 @@
 
 use cloudsim::{FaultKind, VmSku};
 use simtime::SimDuration;
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// What a task is for — mirrors the paper's Algorithm 1, which runs one
@@ -29,7 +28,9 @@ pub enum TaskState {
 /// Everything a task runner can see about where it executes. The fields map
 /// one-to-one onto the environment variables of the paper's Table I. What
 /// is the same for every task of a pool (its SKU, name and hostnames) is
-/// shared with the pool, not copied per task.
+/// shared with the pool, and what is the same for every task of a layout
+/// (its hosts and their `HOSTLIST_PPN` and hostfile texts) is built once
+/// per layout by the pool, not per task.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
     /// VM type of the pool (Table I: `SKU`, `VMTYPE`).
@@ -41,6 +42,12 @@ pub struct TaskContext {
     pub ppn: u32,
     /// Pool name the task runs in.
     pub pool: Arc<str>,
+    /// The text of [`TaskContext::hostlist_ppn`], shared with every task of
+    /// the layout.
+    pub hostlist_ppn_text: Arc<str>,
+    /// The text of [`TaskContext::hostfile`], shared with every task of the
+    /// layout: a task writes it into its filesystem without a copy.
+    pub hostfile_text: Arc<str>,
 }
 
 impl TaskContext {
@@ -52,30 +59,12 @@ impl TaskContext {
     /// The `host:ppn,host:ppn,...` list the paper passes to `mpirun`
     /// (Table I: `HOSTLIST_PPN`).
     pub fn hostlist_ppn(&self) -> String {
-        self.host_lists().0
+        self.hostlist_ppn_text.to_string()
     }
 
     /// Contents of a plain MPI hostfile (one host per line, `slots=` form).
     pub fn hostfile(&self) -> String {
-        self.host_lists().1
-    }
-
-    /// [`TaskContext::hostlist_ppn`] and [`TaskContext::hostfile`], built
-    /// in one pass over the hosts.
-    pub fn host_lists(&self) -> (String, String) {
-        let digits = self.ppn.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let names: usize = self.hosts.iter().map(String::len).sum();
-        let n = self.hosts.len();
-        let mut hostlist = String::with_capacity(names + n * (digits + 2));
-        let mut hostfile = String::with_capacity(names + n * (digits + 8));
-        for (i, host) in self.hosts.iter().enumerate() {
-            if i > 0 {
-                hostlist.push(',');
-            }
-            let _ = write!(hostlist, "{host}:{}", self.ppn);
-            let _ = writeln!(hostfile, "{host} slots={}", self.ppn);
-        }
-        (hostlist, hostfile)
+        self.hostfile_text.to_string()
     }
 }
 
@@ -149,44 +138,6 @@ pub struct TaskRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudsim::SkuCatalog;
-
-    fn ctx() -> TaskContext {
-        TaskContext {
-            sku: Arc::new(SkuCatalog::azure_hpc().get("HC44rs").unwrap().clone()),
-            hosts: Arc::new(["node-0".into(), "node-1".into(), "node-2".into()]),
-            ppn: 44,
-            pool: "pool-hc44rs".into(),
-        }
-    }
-
-    #[test]
-    fn hostlist_ppn_format() {
-        assert_eq!(ctx().hostlist_ppn(), "node-0:44,node-1:44,node-2:44");
-        assert_eq!(ctx().nnodes(), 3);
-    }
-
-    #[test]
-    fn hostfile_format() {
-        let hf = ctx().hostfile();
-        assert_eq!(hf.lines().count(), 3);
-        assert!(hf.starts_with("node-0 slots=44\n"));
-    }
-
-    #[test]
-    fn host_lists_match_the_per_host_formats() {
-        let mut c = ctx();
-        for hosts in [0, 1, 3] {
-            c.hosts = (0..hosts).map(|n| format!("node-{n}")).collect();
-            let list: Vec<String> = c.hosts.iter().map(|h| format!("{h}:{}", c.ppn)).collect();
-            let file: String = c
-                .hosts
-                .iter()
-                .map(|h| format!("{h} slots={}\n", c.ppn))
-                .collect();
-            assert_eq!(c.host_lists(), (list.join(","), file));
-        }
-    }
 
     #[test]
     fn failed_result_never_has_zero_exit() {

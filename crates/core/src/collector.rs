@@ -274,8 +274,48 @@ struct PoolCtx {
     name: String,
     /// Environment of every task on the pool.
     node: NodeEnv,
+    /// Hourly price of one node, dedicated and spot, at the pool's region's
+    /// multiplier: an attempt bills the one its capacity class names.
+    price: Prices,
     /// Whether the app's setup task succeeded on this pool.
     setup_ok: bool,
+}
+
+/// A pool's hourly node prices per capacity class.
+#[derive(Debug, Clone, Copy)]
+struct Prices {
+    dedicated: f64,
+    spot: f64,
+}
+
+impl Prices {
+    /// The prices of a pool of `sku` (catalog entry `vm`) in `region`, or
+    /// in the provider's home region. Placed scenarios bill at the placed
+    /// region's multiplier: a failover's cost delta is real and lands in
+    /// the dataset.
+    fn resolve(
+        provider: &SharedProvider,
+        sku: &str,
+        vm: &cloudsim::VmSku,
+        region: Option<&str>,
+    ) -> Result<Self, ToolError> {
+        let provider = provider.lock();
+        let dedicated = match region {
+            Some(r) => provider.price_per_hour_in(sku, r)?,
+            None => provider.price_per_hour(sku)?,
+        };
+        Ok(Prices {
+            dedicated,
+            spot: dedicated * (1.0 - vm.spot_discount),
+        })
+    }
+
+    fn of(self, capacity: Capacity) -> f64 {
+        match capacity {
+            Capacity::Dedicated => self.dedicated,
+            Capacity::Spot => self.spot,
+        }
+    }
 }
 
 /// The placement candidates of a scenario without a requested region: the
@@ -597,6 +637,7 @@ impl ShardRun<'_> {
         }
         let vm = &self.service.pool(&name).expect("pool exists").vm;
         let node = self.ctx.node_env(vm);
+        let price = Prices::resolve(&self.ctx.provider, &scenario.sku, vm, region)?;
         self.apply_capacity(&name)?;
         let provisioned = self.resize_with_retry(&name, scenario.nnodes, tally);
         let setup_ok = match &provisioned {
@@ -608,6 +649,7 @@ impl ShardRun<'_> {
             region: region.map(str::to_string),
             name,
             node,
+            price,
             setup_ok,
         });
         Ok(provisioned)
@@ -906,26 +948,7 @@ impl ShardRun<'_> {
             runner,
         )?;
 
-        // Scrape HPCADVISORVAR / HPCADVISORINFRA lines straight into the
-        // point's maps. A variable printed twice keeps its first position
-        // and its last value, as a `Pairs` does however it is built, so
-        // cold and warm runs read alike.
-        let lines = |prefix: &'static str| {
-            record
-                .stdout
-                .lines()
-                .filter_map(move |line| line.strip_prefix(prefix))
-        };
-        let metrics = Pairs::from_sized(
-            lines("HPCADVISORVAR ")
-                .filter_map(|rest| rest.split_once('='))
-                .map(|(k, v)| (k.trim(), v.trim())),
-        );
-        let infra = Pairs::from_sized(
-            lines("HPCADVISORINFRA ")
-                .flat_map(str::split_whitespace)
-                .filter_map(|kv| kv.split_once('=')),
-        );
+        let (metrics, infra) = scrape(&record.stdout);
 
         // Runner-reported execution time: immune to sibling shards advancing
         // the shared virtual clock while this task runs.
@@ -937,26 +960,7 @@ impl ShardRun<'_> {
             .and_then(|v| v.parse::<f64>().ok())
             .filter(|t| t.is_finite())
             .unwrap_or(task_secs);
-        let price = {
-            let provider = self.ctx.provider.lock();
-            // Placed scenarios bill at the placed region's multiplier — a
-            // failover's cost delta is real and lands in the dataset.
-            let base = match region {
-                Some(r) => provider.price_per_hour_in(&scenario.sku, r)?,
-                None => provider.price_per_hour(&scenario.sku)?,
-            };
-            match capacity {
-                Capacity::Dedicated => base,
-                Capacity::Spot => {
-                    let discount = provider
-                        .catalog()
-                        .get(&scenario.sku)
-                        .map(|s| s.spot_discount)
-                        .unwrap_or(0.0);
-                    base * (1.0 - discount)
-                }
-            }
-        };
+        let price = pool_ctx.price.of(capacity);
         let cost_dollars = price * scenario.nnodes as f64 * exec_time_secs / 3600.0;
         let status = match record.state {
             TaskState::Completed => ScenarioStatus::Completed,
@@ -1054,6 +1058,79 @@ pub(crate) fn resolve_ids<'a>(
     Ok(ordered)
 }
 
+/// The `HPCADVISOR` prefix that both scraped kinds of line start with.
+const SCRAPE_PREFIX: &str = "HPCADVISOR";
+
+/// Scrapes a task's `HPCADVISORVAR key=value` lines into its metrics and
+/// its `HPCADVISORINFRA k=v k=v ...` lines into its infrastructure
+/// utilizations, straight into the point's maps. The result is what
+/// `str::lines` and `strip_prefix` give: a line ends at a `\n`. A
+/// metric's key and value are trimmed around the line's first `=`; an
+/// infra line's whitespace-separated tokens split at their first `=`, and
+/// a token or metric line without one is skipped. A variable printed
+/// twice keeps its first position and its last value, as a `Pairs` does
+/// however it is built, so cold and warm runs read alike.
+///
+/// One search finds the matched lines and sizes both maps from them alone.
+/// The pairs it finds are kept for the fill; a stdout with more than
+/// [`KEPT_PAIRS`] of them is searched again.
+fn scrape(stdout: &str) -> (Pairs, Pairs) {
+    let mut kept = [(0, "", ""); KEPT_PAIRS];
+    let mut found = 0;
+    let mut sizes = [(0, 0); 2];
+    scraped_pairs(stdout, |map, k, v| {
+        if let Some(slot) = kept.get_mut(found) {
+            *slot = (map, k, v);
+        }
+        found += 1;
+        sizes[map].0 += 1;
+        sizes[map].1 += k.len() + v.len();
+    });
+    let mut maps = sizes.map(|(entries, text_len)| Pairs::with_capacity(entries, text_len));
+    if found <= KEPT_PAIRS {
+        for &(map, k, v) in &kept[..found] {
+            maps[map].set(k, v);
+        }
+    } else {
+        scraped_pairs(stdout, |map, k, v| maps[map].set(k, v));
+    }
+    let [metrics, infra] = maps;
+    (metrics, infra)
+}
+
+/// The pairs [`scrape`] keeps from its search: an application task prints
+/// two or three metrics and four utilizations.
+const KEPT_PAIRS: usize = 8;
+
+/// Calls `pair(map, key, value)` for every pair of [`scrape`]'s lines in
+/// order, `map` 0 for a metric and 1 for an infra utilization.
+fn scraped_pairs<'a>(text: &'a str, mut pair: impl FnMut(usize, &'a str, &'a str)) {
+    let mut from = 0;
+    // A byte search for the prefix's first byte is much cheaper than a
+    // search for the whole prefix; each hit is then checked in place.
+    while let Some(at) = text[from..].find('H').map(|i| from + i) {
+        from = at + 1;
+        let line_start = at == 0 || text.as_bytes()[at - 1] == b'\n';
+        if !line_start || !text[at..].starts_with(SCRAPE_PREFIX) {
+            continue;
+        }
+        // The `\r` of a `\r\n` ending stays on the line: it can only end
+        // a value or a token, and the trim or the whitespace split drops
+        // it there, as it would drop a bare `\r` at the end of the text.
+        from = text[at..].find('\n').map_or(text.len(), |len| at + len);
+        let kind = &text[at + SCRAPE_PREFIX.len()..from];
+        if let Some(rest) = kind.strip_prefix("VAR ") {
+            if let Some((k, v)) = rest.split_once('=') {
+                pair(0, k.trim(), v.trim());
+            }
+        } else if let Some(rest) = kind.strip_prefix("INFRA ") {
+            for (k, v) in rest.split_whitespace().filter_map(|kv| kv.split_once('=')) {
+                pair(1, k, v);
+            }
+        }
+    }
+}
+
 /// What a runner should do.
 #[derive(Debug, Clone)]
 struct RunnerSpec {
@@ -1091,11 +1168,13 @@ fn run_script_task(
     for (k, v) in spec.env {
         interp.set_var(k, v);
     }
-    // Table I variables that depend on the concrete node assignment.
-    let (hostlist, hostfile) = ctx.host_lists();
-    interp.set_var("HOSTLIST_PPN", hostlist);
+    // Table I variables that depend on the concrete node assignment. The
+    // hostfile's text is the pool's, shared, not copied.
+    interp.set_var("HOSTLIST_PPN", &*ctx.hostlist_ppn_text);
     if let Some(hostfile_path) = hostfile_path {
-        interp.vfs_mut().write(&hostfile_path, hostfile);
+        interp
+            .vfs_mut()
+            .write(&hostfile_path, Arc::clone(&ctx.hostfile_text));
         interp.set_var("HOSTFILE_PATH", hostfile_path);
     }
 
@@ -1445,6 +1524,91 @@ mod option_tests {
         assert_eq!(pool.nodes, 0, "resized to zero, not deleted");
     }
 
+    /// `price` × nodes × exec time, as a point's cost is figured.
+    fn billed(price: f64, point: &DataPoint) -> f64 {
+        price * point.nnodes as f64 * point.exec_time_secs / 3600.0
+    }
+
+    #[test]
+    fn an_escalated_attempt_bills_dedicated_and_the_next_scenario_spot() {
+        use cloudsim::{FaultPlan, Operation};
+        let mut session = setup_with(&UserConfig::example_lammps_small());
+        // The pool's first eviction check evicts: the first scenario's
+        // first attempt, which escalates the pool to dedicated.
+        session
+            .provider()
+            .lock()
+            .set_fault_plan(FaultPlan::none().fail_nth(Operation::Eviction, 0));
+        let plan = CollectPlan::new()
+            .capacity(Capacity::Spot)
+            .escalate_after(1);
+        let points = session.collect_with(&plan).unwrap().into_dataset().points;
+        let (dedicated, spot) = {
+            let provider = session.provider();
+            let provider = provider.lock();
+            let dedicated = provider.price_per_hour("Standard_HB120rs_v3").unwrap();
+            let discount = provider
+                .catalog()
+                .get("Standard_HB120rs_v3")
+                .unwrap()
+                .spot_discount;
+            (dedicated, dedicated * (1.0 - discount))
+        };
+        assert!(spot < dedicated);
+        assert_eq!(points.len(), 3);
+        assert!(points.iter().all(|p| p.status == ScenarioStatus::Completed));
+        // The finishing attempt ran on dedicated nodes; the evicted one, on
+        // spot nodes, is billed on top.
+        let escalated = &points[0];
+        assert_eq!(escalated.metric("EVICTIONS"), Some("1"));
+        assert_eq!(
+            escalated.cost_dollars,
+            billed(dedicated, escalated) + billed(spot, escalated)
+        );
+        // The pool went back to spot for the scenarios after it.
+        for point in &points[1..] {
+            assert_eq!(point.metric("EVICTIONS"), None);
+            assert_eq!(point.cost_dollars, billed(spot, point), "{point:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_over_scenario_bills_its_placed_regions_price() {
+        use cloudsim::{FaultMode, FaultPlan, RegionFault};
+        let mut config = UserConfig::example_lammps_small();
+        config.regions = vec!["southcentralus".into(), "westeurope".into()];
+        let mut session = setup_with(&config);
+        session
+            .provider()
+            .lock()
+            .set_fault_plan(FaultPlan::none().fail_region_named(
+                "southcentralus",
+                RegionFault::Outage,
+                FaultMode::Always,
+            ));
+        let points = session
+            .collect_with(&CollectPlan::new())
+            .unwrap()
+            .into_dataset()
+            .points;
+        let (home, placed) = {
+            let provider = session.provider();
+            let provider = provider.lock();
+            let sku = "Standard_HB120rs_v3";
+            (
+                provider.price_per_hour(sku).unwrap(),
+                provider.price_per_hour_in(sku, "westeurope").unwrap(),
+            )
+        };
+        assert_ne!(home, placed, "the regions' multipliers differ");
+        assert_eq!(points.len(), 6);
+        for point in &points {
+            assert_eq!(point.status, ScenarioStatus::Completed);
+            assert_eq!(point.region.as_deref(), Some("westeurope"));
+            assert_eq!(point.cost_dollars, billed(placed, point), "{point:?}");
+        }
+    }
+
     #[test]
     fn rerun_failed_retries_failed_scenarios() {
         use cloudsim::{FaultPlan, Operation};
@@ -1478,5 +1642,132 @@ mod option_tests {
             .scenarios()
             .iter()
             .all(|s| s.status == ScenarioStatus::Completed));
+    }
+}
+
+#[cfg(test)]
+mod scrape_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The scrape as four walks of `str::lines`, two per map (one to size
+    /// it, one to fill it): the reference [`scrape`] must match.
+    fn scrape_by_lines(stdout: &str) -> (Pairs, Pairs) {
+        let lines = |prefix: &'static str| {
+            stdout
+                .lines()
+                .filter_map(move |line| line.strip_prefix(prefix))
+        };
+        let metrics = Pairs::from_sized(
+            lines("HPCADVISORVAR ")
+                .filter_map(|rest| rest.split_once('='))
+                .map(|(k, v)| (k.trim(), v.trim())),
+        );
+        let infra = Pairs::from_sized(
+            lines("HPCADVISORINFRA ")
+                .flat_map(str::split_whitespace)
+                .filter_map(|kv| kv.split_once('=')),
+        );
+        (metrics, infra)
+    }
+
+    fn assert_matches_the_line_walk(stdout: &str) {
+        let (metrics, infra) = scrape(stdout);
+        let (want_metrics, want_infra) = scrape_by_lines(stdout);
+        assert_eq!(metrics, want_metrics, "metrics of {stdout:?}");
+        assert_eq!(infra, want_infra, "infra of {stdout:?}");
+    }
+
+    #[test]
+    fn line_endings_prefixes_and_separators_read_as_the_line_walk_does() {
+        for stdout in [
+            "",
+            "no scraped line\n",
+            // `\r\n` endings, and a last line without `\n`.
+            "HPCADVISORVAR A=1\r\nHPCADVISORINFRA cpu=0.5 net=1\r\n",
+            "HPCADVISORVAR A=1\nHPCADVISORVAR B=2",
+            "HPCADVISORINFRA cpu=1 net=2",
+            // A bare `\r` in a line and at the end of the text.
+            "HPCADVISORVAR A=1\rHPCADVISORVAR B=2\n",
+            "HPCADVISORINFRA a=1\rb=2 c=3\n",
+            "HPCADVISORVAR A=1\r",
+            "HPCADVISORINFRA cpu=1\r",
+            "HPCADVISORINFRA cpu=1\r\r\n",
+            "HPCADVISORVAR A=x\r\r\n",
+            "HPCADVISORVAR\r\nHPCADVISORINFRA\r\n",
+            // The prefix in the middle of a line.
+            "log HPCADVISORVAR A=1\nxHPCADVISORINFRA c=1\n",
+            "HPCADVISORHPCADVISORVAR A=1\nHPCADVISOR VAR B=2\nHPCADVISORVARX=3\n",
+            "\nHPCADVISORVAR A=1",
+            // Lines without `=`, repeated keys, spaces around `=`, empty
+            // keys and values.
+            "HPCADVISORVAR noequals\nHPCADVISORINFRA a b= =c\n",
+            "HPCADVISORVAR K=1\nHPCADVISORVAR K=2\nHPCADVISORVAR J=3\nHPCADVISORVAR K=4\n",
+            "HPCADVISORINFRA k=1 j=2 k=3\nHPCADVISORINFRA j=4\n",
+            "HPCADVISORVAR  K  =  v v  \nHPCADVISORVAR K=a=b\n",
+            "HPCADVISORVAR K=\nHPCADVISORVAR =v\nHPCADVISORVAR =\n",
+            // More pairs than the search keeps for the fill.
+            "HPCADVISORINFRA a=1 b=2 c=3 d=4 e=5\nlog\nHPCADVISORVAR f=6\n\
+             HPCADVISORINFRA a=7 g=8 h=9 i=10\r\nHPCADVISORVAR f = 11\nHPCADVISORVAR j=12",
+            // Non-ASCII text, Unicode whitespace included.
+            "HPCADVISORVAR clé = värde ☃\u{3000}\nHPCADVISORINFRA ключ=значение\u{3000}x=y\u{85}z=w\n",
+        ] {
+            assert_matches_the_line_walk(stdout);
+        }
+    }
+
+    #[test]
+    fn a_task_stdout_scrapes_into_both_maps() {
+        let stdout = "Time = 1\nExecutionTime = 12.5 s\n\
+            HPCADVISORINFRA cpu=0.912 membw=0.400 net=0.100 bottleneck=compute\n\
+            Simulation completed successfully.\n\
+            HPCADVISORVAR APPEXECTIME=12.5\nHPCADVISORVAR OFCELLS=  1000 \n";
+        let (metrics, infra) = scrape(stdout);
+        assert_eq!(
+            metrics.iter().collect::<Vec<_>>(),
+            [("APPEXECTIME", "12.5"), ("OFCELLS", "1000")]
+        );
+        assert_eq!(infra.len(), 4);
+        assert_eq!(infra.get("bottleneck"), Some("compute"));
+        assert_matches_the_line_walk(stdout);
+    }
+
+    /// What generated stdouts are made of: both prefixes, a bare one, line
+    /// endings, separators and keys and values, ASCII and not.
+    const FRAGMENTS: &[&str] = &[
+        "HPCADVISORVAR ",
+        "HPCADVISORVAR ",
+        "HPCADVISORINFRA ",
+        "HPCADVISORINFRA ",
+        "HPCADVISOR",
+        "VAR ",
+        "\n",
+        "\n",
+        "\r\n",
+        "\r",
+        "=",
+        "=",
+        " ",
+        "  ",
+        "\t",
+        "\u{3000}",
+        "K",
+        "APPEXECTIME",
+        "12.5",
+        "x",
+        "é",
+        "ключ",
+        "☃",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn the_one_pass_scrape_matches_the_line_walk(
+            parts in proptest::collection::vec(0..FRAGMENTS.len(), 0..64)
+        ) {
+            let stdout: String = parts.iter().map(|&i| FRAGMENTS[i]).collect();
+            assert_matches_the_line_walk(&stdout);
+        }
     }
 }

@@ -5,10 +5,11 @@
 //! the collector and the merge barrier. A warm rerun's is the decode of
 //! each cached point and its place in the dataset. These tests count the
 //! allocations a collect makes on its own thread and pin them per executed
-//! scenario and per cache hit, so per-pool facts resolved per task,
-//! strings built for a disabled trace, or a point's maps spread over a
-//! block per string show up here as a failure. Each budget is the count
-//! measured when it was set plus about 15%.
+//! scenario and per cache hit, so per-pool facts resolved per task (a
+//! host list formatted for every task), a scrape that grows its maps
+//! instead of sizing them, strings built for a disabled trace, or a
+//! point's maps spread over a block per string show up here as a failure.
+//! Each budget is the count measured when it was set plus about 15%.
 //!
 //! The counter is per thread (a const `thread_local!` `Cell`, which never
 //! allocates), so allocations of other tests running in parallel are not
@@ -19,8 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations a cold scenario may make, counted inside `collect_with`
-/// (80.9 measured).
-const BUDGET_PER_SCENARIO: u64 = 93;
+/// (79.4 measured, since each pool builds a task layout's `HOSTLIST_PPN`
+/// and hostfile once and a task shares them; 80.9 when every task
+/// formatted both and copied its hostfile).
+const BUDGET_PER_SCENARIO: u64 = 91;
 
 /// Allocations a cache hit may make, counted inside an all-hits
 /// `collect_with` (12.5 measured).
