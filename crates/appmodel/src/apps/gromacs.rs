@@ -17,7 +17,7 @@ const FLOPS_PER_ATOM_STEP: f64 = 9_000.0;
 const BYTES_PER_ATOM: f64 = 400.0;
 
 /// The GROMACS model.
-pub struct Gromacs;
+pub(crate) struct Gromacs;
 
 impl AppModel for Gromacs {
     fn name(&self) -> &str {
@@ -53,7 +53,6 @@ impl AppModel for Gromacs {
         }
         let atoms_f = atoms as f64;
         Ok(WorkProfile {
-            app: self.name().into(),
             steps,
             flops_per_step: atoms_f * FLOPS_PER_ATOM_STEP,
             bytes_per_step: atoms_f * 150.0,
@@ -106,17 +105,6 @@ impl AppModel for Gromacs {
             hms = hms(wall_secs),
         )
     }
-
-    fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)> {
-        let atoms = (work.working_set_bytes / BYTES_PER_ATOM).round() as u64;
-        let exec = (wall_secs - work.serial_secs).max(0.001);
-        let ns_per_day = work.steps as f64 * 2e-6 / (exec / 86_400.0);
-        vec![
-            ("APPEXECTIME".into(), format!("{exec:.0}")),
-            ("GMXATOMS".into(), atoms.to_string()),
-            ("GMXNSPERDAY".into(), format!("{ns_per_day:.3}")),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +138,16 @@ mod tests {
         let reg = AppRegistry::standard();
         let m = v3();
         let i = inputs(&[("atoms", "1000000"), ("steps", "5000")]);
-        let t1 = reg.run("gromacs", &m, 1, 120, &i, 0).unwrap().wall_secs;
-        let t16 = reg.run("gromacs", &m, 16, 120, &i, 0).unwrap().wall_secs;
+        let t1 = reg
+            .run("gromacs", &m, 1, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
+        let t16 = reg
+            .run("gromacs", &m, 16, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
         let speedup = t1 / t16;
         assert!(
             speedup < 12.0,

@@ -13,7 +13,7 @@ use crate::work::{flat_arch, CollectiveSpec, WorkProfile};
 use crate::Inputs;
 
 /// The matmul model.
-pub struct Matmul;
+pub(crate) struct Matmul;
 
 impl AppModel for Matmul {
     fn name(&self) -> &str {
@@ -40,7 +40,6 @@ impl AppModel for Matmul {
         }
         let nf = n as f64;
         Ok(WorkProfile {
-            app: self.name().into(),
             steps: 1,
             flops_per_step: 2.0 * nf * nf * nf,
             // Blocked: each element re-streamed ~O(n/block) times; use 24n².
@@ -75,19 +74,6 @@ impl AppModel for Matmul {
             hms = hms(wall_secs),
         )
     }
-
-    fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)> {
-        let n = ((work.working_set_bytes / 24.0).sqrt()).round() as u64;
-        let exec = (wall_secs - work.serial_secs).max(0.001);
-        vec![
-            ("APPEXECTIME".into(), format!("{exec:.0}")),
-            ("MATRIXSIZE".into(), n.to_string()),
-            (
-                "GFLOPS".into(),
-                format!("{:.1}", work.flops_per_step / exec / 1e9),
-            ),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +100,16 @@ mod tests {
         let reg = AppRegistry::standard();
         let m = v3();
         let i = inputs(&[("n", "65536")]);
-        let t1 = reg.run("matmul", &m, 1, 120, &i, 0).unwrap().wall_secs;
-        let t8 = reg.run("matmul", &m, 8, 120, &i, 0).unwrap().wall_secs;
+        let t1 = reg
+            .run("matmul", &m, 1, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
+        let t8 = reg
+            .run("matmul", &m, 8, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
         let eff = t1 / t8 / 8.0;
         assert!(eff > 0.8, "efficiency {eff:.2}");
     }

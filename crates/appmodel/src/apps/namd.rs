@@ -15,7 +15,7 @@ const FLOPS_PER_ATOM_STEP: f64 = 15_000.0;
 const BYTES_PER_ATOM: f64 = 500.0;
 
 /// The NAMD model.
-pub struct Namd;
+pub(crate) struct Namd;
 
 impl AppModel for Namd {
     fn name(&self) -> &str {
@@ -51,7 +51,6 @@ impl AppModel for Namd {
         }
         let atoms_f = atoms as f64;
         Ok(WorkProfile {
-            app: self.name().into(),
             steps,
             flops_per_step: atoms_f * FLOPS_PER_ATOM_STEP,
             bytes_per_step: atoms_f * 180.0,
@@ -93,19 +92,6 @@ impl AppModel for Namd {
             wall = wall_secs,
             hms = hms(wall_secs),
         )
-    }
-
-    fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)> {
-        let atoms = (work.working_set_bytes / BYTES_PER_ATOM).round() as u64;
-        let exec = (wall_secs - work.serial_secs).max(0.001);
-        vec![
-            ("APPEXECTIME".into(), format!("{exec:.0}")),
-            ("NAMDATOMS".into(), atoms.to_string()),
-            (
-                "NAMDSECPERSTEP".into(),
-                format!("{:.6}", exec / work.steps as f64),
-            ),
-        ]
     }
 }
 

@@ -37,7 +37,7 @@ fn openfoam_arch_efficiency(arch: CpuArch) -> f64 {
 }
 
 /// The OpenFOAM motorBike model.
-pub struct OpenFoam;
+pub(crate) struct OpenFoam;
 
 impl OpenFoam {
     /// Parses the `mesh` input ("X Y Z" block dimensions) into cell count.
@@ -98,7 +98,6 @@ impl AppModel for OpenFoam {
             });
         }
         Ok(WorkProfile {
-            app: self.name().into(),
             steps: iterations,
             flops_per_step: cells * FLOPS_PER_CELL_ITER,
             bytes_per_step: cells * 800.0,
@@ -152,16 +151,6 @@ impl AppModel for OpenFoam {
             hms = hms(wall_secs),
         )
     }
-
-    fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)> {
-        let cells = (work.working_set_bytes / BYTES_PER_CELL).round() as u64;
-        let exec = wall_secs.max(0.001);
-        vec![
-            ("APPEXECTIME".into(), format!("{exec:.0}")),
-            ("OFCELLS".into(), cells.to_string()),
-            ("OFITERATIONS".into(), work.steps.to_string()),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -191,11 +180,11 @@ mod tests {
         let input = inputs(&[("mesh", "40 16 16")]);
         for (nodes, paper) in [(3u32, 59.0f64), (4, 48.0), (16, 34.0)] {
             let run = reg.run("openfoam", &m, nodes, 120, &input, 0).unwrap();
-            let ratio = run.wall_secs / paper;
+            let ratio = run.wall_time.as_secs_f64() / paper;
             assert!(
                 (0.75..1.25).contains(&ratio),
                 "nodes={nodes}: measured {:.1}s vs paper {paper}s",
-                run.wall_secs
+                run.wall_time.as_secs_f64()
             );
         }
     }
@@ -210,13 +199,23 @@ mod tests {
         let of = reg
             .run("openfoam", &m, 3, 120, &of_in, 0)
             .unwrap()
-            .wall_secs
+            .wall_time
+            .as_secs_f64()
             / reg
                 .run("openfoam", &m, 16, 120, &of_in, 0)
                 .unwrap()
-                .wall_secs;
-        let lj = reg.run("lammps", &m, 3, 120, &lj_in, 0).unwrap().wall_secs
-            / reg.run("lammps", &m, 16, 120, &lj_in, 0).unwrap().wall_secs;
+                .wall_time
+                .as_secs_f64();
+        let lj = reg
+            .run("lammps", &m, 3, 120, &lj_in, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64()
+            / reg
+                .run("lammps", &m, 16, 120, &lj_in, 0)
+                .unwrap()
+                .wall_time
+                .as_secs_f64();
         assert!(of < 0.75 * lj, "OpenFOAM speedup {of:.2} vs LAMMPS {lj:.2}");
     }
 
@@ -248,11 +247,13 @@ mod tests {
         let small = reg
             .run("openfoam", &m, 4, 120, &inputs(&[("mesh", "40 16 16")]), 0)
             .unwrap()
-            .wall_secs;
+            .wall_time
+            .as_secs_f64();
         let large = reg
             .run("openfoam", &m, 4, 120, &inputs(&[("mesh", "80 24 24")]), 0)
             .unwrap()
-            .wall_secs;
+            .wall_time
+            .as_secs_f64();
         assert!(large > 2.0 * small);
     }
 }

@@ -24,7 +24,7 @@ const FLOPS_PER_POINT_STEP: f64 = 150_000.0;
 const BYTES_PER_POINT: f64 = 800.0;
 
 /// The WRF model.
-pub struct Wrf;
+pub(crate) struct Wrf;
 
 impl AppModel for Wrf {
     fn name(&self) -> &str {
@@ -66,7 +66,6 @@ impl AppModel for Wrf {
         let dt_secs = 6.0 * res_km;
         let steps = ((hours * 3600.0) / dt_secs).ceil().max(1.0) as u64;
         Ok(WorkProfile {
-            app: self.name().into(),
             steps,
             flops_per_step: points * FLOPS_PER_POINT_STEP,
             bytes_per_step: points * 400.0,
@@ -110,18 +109,6 @@ impl AppModel for Wrf {
             exec = exec,
             hms = hms(wall_secs),
         )
-    }
-
-    fn metrics(&self, work: &WorkProfile, wall_secs: f64) -> Vec<(String, String)> {
-        let exec = (wall_secs - work.serial_secs).max(0.001);
-        vec![
-            ("APPEXECTIME".into(), format!("{exec:.0}")),
-            ("WRFSTEPS".into(), work.steps.to_string()),
-            (
-                "WRFSECONDSPERSTEP".into(),
-                format!("{:.5}", exec / work.steps as f64),
-            ),
-        ]
     }
 }
 
@@ -174,8 +161,16 @@ mod tests {
         let reg = AppRegistry::standard();
         let m = v3();
         let i = inputs(&[("resolution_km", "3"), ("hours", "3")]);
-        let t2 = reg.run("wrf", &m, 2, 120, &i, 0).unwrap().wall_secs;
-        let t8 = reg.run("wrf", &m, 8, 120, &i, 0).unwrap().wall_secs;
+        let t2 = reg
+            .run("wrf", &m, 2, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
+        let t8 = reg
+            .run("wrf", &m, 8, 120, &i, 0)
+            .unwrap()
+            .wall_time
+            .as_secs_f64();
         let speedup = t2 / t8;
         assert!(
             speedup > 2.0 && speedup < 4.5,

@@ -51,18 +51,18 @@ impl Bottleneck {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutput {
     /// Total wall-clock seconds (noise-free).
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Seconds per step after warm-up — the quantity partial-execution
     /// predictors (Yang et al. \[6]; Brunetta & Borin \[13]) extrapolate.
-    pub per_step_secs: f64,
+    pub(crate) per_step_secs: f64,
     /// Compute portion of one step.
-    pub comp_secs: f64,
+    pub(crate) comp_secs: f64,
     /// Communication portion of one step.
-    pub comm_secs: f64,
+    pub(crate) comm_secs: f64,
     /// Serial (non-step) seconds.
-    pub serial_secs: f64,
+    pub(crate) serial_secs: f64,
     /// Cache bandwidth boost factor applied (1 = none).
-    pub cache_boost: f64,
+    pub(crate) cache_boost: f64,
     /// Dominant resource.
     pub bottleneck: Bottleneck,
     /// Approximate utilizations in [0, 1] — the "infrastructure metrics"
@@ -86,7 +86,7 @@ const MEM_PRESSURE_MAX: f64 = 0.32;
 /// paging/fragmentation/NUMA-imbalance tax that makes barely-fitting runs
 /// disproportionately slow — and is why the paper's 864M-atom LAMMPS front
 /// starts at 3 nodes even though 2 nodes technically fit.
-pub fn memory_pressure(working_set_per_node: f64, memory_bytes: f64) -> f64 {
+pub(crate) fn memory_pressure(working_set_per_node: f64, memory_bytes: f64) -> f64 {
     if working_set_per_node <= 0.0 || memory_bytes <= 0.0 {
         return 1.0;
     }
@@ -98,7 +98,7 @@ pub fn memory_pressure(working_set_per_node: f64, memory_bytes: f64) -> f64 {
 
 /// Smooth cache boost: ≥1, approaching `CACHE_BOOST_MAX` as the per-node
 /// working set drops below the L3 capacity.
-pub fn cache_boost(working_set_per_node: f64, l3_bytes: f64) -> f64 {
+pub(crate) fn cache_boost(working_set_per_node: f64, l3_bytes: f64) -> f64 {
     if working_set_per_node <= 0.0 || l3_bytes <= 0.0 {
         return 1.0;
     }
@@ -117,7 +117,7 @@ pub fn cache_boost(working_set_per_node: f64, l3_bytes: f64) -> f64 {
 ///
 /// The caller is responsible for validating layout and memory (see
 /// [`crate::apps::AppRegistry::run`]); this function assumes a sane layout.
-pub fn execute_profile(
+pub(crate) fn execute_profile(
     work: &WorkProfile,
     machine: &MachineProfile,
     nodes: u32,
@@ -236,7 +236,7 @@ mod tests {
     }
 
     fn flop_profile() -> WorkProfile {
-        WorkProfile::compute_only("toy", 100, 1e12)
+        WorkProfile::compute_only(100, 1e12)
     }
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
             Bottleneck::MemoryBandwidth
         );
         // Latency-dominated collectives on Ethernet ⇒ network-bound.
-        let mut w = WorkProfile::compute_only("toy", 100, 1e6);
+        let mut w = WorkProfile::compute_only(100, 1e6);
         w.collective = Some(CollectiveSpec {
             bytes: 8.0,
             count_per_step: 1000.0,
@@ -384,7 +384,7 @@ mod tests {
             Bottleneck::Network
         );
         // Serial-dominated.
-        let mut w = WorkProfile::compute_only("toy", 1, 1e6);
+        let mut w = WorkProfile::compute_only(1, 1e6);
         w.serial_secs = 100.0;
         assert_eq!(
             execute_profile(&w, &m, 4, 120).bottleneck,

@@ -7,7 +7,7 @@
 //! codes: given the same point it produces a deterministic, physically
 //! plausible wall-clock time and a synthetic application log.
 //!
-//! The models are built on a shared execution engine ([`engine`]):
+//! The models are built on a shared execution engine (`engine`):
 //!
 //! * **Roofline compute** — per-step time is the max of FLOP time and memory
 //!   traffic time across the allocated cores/sockets.
@@ -23,7 +23,7 @@
 //!   two scenarios never tie exactly (just like real clouds) yet every
 //!   experiment replays bit-for-bit.
 //!
-//! Per-application models ([`apps`]) translate user-facing input parameters
+//! Per-application models (`apps`) translate user-facing input parameters
 //! (the paper's `appinputs`) into engine work profiles:
 //!
 //! | App | Inputs | Character |
@@ -35,12 +35,12 @@
 //! | NAMD | `atoms`, `steps` | good scaling |
 //! | matmul | `n` | the paper's toy example |
 
-pub mod apps;
-pub mod engine;
-pub mod error;
-pub mod machine;
-pub mod noise;
-pub mod work;
+mod apps;
+mod engine;
+mod error;
+mod machine;
+mod noise;
+mod work;
 
 /// Version of the analytic application models. Bump this whenever a change
 /// to the engine or a per-application model alters the numbers a scenario
@@ -48,18 +48,18 @@ pub mod work;
 /// their fingerprints, so stale cached data points invalidate automatically.
 pub const MODEL_VERSION: u32 = 1;
 
-pub use apps::{AppModel, AppRegistry, AppRun};
-pub use engine::{execute_profile, Bottleneck, EngineOutput};
+pub use apps::{AppRegistry, AppRun};
+pub use engine::{Bottleneck, EngineOutput};
 pub use error::ModelError;
 pub use machine::MachineProfile;
-pub use work::{CollectiveSpec, HaloSpec, WorkProfile};
 
 /// Convenience: inputs are string key-value pairs, exactly as they arrive
 /// from the tool's `appinputs` section and the run script's environment.
 pub type Inputs = std::collections::BTreeMap<String, String>;
 
 /// Builds an [`Inputs`] map from `(key, value)` pairs.
-pub fn inputs(pairs: &[(&str, &str)]) -> Inputs {
+#[cfg(test)]
+pub(crate) fn inputs(pairs: &[(&str, &str)]) -> Inputs {
     pairs
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))

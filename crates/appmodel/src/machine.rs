@@ -6,24 +6,24 @@ use cloudsim::{CpuArch, Interconnect, VmSku};
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineProfile {
     /// SKU name (kept for logs/metrics).
-    pub sku_name: String,
+    pub(crate) sku_name: String,
     /// Physical cores per node.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Memory per node in GiB.
-    pub memory_gib: f64,
+    pub(crate) memory_gib: f64,
     /// Streaming memory bandwidth per node in bytes/s.
-    pub mem_bw_bytes: f64,
+    pub(crate) mem_bw_bytes: f64,
     /// Total L3 cache per node in bytes.
-    pub l3_bytes: f64,
+    pub(crate) l3_bytes: f64,
     /// Sustained double-precision throughput per core in FLOP/s.
     ///
     /// Derived from the SKU's nominal per-core GFLOP/s derated to a
     /// sustained fraction; per-app efficiency factors then scale this.
-    pub flops_per_core: f64,
+    pub(crate) flops_per_core: f64,
     /// CPU microarchitecture.
-    pub arch: CpuArch,
+    pub(crate) arch: CpuArch,
     /// Interconnect between nodes.
-    pub interconnect: Interconnect,
+    pub(crate) interconnect: Interconnect,
 }
 
 impl MachineProfile {
@@ -44,15 +44,9 @@ impl MachineProfile {
         }
     }
 
-    /// Aggregate sustained FLOP/s for `ranks` ranks spread over this node
-    /// type (ranks may use fewer than all cores).
-    pub fn flops_for_ranks(&self, ranks: u64) -> f64 {
-        self.flops_per_core * ranks as f64
-    }
-
     /// Per-core clock-speed flavour: cache-stacked parts run slightly lower
     /// clocks, which matters in regimes where their cache doesn't help.
-    pub fn clock_factor(&self) -> f64 {
+    pub(crate) fn clock_factor(&self) -> f64 {
         match self.arch {
             CpuArch::MilanX => 0.96,
             CpuArch::GenoaX => 0.97,
@@ -75,13 +69,6 @@ mod tests {
         assert!((m.l3_bytes - 1536.0 * 1024.0 * 1024.0).abs() < 1.0);
         assert!(m.flops_per_core < sku.gflops_per_core * 1e9);
         assert!(m.interconnect.is_infiniband());
-    }
-
-    #[test]
-    fn flops_scale_with_ranks() {
-        let catalog = SkuCatalog::azure_hpc();
-        let m = MachineProfile::from_sku(catalog.get("HC44rs").unwrap());
-        assert!((m.flops_for_ranks(88) / m.flops_for_ranks(44) - 2.0).abs() < 1e-12);
     }
 
     #[test]

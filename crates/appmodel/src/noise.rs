@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 const SIGMA: f64 = 0.018;
 
 /// Derives a 64-bit seed from the scenario identity.
-pub fn scenario_seed(
+pub(crate) fn scenario_seed(
     app: &str,
     sku: &str,
     nodes: u32,
@@ -39,7 +39,7 @@ pub fn scenario_seed(
 ///
 /// Uses the Box–Muller transform on two uniform draws; `exp(σZ)` for
 /// standard normal `Z` gives the log-normal multiplier.
-pub fn noise_factor(seed: u64) -> f64 {
+pub(crate) fn noise_factor(seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

@@ -5,68 +5,66 @@
 
 /// A nearest-neighbour (halo) exchange per step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HaloSpec {
+pub(crate) struct HaloSpec {
     /// Bytes exchanged per rank per step at a *reference* decomposition of
     /// one rank owning the whole domain; the engine shrinks this with
     /// surface-to-volume scaling as ranks grow.
-    pub bytes_per_rank: f64,
+    pub(crate) bytes_per_rank: f64,
     /// Messages per rank per step (e.g. 6 for a 3-D stencil).
-    pub messages_per_rank: u32,
+    pub(crate) messages_per_rank: u32,
     /// Dimensionality of the domain decomposition (1, 2 or 3) — controls
     /// the surface-to-volume exponent `(d-1)/d`.
-    pub decomp_dims: u32,
+    pub(crate) decomp_dims: u32,
 }
 
 /// A collective (modelled as tree all-reduce) per step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectiveSpec {
+pub(crate) struct CollectiveSpec {
     /// Payload bytes per collective.
-    pub bytes: f64,
+    pub(crate) bytes: f64,
     /// Collectives per step (e.g. inner CG iterations × reductions).
-    pub count_per_step: f64,
+    pub(crate) count_per_step: f64,
 }
 
 /// Hardware-independent description of an application run.
 #[derive(Debug, Clone)]
 pub struct WorkProfile {
-    /// Name used in logs.
-    pub app: String,
     /// Number of time steps / iterations after warm-up.
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Floating-point work per step, FLOPs (total across the problem).
-    pub flops_per_step: f64,
+    pub(crate) flops_per_step: f64,
     /// Memory traffic per step, bytes (total streamed).
-    pub bytes_per_step: f64,
+    pub(crate) bytes_per_step: f64,
     /// Resident working set, bytes (total). Drives the cache model and the
     /// out-of-memory check.
-    pub working_set_bytes: f64,
+    pub(crate) working_set_bytes: f64,
     /// Non-parallelizable time per run, seconds (startup, I/O, warm-up).
-    pub serial_secs: f64,
+    pub(crate) serial_secs: f64,
     /// Fraction of per-step work that does not parallelize (Amdahl).
-    pub serial_fraction: f64,
+    pub(crate) serial_fraction: f64,
     /// Optional halo exchange.
-    pub halo: Option<HaloSpec>,
+    pub(crate) halo: Option<HaloSpec>,
     /// Optional collective.
-    pub collective: Option<CollectiveSpec>,
+    pub(crate) collective: Option<CollectiveSpec>,
     /// Per-app efficiency on each arch relative to nominal (1.0 = nominal);
     /// multiplies sustained FLOP rate. Lets e.g. AVX-512-friendly codes
     /// favour Intel parts.
-    pub arch_efficiency: fn(cloudsim::CpuArch) -> f64,
+    pub(crate) arch_efficiency: fn(cloudsim::CpuArch) -> f64,
     /// Sensitivity of this app to memory bandwidth vs. pure FLOPs: 0 ⇒
     /// compute-bound, 1 ⇒ the roofline max applies fully.
-    pub bandwidth_sensitivity: f64,
+    pub(crate) bandwidth_sensitivity: f64,
 }
 
 /// Default arch efficiency: nominal on everything.
-pub fn flat_arch(_: cloudsim::CpuArch) -> f64 {
+pub(crate) fn flat_arch(_: cloudsim::CpuArch) -> f64 {
     1.0
 }
 
 impl WorkProfile {
     /// A minimal compute-only profile, useful in tests.
-    pub fn compute_only(app: &str, steps: u64, flops_per_step: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn compute_only(steps: u64, flops_per_step: f64) -> Self {
         WorkProfile {
-            app: app.to_string(),
             steps,
             flops_per_step,
             bytes_per_step: 0.0,
@@ -80,13 +78,8 @@ impl WorkProfile {
         }
     }
 
-    /// Total FLOPs across all steps.
-    pub fn total_flops(&self) -> f64 {
-        self.flops_per_step * self.steps as f64
-    }
-
     /// Required memory in GiB (working set plus 20% overhead).
-    pub fn required_memory_gib(&self) -> f64 {
+    pub(crate) fn required_memory_gib(&self) -> f64 {
         self.working_set_bytes * 1.2 / (1024.0 * 1024.0 * 1024.0)
     }
 }
@@ -97,15 +90,15 @@ mod tests {
 
     #[test]
     fn compute_only_profile() {
-        let w = WorkProfile::compute_only("toy", 10, 1e12);
-        assert_eq!(w.total_flops(), 1e13);
+        let w = WorkProfile::compute_only(10, 1e12);
+        assert_eq!((w.steps, w.flops_per_step), (10, 1e12));
         assert_eq!(w.required_memory_gib(), 0.0);
         assert!(w.halo.is_none() && w.collective.is_none());
     }
 
     #[test]
     fn memory_requirement_includes_overhead() {
-        let mut w = WorkProfile::compute_only("toy", 1, 1.0);
+        let mut w = WorkProfile::compute_only(1, 1.0);
         w.working_set_bytes = 10.0 * 1024.0 * 1024.0 * 1024.0;
         assert!((w.required_memory_gib() - 12.0).abs() < 1e-9);
     }

@@ -71,31 +71,6 @@ impl From<CloudError> for BatchError {
     }
 }
 
-impl BatchError {
-    /// Whether this error is a quota/capacity rejection — the recoverable
-    /// class Algorithm 1 turns into a failed scenario rather than an abort.
-    pub fn is_capacity(&self) -> bool {
-        matches!(
-            self,
-            BatchError::Cloud(CloudError::QuotaExceeded { .. })
-                | BatchError::Cloud(CloudError::ProvisioningFailed { .. })
-        )
-    }
-
-    /// Whether the underlying cloud failure is marked transient — an
-    /// injected fault a retry can be expected to clear. Quota exhaustion
-    /// and hard provider rejections return `false`.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            BatchError::Cloud(CloudError::ProvisioningFailed {
-                transient: true,
-                ..
-            })
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,10 +18,10 @@
 //! interpreter running the user's setup/run script against the
 //! application models.
 
-pub mod error;
-pub mod pool;
+mod error;
+mod pool;
 pub mod service;
-pub mod task;
+mod task;
 
 pub use cloudsim::FaultKind;
 pub use error::BatchError;

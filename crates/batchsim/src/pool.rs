@@ -24,21 +24,21 @@ pub enum PoolState {
 #[derive(Debug, Clone)]
 pub struct Pool {
     /// Pool name (unique within the service).
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// SKU of every node in the pool, as the pool was created with it.
-    pub sku: String,
+    pub(crate) sku: String,
     /// The SKU's catalog entry, looked up when the pool was created.
     pub vm: Arc<VmSku>,
     /// Current node count.
     pub nodes: u32,
     /// Hostname of each node, formatted when the pool resizes.
-    pub hosts: Arc<[String]>,
+    pub(crate) hosts: Arc<[String]>,
     /// Backing allocation in the cloud provider, if nodes > 0.
-    pub allocation: Option<AllocationId>,
+    pub(crate) allocation: Option<AllocationId>,
     /// Lifecycle state.
     pub state: PoolState,
     /// True once the pool's setup task completed successfully.
-    pub setup_done: bool,
+    pub(crate) setup_done: bool,
     /// Pricing/eviction class of the pool's nodes. Dedicated by default;
     /// spot pools bill at a discount but can lose all nodes to eviction.
     pub capacity: Capacity,
@@ -46,7 +46,7 @@ pub struct Pool {
     /// home region and the pre-placement behavior (no regional quota pool,
     /// provisioning profile, or spot-pressure scaling beyond the home
     /// region's own neutral profile).
-    pub region: Option<String>,
+    pub(crate) region: Option<String>,
     /// The task context of each layout `(nodes, ppn)` run since the pool
     /// last resized, built by the first task of the layout.
     contexts: Vec<TaskContext>,
@@ -54,7 +54,7 @@ pub struct Pool {
 
 impl Pool {
     /// Creates an empty, active pool.
-    pub fn new(name: &str, sku: &str, vm: Arc<VmSku>) -> Self {
+    pub(crate) fn new(name: &str, sku: &str, vm: Arc<VmSku>) -> Self {
         Pool {
             name: name.into(),
             sku: sku.to_string(),
@@ -71,7 +71,7 @@ impl Pool {
     }
 
     /// Hostname of node `i` in this pool.
-    pub fn hostname(&self, i: u32) -> String {
+    pub(crate) fn hostname(&self, i: u32) -> String {
         format!("{}-{:04}", self.name, i)
     }
 
@@ -102,10 +102,8 @@ impl Pool {
         };
         let (hostlist_ppn, hostfile) = host_lists(&hosts, ppn);
         self.contexts.push(TaskContext {
-            sku: Arc::clone(&self.vm),
             hosts,
             ppn,
-            pool: Arc::clone(&self.name),
             hostlist_ppn_text: hostlist_ppn.into(),
             hostfile_text: hostfile.into(),
         });
@@ -176,8 +174,6 @@ mod tests {
                     "{nodes} nodes of {} at ppn {ppn}",
                     p.nodes
                 );
-                assert_eq!(ctx.sku.name, p.sku);
-                assert_eq!(ctx.pool, p.name);
             }
         }
     }

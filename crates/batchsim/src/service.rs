@@ -261,8 +261,6 @@ impl BatchService {
             name: name.into(),
             kind,
             pool: Arc::clone(&p.name),
-            nodes_required,
-            ppn,
             state: TaskState::Failed,
             duration: SimDuration::ZERO,
             stdout: String::new(),
@@ -590,22 +588,16 @@ mod tests {
         svc.resize_pool("p1", 3).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let runner: Runner = Box::new(move |ctx| {
-            tx.send((
-                ctx.nnodes(),
-                ctx.ppn,
-                ctx.hostlist_ppn(),
-                ctx.sku.name.clone(),
-            ))
-            .unwrap();
+            tx.send((ctx.nnodes(), ctx.ppn, ctx.hostlist_ppn()))
+                .unwrap();
             TaskResult::ok(SimDuration::from_secs(1), "")
         });
         svc.run_task("p1", "t", TaskKind::Compute, 3, 120, runner)
             .unwrap();
-        let (nnodes, ppn, hostlist, sku) = rx.recv().unwrap();
+        let (nnodes, ppn, hostlist) = rx.recv().unwrap();
         assert_eq!(nnodes, 3);
         assert_eq!(ppn, 120);
         assert_eq!(hostlist, "p1-0000:120,p1-0001:120,p1-0002:120");
-        assert_eq!(sku, "Standard_HB120rs_v3");
     }
 
     #[test]

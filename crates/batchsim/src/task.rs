@@ -1,6 +1,6 @@
 //! Task records and the execution context handed to task runners.
 
-use cloudsim::{FaultKind, VmSku};
+use cloudsim::FaultKind;
 use simtime::SimDuration;
 use std::sync::Arc;
 
@@ -26,22 +26,17 @@ pub enum TaskState {
 }
 
 /// Everything a task runner can see about where it executes. The fields map
-/// one-to-one onto the environment variables of the paper's Table I. What
-/// is the same for every task of a pool (its SKU, name and hostnames) is
-/// shared with the pool, and what is the same for every task of a layout
-/// (its hosts and their `HOSTLIST_PPN` and hostfile texts) is built once
-/// per layout by the pool, not per task.
+/// onto the per-task environment variables of the paper's Table I (the
+/// pool's SKU comes from the [`crate::Pool`]). What is the same for every
+/// task of a layout (its hosts and their `HOSTLIST_PPN` and hostfile texts)
+/// is built once per layout by the pool, not per task.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
-    /// VM type of the pool (Table I: `SKU`, `VMTYPE`).
-    pub sku: Arc<VmSku>,
     /// Hostnames assigned to this task (Table I: `HOSTLIST_PPN` is derived
     /// from this plus `ppn`).
-    pub hosts: Arc<[String]>,
+    pub(crate) hosts: Arc<[String]>,
     /// Processes per node (Table I: `PPN`).
-    pub ppn: u32,
-    /// Pool name the task runs in.
-    pub pool: Arc<str>,
+    pub(crate) ppn: u32,
     /// The text of [`TaskContext::hostlist_ppn`], shared with every task of
     /// the layout.
     pub hostlist_ppn_text: Arc<str>,
@@ -52,7 +47,7 @@ pub struct TaskContext {
 
 impl TaskContext {
     /// Number of nodes (Table I: `NNODES`).
-    pub fn nnodes(&self) -> u32 {
+    pub(crate) fn nnodes(&self) -> u32 {
         self.hosts.len() as u32
     }
 
@@ -73,11 +68,11 @@ impl TaskContext {
 #[derive(Debug, Clone)]
 pub struct TaskResult {
     /// Virtual duration of the task.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Captured stdout (scraped for `HPCADVISORVAR` lines by the tool).
-    pub stdout: String,
+    pub(crate) stdout: String,
     /// Process exit code; non-zero marks the task failed.
-    pub exit_code: i32,
+    pub(crate) exit_code: i32,
 }
 
 impl TaskResult {
@@ -104,15 +99,11 @@ impl TaskResult {
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Human-readable name (scenario id in the tool).
-    pub name: String,
+    pub(crate) name: String,
     /// Setup or compute.
-    pub kind: TaskKind,
+    pub(crate) kind: TaskKind,
     /// Pool the task was submitted to.
-    pub pool: Arc<str>,
-    /// Nodes the task requires.
-    pub nodes_required: u32,
-    /// Processes per node.
-    pub ppn: u32,
+    pub(crate) pool: Arc<str>,
     /// How the task ended.
     pub state: TaskState,
     /// Time the task took, as reported by its runner; zero for a task that
@@ -122,7 +113,7 @@ pub struct TaskRecord {
     /// Captured stdout.
     pub stdout: String,
     /// Exit code (infrastructure failures use -1).
-    pub exit_code: i32,
+    pub(crate) exit_code: i32,
     /// Set when the failure was injected by the fault plan (task-start fault
     /// or mid-task node death); `None` for genuine application failures.
     /// Retry logic uses this to tell transient infrastructure loss apart

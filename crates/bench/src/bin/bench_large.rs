@@ -25,7 +25,7 @@
 
 use hpcadvisor_core::cache::{Fingerprint, ScenarioCache};
 use hpcadvisor_core::dataset::point;
-use hpcadvisor_core::prelude::*;
+use hpcadvisor_core::{CollectPlan, Session, UserConfig};
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::path::PathBuf;
 use std::time::Instant;

@@ -18,12 +18,13 @@
 
 use hpcadvisor_bench::{ablation_config, lammps_config, openfoam_config, render_series, SEED};
 use hpcadvisor_core::appscript::LAMMPS_SCRIPT;
-use hpcadvisor_core::prelude::*;
 use hpcadvisor_core::sampling::{
     front_regret, front_similarity, run_sampled, AggressiveDiscard, BottleneckAware,
     FixedPerfFactor, FullGrid, Sampler,
 };
-use hpcadvisor_core::{metrics, plot, scenario};
+use hpcadvisor_core::{
+    metrics, plot, scenario, Advice, CollectPlan, DataFilter, Dataset, Session, UserConfig,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;

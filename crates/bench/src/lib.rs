@@ -5,7 +5,7 @@
 //! `experiments` binary's output — see DESIGN.md's per-experiment index
 //! and EXPERIMENTS.md for the recorded comparison.
 
-use hpcadvisor_core::prelude::*;
+use hpcadvisor_core::UserConfig;
 
 /// Canonical experiment seed for all paper artifacts in this repo.
 pub const SEED: u64 = 7;

@@ -59,7 +59,7 @@ fn canonical(name: &str) -> &str {
 
 impl Args {
     /// Parses argv (without the program name).
-    pub fn parse(argv: &[String]) -> Result<Args, ToolError> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Args, ToolError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -85,7 +85,7 @@ impl Args {
     }
 
     /// Value of an option, if present.
-    pub fn option(&self, name: &str) -> Option<&str> {
+    pub(crate) fn option(&self, name: &str) -> Option<&str> {
         self.options
             .iter()
             .find(|(k, _)| k == name)
@@ -93,12 +93,12 @@ impl Args {
     }
 
     /// True if a boolean switch was given.
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.options.iter().any(|(k, _)| k == name)
     }
 
     /// The experiment seed (`--seed`, default 42).
-    pub fn seed(&self) -> Result<u64, ToolError> {
+    pub(crate) fn seed(&self) -> Result<u64, ToolError> {
         match self.option("seed") {
             None => Ok(42),
             Some(v) => v

@@ -25,7 +25,7 @@ fn wline(out: Out, text: &str) -> Result<(), ToolError> {
 }
 
 /// Dispatches a parsed command line.
-pub fn dispatch(argv: &[String], out: Out) -> Result<(), ToolError> {
+pub(crate) fn dispatch(argv: &[String], out: Out) -> Result<(), ToolError> {
     let args = Args::parse(argv)?;
     if args.has("help") || args.has("h") {
         return wline(out, crate::USAGE);

@@ -26,7 +26,7 @@
 //! text).
 
 pub mod args;
-pub mod commands;
+mod commands;
 pub mod serve;
 pub mod state;
 
@@ -45,7 +45,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> i32 {
 }
 
 /// The `--help` text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 hpcadvisor — HPC resource-selection advisor for the (simulated) cloud
 
 USAGE:

@@ -8,17 +8,17 @@ use std::path::{Path, PathBuf};
 
 /// A recorded deployment (enough to re-provision it deterministically).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeploymentRecord {
+pub(crate) struct DeploymentRecord {
     /// Resource-group name.
-    pub name: String,
+    pub(crate) name: String,
     /// Region.
-    pub region: String,
+    pub(crate) region: String,
     /// Application name.
-    pub appname: String,
+    pub(crate) appname: String,
     /// Seed the deployment (and its scenarios) run under.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// `active` or `shutdown`.
-    pub state: String,
+    pub(crate) state: String,
 }
 
 /// The CLI work directory.
@@ -36,12 +36,12 @@ impl WorkDir {
     }
 
     /// Root path.
-    pub fn root(&self) -> &Path {
+    pub(crate) fn root(&self) -> &Path {
         &self.root
     }
 
     /// Path of the plots output directory (created on demand).
-    pub fn plots_dir(&self) -> Result<PathBuf, ToolError> {
+    pub(crate) fn plots_dir(&self) -> Result<PathBuf, ToolError> {
         let dir = self.root.join("plots");
         std::fs::create_dir_all(&dir)?;
         Ok(dir)
@@ -49,26 +49,26 @@ impl WorkDir {
 
     /// Default path of the scenario-result cache file. The parent directory
     /// is created lazily by [`hpcadvisor_core::cache::ScenarioCache::save`].
-    pub fn cache_file(&self) -> PathBuf {
+    pub(crate) fn cache_file(&self) -> PathBuf {
         self.root.join("cache").join("scenario-cache.json")
     }
 
     /// Path of the crash-safe run journal `collect` writes as it goes and
     /// `collect --resume` replays after an interrupted run.
-    pub fn journal_file(&self) -> PathBuf {
+    pub(crate) fn journal_file(&self) -> PathBuf {
         self.root.join("run-journal.jsonl")
     }
 
     /// Path of the run trace `collect --trace` writes and the `trace`
     /// subcommands read.
-    pub fn trace_file(&self) -> PathBuf {
+    pub(crate) fn trace_file(&self) -> PathBuf {
         self.root.join("trace").join("run-trace.jsonl")
     }
 
     /// Directory of the daemon's durable service state (admission journal
     /// and per-job run journals); `serve` defaults its `--state-dir` here
     /// so a restarted daemon in the same work directory recovers.
-    pub fn service_dir(&self) -> PathBuf {
+    pub(crate) fn service_dir(&self) -> PathBuf {
         self.root.join("service")
     }
 
@@ -77,13 +77,13 @@ impl WorkDir {
     }
 
     /// Saves the active configuration file text.
-    pub fn save_config_text(&self, text: &str) -> Result<(), ToolError> {
+    pub(crate) fn save_config_text(&self, text: &str) -> Result<(), ToolError> {
         replace(&self.file("config.yaml"), text.as_bytes())?;
         Ok(())
     }
 
     /// Loads the active configuration.
-    pub fn load_config(&self) -> Result<UserConfig, ToolError> {
+    pub(crate) fn load_config(&self) -> Result<UserConfig, ToolError> {
         let path = self.file("config.yaml");
         let text = std::fs::read_to_string(&path).map_err(|_| {
             ToolError::Config(format!(
@@ -95,7 +95,7 @@ impl WorkDir {
     }
 
     /// Saves the scenario list.
-    pub fn save_scenarios(&self, scenarios: &[Scenario]) -> Result<(), ToolError> {
+    pub(crate) fn save_scenarios(&self, scenarios: &[Scenario]) -> Result<(), ToolError> {
         replace(
             &self.file("scenarios.json"),
             scenario::to_json(scenarios).as_bytes(),
@@ -104,7 +104,7 @@ impl WorkDir {
     }
 
     /// Loads the scenario list (empty if none yet).
-    pub fn load_scenarios(&self) -> Result<Vec<Scenario>, ToolError> {
+    pub(crate) fn load_scenarios(&self) -> Result<Vec<Scenario>, ToolError> {
         match std::fs::read_to_string(self.file("scenarios.json")) {
             Ok(text) => scenario::from_json(&text),
             Err(_) => Ok(Vec::new()),
@@ -112,13 +112,13 @@ impl WorkDir {
     }
 
     /// Saves the dataset.
-    pub fn save_dataset(&self, ds: &Dataset) -> Result<(), ToolError> {
+    pub(crate) fn save_dataset(&self, ds: &Dataset) -> Result<(), ToolError> {
         replace(&self.file("dataset.json"), ds.to_json().as_bytes())?;
         Ok(())
     }
 
     /// Loads the dataset (empty if none yet).
-    pub fn load_dataset(&self) -> Result<Dataset, ToolError> {
+    pub(crate) fn load_dataset(&self) -> Result<Dataset, ToolError> {
         match std::fs::read_to_string(self.file("dataset.json")) {
             Ok(text) => Dataset::from_json(&text),
             Err(_) => Ok(Dataset::new()),
@@ -126,7 +126,7 @@ impl WorkDir {
     }
 
     /// Saves the deployment records.
-    pub fn save_deployments(&self, records: &[DeploymentRecord]) -> Result<(), ToolError> {
+    pub(crate) fn save_deployments(&self, records: &[DeploymentRecord]) -> Result<(), ToolError> {
         let items: Vec<Value> = records
             .iter()
             .map(|r| {
@@ -147,7 +147,7 @@ impl WorkDir {
     }
 
     /// Loads the deployment records (empty if none yet).
-    pub fn load_deployments(&self) -> Result<Vec<DeploymentRecord>, ToolError> {
+    pub(crate) fn load_deployments(&self) -> Result<Vec<DeploymentRecord>, ToolError> {
         let text = match std::fs::read_to_string(self.file("deployments.json")) {
             Ok(t) => t,
             Err(_) => return Ok(Vec::new()),
@@ -177,7 +177,7 @@ impl WorkDir {
     }
 
     /// The most recent active deployment, if any.
-    pub fn active_deployment(&self) -> Result<Option<DeploymentRecord>, ToolError> {
+    pub(crate) fn active_deployment(&self) -> Result<Option<DeploymentRecord>, ToolError> {
         Ok(self
             .load_deployments()?
             .into_iter()

@@ -21,21 +21,26 @@ pub struct UsageRecord {
     /// Cost in USD for the span.
     pub cost: f64,
     /// Resource group the usage was billed to.
-    pub resource_group: String,
+    pub(crate) resource_group: String,
     /// Region the VMs ran in (and whose price multiplier the cost used).
     pub region: String,
 }
 
 impl UsageRecord {
     /// Duration of the span.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end - self.start
     }
 }
 
 /// Computes the cost of running `nodes` VMs of `sku` for `duration` at a
 /// regional price multiplier.
-pub fn cost_for(sku: &VmSku, price_multiplier: f64, nodes: u32, duration: SimDuration) -> f64 {
+pub(crate) fn cost_for(
+    sku: &VmSku,
+    price_multiplier: f64,
+    nodes: u32,
+    duration: SimDuration,
+) -> f64 {
     sku.price_per_hour * price_multiplier * nodes as f64 * duration.as_hours_f64()
 }
 
@@ -47,12 +52,12 @@ pub struct BillingMeter {
 
 impl BillingMeter {
     /// Creates an empty meter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BillingMeter::default()
     }
 
     /// Records one usage span.
-    pub fn record(&mut self, record: UsageRecord) {
+    pub(crate) fn record(&mut self, record: UsageRecord) {
         self.records.push(record);
     }
 
@@ -66,38 +71,12 @@ impl BillingMeter {
         self.records.iter().map(|r| r.cost).sum()
     }
 
-    /// Total cost for one SKU.
-    pub fn cost_for_sku(&self, sku: &str) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.sku.eq_ignore_ascii_case(sku))
-            .map(|r| r.cost)
-            .sum()
-    }
-
-    /// Total cost for one resource group.
-    pub fn cost_for_group(&self, group: &str) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.resource_group == group)
-            .map(|r| r.cost)
-            .sum()
-    }
-
     /// Total cost metered in one region.
     pub fn cost_for_region(&self, region: &str) -> f64 {
         self.records
             .iter()
             .filter(|r| r.region.eq_ignore_ascii_case(region))
             .map(|r| r.cost)
-            .sum()
-    }
-
-    /// Total metered node-hours.
-    pub fn total_node_hours(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.nodes as f64 * r.duration().as_hours_f64())
             .sum()
     }
 
@@ -186,9 +165,14 @@ mod tests {
             region: "southcentralus".into(),
         });
         assert!((meter.total_cost() - (7.2 + 3.168)).abs() < 1e-9);
-        assert!((meter.cost_for_sku("standard_hb120rs_v3") - 7.2).abs() < 1e-9);
-        assert!((meter.cost_for_group("rg2") - 3.168).abs() < 1e-9);
-        assert!((meter.total_node_hours() - 3.0).abs() < 1e-9);
+        let by_sku = meter.summarize_by_sku(None);
+        assert!(
+            (by_sku[0].cost - 7.2).abs() < 1e-9,
+            "HB120rs_v3 sorts first"
+        );
+        let node_hours: f64 = by_sku.iter().map(|s| s.node_hours).sum();
+        assert!((node_hours - 3.0).abs() < 1e-9);
+        assert!((meter.summarize_by_sku(Some("rg2"))[0].cost - 3.168).abs() < 1e-9);
     }
 
     #[test]
@@ -256,7 +240,7 @@ mod tests {
             region: "southcentralus".into(),
         });
         assert_eq!(meter.total_cost(), 0.0);
-        assert_eq!(meter.total_node_hours(), 0.0);
+        assert_eq!(meter.summarize_by_sku(None)[0].node_hours, 0.0);
     }
 
     #[test]

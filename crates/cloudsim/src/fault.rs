@@ -70,7 +70,7 @@ pub enum RegionFault {
 
 impl RegionFault {
     /// The fault-plan operation this region fault is checked as.
-    pub fn operation(self) -> Operation {
+    pub(crate) fn operation(self) -> Operation {
         match self {
             RegionFault::Outage => Operation::RegionOutage,
             RegionFault::CapacityCrunch => Operation::RegionCapacityCrunch,
@@ -94,9 +94,9 @@ pub struct Fault {
     /// Whether a retry can be expected to succeed.
     pub kind: FaultKind,
     /// The operation that failed.
-    pub op: Operation,
+    pub(crate) op: Operation,
     /// 0-based invocation index within the operation's scope.
-    pub attempt: u64,
+    pub(crate) attempt: u64,
 }
 
 impl fmt::Display for Fault {
@@ -156,8 +156,8 @@ struct FaultRule {
 ///
 /// Failures are specified by *invocation index* (0-based, per operation and
 /// scope): `fail_nth(AllocateNodes, 2)` makes the third allocation attempt
-/// on each SKU fail. The plan never mutates; pair it with a [`FaultTracker`]
-/// to count invocations.
+/// on each SKU fail. The plan never mutates; the provider's fault tracker
+/// counts invocations.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     rules: HashMap<Operation, Vec<FaultRule>>,
@@ -177,7 +177,7 @@ impl FaultPlan {
     }
 
     /// Registers a rule with an explicit mode and kind.
-    pub fn fail_with(mut self, op: Operation, mode: FaultMode, kind: FaultKind) -> Self {
+    pub(crate) fn fail_with(mut self, op: Operation, mode: FaultMode, kind: FaultKind) -> Self {
         self.rules.entry(op).or_default().push(FaultRule {
             mode,
             kind,
@@ -192,11 +192,6 @@ impl FaultPlan {
         self.fail_with(op, FaultMode::Nth(n), FaultKind::Transient)
     }
 
-    /// Registers every invocation of `op` to fail transiently.
-    pub fn fail_always(self, op: Operation) -> Self {
-        self.fail_with(op, FaultMode::Always, FaultKind::Transient)
-    }
-
     /// Registers each invocation of `op` to fail transiently with
     /// probability `p`.
     pub fn fail_probabilistic(self, op: Operation, p: f64) -> Self {
@@ -209,22 +204,6 @@ impl FaultPlan {
         self.fail_with(
             Operation::Eviction,
             FaultMode::Probability(rate),
-            FaultKind::Transient,
-        )
-    }
-
-    /// Registers correlated "eviction storms": the first `width` of every
-    /// `every` eviction checks evict with probability `storm`, the rest
-    /// with the background probability `calm`.
-    pub fn evict_storms(self, every: u64, width: u64, storm: f64, calm: f64) -> Self {
-        self.fail_with(
-            Operation::Eviction,
-            FaultMode::Burst {
-                every,
-                width,
-                storm,
-                calm,
-            },
             FaultKind::Transient,
         )
     }
@@ -253,15 +232,10 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects any faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Whether the plan has any rule for `op`. Callers use this to skip
     /// rolling (and counting) operations the plan cannot fire, keeping
     /// fault-free runs byte-identical to pre-fault behavior.
-    pub fn targets(&self, op: Operation) -> bool {
+    pub(crate) fn targets(&self, op: Operation) -> bool {
         self.rules.contains_key(&op)
     }
 
@@ -276,7 +250,7 @@ impl FaultPlan {
     /// spot pools in capacity-tight regions pass the region's
     /// `spot_pressure` so the same plan evicts harder there. `Nth` and
     /// `Always` rules are exact schedules and never scale.
-    pub fn decide_scaled(
+    pub(crate) fn decide_scaled(
         &self,
         op: Operation,
         scope: &str,
@@ -342,7 +316,7 @@ fn fault_roll(seed: u64, op: Operation, scope: &str, attempt: u64) -> f64 {
 /// resource-group name for deployments), so per-scope fault sequences are
 /// independent of how work is interleaved across threads.
 #[derive(Debug, Clone, Default)]
-pub struct FaultTracker {
+pub(crate) struct FaultTracker {
     /// Per operation, per scope. A scope that has counted before is found
     /// by `&str`, so a roll allocates its key only once.
     counters: HashMap<Operation, HashMap<String, u64>>,
@@ -350,7 +324,7 @@ pub struct FaultTracker {
 
 impl FaultTracker {
     /// A tracker with no recorded invocations.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FaultTracker::default()
     }
 
@@ -363,7 +337,7 @@ impl FaultTracker {
     /// `sku@region` (so the sequence is independent of worker interleaving
     /// on the shared provider) and decide under the region name (so an
     /// outage at a given attempt index is region-wide).
-    pub fn check(
+    pub(crate) fn check(
         &mut self,
         plan: &FaultPlan,
         op: Operation,
@@ -385,7 +359,7 @@ impl FaultTracker {
     }
 
     /// Number of times `op` has been attempted in `scope` so far.
-    pub fn attempts(&self, op: Operation, scope: &str) -> u64 {
+    pub(crate) fn attempts(&self, op: Operation, scope: &str) -> u64 {
         self.counters
             .get(&op)
             .and_then(|scopes| scopes.get(scope))
@@ -393,15 +367,8 @@ impl FaultTracker {
             .unwrap_or(0)
     }
 
-    /// Total invocations of `op` across all scopes.
-    pub fn total_attempts(&self, op: Operation) -> u64 {
-        self.counters
-            .get(&op)
-            .map_or(0, |scopes| scopes.values().sum())
-    }
-
     /// Forgets all invocation history.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.counters.clear();
     }
 }
@@ -442,7 +409,11 @@ mod tests {
 
     #[test]
     fn fail_always_has_no_sentinel_index() {
-        let plan = FaultPlan::none().fail_always(Operation::CreateStorage);
+        let plan = FaultPlan::none().fail_with(
+            Operation::CreateStorage,
+            FaultMode::Always,
+            FaultKind::Transient,
+        );
         let mut tracker = FaultTracker::new();
         for _ in 0..3 {
             assert!(tracker
@@ -478,7 +449,8 @@ mod tests {
         assert!(tracker
             .check(&plan, Operation::RunTask, "pool-b", "pool-b", 1.0)
             .is_err());
-        assert_eq!(tracker.total_attempts(Operation::RunTask), 3);
+        let run_task = |scope| tracker.attempts(Operation::RunTask, scope);
+        assert_eq!(run_task("pool-a") + run_task("pool-b"), 3);
     }
 
     #[test]
@@ -531,7 +503,19 @@ mod tests {
     fn burst_mode_storms_in_windows_and_stays_deterministic() {
         // Storm window: first 4 of every 16 checks evict with certainty,
         // the rest never do — the pattern is exact and replayable.
-        let plan = FaultPlan::none().seed(3).evict_storms(16, 4, 1.0, 0.0);
+        let storms = |storm, calm| {
+            FaultPlan::none().seed(3).fail_with(
+                Operation::Eviction,
+                FaultMode::Burst {
+                    every: 16,
+                    width: 4,
+                    storm,
+                    calm,
+                },
+                FaultKind::Transient,
+            )
+        };
+        let plan = storms(1.0, 0.0);
         let fired: Vec<bool> = (0..48)
             .map(|i| plan.decide(Operation::Eviction, "pool-hb", i).is_some())
             .collect();
@@ -543,7 +527,7 @@ mod tests {
             .collect();
         assert_eq!(fired, again, "burst decisions are stateless");
         // A calm background rate fires outside the window too.
-        let calm = FaultPlan::none().seed(3).evict_storms(16, 4, 1.0, 0.5);
+        let calm = storms(1.0, 0.5);
         let outside = (4..16)
             .filter(|&i| calm.decide(Operation::Eviction, "pool-hb", i).is_some())
             .count();

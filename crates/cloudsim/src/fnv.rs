@@ -11,7 +11,7 @@ impl Fnv64 {
     /// The FNV-1a-64 offset basis.
     pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     /// The FNV-1a-64 prime.
-    pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+    pub(crate) const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// A hasher at the offset basis.
     #[inline]

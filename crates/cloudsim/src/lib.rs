@@ -23,24 +23,24 @@
 //! Everything is deterministic given a seed; no wall-clock time or network
 //! access is involved.
 
-pub mod billing;
-pub mod error;
-pub mod fault;
-pub mod fnv;
-pub mod provider;
-pub mod quota;
-pub mod region;
-pub mod resources;
-pub mod sku;
+mod billing;
+mod error;
+mod fault;
+mod fnv;
+mod provider;
+mod quota;
+mod region;
+mod resources;
+mod sku;
 
 pub use billing::{BillingMeter, BillingSummary, UsageRecord};
 pub use error::CloudError;
-pub use fault::{Fault, FaultKind, FaultMode, FaultPlan, FaultTracker, Operation, RegionFault};
+pub use fault::{Fault, FaultKind, FaultMode, FaultPlan, Operation, RegionFault};
 pub use fnv::Fnv64;
 pub use provider::{AllocationId, Capacity, CloudProvider, ProviderConfig};
 pub use quota::QuotaTracker;
 pub use region::{Region, RegionCatalog};
-pub use resources::{ResourceGroup, ResourceKind, ResourceState};
+pub use resources::ResourceGroup;
 pub use sku::{CpuArch, Interconnect, SkuCatalog, VmSku};
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ impl CloudProvider {
     }
 
     /// Creates a provider with custom catalogs.
-    pub fn with_catalogs(
+    pub(crate) fn with_catalogs(
         config: ProviderConfig,
         catalog: SkuCatalog,
         regions: RegionCatalog,
@@ -271,11 +271,6 @@ impl CloudProvider {
         self.trace_buf.clear();
     }
 
-    /// Whether trace events are being buffered.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_on
-    }
-
     /// Drains buffered (unstamped) trace events in emission order.
     pub fn drain_trace(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.trace_buf)
@@ -385,10 +380,7 @@ impl CloudProvider {
         )?;
         self.spend(5.0);
         let group = ResourceGroup {
-            name: name.to_string(),
-            region: self.config.region.clone(),
             state: ResourceState::Ready,
-            created_at: self.clock.now(),
             resources: Vec::new(),
         };
         self.groups.insert(name.to_string(), group);
@@ -414,13 +406,11 @@ impl CloudProvider {
         }
         self.check_fault(op, group, label, None)?;
         self.spend(base_secs);
-        let ready_at = self.clock.now();
         let g = self.group_mut(group)?;
         g.resources.push(Resource {
             name: name.to_string(),
             kind,
             state: ResourceState::Ready,
-            ready_at,
         });
         Ok(())
     }
@@ -721,11 +711,6 @@ impl CloudProvider {
             .unwrap_or(u32::MAX)
     }
 
-    /// Capacity class of a live allocation.
-    pub fn allocation_capacity(&self, id: AllocationId) -> Option<Capacity> {
-        self.allocations.get(&id.0).map(|a| a.capacity)
-    }
-
     /// Releases an allocation, returning the billed cost of its whole span.
     pub fn release_nodes(&mut self, id: AllocationId) -> Result<f64, CloudError> {
         let alloc = self
@@ -771,15 +756,6 @@ impl CloudProvider {
         });
         Ok(cost)
     }
-
-    /// Nodes currently allocated under a group (for listings/tests).
-    pub fn allocated_nodes(&self, group: &str) -> u32 {
-        self.allocations
-            .values()
-            .filter(|a| a.resource_group == group)
-            .map(|a| a.nodes)
-            .sum()
-    }
 }
 
 /// The error a control-plane operation returns for an injected fault.
@@ -794,6 +770,7 @@ fn provisioning_failed(operation: &str, reason: String, fault: &Fault) -> CloudE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultMode;
 
     fn provider() -> CloudProvider {
         CloudProvider::new(ProviderConfig::default()).unwrap()
@@ -857,11 +834,10 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         let id = allocate_home(&mut p, "HB120rs_v3", 4, Capacity::Dedicated).unwrap();
-        assert_eq!(p.allocated_nodes("rg1"), 4);
+        assert_eq!(p.quota_mut().used("HBv3"), 4 * 120);
         p.clock().advance_by(SimDuration::from_hours(1));
         let cost = p.release_nodes(id).unwrap();
         assert!(cost >= 4.0 * 3.60, "cost {cost} must cover 4 node-hours");
-        assert_eq!(p.allocated_nodes("rg1"), 0);
         assert!((p.billing().total_cost() - cost).abs() < 1e-12);
         // Quota fully restored.
         assert_eq!(p.quota_mut().used("HBv3"), 0);
@@ -872,7 +848,6 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         let id = allocate_home(&mut p, "HB120rs_v3", 4, Capacity::Spot).unwrap();
-        assert_eq!(p.allocation_capacity(id), Some(Capacity::Spot));
         p.clock().advance_by(SimDuration::from_hours(1));
         let cost = p.release_nodes(id).unwrap();
         let discount = p.catalog().get("HB120rs_v3").unwrap().spot_discount;
@@ -1253,7 +1228,11 @@ mod tests {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
         // A rule for another operation: nothing here targets a region op.
-        p.set_fault_plan(FaultPlan::none().fail_always(Operation::RunTask));
+        p.set_fault_plan(FaultPlan::none().fail_with(
+            Operation::RunTask,
+            FaultMode::Always,
+            FaultKind::Transient,
+        ));
         p.set_trace_enabled(true);
         assert!(p
             .inject_fault(Operation::NodeDeath, "pool", 1.0, None)
@@ -1299,7 +1278,6 @@ mod tests {
     fn trace_buffer_gates_and_drains() {
         let mut p = provider();
         deploy_landing_zone(&mut p, "rg1");
-        assert!(!p.trace_enabled());
         let id = allocate_home(&mut p, "HB120rs_v3", 2, Capacity::Dedicated).unwrap();
         p.release_nodes(id).unwrap();
         assert!(

@@ -19,7 +19,7 @@ pub struct QuotaTracker {
 impl QuotaTracker {
     /// Creates a tracker where every family defaults to `default_limit`
     /// cores unless overridden via [`QuotaTracker::set_limit`].
-    pub fn with_default_limit(default_limit: u32) -> Self {
+    pub(crate) fn with_default_limit(default_limit: u32) -> Self {
         QuotaTracker {
             default_limit,
             limits: HashMap::new(),
@@ -33,7 +33,7 @@ impl QuotaTracker {
     }
 
     /// The configured limit for a family.
-    pub fn limit(&self, family: &str) -> u32 {
+    pub(crate) fn limit(&self, family: &str) -> u32 {
         self.limits
             .get(family)
             .copied()
@@ -46,20 +46,12 @@ impl QuotaTracker {
     }
 
     /// Cores still available for a family.
-    pub fn available(&self, family: &str) -> u32 {
+    pub(crate) fn available(&self, family: &str) -> u32 {
         self.limit(family).saturating_sub(self.used(family))
     }
 
-    /// Whether a request for `cores` can never succeed under the family's
-    /// configured limit, regardless of what is later released. The collector
-    /// uses this to classify quota failures as permanent-for-SKU and skip
-    /// (rather than retry) the remaining scenarios on that SKU.
-    pub fn exceeds_limit(&self, family: &str, cores: u32) -> bool {
-        cores > self.limit(family)
-    }
-
     /// Attempts to take `cores` from the family's quota.
-    pub fn try_acquire(&mut self, family: &str, cores: u32) -> Result<(), CloudError> {
+    pub(crate) fn try_acquire(&mut self, family: &str, cores: u32) -> Result<(), CloudError> {
         let available = self.available(family);
         if cores > available {
             return Err(CloudError::QuotaExceeded {
@@ -74,7 +66,7 @@ impl QuotaTracker {
 
     /// Returns `cores` to the family's quota (saturating at zero so a
     /// double-release cannot underflow).
-    pub fn release(&mut self, family: &str, cores: u32) {
+    pub(crate) fn release(&mut self, family: &str, cores: u32) {
         if let Some(u) = self.used.get_mut(family) {
             *u = u.saturating_sub(cores);
         }

@@ -1,7 +1,5 @@
 //! Geographical regions with price multipliers and SKU availability.
 
-use crate::sku::SkuCatalog;
-
 /// A cloud region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
@@ -10,13 +8,13 @@ pub struct Region {
     /// Multiplier applied to base SKU prices in this region.
     pub price_multiplier: f64,
     /// SKU families *not* offered in this region (empty ⇒ everything).
-    pub unavailable_families: Vec<String>,
+    pub(crate) unavailable_families: Vec<String>,
     /// Multiplier applied to node boot latency in this region — congested
     /// regions provision slower.
-    pub provision_multiplier: f64,
+    pub(crate) provision_multiplier: f64,
     /// Per-family core quota pool for this region; `None` inherits the
     /// provider's default quota.
-    pub quota_cores: Option<u32>,
+    pub(crate) quota_cores: Option<u32>,
     /// Multiplier on spot-eviction probabilities for pools placed here —
     /// capacity-constrained regions reclaim spot VMs more aggressively.
     pub spot_pressure: f64,
@@ -102,7 +100,7 @@ impl RegionCatalog {
     }
 
     /// All regions.
-    pub fn all(&self) -> &[Region] {
+    pub(crate) fn all(&self) -> &[Region] {
         &self.regions
     }
 
@@ -110,21 +108,12 @@ impl RegionCatalog {
     pub fn names(&self) -> Vec<&str> {
         self.regions.iter().map(|r| r.name.as_str()).collect()
     }
-
-    /// Lists the SKU names (from `catalog`) offered in `region`.
-    pub fn skus_in_region<'a>(&self, region: &Region, catalog: &'a SkuCatalog) -> Vec<&'a str> {
-        catalog
-            .all()
-            .iter()
-            .filter(|s| region.offers_family(&s.family))
-            .map(|s| s.name.as_str())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sku::SkuCatalog;
 
     #[test]
     fn baseline_region_offers_everything() {
@@ -137,10 +126,10 @@ mod tests {
         assert_eq!(region.quota_cores, None);
         assert_eq!(region.spot_pressure, 1.0);
         let catalog = SkuCatalog::azure_hpc();
-        assert_eq!(
-            rc.skus_in_region(region, &catalog).len(),
-            catalog.all().len()
-        );
+        assert!(catalog
+            .all()
+            .iter()
+            .all(|s| region.offers_family(&s.family)));
     }
 
     #[test]
@@ -149,10 +138,6 @@ mod tests {
         let japan = rc.get("japaneast").unwrap();
         assert!(!japan.offers_family("HB"));
         assert!(japan.offers_family("HBv3"));
-        let catalog = SkuCatalog::azure_hpc();
-        let offered = rc.skus_in_region(japan, &catalog);
-        assert!(!offered.contains(&"Standard_HB60rs"));
-        assert!(offered.contains(&"Standard_HB120rs_v3"));
     }
 
     #[test]

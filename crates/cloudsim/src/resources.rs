@@ -3,27 +3,21 @@
 //! Section III-B of the paper deploys, in order: variables → basic landing
 //! zone (resource group + VNet + subnet) → storage account → batch service →
 //! optional jumpbox and VNet peering. These types record what exists inside
-//! each simulated resource group so the tool's `deploy list` view and
-//! teardown logic have something real to inspect.
-
-use simtime::SimInstant;
+//! each simulated resource group so deployment and teardown logic have
+//! something real to inspect.
 
 /// Lifecycle state of a resource or group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResourceState {
-    /// Provisioning has started but not completed.
-    Creating,
+pub(crate) enum ResourceState {
     /// Ready for use.
     Ready,
-    /// Deletion in progress.
-    Deleting,
     /// Gone (kept for audit).
     Deleted,
 }
 
 /// Kind of resource living inside a resource group.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResourceKind {
+pub(crate) enum ResourceKind {
     /// Virtual network with a list of subnet names.
     VirtualNetwork { subnets: Vec<String> },
     /// Storage account (batch files + NFS share in the paper).
@@ -41,7 +35,7 @@ pub enum ResourceKind {
 
 impl ResourceKind {
     /// Short type label used in listings.
-    pub fn type_label(&self) -> &'static str {
+    pub(crate) fn type_label(&self) -> &'static str {
         match self {
             ResourceKind::VirtualNetwork { .. } => "vnet",
             ResourceKind::StorageAccount => "storage",
@@ -54,35 +48,27 @@ impl ResourceKind {
 
 /// A named resource inside a group.
 #[derive(Debug, Clone)]
-pub struct Resource {
+pub(crate) struct Resource {
     /// Resource name (unique within the group).
-    pub name: String,
+    pub(crate) name: String,
     /// What the resource is.
-    pub kind: ResourceKind,
+    pub(crate) kind: ResourceKind,
     /// Lifecycle state.
-    pub state: ResourceState,
-    /// Virtual time at which the resource became `Ready`.
-    pub ready_at: SimInstant,
+    pub(crate) state: ResourceState,
 }
 
 /// A resource group: the unit of deployment and teardown.
 #[derive(Debug, Clone)]
 pub struct ResourceGroup {
-    /// Group name (`<rgprefix>...` in the tool).
-    pub name: String,
-    /// Region the group lives in.
-    pub region: String,
     /// Lifecycle state.
-    pub state: ResourceState,
-    /// Creation time.
-    pub created_at: SimInstant,
+    pub(crate) state: ResourceState,
     /// Contained resources in creation order.
-    pub resources: Vec<Resource>,
+    pub(crate) resources: Vec<Resource>,
 }
 
 impl ResourceGroup {
     /// Finds a contained resource by name.
-    pub fn resource(&self, name: &str) -> Option<&Resource> {
+    pub(crate) fn resource(&self, name: &str) -> Option<&Resource> {
         self.resources.iter().find(|r| r.name == name)
     }
 
@@ -92,15 +78,6 @@ impl ResourceGroup {
             .iter()
             .any(|r| r.kind.type_label() == type_label && r.state == ResourceState::Ready)
     }
-
-    /// Names of contained resources of one type.
-    pub fn names_of(&self, type_label: &str) -> Vec<&str> {
-        self.resources
-            .iter()
-            .filter(|r| r.kind.type_label() == type_label)
-            .map(|r| r.name.as_str())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,17 +86,13 @@ mod tests {
 
     fn group_with(kinds: Vec<(&str, ResourceKind)>) -> ResourceGroup {
         ResourceGroup {
-            name: "rg".into(),
-            region: "southcentralus".into(),
             state: ResourceState::Ready,
-            created_at: SimInstant::EPOCH,
             resources: kinds
                 .into_iter()
                 .map(|(name, kind)| Resource {
                     name: name.into(),
                     kind,
                     state: ResourceState::Ready,
-                    ready_at: SimInstant::EPOCH,
                 })
                 .collect(),
         }
@@ -146,7 +119,6 @@ mod tests {
         let g = group_with(vec![("jb", ResourceKind::Jumpbox)]);
         assert!(g.resource("jb").is_some());
         assert!(g.resource("nope").is_none());
-        assert_eq!(g.names_of("jumpbox"), vec!["jb"]);
     }
 
     #[test]

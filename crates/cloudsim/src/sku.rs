@@ -101,21 +101,7 @@ pub struct VmSku {
     /// scarce top-end HPC parts discount less than commodity sizes.
     pub spot_discount: f64,
     /// True if the SKU supports RDMA placement for tightly-coupled MPI.
-    pub rdma_capable: bool,
-}
-
-impl VmSku {
-    /// Short lowercase name as printed in the paper's advice tables
-    /// (`hb120rs_v3` for `Standard_HB120rs_v3`).
-    pub fn short_name(&self) -> String {
-        strip_standard(&self.name).to_ascii_lowercase()
-    }
-
-    /// Spot/low-priority price in USD per VM-hour (base region): the
-    /// pay-as-you-go price with this SKU's spot discount applied.
-    pub fn spot_price_per_hour(&self) -> f64 {
-        self.price_per_hour * (1.0 - self.spot_discount)
-    }
+    pub(crate) rdma_capable: bool,
 }
 
 impl fmt::Display for VmSku {
@@ -300,17 +286,9 @@ impl SkuCatalog {
     }
 
     /// All SKUs in catalog order.
-    pub fn all(&self) -> &[VmSku] {
+    #[cfg(test)]
+    pub(crate) fn all(&self) -> &[VmSku] {
         &self.skus
-    }
-
-    /// Adds or replaces a SKU (used by tests and custom catalogs).
-    pub fn upsert(&mut self, sku: VmSku) {
-        if let Some(slot) = self.skus.iter_mut().find(|s| same_sku(&s.name, &sku.name)) {
-            *slot = sku;
-        } else {
-            self.skus.push(sku);
-        }
     }
 
     /// A content-derived revision of the catalog: a stable 64-bit FNV-1a
@@ -341,9 +319,8 @@ mod tests {
         let b = SkuCatalog::azure_hpc();
         assert_eq!(a.revision(), b.revision(), "same content, same revision");
         let mut c = SkuCatalog::azure_hpc();
-        let mut sku = c.get("Standard_HB120rs_v3").unwrap().clone();
-        sku.price_per_hour += 0.01;
-        c.upsert(sku);
+        let at = c.skus.iter().position(|s| s.name == "Standard_HB120rs_v3");
+        c.skus[at.unwrap()].price_per_hour += 0.01;
         assert_ne!(a.revision(), c.revision(), "price change moves revision");
     }
 
@@ -374,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn short_names_match_advice_table_format() {
-        let c = SkuCatalog::azure_hpc();
-        assert_eq!(
-            c.get("Standard_HB120rs_v3").unwrap().short_name(),
-            "hb120rs_v3"
-        );
-        assert_eq!(c.get("Standard_HC44rs").unwrap().short_name(), "hc44rs");
-    }
-
-    #[test]
     fn spot_discounts_form_a_sane_curve() {
         // Every SKU offers a spot rate strictly below pay-as-you-go, and the
         // newest/scarcest HPC parts (HB176rs_v4, HX176rs) carry the smallest
@@ -396,7 +363,6 @@ mod tests {
                 sku.name,
                 sku.spot_discount
             );
-            assert!(sku.spot_price_per_hour() < sku.price_per_hour);
         }
         let commodity = c.get("F72s_v2").unwrap().spot_discount;
         let scarce = c.get("HX176rs").unwrap().spot_discount;
@@ -426,21 +392,6 @@ mod tests {
             latency_us: 30.0,
         };
         assert!(!eth.is_infiniband());
-    }
-
-    #[test]
-    fn upsert_replaces_and_appends() {
-        let mut c = SkuCatalog::azure_hpc();
-        let n = c.all().len();
-        let mut custom = c.get("HC44rs").unwrap().clone();
-        custom.price_per_hour = 1.0;
-        c.upsert(custom);
-        assert_eq!(c.all().len(), n);
-        assert_eq!(c.get("HC44rs").unwrap().price_per_hour, 1.0);
-        let mut fresh = c.get("HC44rs").unwrap().clone();
-        fresh.name = "Standard_Custom1".into();
-        c.upsert(fresh);
-        assert_eq!(c.all().len(), n + 1);
     }
 
     #[test]

@@ -31,64 +31,64 @@ pub struct AdviceRow {
     /// Node count.
     pub nodes: u32,
     /// Processes per node.
-    pub ppn: u32,
+    pub(crate) ppn: u32,
     /// Short SKU name (as the paper prints it).
     pub sku: String,
     /// Appinput combination the row was measured at.
-    pub appinputs: Pairs,
+    pub(crate) appinputs: Pairs,
     /// Region the row's measurement actually ran in (after any failover).
     /// `None` for single-region sweeps, where every row ran in the
     /// deployment's home region.
-    pub region: Option<String>,
+    pub(crate) region: Option<String>,
 }
 
 /// Aggregate spot-vs-dedicated comparison, available when the dataset
 /// carries completed points in both capacity classes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CapacityComparison {
+pub(crate) struct CapacityComparison {
     /// Completed spot rows.
-    pub spot_completed: usize,
+    pub(crate) spot_completed: usize,
     /// Spot rows that did not complete (failed or timed out).
-    pub spot_unfinished: usize,
+    pub(crate) spot_unfinished: usize,
     /// Total spot evictions recorded in the spot rows' `EVICTIONS` metric.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Scenario ids completed in both classes, feeding the cost delta.
-    pub pairs: usize,
+    pub(crate) pairs: usize,
     /// Mean fractional cost delta of spot vs dedicated over the paired
     /// scenarios (negative ⇒ spot cheaper, e.g. -0.35 = 35% cheaper even
     /// after paying for evicted attempts).
-    pub mean_cost_delta: f64,
+    pub(crate) mean_cost_delta: f64,
 }
 
 /// One region's outcome tally in a multi-region sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegionReport {
+pub(crate) struct RegionReport {
     /// Region name (catalog-canonical).
-    pub region: String,
+    pub(crate) region: String,
     /// Rows that completed in this region.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Rows that failed or timed out in this region.
-    pub unfinished: usize,
+    pub(crate) unfinished: usize,
     /// Rows degraded to SLA skips while targeting this region.
-    pub sla_skipped: usize,
+    pub(crate) sla_skipped: usize,
     /// Mean fractional cost premium of this region's completed rows over
     /// the cheapest completed row of the same configuration (SKU, nodes,
     /// ppn, appinputs) in any region. 0.0 means this region was the
     /// cheapest for every configuration it completed.
-    pub mean_cost_premium: f64,
+    pub(crate) mean_cost_premium: f64,
 }
 
 /// Per-region completion/cost/SLA deltas, present when the dataset carries
 /// placed rows (a multi-region sweep).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlacementComparison {
+pub(crate) struct PlacementComparison {
     /// One report per region, sorted by region name.
-    pub regions: Vec<RegionReport>,
+    pub(crate) regions: Vec<RegionReport>,
 }
 
 impl CapacityComparison {
     /// Spot completion rate over the rows that ran on spot capacity.
-    pub fn spot_completion_rate(&self) -> f64 {
+    pub(crate) fn spot_completion_rate(&self) -> f64 {
         let total = self.spot_completed + self.spot_unfinished;
         if total == 0 {
             return 0.0;
@@ -103,7 +103,7 @@ pub struct Advice {
     /// Pareto-efficient rows in the requested order.
     pub rows: Vec<AdviceRow>,
     /// How `rows` is sorted.
-    pub sort: AdviceSort,
+    pub(crate) sort: AdviceSort,
     /// Scenarios the collection deliberately dropped — skipped (quota or
     /// budget degradation) or killed by the deadline watchdog. When nonzero
     /// the advice was computed from a partial grid and
@@ -111,10 +111,10 @@ pub struct Advice {
     pub skipped_scenarios: usize,
     /// Spot-vs-dedicated comparison, present when the dataset holds
     /// completed points in both capacity classes.
-    pub capacity_comparison: Option<CapacityComparison>,
+    pub(crate) capacity_comparison: Option<CapacityComparison>,
     /// Per-region placement deltas, present when the dataset holds placed
     /// rows (a multi-region sweep).
-    pub placement_comparison: Option<PlacementComparison>,
+    pub(crate) placement_comparison: Option<PlacementComparison>,
 }
 
 impl Advice {

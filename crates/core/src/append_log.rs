@@ -113,11 +113,6 @@ impl AppendLog {
     pub(crate) fn recovered(&self) -> bool {
         self.recovered
     }
-
-    /// The backing file, if any.
-    pub(crate) fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
 }
 
 /// Writes `bytes` to `<path>.tmp` and renames it over `path`, creating
@@ -135,11 +130,11 @@ pub fn replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 #[cfg(test)]
 mod tests {
+    use crate::cache::Fingerprint;
     use crate::dataset::point;
     use crate::journal::{JournalEntry, RunJournal};
     use crate::scenario::ScenarioStatus;
     use crate::service_state::{ServiceJournal, ServiceRecord};
-    use crate::Fingerprint;
     use std::path::{Path, PathBuf};
 
     /// What a crashed rewrite can leave beside the journal: a whole file

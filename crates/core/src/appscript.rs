@@ -86,7 +86,7 @@ hpcadvisor_run() {
 "#;
 
 /// WRF: resolution/forecast-hours sweep.
-pub const WRF_SCRIPT: &str = r#"#!/usr/bin/env bash
+pub(crate) const WRF_SCRIPT: &str = r#"#!/usr/bin/env bash
 
 hpcadvisor_setup() {
   if [[ -f conus12km.tar.gz ]]; then
@@ -118,7 +118,7 @@ hpcadvisor_run() {
 "#;
 
 /// GROMACS: atom-count/steps sweep.
-pub const GROMACS_SCRIPT: &str = r#"#!/usr/bin/env bash
+pub(crate) const GROMACS_SCRIPT: &str = r#"#!/usr/bin/env bash
 
 hpcadvisor_setup() {
   echo "GROMACS provided by EESSI; nothing to download"
@@ -147,7 +147,7 @@ hpcadvisor_run() {
 "#;
 
 /// NAMD: STMV-style benchmark.
-pub const NAMD_SCRIPT: &str = r#"#!/usr/bin/env bash
+pub(crate) const NAMD_SCRIPT: &str = r#"#!/usr/bin/env bash
 
 hpcadvisor_setup() {
   if [[ -f stmv.tar.gz ]]; then
@@ -177,7 +177,7 @@ hpcadvisor_run() {
 "#;
 
 /// The matrix-multiplication toy example from the paper's introduction.
-pub const MATMUL_SCRIPT: &str = r#"#!/usr/bin/env bash
+pub(crate) const MATMUL_SCRIPT: &str = r#"#!/usr/bin/env bash
 
 hpcadvisor_setup() {
   echo "matmul needs no input data"
@@ -227,7 +227,7 @@ pub fn seed_urlstore(store: &mut UrlStore, appsetupurl: &str, appname: &str) {
 }
 
 /// Fetches the application script from the store.
-pub fn fetch_script(store: &UrlStore, url: &str) -> Result<String, ToolError> {
+pub(crate) fn fetch_script(store: &UrlStore, url: &str) -> Result<String, ToolError> {
     store
         .get(url)
         .map(|s| s.to_string())

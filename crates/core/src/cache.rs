@@ -25,7 +25,7 @@
 //! Identity-only fields of a data point — its scenario id, tags, and
 //! deployment name — are **not** fingerprinted: they do not influence the
 //! simulation, and a cached point is re-stamped with the current values on
-//! hit (see [`rehydrate_point`]). This is what lets a widened grid (which
+//! hit (see `rehydrate_point`). This is what lets a widened grid (which
 //! shifts scenario ids) still reuse every already-known point.
 //!
 //! Persistence is a **binary record log**, one file under the CLI work
@@ -374,17 +374,17 @@ pub enum CachePolicy {
 
 impl CachePolicy {
     /// True if lookups are allowed.
-    pub fn reads(&self) -> bool {
+    pub(crate) fn reads(&self) -> bool {
         !matches!(self, CachePolicy::Off)
     }
 
     /// True if new results should be stored.
-    pub fn writes(&self) -> bool {
+    pub(crate) fn writes(&self) -> bool {
         matches!(self, CachePolicy::ReadWrite)
     }
 
     /// Short human-readable name (`read-write`, `read-only`, `off`).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             CachePolicy::ReadWrite => "read-write",
             CachePolicy::ReadOnly => "read-only",
@@ -400,7 +400,7 @@ pub struct Fingerprint(u128);
 impl Fingerprint {
     /// Hex spelling (32 lowercase digits), as the run journal keys its
     /// records.
-    pub fn to_hex(self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
 
@@ -460,13 +460,18 @@ impl Fnv128 {
 /// per run (the collection-level inputs are folded in eagerly), then call
 /// [`Fingerprinter::scenario`] per grid point.
 #[derive(Debug, Clone)]
-pub struct Fingerprinter {
+pub(crate) struct Fingerprinter {
     base: Fnv128,
 }
 
 impl Fingerprinter {
     /// Folds in every collection-level fingerprint input.
-    pub fn new(appname: &str, script: &str, experiment_seed: u64, catalog_revision: u64) -> Self {
+    pub(crate) fn new(
+        appname: &str,
+        script: &str,
+        experiment_seed: u64,
+        catalog_revision: u64,
+    ) -> Self {
         let mut base = Fnv128::new();
         base.field(&appmodel::MODEL_VERSION.to_le_bytes());
         base.field(appname.as_bytes());
@@ -480,7 +485,7 @@ impl Fingerprinter {
     /// the implicit default and folds nothing, so fingerprints of ordinary
     /// runs are unchanged; spot results can never shadow dedicated ones
     /// (their eviction overhead makes them different measurements).
-    pub fn with_capacity(mut self, capacity: cloudsim::Capacity) -> Self {
+    pub(crate) fn with_capacity(mut self, capacity: cloudsim::Capacity) -> Self {
         if capacity != cloudsim::Capacity::Dedicated {
             self.base.field(capacity.as_str().as_bytes());
         }
@@ -494,7 +499,7 @@ impl Fingerprinter {
     /// so caches populated before multi-region grids existed stay warm.
     /// (No aliasing with the appinput pairs is possible — appinputs always
     /// contribute an even number of fields, the region exactly one.)
-    pub fn scenario(&self, s: &Scenario) -> Fingerprint {
+    pub(crate) fn scenario(&self, s: &Scenario) -> Fingerprint {
         let mut h = self.base.clone();
         h.field(s.sku.as_bytes());
         h.field(&s.nnodes.to_le_bytes());
@@ -514,7 +519,7 @@ impl Fingerprinter {
 /// run: scenario id, tags, and deployment. These are exactly the
 /// [`DataPoint`] fields excluded from the fingerprint, so after this call
 /// the point is byte-for-byte what a cold run of `scenario` would produce.
-pub fn rehydrate_point(
+pub(crate) fn rehydrate_point(
     mut point: DataPoint,
     scenario: &Scenario,
     tags: &Pairs,
@@ -530,18 +535,6 @@ pub fn rehydrate_point(
         point.deployment = deployment.to_string();
     }
     point
-}
-
-/// Summary counters of a cache store (the CLI's `cache stats`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheStoreStats {
-    /// Entries currently held.
-    pub entries: usize,
-    /// Backing file, if the cache is persistent.
-    pub path: Option<PathBuf>,
-    /// True if the backing file could not serve whole: a file without
-    /// today's header started cold, a torn log salvaged its intact prefix.
-    pub recovered: bool,
 }
 
 /// The content-addressed scenario-result store.
@@ -591,7 +584,7 @@ impl fmt::Debug for ScenarioCache {
 impl ScenarioCache {
     /// An empty, purely in-memory cache (results live for the collector's
     /// lifetime only).
-    pub fn in_memory() -> Self {
+    pub(crate) fn in_memory() -> Self {
         ScenarioCache::default()
     }
 
@@ -648,24 +641,10 @@ impl ScenarioCache {
         self.latest.is_empty()
     }
 
-    /// The backing file, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
-
     /// True if the backing file was discarded (without today's header) or
     /// salvaged (torn log) on open.
     pub fn recovered(&self) -> bool {
         self.recovered
-    }
-
-    /// Store summary for status displays.
-    pub fn stats(&self) -> CacheStoreStats {
-        CacheStoreStats {
-            entries: self.latest.len(),
-            path: self.path.clone(),
-            recovered: self.recovered,
-        }
     }
 
     /// Looks a fingerprint up, decoding its record into a fresh point. A
@@ -823,7 +802,7 @@ pub struct SharedScenarioCache {
 
 impl SharedScenarioCache {
     /// Wraps an existing cache into a shareable handle.
-    pub fn new(cache: ScenarioCache) -> Self {
+    pub(crate) fn new(cache: ScenarioCache) -> Self {
         SharedScenarioCache {
             inner: Arc::new(Mutex::new(cache)),
         }
@@ -859,11 +838,6 @@ impl SharedScenarioCache {
     /// [`ScenarioCache::recovered`]).
     pub fn recovered(&self) -> bool {
         self.lock().recovered()
-    }
-
-    /// Store summary for status displays.
-    pub fn stats(&self) -> CacheStoreStats {
-        self.lock().stats()
     }
 
     /// Persists the underlying store (see [`ScenarioCache::save`]).
@@ -1155,7 +1129,6 @@ mod tests {
         assert_eq!(clone.len(), 1, "clones share the underlying store");
         assert!(!clone.is_empty());
         assert!(!clone.recovered());
-        assert_eq!(clone.stats().entries, 1);
         assert!(clone.save().is_ok(), "in-memory save is a no-op");
     }
 

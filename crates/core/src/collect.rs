@@ -45,7 +45,7 @@
 //! never contend on a cache lock.
 //!
 //! ```no_run
-//! use hpcadvisor_core::prelude::*;
+//! use hpcadvisor_core::{CollectPlan, Session, UserConfig};
 //!
 //! let mut session = Session::create(UserConfig::example_openfoam(), 42).unwrap();
 //! let report = session.collect_with(&CollectPlan::new().workers(4)).unwrap();
@@ -96,7 +96,6 @@ pub struct CollectPlan {
     pub(crate) escalate_after: u32,
     pub(crate) deadline_secs: Option<f64>,
     pub(crate) budget_dollars: Option<f64>,
-    pub(crate) delete_pools: bool,
 }
 
 impl Default for CollectPlan {
@@ -111,7 +110,6 @@ impl Default for CollectPlan {
             escalate_after: 2,
             deadline_secs: None,
             budget_dollars: None,
-            delete_pools: false,
         }
     }
 }
@@ -189,14 +187,6 @@ impl CollectPlan {
         self
     }
 
-    /// Deletes pools after use instead of resizing them to zero (the
-    /// paper's "resize pool to zero or delete pool, depending on user
-    /// preference").
-    pub fn delete_pools(mut self, yes: bool) -> Self {
-        self.delete_pools = yes;
-        self
-    }
-
     /// Captures a deterministic run trace ([`CollectReport::trace`]): span
     /// events from every layer, stamped on shard-local simulated timelines
     /// and merged in shard order, so the trace bytes are identical for any
@@ -247,7 +237,7 @@ pub struct ScenarioOutcome {
     /// (cached, replayed, or skipped before touching the cloud).
     pub attempts: u32,
     /// Simulated backoff seconds the scenario waited through on retries.
-    pub backoff_secs: f64,
+    pub(crate) backoff_secs: f64,
     /// Spot evictions the scenario survived (0 on dedicated capacity).
     pub evictions: u32,
     /// Region failovers the scenario went through before settling (0 when

@@ -763,11 +763,7 @@ impl ShardRun<'_> {
         if self.service.pool(pool).is_none() {
             return Ok(());
         }
-        if self.ctx.plan.delete_pools {
-            self.service.delete_pool(pool)?;
-        } else {
-            self.service.resize_pool(pool, 0)?;
-        }
+        self.service.resize_pool(pool, 0)?;
         Ok(())
     }
 
@@ -1507,13 +1503,6 @@ mod option_tests {
         .unwrap();
         assert_eq!(out.points.len(), 3);
         service
-    }
-
-    #[test]
-    fn delete_pools_option_tears_down_pools() {
-        let service = run_on_own_service(CollectPlan::new().delete_pools(true));
-        let pool = service.pool("pool-hb120rs_v3").unwrap();
-        assert_eq!(pool.state, batchsim::PoolState::Deleted);
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub struct UserConfig {
     /// VM types (SKUs) to test.
     pub skus: Vec<String>,
     /// Prefix for resource-group names.
-    pub rgprefix: String,
+    pub(crate) rgprefix: String,
     /// URL of the application setup/run script.
     pub appsetupurl: String,
     /// Node counts to test.
@@ -28,17 +28,17 @@ pub struct UserConfig {
     /// their order is the failover order when a region faults mid-run.
     pub regions: Vec<String>,
     /// Whether to create a jumpbox VM.
-    pub createjumpbox: bool,
+    pub(crate) createjumpbox: bool,
     /// Percentage of each node's cores to use as processes-per-node.
     pub ppr: u32,
     /// Application input sweep: parameter → values.
     pub appinputs: Vec<(String, Vec<String>)>,
     /// Existing resource group containing a VPN (optional).
-    pub vpnrg: Option<String>,
+    pub(crate) vpnrg: Option<String>,
     /// Existing VNet name for the VPN (optional).
-    pub vpnvnet: Option<String>,
+    pub(crate) vpnvnet: Option<String>,
     /// Whether to peer with the VPN VNet.
-    pub peervpn: bool,
+    pub(crate) peervpn: bool,
 }
 
 /// Emits one scalar for [`UserConfig::to_yaml`], quoting whenever the bare

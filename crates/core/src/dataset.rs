@@ -20,7 +20,7 @@ pub struct DataPoint {
     /// Nodes used.
     pub nnodes: u32,
     /// Processes per node.
-    pub ppn: u32,
+    pub(crate) ppn: u32,
     /// Application inputs of the scenario.
     pub appinputs: Pairs,
     /// Application execution time in seconds (`APPEXECTIME` when the run
@@ -39,7 +39,7 @@ pub struct DataPoint {
     /// (`cpu`/`membw`/`net`/`bottleneck`).
     pub infra: Pairs,
     /// Tags from the configuration.
-    pub tags: Pairs,
+    pub(crate) tags: Pairs,
     /// Deployment (resource group) the row was collected in.
     pub deployment: String,
     /// Capacity class the row was measured on. Spot rows carry the eviction
@@ -65,12 +65,12 @@ impl DataPoint {
     }
 
     /// Short SKU spelling used in advice tables (`hb120rs_v3`).
-    pub fn sku_short(&self) -> String {
+    pub(crate) fn sku_short(&self) -> String {
         self.sku.to_ascii_lowercase().replace("standard_", "")
     }
 
     /// One-line id for the appinput combination (used to group series).
-    pub fn input_key(&self) -> String {
+    pub(crate) fn input_key(&self) -> String {
         self.appinputs
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
@@ -470,21 +470,21 @@ fn float_member(v: Option<Value>, key: &str) -> Result<f64, ToolError> {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataFilter {
     /// Restrict to an application.
-    pub appname: Option<String>,
+    pub(crate) appname: Option<String>,
     /// Restrict to a SKU (full or short spelling).
-    pub sku: Option<String>,
+    pub(crate) sku: Option<String>,
     /// Required appinput values.
-    pub appinputs: Vec<(String, String)>,
+    pub(crate) appinputs: Vec<(String, String)>,
     /// Required tags.
-    pub tags: Vec<(String, String)>,
+    pub(crate) tags: Vec<(String, String)>,
     /// Include failed rows too (default: completed only).
-    pub include_failed: bool,
+    pub(crate) include_failed: bool,
     /// Restrict to one capacity class (`capacity=spot|dedicated`).
-    pub capacity: Option<Capacity>,
+    pub(crate) capacity: Option<Capacity>,
     /// Restrict to one placement region (`region=westeurope`). Rows without
     /// a region (home-region rows of single-region runs) match no region
     /// filter; multi-region grids always stamp the placed region.
-    pub region: Option<String>,
+    pub(crate) region: Option<String>,
 }
 
 impl DataFilter {
@@ -528,7 +528,7 @@ impl DataFilter {
     }
 
     /// True if a point passes the filter.
-    pub fn matches(&self, p: &DataPoint) -> bool {
+    pub(crate) fn matches(&self, p: &DataPoint) -> bool {
         if !self.include_failed && p.status != ScenarioStatus::Completed {
             return false;
         }
@@ -629,22 +629,8 @@ impl Dataset {
         self.filter(&DataFilter::all())
     }
 
-    /// Distinct SKUs (short form) in filter-matching rows, in first-seen
-    /// order.
-    pub fn skus(&self, f: &DataFilter) -> Vec<String> {
-        let mut seen = HashSet::new();
-        let mut out: Vec<String> = Vec::new();
-        for p in self.filter(f) {
-            let s = p.sku_short();
-            if seen.insert(s.clone()) {
-                out.push(s);
-            }
-        }
-        out
-    }
-
     /// Distinct appinput combinations in filter-matching rows.
-    pub fn input_keys(&self, f: &DataFilter) -> Vec<String> {
+    pub(crate) fn input_keys(&self, f: &DataFilter) -> Vec<String> {
         let mut seen = HashSet::new();
         let mut out: Vec<String> = Vec::new();
         for p in self.filter(f) {
@@ -1127,7 +1113,6 @@ mod tests {
     #[test]
     fn distinct_skus_and_inputs() {
         let ds = sample();
-        assert_eq!(ds.skus(&DataFilter::all()), vec!["hb120rs_v3", "hc44rs"]);
         let f = DataFilter {
             appname: Some("lammps".into()),
             ..DataFilter::all()

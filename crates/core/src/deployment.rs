@@ -1,45 +1,17 @@
-//! Environment deployment (paper Section III-B) and the deployment registry
-//! behind the CLI's `deploy create | list | shutdown` commands (Table II).
+//! Environment deployment (paper Section III-B): the resource group, its
+//! landing zone and services that the CLI's `deploy create` (Table II) and
+//! every session provision.
 
 use crate::config::UserConfig;
 use crate::error::ToolError;
 use batchsim::SharedProvider;
 use cloudsim::{CloudProvider, ProviderConfig};
-use simtime::SimInstant;
-
-/// Lifecycle of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeploymentState {
-    /// Ready for data collection.
-    Active,
-    /// Shut down; all cloud resources deleted.
-    Shutdown,
-}
-
-/// One deployment: a resource group with the landing zone, storage, batch
-/// account and optional jumpbox/peering.
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    /// Resource-group name (`<rgprefix><seq>`).
-    pub name: String,
-    /// Region.
-    pub region: String,
-    /// Application this deployment was created for.
-    pub appname: String,
-    /// Whether a jumpbox was provisioned.
-    pub jumpbox: bool,
-    /// Whether VNet peering to a VPN was set up.
-    pub peered: bool,
-    /// Creation time.
-    pub created_at: SimInstant,
-    /// Current state.
-    pub state: DeploymentState,
-}
 
 /// Registry of deployments over one cloud provider.
 pub struct DeploymentManager {
     provider: SharedProvider,
-    deployments: Vec<Deployment>,
+    /// Resource-group names of the deployments not yet shut down.
+    active: Vec<String>,
     counter: u32,
 }
 
@@ -57,16 +29,16 @@ impl DeploymentManager {
     }
 
     /// Wraps an existing shared provider.
-    pub fn with_provider(provider: SharedProvider) -> Self {
+    pub(crate) fn with_provider(provider: SharedProvider) -> Self {
         DeploymentManager {
             provider,
-            deployments: Vec::new(),
+            active: Vec::new(),
             counter: 0,
         }
     }
 
     /// The shared provider handle.
-    pub fn provider(&self) -> SharedProvider {
+    pub(crate) fn provider(&self) -> SharedProvider {
         self.provider.clone()
     }
 
@@ -94,76 +66,32 @@ impl DeploymentManager {
         if config.createjumpbox {
             provider.create_jumpbox(&rg, &format!("{rg}-jumpbox"))?;
         }
-        let peered = if config.peervpn {
+        if config.peervpn {
             match (&config.vpnrg, &config.vpnvnet) {
-                (Some(vpnrg), Some(vpnvnet)) => {
-                    provider.peer_vnets(&rg, vpnrg, vpnvnet)?;
-                    true
-                }
+                (Some(vpnrg), Some(vpnvnet)) => provider.peer_vnets(&rg, vpnrg, vpnvnet)?,
                 _ => {
                     return Err(ToolError::Config(
                         "peervpn requires vpnrg and vpnvnet".into(),
                     ))
                 }
             }
-        } else {
-            false
-        };
-        let created_at = provider.clock().now();
+        }
         drop(provider);
-        self.deployments.push(Deployment {
-            name: rg.clone(),
-            region: config.region.clone(),
-            appname: config.appname.clone(),
-            jumpbox: config.createjumpbox,
-            peered,
-            created_at,
-            state: DeploymentState::Active,
-        });
+        self.active.push(rg.clone());
         Ok(rg)
-    }
-
-    /// Lists all previous and current deployments (Table II: `deploy list`).
-    pub fn list(&self) -> &[Deployment] {
-        &self.deployments
-    }
-
-    /// Looks up one deployment.
-    pub fn get(&self, name: &str) -> Option<&Deployment> {
-        self.deployments.iter().find(|d| d.name == name)
     }
 
     /// Shuts a deployment down, deleting all its resources (Table II:
     /// `deploy shutdown`).
-    pub fn shutdown(&mut self, name: &str) -> Result<(), ToolError> {
-        let dep = self
-            .deployments
-            .iter_mut()
-            .find(|d| d.name == name && d.state == DeploymentState::Active)
+    pub(crate) fn shutdown(&mut self, name: &str) -> Result<(), ToolError> {
+        let at = self
+            .active
+            .iter()
+            .position(|d| d == name)
             .ok_or_else(|| ToolError::UnknownDeployment(name.to_string()))?;
         self.provider.lock().delete_resource_group(name)?;
-        dep.state = DeploymentState::Shutdown;
+        self.active.remove(at);
         Ok(())
-    }
-
-    /// Renders the `deploy list` table.
-    pub fn render_list(&self) -> String {
-        let mut out =
-            String::from("Deployment           Region           App        State     Jumpbox\n");
-        for d in &self.deployments {
-            out.push_str(&format!(
-                "{:<20}  {:<15}  {:<9}  {:<8}  {}\n",
-                d.name,
-                d.region,
-                d.appname,
-                match d.state {
-                    DeploymentState::Active => "active",
-                    DeploymentState::Shutdown => "shutdown",
-                },
-                if d.jumpbox { "yes" } else { "no" }
-            ));
-        }
-        out
     }
 }
 
@@ -197,7 +125,6 @@ mod tests {
         let a = m.create(&config).unwrap();
         let b = m.create(&config).unwrap();
         assert_ne!(a, b);
-        assert_eq!(m.list().len(), 2);
     }
 
     #[test]
@@ -218,13 +145,16 @@ mod tests {
         let config = UserConfig::example_openfoam();
         let rg = m.create(&config).unwrap();
         m.shutdown(&rg).unwrap();
-        assert_eq!(m.get(&rg).unwrap().state, DeploymentState::Shutdown);
+        assert!(!m
+            .provider()
+            .lock()
+            .resource_group(&rg)
+            .unwrap()
+            .has_ready("vnet"));
         assert!(matches!(
             m.shutdown(&rg),
             Err(ToolError::UnknownDeployment(_))
         ));
-        let list = m.render_list();
-        assert!(list.contains("shutdown"));
     }
 
     #[test]
@@ -236,6 +166,11 @@ mod tests {
         config.vpnrg = Some("corp-vpn".into());
         config.vpnvnet = Some("corp-vnet".into());
         let rg = m.create(&config).unwrap();
-        assert!(m.get(&rg).unwrap().peered);
+        assert!(m
+            .provider()
+            .lock()
+            .resource_group(&rg)
+            .unwrap()
+            .has_ready("peering"));
     }
 }

@@ -109,11 +109,6 @@ pub struct RunJournal {
 }
 
 impl RunJournal {
-    /// A purely in-memory journal (for tests; nothing persists).
-    pub fn in_memory() -> Self {
-        RunJournal::default()
-    }
-
     /// Opens a file-backed journal, replaying whatever prefix survives.
     /// A missing file starts empty; a damaged header starts empty with
     /// `recovered` set (the file is rewritten on the first append); a torn
@@ -176,11 +171,6 @@ impl RunJournal {
     /// True if damage was detected (and skipped) while opening.
     pub fn recovered(&self) -> bool {
         self.log.recovered()
-    }
-
-    /// The backing file, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.log.path()
     }
 }
 
@@ -397,7 +387,7 @@ mod tests {
 
     #[test]
     fn duplicate_fingerprints_last_wins() {
-        let mut journal = RunJournal::in_memory();
+        let mut journal = RunJournal::default();
         journal.append(JournalEntry {
             status: ScenarioStatus::Failed,
             fail_reason: Some("first try".into()),

@@ -14,11 +14,10 @@
 //!    and efficiency (Figures 2–5) — [`plot`], [`metrics`];
 //! 4. **advises** with the Pareto front over (execution time, cost)
 //!    (Figure 6, Listings 3–4), including Slurm-recipe generation from the
-//!    paper's "comprehensive advice" future work — [`pareto`], [`advice`];
+//!    paper's "comprehensive advice" future work — [`advice`];
 //! 5. **optimizes** the number of scenarios that must actually run (the
 //!    paper's Section III-F: aggressive SKU discarding, fixed-performance-
-//!    factor regression, infrastructure-bottleneck hints) — [`sampling`],
-//!    [`regress`].
+//!    factor regression, infrastructure-bottleneck hints) — [`sampling`].
 //!
 //! The cloud back-end is the `cloudsim`/`batchsim` simulator pair, the
 //! applications are `appmodel` performance models, and user scripts run in
@@ -32,7 +31,7 @@
 //! per-pool billing and executor stats:
 //!
 //! ```
-//! use hpcadvisor_core::prelude::*;
+//! use hpcadvisor_core::{Advice, CollectPlan, DataFilter, Session, UserConfig};
 //!
 //! // Listing-1-style configuration (here built programmatically).
 //! let config = UserConfig::example_lammps_small();
@@ -54,39 +53,37 @@ pub mod appscript;
 pub mod cache;
 pub mod collect;
 mod collector;
-pub mod config;
+mod config;
 pub mod dataset;
 pub mod deployment;
-pub mod error;
-pub mod journal;
+mod error;
+mod journal;
 pub mod metrics;
-pub mod pairs;
-pub mod pareto;
-pub mod placement;
+mod pairs;
+mod pareto;
+mod placement;
 pub mod plot;
 pub mod predictor;
-pub mod regress;
+mod regress;
 pub mod replicate;
-pub mod retry;
+mod retry;
 pub mod sampling;
 pub mod scenario;
-pub mod service;
+mod service;
 pub mod service_state;
 pub mod session;
 
-pub use advice::{Advice, CapacityComparison};
+pub use advice::Advice;
 pub use append_log::replace;
-pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
+pub use cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
 pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};
 pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
-pub use deployment::{Deployment, DeploymentManager};
 pub use error::ToolError;
 pub use journal::{JournalEntry, RunJournal};
 pub use pairs::Pairs;
-pub use placement::PlacementPolicy;
-pub use retry::{FaultClass, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use scenario::{Scenario, ScenarioStatus};
 pub use service::{
     AdviceRequest, AdvisorService, JobEvent, JobHandle, JobOutcome, ServiceConfig, ServiceError,
@@ -94,30 +91,4 @@ pub use service::{
 };
 pub use service_state::{PendingJob, ServiceJournal, ServiceRecord, ServiceState};
 pub use session::{Session, SessionBuilder};
-pub use telemetry::{Trace, TraceEvent, TraceSummary};
-
-/// Common imports for tool users.
-pub mod prelude {
-    pub use crate::advice::Advice;
-    pub use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
-    pub use crate::collect::{CollectPlan, CollectReport};
-    pub use crate::config::UserConfig;
-    pub use crate::dataset::{DataFilter, DataPoint, Dataset};
-    pub use crate::deployment::DeploymentManager;
-    pub use crate::error::ToolError;
-    pub use crate::journal::RunJournal;
-    pub use crate::pairs::Pairs;
-    pub use crate::pareto::pareto_front;
-    pub use crate::predictor::{advise_from_history, HistoryPredictor};
-    pub use crate::replicate::{front_stability, render_stability, run_replicates};
-    pub use crate::retry::RetryPolicy;
-    pub use crate::sampling::partial::run_partial_execution;
-    pub use crate::scenario::{Scenario, ScenarioStatus};
-    pub use crate::service::{
-        AdviceRequest, AdvisorService, JobEvent, JobHandle, JobOutcome, ServiceConfig,
-        ServiceError, TenantPolicy,
-    };
-    pub use crate::session::{Session, SessionBuilder};
-    pub use cloudsim::Capacity;
-    pub use telemetry::{Trace, TraceSummary};
-}
+pub use telemetry::{Trace, TraceSummary};

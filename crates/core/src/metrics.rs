@@ -11,13 +11,6 @@ pub struct SkuSeries {
     pub points: Vec<(f64, f64)>,
 }
 
-fn mean_exec_time(points: &[&DataPoint]) -> f64 {
-    if points.is_empty() {
-        return f64::NAN;
-    }
-    points.iter().map(|p| p.exec_time_secs).sum::<f64>() / points.len() as f64
-}
-
 /// Groups filter-matching points by SKU — and, when the filtered data spans
 /// more than one appinput combination, by `(SKU, inputs)` so sweeps over
 /// different problem sizes never merge into one zigzag series. Maps each
@@ -103,11 +96,6 @@ pub fn efficiency(ds: &Dataset, filter: &DataFilter) -> Vec<SkuSeries> {
             sku: s.sku,
         })
         .collect()
-}
-
-/// Mean execution time across filter-matching rows (used by samplers).
-pub fn mean_time(ds: &Dataset, filter: &DataFilter) -> f64 {
-    mean_exec_time(&ds.filter(filter))
 }
 
 #[cfg(test)]
@@ -232,6 +220,5 @@ mod tests {
             ..DataFilter::all()
         };
         assert!(time_vs_nodes(&ds, &f).is_empty());
-        assert!(mean_time(&ds, &f).is_nan());
     }
 }

@@ -27,7 +27,7 @@ pub struct Pairs {
 
 impl Pairs {
     /// An empty map. It allocates nothing.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Pairs {
             text: String::new(),
             ends: Vec::new(),
@@ -62,22 +62,22 @@ impl Pairs {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ends.len() / 2
     }
 
     /// True if the map has no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
 
     /// The value of `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Sets `key` to `value`. A key already present keeps its position.
-    pub fn set(&mut self, key: &str, value: &str) {
+    pub(crate) fn set(&mut self, key: &str, value: &str) {
         let mut start = 0;
         for i in 0..self.len() {
             let (key_end, value_end) = (self.ends[2 * i] as usize, self.ends[2 * i + 1] as usize);

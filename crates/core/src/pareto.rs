@@ -7,14 +7,14 @@
 
 /// True if `a` dominates `b`: no worse in both objectives, strictly better
 /// in at least one.
-pub fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
+pub(crate) fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
     a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1)
 }
 
 /// Returns the indices of the Pareto-efficient points among `(cost, time)`
 /// pairs, sorted by cost ascending (time therefore descends along the
 /// front).
-pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
+pub(crate) fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
     let mut indices: Vec<usize> = (0..points.len())
         .filter(|&i| points[i].0.is_finite() && points[i].1.is_finite())
         .collect();

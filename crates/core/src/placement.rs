@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 /// Marked-down regions drop out of every later candidate list, so
 /// subsequent scenarios fail over without touching the cloud.
 #[derive(Debug, Clone)]
-pub struct PlacementPolicy {
+pub(crate) struct PlacementPolicy {
     /// Candidate regions in failover order (the run config's `regions`
     /// list, canonicalized against the catalog).
     regions: Vec<String>,
@@ -40,7 +40,7 @@ impl PlacementPolicy {
     /// Builds a policy over the config's region list. Unknown names are
     /// dropped (scenario generation already rejected them loudly); known
     /// ones are canonicalized so keys match regardless of input casing.
-    pub fn new(regions: &[String], markdown_after: u32) -> Self {
+    pub(crate) fn new(regions: &[String], markdown_after: u32) -> Self {
         let catalog = RegionCatalog::azure();
         PlacementPolicy {
             regions: regions
@@ -63,7 +63,7 @@ impl PlacementPolicy {
     /// down for this SKU are dropped; an empty answer means no region can
     /// satisfy the placement and the scenario should degrade to a
     /// journaled skip.
-    pub fn candidates(&self, sku: &str, family: &str, requested: &str) -> Vec<String> {
+    pub(crate) fn candidates(&self, sku: &str, family: &str, requested: &str) -> Vec<String> {
         let catalog = RegionCatalog::azure();
         let mut out: Vec<String> = Vec::new();
         for name in std::iter::once(requested).chain(self.regions.iter().map(String::as_str)) {
@@ -88,7 +88,7 @@ impl PlacementPolicy {
     /// faults (quota exhaustion) mark the key down immediately; transient
     /// ones mark it down once the tally reaches the markdown threshold.
     /// Returns whether the key is now down.
-    pub fn record_fault(&mut self, sku: &str, region: &str, permanent: bool) -> bool {
+    pub(crate) fn record_fault(&mut self, sku: &str, region: &str, permanent: bool) -> bool {
         let key = Self::key(sku, region);
         let tally = self.faults.entry(key.clone()).or_insert(0);
         *tally += 1;
@@ -100,16 +100,8 @@ impl PlacementPolicy {
     }
 
     /// Whether `(sku, region)` is marked down.
-    pub fn is_down(&self, sku: &str, region: &str) -> bool {
+    pub(crate) fn is_down(&self, sku: &str, region: &str) -> bool {
         self.down.contains(&Self::key(sku, region))
-    }
-
-    /// Faults recorded so far against `(sku, region)`.
-    pub fn fault_count(&self, sku: &str, region: &str) -> u32 {
-        self.faults
-            .get(&Self::key(sku, region))
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -151,7 +143,6 @@ mod tests {
         assert!(!policy.is_down(SKU, "westeurope"));
         assert!(policy.record_fault(SKU, "westeurope", false));
         assert!(policy.is_down(SKU, "westeurope"));
-        assert_eq!(policy.fault_count(SKU, "westeurope"), 2);
         // The markdown is scoped to the SKU, not the region.
         assert!(!policy.is_down("Standard_HC44rs", "westeurope"));
         // Down regions drop out of the candidate list.

@@ -38,7 +38,6 @@ use cloudsim::SkuCatalog;
 /// A trained execution-time model for one application.
 #[derive(Debug, Clone)]
 pub struct HistoryPredictor {
-    appname: String,
     /// Input keys used as features, in feature order.
     input_keys: Vec<String>,
     /// Coefficients `[β₀, ranks, gflops, mem_bw, inputs…]`.
@@ -149,7 +148,6 @@ impl HistoryPredictor {
             err_sum += (predicted - actual).abs() / actual;
         }
         Ok(HistoryPredictor {
-            appname: appname.to_string(),
             input_keys,
             training_error: err_sum / rows.len() as f64,
             training_rows: rows.len(),
@@ -159,7 +157,7 @@ impl HistoryPredictor {
 
     /// Predicts execution time (seconds) for a configuration. `None` when
     /// the SKU is unknown or a required input is missing/non-numeric.
-    pub fn predict(
+    pub(crate) fn predict(
         &self,
         sku: &str,
         nnodes: u32,
@@ -171,15 +169,10 @@ impl HistoryPredictor {
         let f = features_for(&self.input_keys, &catalog, sku, nnodes, ppn, inputs)?;
         Some(multilinear_eval(&self.beta, &f).exp())
     }
-
-    /// The application this predictor was trained for.
-    pub fn appname(&self) -> &str {
-        &self.appname
-    }
 }
 
 /// A scenario with its predicted execution time (s) and cost ($).
-pub type ScenarioPrediction = (Scenario, f64, f64);
+pub(crate) type ScenarioPrediction = (Scenario, f64, f64);
 
 /// Predicted advice for a configuration grid using only historical data —
 /// zero cloud executions. Returns the predicted Pareto front and the
@@ -265,7 +258,6 @@ mod tests {
             "in-sample error {:.1}%",
             predictor.training_error * 100.0
         );
-        assert_eq!(predictor.appname(), "lammps");
     }
 
     #[test]

@@ -3,27 +3,27 @@
 //! results for some workloads").
 //!
 //! * [`linear_fit`] — ordinary least squares `y = a + b·x`.
-//! * [`power_fit`] — `y = c·xᵏ` via least squares in log–log space; the
-//!   natural model for "execution time vs. input size".
 //! * [`amdahl_fit`] — `T(p) = T₁·(s + (1−s)/p)`, linear in the basis
 //!   `(1, 1/p)`; the natural model for "execution time vs. ranks" and what
 //!   the fixed-performance-factor extrapolation uses.
+//! * [`multilinear_fit_ridge`] — `y = β₀ + β₁x₁ + … + βₖxₖ`, the
+//!   history predictor's model.
 
 /// A fitted model with its coefficient of determination.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fit {
+pub(crate) struct Fit {
     /// Intercept-like coefficient (model-specific; see each fitter).
-    pub a: f64,
+    pub(crate) a: f64,
     /// Slope-like coefficient (model-specific).
-    pub b: f64,
+    pub(crate) b: f64,
     /// Coefficient of determination on the fitted (possibly transformed)
     /// data.
-    pub r2: f64,
+    pub(crate) r2: f64,
 }
 
 /// Ordinary least squares for `y = a + b·x`. Returns `None` with fewer than
 /// two distinct x values.
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<Fit> {
+pub(crate) fn linear_fit(points: &[(f64, f64)]) -> Option<Fit> {
     let pts: Vec<(f64, f64)> = points
         .iter()
         .copied()
@@ -54,31 +54,10 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<Fit> {
     Some(Fit { a, b, r2 })
 }
 
-/// Fits `y = c·xᵏ` (log–log least squares). Requires positive data.
-/// Returns `Fit { a: c, b: k, r2 }` where `r2` is measured in log space.
-pub fn power_fit(points: &[(f64, f64)]) -> Option<Fit> {
-    let logged: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
-        .map(|(x, y)| (x.ln(), y.ln()))
-        .collect();
-    let fit = linear_fit(&logged)?;
-    Some(Fit {
-        a: fit.a.exp(),
-        b: fit.b,
-        r2: fit.r2,
-    })
-}
-
-/// Evaluates a power fit at `x`.
-pub fn power_eval(fit: &Fit, x: f64) -> f64 {
-    fit.a * x.powf(fit.b)
-}
-
 /// Fits Amdahl's law `T(p) = T₁·(s + (1−s)/p)` over `(p, T)` samples.
 /// Returns `Fit { a: T₁·s, b: T₁·(1−s), r2 }`, i.e. `T(p) = a + b/p`.
-/// Use [`amdahl_eval`] / [`amdahl_serial_fraction`] for interpretation.
-pub fn amdahl_fit(points: &[(f64, f64)]) -> Option<Fit> {
+/// Use [`amdahl_eval`] for interpretation.
+pub(crate) fn amdahl_fit(points: &[(f64, f64)]) -> Option<Fit> {
     let transformed: Vec<(f64, f64)> = points
         .iter()
         .filter(|(p, t)| *p > 0.0 && t.is_finite())
@@ -88,107 +67,8 @@ pub fn amdahl_fit(points: &[(f64, f64)]) -> Option<Fit> {
 }
 
 /// Evaluates an Amdahl fit at `p` ranks/nodes.
-pub fn amdahl_eval(fit: &Fit, p: f64) -> f64 {
+pub(crate) fn amdahl_eval(fit: &Fit, p: f64) -> f64 {
     fit.a + fit.b / p
-}
-
-/// The serial fraction implied by an Amdahl fit (clamped to `[0, 1]`).
-pub fn amdahl_serial_fraction(fit: &Fit) -> f64 {
-    let t1 = fit.a + fit.b;
-    if t1 <= 0.0 {
-        return 0.0;
-    }
-    (fit.a / t1).clamp(0.0, 1.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn linear_recovers_exact_line() {
-        let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 + 2.0 * i as f64)).collect();
-        let f = linear_fit(&pts).unwrap();
-        assert!((f.a - 3.0).abs() < 1e-9);
-        assert!((f.b - 2.0).abs() < 1e-9);
-        assert!((f.r2 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_needs_two_distinct_x() {
-        assert!(linear_fit(&[(1.0, 2.0)]).is_none());
-        assert!(linear_fit(&[(1.0, 2.0), (1.0, 3.0)]).is_none());
-        assert!(linear_fit(&[]).is_none());
-    }
-
-    #[test]
-    fn power_recovers_cubic() {
-        // T = 2·n³ — the matmul law.
-        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0]
-            .iter()
-            .map(|&n| (n, 2.0 * n * n * n))
-            .collect();
-        let f = power_fit(&pts).unwrap();
-        assert!((f.a - 2.0).abs() < 1e-6, "c = {}", f.a);
-        assert!((f.b - 3.0).abs() < 1e-9, "k = {}", f.b);
-        assert!((power_eval(&f, 16.0) - 8192.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn power_ignores_nonpositive_points() {
-        let pts = vec![
-            (0.0, 5.0),
-            (-1.0, 3.0),
-            (1.0, 2.0),
-            (2.0, 16.0),
-            (4.0, 128.0),
-        ];
-        let f = power_fit(&pts).unwrap();
-        assert!((f.b - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn amdahl_recovers_serial_fraction() {
-        // T₁ = 100, s = 0.1: T(p) = 100·(0.1 + 0.9/p).
-        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0, 16.0]
-            .iter()
-            .map(|&p| (p, 100.0 * (0.1 + 0.9 / p)))
-            .collect();
-        let f = amdahl_fit(&pts).unwrap();
-        assert!((amdahl_eval(&f, 1.0) - 100.0).abs() < 1e-9);
-        assert!((amdahl_serial_fraction(&f) - 0.1).abs() < 1e-9);
-        assert!((amdahl_eval(&f, 32.0) - 100.0 * (0.1 + 0.9 / 32.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn amdahl_fit_on_noisy_data_still_close() {
-        let noise = [1.01, 0.99, 1.02, 0.98, 1.0];
-        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0, 16.0]
-            .iter()
-            .zip(noise.iter())
-            .map(|(&p, &k)| (p, 100.0 * (0.05 + 0.95 / p) * k))
-            .collect();
-        let f = amdahl_fit(&pts).unwrap();
-        let s = amdahl_serial_fraction(&f);
-        assert!((s - 0.05).abs() < 0.02, "s = {s}");
-        assert!(f.r2 > 0.99);
-    }
-
-    #[test]
-    fn serial_fraction_clamped() {
-        let f = Fit {
-            a: -5.0,
-            b: 10.0,
-            r2: 1.0,
-        };
-        assert_eq!(amdahl_serial_fraction(&f), 0.0);
-        let f = Fit {
-            a: 10.0,
-            b: -5.0,
-            r2: 1.0,
-        };
-        assert_eq!(amdahl_serial_fraction(&f), 1.0);
-    }
 }
 
 /// Ordinary least squares for a multi-feature linear model
@@ -199,15 +79,13 @@ mod tests {
 /// `rows` are `(features, y)` pairs; every row must have the same feature
 /// count. Returns the coefficient vector `[β₀, β₁, …, βₖ]`, or `None` when
 /// the system is under-determined or singular.
-pub fn multilinear_fit(rows: &[(Vec<f64>, f64)]) -> Option<Vec<f64>> {
-    multilinear_fit_ridge(rows, 0.0)
-}
-
-/// [`multilinear_fit`] with Tikhonov (ridge) regularization: adds `lambda`
-/// to the diagonal of XᵀX (intercept excluded). A tiny `lambda` keeps the
-/// system solvable when features are collinear — e.g. when a history covers
-/// only two SKUs, making the hardware descriptors linearly dependent.
-pub fn multilinear_fit_ridge(rows: &[(Vec<f64>, f64)], lambda: f64) -> Option<Vec<f64>> {
+///
+/// `lambda` adds Tikhonov (ridge) regularization to the diagonal of XᵀX
+/// (intercept excluded); `0.0` is plain least squares. A tiny `lambda`
+/// keeps the system solvable when features are collinear — e.g. when a
+/// history covers only two SKUs, making the hardware descriptors linearly
+/// dependent.
+pub(crate) fn multilinear_fit_ridge(rows: &[(Vec<f64>, f64)], lambda: f64) -> Option<Vec<f64>> {
     let k = rows.first()?.0.len();
     if rows.len() < k + 1 || rows.iter().any(|(f, y)| f.len() != k || !y.is_finite()) {
         return None;
@@ -265,13 +143,61 @@ pub fn multilinear_fit_ridge(rows: &[(Vec<f64>, f64)], lambda: f64) -> Option<Ve
 }
 
 /// Evaluates a multilinear fit at a feature vector.
-pub fn multilinear_eval(beta: &[f64], features: &[f64]) -> f64 {
+pub(crate) fn multilinear_eval(beta: &[f64], features: &[f64]) -> f64 {
     beta[0]
         + beta[1..]
             .iter()
             .zip(features)
             .map(|(b, x)| b * x)
             .sum::<f64>()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn linear_recovers_exact_line() {
+        let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 + 2.0 * i as f64)).collect();
+        let f = linear_fit(&pts).unwrap();
+        assert!((f.a - 3.0).abs() < 1e-9);
+        assert!((f.b - 2.0).abs() < 1e-9);
+        assert!((f.r2 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn linear_needs_two_distinct_x() {
+        assert!(linear_fit(&[(1.0, 2.0)]).is_none());
+        assert!(linear_fit(&[(1.0, 2.0), (1.0, 3.0)]).is_none());
+        assert!(linear_fit(&[]).is_none());
+    }
+
+    #[test]
+    fn amdahl_recovers_serial_fraction() {
+        // T₁ = 100, s = 0.1: T(p) = 100·(0.1 + 0.9/p).
+        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0, 16.0]
+            .iter()
+            .map(|&p| (p, 100.0 * (0.1 + 0.9 / p)))
+            .collect();
+        let f = amdahl_fit(&pts).unwrap();
+        assert!((amdahl_eval(&f, 1.0) - 100.0).abs() < 1e-9);
+        assert!((f.a / amdahl_eval(&f, 1.0) - 0.1).abs() < 1e-9);
+        assert!((amdahl_eval(&f, 32.0) - 100.0 * (0.1 + 0.9 / 32.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn amdahl_fit_on_noisy_data_still_close() {
+        let noise = [1.01, 0.99, 1.02, 0.98, 1.0];
+        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0, 16.0]
+            .iter()
+            .zip(noise.iter())
+            .map(|(&p, &k)| (p, 100.0 * (0.05 + 0.95 / p) * k))
+            .collect();
+        let f = amdahl_fit(&pts).unwrap();
+        let s = f.a / amdahl_eval(&f, 1.0);
+        assert!((s - 0.05).abs() < 0.02, "s = {s}");
+        assert!(f.r2 > 0.99);
+    }
 }
 
 #[cfg(test)]
@@ -288,7 +214,7 @@ mod multilinear_tests {
                 rows.push((vec![x1, x2], 2.0 + 3.0 * x1 - 0.5 * x2));
             }
         }
-        let beta = multilinear_fit(&rows).unwrap();
+        let beta = multilinear_fit_ridge(&rows, 0.0).unwrap();
         assert!((beta[0] - 2.0).abs() < 1e-9);
         assert!((beta[1] - 3.0).abs() < 1e-9);
         assert!((beta[2] + 0.5).abs() < 1e-9);
@@ -298,7 +224,9 @@ mod multilinear_tests {
     #[test]
     fn underdetermined_and_singular_rejected() {
         // Two rows for a 2-feature model: under-determined.
-        assert!(multilinear_fit(&[(vec![1.0, 2.0], 3.0), (vec![2.0, 3.0], 4.0)]).is_none());
+        assert!(
+            multilinear_fit_ridge(&[(vec![1.0, 2.0], 3.0), (vec![2.0, 3.0], 4.0)], 0.0).is_none()
+        );
         // Collinear feature (x₂ = 2·x₁): singular normal matrix.
         let rows: Vec<(Vec<f64>, f64)> = (0..10)
             .map(|i| {
@@ -306,14 +234,14 @@ mod multilinear_tests {
                 (vec![x, 2.0 * x], x)
             })
             .collect();
-        assert!(multilinear_fit(&rows).is_none());
-        assert!(multilinear_fit(&[]).is_none());
+        assert!(multilinear_fit_ridge(&rows, 0.0).is_none());
+        assert!(multilinear_fit_ridge(&[], 0.0).is_none());
     }
 
     #[test]
     fn mismatched_feature_lengths_rejected() {
         let rows = vec![(vec![1.0], 1.0), (vec![1.0, 2.0], 2.0), (vec![2.0], 3.0)];
-        assert!(multilinear_fit(&rows).is_none());
+        assert!(multilinear_fit_ridge(&rows, 0.0).is_none());
     }
 
     #[test]
@@ -326,7 +254,7 @@ mod multilinear_tests {
                 (vec![x, 2.0 * x], 5.0 + 3.0 * x)
             })
             .collect();
-        assert!(multilinear_fit(&rows).is_none());
+        assert!(multilinear_fit_ridge(&rows, 0.0).is_none());
         let beta = multilinear_fit_ridge(&rows, 1e-6).unwrap();
         let pred = multilinear_eval(&beta, &[4.0, 8.0]);
         assert!((pred - 17.0).abs() < 1e-3, "pred {pred}");
@@ -343,7 +271,7 @@ mod multilinear_tests {
             let x2 = (i / 8) as f64;
             rows.push((vec![x1, x2], 1.0 + 0.7 * x1 + 0.2 * x2 + noise));
         }
-        let beta = multilinear_fit(&rows).unwrap();
+        let beta = multilinear_fit_ridge(&rows, 0.0).unwrap();
         assert!((beta[1] - 0.7).abs() < 0.05, "{beta:?}");
         assert!((beta[2] - 0.2).abs() < 0.05, "{beta:?}");
     }

@@ -21,10 +21,8 @@ use crate::session::Session;
 /// One replicate's result.
 #[derive(Debug, Clone)]
 pub struct Replicate {
-    /// The seed this replicate ran under.
-    pub seed: u64,
     /// Its collected dataset.
-    pub dataset: Dataset,
+    pub(crate) dataset: Dataset,
 }
 
 /// Runs the full collection once per seed, in parallel.
@@ -42,7 +40,7 @@ pub fn run_replicates(config: &UserConfig, seeds: &[u64]) -> Result<Vec<Replicat
                 let result = (|| -> Result<Replicate, String> {
                     let mut session = Session::create(config, seed).map_err(|e| e.to_string())?;
                     let dataset = session.collect().map_err(|e| e.to_string())?;
-                    Ok(Replicate { seed, dataset })
+                    Ok(Replicate { dataset })
                 })();
                 *slot = Some(result);
             });
@@ -65,9 +63,9 @@ pub struct FrontStability {
     /// Fraction of replicates whose front contains this configuration.
     pub frequency: f64,
     /// Mean execution time across replicates where it was measured.
-    pub mean_time_secs: f64,
+    pub(crate) mean_time_secs: f64,
     /// Mean cost across replicates where it was measured.
-    pub mean_cost_dollars: f64,
+    pub(crate) mean_cost_dollars: f64,
 }
 
 /// Computes front membership frequency per configuration.
@@ -173,10 +171,10 @@ mod tests {
         // Parallel execution must not change any result (sessions are
         // fully independent).
         let parallel = run_replicates(&config(), &[11, 12]).unwrap();
-        for rep in &parallel {
-            let mut session = Session::create(config(), rep.seed).unwrap();
+        for (rep, seed) in parallel.iter().zip([11, 12]) {
+            let mut session = Session::create(config(), seed).unwrap();
             let sequential = session.collect().unwrap();
-            assert_eq!(rep.dataset, sequential, "seed {}", rep.seed);
+            assert_eq!(rep.dataset, sequential, "seed {seed}");
         }
     }
 

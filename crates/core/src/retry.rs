@@ -12,7 +12,7 @@ use cloudsim::{CloudError, Fnv64};
 
 /// How a collection-layer failure should be handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
+pub(crate) enum FaultClass {
     /// Retry with backoff: injected transient faults, capacity blips.
     Transient,
     /// No attempt on this SKU can ever succeed (family quota exhausted):
@@ -23,7 +23,7 @@ pub enum FaultClass {
 }
 
 /// Classifies a cloud control-plane error for retry purposes.
-pub fn classify_cloud(e: &CloudError) -> FaultClass {
+pub(crate) fn classify_cloud(e: &CloudError) -> FaultClass {
     match e {
         CloudError::QuotaExceeded { .. } => FaultClass::PermanentForSku,
         CloudError::ProvisioningFailed {
@@ -34,7 +34,7 @@ pub fn classify_cloud(e: &CloudError) -> FaultClass {
 }
 
 /// Classifies a batch-layer error for retry purposes.
-pub fn classify_batch(e: &BatchError) -> FaultClass {
+pub(crate) fn classify_batch(e: &BatchError) -> FaultClass {
     match e {
         BatchError::Cloud(c) => classify_cloud(c),
         _ => FaultClass::Permanent,
@@ -87,11 +87,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Whether the policy retries at all.
-    pub fn enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
     /// Simulated seconds to back off before retry `attempt` (1-based: the
     /// first retry is attempt 1) of an operation in `scope`.
     pub fn backoff_secs(&self, scope: &str, attempt: u32) -> f64 {
@@ -120,9 +115,8 @@ mod tests {
     #[test]
     fn default_policy_retries() {
         let p = RetryPolicy::default();
-        assert!(p.enabled());
         assert_eq!(p.max_attempts, 3);
-        assert!(!RetryPolicy::none().enabled());
+        assert_eq!(RetryPolicy::none().max_attempts, 1);
         // with_max_attempts never drops below one attempt.
         assert_eq!(RetryPolicy::with_max_attempts(0).max_attempts, 1);
     }

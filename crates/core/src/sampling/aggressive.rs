@@ -16,10 +16,10 @@ pub struct AggressiveDiscard {
     /// Relative margin: a probe survives if no other probe beats it by more
     /// than this factor in *both* objectives (e.g. 0.15 ⇒ discard only when
     /// some VM type is >15 % better in time and cost simultaneously).
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     phase: u8,
     /// SKUs discarded in phase 2 (exposed for reporting/tests).
-    pub discarded_skus: Vec<String>,
+    pub(crate) discarded_skus: Vec<String>,
 }
 
 impl AggressiveDiscard {

@@ -17,11 +17,11 @@ use crate::scenario::Scenario;
 pub struct BottleneckAware {
     /// Network-utilization fraction above which a run counts as
     /// network-bound.
-    pub net_threshold: f64,
+    pub(crate) net_threshold: f64,
     /// Minimum relative improvement to keep scaling out (e.g. 0.10 = 10 %).
-    pub min_improvement: f64,
+    pub(crate) min_improvement: f64,
     /// `(sku, input_key)` groups that have been stopped, with the reason.
-    pub stopped: Vec<(String, String, String)>,
+    pub(crate) stopped: Vec<(String, String, String)>,
     done: bool,
 }
 

@@ -23,7 +23,7 @@
 
 mod aggressive;
 mod bottleneck;
-pub mod partial;
+mod partial;
 mod perf_factor;
 
 pub use aggressive::AggressiveDiscard;
@@ -91,7 +91,7 @@ pub struct SamplingReport {
     /// Scenarios actually executed.
     pub executed: usize,
     /// Scenarios skipped (total − executed).
-    pub skipped: usize,
+    pub(crate) skipped: usize,
     /// Batches issued.
     pub batches: usize,
 }

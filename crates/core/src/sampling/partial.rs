@@ -12,10 +12,9 @@
 //! session's seed, cache handle and cache policy; the verification runs on
 //! the session itself, under its run journal. All three run the one plan.
 
-use crate::advice::Advice;
 use crate::collect::{CollectPlan, CollectReport};
 use crate::config::UserConfig;
-use crate::dataset::{DataFilter, Dataset};
+use crate::dataset::Dataset;
 use crate::error::ToolError;
 use crate::pareto::pareto_front;
 use crate::sampling::run_batch;
@@ -31,8 +30,6 @@ pub struct PartialExecutionReport {
     pub full_runs: usize,
     /// Probe (short) executions performed.
     pub probe_runs: usize,
-    /// Predicted full-length dataset (every scenario).
-    pub predicted: Dataset,
     /// The verification run: its dataset holds the measured full-length
     /// points (front candidates only), and its stats and trace also cover
     /// both probe runs, so `stats.cloud_cost` is the spend of all three.
@@ -151,10 +148,6 @@ pub fn run_partial_execution(
         let mut q = pa.clone();
         q.cost_dollars = price_of(pa) * t_full;
         q.exec_time_secs = t_full;
-        q.metrics.set(
-            "PREDICTED_FROM_STEPS",
-            &format!("{probe_steps}+{probe_steps_2}"),
-        );
         predicted.push(q);
     }
 
@@ -197,7 +190,6 @@ pub fn run_partial_execution(
         total: probe_a.len(),
         full_runs: report.outcomes.len(),
         probe_runs: probe_a.len() + probe_b.len(),
-        predicted,
         verified: report,
         mean_relative_error: if err_n > 0 {
             err_sum / err_n as f64
@@ -207,27 +199,12 @@ pub fn run_partial_execution(
     })
 }
 
-impl PartialExecutionReport {
-    /// The verified advice (Pareto front of the full-length measurements).
-    pub fn advice(&self) -> Advice {
-        Advice::from_dataset(&self.verified.dataset, &DataFilter::all())
-    }
-
-    /// Fraction of full-length executions saved vs. running the whole grid
-    /// at full length (probes cost `probe_fraction` each, already spent).
-    pub fn full_runs_saved(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            1.0 - self.full_runs as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::Advice;
     use crate::cache::{CachePolicy, SharedScenarioCache};
+    use crate::dataset::DataFilter;
     use crate::sampling::front_regret;
 
     fn config() -> UserConfig {
@@ -304,18 +281,8 @@ mod tests {
         let mut full = Session::create(config(), 7).unwrap();
         let full_ds = full.collect().unwrap();
         let reference = Advice::from_dataset(&full_ds, &DataFilter::all());
-        assert!(front_regret(&reference, &report.advice()) < 0.1);
-    }
-
-    #[test]
-    fn predictions_carry_probe_provenance() {
-        let report = partial(&config(), 7, 0.1, 0.05).unwrap();
-        for p in &report.predicted.points {
-            assert!(
-                p.metric("PREDICTED_FROM_STEPS").is_some(),
-                "prediction must record its probe lengths: {p:?}"
-            );
-        }
+        let verified = Advice::from_dataset(&report.verified.dataset, &DataFilter::all());
+        assert!(front_regret(&reference, &verified) < 0.1);
         assert_eq!(
             report.probe_runs,
             2 * report.total,

@@ -24,7 +24,7 @@ use crate::scenario::Scenario;
 #[derive(Debug)]
 pub struct FixedPerfFactor {
     /// Relative margin around the predicted front that still gets executed.
-    pub margin: f64,
+    pub(crate) margin: f64,
     phase: u8,
     predicted: Dataset,
 }

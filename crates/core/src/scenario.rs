@@ -36,7 +36,7 @@ pub enum ScenarioStatus {
 
 impl ScenarioStatus {
     /// The status string stored in the JSON task list.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ScenarioStatus::Pending => "pending",
             ScenarioStatus::Completed => "completed",
@@ -47,7 +47,7 @@ impl ScenarioStatus {
     }
 
     /// Parses a stored status string.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "pending" => Some(ScenarioStatus::Pending),
             "completed" => Some(ScenarioStatus::Completed),
@@ -75,7 +75,7 @@ pub struct Scenario {
     /// Requested placement region. `None` means the deployment's home
     /// region — the only case before multi-region grids existed, so it is
     /// omitted from the JSON task list to keep old lists byte-identical.
-    pub region: Option<String>,
+    pub(crate) region: Option<String>,
     /// Execution status.
     pub status: ScenarioStatus,
 }
@@ -85,7 +85,7 @@ impl Scenario {
     /// `{appname}-{short sku}-n{nnodes}-ppn{ppn}`, then `-{key}={value}` per
     /// input with spaces in the value as `_`, then `-{region}` if placed.
     /// Built in one allocation.
-    pub fn label(&self, appname: &str) -> String {
+    pub(crate) fn label(&self, appname: &str) -> String {
         let inputs: usize = self
             .appinputs
             .iter()
@@ -109,11 +109,6 @@ impl Scenario {
             s.push_str(region);
         }
         s
-    }
-
-    /// Total MPI ranks.
-    pub fn ranks(&self) -> u64 {
-        self.nnodes as u64 * self.ppn as u64
     }
 }
 
@@ -394,7 +389,6 @@ mod tests {
             s.label("lammps"),
             "lammps-hb120rs_v3-n16-ppn120-BOXFACTOR=30"
         );
-        assert_eq!(s.ranks(), 1920);
     }
 
     #[test]

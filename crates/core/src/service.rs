@@ -249,17 +249,17 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug, Clone)]
 pub struct AdviceRequest {
     /// Tenant the request is accounted against.
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// The configuration to collect and advise on (the same YAML the CLI
     /// takes).
-    pub config: UserConfig,
+    pub(crate) config: UserConfig,
     /// Experiment seed (fingerprints include it, so tenants only dedup
     /// against results collected under the same seed).
     pub seed: u64,
     /// Worker threads for the job's own collection (per-SKU shards).
     pub workers: usize,
     /// Overrides the service's default cache policy for this request.
-    pub cache_policy: Option<CachePolicy>,
+    pub(crate) cache_policy: Option<CachePolicy>,
     /// Client-chosen idempotency key. Resubmitting a key already in
     /// flight for the same tenant attaches to the running job instead of
     /// admitting a duplicate; with a state directory, the key also names
@@ -331,10 +331,6 @@ impl JobEvent {
 /// in `Finished` or `Failed`.
 #[derive(Debug)]
 pub struct JobHandle {
-    /// Service-assigned job id.
-    pub id: u64,
-    /// Tenant the job was admitted for.
-    pub tenant: String,
     events: Receiver<JobEvent>,
 }
 
@@ -342,11 +338,6 @@ impl JobHandle {
     /// The live event stream (progress, then one terminal event).
     pub fn events(&self) -> &Receiver<JobEvent> {
         &self.events
-    }
-
-    /// Consumes the handle into its raw receiver.
-    pub fn into_events(self) -> Receiver<JobEvent> {
-        self.events
     }
 
     /// Blocks until the job's terminal event, discarding progress.
@@ -370,7 +361,7 @@ impl JobHandle {
 /// control's backpressure) and [`QueuePushError::Closed`] after
 /// [`JobQueue::close`]; pops block until an item or the drain completes.
 #[derive(Debug)]
-pub struct JobQueue<T> {
+pub(crate) struct JobQueue<T> {
     tx: Mutex<Option<SyncSender<T>>>,
     rx: Mutex<Receiver<T>>,
     capacity: usize,
@@ -378,7 +369,7 @@ pub struct JobQueue<T> {
 
 /// Why a [`JobQueue::push`] was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueuePushError {
+pub(crate) enum QueuePushError {
     /// The queue is at capacity.
     Full,
     /// The queue was closed.
@@ -387,7 +378,7 @@ pub enum QueuePushError {
 
 impl<T> JobQueue<T> {
     /// A queue holding at most `capacity` items (minimum 1).
-    pub fn bounded(capacity: usize) -> Self {
+    pub(crate) fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
         JobQueue {
@@ -398,12 +389,12 @@ impl<T> JobQueue<T> {
     }
 
     /// The queue bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Enqueues without blocking; fails fast when full or closed.
-    pub fn push(&self, item: T) -> Result<(), QueuePushError> {
+    pub(crate) fn push(&self, item: T) -> Result<(), QueuePushError> {
         let tx = self.tx.lock();
         let Some(tx) = tx.as_ref() else {
             return Err(QueuePushError::Closed);
@@ -417,12 +408,12 @@ impl<T> JobQueue<T> {
 
     /// Dequeues, blocking until an item arrives; `None` once the queue is
     /// closed *and* drained — consumers see every admitted item.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         self.rx.lock().recv().ok()
     }
 
     /// Closes the queue: pushes fail from now on, pops drain what is left.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.tx.lock().take();
     }
 }
@@ -433,7 +424,6 @@ impl<T> JobQueue<T> {
 /// arrived.
 #[derive(Debug)]
 struct JobShared {
-    id: u64,
     tenant: String,
     state: Mutex<JobSubscribers>,
 }
@@ -445,9 +435,8 @@ struct JobSubscribers {
 }
 
 impl JobShared {
-    fn new(id: u64, tenant: &str) -> Arc<JobShared> {
+    fn new(tenant: &str) -> Arc<JobShared> {
         Arc::new(JobShared {
-            id,
             tenant: tenant.to_string(),
             state: Mutex::new(JobSubscribers::default()),
         })
@@ -703,8 +692,6 @@ impl AdvisorService {
             if let Some(shared) = running.get(key) {
                 if shared.tenant == tenant {
                     return Ok(JobHandle {
-                        id: shared.id,
-                        tenant,
                         events: shared.attach(),
                     });
                 }
@@ -749,7 +736,7 @@ impl AdvisorService {
             .request_key
             .clone()
             .unwrap_or_else(|| format!("auto-{id}"));
-        let shared = JobShared::new(id, &tenant);
+        let shared = JobShared::new(&tenant);
         let events = shared.attach();
         inner.running.lock().insert(key.clone(), shared.clone());
         inner.journal_append(ServiceRecord::Admitted(PendingJob {
@@ -768,7 +755,7 @@ impl AdvisorService {
             shared,
         };
         match inner.queue.push(job) {
-            Ok(()) => Ok(JobHandle { id, tenant, events }),
+            Ok(()) => Ok(JobHandle { events }),
             Err(e) => {
                 inner.running.lock().remove(&key);
                 inner.journal_append(ServiceRecord::Done { key });
@@ -843,7 +830,7 @@ fn enqueue_recovered(inner: &Arc<ServiceInner>, pending: PendingJob) -> Option<R
         cache_policy: pending.cache_policy,
         request_key: Some(pending.key.clone()),
     };
-    let shared = JobShared::new(id, &pending.tenant);
+    let shared = JobShared::new(&pending.tenant);
     let rx = shared.attach();
     *inner
         .inflight
@@ -988,7 +975,6 @@ mod tests {
         let service = AdvisorService::start(ServiceConfig::default());
         let request = AdviceRequest::new("t1", UserConfig::example_lammps_small(), 42);
         let handle = service.submit(request).unwrap();
-        assert_eq!(handle.tenant, "t1");
         let mut kinds = Vec::new();
         let mut outcome = None;
         for event in handle.events().iter() {
@@ -1091,7 +1077,7 @@ mod tests {
 
     #[test]
     fn attach_after_terminal_replays_the_outcome() {
-        let shared = JobShared::new(7, "t");
+        let shared = JobShared::new("t");
         shared.publish(JobEvent::Failed("boom".into()));
         let rx = shared.attach();
         match rx.recv().unwrap() {

@@ -4,7 +4,7 @@
 //! in memory, so a crash forgot who had spent what and silently dropped
 //! every admitted job. This module gives [`crate::service::AdvisorService`]
 //! the same crash-safety discipline the collection layer already has in
-//! [`crate::journal`]: one compact JSON record per line, written to the
+//! its [`crate::RunJournal`]: one compact JSON record per line, written to the
 //! file (one write per line, no fsync) before `append` returns, so a
 //! killed daemon leaves a readable prefix, and the next start replays it.
 //!
@@ -202,11 +202,6 @@ pub struct ServiceJournal {
 }
 
 impl ServiceJournal {
-    /// A purely in-memory journal (nothing persists; for tests).
-    pub fn in_memory() -> Self {
-        ServiceJournal::default()
-    }
-
     /// Opens a file-backed journal, replaying whatever prefix survives. A
     /// missing file starts empty; a damaged header starts empty with
     /// `recovered` set; a torn tail line — the normal shape of a crash
@@ -246,11 +241,6 @@ impl ServiceJournal {
     /// True if damage was detected (and skipped) while opening.
     pub fn recovered(&self) -> bool {
         self.log.recovered()
-    }
-
-    /// The backing file, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.log.path()
     }
 }
 
@@ -539,9 +529,8 @@ mod tests {
 
     #[test]
     fn in_memory_journal_tracks_state_without_files() {
-        let mut journal = ServiceJournal::in_memory();
+        let mut journal = ServiceJournal::default();
         journal.append(admitted("k", "t"));
-        assert!(journal.path().is_none());
         assert_eq!(journal.state().pending.len(), 1);
     }
 }

@@ -12,8 +12,7 @@
 //! belong on [`CollectPlan`], not here:
 //!
 //! ```no_run
-//! use hpcadvisor_core::prelude::*;
-//! use hpcadvisor_core::cache::ScenarioCache;
+//! use hpcadvisor_core::{CollectPlan, ScenarioCache, Session, UserConfig};
 //!
 //! let mut session = Session::builder(UserConfig::example_lammps_small())
 //!     .seed(42)
@@ -204,7 +203,7 @@ impl Session {
     }
 
     /// The configuration this session runs.
-    pub fn config(&self) -> &UserConfig {
+    pub(crate) fn config(&self) -> &UserConfig {
         &self.ctx.config
     }
 

@@ -4,16 +4,16 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormatError {
     /// 1-based line where the error was detected.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column where the error was detected (0 if unknown).
-    pub col: usize,
+    pub(crate) col: usize,
     /// Human-readable description of the problem.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl FormatError {
     /// Creates an error at a known line/column.
-    pub fn at(line: usize, col: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn at(line: usize, col: usize, message: impl Into<String>) -> Self {
         FormatError {
             line,
             col,
@@ -22,7 +22,7 @@ impl FormatError {
     }
 
     /// Creates an error at a known line, with no column information.
-    pub fn on_line(line: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn on_line(line: usize, message: impl Into<String>) -> Self {
         FormatError::at(line, 0, message)
     }
 }

@@ -319,7 +319,7 @@ impl<'a> Slot<'a> {
     }
 
     /// Writes a whole value.
-    pub fn value(self, v: &Value) {
+    pub(crate) fn value(self, v: &Value) {
         match v {
             Value::Null => self.out.push_str("null"),
             Value::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
@@ -789,7 +789,7 @@ mod tests {
         assert_eq!(v.get("c").unwrap().as_str(), Some("d"));
         let seq = v.get("a").unwrap().as_seq().unwrap();
         assert_eq!(seq[0], Value::Int(1));
-        assert!(seq[1].get("b").unwrap().is_null());
+        assert_eq!(seq[1].get("b"), Some(&Value::Null));
     }
 
     #[test]

@@ -28,15 +28,15 @@
 //! ```
 
 pub mod csv;
-pub mod error;
+mod error;
 pub mod json;
-pub mod value;
+mod value;
 pub mod wire;
 pub mod yaml;
 
 pub use error::FormatError;
 pub use value::{OrderedMap, Value};
-pub use wire::{ErrorCode, Frame, MonotonicId, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
+pub use wire::{Frame, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
 
 #[cfg(test)]
 mod proptests {

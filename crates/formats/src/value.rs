@@ -41,7 +41,7 @@ impl OrderedMap {
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+    pub(crate) fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
             .iter_mut()
             .find_map(|(k, v)| (k == key).then_some(v))
@@ -71,11 +71,6 @@ impl OrderedMap {
     /// Iterates entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
     }
 }
 
@@ -175,11 +170,6 @@ impl Value {
         self.as_map().and_then(|m| m.get(key))
     }
 
-    /// True for `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Renders the value as the plain string the tool's dataset uses for
     /// scenario parameters: scalars verbatim, composites in compact JSON.
     pub fn to_plain_string(&self) -> String {
@@ -249,7 +239,7 @@ mod tests {
         m.insert("z", Value::Int(1));
         m.insert("a", Value::Int(2));
         m.insert("m", Value::Int(3));
-        let keys: Vec<_> = m.keys().collect();
+        let keys: Vec<_> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["z", "a", "m"]);
     }
 
@@ -260,7 +250,7 @@ mod tests {
         m.insert("b", Value::Int(2));
         let old = m.insert("a", Value::Int(10));
         assert_eq!(old, Some(Value::Int(1)));
-        assert_eq!(m.keys().collect::<Vec<_>>(), vec!["a", "b"]);
+        assert_eq!(m.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(m.get("a"), Some(&Value::Int(10)));
     }
 
@@ -279,7 +269,6 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(Value::Null.is_null());
         assert_eq!(Value::str("x").as_int(), None);
     }
 

@@ -164,7 +164,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Stable wire spelling.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadFrame => "bad_frame",
             ErrorCode::BadRequest => "bad_request",
@@ -182,7 +182,7 @@ impl ErrorCode {
     }
 
     /// Parses the wire spelling back.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
+    pub(crate) fn parse(s: &str) -> Option<ErrorCode> {
         Some(match s {
             "bad_frame" => ErrorCode::BadFrame,
             "bad_request" => ErrorCode::BadRequest,

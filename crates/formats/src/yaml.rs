@@ -605,7 +605,7 @@ appinputs:
     #[test]
     fn null_valued_key() {
         let doc = parse("a:\nb: 2\n").unwrap();
-        assert!(doc.get("a").unwrap().is_null());
+        assert_eq!(doc.get("a"), Some(&Value::Null));
         assert_eq!(doc.get("b").unwrap().as_int(), Some(2));
     }
 }

@@ -7,33 +7,33 @@ use crate::{SimDuration, SimInstant};
 /// and defensive callers (e.g. a pool resize completing "in the past" after
 /// a failure retry) must not rewind history.
 #[derive(Debug, Clone)]
-pub struct Clock {
+pub(crate) struct Clock {
     now: SimInstant,
 }
 
 impl Clock {
     /// Creates a clock at the simulation epoch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Clock {
             now: SimInstant::EPOCH,
         }
     }
 
     /// The current virtual time.
-    pub fn now(&self) -> SimInstant {
+    pub(crate) fn now(&self) -> SimInstant {
         self.now
     }
 
     /// Advances the clock to `t` if `t` is in the future; otherwise leaves it
     /// unchanged. Returns the (possibly zero) amount of time skipped.
-    pub fn advance_to(&mut self, t: SimInstant) -> SimDuration {
+    pub(crate) fn advance_to(&mut self, t: SimInstant) -> SimDuration {
         let skipped = t.duration_since(self.now);
         self.now = self.now.max(t);
         skipped
     }
 
     /// Advances the clock by `d`.
-    pub fn advance_by(&mut self, d: SimDuration) -> SimInstant {
+    pub(crate) fn advance_by(&mut self, d: SimDuration) -> SimInstant {
         self.now += d;
         self.now
     }

@@ -15,13 +15,13 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
     /// The maximum representable duration (~584 years).
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 
     const NANOS_PER_SEC: u64 = 1_000_000_000;
     const NANOS_PER_MILLI: u64 = 1_000_000;
 
     /// Creates a duration from whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
+    pub(crate) const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
@@ -59,18 +59,8 @@ impl SimDuration {
     }
 
     /// Whole nanoseconds in this duration.
-    pub const fn as_nanos(self) -> u64 {
+    pub(crate) const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / Self::NANOS_PER_MILLI
-    }
-
-    /// Whole seconds (truncated).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / Self::NANOS_PER_SEC
     }
 
     /// Fractional seconds.
@@ -83,24 +73,14 @@ impl SimDuration {
         self.as_secs_f64() / 3600.0
     }
 
-    /// True if this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating addition.
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction (floors at zero).
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies by a non-negative scalar, saturating.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
 }
 
@@ -225,10 +205,6 @@ mod tests {
         );
         // Division by zero is clamped to division by one rather than panicking.
         assert_eq!(SimDuration::from_secs(10) / 0, SimDuration::from_secs(10));
-        assert_eq!(
-            SimDuration::from_secs(10).mul_f64(0.5),
-            SimDuration::from_secs(5)
-        );
     }
 
     #[test]

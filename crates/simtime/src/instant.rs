@@ -3,7 +3,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, measured in nanoseconds since the simulation
-/// epoch (the instant the [`Clock`](crate::Clock) was created).
+/// epoch (the instant the clock was created).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
 
@@ -12,12 +12,14 @@ impl SimInstant {
     pub const EPOCH: SimInstant = SimInstant(0);
 
     /// Creates an instant from nanoseconds since the epoch.
-    pub const fn from_nanos(ns: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_nanos(ns: u64) -> Self {
         SimInstant(ns)
     }
 
     /// Nanoseconds since the epoch.
-    pub const fn as_nanos(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) const fn as_nanos(self) -> u64 {
         self.0
     }
 
@@ -29,12 +31,12 @@ impl SimInstant {
     /// The elapsed duration since `earlier`, or zero if `earlier` is later
     /// (virtual time never runs backwards, so a zero floor flags misuse
     /// without poisoning an entire sweep).
-    pub const fn duration_since(self, earlier: SimInstant) -> SimDuration {
+    pub(crate) const fn duration_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
-    pub fn max(self, other: SimInstant) -> SimInstant {
+    pub(crate) fn max(self, other: SimInstant) -> SimInstant {
         if self.0 >= other.0 {
             self
         } else {

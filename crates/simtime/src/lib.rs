@@ -8,16 +8,16 @@
 //! * [`SimDuration`] / [`SimInstant`] — nanosecond-resolution time types with
 //!   the arithmetic the simulators need (no reliance on `std::time`, which
 //!   would tie results to the host clock).
-//! * [`Clock`] — a monotonically advancing virtual clock.
-//! * [`SharedClock`] — a [`Clock`] behind a lock, shared by the cloud
-//!   provider and every batch service drawing on it.
+//! * [`SharedClock`] — a monotonically advancing virtual clock behind a
+//!   lock, shared by the cloud provider and every batch service drawing on
+//!   it.
 //!
 //! # Example
 //!
 //! ```
-//! use simtime::{Clock, SimDuration};
+//! use simtime::{SharedClock, SimDuration};
 //!
-//! let mut clock = Clock::new();
+//! let clock = SharedClock::new();
 //! let booted = clock.now() + SimDuration::from_secs(30);
 //! clock.advance_to(booted);
 //! assert_eq!(clock.now().as_secs_f64(), 30.0);
@@ -28,7 +28,6 @@ mod duration;
 mod instant;
 mod shared;
 
-pub use clock::Clock;
 pub use duration::SimDuration;
 pub use instant::SimInstant;
 pub use shared::SharedClock;

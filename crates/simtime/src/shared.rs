@@ -1,8 +1,9 @@
-use crate::{Clock, SimDuration, SimInstant};
+use crate::clock::Clock;
+use crate::{SimDuration, SimInstant};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A thread-safe, cloneable handle to a virtual [`Clock`].
+/// A thread-safe, cloneable handle to a virtual clock.
 ///
 /// The cloud provider, the batch orchestrator and the data collector all
 /// observe one timeline; cloning the handle shares the underlying clock.
@@ -37,7 +38,8 @@ impl SharedClock {
     }
 
     /// True if two handles share the same underlying clock.
-    pub fn same_clock(&self, other: &SharedClock) -> bool {
+    #[cfg(test)]
+    fn same_clock(&self, other: &SharedClock) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 }

@@ -7,7 +7,7 @@ use crate::chart::Chart;
 const MARKERS: [char; 8] = ['o', '+', 'x', '*', '#', '@', '%', '&'];
 
 /// Renders the chart as ASCII art (`cols` × `rows` plot area).
-pub fn render(chart: &Chart, cols: usize, rows: usize) -> String {
+pub(crate) fn render(chart: &Chart, cols: usize, rows: usize) -> String {
     let cols = cols.max(20);
     let rows = rows.max(6);
     let (xmin, xmax, ymin, ymax) = chart.bounds();

@@ -2,7 +2,7 @@
 
 /// Returns sorted tick positions covering `[lo, hi]` using 1/2/5 × 10ᵏ
 /// steps, aiming for roughly `target` ticks.
-pub fn nice_ticks(lo: f64, hi: f64, target: usize) -> Vec<f64> {
+pub(crate) fn nice_ticks(lo: f64, hi: f64, target: usize) -> Vec<f64> {
     let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
     let span = (hi - lo).max(f64::MIN_POSITIVE);
     let raw_step = span / target.max(2) as f64;
@@ -32,7 +32,7 @@ pub fn nice_ticks(lo: f64, hi: f64, target: usize) -> Vec<f64> {
 }
 
 /// Formats a tick label compactly (drops trailing zeros, SI-free).
-pub fn format_tick(v: f64) -> String {
+pub(crate) fn format_tick(v: f64) -> String {
     if v == 0.0 {
         return "0".into();
     }

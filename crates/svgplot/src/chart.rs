@@ -2,7 +2,7 @@
 
 /// How a series is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesKind {
+pub(crate) enum SeriesKind {
     /// Connected line with point markers.
     Line,
     /// Markers only.
@@ -19,7 +19,7 @@ pub struct Series {
     /// `(x, y)` points; non-finite points are dropped at render time.
     pub points: Vec<(f64, f64)>,
     /// Drawing style.
-    pub kind: SeriesKind,
+    pub(crate) kind: SeriesKind,
 }
 
 impl Series {
@@ -67,19 +67,19 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct Chart {
     /// Chart title.
-    pub title: String,
+    pub(crate) title: String,
     /// Optional subtitle (the tool lets users customize these).
     pub subtitle: Option<String>,
     /// X-axis label.
-    pub xlabel: String,
+    pub(crate) xlabel: String,
     /// Y-axis label.
-    pub ylabel: String,
+    pub(crate) ylabel: String,
     /// Data series.
     pub series: Vec<Series>,
     /// Horizontal reference value (e.g. efficiency = 1).
     pub href: Option<f64>,
     /// Force the y range to start at zero.
-    pub y_from_zero: bool,
+    pub(crate) y_from_zero: bool,
 }
 
 impl Chart {

@@ -40,14 +40,14 @@ pub struct GanttLane {
 #[derive(Debug, Clone, Default)]
 pub struct GanttChart {
     /// Chart title.
-    pub title: String,
+    pub(crate) title: String,
     /// Optional subtitle under the title.
-    pub subtitle: Option<String>,
+    pub(crate) subtitle: Option<String>,
     /// Legend entries; a span's `kind` indexes this list (colours cycle
     /// through the shared palette).
-    pub kinds: Vec<String>,
+    pub(crate) kinds: Vec<String>,
     /// Rows, drawn top to bottom.
-    pub lanes: Vec<GanttLane>,
+    pub(crate) lanes: Vec<GanttLane>,
 }
 
 impl GanttChart {
@@ -81,7 +81,7 @@ impl GanttChart {
     }
 
     /// The chart's natural pixel height for its lane count.
-    pub fn natural_height(&self) -> u32 {
+    pub(crate) fn natural_height(&self) -> u32 {
         (MARGIN_TOP + ROW_H * self.lanes.len().max(1) as f64 + MARGIN_BOTTOM) as u32
     }
 

@@ -18,13 +18,13 @@ mod chart;
 mod gantt;
 mod svg;
 
-pub use axis::nice_ticks;
-pub use chart::{Chart, Series, SeriesKind};
+pub use chart::{Chart, Series};
 pub use gantt::{GanttChart, GanttLane, GanttSpan};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::axis::nice_ticks;
     use proptest::prelude::*;
 
     proptest! {

@@ -20,7 +20,7 @@ pub(crate) fn esc(s: &str) -> String {
 }
 
 /// Renders a chart to SVG text.
-pub fn render(chart: &Chart, width: u32, height: u32) -> String {
+pub(crate) fn render(chart: &Chart, width: u32, height: u32) -> String {
     let w = width as f64;
     let h = height as f64;
     let plot_w = (w - MARGIN_LEFT - MARGIN_RIGHT).max(10.0);

@@ -7,36 +7,34 @@ use std::sync::Arc;
 
 /// A simple command: words that expand to `argv` at run time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Command {
+pub(crate) struct Command {
     /// The command words (first = program name after expansion).
-    pub words: Vec<Word>,
+    pub(crate) words: Vec<Word>,
 }
 
 /// A pipeline: `cmd₀ | cmd₁ | …` with stdout threaded to stdin.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Pipeline {
+pub(crate) struct Pipeline {
     /// Commands in pipeline order (never empty).
-    pub commands: Vec<Command>,
+    pub(crate) commands: Vec<Command>,
 }
 
 /// Connector between pipelines in a list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ListOp {
+pub(crate) enum ListOp {
     /// `&&` — run next only on success.
     And,
     /// `||` — run next only on failure.
     Or,
-    /// `;` — run unconditionally.
-    Seq,
 }
 
 /// `p₀ op₁ p₁ op₂ p₂ …`
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandList {
     /// The first pipeline.
-    pub first: Pipeline,
+    pub(crate) first: Pipeline,
     /// Remaining pipelines with their connectors.
-    pub rest: Vec<(ListOp, Pipeline)>,
+    pub(crate) rest: Vec<(ListOp, Pipeline)>,
 }
 
 /// A statement.
@@ -94,7 +92,7 @@ impl Script {
     }
 
     /// The top-level statements.
-    pub fn stmts(&self) -> &[Stmt] {
+    pub(crate) fn stmts(&self) -> &[Stmt] {
         &self.0
     }
 }

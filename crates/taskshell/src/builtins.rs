@@ -17,7 +17,7 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 /// Dispatches a builtin by name, appending its stdout to `out`.
-pub fn run(
+pub(crate) fn run(
     interp: &mut Interpreter,
     name: &str,
     args: &[Cow<str>],

@@ -11,8 +11,6 @@ pub enum ShellError {
     BadUsage { command: String, message: String },
     /// File operation on a path that does not exist in the virtual FS.
     NoSuchFile(String),
-    /// `wget` target not present in the simulated URL store.
-    UnknownUrl(String),
     /// `mpirun` could not run the application model.
     AppError(String),
     /// Arithmetic evaluation failed (bad expression, division by zero).
@@ -32,7 +30,6 @@ impl fmt::Display for ShellError {
             ShellError::UnknownCommand(c) => write!(f, "{c}: command not found"),
             ShellError::BadUsage { command, message } => write!(f, "{command}: {message}"),
             ShellError::NoSuchFile(p) => write!(f, "{p}: no such file or directory"),
-            ShellError::UnknownUrl(u) => write!(f, "wget: cannot resolve '{u}'"),
             ShellError::AppError(m) => write!(f, "mpirun: {m}"),
             ShellError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             ShellError::UndefinedFunction(n) => write!(f, "function '{n}' is not defined"),

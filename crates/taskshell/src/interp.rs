@@ -158,7 +158,7 @@ impl Interpreter {
     }
 
     /// Reads a variable.
-    pub fn var(&self, name: &str) -> Option<&str> {
+    pub(crate) fn var(&self, name: &str) -> Option<&str> {
         self.exported
             .get(name)
             .or_else(|| self.vars.get(name))
@@ -219,12 +219,12 @@ impl Interpreter {
     }
 
     /// Parses and runs a script from the top.
-    pub fn run_script(&mut self, script: &str) -> Result<ScriptOutcome, ShellError> {
+    pub(crate) fn run_script(&mut self, script: &str) -> Result<ScriptOutcome, ShellError> {
         self.run_parsed(&Script::parse(script)?)
     }
 
     /// Runs an already-parsed script from the top, like
-    /// [`Interpreter::run_script`] without the parse: one [`Script`] can be
+    /// [`Interpreter::load_script`] without the parse: one [`Script`] can be
     /// loaded into any number of interpreters.
     pub fn run_parsed(&mut self, script: &Script) -> Result<ScriptOutcome, ShellError> {
         let start_elapsed = self.elapsed;
@@ -368,7 +368,6 @@ impl Interpreter {
             let run = match op {
                 ListOp::And => status == 0,
                 ListOp::Or => status != 0,
-                ListOp::Seq => true,
             };
             if run {
                 status = self.exec_pipeline(pipeline)?;

@@ -28,11 +28,11 @@ pub enum Segment {
 }
 
 /// A word: one or more segments.
-pub type Word = Vec<Segment>;
+pub(crate) type Word = Vec<Segment>;
 
 /// A token in a logical line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A word.
     Word(Word),
     /// `|`
@@ -47,16 +47,16 @@ pub enum Token {
 
 /// A tokenized logical line with its 1-based source line number.
 #[derive(Debug, Clone)]
-pub struct Line {
+pub(crate) struct Line {
     /// First physical line number of this logical line.
-    pub number: usize,
+    pub(crate) number: usize,
     /// Tokens in order.
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
 }
 
 /// Splits a script into logical lines (joining `\` continuations, dropping
 /// comments, blanks and the shebang) and tokenizes each.
-pub fn tokenize(script: &str) -> Result<Vec<Line>, ShellError> {
+pub(crate) fn tokenize(script: &str) -> Result<Vec<Line>, ShellError> {
     let mut out = Vec::new();
     let mut pending = String::new();
     let mut pending_start = 0usize;
@@ -96,7 +96,7 @@ pub fn tokenize(script: &str) -> Result<Vec<Line>, ShellError> {
 }
 
 /// Tokenizes one logical line.
-pub fn tokenize_line(line: &str, number: usize) -> Result<Vec<Token>, ShellError> {
+pub(crate) fn tokenize_line(line: &str, number: usize) -> Result<Vec<Token>, ShellError> {
     let chars: Vec<char> = line.chars().collect();
     let mut i = 0;
     let mut tokens = Vec::new();

@@ -29,15 +29,15 @@
 //! Every builtin charges virtual time to the script, so a script's elapsed
 //! time is dominated by its `mpirun` call — exactly like the real tool.
 
-pub mod ast;
-pub mod builtins;
-pub mod error;
-pub mod interp;
-pub mod lexer;
+mod ast;
+mod builtins;
+mod error;
+mod interp;
+mod lexer;
 pub mod parser;
-pub mod regexlite;
-pub mod urlstore;
-pub mod vfs;
+mod regexlite;
+mod urlstore;
+mod vfs;
 
 pub use ast::Script;
 pub use error::ShellError;

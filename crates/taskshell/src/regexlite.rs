@@ -19,11 +19,11 @@ use std::borrow::Cow;
 
 /// One match in a haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
+pub(crate) struct Match {
     /// Byte offset of the match start.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Byte offset one past the match end.
-    pub end: usize,
+    pub(crate) end: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ enum Quant {
 
 /// A compiled pattern. A pattern without metacharacters borrows its text.
 #[derive(Debug, Clone)]
-pub struct Regex<'p> {
+pub(crate) struct Regex<'p> {
     atoms: Vec<(Atom, Quant)>,
     /// The pattern's text when it is nothing but single literal characters
     /// (`grep -q "Finalising parallel run"`): matched with a substring
@@ -93,7 +93,7 @@ const META: [char; 8] = ['^', '$', '.', '[', '\\', '+', '*', '?'];
 impl<'p> Regex<'p> {
     /// Compiles a pattern. A pattern without metacharacters skips the atom
     /// list: it can only ever be matched as a literal.
-    pub fn compile(pattern: &'p str) -> Result<Regex<'p>, ShellError> {
+    pub(crate) fn compile(pattern: &'p str) -> Result<Regex<'p>, ShellError> {
         if !pattern.contains(META) {
             return Ok(Regex {
                 atoms: Vec::new(),
@@ -238,7 +238,7 @@ impl<'p> Regex<'p> {
     }
 
     /// Finds the leftmost match.
-    pub fn find(&self, haystack: &str) -> Option<Match> {
+    pub(crate) fn find(&self, haystack: &str) -> Option<Match> {
         if let Some(literal) = &self.literal {
             return find_literal(haystack, literal).map(|start| Match {
                 start,
@@ -272,12 +272,12 @@ impl<'p> Regex<'p> {
     }
 
     /// True if the pattern matches anywhere.
-    pub fn is_match(&self, haystack: &str) -> bool {
+    pub(crate) fn is_match(&self, haystack: &str) -> bool {
         self.find(haystack).is_some()
     }
 
     /// Replaces the first match with `replacement` (no backreferences).
-    pub fn replace_first(&self, haystack: &str, replacement: &str) -> String {
+    pub(crate) fn replace_first(&self, haystack: &str, replacement: &str) -> String {
         match self.find(haystack) {
             None => haystack.to_string(),
             Some(m) => {
@@ -291,7 +291,7 @@ impl<'p> Regex<'p> {
     }
 
     /// Replaces every (non-overlapping) match.
-    pub fn replace_all(&self, haystack: &str, replacement: &str) -> String {
+    pub(crate) fn replace_all(&self, haystack: &str, replacement: &str) -> String {
         let mut out = String::new();
         let mut rest = haystack;
         loop {

@@ -17,7 +17,7 @@ pub struct UrlStore {
 
 /// The stock LAMMPS Lennard-Jones input (abridged to the lines the run
 /// script's `sed` commands rewrite plus the essentials).
-pub const IN_LJ_TXT: &str = "\
+pub(crate) const IN_LJ_TXT: &str = "\
 # 3d Lennard-Jones melt
 
 variable\tx index 1
@@ -52,7 +52,7 @@ run\t\t100
 
 impl UrlStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         UrlStore::default()
     }
 

@@ -40,7 +40,7 @@ enum Undo {
 
 /// Normalizes `path` relative to `cwd`, resolving `.` and `..`. An
 /// absolute path that is already normal comes back borrowed.
-pub fn resolve<'a>(cwd: &str, path: &'a str) -> Cow<'a, str> {
+pub(crate) fn resolve<'a>(cwd: &str, path: &'a str) -> Cow<'a, str> {
     if path.starts_with('/') {
         return normalize(path);
     }
@@ -103,7 +103,7 @@ impl Vfs {
 
     /// Reads a file's shared content: writing it elsewhere stores the same
     /// allocation instead of a copy.
-    pub fn read_shared(&self, path: &str) -> Result<&Arc<str>, ShellError> {
+    pub(crate) fn read_shared(&self, path: &str) -> Result<&Arc<str>, ShellError> {
         let path = normalize(path);
         self.files
             .get(&*path)
@@ -116,7 +116,7 @@ impl Vfs {
     }
 
     /// Removes a file.
-    pub fn remove(&mut self, path: &str) -> Result<(), ShellError> {
+    pub(crate) fn remove(&mut self, path: &str) -> Result<(), ShellError> {
         let path = normalize(path);
         if !self.files.contains_key(&*path) {
             return Err(ShellError::NoSuchFile(path.into_owned()));
@@ -126,7 +126,7 @@ impl Vfs {
     }
 
     /// Registers a directory (mkdir -p semantics).
-    pub fn mkdir(&mut self, path: &str) {
+    pub(crate) fn mkdir(&mut self, path: &str) {
         self.mkdir_resolved(&normalize(path));
     }
 

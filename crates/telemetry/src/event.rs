@@ -4,7 +4,7 @@ use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::fmt;
 
 /// Version stamp of the JSONL trace format (the file's header line).
-pub const TRACE_VERSION: i64 = 1;
+pub(crate) const TRACE_VERSION: i64 = 1;
 
 /// Keys owned by the envelope; event fields may not reuse them.
 const RESERVED_KEYS: [&str; 4] = ["t", "shard", "kind", "scope"];
@@ -64,7 +64,7 @@ impl TraceEvent {
     }
 
     /// Parses one JSON line back into an event.
-    pub fn from_line(line: &str) -> Result<TraceEvent, TraceError> {
+    pub(crate) fn from_line(line: &str) -> Result<TraceEvent, TraceError> {
         let doc = json::parse(line).map_err(|e| TraceError(format!("bad trace line: {e}")))?;
         let map = doc
             .as_map()

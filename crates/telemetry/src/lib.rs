@@ -25,14 +25,14 @@
 //! [`timeline::build_timeline`] folds the stream into per-pool lanes for
 //! Gantt rendering.
 
-pub mod bus;
+mod bus;
 mod event;
 mod sink;
-pub mod summary;
-pub mod timeline;
+mod summary;
+mod timeline;
 
 pub use bus::EventTap;
-pub use event::{Trace, TraceError, TraceEvent, TRACE_VERSION};
+pub use event::{Trace, TraceError, TraceEvent};
 pub use sink::{EventSink, COORDINATOR_SHARD};
 pub use summary::{Histogram, TraceSummary};
 pub use timeline::{build_timeline, SpanKind, TimelineLane, TimelineSpan};

@@ -75,19 +75,9 @@ impl EventSink {
         self
     }
 
-    /// An enabled sink for coordinator-level events.
-    pub fn coordinator() -> EventSink {
-        EventSink::for_shard(COORDINATOR_SHARD)
-    }
-
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Current shard-local simulated time (zero when disabled).
-    pub fn now(&self) -> f64 {
-        self.inner.as_ref().map_or(0.0, |s| s.now)
     }
 
     /// Advances the shard-local timeline by a deterministic duration.
@@ -127,16 +117,6 @@ impl EventSink {
         }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |s| s.events.len())
-    }
-
-    /// True when no events are buffered (always true when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drains the buffered events, leaving the sink enabled with its
     /// timeline intact.
     pub fn take(&mut self) -> Vec<TraceEvent> {
@@ -160,8 +140,6 @@ mod tests {
         sink.advance(10.0);
         sink.absorb(vec![TraceEvent::pending("x", "y", |_| {})]);
         assert!(!built, "field closure ran on a disabled sink");
-        assert_eq!(sink.now(), 0.0);
-        assert!(sink.is_empty());
         assert!(sink.take().is_empty());
     }
 
@@ -174,12 +152,13 @@ mod tests {
         sink.advance(5.5);
         sink.emit("b", "s", |_| {});
         sink.advance(-1.0); // negative advances are clamped
+        sink.emit("c", "s", |_| {});
         let events = sink.take();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!((events[0].t, events[0].shard), (0.0, 3));
         assert_eq!((events[1].t, events[1].shard), (5.5, 3));
-        assert_eq!(sink.now(), 5.5);
-        assert!(sink.is_empty(), "take drained the buffer");
+        assert_eq!(events[2].t, 5.5);
+        assert!(sink.take().is_empty(), "take drained the buffer");
         assert!(sink.is_enabled(), "take keeps the sink enabled");
     }
 
@@ -218,7 +197,7 @@ mod tests {
 
     #[test]
     fn absorb_restamps_pending_events_in_order() {
-        let mut sink = EventSink::coordinator();
+        let mut sink = EventSink::for_shard(COORDINATOR_SHARD);
         sink.advance(7.0);
         sink.absorb(vec![
             TraceEvent::pending("p1", "s", |_| {}),

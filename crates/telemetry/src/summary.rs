@@ -12,23 +12,18 @@ pub struct Histogram {
     /// Number of recorded samples.
     pub count: u64,
     /// Sum of samples.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Smallest sample (0 when empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest sample (0 when empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Counts per bucket: `BOUNDS` upper bounds plus an overflow bucket.
-    pub buckets: [u64; BOUNDS.len() + 1],
+    pub(crate) buckets: [u64; BOUNDS.len() + 1],
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records one sample.
-    pub fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, v: f64) {
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -43,7 +38,7 @@ impl Histogram {
     }
 
     /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -52,7 +47,7 @@ impl Histogram {
     }
 
     /// One-line rendering: `n=…  mean=…s  min=…s  max=…s`.
-    pub fn render_compact(&self) -> String {
+    pub(crate) fn render_compact(&self) -> String {
         if self.count == 0 {
             return "n=0".to_string();
         }
@@ -121,7 +116,7 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// Folds an event stream into a summary.
-    pub fn from_events(events: &[TraceEvent]) -> TraceSummary {
+    pub(crate) fn from_events(events: &[TraceEvent]) -> TraceSummary {
         let mut s = TraceSummary {
             events: events.len(),
             ..TraceSummary::default()
@@ -190,7 +185,7 @@ impl TraceSummary {
 
     /// Cache hit ratio over consulted scenarios (hits + executed), in
     /// `[0, 1]`; 0 when nothing was consulted.
-    pub fn cache_hit_ratio(&self) -> f64 {
+    pub(crate) fn cache_hit_ratio(&self) -> f64 {
         let executed = self.completed + self.failed + self.skipped + self.timed_out;
         let total = self.cache_hits + executed;
         if total == 0 {
@@ -201,7 +196,7 @@ impl TraceSummary {
     }
 
     /// Dollars billed per completed scenario (0 when none completed).
-    pub fn dollars_per_completed(&self) -> f64 {
+    pub(crate) fn dollars_per_completed(&self) -> f64 {
         if self.completed == 0 {
             0.0
         } else {
@@ -275,7 +270,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         assert_eq!(h.render_compact(), "n=0");
         for v in [0.5, 5.0, 150.0, 7200.0] {
             h.record(v);

@@ -55,13 +55,6 @@ pub struct TimelineLane {
     pub spans: Vec<TimelineSpan>,
 }
 
-impl TimelineLane {
-    /// Largest span end on the lane (0 when empty).
-    pub fn end(&self) -> f64 {
-        self.spans.iter().fold(0.0, |acc, s| acc.max(s.end))
-    }
-}
-
 /// Folds pool-scoped events into lanes, one per `(shard, pool)`, ordered
 /// by shard then first appearance — deterministic because the merged
 /// event order is.
@@ -207,6 +200,6 @@ mod tests {
         assert_eq!(a.spans[2].kind, SpanKind::Eviction);
         assert_eq!(a.spans[2].start, a.spans[2].end);
         assert_eq!(a.spans[3].kind, SpanKind::Backoff);
-        assert_eq!(a.end(), 290.0);
+        assert_eq!(a.spans[3].end, 290.0);
     }
 }

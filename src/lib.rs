@@ -36,11 +36,15 @@ pub use telemetry;
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
     pub use hpcadvisor_core::advice::AdviceSort;
-    pub use hpcadvisor_core::metrics;
-    pub use hpcadvisor_core::plot;
-    pub use hpcadvisor_core::prelude::*;
+    pub use hpcadvisor_core::replicate::{front_stability, render_stability, run_replicates};
     pub use hpcadvisor_core::sampling::{
         front_regret, front_similarity, run_sampled, AggressiveDiscard, BottleneckAware,
         FixedPerfFactor, FullGrid, Sampler,
+    };
+    pub use hpcadvisor_core::{
+        metrics, plot, Advice, AdviceRequest, AdvisorService, Capacity, CollectPlan, CollectReport,
+        DataFilter, DataPoint, Dataset, JobEvent, RetryPolicy, RunJournal, ScenarioStatus,
+        ServiceConfig, ServiceError, Session, SharedScenarioCache, TenantPolicy, ToolError,
+        UserConfig,
     };
 }

@@ -4,7 +4,7 @@
 //! the crash-safe journal without re-executing finished scenarios.
 
 use cloudsim::{FaultPlan, Operation};
-use hpcadvisor_core::prelude::*;
+use hpcadvisor::prelude::*;
 use std::path::PathBuf;
 
 const SEED: u64 = 42;

@@ -7,7 +7,7 @@
 //! trace is pinned as well. Each dataset's CSV export is pinned beside it.
 
 use cloudsim::{FaultMode, FaultPlan, Operation, RegionFault};
-use hpcadvisor_core::prelude::*;
+use hpcadvisor::prelude::*;
 use hpcadvisor_core::sampling::{run_sampled, AggressiveDiscard};
 use std::path::Path;
 

@@ -6,7 +6,7 @@
 //! must be byte-identical to the serial `Session::collect()` result, and a
 //! quota failure in one shard must not abort sibling shards.
 
-use hpcadvisor_core::prelude::*;
+use hpcadvisor::prelude::*;
 
 const SEED: u64 = 42;
 

@@ -5,7 +5,7 @@
 //! SLA skips instead of failures.
 
 use cloudsim::{FaultMode, FaultPlan, RegionFault};
-use hpcadvisor_core::prelude::*;
+use hpcadvisor::prelude::*;
 use std::path::PathBuf;
 
 const SEED: u64 = 42;

@@ -1,7 +1,7 @@
 //! Run-trace telemetry: determinism across worker counts, JSONL
 //! round-tripping, zero-cost when disabled, and summary consistency.
 
-use hpcadvisor_core::prelude::*;
+use hpcadvisor::prelude::*;
 use hpcadvisor_core::Trace;
 use std::time::Instant;
 

@@ -5,8 +5,8 @@
 //! resume from the journal to the uninterrupted result.
 
 use cloudsim::{Capacity, FaultPlan, Operation};
+use hpcadvisor::prelude::*;
 use hpcadvisor_core::collect::CHUNK_SIZE;
-use hpcadvisor_core::prelude::*;
 use std::path::PathBuf;
 
 const SEED: u64 = 42;
